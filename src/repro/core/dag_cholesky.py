@@ -70,32 +70,90 @@ class CholeskyDag:
     grid: ProcessGrid
 
 
-def _prepare(
-    n: int,
-    nb: int,
-    kernel_map: KernelPrecisionMap,
-    grid: ProcessGrid | None,
-    comm_map: CommPrecisionMap | None,
-) -> tuple[int, ProcessGrid, CommPrecisionMap]:
-    nt = kernel_map.nt
-    expected_nt = -(-n // nb)
-    if nt != expected_nt:
-        raise ValueError(f"kernel map NT={nt} inconsistent with n={n}, nb={nb} (NT={expected_nt})")
-    if grid is None:
-        grid = ProcessGrid(1, 1)
-    if comm_map is None:
-        comm_map = build_comm_precision_map(kernel_map)
-    return nt, grid, comm_map
+@dataclass
+class _CholeskyDataflow:
+    """The dataflow rules of Algorithm 1, shared by both DSL front ends.
+
+    The PTG task classes below and the DTD insertion loops of
+    :mod:`repro.core.dtd_cholesky` must describe the *same* graph
+    (``tests/test_runtime_dtd.py``), so everything that decides a tile's
+    size, a task's priority or the encoding on an edge lives here once.
+    """
+
+    n: int
+    nb: int
+    kernel_map: KernelPrecisionMap
+    strategy: ConversionStrategy
+    grid: ProcessGrid | None
+    comm_map: CommPrecisionMap | None
+
+    def __post_init__(self) -> None:
+        n, nb, self.nt = self.n, self.nb, self.kernel_map.nt
+        expected_nt = -(-n // nb)
+        if self.nt != expected_nt:
+            raise ValueError(
+                f"kernel map NT={self.nt} inconsistent with n={n}, nb={nb} (NT={expected_nt})"
+            )
+        if self.grid is None:
+            self.grid = ProcessGrid(1, 1)
+        if self.comm_map is None:
+            self.comm_map = build_comm_precision_map(self.kernel_map)
+        self.storage = self.comm_map.storage
+        #: edge length of tile row/col ``t`` (the last tile may be ragged)
+        self._edges = [min(n, (t + 1) * nb) - t * nb for t in range(self.nt)]
+
+    def edge(self, t: int) -> int:
+        return self._edges[t]
+
+    def elements(self, i: int, j: int) -> int:
+        return self._edges[i] * self._edges[j]
+
+    @staticmethod
+    def prio(k: int, kind: str) -> int:
+        return k * 4 + _KIND_RANK[kind]
+
+    def payload(self, i: int, j: int) -> Precision:
+        return self.comm_map.payload(i, j, self.strategy)
+
+    def sender_conv(self, i: int, j: int) -> tuple[Precision, Precision] | None:
+        """STC conversion performed by the task writing tile (i, j)."""
+        pay = self.payload(i, j)
+        sto = self.storage(i, j)
+        if payload_encoding(pay) != payload_encoding(sto):
+            return (sto, pay)
+        return None
+
+    def trailing(self, i: int, j: int, k: int) -> tuple[Precision, Precision, Precision]:
+        """Off-diagonal tile (i, j) as iteration ``k`` meets it.
+
+        Returns ``(kernel, arrives, rests)``: its kernel precision, the
+        encoding it arrives in — the generated tile at storage precision
+        for ``k == 0``, else whatever its last GEMM left — and the
+        encoding a GEMM leaves it in.  A pure-FP16 GEMM's accumulator is
+        FP16-valued, so the tile rests in FP16 on the device between
+        consecutive updates; the single conversion to/from the FP32
+        at-rest encoding is paid at the chain's ends (first load,
+        eventual TRSM), not per GEMM.
+        """
+        kernel = self.kernel_map.kernel(i, j)
+        storage = self.storage(i, j)
+        rests = Precision.FP16 if kernel == Precision.FP16 else storage
+        return kernel, (storage if k == 0 else rests), rests
+
+    def dag(self, graph: TaskGraph) -> CholeskyDag:
+        """Wrap a built ``graph`` with the maps that shaped it."""
+        return CholeskyDag(
+            graph=graph,
+            n=self.n,
+            nb=self.nb,
+            kernel_map=self.kernel_map,
+            comm_map=self.comm_map,
+            strategy=self.strategy,
+            grid=self.grid,
+        )
 
 
-def _cholesky_classes(
-    n: int,
-    nb: int,
-    kernel_map: KernelPrecisionMap,
-    strategy: ConversionStrategy,
-    grid: ProcessGrid,
-    comm_map: CommPrecisionMap,
-) -> tuple[list[TaskClassSpec], TaskClassSpec]:
+def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], TaskClassSpec]:
     """The four Cholesky task classes, in both emission layouts.
 
     Returns ``(classes, kmajor)``: the class-major spec list the
@@ -108,31 +166,14 @@ def _cholesky_classes(
     the same or an earlier ``k`` already emitted), which is what lets
     :func:`~repro.runtime.dsl.unroll_stream` skip the Kahn sort.
     """
-    nt = kernel_map.nt
-
-    def edge(t: int) -> int:
-        """Edge length of tile row/col ``t`` (ragged last tile)."""
-        return min(n, (t + 1) * nb) - t * nb
-
-    def elements(i: int, j: int) -> int:
-        return edge(i) * edge(j)
-
-    def prio(k: int, kind: str) -> int:
-        return k * 4 + _KIND_RANK[kind]
-
-    def panel_payload(m: int, k: int) -> Precision:
-        return comm_map.payload(m, k, strategy)
-
-    def panel_storage(m: int, k: int) -> Precision:
-        return comm_map.storage(m, k)
-
-    def sender_conv(i: int, j: int) -> tuple[Precision, Precision] | None:
-        """STC conversion performed by the task writing tile (i, j)."""
-        pay = comm_map.payload(i, j, strategy)
-        sto = comm_map.storage(i, j)
-        if payload_encoding(pay) != payload_encoding(sto):
-            return (sto, pay)
-        return None
+    nt = rules.nt
+    grid = rules.grid
+    edge = rules.edge
+    elements = rules.elements
+    prio = rules.prio
+    panel_payload = rules.payload
+    panel_storage = rules.storage
+    sender_conv = rules.sender_conv
 
     # -- task classes ------------------------------------------------------
     def potrf_space():
@@ -166,17 +207,13 @@ def _cholesky_classes(
     def trsm_inst(params):
         m, k = params
         c_prod = None if k == 0 else ("GEMM", (m, k, k - 1))
-        # after the FP16-resting change above, a panel tile whose kernel
-        # precision is FP16 arrives from its last GEMM in FP16 encoding
-        if k == 0 or kernel_map.kernel(m, k) != Precision.FP16:
-            c_payload = panel_storage(m, k)
-        else:
-            c_payload = Precision.FP16
+        # the panel tile arrives from its last GEMM in its at-rest encoding
+        kernel, c_payload, _rests = rules.trailing(m, k, k)
         return TaskInstance(
             cls=KernelKind.TRSM,
             params=params,
             rank=grid.owner(m, k),
-            precision=trsm_execution_precision(kernel_map.kernel(m, k)),
+            precision=trsm_execution_precision(kernel),
             flops=kernel_flops_rect(KernelKind.TRSM, edge(m), edge(k)),
             writes=TileRef(m, k, k + 1),
             output_precision=panel_storage(m, k),
@@ -184,7 +221,7 @@ def _cholesky_classes(
                 (
                     ("POTRF", (k,)),
                     TileRef(k, k, k + 1),
-                    comm_map.payload(k, k, strategy),
+                    panel_payload(k, k),
                     Precision.FP64,
                     elements(k, k),
                     "in",
@@ -248,13 +285,7 @@ def _cholesky_classes(
     def gemm_inst(params):
         m, nn, k = params
         c_prod = None if k == 0 else ("GEMM", (m, nn, k - 1))
-        prec = kernel_map.kernel(m, nn)
-        # A pure-FP16 GEMM's accumulator is FP16-valued, so the tile rests
-        # in FP16 on the device between consecutive updates; the single
-        # conversion to/from the FP32 at-rest encoding is paid at the
-        # chain's ends (first load, eventual TRSM), not per GEMM.
-        out_prec = Precision.FP16 if prec == Precision.FP16 else comm_map.storage(m, nn)
-        c_payload = comm_map.storage(m, nn) if k == 0 else out_prec
+        prec, c_payload, out_prec = rules.trailing(m, nn, k)
         return TaskInstance(
             cls=KernelKind.GEMM,
             params=params,
@@ -348,19 +379,11 @@ def build_cholesky_dag(
     pinned regression constants byte-stable.  For simulation without any
     materialised graph at all, see :func:`stream_cholesky_tasks`.
     """
-    nt, grid, comm_map = _prepare(n, nb, kernel_map, grid, comm_map)
-    classes, kmajor = _cholesky_classes(n, nb, kernel_map, strategy, grid, comm_map)
+    rules = _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
+    classes, kmajor = _cholesky_classes(rules)
     with hot_region("dag.build"):
         graph = unroll([kmajor], stream=True) if stream else unroll(classes)
-    return CholeskyDag(
-        graph=graph,
-        n=n,
-        nb=nb,
-        kernel_map=kernel_map,
-        comm_map=comm_map,
-        strategy=strategy,
-        grid=grid,
-    )
+    return rules.dag(graph)
 
 
 def stream_cholesky_tasks(
@@ -381,6 +404,7 @@ def stream_cholesky_tasks(
     (``cholesky_task_count(nt) ≈ nt³/6`` tasks) never materialises the
     DAG.
     """
-    _nt, grid, comm_map = _prepare(n, nb, kernel_map, grid, comm_map)
-    _classes, kmajor = _cholesky_classes(n, nb, kernel_map, strategy, grid, comm_map)
+    _classes, kmajor = _cholesky_classes(
+        _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
+    )
     return unroll_stream([kmajor])

@@ -19,13 +19,11 @@ from ..runtime.dtd import AccessMode, DataAccess, DTDRuntime
 from ..tiles.distribution import ProcessGrid
 from ..tiles.kernels import trsm_execution_precision
 from .config import ConversionStrategy
-from .conversion import CommPrecisionMap, build_comm_precision_map, payload_encoding
-from .dag_cholesky import CholeskyDag
+from .conversion import CommPrecisionMap
+from .dag_cholesky import CholeskyDag, _CholeskyDataflow
 from .precision_map import KernelPrecisionMap
 
 __all__ = ["build_cholesky_dag_dtd"]
-
-_KIND_RANK = {KernelKind.POTRF: 0, KernelKind.TRSM: 1, KernelKind.SYRK: 2, KernelKind.GEMM: 3}
 
 
 def build_cholesky_dag_dtd(
@@ -38,34 +36,11 @@ def build_cholesky_dag_dtd(
     comm_map: CommPrecisionMap | None = None,
 ) -> CholeskyDag:
     """Insert Algorithm 1's tasks sequentially and discover the DAG."""
-    nt = kernel_map.nt
-    if nt != -(-n // nb):
-        raise ValueError(f"kernel map NT={nt} inconsistent with n={n}, nb={nb}")
-    if grid is None:
-        grid = ProcessGrid(1, 1)
-    if comm_map is None:
-        comm_map = build_comm_precision_map(kernel_map)
-
-    def edge(t: int) -> int:
-        return min(n, (t + 1) * nb) - t * nb
-
-    def elements(i: int, j: int) -> int:
-        return edge(i) * edge(j)
-
-    def payload(i: int, j: int) -> Precision:
-        return comm_map.payload(i, j, strategy)
-
-    def sender_conv(i: int, j: int):
-        pay, sto = payload(i, j), comm_map.storage(i, j)
-        if payload_encoding(pay) != payload_encoding(sto):
-            return (sto, pay)
-        return None
-
-    def gemm_rest(i: int, j: int) -> Precision:
-        """At-rest encoding of a trailing tile between its GEMM updates."""
-        if kernel_map.kernel(i, j) == Precision.FP16:
-            return Precision.FP16
-        return comm_map.storage(i, j)
+    # sizes, priorities and edge encodings come from the same rules as the PTG's
+    rules = _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
+    nt, grid = rules.nt, rules.grid
+    edge, elements, prio = rules.edge, rules.elements, rules.prio
+    payload, storage, sender_conv = rules.payload, rules.storage, rules.sender_conv
 
     rt = DTDRuntime(default_elements=nb * nb)
 
@@ -80,11 +55,11 @@ def build_cholesky_dag_dtd(
             flops=kernel_flops(KernelKind.POTRF, edge(k)),
             output_precision=Precision.FP64,
             sender_conversion=sender_conv(k, k) if k < nt - 1 else None,
-            priority=k * 4 + _KIND_RANK[KernelKind.POTRF],
+            priority=prio(k, KernelKind.POTRF),
         )
         for m in range(k + 1, nt):
             # panel tile arrives from its last GEMM in its at-rest encoding
-            c_rest = comm_map.storage(m, k) if k == 0 else gemm_rest(m, k)
+            kernel, c_rest, _rests = rules.trailing(m, k, k)
             rt.insert_task(
                 KernelKind.TRSM,
                 (m, k),
@@ -95,11 +70,11 @@ def build_cholesky_dag_dtd(
                                elements(m, k)),
                 ],
                 rank=grid.owner(m, k),
-                precision=trsm_execution_precision(kernel_map.kernel(m, k)),
+                precision=trsm_execution_precision(kernel),
                 flops=kernel_flops_rect(KernelKind.TRSM, edge(m), edge(k)),
-                output_precision=comm_map.storage(m, k),
+                output_precision=storage(m, k),
                 sender_conversion=sender_conv(m, k),
-                priority=k * 4 + _KIND_RANK[KernelKind.TRSM],
+                priority=prio(k, KernelKind.TRSM),
             )
         for m in range(k + 1, nt):
             rt.insert_task(
@@ -107,7 +82,7 @@ def build_cholesky_dag_dtd(
                 (m, k),
                 [
                     DataAccess((m, k), AccessMode.INPUT, payload(m, k),
-                               comm_map.storage(m, k), elements(m, k)),
+                               storage(m, k), elements(m, k)),
                     DataAccess((m, m), AccessMode.INOUT, Precision.FP64,
                                Precision.FP64, elements(m, m)),
                 ],
@@ -115,21 +90,19 @@ def build_cholesky_dag_dtd(
                 precision=Precision.FP64,
                 flops=kernel_flops_rect(KernelKind.SYRK, edge(m), edge(k)),
                 output_precision=Precision.FP64,
-                priority=k * 4 + _KIND_RANK[KernelKind.SYRK],
+                priority=prio(k, KernelKind.SYRK),
             )
         for m in range(k + 2, nt):
             for nn in range(k + 1, m):
-                prec = kernel_map.kernel(m, nn)
-                rest = gemm_rest(m, nn)
-                c_in_rest = comm_map.storage(m, nn) if k == 0 else rest
+                prec, c_in_rest, rest = rules.trailing(m, nn, k)
                 rt.insert_task(
                     KernelKind.GEMM,
                     (m, nn, k),
                     [
                         DataAccess((m, k), AccessMode.INPUT, payload(m, k),
-                                   comm_map.storage(m, k), elements(m, k)),
+                                   storage(m, k), elements(m, k)),
                         DataAccess((nn, k), AccessMode.INPUT, payload(nn, k),
-                                   comm_map.storage(nn, k), elements(nn, k)),
+                                   storage(nn, k), elements(nn, k)),
                         DataAccess((m, nn), AccessMode.INOUT, c_in_rest, c_in_rest,
                                    elements(m, nn)),
                     ],
@@ -137,11 +110,7 @@ def build_cholesky_dag_dtd(
                     precision=prec,
                     flops=kernel_flops_rect(KernelKind.GEMM, edge(m), edge(nn), edge(k)),
                     output_precision=rest,
-                    priority=k * 4 + _KIND_RANK[KernelKind.GEMM],
+                    priority=prio(k, KernelKind.GEMM),
                 )
 
-    graph = rt.finalize()
-    return CholeskyDag(
-        graph=graph, n=n, nb=nb, kernel_map=kernel_map, comm_map=comm_map,
-        strategy=strategy, grid=grid,
-    )
+    return rules.dag(rt.finalize())

@@ -51,7 +51,7 @@ from ..obs.live import set_live_gauge
 from ..precision.emulate import quantize
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
-from .executor import _run_task
+from .executor import _execute_task, _mat_tiles, _seed_version0
 from .task import TaskGraph
 
 __all__ = [
@@ -135,50 +135,6 @@ def pick_mp_context() -> mp.context.BaseContext:
     )
 
 
-def _seed_values(
-    graph: TaskGraph,
-    mat: TiledSymmetricMatrix,
-    rank: int,
-    ingest=None,
-) -> dict:
-    """Version-0 tiles needed by this rank's tasks, at storage precision.
-
-    One vectorised quantisation pass per storage precision (see
-    :func:`repro.runtime.executor._seed_version0`).  With ``ingest`` (a
-    :class:`repro.geostats.dataplane.RankIngest`), the raw FP64 tiles
-    are *built in-process* from the partitions covering this rank's tile
-    footprint — per-rank streaming ingest, where the parent never ships
-    tile payloads — then quantised to the same storage precisions, so
-    results are bit-identical to the mat-seeded path.
-    """
-    from ..precision.emulate import quantize_batch
-
-    if ingest is None:
-        from .executor import _seed_version0
-
-        return _seed_version0(graph, mat, rank)
-
-    wanted: dict[tuple[int, int, int], object] = {}
-    for task in graph:
-        if task.rank != rank:
-            continue
-        for inp in task.inputs:
-            if inp.producer is None:
-                key = (inp.tile.i, inp.tile.j, inp.tile.version)
-                if key not in wanted:
-                    wanted[key] = inp.storage_precision
-    raw = ingest.build_tiles(sorted({(i, j) for i, j, _v in wanted}))
-    by_precision: dict[object, list[tuple[int, int, int]]] = {}
-    for key, prec in wanted.items():
-        by_precision.setdefault(prec, []).append(key)
-    values: dict[tuple[int, int, int], np.ndarray] = {}
-    for prec, keys in by_precision.items():
-        tiles = quantize_batch([raw[(i, j)] for i, j, _v in keys], prec)
-        for key, tile in zip(keys, tiles):
-            values[key] = tile
-    return values
-
-
 def _consumer_plan(graph: TaskGraph) -> dict[int, list[tuple[int, Precision]]]:
     """Per producing task: the (remote rank, payload precision) sends."""
     plan: dict[int, list[tuple[int, Precision]]] = {}
@@ -227,7 +183,9 @@ def _rank_main(
     shard = None
     try:
         injector = FaultInjector(fault_plan)
-        values = _seed_values(graph, mat, rank, ingest)
+        # with ingest, this worker builds its own tiles (see _seed_version0)
+        fetch_tiles = ingest.build_tiles if ingest is not None else _mat_tiles(mat)
+        values = _seed_version0(graph, fetch_tiles, rank)
         plan = _consumer_plan(graph)
         inbox = inboxes[rank]
         stash: dict[tuple[int, int, int, int], np.ndarray] = {}
@@ -295,8 +253,7 @@ def _rank_main(
                 payload = recv((*key3, int(inp.payload_precision)))
                 values[key3] = payload
             t_task = shard.elapsed() if shard is not None else 0.0
-            result = quantize(_run_task(task, values), task.output_precision)
-            out_key = (task.output.i, task.output.j, task.output.version)
+            out_key, result = _execute_task(task, values)
             values[out_key] = result
             n_done += 1
             if heartbeats is not None:

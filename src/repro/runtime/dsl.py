@@ -106,6 +106,34 @@ def _instance_inputs(
     return inputs
 
 
+def _emit_task(
+    key: tuple[str, tuple[int, ...]],
+    inst: TaskInstance,
+    tid_by_key: dict[tuple[str, tuple[int, ...]], int],
+) -> Task:
+    """Mint the next :class:`Task` (dense tid) from ``inst`` and record its id under ``key``.
+
+    Both unroll paths build their tasks here, in their emission order.
+    """
+    if key in tid_by_key:
+        raise ValueError(f"duplicate task instance {key}")
+    task = Task(
+        tid=len(tid_by_key),
+        kind=inst.cls,
+        params=inst.params,
+        rank=inst.rank,
+        precision=inst.precision,
+        flops=inst.flops,
+        output=inst.writes,
+        output_precision=inst.output_precision,
+        inputs=_instance_inputs(inst, tid_by_key),
+        sender_conversion=inst.sender_conversion,
+        priority=inst.priority,
+    )
+    tid_by_key[key] = task.tid
+    return task
+
+
 def unroll_stream(classes: Sequence[TaskClassSpec]) -> Iterator[Task]:
     """Lazily unroll task classes, yielding :class:`Task` objects.
 
@@ -123,30 +151,10 @@ def unroll_stream(classes: Sequence[TaskClassSpec]) -> Iterator[Task]:
     materialising fallback) and ``ValueError`` on duplicate instances.
     """
     tid_by_key: dict[tuple[str, tuple[int, ...]], int] = {}
-    tid = 0
     for spec in classes:
         for params in spec.space():
             inst = spec.instantiate(params)
-            key = (inst.cls, inst.params)
-            if key in tid_by_key:
-                raise ValueError(f"duplicate task instance {key}")
-            inputs = _instance_inputs(inst, tid_by_key)
-            task = Task(
-                tid=tid,
-                kind=inst.cls,
-                params=inst.params,
-                rank=inst.rank,
-                precision=inst.precision,
-                flops=inst.flops,
-                output=inst.writes,
-                output_precision=inst.output_precision,
-                inputs=inputs,
-                sender_conversion=inst.sender_conversion,
-                priority=inst.priority,
-            )
-            tid_by_key[key] = tid
-            tid += 1
-            yield task
+            yield _emit_task((inst.cls, inst.params), inst, tid_by_key)
 
 
 def unroll(classes: Sequence[TaskClassSpec], *, stream: bool = False) -> TaskGraph:
@@ -220,34 +228,9 @@ def unroll(classes: Sequence[TaskClassSpec], *, stream: bool = False) -> TaskGra
         raise ValueError("task classes form a dependency cycle")
 
     graph = TaskGraph()
-    tid_by_index: dict[int, int] = {}
+    keys = list(index_by_key)  # insertion order is emission order: keys[i] names instances[i]
+    tid_by_key: dict[tuple[str, tuple[int, ...]], int] = {}
     for i in topo:
-        inst = instances[i]
-        inputs = []
-        for producer_key, tile, payload_prec, storage_prec, elements, role in inst.reads:
-            producer = None if producer_key is None else tid_by_index[index_by_key[producer_key]]
-            inputs.append(
-                TaskInput(
-                    producer=producer,
-                    tile=tile,
-                    payload_precision=payload_prec,
-                    storage_precision=storage_prec,
-                    elements=elements,
-                    role=role,
-                )
-            )
-        task = graph.new_task(
-            kind=inst.cls,
-            params=inst.params,
-            rank=inst.rank,
-            precision=inst.precision,
-            flops=inst.flops,
-            output=inst.writes,
-            output_precision=inst.output_precision,
-            inputs=inputs,
-            sender_conversion=inst.sender_conversion,
-            priority=inst.priority,
-        )
-        tid_by_index[i] = task.tid
+        graph.add(_emit_task(keys[i], instances[i], tid_by_key))
     graph.finalize()
     return graph

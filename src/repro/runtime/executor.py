@@ -35,10 +35,21 @@ def _payload(values: dict, inp) -> np.ndarray:
     return quantize(data, inp.payload_precision)
 
 
-def _seed_version0(
-    graph: TaskGraph, mat: TiledSymmetricMatrix, rank: int | None = None
-) -> dict:
+def _mat_tiles(mat: TiledSymmetricMatrix):
+    """``mat`` as a :func:`_seed_version0` tile source."""
+    return lambda coords: {(i, j): mat.get(i, j) for i, j in coords}
+
+
+def _seed_version0(graph: TaskGraph, fetch_tiles, rank: int | None = None) -> dict:
     """Version-0 tiles the graph reads, quantised to storage precision.
+
+    ``fetch_tiles(coords)`` maps a sorted list of ``(i, j)`` tile
+    coordinates to their raw FP64 tiles: :func:`_mat_tiles` of the input
+    matrix, or :meth:`repro.geostats.dataplane.RankIngest.build_tiles`
+    (per-rank streaming ingest, where the tiles are *built in-process*
+    from the partitions covering the footprint and the parent never
+    ships tile payloads).  Both go through the same quantisation, so the
+    results are bit-identical.
 
     All tiles sharing a storage precision go through one
     :func:`quantize_batch` pass (the generation-phase cast of Section V,
@@ -55,15 +66,44 @@ def _seed_version0(
                 key = (inp.tile.i, inp.tile.j, inp.tile.version)
                 if key not in wanted:
                     wanted[key] = inp.storage_precision
+    raw = fetch_tiles(sorted({(i, j) for i, j, _v in wanted}))
     by_precision: dict[object, list[tuple[int, int, int]]] = {}
     for key, prec in wanted.items():
         by_precision.setdefault(prec, []).append(key)
     values: dict[tuple[int, int, int], np.ndarray] = {}
     for prec, keys in by_precision.items():
-        tiles = quantize_batch([mat.get(i, j) for i, j, _v in keys], prec)
+        tiles = quantize_batch([raw[(i, j)] for i, j, _v in keys], prec)
         for key, tile in zip(keys, tiles):
             values[key] = tile
     return values
+
+
+def _task_span(task: Task):
+    """The span the in-process executors record around each task."""
+    out = task.output
+    return span("task", kind=task.kind, tile=(out.i, out.j), precision=task.precision.name)
+
+
+def _execute_task(task: Task, values: dict) -> tuple[tuple[int, int, int], np.ndarray]:
+    """Run one task and cast the result to its output (storage) precision.
+
+    Returns the ``(i, j, version)`` key to store the tile under, and the tile.
+    """
+    result = quantize(_run_task(task, values), task.output_precision)
+    return (task.output.i, task.output.j, task.output.version), result
+
+
+def _collect_finals(values: dict, out: TiledSymmetricMatrix) -> TiledSymmetricMatrix:
+    """Write the final version of every lower tile in ``values`` into ``out``."""
+    final: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+    for (i, j, v), data in values.items():
+        if j > i:
+            continue
+        if (i, j) not in final or v > final[(i, j)][0]:
+            final[(i, j)] = (v, data)
+    for (i, j), (_v, data) in final.items():
+        out.set(i, j, data, precision=out.precision_of(i, j))
+    return out
 
 
 def execute_numeric(graph: TaskGraph, mat: TiledSymmetricMatrix) -> TiledSymmetricMatrix:
@@ -74,34 +114,16 @@ def execute_numeric(graph: TaskGraph, mat: TiledSymmetricMatrix) -> TiledSymmetr
     output precisions dictate.
     """
     out = mat.copy()
-    # version-0 values at storage precision (generation-phase cast),
-    # one vectorised quantisation pass per storage precision
-    values = _seed_version0(graph, out)
+    values = _seed_version0(graph, _mat_tiles(out))
 
     with span("executor.sequential", n_tasks=len(graph)):
         for tid in graph.topological_order():
             task = graph.tasks[tid]
-            with span(
-                "task",
-                kind=task.kind,
-                tile=(task.output.i, task.output.j),
-                precision=task.precision.name,
-            ):
-                result = _run_task(task, values)
-                # store at the task's output (storage) precision
-                result = quantize(result, task.output_precision)
-            values[(task.output.i, task.output.j, task.output.version)] = result
+            with _task_span(task):
+                key, result = _execute_task(task, values)
+            values[key] = result
 
-    # collect the final version of every tile into the output matrix
-    final: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-    for (i, j, v), data in values.items():
-        if j > i:
-            continue
-        if (i, j) not in final or v > final[(i, j)][0]:
-            final[(i, j)] = (v, data)
-    for (i, j), (_v, data) in final.items():
-        out.set(i, j, data, precision=out.precision_of(i, j))
-    return out
+    return _collect_finals(values, out)
 
 
 def _run_task(task: Task, values: dict) -> np.ndarray:

@@ -21,12 +21,9 @@ import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from ..obs import span, traced
-from ..precision.emulate import quantize
+from ..obs import traced
 from ..tiles.tilematrix import TiledSymmetricMatrix
-from .executor import _run_task, _seed_version0
+from .executor import _collect_finals, _execute_task, _mat_tiles, _seed_version0, _task_span
 from .policies import SchedState, SchedulePolicy, resolve_policy
 from .task import TaskGraph
 
@@ -57,7 +54,7 @@ def execute_numeric_parallel(
     state = SchedState.null()
     out = mat.copy()
 
-    values = _seed_version0(graph, out)
+    values = _seed_version0(graph, _mat_tiles(out))
 
     n = len(graph)
     in_count = [len(graph.predecessors(t)) for t in range(n)]
@@ -73,13 +70,8 @@ def execute_numeric_parallel(
     def run_one(tid: int) -> None:
         task = graph.tasks[tid]
         try:
-            with span(
-                "task",
-                kind=task.kind,
-                tile=(task.output.i, task.output.j),
-                precision=task.precision.name,
-            ):
-                result = quantize(_run_task(task, values), task.output_precision)
+            with _task_span(task):
+                key, result = _execute_task(task, values)
         except BaseException as exc:  # propagate through the pool
             with lock:
                 errors.append(exc)
@@ -87,7 +79,7 @@ def execute_numeric_parallel(
             return
         newly_ready = []
         with lock:
-            values[(task.output.i, task.output.j, task.output.version)] = result
+            values[key] = result
             for succ in graph.successors(tid):
                 in_count[succ] -= 1
                 if in_count[succ] == 0:
@@ -124,12 +116,4 @@ def execute_numeric_parallel(
     if remaining[0] != 0:
         raise RuntimeError(f"parallel execution stalled with {remaining[0]} tasks left")
 
-    final: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-    for (i, j, v), data in values.items():
-        if j > i:
-            continue
-        if (i, j) not in final or v > final[(i, j)][0]:
-            final[(i, j)] = (v, data)
-    for (i, j), (_v, data) in final.items():
-        out.set(i, j, data, precision=out.precision_of(i, j))
-    return out
+    return _collect_finals(values, out)

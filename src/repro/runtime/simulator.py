@@ -37,16 +37,29 @@ the scheduler sensitivity the paper's STC-vs-TTC results rest on (see
 consumes exactly the payloads its inputs name, so numerics are
 policy-invariant by construction.
 
-Two entry points share one engine:
+One scheduling loop (:func:`_drive`) runs every simulation; what varies
+is only its two sources:
 
-* :func:`simulate` — the materialised path over a finalized
-  :class:`~repro.runtime.task.TaskGraph` (regression-pinned
+* the **task source** — a finalized
+  :class:`~repro.runtime.task.TaskGraph` (one emission of the whole
+  task list, unbounded window, nothing retired), or a lazy task iterator
+  (:func:`repro.runtime.dsl.unroll_stream`) appended into a frontier
+  graph under a bounded emission window, each task retired once it has
+  executed, so peak memory follows the window instead of the DAG;
+* the **order source** — the policy-keyed ready heap, or a recorded
+  task-id sequence (the degenerate policy: no heap, no key calls),
+  checked against the same in-degree bookkeeping the heap path keeps.
+
+Either way, all tasks pulled in one window fill are host-seeded before
+any newly ready task of that fill is keyed.  The public entry points
+only name their sources:
+
+* :func:`simulate` — finalized graph × policy heap (regression-pinned
   bit-identical for panel-first);
-* :func:`simulate_stream` — million-task mode: consumes a lazy task
-  iterator (:func:`repro.runtime.dsl.unroll_stream`), keeps only a
-  bounded emission window of live :class:`Task` objects, and retires
-  each task after execution, so peak memory follows the window instead
-  of the DAG (see ``docs/SCHEDULING.md``).
+* :func:`simulate_stream` — lazy stream × policy heap, million-task
+  mode (see ``docs/SCHEDULING.md``);
+* :func:`simulate_replay` — finalized graph × recorded order, the
+  exported static schedules of :mod:`repro.runtime.schedule`.
 """
 
 from __future__ import annotations
@@ -160,7 +173,7 @@ def _build_engine(
     evictions_metric,
     conversions_metric,
 ):
-    """The per-run machine model shared by both simulation entry points.
+    """The per-run machine model the scheduling loop (:func:`_drive`) runs on.
 
     Returns ``(seed_host, exec_task, sched_state)``:
 
@@ -315,9 +328,7 @@ def _build_engine(
         record(TraceEvent(rank, "d2h", "EVICT", start, end, key[3], nbytes))
         _host_insert(node, key, nbytes, end, protect)
 
-    def _stage_to_host(
-        dest_node: int, key: _Key, nbytes: int, now: float, protect: set[_Key]
-    ) -> float:
+    def _stage_to_host(dest_node: int, key: _Key, nbytes: int, protect: set[_Key]) -> float:
         """Time at which ``key`` is available in ``dest_node``'s host memory."""
         t = host_ready[dest_node].get(key)
         if t is not None:
@@ -376,7 +387,7 @@ def _build_engine(
             cache.touch(key)
             return gpu_ready[rank][key]
         node = node_of(rank)
-        t_host = _stage_to_host(node, key, nbytes, now, protect)
+        t_host = _stage_to_host(node, key, nbytes, protect)
         start = max(h2d_free[rank], t_host)
         end = start + link_lat + nbytes / link_bw
         h2d_free[rank] = end
@@ -505,19 +516,19 @@ def _build_engine(
 
 
 def _finish(
-    sched: SchedulePolicy,
-    stats: RunStats,
+    policy_name: str,
     trace: Trace,
     busy: dict[str, float],
     task_end: list[float],
     task_start: list[float],
-    registry,
     peak_live: int,
-    commit_order: list[int] | None = None,
+    commit_order: list[int],
 ) -> SimReport:
     """Publish run telemetry and assemble the :class:`SimReport`."""
+    stats = trace.stats
     makespan = max(task_end, default=0.0)
     stats.makespan = makespan
+    registry = get_registry()
 
     registry.counter("sim.tasks", "tasks executed by the simulator").inc(stats.n_tasks)
     busy_metric = registry.counter("sim.busy_seconds", "engine busy time")
@@ -547,7 +558,7 @@ def _finish(
             "n_evictions": stats.n_evictions,
             "n_host_evictions": stats.n_host_evictions,
             "n_spills": stats.n_spills,
-            "policy": sched.name,
+            "policy": policy_name,
         },
     )
     run_finished(stats.n_tasks)
@@ -557,10 +568,169 @@ def _finish(
         trace=trace,
         task_end=task_end,
         task_start=task_start,
-        policy=sched.name,
+        policy=policy_name,
         peak_live_tasks=peak_live,
-        commit_order=commit_order if commit_order is not None else [],
+        commit_order=commit_order,
     )
+
+
+def _drive(
+    graph: TaskGraph,
+    platform: Platform,
+    nb: int,
+    *,
+    phase: str,
+    policy_name: str,
+    enforce_memory: bool,
+    record_events: bool,
+    source: Iterable[Task] | None = None,
+    lookahead: float = float("inf"),
+    key_of: Callable | None = None,
+    order: "Iterable[int] | None" = None,
+) -> SimReport:
+    """The one scheduling loop: a task source crossed with an order source.
+
+    ``source=None`` takes ``graph`` as finalized: its whole task list is
+    one emission and nothing is retired.  Otherwise ``source`` is a lazy
+    iterator appended into the empty frontier ``graph`` until
+    ``lookahead`` tasks are live, each retired once it has executed.
+
+    ``key_of`` (a policy's ``key``) orders a ready heap; ``order`` is
+    instead a recorded tid sequence, checked against ``in_count`` — a
+    task's number of unexecuted predecessors, ``-1`` once it has run
+    itself — so anything but ``0`` is an invalid pick.
+    """
+    registry = get_registry()
+    busy: dict[str, float] = {
+        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
+        "disk_read": 0.0, "disk_write": 0.0,
+    }
+    trace = Trace()
+    stats = trace.stats
+    record = trace.record if record_events else (lambda ev: None)
+    seed_host, exec_task, sched_state = _build_engine(
+        platform, nb, enforce_memory, record, stats, busy,
+        registry.counter("sim.evictions", "LRU evictions (all causes)"),
+        registry.counter("sim.conversions", "datatype conversion passes"),
+    )
+
+    streamed = source is not None
+    emit = iter(source if streamed else graph.tasks)
+    # the lists below grow (append) and shrink (retire) in place under a
+    # streamed source, so these references stay current
+    preds, succs = graph.adjacency()
+    tasks = graph.tasks
+    in_count: list[int] = []
+    task_end: list[float] = []
+    task_start: list[float] = []
+    task_ready: list[float] = []
+    heap: list[tuple[float, float, int]] = []
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    picks = None if order is None else iter(order)
+    commit_order: list[int] = []
+    commit = commit_order.append
+
+    live = 0
+    peak_live = 0
+    exhausted = False
+    done = 0
+    # a lazy stream does not know its length; simulate_cholesky
+    # pre-announces cholesky_task_count(nt) via announce_total
+    beat = run_started(None if streamed else len(graph), phase)  # None unless a live plane is up
+    with hot_region("sim.ready_heap_loop"):
+        while True:
+            if not exhausted and (live < lookahead or (picks is None and not heap)):
+                # One window fill — or, when the frontier is still blocked
+                # inside a full window, one more task (repeated until a task
+                # is ready or the source runs dry).  The whole fill is
+                # host-seeded before any of its ready tasks is keyed, so a
+                # residency-aware policy scores roots against the same host
+                # state whether they arrive in one emission or through a
+                # stream whose window covers them.
+                limit = max(lookahead, live + 1)
+                first = len(in_count)
+                while live < limit:
+                    task = next(emit, None)
+                    if task is None:
+                        exhausted = True
+                        break
+                    tid = graph.append(task) if streamed else task.tid
+                    seed_host(task)
+                    pending = 0
+                    ready_t = 0.0
+                    for p in preds[tid]:
+                        if in_count[p] < 0:
+                            if task_end[p] > ready_t:
+                                ready_t = task_end[p]
+                        else:
+                            pending += 1
+                    in_count.append(pending)
+                    task_ready.append(ready_t)
+                    task_start.append(0.0)
+                    task_end.append(0.0)
+                    live += 1
+                if live > peak_live:
+                    peak_live = live
+                # Heap comparator is the explicit triple (*policy.key, tid):
+                # the policy owns the first two fields, task id pins the order
+                # of equal-key tasks so every policy is fully deterministic.
+                # Only tasks whose predecessors have all executed enter the
+                # heap, so any pop order is a valid schedule; the recorded
+                # ready time still gates the task's start via its input
+                # arrival times.
+                if key_of is not None:
+                    for tid in range(first, len(in_count)):
+                        if in_count[tid] == 0:
+                            heappush(heap, (*key_of(tasks[tid], task_ready[tid], sched_state), tid))
+                continue
+            if picks is None:
+                if not heap:
+                    break
+                tid = heappop(heap)[-1]
+            else:
+                tid = next(picks, None)
+                if tid is None:
+                    break
+                tid = int(tid)
+                if not 0 <= tid < len(in_count) or in_count[tid] < 0:
+                    raise ValueError(
+                        f"replay order invalid at position {done}: task {tid} "
+                        f"{'already executed' if 0 <= tid < len(in_count) else 'out of range'}"
+                    )
+                if in_count[tid]:
+                    blocker = next(p for p in preds[tid] if in_count[p] >= 0)
+                    raise ValueError(
+                        f"replay order violates precedence: task {tid} scheduled "
+                        f"before its predecessor {blocker}"
+                    )
+            commit(tid)
+            start, end = exec_task(tasks[tid], task_ready[tid])
+            task_start[tid] = start
+            task_end[tid] = end
+            in_count[tid] = -1
+            for succ in succs[tid]:
+                left = in_count[succ] - 1
+                in_count[succ] = left
+                if end > task_ready[succ]:
+                    task_ready[succ] = end
+                if left == 0 and key_of is not None:
+                    heappush(heap, (*key_of(tasks[succ], task_ready[succ], sched_state), succ))
+            if streamed:
+                graph.retire(tid)
+            live -= 1
+            done += 1
+            if beat is not None and not done % BEAT_STRIDE:
+                beat(done, live)
+
+    if live:
+        if picks is not None:
+            raise ValueError(f"replay order incomplete: {done}/{done + live} tasks executed")
+        raise RuntimeError(
+            f"simulation deadlock: {done} tasks executed, {live} live "
+            "(emission order is not topological?)"
+        )
+    return _finish(policy_name, trace, busy, task_end, task_start, peak_live, commit_order)
 
 
 @traced("sim.run")
@@ -590,81 +760,9 @@ def simulate(
     """
     sched = resolve_policy(policy)
     sched.prepare(graph, platform, nb)
-    registry = get_registry()
-    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
-    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
-
-    trace = Trace()
-    stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
-    seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy, evictions_metric, conversions_metric
-    )
-
-    # seed version-0 tiles at their owner's host memory
-    for task in graph:
-        seed_host(task)
-
-    # -- policy-driven list scheduling ------------------------------------
-    # Heap comparator is the explicit triple (*policy.key, tid): the
-    # policy owns the first two fields (panel-first keeps the historical
-    # (ready, priority) pair bit-identically), task id pins the order of
-    # equal-key tasks so every policy is fully deterministic.  Only
-    # tasks whose predecessors are all scheduled enter the heap, so any
-    # pop order is a valid schedule; the recorded ready time still gates
-    # the task's start via its input arrival times.
-    n = len(graph)
-    preds, succs = graph.adjacency()
-    tasks = graph.tasks
-    in_count = [len(preds[t]) for t in range(n)]
-    task_end = [0.0] * n
-    task_start = [0.0] * n
-    task_ready = [0.0] * n
-    key_of = sched.key
-    commit_order: list[int] = []
-    commit = commit_order.append
-    heap: list[tuple[float, float, int]] = []
-    for tid in range(n):
-        if in_count[tid] == 0:
-            heapq.heappush(heap, (*key_of(tasks[tid], 0.0, sched_state), tid))
-
-    done = 0
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    beat = run_started(n, "sim.materialized")  # None unless a live plane is up
-    with hot_region("sim.ready_heap_loop"):
-        while heap:
-            tid = heappop(heap)[-1]
-            commit(tid)
-            start, end = exec_task(tasks[tid], task_ready[tid])
-            task_start[tid] = start
-            task_end[tid] = end
-
-            for succ in succs[tid]:
-                left = in_count[succ] - 1
-                in_count[succ] = left
-                if left == 0:
-                    succ_ready = 0.0
-                    for p in preds[succ]:
-                        t = task_end[p]
-                        if t > succ_ready:
-                            succ_ready = t
-                    task_ready[succ] = succ_ready
-                    heappush(heap, (*key_of(tasks[succ], succ_ready, sched_state), succ))
-            done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, len(heap))
-
-    if done != n:
-        raise RuntimeError(f"simulation deadlock: {done}/{n} tasks executed")
-
-    return _finish(
-        sched, stats, trace, busy, task_end, task_start, registry,
-        peak_live=n, commit_order=commit_order,
+    return _drive(
+        graph, platform, nb, key_of=sched.key, phase="sim.materialized", policy_name=sched.name,
+        enforce_memory=enforce_memory, record_events=record_events,
     )
 
 
@@ -724,121 +822,13 @@ def simulate_stream(
             "be used with simulate_stream; use simulate() or a frontier-local "
             "policy (panel-first, fifo)"
         )
-    graph = TaskGraph()
-    sched.prepare(graph, platform, nb)
-    registry = get_registry()
-    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
-    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
-
-    trace = Trace()
-    stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
-    seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy, evictions_metric, conversions_metric
-    )
-
-    it = iter(source)
-    executed: list[bool] = []
-    in_count: list[int] = []
-    task_end: list[float] = []
-    task_start: list[float] = []
-    task_ready: list[float] = []
-    heap: list[tuple[float, float, int]] = []
-    key_of = sched.key
-    commit_order: list[int] = []
-    commit = commit_order.append
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-
-    live = 0
-    peak_live = 0
-    exhausted = False
-
-    def pull_one() -> bool:
-        """Emit the next task into the frontier; False once exhausted."""
-        nonlocal live, peak_live, exhausted
-        try:
-            task = next(it)
-        except StopIteration:
-            exhausted = True
-            return False
-        tid = graph.append(task)
-        seed_host(task)
-        task_end.append(0.0)
-        task_start.append(0.0)
-        task_ready.append(0.0)
-        executed.append(False)
-        pending = 0
-        ready_t = 0.0
-        for p in graph.predecessors(tid):
-            if executed[p]:
-                t = task_end[p]
-                if t > ready_t:
-                    ready_t = t
-            else:
-                pending += 1
-        in_count.append(pending)
-        if pending == 0:
-            task_ready[tid] = ready_t
-            heappush(heap, (*key_of(task, ready_t, sched_state), tid))
-        live += 1
-        if live > peak_live:
-            peak_live = live
-        return True
-
-    done = 0
-    # total is unknown for a lazy stream; simulate_cholesky pre-announces
-    # cholesky_task_count(nt) via announce_total before calling us
-    beat = run_started(None, "sim.stream")
-    with hot_region("sim.ready_heap_loop"):
-        while True:
-            while live < lookahead and not exhausted:
-                pull_one()
-            if not heap:
-                if exhausted:
-                    break
-                # frontier blocked inside the window: widen until a task
-                # becomes ready (or the stream runs dry)
-                while not heap and pull_one():
-                    pass
-                if not heap:
-                    break
-            tid = heappop(heap)[-1]
-            commit(tid)
-            start, end = exec_task(graph.tasks[tid], task_ready[tid])
-            task_start[tid] = start
-            task_end[tid] = end
-            executed[tid] = True
-            for succ in graph.successors(tid):
-                left = in_count[succ] - 1
-                in_count[succ] = left
-                if left == 0:
-                    succ_ready = 0.0
-                    for p in graph.predecessors(succ):
-                        t = task_end[p]
-                        if t > succ_ready:
-                            succ_ready = t
-                    task_ready[succ] = succ_ready
-                    heappush(heap, (*key_of(graph.tasks[succ], succ_ready, sched_state), succ))
-            graph.retire(tid)
-            live -= 1
-            done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, live)
-
-    if live != 0:
-        raise RuntimeError(
-            f"streaming simulation deadlock: {done} tasks executed, {live} live "
-            "(emission order is not topological?)"
-        )
-
-    return _finish(
-        sched, stats, trace, busy, task_end, task_start, registry,
-        peak_live=peak_live, commit_order=commit_order,
+    frontier = TaskGraph()
+    frontier.finalize()  # empty, so the adjacency exists; append() grows it in place
+    sched.prepare(frontier, platform, nb)
+    return _drive(
+        frontier, platform, nb, source=source, lookahead=lookahead, key_of=sched.key,
+        phase="sim.stream", policy_name=sched.name,
+        enforce_memory=enforce_memory, record_events=record_events,
     )
 
 
@@ -869,66 +859,8 @@ def simulate_replay(
     ``ValueError`` — a schedule exported from a different graph shape
     fails fast instead of producing a silently wrong account.
     """
-    registry = get_registry()
-    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
-    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
-
-    trace = Trace()
-    stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
-    seed_host, exec_task, _sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy, evictions_metric, conversions_metric
-    )
-
-    for task in graph:
-        seed_host(task)
-
-    n = len(graph)
-    preds, _succs = graph.adjacency()
-    tasks = graph.tasks
-    executed = [False] * n
-    task_end = [0.0] * n
-    task_start = [0.0] * n
-    commit_order: list[int] = []
-    done = 0
-    beat = run_started(n, "sim.replay")
-    with hot_region("sim.replay_loop"):
-        for tid in order:
-            tid = int(tid)
-            if not 0 <= tid < n or executed[tid]:
-                raise ValueError(
-                    f"replay order invalid at position {done}: task {tid} "
-                    f"{'already executed' if 0 <= tid < n else 'out of range'}"
-                )
-            ready_t = 0.0
-            for p in preds[tid]:
-                if not executed[p]:
-                    raise ValueError(
-                        f"replay order violates precedence: task {tid} scheduled "
-                        f"before its predecessor {p}"
-                    )
-                t = task_end[p]
-                if t > ready_t:
-                    ready_t = t
-            commit_order.append(tid)
-            start, end = exec_task(tasks[tid], ready_t)
-            task_start[tid] = start
-            task_end[tid] = end
-            executed[tid] = True
-            done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, 0)
-    if done != n:
-        raise ValueError(f"replay order incomplete: {done}/{n} tasks executed")
-
-    class _ReplayTag:
-        name = f"replay:{source_policy}"
-
-    return _finish(
-        _ReplayTag(), stats, trace, busy, task_end, task_start, registry,
-        peak_live=n, commit_order=commit_order,
+    return _drive(
+        graph, platform, nb, order=order, phase="sim.replay",
+        policy_name=f"replay:{source_policy}",
+        enforce_memory=enforce_memory, record_events=record_events,
     )
