@@ -5,8 +5,8 @@ million-task DAGs can be priced without materialising the O(NT³) task
 list.  This harness pins the acceptance criteria:
 
 * scheduling throughput must clear a conservative tasks/sec floor in
-  both modes (the CI-gated floors live in the warehouse via ``repro
-  simbench``; this is the hard backstop);
+  both modes (the trajectory lives in ``perfbench/``; this is the hard
+  backstop);
 * at NT=96 the streaming mode's peak RSS — measured in a *separate
   subprocess per mode*, since ``ru_maxrss`` is monotonic over a process
   lifetime — must come in below the materialising mode's;
@@ -29,7 +29,7 @@ from repro.core import (
     simulate_cholesky,
     two_precision_map,
 )
-from repro.perfmodel import GPU_BY_NAME, NodeSpec
+from repro.perfmodel import GPU_BY_NAME
 from repro.precision import Precision
 from repro.runtime import Platform
 
@@ -38,8 +38,7 @@ TASKS_PER_SECOND_FLOOR = 2_000.0
 
 
 def _platform(n_gpus: int = 2, n_nodes: int = 2) -> Platform:
-    node = NodeSpec("bench", GPU_BY_NAME["V100"], n_gpus, 256e9, 25e9, 1.5e-6)
-    return Platform(node=node, n_nodes=n_nodes)
+    return Platform.of_gpus(GPU_BY_NAME["V100"], n_gpus, n_nodes)
 
 
 def _throughput(nt: int, *, stream: bool) -> float:
@@ -64,14 +63,15 @@ class TestThroughputFloor:
         )
 
 
-def _simbench_subprocess(mode: str, tmp_path, nt: int = 96) -> dict:
-    out = tmp_path / f"BENCH_simbench-{mode}.json"
+def _simulate_subprocess(mode: str, tmp_path, nt: int = 96) -> dict:
+    out = tmp_path / f"BENCH_simulate-{mode}.json"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     subprocess.run(
-        [sys.executable, "-m", "repro", "simbench",
-         "--nt", str(nt), "--nb", "512", "--mode", mode,
+        [sys.executable, "-m", "repro", "simulate",
+         "--n", str(nt * 512), "--nb", "512", "--gpus", "2", "--nodes", "2",
+         *(["--stream"] if mode == "stream" else []),
          "--metrics-out", str(out)],
         check=True, env=env, timeout=600,
     )
@@ -82,8 +82,8 @@ class TestStreamingMemory:
     def test_stream_rss_below_materialize(self, tmp_path):
         """One subprocess per mode; streaming must win on peak RSS and
         live-task count while producing the identical schedule."""
-        mat = _simbench_subprocess("materialize", tmp_path)
-        stm = _simbench_subprocess("stream", tmp_path)
+        mat = _simulate_subprocess("materialize", tmp_path)
+        stm = _simulate_subprocess("stream", tmp_path)
         assert stm["makespan_seconds"] == mat["makespan_seconds"]
         assert stm["n_tasks"] == mat["n_tasks"] == cholesky_task_count(96)
         assert stm["peak_live_tasks"] < mat["peak_live_tasks"]

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 from ..core.config import ConversionStrategy
 from ..core.precision_map import (
+    FIXED_CONFIGS,
     KernelPrecisionMap,
     band_precision_map,
+    fixed_config_map,
     two_precision_map,
     uniform_map,
 )
@@ -77,15 +79,6 @@ class PerfPoint:
         ]
 
 
-def _extreme_map(nt: int, label: str) -> KernelPrecisionMap:
-    return {
-        "FP64": uniform_map(nt, Precision.FP64),
-        "FP32": uniform_map(nt, Precision.FP32),
-        "FP64/FP16_32": two_precision_map(nt, Precision.FP16_32),
-        "FP64/FP16": two_precision_map(nt, Precision.FP16),
-    }[label]
-
-
 def fig8_configs() -> list[tuple[str, ConversionStrategy]]:
     """The Fig. 8 series: pure precisions plus STC/TTC extreme pairs."""
     return [
@@ -119,7 +112,7 @@ def fig8_rows(
     for n in sizes:
         nt = -(-n // nb)
         for label, strategy in fig8_configs():
-            kmap = _extreme_map(nt, label)
+            kmap = fixed_config_map(nt, label)
             rep = simulate_cholesky(
                 n, nb, kmap, platform, strategy=strategy, record_events=False
             )
@@ -150,8 +143,8 @@ def fig9_occupancy_rows(
     platform = Platform.single_gpu(gpu)
     nt = -(-n // nb)
     out: dict[str, list[tuple[float, float]]] = {}
-    for label in ("FP64", "FP32", "FP64/FP16_32", "FP64/FP16"):
-        kmap = _extreme_map(nt, label)
+    for label in FIXED_CONFIGS:
+        kmap = fixed_config_map(nt, label)
         rep = simulate_cholesky(n, nb, kmap, platform, strategy=ConversionStrategy.AUTO)
         rank_events = rep.trace.events_of_rank(0)
         samples = occupancy_trace(rank_events, rep.makespan, n_windows=n_windows)
@@ -210,7 +203,7 @@ def fig11_rows(
     for n in sizes:
         nt = -(-n // nb)
         for label, strategy in fig8_configs():
-            kmap = _extreme_map(nt, label)
+            kmap = fixed_config_map(nt, label)
             rep = simulate_cholesky(
                 n, nb, kmap, platform, strategy=strategy, record_events=False
             )
@@ -247,7 +240,7 @@ def fig12_weak_rows(
         n = nt * nb
         platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
         for label in ("FP64", "FP64/FP16"):
-            kmap = _extreme_map(nt, label)
+            kmap = fixed_config_map(nt, label)
             rep = analytic_cholesky(n, nb, kmap, platform)
             rows.append([nodes, gpus, n, label, rep.tflops, rep.tflops / gpus])
     return rows
@@ -265,7 +258,7 @@ def fig12_strong_rows(
     for nodes in node_counts:
         platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
         for label in ("FP64", "FP64/FP16"):
-            kmap = _extreme_map(nt, label)
+            kmap = fixed_config_map(nt, label)
             rep = analytic_cholesky(n, nb, kmap, platform)
             rows.append([nodes, nodes * 6, label, rep.seconds, rep.tflops])
     return rows

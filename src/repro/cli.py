@@ -4,10 +4,11 @@ Commands
 --------
 ``mle``       fit a synthetic dataset at one or more accuracy levels
 ``maps``      print the kernel/communication precision maps for an app
-``simulate``  price a mixed-precision Cholesky on a simulated platform
-``simbench``  benchmark DAG build + scheduling throughput (tasks/sec,
-              peak RSS) in materialize or stream (million-task) mode;
-              emits the BENCH document the CI bench floors gate on
+``simulate``  price a mixed-precision Cholesky on a simulated platform —
+              the one symbolic-run verb: the scheduling policy heap,
+              ``--replay`` of an exported schedule and ``--stream``
+              (lazy million-task emission) are three parameters of it;
+              always records host wall time, tasks/sec and peak RSS
 ``sweep``     fan a grid of configurations across a process pool (cached)
 ``bench``     run one experiment driver (table/figure) and print its table
 ``info``      show the encoded GPU specifications (Table I)
@@ -25,9 +26,6 @@ Commands
 ``history``   the cross-run telemetry warehouse: ingest run summaries /
               BENCH / profile documents into a SQLite store and list
               the accumulated history (``docs/OBSERVABILITY.md``)
-``profile``   run a symbolic simulate under the sampling wall-clock
-              profiler and print the hottest frames + instrumented
-              hot regions with the measured overhead
 ``merge-shards``
               merge the per-rank ``events-rank<k>.jsonl`` shards of a
               distributed run into one clock-aligned trace + summary
@@ -35,7 +33,8 @@ Commands
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
 ``--trace-out`` (Perfetto JSON with counter tracks), ``--metrics-out``
-(metrics + manifest + trace summary), and ``--events-out`` (JSONL);
+(metrics + manifest + trace summary), ``--events-out`` (JSONL) and
+``--profile-out`` (sampling profiler; prints the hottest frames);
 ``mle`` takes ``--events-out`` for per-iteration records.
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``sweep`` takes
@@ -47,7 +46,9 @@ failures for testing the recovery paths).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import time
 from pathlib import Path
 
 __all__ = ["main", "build_parser"]
@@ -74,8 +75,35 @@ def _add_live_flags(p: argparse.ArgumentParser) -> None:
                         "(implies the live plane even without --live-port)")
 
 
+def _add_run_flags(p: argparse.ArgumentParser, *, n: int, nb: int, config: str) -> None:
+    """The run description shared by the symbolic-run verbs: the tuple
+    every performance experiment of the paper varies (GPU model × GPUs ×
+    nodes × n × nb × fixed config × conversion strategy).  Only the
+    problem-size defaults differ per verb; :func:`_run_from_args` turns
+    the parsed flags into ``(platform, kernel map, strategy)``."""
+    from .core import FIXED_CONFIGS, ConversionStrategy
+    from .perfmodel import GPU_BY_NAME
+
+    p.add_argument("--gpu", default="V100", choices=list(GPU_BY_NAME))
+    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
+    p.add_argument("--nodes", type=int, default=1)
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--nb", type=int, default=nb)
+    p.add_argument("--config", default=config, choices=list(FIXED_CONFIGS))
+    p.add_argument("--strategy", default="auto",
+                   choices=[s.value for s in ConversionStrategy])
+    p.add_argument("--host-memory-gb", type=float, default=256.0,
+                   help="host DRAM capacity per node in GB; tiles evicted "
+                        "beyond this spill to the simulated disk tier — "
+                        "shrink it to surface eviction/spill traffic "
+                        "(default: 256)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .core import ConversionStrategy
+    from .perfmodel import GPU_BY_NAME
     from .runtime.policies import POLICY_NAMES
+    from .sweep.grid import KERNEL_CONFIGS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -108,21 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the application's u_req")
 
     p = sub.add_parser("simulate", help="price a factorization on simulated hardware")
-    p.add_argument("--gpu", default="V100", choices=["V100", "A100", "H100"])
-    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=32768)
-    p.add_argument("--nb", type=int, default=2048)
-    p.add_argument("--config", default="FP64/FP16",
-                   choices=["FP64", "FP32", "FP64/FP16_32", "FP64/FP16"])
-    p.add_argument("--strategy", default="auto", choices=["auto", "stc", "ttc"])
+    _add_run_flags(p, n=32768, nb=2048, config="FP64/FP16")
     p.add_argument("--policy", default="panel-first", choices=list(POLICY_NAMES),
                    help="scheduling policy for the ready heap "
                         "(default: panel-first; see docs/SCHEDULING.md)")
-    p.add_argument("--host-memory-gb", type=float, default=256.0,
-                   help="host DRAM capacity per node in GB; tiles evicted "
-                        "beyond this spill to the simulated disk tier "
-                        "(default: 256)")
+    p.add_argument("--stream", action="store_true",
+                   help="million-task mode: emit tasks lazily in k-major "
+                        "order instead of materialising the DAG — same "
+                        "makespan bit for bit, O(NT²) live memory "
+                        "(panel-first and fifo only)")
+    p.add_argument("--lookahead", type=int, default=None,
+                   help="emission window for --stream "
+                        "(default: max(4096, nt^2 + 4*nt))")
     p.add_argument("--schedule-out", default=None, metavar="PATH",
                    help="export the committed task order as a replayable "
                         "static schedule (.json, or .npz for compact binary)")
@@ -139,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", default=None, metavar="PATH",
                    help="write the raw event trace as CSV")
     p.add_argument("--profile-out", default=None, metavar="PATH",
-                   help="run under the sampling profiler and write the "
-                        "repro.obs.profile/1 document (see docs/OBSERVABILITY.md)")
+                   help="run under the sampling profiler, print the hottest "
+                        "frames and write the repro.obs.profile/1 document "
+                        "(see docs/OBSERVABILITY.md)")
     p.add_argument("--run-id", default=None, help="run identifier for logs/manifest")
     _add_live_flags(p)
     p.add_argument("--live-stall-after", type=int, default=None, metavar="TASKS",
@@ -150,54 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="(testing) how long the synthetic stall sleeps "
                         "(default: 5.0; needs --live-stall-after)")
 
-    p = sub.add_parser(
-        "simbench",
-        help="benchmark DAG build + scheduling throughput (bench floors)",
-    )
-    p.add_argument("--gpu", default="V100", choices=["V100", "A100", "H100"])
-    p.add_argument("--gpus", type=int, default=2, help="GPUs per node")
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--nt", type=int, default=96,
-                   help="tiles per dimension; the matrix size is nt*nb "
-                        "(default: 96 — ~147k tasks, CI scale)")
-    p.add_argument("--nb", type=int, default=512)
-    p.add_argument("--config", default="FP64/FP16",
-                   choices=["FP64", "FP32", "FP64/FP16_32", "FP64/FP16"])
-    p.add_argument("--strategy", default="auto", choices=["auto", "stc", "ttc"])
-    p.add_argument("--policy", default="panel-first", choices=list(POLICY_NAMES))
-    p.add_argument("--mode", default="materialize",
-                   choices=["materialize", "stream"],
-                   help="materialize: build the full DAG then simulate; "
-                        "stream: lazy k-major emission through "
-                        "simulate_stream (million-task mode)")
-    p.add_argument("--lookahead", type=int, default=None,
-                   help="emission window for --mode stream "
-                        "(default: max(4096, nt^2 + 4*nt))")
-    p.add_argument("--host-memory-gb", type=float, default=256.0,
-                   help="host DRAM capacity per node in GB (default: 256)")
-    p.add_argument("--record-events", action="store_true",
-                   help="record the full event trace; note this voids the "
-                        "O(window) memory bound of --mode stream (the trace "
-                        "grows O(n_tasks)) — a warning is printed there")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the BENCH run-summary JSON (throughput + "
-                        "peak RSS floors) for repro compare / history")
-    p.add_argument("--run-id", default=None, help="run identifier for the manifest")
-    _add_live_flags(p)
-
     p = sub.add_parser("sweep", help="run a campaign over a grid of configurations")
     p.add_argument("--n", type=int, action="append", default=None,
                    help="matrix size axis; repeatable (default: 4096)")
     p.add_argument("--nb", type=int, action="append", default=None,
                    help="tile size axis; repeatable (default: 512)")
     p.add_argument("--config", action="append", default=None,
-                   choices=["FP64", "FP32", "FP64/FP16_32", "FP64/FP16", "adaptive"],
+                   choices=list(KERNEL_CONFIGS),
                    help="kernel-precision configuration axis; repeatable (default: FP64)")
     p.add_argument("--strategy", action="append", default=None,
-                   choices=["auto", "stc", "ttc"],
+                   choices=[s.value for s in ConversionStrategy],
                    help="conversion strategy axis; repeatable (default: auto)")
     p.add_argument("--gpu", action="append", default=None,
-                   choices=["V100", "A100", "H100"],
+                   choices=list(GPU_BY_NAME),
                    help="GPU model axis; repeatable (default: V100)")
     p.add_argument("--gpus", type=int, action="append", default=None,
                    help="GPUs-per-node axis; repeatable (default: 1)")
@@ -298,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "this precision configuration")
     p.add_argument("--history-command", default=None, metavar="COMMAND",
                    help="restrict the --against-history window to runs whose "
-                        "manifest command matches (e.g. simbench-stream), so "
-                        "different bench modes gate against their own history")
+                        "manifest command matches (e.g. simulate), so each "
+                        "verb's runs gate against their own history")
     p.add_argument("--fail-on-regress", action="store_true",
                    help="exit non-zero when any metric regresses beyond threshold")
     p.add_argument("--all-metrics", action="store_true",
@@ -311,23 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule-compare",
         help="price one configuration under several scheduling policies",
     )
-    p.add_argument("--gpu", default="V100", choices=["V100", "A100", "H100"])
-    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=2048)
-    p.add_argument("--nb", type=int, default=128)
-    p.add_argument("--config", default="FP64/FP16_32",
-                   choices=["FP64", "FP32", "FP64/FP16_32", "FP64/FP16"])
-    p.add_argument("--strategy", default="auto", choices=["auto", "stc", "ttc"])
+    _add_run_flags(p, n=2048, nb=128, config="FP64/FP16_32")
     p.add_argument("--policy", action="append", default=None,
                    choices=list(POLICY_NAMES),
                    help="policy to include; repeatable (default: all policies)")
     p.add_argument("--baseline", default="panel-first", choices=list(POLICY_NAMES),
                    help="policy the others are diffed against (default: panel-first)")
-    p.add_argument("--host-memory-gb", type=float, default=256.0,
-                   help="host DRAM capacity per node in GB; shrink it to "
-                        "surface eviction/spill traffic differences "
-                        "(default: 256)")
     p.add_argument("--gpu-memory-gb", type=float, default=None,
                    help="override device memory per GPU in GB (capacity-"
                         "constrained out-of-core studies)")
@@ -365,29 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the machine-readable history document")
 
     p = sub.add_parser(
-        "profile",
-        help="sampling wall-clock profile of a symbolic simulate",
-    )
-    p.add_argument("--gpu", default="V100", choices=["V100", "A100", "H100"])
-    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=None,
-                   help="matrix size (default: nt*nb)")
-    p.add_argument("--nb", type=int, default=512)
-    p.add_argument("--nt", type=int, default=32,
-                   help="tile count when --n is not given (default: 32)")
-    p.add_argument("--config", default="FP64/FP16",
-                   choices=["FP64", "FP32", "FP64/FP16_32", "FP64/FP16"])
-    p.add_argument("--strategy", default="auto", choices=["auto", "stc", "ttc"])
-    p.add_argument("--policy", default="panel-first", choices=list(POLICY_NAMES))
-    p.add_argument("--interval", type=float, default=0.005, metavar="SECONDS",
-                   help="sampling interval (default: 5 ms)")
-    p.add_argument("--top", type=int, default=10,
-                   help="frames to show (default: 10)")
-    p.add_argument("--profile-out", default=None, metavar="PATH",
-                   help="write the repro.obs.profile/1 document")
-
-    p = sub.add_parser(
         "merge-shards",
         help="merge distributed per-rank trace shards into one trace",
     )
@@ -402,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=[
         "table1", "table2", "fig1", "fig7", "fig8", "fig12",
     ])
-    p.add_argument("--gpu", default="V100", choices=["V100", "A100", "H100"])
+    p.add_argument("--gpu", default="V100", choices=list(GPU_BY_NAME))
 
     sub.add_parser("info", help="encoded GPU specifications")
 
@@ -482,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mle(args) -> int:
-    import contextlib
-
     from . import obs
     from .geostats import SyntheticField, fit_mle
     from .geostats.covariance import Matern, SquaredExponential
@@ -524,16 +479,14 @@ def _cmd_maps(args) -> int:
     from .core import build_comm_precision_map
 
     app = get_app(args.app)
-    kmap = app_kernel_map(app, args.n, args.nb, samples_per_tile=32)
     if args.accuracy is not None:
         from dataclasses import replace
 
-        kmap = app_kernel_map(
-            replace(app, accuracy=args.accuracy), args.n, args.nb, samples_per_tile=32
-        )
+        app = replace(app, accuracy=args.accuracy)
+    kmap = app_kernel_map(app, args.n, args.nb, samples_per_tile=32)
     cmap = build_comm_precision_map(kmap)
     print(f"{app.label}: n={args.n}, nb={args.nb} (NT={kmap.nt}), "
-          f"u_req={args.accuracy or app.accuracy:g}")
+          f"u_req={app.accuracy:g}")
     fr = kmap.tile_fractions()
     print("tile fractions:", {p.name: f"{f * 100:.1f}%" for p, f in sorted(fr.items(), reverse=True)})
     print(f"STC on {cmap.stc_fraction() * 100:.1f}% of communications")
@@ -543,68 +496,120 @@ def _cmd_maps(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    import contextlib
-
-    from . import obs
-    from .core import (
-        ConversionStrategy,
-        simulate_cholesky,
-        two_precision_map,
-        uniform_map,
-    )
-    from .perfmodel import GPU_BY_NAME, NodeSpec
-    from .precision import Precision
+def _run_from_args(args):
+    """``(platform, kernel map, strategy)`` of the run :func:`_add_run_flags`
+    describes (``--gpu-memory-gb`` is honoured where the verb has it)."""
+    from .core import ConversionStrategy, fixed_config_map
+    from .perfmodel import GPU_BY_NAME
     from .runtime import Platform
 
-    gpu = GPU_BY_NAME[args.gpu]
-    node = NodeSpec("cli", gpu, args.gpus, args.host_memory_gb * 1e9, 25e9, 1.5e-6)
-    platform = Platform(node=node, n_nodes=args.nodes)
-    nt = -(-args.n // args.nb)
-    kmap = {
-        "FP64": uniform_map(nt, Precision.FP64),
-        "FP32": uniform_map(nt, Precision.FP32),
-        "FP64/FP16_32": two_precision_map(nt, Precision.FP16_32),
-        "FP64/FP16": two_precision_map(nt, Precision.FP16),
-    }[args.config]
-    strategy = {
-        "auto": ConversionStrategy.AUTO,
-        "stc": ConversionStrategy.STC,
-        "ttc": ConversionStrategy.TTC,
-    }[args.strategy]
+    gpu_memory_gb = getattr(args, "gpu_memory_gb", None)
+    platform = Platform.of_gpus(
+        GPU_BY_NAME[args.gpu], args.gpus, args.nodes,
+        host_memory=args.host_memory_gb * 1e9,
+        gpu_memory=None if gpu_memory_gb is None else gpu_memory_gb * 1e9,
+    )
+    kmap = fixed_config_map(-(-args.n // args.nb), args.config)
+    return platform, kmap, ConversionStrategy(args.strategy)
+
+
+@contextlib.contextmanager
+def _capture(args):
+    """Enter what the telemetry flags ask for around a run — the JSONL
+    event log, the sampling profiler, the live plane — and yield
+    ``(profiler, plane)``, either ``None`` when not requested.
+    :func:`_write_capture` writes the documents once the run is over."""
+    from . import obs
+
+    run_id = getattr(args, "run_id", None)
+    with contextlib.ExitStack() as stack:
+        if args.events_out:
+            stack.enter_context(obs.event_log(args.events_out, run_id=run_id))
+        profiler = None
+        if args.profile_out:
+            profiler = stack.enter_context(obs.SamplingProfiler())
+        yield profiler, _enter_live(stack, args, run_id=run_id)
+
+
+def _write_capture(args, profiler, *, command, stats, n_tasks, trace=None) -> None:
+    """The ``--profile-out`` / ``--metrics-out`` tail of :func:`_capture`:
+    hottest frames + profile document, then the run summary."""
+    from . import obs
+
+    if profiler is None and not args.metrics_out:
+        return
+    manifest = obs.build_manifest(run_id=getattr(args, "run_id", None),
+                                  command=command, config=vars(args))
+    if profiler is not None:
+        rate = (n_tasks / profiler.wall_seconds
+                if profiler.wall_seconds > 0.0 else 0.0)
+        print(profiler.render())
+        doc = profiler.report(extra={"tasks_per_second": rate, "manifest": manifest})
+        obs.write_profile(args.profile_out, doc)
+        print(f"  profile → {args.profile_out} "
+              f"({doc['n_samples']} samples, {rate:,.0f} tasks/s, "
+              f"overhead {doc['overhead_fraction'] * 100.0:.2f}%)")
+    if args.metrics_out:
+        obs.write_run_summary(args.metrics_out, stats=stats, trace=trace,
+                              manifest=manifest)
+        print(f"  metrics → {args.metrics_out}")
+
+
+def _cmd_simulate(args) -> int:
+    from . import obs
+    from .core import replay_cholesky, simulate_cholesky
+    from .runtime import StaticSchedule
+
+    if args.replay and args.stream:
+        print("simulate: --replay takes its task layout from the schedule "
+              "file; it cannot be combined with --stream", file=sys.stderr)
+        return 2
+    platform, kmap, strategy = _run_from_args(args)
     # events are needed whenever a trace/CSV export was requested; a
     # schedule export wants them too so the trace hash rides along for
     # replay verification
     record_events = bool(args.trace_out or args.csv_out or args.schedule_out)
-    profiler = None
-    with contextlib.ExitStack() as stack:
-        if args.events_out:
-            stack.enter_context(obs.event_log(args.events_out, run_id=args.run_id))
-        if args.profile_out:
-            from .obs.profile import SamplingProfiler
-
-            profiler = stack.enter_context(SamplingProfiler())
-        plane = _enter_live(stack, args, run_id=args.run_id)
+    if args.stream and record_events:
+        # the O(window) live-memory bound covers Task objects only; a
+        # recorded Trace still accumulates O(n_tasks) events
+        print("simulate: warning: --trace-out/--csv-out/--schedule-out void "
+              "the O(window) memory bound of --stream — the event trace "
+              "grows with every task (see docs/SCHEDULING.md)", file=sys.stderr)
+    schedule = StaticSchedule.load(args.replay) if args.replay else None
+    with _capture(args) as (profiler, plane):
         if plane is not None and args.live_stall_after is not None:
             plane.configure_stall(args.live_stall_after, args.live_stall_seconds)
-        if args.replay:
-            from .core import replay_cholesky
-            from .runtime import StaticSchedule
+        t0 = time.perf_counter()
+        try:
+            if schedule is not None:
+                rep = replay_cholesky(args.n, args.nb, kmap, platform,
+                                      schedule, strategy=strategy,
+                                      record_events=record_events)
+            else:
+                rep = simulate_cholesky(args.n, args.nb, kmap, platform,
+                                        strategy=strategy,
+                                        record_events=record_events,
+                                        policy=args.policy,
+                                        stream=args.stream, lookahead=args.lookahead)
+        except ValueError as exc:
+            # flags that do not fit together: a full-graph policy with
+            # --stream, a schedule from another n/nb/platform
+            print(f"simulate: {exc}", file=sys.stderr)
+            return 2
+        wall = time.perf_counter() - t0
 
-            schedule = StaticSchedule.load(args.replay)
-            rep = replay_cholesky(args.n, args.nb, kmap, platform,
-                                  schedule, strategy=strategy,
-                                  record_events=record_events)
-        else:
-            rep = simulate_cholesky(args.n, args.nb, kmap, platform,
-                                    strategy=strategy,
-                                    record_events=record_events,
-                                    policy=args.policy)
-
+    # host numbers that cost nothing to take: the bench floors and the
+    # live-overhead gate read them out of the run summary's stats
+    d = rep.stats.to_dict()
+    d.update(
+        wall_seconds=wall,
+        tasks_per_second=d["n_tasks"] / wall if wall > 0.0 else 0.0,
+        peak_rss_bytes=_peak_rss_bytes(),
+        peak_live_tasks=rep.peak_live_tasks,
+    )
     print(f"{args.config} on {args.nodes}x{args.gpus}x{args.gpu} "
           f"(n={args.n}, nb={args.nb}, {args.strategy.upper()}, "
           f"policy {rep.policy}):")
-    d = rep.stats.to_dict()
     print(f"  makespan   {d['makespan_seconds']:.4f} s")
     print(f"  throughput {d['tflops']:.1f} Tflop/s")
     print(f"  h2d        {d['h2d_bytes'] / 1e9:.2f} GB")
@@ -616,15 +621,17 @@ def _cmd_simulate(args) -> int:
         print(f"  host evictions {d['n_host_evictions']}  spills {d['n_spills']}  "
               f"disk r/w {d['disk_read_bytes'] / 1e9:.2f}/"
               f"{d['disk_write_bytes'] / 1e9:.2f} GB")
+    print(f"  host       {wall:.2f} s wall  {d['tasks_per_second']:,.0f} tasks/s  "
+          f"peak live {rep.peak_live_tasks} tasks  "
+          f"peak rss {d['peak_rss_bytes'] / 1e6:,.0f} MB")
 
     if args.schedule_out:
-        from .runtime import StaticSchedule
-
         StaticSchedule.from_report(
             rep, nb=args.nb, n=args.n, platform=platform,
+            layout="stream" if args.stream else "materialize",
         ).save(args.schedule_out)
         print(f"  schedule → {args.schedule_out} ({rep.stats.n_tasks} tasks)")
-    if args.replay:
+    if schedule is not None:
         mismatch = []
         if schedule.makespan and abs(schedule.makespan - rep.makespan) > 0.0:
             mismatch.append("makespan")
@@ -648,33 +655,9 @@ def _cmd_simulate(args) -> int:
     if args.csv_out:
         obs.write_trace_csv(rep.trace.events, args.csv_out)
         print(f"  csv     → {args.csv_out}")
-    if profiler is not None:
-        from .obs.profile import write_profile
-
-        rate = (rep.stats.n_tasks / profiler.wall_seconds
-                if profiler.wall_seconds > 0.0 else 0.0)
-        doc = profiler.report(extra={
-            "tasks_per_second": rate,
-            "manifest": obs.build_manifest(
-                run_id=args.run_id, command="simulate", config=vars(args),
-                policy=args.policy,
-            ),
-        })
-        write_profile(args.profile_out, doc)
-        print(f"  profile → {args.profile_out} "
-              f"({doc['n_samples']} samples, {rate:,.0f} tasks/s, "
-              f"overhead {doc['overhead_fraction'] * 100.0:.2f}%)")
-    if args.metrics_out:
-        manifest = obs.build_manifest(
-            run_id=args.run_id, command="simulate", config=vars(args)
-        )
-        obs.write_run_summary(
-            args.metrics_out,
-            stats=rep.stats,
-            trace=rep.trace if record_events else None,
-            manifest=manifest,
-        )
-        print(f"  metrics → {args.metrics_out}")
+    _write_capture(args, profiler, command="simulate", stats=d,
+                   n_tasks=d["n_tasks"],
+                   trace=rep.trace if record_events else None)
     return 0
 
 
@@ -708,8 +691,8 @@ def _peak_rss_bytes() -> int:
     """Peak resident set of this process, in bytes (0 when unavailable).
 
     ``ru_maxrss`` is kilobytes on Linux, bytes on macOS; it is monotonic
-    over the process lifetime, so comparing modes needs one process per
-    mode (which is how the CI bench-floor job runs ``simbench``).
+    over the process lifetime, so comparing ``simulate`` with and without
+    ``--stream`` needs one process per run (as the CI bench-floor job does).
     """
     try:
         import resource
@@ -719,110 +702,7 @@ def _peak_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-def _cmd_simbench(args) -> int:
-    import contextlib
-    import time
-
-    from . import obs
-    from .core import (
-        ConversionStrategy,
-        build_cholesky_dag,
-        simulate_cholesky,
-        two_precision_map,
-        uniform_map,
-    )
-    from .perfmodel import GPU_BY_NAME, NodeSpec
-    from .precision import Precision
-    from .runtime import Platform
-    from .runtime.simulator import simulate
-
-    gpu = GPU_BY_NAME[args.gpu]
-    node = NodeSpec("cli", gpu, args.gpus, args.host_memory_gb * 1e9, 25e9, 1.5e-6)
-    platform = Platform(node=node, n_nodes=args.nodes)
-    nt = args.nt
-    n = nt * args.nb
-    kmap = {
-        "FP64": uniform_map(nt, Precision.FP64),
-        "FP32": uniform_map(nt, Precision.FP32),
-        "FP64/FP16_32": two_precision_map(nt, Precision.FP16_32),
-        "FP64/FP16": two_precision_map(nt, Precision.FP16),
-    }[args.config]
-    strategy = {
-        "auto": ConversionStrategy.AUTO,
-        "stc": ConversionStrategy.STC,
-        "ttc": ConversionStrategy.TTC,
-    }[args.strategy]
-
-    record_events = bool(args.record_events)
-    with contextlib.ExitStack() as stack:
-        _enter_live(stack, args, run_id=args.run_id)
-        t0 = time.perf_counter()
-        if args.mode == "stream":
-            if record_events:
-                # the O(window) live-memory bound covers Task objects only;
-                # a recorded Trace still accumulates O(n_tasks) events
-                print("simbench: warning: --record-events voids the O(window) "
-                      "memory bound of --mode stream — the event trace grows "
-                      "with every task (see docs/SCHEDULING.md)",
-                      file=sys.stderr)
-            # emission is interleaved with scheduling: one timed region
-            rep = simulate_cholesky(
-                n, args.nb, kmap, platform, strategy=strategy,
-                record_events=record_events, policy=args.policy,
-                stream=True, lookahead=args.lookahead,
-            )
-            t_build_done = t0
-        else:
-            dag = build_cholesky_dag(
-                n, args.nb, kmap, strategy=strategy, grid=platform.process_grid(),
-            )
-            t_build_done = time.perf_counter()
-            rep = simulate(dag.graph, platform, args.nb,
-                           record_events=record_events, policy=args.policy)
-        t1 = time.perf_counter()
-
-    wall = t1 - t0
-    n_tasks = rep.stats.n_tasks
-    rate = n_tasks / wall if wall > 0.0 else 0.0
-    rss = _peak_rss_bytes()
-    stats = {
-        "makespan_seconds": rep.stats.makespan,
-        "n_tasks": n_tasks,
-        "tasks_per_second": rate,
-        "dag_build_seconds": t_build_done - t0,
-        "schedule_seconds": t1 - t_build_done,
-        "peak_rss_bytes": rss,
-        "peak_live_tasks": rep.peak_live_tasks,
-    }
-
-    print(f"simbench {args.mode}: {args.config} on "
-          f"{args.nodes}x{args.gpus}x{args.gpu} "
-          f"(nt={nt}, nb={args.nb}, policy {rep.policy}):")
-    print(f"  tasks      {n_tasks}  ({rate:,.0f} tasks/s over {wall:.2f} s wall)")
-    print(f"  build      {stats['dag_build_seconds']:.2f} s  "
-          f"schedule {stats['schedule_seconds']:.2f} s")
-    print(f"  makespan   {stats['makespan_seconds']:.4f} s (simulated)")
-    print(f"  peak live  {rep.peak_live_tasks} tasks  "
-          f"peak rss {rss / 1e6:,.0f} MB")
-
-    if args.metrics_out:
-        # command carries the mode so `repro compare --against-history
-        # --history-command simbench-<mode>` windows each mode separately
-        manifest = obs.build_manifest(
-            run_id=args.run_id,
-            command=f"simbench-{args.mode}",
-            config={**vars(args), "n": n},
-            policy=args.policy,
-        )
-        obs.write_run_summary(args.metrics_out, stats=stats, manifest=manifest)
-        print(f"  metrics → {args.metrics_out}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
-    import contextlib
-
-    from . import obs
     from .faults import FaultPlan, RetryPolicy
     from .sweep import SweepGrid, run_sweep
 
@@ -845,15 +725,7 @@ def _cmd_sweep(args) -> int:
         ordering=args.ordering or ["morton"],
         name=args.name,
     )
-    profiler = None
-    with contextlib.ExitStack() as stack:
-        if args.events_out:
-            stack.enter_context(obs.event_log(args.events_out))
-        if args.profile_out:
-            from .obs.profile import SamplingProfiler
-
-            profiler = stack.enter_context(SamplingProfiler())
-        _enter_live(stack, args)
+    with _capture(args) as (profiler, _plane):
         result = run_sweep(
             grid, workers=args.workers, cache_dir=args.cache_dir, force=args.force,
             retry_policy=retry_policy, fault_plan=fault_plan,
@@ -868,25 +740,9 @@ def _cmd_sweep(args) -> int:
     if args.bench_out:
         path = result.write_bench_json(args.bench_out)
         print(f"  bench   → {path}")
-    if profiler is not None:
-        from .obs.profile import write_profile
-
-        n_tasks = getattr(result.summary_stats(), "n_tasks", 0)
-        rate = (n_tasks / profiler.wall_seconds
-                if profiler.wall_seconds > 0.0 else 0.0)
-        doc = profiler.report(extra={
-            "tasks_per_second": rate,
-            "manifest": obs.build_manifest(command="sweep", config=vars(args)),
-        })
-        write_profile(args.profile_out, doc)
-        print(f"  profile → {args.profile_out} "
-              f"({doc['n_samples']} samples, {rate:,.0f} tasks/s, "
-              f"overhead {doc['overhead_fraction'] * 100.0:.2f}%)")
-    if args.metrics_out:
-        manifest = obs.build_manifest(command="sweep", config=vars(args))
-        obs.write_run_summary(args.metrics_out, stats=result.summary_stats(),
-                              manifest=manifest)
-        print(f"  metrics → {args.metrics_out}")
+    stats = result.summary_stats()
+    _write_capture(args, profiler, command="sweep", stats=stats,
+                   n_tasks=stats["planned_tasks"])
     return 0
 
 
@@ -990,8 +846,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import json
-
+    from .obs import write_json
     from .obs.analysis import analyze_path, render_analysis
 
     try:
@@ -1004,17 +859,12 @@ def _cmd_analyze(args) -> int:
     print(render_analysis(doc))
     mismatches = (doc.get("reconciliation") or {}).get("mismatches") or []
     if args.json_out:
-        out = Path(args.json_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        write_json(args.json_out, doc)
         print(f"  analysis → {args.json_out}")
     return 1 if mismatches else 0
 
 
 def _cmd_compare(args) -> int:
-    import json
-
     from .obs.regress import compare_files, parse_threshold_args
 
     for path in [args.baseline, *args.candidates]:
@@ -1023,132 +873,101 @@ def _cmd_compare(args) -> int:
             return 2
     try:
         thresholds = parse_threshold_args(args.threshold)
+        if args.against_history:
+            reports = [_compare_against_history(args, thresholds)]
+        elif args.candidates:
+            reports = []
+            for candidate in args.candidates:
+                try:
+                    reports.append(compare_files(args.baseline, candidate,
+                                                 thresholds=thresholds))
+                except ValueError as exc:
+                    raise ValueError(f"{candidate}: {exc}") from None
+        else:
+            raise ValueError("need at least one candidate document "
+                             "(or --against-history DB)")
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 2
-
-    if args.against_history:
-        return _compare_against_history(args, thresholds)
-    if not args.candidates:
-        print("compare: need at least one candidate document "
-              "(or --against-history DB)", file=sys.stderr)
-        return 2
-
-    reports = []
-    for candidate in args.candidates:
-        try:
-            report = compare_files(args.baseline, candidate, thresholds=thresholds)
-        except ValueError as exc:
-            print(f"compare: {candidate}: {exc}", file=sys.stderr)
-            return 2
-        reports.append(report)
+    for report in reports:
         print(report.table(all_metrics=args.all_metrics))
         if report.missing_in_candidate:
             print(f"  scopes missing in candidate: {', '.join(report.missing_in_candidate)}")
         if report.added_in_candidate:
             print(f"  scopes added in candidate: {', '.join(report.added_in_candidate)}")
         print()
-    if args.report_out:
-        out = Path(args.report_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = (reports[0].to_dict() if len(reports) == 1
-                   else {"schema": "repro.obs.regress/1+multi",
-                         "reports": [r.to_dict() for r in reports]})
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        print(f"  verdict → {args.report_out}")
-    n_regressions = sum(r.n_regressions for r in reports)
-    if args.fail_on_regress and n_regressions:
-        print(f"compare: {n_regressions} regression(s) beyond threshold",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _gate_reports(args, reports)
 
 
-def _compare_against_history(args, thresholds) -> int:
-    """``repro compare --against-history DB --window N CANDIDATE``."""
+def _compare_against_history(args, thresholds):
+    """``repro compare --against-history DB --window N CANDIDATE``: the
+    report of the (single) document against the warehouse window."""
     import json
 
     from .obs.regress import compare_against_window
     from .obs.warehouse import Warehouse
 
     if args.candidates:
-        print("compare: --against-history takes exactly one document "
-              "(the candidate)", file=sys.stderr)
-        return 2
+        raise ValueError("--against-history takes exactly one document "
+                         "(the candidate)")
     if not Path(args.against_history).exists():
-        print(f"compare: no such warehouse: {args.against_history}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"no such warehouse: {args.against_history}")
     with open(args.baseline, "r", encoding="utf-8") as fh:
         candidate = json.load(fh)
     filters = {k: getattr(args, k) for k in ("policy", "nt", "config")
                if getattr(args, k) is not None}
     if args.history_command is not None:
         filters["command"] = args.history_command
-    try:
-        with Warehouse(args.against_history) as wh:
-            history = wh.window_scopes(args.window, **filters)
-            report = compare_against_window(
-                history, candidate, thresholds=thresholds, window=args.window,
-                history_name=f"{args.against_history} (last {args.window})",
-                candidate_name=args.baseline,
-            )
-    except ValueError as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 2
-    print(report.table(all_metrics=args.all_metrics))
+    with Warehouse(args.against_history) as wh:
+        return compare_against_window(
+            wh.window_scopes(args.window, **filters), candidate,
+            thresholds=thresholds, window=args.window,
+            history_name=args.against_history, candidate_name=args.baseline,
+        )
+
+
+def _gate_reports(args, reports, *, payload=None) -> int:
+    """The tail every report-emitting verb shares: write ``--report-out``
+    (one report as is, several under ``…regress/1+multi``, or the verb's
+    own ``payload``), then apply ``--fail-on-regress``."""
+    from .obs import write_json
+
     if args.report_out:
-        out = Path(args.report_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+        if payload is None:
+            payload = (reports[0].to_dict() if len(reports) == 1
+                       else {"schema": "repro.obs.regress/1+multi",
+                             "reports": [r.to_dict() for r in reports]})
+        write_json(args.report_out, payload)
         print(f"  verdict → {args.report_out}")
-    if args.fail_on_regress and report.verdict == "regressed":
-        print(f"compare: {len(report.regressions)} regression(s), "
-              f"{len(report.drifts)} drifting trend(s) beyond threshold",
-              file=sys.stderr)
+    n_regressions = sum(r.n_regressions for r in reports)
+    n_drifts = sum(len(r.drifts) for r in reports)
+    if args.fail_on_regress and (n_regressions or n_drifts):
+        drifting = f", {n_drifts} drifting trend(s)" if n_drifts else ""
+        print(f"{args.command}: {n_regressions} regression(s){drifting} "
+              f"beyond threshold", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_schedule_compare(args) -> int:
-    import json
-
     from .bench.reporting import format_table
-    from .core import (
-        ConversionStrategy,
-        simulate_cholesky,
-        two_precision_map,
-        uniform_map,
-    )
+    from .core import simulate_cholesky
     from .obs.regress import compare_docs
-    from .perfmodel import GPU_BY_NAME, NodeSpec
     from .perfmodel.energy import energy_report
-    from .precision import Precision
-    from .runtime import POLICY_NAMES, Platform
+    from .runtime import POLICY_NAMES
 
     policies = list(dict.fromkeys(args.policy)) if args.policy else list(POLICY_NAMES)
     if args.baseline not in policies:
         policies.insert(0, args.baseline)
 
-    gpu = GPU_BY_NAME[args.gpu]
-    if args.gpu_memory_gb is not None:
-        from dataclasses import replace as _dc_replace
+    platform, kmap, strategy = _run_from_args(args)
+    metrics: dict[str, dict] = {}
 
-        gpu = _dc_replace(gpu, memory_bytes=args.gpu_memory_gb * 1e9)
-    node = NodeSpec("cli", gpu, args.gpus, args.host_memory_gb * 1e9, 25e9, 1.5e-6)
-    platform = Platform(node=node, n_nodes=args.nodes)
-    nt = -(-args.n // args.nb)
-    kmap = {
-        "FP64": uniform_map(nt, Precision.FP64),
-        "FP32": uniform_map(nt, Precision.FP32),
-        "FP64/FP16_32": two_precision_map(nt, Precision.FP16_32),
-        "FP64/FP16": two_precision_map(nt, Precision.FP16),
-    }[args.config]
-    strategy = ConversionStrategy(args.strategy)
-
-    def _row(label: str, rep, d: dict) -> tuple:
+    def _row(label: str, rep) -> tuple:
+        d = rep.stats.to_dict()
+        d["energy_joules"] = energy_report(
+            platform.gpu, rep.trace.events, rep.makespan).total_joules
+        metrics[label] = d
         return (
             label,
             f"{d['makespan_seconds']:.6g}",
@@ -1164,18 +983,13 @@ def _cmd_schedule_compare(args) -> int:
         )
 
     rows = []
-    metrics: dict[str, dict] = {}
     baseline_rep = None
     for pol in policies:
         rep = simulate_cholesky(args.n, args.nb, kmap, platform, strategy=strategy,
                                 record_events=True, policy=pol)
         if pol == args.baseline:
             baseline_rep = rep
-        energy = energy_report(gpu, rep.trace.events, rep.makespan)
-        d = rep.stats.to_dict()
-        d["energy_joules"] = energy.total_joules
-        metrics[pol] = d
-        rows.append(_row(pol, rep, d))
+        rows.append(_row(pol, rep))
 
     if args.replay_check and baseline_rep is not None:
         from .core import replay_cholesky
@@ -1186,12 +1000,7 @@ def _cmd_schedule_compare(args) -> int:
         )
         rep = replay_cholesky(args.n, args.nb, kmap, platform, schedule,
                               strategy=strategy, record_events=True)
-        energy = energy_report(gpu, rep.trace.events, rep.makespan)
-        d = rep.stats.to_dict()
-        d["energy_joules"] = energy.total_joules
-        label = f"replay:{args.baseline}"
-        metrics[label] = d
-        rows.append(_row(label, rep, d))
+        rows.append(_row(f"replay:{args.baseline}", rep))
         if (rep.makespan != baseline_rep.makespan
                 or rep.trace.content_hash() != baseline_rep.trace.content_hash()):
             print(f"schedule-compare: replay of {args.baseline} diverged "
@@ -1217,32 +1026,19 @@ def _cmd_schedule_compare(args) -> int:
     for report in reports:
         print()
         print(report.table())
-    if args.report_out:
-        out = Path(args.report_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": "repro.obs.regress/1+multi",
-            "baseline_policy": args.baseline,
-            "config": {"n": args.n, "nb": args.nb, "config": args.config,
-                       "strategy": args.strategy, "gpu": args.gpu,
-                       "gpus_per_node": args.gpus, "n_nodes": args.nodes},
-            "metrics": metrics,
-            "reports": [r.to_dict() for r in reports],
-        }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        print(f"  verdict → {args.report_out}")
-    n_regressions = sum(r.n_regressions for r in reports)
-    if args.fail_on_regress and n_regressions:
-        print(f"schedule-compare: {n_regressions} regression(s) beyond threshold",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _gate_reports(args, reports, payload={
+        "schema": "repro.obs.regress/1+multi",
+        "baseline_policy": args.baseline,
+        "config": {"n": args.n, "nb": args.nb, "config": args.config,
+                   "strategy": args.strategy, "gpu": args.gpu,
+                   "gpus_per_node": args.gpus, "n_nodes": args.nodes},
+        "metrics": metrics,
+        "reports": [r.to_dict() for r in reports],
+    })
 
 
 def _cmd_history(args) -> int:
-    import json
-
+    from .obs import write_json
     from .obs.warehouse import Warehouse
 
     try:
@@ -1260,69 +1056,11 @@ def _cmd_history(args) -> int:
             rows = wh.runs(limit=args.limit, **filters)
             print(wh.history_table(rows))
             if args.json_out:
-                out = Path(args.json_out)
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(
-                    json.dumps(wh.history_json(rows), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
+                write_json(args.json_out, wh.history_json(rows))
                 print(f"  history → {args.json_out}")
     except ValueError as exc:
         print(f"history: {exc}", file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from . import obs
-    from .core import (
-        ConversionStrategy,
-        simulate_cholesky,
-        two_precision_map,
-        uniform_map,
-    )
-    from .obs.profile import SamplingProfiler, write_profile
-    from .perfmodel import GPU_BY_NAME, NodeSpec
-    from .precision import Precision
-    from .runtime import Platform
-
-    gpu = GPU_BY_NAME[args.gpu]
-    node = NodeSpec("cli", gpu, args.gpus, 256e9, 25e9, 1.5e-6)
-    platform = Platform(node=node, n_nodes=args.nodes)
-    n = args.n if args.n is not None else args.nt * args.nb
-    nt = -(-n // args.nb)
-    kmap = {
-        "FP64": uniform_map(nt, Precision.FP64),
-        "FP32": uniform_map(nt, Precision.FP32),
-        "FP64/FP16_32": two_precision_map(nt, Precision.FP16_32),
-        "FP64/FP16": two_precision_map(nt, Precision.FP16),
-    }[args.config]
-    strategy = ConversionStrategy(args.strategy)
-
-    with SamplingProfiler(args.interval) as profiler:
-        rep = simulate_cholesky(n, args.nb, kmap, platform, strategy=strategy,
-                                record_events=False, policy=args.policy)
-
-    rate = (rep.stats.n_tasks / profiler.wall_seconds
-            if profiler.wall_seconds > 0.0 else 0.0)
-    print(f"{args.config} on {args.nodes}x{args.gpus}x{args.gpu} "
-          f"(n={n}, nb={args.nb}, NT={nt}, policy {rep.policy}): "
-          f"{rep.stats.n_tasks} tasks in {profiler.wall_seconds:.3f} s wall "
-          f"→ {rate:,.0f} tasks/s")
-    print(profiler.render(top=args.top))
-    if args.profile_out:
-        doc = profiler.report(top=args.top, extra={
-            "tasks_per_second": rate,
-            "manifest": obs.build_manifest(
-                command="profile",
-                config={"n": n, "nb": args.nb, "config": args.config,
-                        "strategy": args.strategy, "gpu": args.gpu,
-                        "gpus": args.gpus, "nodes": args.nodes},
-                policy=args.policy,
-            ),
-        })
-        write_profile(args.profile_out, doc)
-        print(f"  profile → {args.profile_out}")
     return 0
 
 
@@ -1416,7 +1154,6 @@ def _watch_base_url(target: str) -> str:
 
 def _cmd_watch(args) -> int:
     import json
-    import time
     import urllib.error
     import urllib.request
 
@@ -1563,7 +1300,6 @@ def main(argv: list[str] | None = None) -> int:
         "mle": _cmd_mle,
         "maps": _cmd_maps,
         "simulate": _cmd_simulate,
-        "simbench": _cmd_simbench,
         "sweep": _cmd_sweep,
         "bench": _cmd_bench,
         "info": _cmd_info,
@@ -1572,7 +1308,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "schedule-compare": _cmd_schedule_compare,
         "history": _cmd_history,
-        "profile": _cmd_profile,
         "merge-shards": _cmd_merge_shards,
         "watch": _cmd_watch,
         "ingest": _cmd_ingest,

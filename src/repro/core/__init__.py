@@ -15,9 +15,11 @@ from .dag_cholesky import CholeskyDag, build_cholesky_dag, cholesky_task_count, 
 from .dtd_cholesky import build_cholesky_dag_dtd
 from .refinement import RefinementResult, refine_solve
 from .precision_map import (
+    FIXED_CONFIGS,
     KernelPrecisionMap,
     band_precision_map,
     build_precision_map,
+    fixed_config_map,
     two_precision_map,
     uniform_map,
 )
@@ -34,6 +36,7 @@ __all__ = [
     "CholeskyResult",
     "CommPrecisionMap",
     "ConversionStrategy",
+    "FIXED_CONFIGS",
     "FactorizationPlan",
     "KernelPrecisionMap",
     "MPCholeskySolver",
@@ -53,6 +56,7 @@ __all__ = [
     "payload_encoding",
     "refine_solve",
     "default_stream_lookahead",
+    "fixed_config_map",
     "replay_cholesky",
     "simulate_cholesky",
     "stream_cholesky_tasks",

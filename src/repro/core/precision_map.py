@@ -36,12 +36,23 @@ from ..precision.formats import (
 from ..tiles.norms import global_norm_from_tile_norms
 
 __all__ = [
+    "FIXED_CONFIGS",
     "KernelPrecisionMap",
     "build_precision_map",
+    "fixed_config_map",
     "two_precision_map",
     "uniform_map",
     "band_precision_map",
 ]
+
+#: the four extreme configurations every performance figure (8–12) sweeps:
+#: label → off-diagonal kernel precision (the diagonal is always FP64)
+FIXED_CONFIGS: dict[str, Precision] = {
+    "FP64": Precision.FP64,
+    "FP32": Precision.FP32,
+    "FP64/FP16_32": Precision.FP16_32,
+    "FP64/FP16": Precision.FP16,
+}
 
 
 @dataclass
@@ -224,6 +235,11 @@ def two_precision_map(nt: int, low: Precision) -> KernelPrecisionMap:
     codes = np.full((nt, nt), int(low), dtype=np.int8)
     np.fill_diagonal(codes, int(Precision.FP64))
     return KernelPrecisionMap(nt=nt, codes=codes)
+
+
+def fixed_config_map(nt: int, label: str) -> KernelPrecisionMap:
+    """The map of one :data:`FIXED_CONFIGS` label."""
+    return two_precision_map(nt, FIXED_CONFIGS[label])
 
 
 def uniform_map(nt: int, precision: Precision) -> KernelPrecisionMap:

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
-from ..obs import emit_event, get_registry
+from ..obs import emit_event, get_registry, write_json
 
 __all__ = [
     "FAULT_KINDS",
@@ -154,9 +154,7 @@ class FaultPlan:
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json(), encoding="utf-8")
-        return path
+        return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":

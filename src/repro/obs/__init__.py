@@ -29,7 +29,7 @@ reproduction measures itself.  Four pieces, shared by every layer:
 * **shard merge** (:mod:`repro.obs.merge`) — clock-aligned aggregation
   of distributed per-rank trace shards (``repro merge-shards``);
 * **profiler** (:mod:`repro.obs.profile`) — sampling wall-clock
-  profiler + named hot regions (``repro profile``, ``--profile-out``);
+  profiler + named hot regions (``--profile-out``);
 * **live plane** (:mod:`repro.obs.live`, :mod:`repro.obs.alerts`) —
   in-flight progress snapshots, ``/metrics`` + ``/progress`` +
   ``/healthz`` scrape endpoints, and declarative stall/rate/pressure
@@ -54,12 +54,7 @@ from .live import (
 )
 from .merge import MergedTrace, merge_shards, write_merged
 from .profile import SamplingProfiler, active_profiler, hot_region, write_profile
-from .regress import (
-    WindowedReport,
-    compare_against_window,
-    compare_docs,
-    compare_files,
-)
+from .regress import compare_against_window, compare_docs, compare_files
 from .warehouse import Warehouse
 
 from ._runtime import (
@@ -77,6 +72,7 @@ from .exporters import (
     run_summary,
     to_prometheus_text,
     trace_to_csv,
+    write_json,
     write_perfetto_trace,
     write_run_summary,
     write_trace_csv,
@@ -95,7 +91,6 @@ __all__ = [
     "Warehouse",
     "Watchdog",
     "WatchdogAbort",
-    "WindowedReport",
     "active_profiler",
     "alerts",
     "analysis",
@@ -147,6 +142,7 @@ __all__ = [
     "to_prometheus_text",
     "trace_to_csv",
     "traced",
+    "write_json",
     "write_manifest",
     "write_perfetto_trace",
     "write_run_summary",

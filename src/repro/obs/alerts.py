@@ -17,7 +17,7 @@ baseline bound, in the metric's bad direction", exactly how ``repro
 compare`` judges a perf trajectory — the only difference is that here
 the candidate is a live snapshot instead of a finished BENCH document.
 
-CLI syntax (``repro simulate/sweep/simbench --alert RULE``)::
+CLI syntax (``repro simulate/sweep --alert RULE``)::
 
     stall=SECONDS             no heartbeat for SECONDS (run hung)
     rank-silent=SECONDS       a live distributed rank is SECONDS silent

@@ -132,15 +132,21 @@ def run_summary(
     return doc
 
 
-def write_run_summary(path: str | Path, **kwargs) -> Path:
-    """Build :func:`run_summary` and write it as pretty JSON."""
+def write_json(path: str | Path, doc: Mapping) -> Path:
+    """Write ``doc`` as pretty, key-sorted JSON, creating parent directories.
+
+    The one serialisation every document this package (and the sweep,
+    fault and shard layers) leaves on disk goes through.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(run_summary(**kwargs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+def write_run_summary(path: str | Path, **kwargs) -> Path:
+    """Build :func:`run_summary` and write it as pretty JSON."""
+    return write_json(path, run_summary(**kwargs))
 
 
 # -- Prometheus text exposition --------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import platform as _platform
 import subprocess
 import sys
@@ -139,7 +138,6 @@ def build_manifest(
 
 def write_manifest(path: str | Path, manifest: Mapping[str, object]) -> Path:
     """Serialise a manifest to pretty, key-sorted JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    from .exporters import write_json
+
+    return write_json(path, manifest)

@@ -229,7 +229,7 @@ def write_merged(
     simulator's convention); the summary embeds the summed stats so the
     analyzer can reconcile the event-derived ledger against them.
     """
-    from .exporters import run_summary, write_perfetto_trace
+    from .exporters import run_summary, write_json, write_perfetto_trace
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,11 +263,7 @@ def write_merged(
     }
     if manifest is not None:
         summary["manifest"] = dict(manifest)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+    summary_path = write_json(out_dir / "summary.json", summary)
     return {"trace": trace_path, "summary": summary_path}
 
 

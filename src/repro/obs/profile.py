@@ -19,11 +19,11 @@ Two complementary instruments, both stdlib-only:
   no-op context manager — one global read and no allocation — so the
   instrumented paths cost effectively nothing in normal runs.
 
-``repro profile`` runs a symbolic ``simulate`` under the profiler;
-``repro simulate/sweep --profile-out`` wrap their normal work.  The
-report document (schema ``repro.obs.profile/1``) carries
-``tasks_per_second`` so :mod:`repro.obs.warehouse` can track simulator
-speed as a longitudinal trend.
+``repro simulate/sweep --profile-out`` wrap their normal work in the
+profiler and print the hottest frames.  The report document (schema
+``repro.obs.profile/1``) carries ``tasks_per_second`` so
+:mod:`repro.obs.warehouse` can track simulator speed as a longitudinal
+trend.
 """
 
 from __future__ import annotations
@@ -310,10 +310,6 @@ def _short_path(path: str) -> str:
 
 def write_profile(path: str | Path, doc: Mapping[str, object]) -> Path:
     """Serialise a profile document to pretty JSON."""
-    import json
+    from .exporters import write_json
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(dict(doc), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_json(path, doc)

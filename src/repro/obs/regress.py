@@ -17,13 +17,19 @@ thresholded.
 A *regression* is a delta beyond the metric's relative threshold in its
 bad direction (makespan up, tflops down, bytes up…); an improvement
 beyond threshold is reported but never fails the gate.
+
+There is one comparison — a candidate against a window of baseline runs
+(``repro compare --against-history``), judged on *level* (vs the window
+mean) and on *trend* (least-squares drift across window + candidate,
+which catches five PRs each drifting 1.5 % under a 2 % gate).  Pairwise
+``compare A B`` is the window-of-one case: no mean to take, no trend.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,7 +39,6 @@ __all__ = [
     "RegressionReport",
     "Threshold",
     "TrendDelta",
-    "WindowedReport",
     "compare_against_window",
     "compare_docs",
     "compare_files",
@@ -73,10 +78,10 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
     "conversion_seconds": Threshold(0.02, "lower"),
     "n_evictions": Threshold(0.0, "lower"),
     "n_failed": Threshold(0.0, "lower"),
-    # bench floors (``repro simbench``): scheduling throughput and peak
-    # resident set.  Wide tolerances — these run on shared CI machines —
-    # but a 30% tasks/sec collapse or a 25% RSS blow-up is a real
-    # hot-path or memory regression, not noise.
+    # bench floors (the host numbers ``repro simulate`` records):
+    # scheduling throughput and peak resident set.  Wide tolerances —
+    # these run on shared CI machines — but a 30% tasks/sec collapse or a
+    # 25% RSS blow-up is a real hot-path or memory regression, not noise.
     "tasks_per_second": Threshold(0.30, "higher"),
     "peak_rss_bytes": Threshold(0.25, "lower"),
     "peak_live_tasks": Threshold(0.10, "lower"),
@@ -103,22 +108,35 @@ class MetricDelta:
 
     def to_dict(self) -> dict:
         return {
-            "scope": self.scope,
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "candidate": self.candidate,
+            **asdict(self),
             "delta": self.delta,
             "rel_delta": self.rel_delta if math.isfinite(self.rel_delta) else None,
-            "rel_tol": self.rel_tol,
-            "direction": self.direction,
-            "regressed": self.regressed,
-            "improved": self.improved,
+        }
+
+
+@dataclass(frozen=True)
+class TrendDelta:
+    """Least-squares drift of one metric across the window + candidate."""
+
+    scope: str
+    metric: str
+    values: tuple[float, ...]  # history values, oldest first, then candidate
+    slope: float  # fitted change per run
+    rel_drift: float  # fitted total change across the series / |fitted start|
+    rel_tol: float
+    direction: str
+    drifting: bool  # drift beyond tolerance in the bad direction
+
+    def to_dict(self) -> dict:
+        return {
+            **asdict(self),
+            "rel_drift": self.rel_drift if math.isfinite(self.rel_drift) else None,
         }
 
 
 @dataclass
 class RegressionReport:
-    """Machine-readable verdict of one baseline/candidate comparison."""
+    """Machine-readable verdict of one candidate against its baseline."""
 
     baseline: str
     candidate: str
@@ -126,6 +144,10 @@ class RegressionReport:
     #: scopes present on one side only (grid changed between runs)
     missing_in_candidate: list[str] = field(default_factory=list)
     added_in_candidate: list[str] = field(default_factory=list)
+    #: runs of history behind the baseline mean (1 = a pairwise compare,
+    #: which has no trend to fit)
+    window: int = 1
+    trends: list[TrendDelta] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[MetricDelta]:
@@ -136,31 +158,40 @@ class RegressionReport:
         return [d for d in self.deltas if d.improved]
 
     @property
+    def drifts(self) -> list[TrendDelta]:
+        return [t for t in self.trends if t.drifting]
+
+    @property
     def n_regressions(self) -> int:
         return len(self.regressions)
 
     @property
     def verdict(self) -> str:
-        return "regressed" if self.n_regressions else "ok"
+        return "regressed" if self.regressions or self.drifts else "ok"
 
     def to_dict(self) -> dict:
         return {
             "schema": "repro.obs.regress/1",
             "baseline": self.baseline,
             "candidate": self.candidate,
+            "window": self.window,
             "verdict": self.verdict,
             "n_compared": len(self.deltas),
             "n_regressions": self.n_regressions,
             "n_improvements": len(self.improvements),
+            "n_drifting": len(self.drifts),
             "missing_in_candidate": list(self.missing_in_candidate),
             "added_in_candidate": list(self.added_in_candidate),
             "deltas": [d.to_dict() for d in self.deltas],
+            "trends": [t.to_dict() for t in self.trends],
         }
 
     def table(self, *, all_metrics: bool = False) -> str:
-        """Human table: regressions and improvements (or everything)."""
+        """Human view: level deltas (regressions and improvements, or
+        everything), then — against a window — the drifting trends."""
         from ..bench.reporting import format_table
 
+        windowed = self.window > 1
         shown = (
             self.deltas
             if all_metrics
@@ -181,17 +212,44 @@ class RegressionReport:
             )
         ]
         title = (
-            f"compare {self.baseline} → {self.candidate}: "
-            f"{len(self.deltas)} metrics, {self.n_regressions} regression(s), "
-            f"{len(self.improvements)} improvement(s) — verdict {self.verdict.upper()}"
+            f"compare {self.baseline} → {self.candidate}"
+            + (f" (window of {self.window})" if windowed else "")
+            + f": {len(self.deltas)} metrics, {self.n_regressions} regression(s), "
+            + f"{len(self.improvements)} improvement(s)"
+            + (f", {len(self.drifts)} drifting trend(s)" if windowed else "")
+            + f" — verdict {self.verdict.upper()}"
         )
         if not rows:
-            return title + "\n(all compared metrics within thresholds)"
-        return format_table(
-            ["scope", "metric", "baseline", "candidate", "delta", "tol", "status"],
-            rows,
-            title=title,
-        )
+            parts = [title + "\n(all compared metrics within thresholds)"]
+        else:
+            parts = [format_table(
+                ["scope", "metric", "window mean" if windowed else "baseline",
+                 "candidate", "delta", "tol", "status"],
+                rows,
+                title=title,
+            )]
+        trend_rows = [
+            (
+                t.scope,
+                t.metric,
+                len(t.values),
+                f"{t.slope:+.4g}/run",
+                f"{t.rel_drift * 100.0:+.2f}%",
+                f"±{t.rel_tol * 100.0:g}%",
+                "DRIFTING" if t.drifting else "ok",
+            )
+            for t in sorted(
+                self.trends if all_metrics else self.drifts,
+                key=lambda t: (not t.drifting, t.scope, t.metric),
+            )
+        ]
+        if trend_rows:
+            parts.append(format_table(
+                ["scope", "metric", "points", "slope", "total drift", "tol", "status"],
+                trend_rows,
+                title="least-squares drift over the window",
+            ))
+        return "\n\n".join(parts)
 
 
 # -- loading ---------------------------------------------------------------
@@ -228,10 +286,9 @@ def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
     if schema == "repro.bench/1" or "runs" in doc and "aggregates" in doc:
         scopes: dict[str, dict[str, float]] = {}
         agg = _numeric_metrics(doc.get("aggregates") or {})
-        counts = _numeric_metrics(
+        agg.update(_numeric_metrics(
             {k: doc.get(k) for k in ("n_runs", "n_failed") if doc.get(k) is not None}
-        )
-        agg.update(counts)
+        ))
         if agg:
             scopes["aggregate"] = agg
         for run in doc.get("runs") or []:
@@ -294,217 +351,21 @@ def _compare_metric(
     )
 
 
-def compare_docs(
-    baseline: Mapping,
-    candidate: Mapping,
-    *,
-    thresholds: Mapping[str, Threshold] | None = None,
-    baseline_name: str = "baseline",
-    candidate_name: str = "candidate",
-) -> RegressionReport:
-    """Compare two documents; only thresholded metrics can regress."""
-    thresholds = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
-    base_scopes = load_metric_scopes(baseline)
-    cand_scopes = load_metric_scopes(candidate)
-    report = RegressionReport(baseline=baseline_name, candidate=candidate_name)
-    report.missing_in_candidate = sorted(set(base_scopes) - set(cand_scopes))
-    report.added_in_candidate = sorted(set(cand_scopes) - set(base_scopes))
-    for scope in sorted(set(base_scopes) & set(cand_scopes)):
-        base_metrics = base_scopes[scope]
-        cand_metrics = cand_scopes[scope]
-        for metric in sorted(set(base_metrics) & set(cand_metrics)):
-            threshold = thresholds.get(metric)
-            if threshold is None:
-                continue
-            report.deltas.append(
-                _compare_metric(
-                    scope, metric, base_metrics[metric], cand_metrics[metric], threshold
-                )
-            )
-    return report
-
-
-def compare_files(
-    baseline: str | Path,
-    candidate: str | Path,
-    *,
-    thresholds: Mapping[str, Threshold] | None = None,
-) -> RegressionReport:
-    """Load two JSON documents from disk and compare them."""
-    base_doc = json.loads(Path(baseline).read_text(encoding="utf-8"))
-    cand_doc = json.loads(Path(candidate).read_text(encoding="utf-8"))
-    return compare_docs(
-        base_doc,
-        cand_doc,
-        thresholds=thresholds,
-        baseline_name=str(baseline),
-        candidate_name=str(candidate),
-    )
-
-
-# -- windowed trend sentinel ------------------------------------------------
-#
-# Pairwise compare catches one bad PR; it cannot catch five PRs each
-# drifting a metric by 1.5% under a 2% gate.  The windowed sentinel
-# compares a candidate against an N-run rolling history (fed from the
-# warehouse, ``repro compare --against-history``) on two axes at once:
-#
-# * **level** — candidate vs the window *mean*, through the exact same
-#   `_compare_metric` the pairwise gate uses; and
-# * **trend** — the least-squares slope of the history-plus-candidate
-#   series, expressed as total relative drift across the window.  A
-#   drift beyond the metric's threshold in its bad direction flags even
-#   when the final level step is individually under tolerance.
-
-@dataclass(frozen=True)
-class TrendDelta:
-    """Least-squares drift of one metric across the window + candidate."""
-
-    scope: str
-    metric: str
-    values: tuple[float, ...]  # history values, oldest first, then candidate
-    slope: float  # fitted change per run
-    rel_drift: float  # fitted total change across the series / |fitted start|
-    rel_tol: float
-    direction: str
-    drifting: bool  # drift beyond tolerance in the bad direction
-
-    def to_dict(self) -> dict:
-        return {
-            "scope": self.scope,
-            "metric": self.metric,
-            "values": list(self.values),
-            "slope": self.slope,
-            "rel_drift": self.rel_drift if math.isfinite(self.rel_drift) else None,
-            "rel_tol": self.rel_tol,
-            "direction": self.direction,
-            "drifting": self.drifting,
-        }
-
-
-@dataclass
-class WindowedReport:
-    """Verdict of one candidate against an N-run rolling history."""
-
-    history_name: str
-    candidate: str
-    window: int  # runs of history actually used
-    deltas: list[MetricDelta] = field(default_factory=list)  # vs window mean
-    trends: list[TrendDelta] = field(default_factory=list)
-    missing_in_candidate: list[str] = field(default_factory=list)
-    added_in_candidate: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.regressed]
-
-    @property
-    def drifts(self) -> list[TrendDelta]:
-        return [t for t in self.trends if t.drifting]
-
-    @property
-    def verdict(self) -> str:
-        return "regressed" if self.regressions or self.drifts else "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "repro.obs.regress.window/1",
-            "history": self.history_name,
-            "candidate": self.candidate,
-            "window": self.window,
-            "verdict": self.verdict,
-            "n_compared": len(self.deltas),
-            "n_regressions": len(self.regressions),
-            "n_drifting": len(self.drifts),
-            "missing_in_candidate": list(self.missing_in_candidate),
-            "added_in_candidate": list(self.added_in_candidate),
-            "deltas": [d.to_dict() for d in self.deltas],
-            "trends": [t.to_dict() for t in self.trends],
-        }
-
-    def table(self, *, all_metrics: bool = False) -> str:
-        """Human view: level deltas vs window mean, then drifting trends."""
-        from ..bench.reporting import format_table
-
-        shown = (
-            self.deltas
-            if all_metrics
-            else [d for d in self.deltas if d.regressed or d.improved]
-        )
-        parts = []
-        title = (
-            f"compare {self.candidate} against {self.history_name} "
-            f"(window of {self.window}): {len(self.deltas)} metrics, "
-            f"{len(self.regressions)} level regression(s), "
-            f"{len(self.drifts)} drifting trend(s) — verdict {self.verdict.upper()}"
-        )
-        rows = [
-            (
-                d.scope,
-                d.metric,
-                d.baseline,
-                d.candidate,
-                f"{d.rel_delta * 100.0:+.2f}%",
-                f"±{d.rel_tol * 100.0:g}%",
-                "REGRESSED" if d.regressed else ("improved" if d.improved else "ok"),
-            )
-            for d in sorted(
-                shown, key=lambda d: (not d.regressed, not d.improved, d.scope, d.metric)
-            )
-        ]
-        if rows:
-            parts.append(format_table(
-                ["scope", "metric", "window mean", "candidate", "delta", "tol", "status"],
-                rows,
-                title=title,
-            ))
-        else:
-            parts.append(title + "\n(all level comparisons within thresholds)")
-        trend_rows = [
-            (
-                t.scope,
-                t.metric,
-                len(t.values),
-                f"{t.slope:+.4g}/run",
-                f"{t.rel_drift * 100.0:+.2f}%",
-                f"±{t.rel_tol * 100.0:g}%",
-                "DRIFTING" if t.drifting else "ok",
-            )
-            for t in sorted(
-                self.trends if all_metrics else self.drifts,
-                key=lambda t: (not t.drifting, t.scope, t.metric),
-            )
-        ]
-        if trend_rows:
-            parts.append(format_table(
-                ["scope", "metric", "points", "slope", "total drift", "tol", "status"],
-                trend_rows,
-                title="least-squares drift over the window",
-            ))
-        return "\n\n".join(parts)
-
-
-def _fit_line(values: Sequence[float]) -> tuple[float, float]:
-    """Least-squares ``(slope, intercept)`` of values over x = 0..n-1."""
-    n = len(values)
-    if n < 2:
-        return 0.0, (values[0] if values else 0.0)
-    mean_x = (n - 1) / 2.0
-    mean_y = sum(values) / n
-    sxx = sum((i - mean_x) ** 2 for i in range(n))
-    sxy = sum((i - mean_x) * (y - mean_y) for i, y in enumerate(values))
-    slope = sxy / sxx if sxx else 0.0
-    return slope, mean_y - slope * mean_x
-
-
 def _trend(
     scope: str,
     metric: str,
     series: Sequence[float],
     threshold: Threshold,
 ) -> TrendDelta:
-    slope, intercept = _fit_line(series)
-    total = slope * (len(series) - 1)  # fitted change across the series
+    """Least-squares line through ``series`` (≥ 2 points) over x = 0..n-1."""
+    n = len(series)
+    mean_x = (n - 1) / 2.0
+    mean_y = sum(series) / n
+    sxx = sum((i - mean_x) ** 2 for i in range(n))
+    sxy = sum((i - mean_x) * (y - mean_y) for i, y in enumerate(series))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    total = slope * (n - 1)  # fitted change across the series
     if total == 0.0:
         rel = 0.0
     elif intercept == 0.0:
@@ -535,29 +396,28 @@ def compare_against_window(
     window: int = 5,
     history_name: str = "history",
     candidate_name: str = "candidate",
-) -> WindowedReport:
+) -> RegressionReport:
     """Compare a candidate document against an N-run rolling history.
 
     ``history`` is a sequence of ``{scope: {metric: value}}`` dicts,
     oldest first — exactly what :meth:`Warehouse.window_scopes` returns;
     the last ``window`` entries are used.  ``candidate`` is any document
     :func:`load_metric_scopes` understands.  Each thresholded metric is
-    judged on level (vs the window mean) and on trend (least-squares
-    drift across history + candidate); either failing regresses.
+    judged on level (vs the window mean) and, given two or more history
+    points, on trend (least-squares drift across history + candidate);
+    either failing regresses.
     """
     if window < 1:
         raise ValueError("window must be positive")
-    used = [dict(scopes) for scopes in history[-window:]]
+    used = list(history[-window:])
     if not used:
         raise ValueError("history is empty: ingest runs before comparing against it")
     thresholds = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
     cand_scopes = load_metric_scopes(candidate)
 
-    hist_scopes = set()
-    for scopes in used:
-        hist_scopes.update(scopes)
-    report = WindowedReport(
-        history_name=history_name,
+    hist_scopes = set().union(*used)
+    report = RegressionReport(
+        baseline=history_name,
         candidate=candidate_name,
         window=len(used),
         missing_in_candidate=sorted(hist_scopes - set(cand_scopes)),
@@ -586,6 +446,38 @@ def compare_against_window(
                 )
     return report
 
+
+def compare_docs(
+    baseline: Mapping,
+    candidate: Mapping,
+    *,
+    thresholds: Mapping[str, Threshold] | None = None,
+    baseline_name: str = "baseline",
+    candidate_name: str = "candidate",
+) -> RegressionReport:
+    """Compare two documents; only thresholded metrics can regress."""
+    return compare_against_window(
+        [load_metric_scopes(baseline)], candidate, thresholds=thresholds,
+        history_name=baseline_name, candidate_name=candidate_name,
+    )
+
+
+def compare_files(
+    baseline: str | Path,
+    candidate: str | Path,
+    *,
+    thresholds: Mapping[str, Threshold] | None = None,
+) -> RegressionReport:
+    """Load two JSON documents from disk and compare them."""
+    base_doc = json.loads(Path(baseline).read_text(encoding="utf-8"))
+    cand_doc = json.loads(Path(candidate).read_text(encoding="utf-8"))
+    return compare_docs(
+        base_doc,
+        cand_doc,
+        thresholds=thresholds,
+        baseline_name=str(baseline),
+        candidate_name=str(candidate),
+    )
 
 def parse_threshold_args(args: Sequence[str] | None) -> dict[str, Threshold]:
     """CLI ``--threshold metric=rel[:direction]`` overrides on the defaults.

@@ -479,7 +479,7 @@ class Warehouse:
             rows = self.runs(**filters)
         rows = list(rows)
         # each run kind reports a different headline throughput metric
-        # (simulate → tflops, sweeps → best_tflops, simbench/profile →
+        # (simulate → tflops, sweeps → best_tflops, profiles →
         # tasks_per_second); label the one actually shown rather than
         # printing them all under one ambiguous column
         rate_units = (

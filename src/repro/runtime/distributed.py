@@ -33,7 +33,6 @@ table).
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -45,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from ..faults import FaultInjector, FaultPlan
-from ..obs import emit_event, get_registry
+from ..obs import emit_event, get_registry, write_json
 from ..obs.alerts import RANK_AGE_GAUGE
 from ..obs.live import set_live_gauge
 from ..precision.emulate import quantize
@@ -434,7 +433,6 @@ def execute_numeric_distributed(
     shard_path: str | None = None
     if shard_dir is not None:
         shard_root = Path(shard_dir)
-        shard_root.mkdir(parents=True, exist_ok=True)
         # the parent's reference timestamp every shard clock aligns to
         manifest = {
             "schema": "repro.obs.shards/1",
@@ -443,9 +441,7 @@ def execute_numeric_distributed(
             "policy": policy,
             "run_id": run_id,
         }
-        (shard_root / "shard-manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(shard_root / "shard-manifest.json", manifest)
         shard_path = str(shard_root)
 
     ctx = pick_mp_context()

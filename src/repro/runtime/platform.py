@@ -9,7 +9,7 @@ simulator and the DAG builder share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..perfmodel.gpus import GPUSpec, NodeSpec
 from ..tiles.distribution import ProcessGrid
@@ -51,14 +51,39 @@ class Platform:
         return ProcessGrid.squarest(self.n_ranks)
 
     @classmethod
-    def single_gpu(cls, gpu: GPUSpec, *, host_memory: float = 256e9) -> "Platform":
-        """One node with one GPU of the given model (Fig. 8/9/10 setups)."""
+    def of_gpus(
+        cls,
+        gpu: GPUSpec,
+        gpus_per_node: int = 1,
+        n_nodes: int = 1,
+        *,
+        host_memory: float = 256e9,
+        gpu_memory: float | None = None,
+    ) -> "Platform":
+        """``n_nodes`` generic nodes of ``gpus_per_node`` GPUs of one model.
+
+        The one route from a run description (CLI flags, a sweep point, a
+        figure driver) to a platform: every such node gets the same
+        25 GB/s, 1.5 µs injection NIC as the paper's named machines
+        (:mod:`repro.perfmodel.gpus`).  ``host_memory`` (bytes per node)
+        and ``gpu_memory`` (bytes per GPU, default: the model's own)
+        shrink the capacities for out-of-core studies.
+        """
+        if gpu_memory is not None:
+            gpu = replace(gpu, memory_bytes=gpu_memory)
+        # "cli" is part of the platform fingerprint of every schedule
+        # `repro simulate --schedule-out` has exported; keep it replayable
         node = NodeSpec(
-            name=f"single-{gpu.name.lower()}",
+            name="cli",
             gpu=gpu,
-            gpus_per_node=1,
+            gpus_per_node=gpus_per_node,
             host_memory_bytes=host_memory,
             nic_bandwidth=25e9,
             nic_latency=1.5e-6,
         )
-        return cls(node=node, n_nodes=1)
+        return cls(node=node, n_nodes=n_nodes)
+
+    @classmethod
+    def single_gpu(cls, gpu: GPUSpec) -> "Platform":
+        """One node with one GPU of the given model (Fig. 8/9/10 setups)."""
+        return cls.of_gpus(gpu)

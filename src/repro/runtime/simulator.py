@@ -188,7 +188,7 @@ def _build_engine(
 
     Per-task input payload keys are computed exactly once here and
     reused for the protect set, cache probes, and staging — one of the
-    ``repro profile``-guided hot-loop savings (the profile attributed
+    ``--profile-out``-guided hot-loop savings (the profile attributed
     ~an eighth of ``sim.ready_heap_loop`` samples to re-deriving keys
     and protect sets).
     """
@@ -807,8 +807,8 @@ def simulate_stream(
        only.  With ``record_events=True`` (the default) the recording
        :class:`Trace` accumulates O(n_tasks) events — several per task —
        which silently dominates memory at NT ≳ 192 (~1.2M tasks).  Pass
-       ``record_events=False`` for million-task runs; ``repro simbench
-       --mode stream`` warns when event recording is left on.  (The
+       ``record_events=False`` for million-task runs; ``repro simulate
+       --stream`` warns when an export flag turns event recording on.  (The
        per-task ``task_end``/``task_start``/``commit_order`` arrays are
        O(n_tasks) too, but at a few machine words per task they are two
        orders of magnitude lighter than recorded events.)

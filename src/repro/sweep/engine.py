@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
-from ..obs import build_manifest, emit_event, get_registry, span
+from ..obs import build_manifest, emit_event, get_registry, span, write_json
 from ..obs.live import campaign, campaign_progress
 from ..obs.profile import hot_region
 from .grid import CACHE_SCHEMA, RunSpec, SweepGrid
@@ -77,18 +77,15 @@ def execute_spec(spec_dict: dict) -> dict:
     from ..core import (
         ConversionStrategy,
         build_comm_precision_map,
+        fixed_config_map,
         simulate_cholesky,
-        two_precision_map,
-        uniform_map,
     )
-    from ..perfmodel import GPU_BY_NAME, NodeSpec
+    from ..perfmodel import GPU_BY_NAME
     from ..precision import Precision
     from ..runtime import Platform
 
     spec = RunSpec.from_dict(spec_dict)
-    gpu = GPU_BY_NAME[spec.gpu]
-    node = NodeSpec("sweep", gpu, spec.gpus_per_node, 256e9, 25e9, 1.5e-6)
-    platform = Platform(node=node, n_nodes=spec.n_nodes)
+    platform = Platform.of_gpus(GPU_BY_NAME[spec.gpu], spec.gpus_per_node, spec.n_nodes)
 
     t0 = time.perf_counter()
     ordering_score: float | None = None
@@ -113,12 +110,7 @@ def execute_spec(spec_dict: dict) -> dict:
             locations=locs, ordering=None,
         )
     else:
-        kmap = {
-            "FP64": lambda nt: uniform_map(nt, Precision.FP64),
-            "FP32": lambda nt: uniform_map(nt, Precision.FP32),
-            "FP64/FP16_32": lambda nt: two_precision_map(nt, Precision.FP16_32),
-            "FP64/FP16": lambda nt: two_precision_map(nt, Precision.FP16),
-        }[spec.config](spec.nt)
+        kmap = fixed_config_map(spec.nt, spec.config)
     cmap = build_comm_precision_map(kmap)
     plan_seconds = time.perf_counter() - t0
 
@@ -332,13 +324,8 @@ class SweepResult:
 
     def write_bench_json(self, out_dir: str | Path) -> Path:
         """Write ``BENCH_<name>.json`` under ``out_dir``; returns the path."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in self.name)
-        path = out_dir / f"BENCH_{safe}.json"
-        path.write_text(json.dumps(self.to_bench_json(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
+        return write_json(Path(out_dir) / f"BENCH_{safe}.json", self.to_bench_json())
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -399,7 +386,7 @@ def _store_cached(cache_dir: Path, spec: RunSpec, key: str, result: dict) -> Non
     }
     path = _cache_path(cache_dir, key)
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(tmp, doc)
     tmp.replace(path)
 
 

@@ -23,6 +23,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, Mapping
 
+from ..core.precision_map import FIXED_CONFIGS
+
 __all__ = ["RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
 
 #: schema version folded into every cache key — bump when the result
@@ -35,7 +37,7 @@ CACHE_SCHEMA = 5
 
 #: supported kernel-precision configurations; "adaptive" builds the map
 #: from sampled tile norms of the named application at ``accuracy``
-KERNEL_CONFIGS = ("FP64", "FP32", "FP64/FP16_32", "FP64/FP16", "adaptive")
+KERNEL_CONFIGS = (*FIXED_CONFIGS, "adaptive")
 
 #: spatial orderings applied to the application's locations before the
 #: precision map is sampled (see repro.geostats.dataplane)

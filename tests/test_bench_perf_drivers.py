@@ -8,7 +8,6 @@ import pytest
 
 from repro.bench.figures_perf import (
     PerfPoint,
-    _extreme_map,
     ablation_scheduler_rows,
     default_sizes,
     fig8_configs,
@@ -16,6 +15,7 @@ from repro.bench.figures_perf import (
     fig12_strong_rows,
     fig12_weak_rows,
 )
+from repro.core import fixed_config_map
 from repro.precision import Precision
 
 
@@ -27,10 +27,10 @@ class TestHelpers:
         assert "FP64" in labels and "FP32" in labels
 
     def test_extreme_maps(self):
-        m = _extreme_map(4, "FP64/FP16")
+        m = fixed_config_map(4, "FP64/FP16")
         assert m.kernel(0, 0) == Precision.FP64
         assert m.kernel(2, 0) == Precision.FP16
-        m32 = _extreme_map(4, "FP32")
+        m32 = fixed_config_map(4, "FP32")
         assert m32.kernel(2, 0) == Precision.FP32
 
     def test_default_sizes_respect_memory(self):

@@ -60,29 +60,37 @@ class TestCommands:
 
 
 class TestSimbench:
+    """``simulate`` as the bench-floor producer: with or without
+    ``--stream`` it writes a gate-able run summary carrying the host
+    numbers (wall time, tasks/s, peak RSS, peak live tasks)."""
+
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["simbench"])
-        assert args.nt == 96 and args.mode == "materialize" and args.lookahead is None
+        args = build_parser().parse_args(["simulate"])
+        assert args.stream is False and args.lookahead is None
+        assert args.gpus == 1 and args.nodes == 1
 
     @pytest.mark.parametrize("mode", ["materialize", "stream"])
     def test_simbench_runs_and_writes_gateable_doc(self, mode, tmp_path, capsys):
         import json
 
-        out = tmp_path / f"BENCH_simbench-{mode}.json"
-        assert main(["simbench", "--nt", "8", "--nb", "128",
-                     "--mode", mode, "--metrics-out", str(out)]) == 0
+        out = tmp_path / f"BENCH_simulate-{mode}.json"
+        assert main(["simulate", "--n", str(8 * 128), "--nb", "128",
+                     *(["--stream"] if mode == "stream" else []),
+                     "--metrics-out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert f"simbench {mode}" in text and "tasks/s" in text
+        assert "makespan" in text and "tasks/s" in text
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["schema"] == "repro.obs.run_summary/1"
-        assert doc["manifest"]["command"] == f"simbench-{mode}"
+        # one verb: the config, not the command, tells the modes apart
+        assert doc["manifest"]["command"] == "simulate"
+        assert doc["manifest"]["config"]["stream"] is (mode == "stream")
         # n/nb ride in the manifest config so the warehouse derives nt
         assert doc["manifest"]["config"]["n"] == 8 * 128
         stats = doc["stats"]
         assert stats["n_tasks"] == 8 + 8 * 7 + 8 * 7 * 6 // 6
         assert stats["tasks_per_second"] > 0
-        for key in ("makespan_seconds", "dag_build_seconds",
-                    "schedule_seconds", "peak_rss_bytes", "peak_live_tasks"):
+        for key in ("makespan_seconds", "tflops", "h2d_bytes", "wall_seconds",
+                    "peak_rss_bytes", "peak_live_tasks"):
             assert key in stats
 
     def test_modes_agree_on_makespan(self, tmp_path):
@@ -91,8 +99,10 @@ class TestSimbench:
         docs = {}
         for mode in ("materialize", "stream"):
             out = tmp_path / f"{mode}.json"
-            assert main(["simbench", "--nt", "10", "--nb", "128",
-                         "--mode", mode, "--metrics-out", str(out)]) == 0
+            assert main(["simulate", "--n", str(10 * 128), "--nb", "128",
+                         "--gpus", "2", "--nodes", "2",
+                         *(["--stream"] if mode == "stream" else []),
+                         "--metrics-out", str(out)]) == 0
             docs[mode] = json.loads(out.read_text(encoding="utf-8"))["stats"]
         assert (docs["stream"]["makespan_seconds"]
                 == docs["materialize"]["makespan_seconds"])
@@ -101,3 +111,81 @@ class TestSimbench:
         # the strict < comparison runs at nt=96 in benchmarks/
         assert (docs["stream"]["peak_live_tasks"]
                 <= docs["materialize"]["peak_live_tasks"])
+
+
+class TestSimulateFlagCoherence:
+    def test_replay_with_stream_is_rejected(self, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        assert main(["simulate", "--n", "1024", "--nb", "128",
+                     "--schedule-out", str(sched)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
+                     "--replay", str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert "--replay" in captured.err and "--stream" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "makespan" not in captured.out
+
+    def test_stream_with_full_graph_policy_is_rejected(self, capsys):
+        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
+                     "--policy", "critical-path"]) == 2
+        assert "critical-path" in capsys.readouterr().err
+
+    def test_stream_with_event_export_warns(self, tmp_path, capsys):
+        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
+                     "--trace-out", str(tmp_path / "trace.json")]) == 0
+        assert "void the O(window) memory bound" in capsys.readouterr().err
+        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_streamed_schedule_replays_bit_identically(self, tmp_path, capsys):
+        sched = tmp_path / "sched.json"
+        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
+                     "--schedule-out", str(sched)]) == 0
+        assert main(["simulate", "--n", "1024", "--nb", "128",
+                     "--replay", str(sched),
+                     "--trace-out", str(tmp_path / "trace.json")]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
+
+class TestParserSurface:
+    """Pins the CLI surface: the verb set, and that the symbolic-run
+    verbs share one run-description flag group."""
+
+    RUN_FLAGS = ("--gpu", "--gpus", "--nodes", "--n", "--nb", "--config",
+                 "--strategy", "--host-memory-gb")
+
+    @staticmethod
+    def _verbs():
+        import argparse
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return {
+            name: {a.option_strings[-1]: a for a in sp._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, sp in sub.choices.items()
+        }
+
+    def test_verb_set(self):
+        assert set(self._verbs()) == {
+            "mle", "maps", "simulate", "sweep", "schedule-compare", "bench",
+            "info", "report", "analyze", "compare", "history", "merge-shards",
+            "watch", "ingest", "reorder", "partition",
+        }
+
+    def test_simulate_and_schedule_compare_share_the_run_flags(self):
+        verbs = self._verbs()
+        sim, cmp_ = verbs["simulate"], verbs["schedule-compare"]
+        for flag in self.RUN_FLAGS:
+            a, b = sim[flag], cmp_[flag]
+            assert (a.type, a.choices, a.help, a.nargs) == \
+                   (b.type, b.choices, b.help, b.nargs), flag
+        # only the problem-size defaults differ per verb
+        differing = {f for f in self.RUN_FLAGS if sim[f].default != cmp_[f].default}
+        assert differing == {"--n", "--nb", "--config"}
+
+    def test_stream_and_replay_are_parameters_of_simulate(self):
+        sim = self._verbs()["simulate"]
+        assert {"--policy", "--replay", "--stream", "--lookahead"} <= set(sim)

@@ -45,6 +45,21 @@ class TestMapsAccuracyOverride:
         assert base != loose
         assert "u_req=0.1" in loose
 
+    def test_override_samples_the_map_once(self, monkeypatch, capsys):
+        import repro.bench.apps as apps
+
+        calls = []
+        real = apps.app_kernel_map
+
+        def counting(app, *args, **kwargs):
+            calls.append(app.accuracy)
+            return real(app, *args, **kwargs)
+
+        monkeypatch.setattr(apps, "app_kernel_map", counting)
+        assert main(["maps", "--app", "2d-matern", "--n", "8192", "--nb", "1024",
+                     "--accuracy", "1e-1"]) == 0
+        assert calls == [1e-1]
+
 
 class TestSimulateConfigs:
     @pytest.mark.parametrize("config", ["FP64", "FP32", "FP64/FP16_32"])

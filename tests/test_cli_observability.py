@@ -1,5 +1,5 @@
 """CLI coverage for the observability verbs added with the warehouse:
-``history``, ``profile``, ``merge-shards``, ``compare --against-history``,
+``history``, ``merge-shards``, ``compare --against-history``,
 ``report --format prom`` and the ``--profile-out`` flags."""
 
 import json
@@ -29,16 +29,20 @@ def _write(path, doc):
 
 
 class TestProfileVerb:
-    def test_profile_prints_frames_and_rate(self, capsys):
-        assert main(["profile", "--nt", "8", "--nb", "256"]) == 0
+    """``--profile-out`` on ``simulate`` and ``sweep``: the hottest-frames
+    table on stdout plus the ``repro.obs.profile/1`` document."""
+
+    def test_profile_prints_frames_and_rate(self, tmp_path, capsys):
+        assert main(["simulate", "--n", str(8 * 256), "--nb", "256",
+                     "--profile-out", str(tmp_path / "prof.json")]) == 0
         out = capsys.readouterr().out
         assert "tasks/s" in out
         assert "measured overhead" in out
-        assert "NT=8" in out
+        assert "n=2048, nb=256" in out
 
     def test_profile_out_document(self, tmp_path, capsys):
         out_path = tmp_path / "prof.json"
-        assert main(["profile", "--nt", "8", "--nb", "256",
+        assert main(["simulate", "--n", str(8 * 256), "--nb", "256",
                      "--policy", "critical-path",
                      "--profile-out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text(encoding="utf-8"))
@@ -64,6 +68,8 @@ class TestProfileVerb:
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert doc["schema"] == "repro.obs.profile/1"
         assert doc["manifest"]["command"] == "sweep"
+        # the campaign's planned tasks over the profiled wall time
+        assert doc["tasks_per_second"] > 0
 
 
 class TestHistoryVerb:

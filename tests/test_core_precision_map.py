@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.precision_map import (
+    FIXED_CONFIGS,
     KernelPrecisionMap,
     band_precision_map,
     build_precision_map,
+    fixed_config_map,
     two_precision_map,
     uniform_map,
 )
@@ -93,6 +95,20 @@ class TestMapHelpers:
     def test_uniform_fp64(self):
         kmap = uniform_map(4, Precision.FP64)
         assert np.all(kmap.codes == int(Precision.FP64))
+
+    def test_fixed_config_map_matches_the_per_label_builders(self):
+        nt = 6
+        by_hand = {
+            "FP64": uniform_map(nt, Precision.FP64),
+            "FP32": uniform_map(nt, Precision.FP32),
+            "FP64/FP16_32": two_precision_map(nt, Precision.FP16_32),
+            "FP64/FP16": two_precision_map(nt, Precision.FP16),
+        }
+        assert list(FIXED_CONFIGS) == list(by_hand)
+        for label, expected in by_hand.items():
+            assert np.array_equal(fixed_config_map(nt, label).codes, expected.codes)
+        with pytest.raises(KeyError):
+            fixed_config_map(nt, "adaptive")
 
     def test_band_map(self):
         kmap = band_precision_map(6, [(0, Precision.FP64), (2, Precision.FP32),

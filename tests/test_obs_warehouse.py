@@ -295,7 +295,7 @@ class TestWindowedSentinel:
             wh.ingest(_summary(makespan))
         report = compare_against_window(wh.window_scopes(5), _summary(1.5))
         doc = report.to_dict()
-        assert doc["schema"] == "repro.obs.regress.window/1"
+        assert doc["schema"] == "repro.obs.regress/1"
         assert doc["verdict"] == "regressed"
         assert doc["window"] == 5
         text = report.table()

@@ -36,6 +36,17 @@ class TestRunSpec:
         assert len(a.cache_key()) == 16
         int(a.cache_key(), 16)  # hex
 
+    def test_cache_key_and_result_pinned_across_refactors(self):
+        # literals computed before the one-builder refactor of
+        # execute_spec: a cache written then must still hit, and hold
+        # the numbers a fresh run produces
+        spec = RunSpec(n=2048, nb=256, config="FP64/FP16_32")
+        assert spec.cache_key() == "911e1962141b0f67"
+        result = execute_spec(spec.to_dict())
+        assert result["makespan_seconds"] == 0.0011489401721384125
+        assert (result["n_tasks"], result["n_conversions"]) == (120, 63)
+        assert result["h2d_bytes"] == 11534336
+
     def test_cache_key_sensitive_to_every_field(self):
         base = RunSpec(**TINY)
         variants = [
