@@ -22,6 +22,10 @@ Algorithm 2 communication precision.  Receivers re-quantise to their
 kernel's input format, so STC and TTC are numerically near-identical (the
 paper's "no unnecessary accuracy loss" invariant) while moving different
 byte volumes — the property the tests assert and the simulator prices.
+That receiver-side rounding is made once per payload and input format,
+not once per receiving kernel: each broadcast payload of a panel is an
+:class:`~repro.precision.emulate.Operand`, which lives as long as the
+panel's updates do.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..precision.emulate import quantize
+from ..precision.emulate import Operand, quantize
 from ..precision.formats import Precision
 from ..tiles import kernels as tk
 from ..tiles.tilematrix import TiledSymmetricMatrix
@@ -101,7 +105,7 @@ def mp_cholesky(
             break
 
         # POTRF broadcast payload
-        diag_payload = quantize(np.tril(l_kk), comm_map.payload(k, k, strategy))
+        diag_payload = Operand(quantize(np.tril(l_kk), comm_map.payload(k, k, strategy)))
 
         # panel solves
         for m in range(k + 1, nt):
@@ -111,10 +115,10 @@ def mp_cholesky(
             bump("TRSM", tk.trsm_execution_precision(prec))
 
         # panel broadcast payloads
-        payloads: dict[int, np.ndarray] = {}
+        payloads: dict[int, Operand] = {}
         for m in range(k + 1, nt):
             p = comm_map.payload(m, k, strategy)
-            payloads[m] = quantize(work.get(m, k), p)
+            payloads[m] = Operand(quantize(work.get(m, k), p))
 
         # diagonal updates
         for m in range(k + 1, nt):

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..precision.formats import ADAPTIVE_FORMATS, Precision, validate_adaptive_set
 
@@ -50,15 +51,12 @@ class MPConfig:
         approach).
     tile_size:
         Tile edge ``nb``; the paper empirically fixes 2048 on its GPUs.
-    fp16_chunk:
-        Accumulator re-rounding chunk of the emulated FP16 GEMM.
     """
 
     accuracy: float = 1e-9
     formats: tuple[Precision, ...] = ADAPTIVE_FORMATS
     strategy: ConversionStrategy = ConversionStrategy.AUTO
     tile_size: int = 2048
-    fp16_chunk: int = 32
 
     def __post_init__(self) -> None:
         if not (0.0 < self.accuracy <= 1.0):
@@ -68,13 +66,7 @@ class MPConfig:
         object.__setattr__(self, "formats", validate_adaptive_set(self.formats))
 
     def with_accuracy(self, accuracy: float) -> "MPConfig":
-        return MPConfig(
-            accuracy=accuracy,
-            formats=self.formats,
-            strategy=self.strategy,
-            tile_size=self.tile_size,
-            fp16_chunk=self.fp16_chunk,
-        )
+        return dataclasses.replace(self, accuracy=accuracy)
 
     @classmethod
     def fp64_only(cls, tile_size: int = 2048) -> "MPConfig":

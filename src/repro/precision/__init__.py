@@ -8,7 +8,16 @@ underpins both the Fig. 1 accuracy study and the numeric execution mode of
 the mixed-precision Cholesky.
 """
 
-from .emulate import quantize, quantize_batch, quantize_tile, storage_dtype, truncate_mantissa
+from .emulate import (
+    Operand,
+    as_input,
+    quantize,
+    quantize_batch,
+    quantize_tile,
+    round_to_fp16,
+    storage_dtype,
+    truncate_mantissa,
+)
 from .errors import (
     combine_frobenius,
     frobenius,
@@ -29,13 +38,15 @@ from .formats import (
     sort_by_width,
     validate_adaptive_set,
 )
-from .gemm import gemm_relative_error, mixed_gemm, mixed_syrk
+from .gemm import gemm_relative_error, mixed_gemm, mixed_syrk, multiply_accumulate
 
 __all__ = [
     "ADAPTIVE_FORMATS",
     "FORMAT_INFO",
     "FormatInfo",
+    "Operand",
     "Precision",
+    "as_input",
     "bytes_per_element",
     "combine_frobenius",
     "frobenius",
@@ -46,11 +57,13 @@ __all__ = [
     "max_abs_error",
     "mixed_gemm",
     "mixed_syrk",
+    "multiply_accumulate",
     "parse_precision",
     "quantize",
     "quantize_batch",
     "quantize_tile",
     "relative_frobenius_error",
+    "round_to_fp16",
     "rule_epsilon",
     "sort_by_width",
     "storage_dtype",

@@ -2,12 +2,12 @@
 
 We have no tensor cores in this reproduction, so the numerical behaviour
 of each GPU precision format (Fig. 1's accuracy panel) is emulated on the
-host in IEEE double precision:
+host in IEEE single and double precision:
 
-* *quantisation* — rounding an FP64 array to the representable set of the
-  target input format (FP32 and FP16 via native NumPy dtypes; TF32 and
-  BF16 via round-to-nearest-even mantissa truncation of the FP32
-  encoding);
+* *quantisation* — rounding an array to the representable set of the
+  target input format (FP32 via the native NumPy dtype; FP16 via
+  :func:`round_to_fp16`; TF32 and BF16 via round-to-nearest-even
+  mantissa truncation of the FP32 encoding);
 * *accumulation* — matrix products are evaluated with an accumulator of
   the format's ``accum_bits``; pure FP16 uses chunked accumulation with
   partial sums re-rounded to FP16, reproducing the linear-in-k error
@@ -18,6 +18,27 @@ The emulation is deliberately value-faithful rather than bit-faithful:
 tensor cores round slightly differently inside the 4×4 block FMA (Fasi et
 al., 2021), but the error *scaling* — what the tile-selection rule and the
 Monte Carlo accuracy study respond to — matches.
+
+Convert once
+------------
+The paper converts a tile once, at the sender, not again in every
+receiving task; the host emulation follows the same rule.  Every kernel
+takes its operands through :func:`as_input`, which rounds an array to the
+kernel's input grid and narrows it to the dtype the emulated product
+multiplies in.  A tile that many kernels read — a POTRF/TRSM broadcast
+payload — is wrapped in an :class:`Operand`, which remembers each form it
+has been asked for, so the conversion is paid by the first consumer of a
+format and reused by the rest.
+
+Why :func:`round_to_fp16` exists
+--------------------------------
+NumPy's ``float32/64 → float16`` cast raises the underflow flag element
+by element, which makes it 30–40× slower on values that are subnormal or
+flush to zero in fp16 than on O(1) values.  The tile-selection rule
+demotes to FP16 exactly the tiles of small norm — the near-zero far
+field of a covariance matrix — so the cast sat on its slow path for most
+of the factorization.  ``round_to_fp16`` produces the same bits from a
+magic-constant add/subtract on those lanes.
 """
 
 from __future__ import annotations
@@ -28,6 +49,9 @@ from .formats import FORMAT_INFO, Precision
 
 __all__ = [
     "truncate_mantissa",
+    "round_to_fp16",
+    "Operand",
+    "as_input",
     "quantize",
     "quantize_batch",
     "quantize_tile",
@@ -67,27 +91,103 @@ def truncate_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
     return rounded.view(np.float32).copy()
 
 
-def quantize(x: np.ndarray, precision: Precision) -> np.ndarray:
+_FP16_MIN_NORMAL = 2.0**-14
+#: 1.5 · 2^(p−1) · 2^-24 for a p-bit significand: a sum in [2^(p−1), 2^p) · 2^-24
+#: has ulp 2^-24, the spacing of the fp16 subnormals
+_FP16_SUBNORMAL_MAGIC = {
+    np.dtype(np.float32): np.float32(0.75),
+    np.dtype(np.float64): np.float64(1.5 * 2.0**28),
+}
+
+
+def round_to_fp16(x: np.ndarray) -> np.ndarray:
+    """Round a float32/float64 array to the fp16 grid, keeping its dtype.
+
+    Bit-identical to ``x.astype(np.float16).astype(x.dtype)`` — round to
+    nearest even, gradual underflow, signed zeros, saturation to ±inf
+    from 65520 up, NaN payloads as NumPy's cast leaves them — without
+    that cast's slow path.  Below the smallest normal fp16 (2^-14) the
+    grid is the multiples of 2^-24, and ``(|x| + magic) − magic`` rounds
+    to it in one correctly rounded add (the sum's ulp is 2^-24) and an
+    exact subtract; ``copysign`` restores the sign, including that of a
+    zero result.  Only the remaining lanes (normal in fp16, or not
+    finite) go through NumPy's cast, which is fast on them.
+    """
+    magic = _FP16_SUBNORMAL_MAGIC[x.dtype]
+    mag = np.abs(x)
+    out = np.empty_like(x)
+    # over: finite values from 65520 up saturate to ±inf in the cast, as on the hardware;
+    # invalid: a signalling NaN trips the add, and its lane is the cast's anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copysign((mag + magic) - magic, x, out=out)
+        rest = ~(mag < _FP16_MIN_NORMAL)  # not ``>=``: NaN lanes belong to the cast
+        if rest.any():
+            out[rest] = x[rest].astype(np.float16)
+    return out
+
+
+def _input_form(x: np.ndarray, precision: Precision) -> np.ndarray:
+    """``x`` on the input grid of ``precision``, in the product's dtype."""
+    if precision == Precision.FP64:
+        return np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    if precision in (Precision.FP16, Precision.FP16_32):
+        # rounded at the width it arrives in: narrowing a float64 to
+        # float32 first would round twice
+        return round_to_fp16(x).astype(np.float32, copy=False)
+    x = x.astype(np.float32, copy=False)
+    if precision == Precision.FP32:
+        return x
+    if precision == Precision.TF32:
+        return truncate_mantissa(x, 11)
+    if precision == Precision.BF16_32:
+        return truncate_mantissa(x, 8)
+    raise ValueError(f"unsupported precision {precision!r}")
+
+
+class Operand:
+    """An array several kernels read, and each input form already made of it.
+
+    The convert-once rule of the module docstring: :func:`as_input` makes
+    a form the first time a format asks for it and hands the same array
+    to every later consumer, so treat the forms as read-only.  Two
+    threads asking at once may both convert; they store equal arrays.
+    """
+
+    __slots__ = ("data", "_forms")
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data = np.asarray(data)
+        self._forms: dict[Precision, np.ndarray] = {}
+
+
+def as_input(x: np.ndarray | Operand, precision: Precision) -> np.ndarray:
+    """``x`` as a kernel of format ``precision`` multiplies it.
+
+    Rounded to the format's *input* grid (fp16 for FP16 and FP16_32,
+    11/8 significand bits for TF32/BF16_32) and held in the dtype the
+    emulated product runs in: float32 for every format but FP64.  The
+    result may alias ``x`` when no conversion is needed.
+    """
+    if not isinstance(x, Operand):
+        return _input_form(x, precision)
+    form = x._forms.get(precision)
+    if form is None:
+        form = x._forms[precision] = _input_form(x.data, precision)
+    return form
+
+
+def quantize(x: np.ndarray | Operand, precision: Precision) -> np.ndarray:
     """Round ``x`` to the *input* format of ``precision``; returns float64.
 
-    The result is returned widened back to float64 so downstream NumPy
-    code keeps full-width arithmetic while the values live on the target
+    :func:`as_input` widened back to float64, so downstream NumPy code
+    keeps full-width arithmetic while the values live on the target
     format's grid.  FP16-family formats saturate to ±inf past 65504, like
     the hardware.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if precision == Precision.FP64:
-        return x
-    if precision == Precision.FP32:
-        return x.astype(np.float32).astype(np.float64)
-    if precision in (Precision.FP16, Precision.FP16_32):
-        with np.errstate(over="ignore"):  # saturation to ±inf is the modeled behaviour
-            return x.astype(np.float16).astype(np.float64)
-    if precision == Precision.TF32:
-        return truncate_mantissa(x.astype(np.float32), 11).astype(np.float64)
-    if precision == Precision.BF16_32:
-        return truncate_mantissa(x.astype(np.float32), 8).astype(np.float64)
-    raise ValueError(f"unsupported precision {precision!r}")
+    return as_input(x, precision).astype(np.float64, copy=False)
 
 
 def quantize_batch(tiles: "list[np.ndarray]", precision: Precision) -> "list[np.ndarray]":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import span
-from ..precision.emulate import quantize, quantize_batch
+from ..precision.emulate import Operand, as_input, quantize_batch
 from ..tiles import kernels as tk
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .task import Task, TaskGraph
@@ -28,11 +28,38 @@ from .task import Task, TaskGraph
 __all__ = ["execute_numeric"]
 
 
-def _payload(values: dict, inp) -> np.ndarray:
-    """Fetch one input payload, applying its communication quantisation."""
+class _Values(dict):
+    """``(i, j, version) → tile`` for every tile version produced so far.
+
+    ``panels`` holds the broadcast payloads made of them, ``(i, j,
+    version, payload precision) → Operand``: a POTRF/TRSM result is
+    quantised once per precision it travels at and converted once per
+    input format that reads it, not once per consuming task.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.panels: dict[tuple[int, int, int, object], Operand] = {}
+
+
+def _payload(values: _Values, inp) -> np.ndarray:
+    """Fetch one input payload, applying its communication quantisation.
+
+    The values are :func:`repro.precision.emulate.quantize`'s, at the
+    dtype the payload rests in (float32 below FP64) — a tile stored at
+    the precision it travels at is passed on as it is.
+    """
     key = (inp.tile.i, inp.tile.j, inp.tile.version)
-    data = values[key]
-    return quantize(data, inp.payload_precision)
+    return as_input(values[key], inp.payload_precision)
+
+
+def _panel(values: _Values, inp) -> Operand:
+    """:func:`_payload` of a broadcast input, made once for all its readers."""
+    key = (inp.tile.i, inp.tile.j, inp.tile.version, inp.payload_precision)
+    panel = values.panels.get(key)
+    if panel is None:
+        panel = values.panels[key] = Operand(_payload(values, inp))
+    return panel
 
 
 def _mat_tiles(mat: TiledSymmetricMatrix):
@@ -40,7 +67,7 @@ def _mat_tiles(mat: TiledSymmetricMatrix):
     return lambda coords: {(i, j): mat.get(i, j) for i, j in coords}
 
 
-def _seed_version0(graph: TaskGraph, fetch_tiles, rank: int | None = None) -> dict:
+def _seed_version0(graph: TaskGraph, fetch_tiles, rank: int | None = None) -> _Values:
     """Version-0 tiles the graph reads, quantised to storage precision.
 
     ``fetch_tiles(coords)`` maps a sorted list of ``(i, j)`` tile
@@ -70,7 +97,7 @@ def _seed_version0(graph: TaskGraph, fetch_tiles, rank: int | None = None) -> di
     by_precision: dict[object, list[tuple[int, int, int]]] = {}
     for key, prec in wanted.items():
         by_precision.setdefault(prec, []).append(key)
-    values: dict[tuple[int, int, int], np.ndarray] = {}
+    values = _Values()
     for prec, keys in by_precision.items():
         tiles = quantize_batch([raw[(i, j)] for i, j, _v in keys], prec)
         for key, tile in zip(keys, tiles):
@@ -84,12 +111,13 @@ def _task_span(task: Task):
     return span("task", kind=task.kind, tile=(out.i, out.j), precision=task.precision.name)
 
 
-def _execute_task(task: Task, values: dict) -> tuple[tuple[int, int, int], np.ndarray]:
+def _execute_task(task: Task, values: _Values) -> tuple[tuple[int, int, int], np.ndarray]:
     """Run one task and cast the result to its output (storage) precision.
 
-    Returns the ``(i, j, version)`` key to store the tile under, and the tile.
+    Returns the ``(i, j, version)`` key to store the tile under, and the
+    tile at its rest dtype (float32 unless the output precision is FP64).
     """
-    result = quantize(_run_task(task, values), task.output_precision)
+    result = as_input(_run_task(task, values), task.output_precision)
     return (task.output.i, task.output.j, task.output.version), result
 
 
@@ -126,23 +154,20 @@ def execute_numeric(graph: TaskGraph, mat: TiledSymmetricMatrix) -> TiledSymmetr
     return _collect_finals(values, out)
 
 
-def _run_task(task: Task, values: dict) -> np.ndarray:
+def _run_task(task: Task, values: _Values) -> np.ndarray:
+    # the PTG's input order (module docstring): broadcast panels, then the inout tile
+    *panels, c_inp = task.inputs
+    c = _payload(values, c_inp)
     kind = task.kind
     if kind == "POTRF":
-        c = _payload(values, task.inputs[0])
         return np.tril(tk.potrf(c))
     if kind == "TRSM":
-        l_kk, c_mk = (_payload(values, i) for i in task.inputs)
-        return tk.trsm(l_kk, c_mk, precision=task.precision)
+        (l_inp,) = panels
+        return tk.trsm(_panel(values, l_inp), c, precision=task.precision)
     if kind == "SYRK":
-        panel_inp, c_inp = task.inputs
-        panel = _payload(values, panel_inp)
-        c = _payload(values, c_inp)
-        return tk.syrk(panel, c, precision=panel_inp.payload_precision)
+        (panel_inp,) = panels
+        return tk.syrk(_panel(values, panel_inp), c, precision=panel_inp.payload_precision)
     if kind == "GEMM":
-        a_inp, b_inp, c_inp = task.inputs
-        a = _payload(values, a_inp)
-        b = _payload(values, b_inp)
-        c = _payload(values, c_inp)
-        return tk.gemm(a, b, c, precision=task.precision)
+        a_inp, b_inp = panels
+        return tk.gemm(_panel(values, a_inp), _panel(values, b_inp), c, precision=task.precision)
     raise ValueError(f"unknown task kind {kind!r}")

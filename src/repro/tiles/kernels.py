@@ -12,8 +12,11 @@ The four kernels of the tile Cholesky factorization:
 * ``gemm`` — the workhorse (>90 % of the flops); runs in any of the
   adaptive formats via the emulated mixed-precision GEMM.
 
-All kernels take and return float64 arrays; reduced precision enters via
-quantisation of inputs and emulated low-precision accumulation.
+All kernels return float64 arrays; reduced precision enters via
+quantisation of inputs and emulated low-precision accumulation.  Every
+operand is taken through :func:`repro.precision.emulate.as_input`, so a
+panel payload passed as an :class:`~repro.precision.emulate.Operand` is
+converted once per input format, not once per kernel that reads it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ..precision.emulate import quantize
+from ..precision.emulate import Operand, as_input, quantize
 from ..precision.formats import Precision
-from ..precision.gemm import mixed_gemm
+from ..precision.gemm import multiply_accumulate
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -64,47 +67,46 @@ def potrf(c_kk: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def trsm(l_kk: np.ndarray, c_mk: np.ndarray, precision: Precision = Precision.FP64) -> np.ndarray:
+def trsm(
+    l_kk: np.ndarray | Operand, c_mk: np.ndarray, precision: Precision = Precision.FP64
+) -> np.ndarray:
     """Triangular solve ``C_mk ← C_mk · L_kk^{-T}``.
 
     Runs in FP64 or FP32 depending on :func:`trsm_execution_precision`.
     """
     exec_prec = trsm_execution_precision(precision)
-    l_kk = np.asarray(l_kk, dtype=np.float64)
-    c_mk = np.asarray(c_mk, dtype=np.float64)
-    if exec_prec == Precision.FP64:
-        xt = scipy.linalg.solve_triangular(l_kk, c_mk.T, lower=True)
-        return np.ascontiguousarray(xt.T)
-    l32 = l_kk.astype(np.float32)
-    c32 = c_mk.astype(np.float32)
-    xt = scipy.linalg.solve_triangular(l32, c32.T, lower=True)
-    return np.ascontiguousarray(xt.T).astype(np.float64)
+    xt = scipy.linalg.solve_triangular(
+        as_input(l_kk, exec_prec), as_input(c_mk, exec_prec).T, lower=True
+    )
+    return np.ascontiguousarray(xt.T).astype(np.float64, copy=False)
 
 
-def syrk(c_mk: np.ndarray, c_mm: np.ndarray, precision: Precision = Precision.FP64) -> np.ndarray:
+def syrk(
+    c_mk: np.ndarray | Operand, c_mm: np.ndarray, precision: Precision = Precision.FP64
+) -> np.ndarray:
     """Symmetric rank-k update ``C_mm ← C_mm − C_mk · C_mk^T`` (FP64).
 
     ``precision`` controls the quantisation of the incoming panel tile
     (its data may have travelled at reduced precision), while the update
     itself always accumulates in FP64 as in Algorithm 1.
     """
-    a = quantize(np.asarray(c_mk, dtype=np.float64), precision)
+    a = quantize(c_mk, precision)
     c = np.asarray(c_mm, dtype=np.float64)
     out = c - a @ a.T
     return (out + out.T) * 0.5
 
 
 def gemm(
-    c_mk: np.ndarray,
-    c_nk: np.ndarray,
+    c_mk: np.ndarray | Operand,
+    c_nk: np.ndarray | Operand,
     c_mn: np.ndarray,
     precision: Precision = Precision.FP64,
 ) -> np.ndarray:
     """Trailing update ``C_mn ← C_mn − C_mk · C_nk^T`` in ``precision``."""
-    return mixed_gemm(
-        np.asarray(c_mk, dtype=np.float64),
-        np.asarray(c_nk, dtype=np.float64).T,
-        np.asarray(c_mn, dtype=np.float64),
+    return multiply_accumulate(
+        as_input(c_mk, precision),
+        as_input(c_nk, precision).T,
+        c_mn,
         precision=precision,
         alpha=-1.0,
         beta=1.0,

@@ -1,5 +1,7 @@
 """Unit tests for MPConfig, the solver facade, and the analytic model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,17 @@ class TestMPConfig:
         cfg = MPConfig(accuracy=1e-4, tile_size=128)
         cfg2 = cfg.with_accuracy(1e-8)
         assert cfg2.accuracy == 1e-8 and cfg2.tile_size == 128
+        # every other field rides along, and the new value is validated
+        stc = MPConfig(strategy=ConversionStrategy.STC, formats=(Precision.FP64, Precision.FP16))
+        assert stc.with_accuracy(1e-3) == MPConfig(
+            accuracy=1e-3, strategy=ConversionStrategy.STC, formats=(Precision.FP64, Precision.FP16))
+        with pytest.raises(ValueError):
+            cfg.with_accuracy(0.0)
+
+    def test_no_dead_knobs(self):
+        """Every field reaches the factorization; ``fp16_chunk`` never did."""
+        assert {f.name for f in dataclasses.fields(MPConfig)} == {
+            "accuracy", "formats", "strategy", "tile_size"}
 
     def test_fp64_only(self):
         cfg = MPConfig.fp64_only()

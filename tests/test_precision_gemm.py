@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.precision.emulate import Operand, as_input, truncate_mantissa
 from repro.precision.errors import relative_frobenius_error
 from repro.precision.formats import FORMAT_INFO, Precision
-from repro.precision.gemm import gemm_relative_error, mixed_gemm, mixed_syrk
+from repro.precision.gemm import gemm_relative_error, mixed_gemm, mixed_syrk, multiply_accumulate
+from repro.tiles import kernels as tk
 
 
 class TestMixedGemmBasics:
@@ -115,3 +117,155 @@ def test_property_error_within_theory(n, prec, seed):
     # normalise by the product's condition: |a||b| vs |ab|
     amp = float(np.linalg.norm(np.abs(a) @ np.abs(b)) / max(np.linalg.norm(exact), 1e-30))
     assert err <= bound * max(amp, 1.0)
+
+
+# -- the cast-chain implementation this module replaced, kept as the oracle ---
+
+
+def oracle_quantize(x, precision):
+    """``quantize`` as NumPy dtype casts (the fp16 cast the primitive replaced)."""
+    x = np.asarray(x, dtype=np.float64)
+    if precision == Precision.FP64:
+        return x
+    if precision == Precision.FP32:
+        return x.astype(np.float32).astype(np.float64)
+    if precision in (Precision.FP16, Precision.FP16_32):
+        with np.errstate(over="ignore"):
+            return x.astype(np.float16).astype(np.float64)
+    bits = 11 if precision == Precision.TF32 else 8
+    return truncate_mantissa(x.astype(np.float32), bits).astype(np.float64)
+
+
+def oracle_accumulate_fp16(a, b, chunk):
+    a32 = np.asarray(a, dtype=np.float32)
+    b32 = np.asarray(b, dtype=np.float32)
+    k = a32.shape[1]
+    acc = np.zeros((a32.shape[0], b32.shape[1]), dtype=np.float32)
+    for start in range(0, k, chunk):
+        stop = min(start + chunk, k)
+        acc += a32[:, start:stop] @ b32[start:stop, :]
+        with np.errstate(over="ignore"):
+            acc = acc.astype(np.float16).astype(np.float32)
+    return acc.astype(np.float64)
+
+
+def oracle_mixed_gemm(a, b, c=None, *, precision, alpha=1.0, beta=0.0, fp16_chunk=32):
+    """Every operand re-quantised per call, every stage widened to float64
+    and narrowed again: nine ``→ float16`` casts for one FP16 update."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if precision == Precision.FP64:
+        prod = a @ b
+    elif precision == Precision.FP32:
+        prod = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.float64)
+    elif precision in (Precision.TF32, Precision.FP16_32, Precision.BF16_32):
+        aq = oracle_quantize(a, precision).astype(np.float32)
+        bq = oracle_quantize(b, precision).astype(np.float32)
+        prod = (aq @ bq).astype(np.float64)
+    else:
+        aq = oracle_quantize(a, precision).astype(np.float16)
+        bq = oracle_quantize(b, precision).astype(np.float16)
+        prod = oracle_accumulate_fp16(aq, bq, fp16_chunk)
+    if c is None:
+        return alpha * prod
+    c = np.asarray(c, dtype=np.float64)
+    if precision == Precision.FP16:
+        with np.errstate(over="ignore"):
+            return (
+                (np.float16(alpha) * prod.astype(np.float16)).astype(np.float32)
+                + (np.float16(beta) * c.astype(np.float16)).astype(np.float32)
+            ).astype(np.float16).astype(np.float64)
+    if precision == Precision.FP64:
+        return alpha * prod + beta * c
+    return (
+        np.float32(alpha) * prod.astype(np.float32) + np.float32(beta) * c.astype(np.float32)
+    ).astype(np.float64)
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+#: O(1) entries, and entries that are mostly subnormal or zero in fp16 —
+#: what the far-field tiles the selection rule demotes to FP16 hold
+DATA = {
+    "O(1)": lambda rng, shape: rng.standard_normal(shape),
+    "subnormal-heavy": lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.uniform(-9, -3, shape),
+    "mixed": lambda rng, shape: rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 2, shape),
+}
+SHAPES = [(64, 64, 64), (16, 16, 16), (7, 33, 5), (13, 70, 9), (1, 1, 1), (5, 31, 12)]
+
+
+@pytest.mark.parametrize("prec", list(Precision))
+@pytest.mark.parametrize("data", list(DATA))
+class TestReplacementIsExact:
+    """``mixed_gemm`` ≡ the cast chains it replaced, on the raw bits."""
+
+    def test_product_only(self, prec, data, rng):
+        for m, k, n in SHAPES:
+            a, b = DATA[data](rng, (m, k)), DATA[data](rng, (k, n))
+            for alpha in (1.0, -1.0, 0.37):
+                assert _same_bits(mixed_gemm(a, b, precision=prec, alpha=alpha),
+                                  oracle_mixed_gemm(a, b, precision=prec, alpha=alpha)), (m, k, n, alpha)
+
+    def test_update_with_c(self, prec, data, rng):
+        for m, k, n in SHAPES:
+            a, b, c = DATA[data](rng, (m, k)), DATA[data](rng, (k, n)), DATA[data](rng, (m, n))
+            for alpha, beta in ((-1.0, 1.0), (1.0, -1.0), (0.37, -2.5), (3.0, 0.0), (1e-3, 1.0)):
+                assert _same_bits(
+                    mixed_gemm(a, b, c, precision=prec, alpha=alpha, beta=beta),
+                    oracle_mixed_gemm(a, b, c, precision=prec, alpha=alpha, beta=beta),
+                ), (m, k, n, alpha, beta)
+
+    def test_chunk_width_and_layouts(self, prec, data, rng):
+        a, b, c = DATA[data](rng, (24, 50)), DATA[data](rng, (40, 50)), DATA[data](rng, (24, 40))
+        for chunk in (8, 32, 64):
+            # b as the transposed view the trailing update passes, c from a Fortran-ordered tile
+            got = mixed_gemm(a, b.T, np.asfortranarray(c), precision=prec, alpha=-1.0, beta=1.0,
+                             fp16_chunk=chunk)
+            want = oracle_mixed_gemm(a, b.T, np.asfortranarray(c), precision=prec, alpha=-1.0,
+                                     beta=1.0, fp16_chunk=chunk)
+            assert _same_bits(got, want), chunk
+
+    def test_c_at_its_rest_dtype(self, prec, data, rng):
+        """A float32 ``c`` (an FP32-stored tile) gives what its float64 widening gives."""
+        a, b = DATA[data](rng, (20, 20)), DATA[data](rng, (20, 20))
+        c32 = DATA[data](rng, (20, 20)).astype(np.float32)
+        assert _same_bits(mixed_gemm(a, b, c32, precision=prec, alpha=-1.0, beta=1.0),
+                          oracle_mixed_gemm(a, b, c32, precision=prec, alpha=-1.0, beta=1.0))
+
+    def test_saturation(self, prec, data, rng):
+        a, b = DATA[data](rng, (8, 40)) * 300.0, DATA[data](rng, (40, 8)) * 300.0
+        c = DATA[data](rng, (8, 8)) * 7e4
+        with np.errstate(invalid="ignore"):  # inf − inf where the fp16 accumulator overflowed
+            got = mixed_gemm(a, b, c, precision=prec, alpha=-1.0, beta=1.0)
+            want = oracle_mixed_gemm(a, b, c, precision=prec, alpha=-1.0, beta=1.0)
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("prec", list(Precision))
+class TestPreparedOperands:
+    def test_operand_forms_are_made_once_and_shared(self, prec, rng):
+        raw = rng.standard_normal((12, 12)) * 1e-5
+        op = Operand(raw)
+        first = as_input(op, prec)
+        assert as_input(op, prec) is first
+        assert first.dtype == (np.float64 if prec == Precision.FP64 else np.float32)
+        assert np.array_equal(first, as_input(raw, prec))
+        assert np.array_equal(first.astype(np.float64), oracle_quantize(raw, prec))
+
+    def test_cached_and_raw_calls_are_one_code_path(self, prec, rng):
+        a, b, c = (rng.standard_normal((16, 16)) * 1e-4 for _ in range(3))
+        raw = mixed_gemm(a, b.T, c, precision=prec, alpha=-1.0, beta=1.0)
+        ops = mixed_gemm(Operand(a), Operand(b.T), c, precision=prec, alpha=-1.0, beta=1.0)
+        prepared = multiply_accumulate(as_input(a, prec), as_input(b, prec).T, c,
+                                       precision=prec, alpha=-1.0, beta=1.0)
+        kernel = tk.gemm(Operand(a), Operand(b), c, precision=prec)
+        assert _same_bits(raw, ops) and _same_bits(raw, prepared) and _same_bits(raw, kernel)
+
+
+def test_unasked_for_invalid_is_an_error():
+    """pyproject's filter: a RuntimeWarning raised inside repro.precision fails the suite."""
+    with pytest.raises(RuntimeWarning, match="invalid"):
+        mixed_gemm(np.array([[np.inf]]), np.array([[0.0]]), precision=Precision.FP32)
