@@ -16,12 +16,13 @@ import time
 import numpy as np
 
 from repro.bench import write_csv
-from repro.core.conversion import _build_comm_precision_map_loop, build_comm_precision_map
+from repro.core.conversion import build_comm_precision_map
 from repro.core.precision_map import KernelPrecisionMap, band_precision_map
 from repro.precision import ADAPTIVE_FORMATS, Precision
 from repro.sweep import RunSpec, execute_spec
 
 from conftest import full_mode
+from tests.comm_map_oracle import build_comm_precision_map_loop
 
 NT = 256
 SPEEDUP_FLOOR = 10.0
@@ -50,7 +51,7 @@ def test_comm_map_vectorized_speedup(benchmark):
     build_comm_precision_map(kmap)  # warm the LUT / allocator
 
     t_fast = _best_of(build_comm_precision_map, kmap)
-    t_loop = _best_of(_build_comm_precision_map_loop, kmap, repeats=1)
+    t_loop = _best_of(build_comm_precision_map_loop, kmap, repeats=1)
     speedup = t_loop / t_fast
     benchmark(build_comm_precision_map, kmap)
 

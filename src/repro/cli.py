@@ -141,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduling policy for the ready heap "
                         "(default: panel-first; see docs/SCHEDULING.md)")
     p.add_argument("--stream", action="store_true",
-                   help="million-task mode: emit tasks lazily in k-major "
-                        "order instead of materialising the DAG — same "
-                        "makespan bit for bit, O(NT²) live memory "
-                        "(panel-first and fifo only)")
+                   help="million-task mode: consume the k-major task "
+                        "emission lazily instead of holding the DAG — same "
+                        "task ids, same makespan bit for bit, O(NT²) live "
+                        "memory (frontier-local policies only)")
     p.add_argument("--lookahead", type=int, default=None,
                    help="emission window for --stream "
                         "(default: max(4096, nt^2 + 4*nt))")
@@ -153,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "static schedule (.json, or .npz for compact binary)")
     p.add_argument("--replay", default=None, metavar="PATH",
                    help="replay a schedule exported with --schedule-out "
-                        "instead of running a policy (bit-identical, no "
-                        "ready-heap work)")
+                        "(by a run with or without --stream) instead of "
+                        "running a policy (bit-identical, no ready-heap "
+                        "work; not combinable with --stream)")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a Perfetto/Chrome trace JSON with counter tracks")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -561,8 +562,9 @@ def _cmd_simulate(args) -> int:
     from .runtime import StaticSchedule
 
     if args.replay and args.stream:
-        print("simulate: --replay takes its task layout from the schedule "
-              "file; it cannot be combined with --stream", file=sys.stderr)
+        print("simulate: --replay walks a recorded order over the held task "
+              "graph; it cannot be combined with --stream (a schedule "
+              "exported from a --stream run replays without it)", file=sys.stderr)
         return 2
     platform, kmap, strategy = _run_from_args(args)
     # events are needed whenever a trace/CSV export was requested; a
@@ -626,10 +628,7 @@ def _cmd_simulate(args) -> int:
           f"peak rss {d['peak_rss_bytes'] / 1e6:,.0f} MB")
 
     if args.schedule_out:
-        StaticSchedule.from_report(
-            rep, nb=args.nb, n=args.n, platform=platform,
-            layout="stream" if args.stream else "materialize",
-        ).save(args.schedule_out)
+        StaticSchedule.from_report(rep, nb=args.nb, n=args.n, platform=platform).save(args.schedule_out)
         print(f"  schedule → {args.schedule_out} ({rep.stats.n_tasks} tasks)")
     if schedule is not None:
         mismatch = []

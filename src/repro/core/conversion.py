@@ -211,8 +211,9 @@ def build_comm_precision_map(kmap: KernelPrecisionMap) -> CommPrecisionMap:
     The row term is a reversed cumulative max (suffix max) along each
     lower-triangle row and the column term a per-column max of the
     strictly-lower triangle, so the whole map falls out of three NumPy
-    scans.  Bit-identical to the reference loop implementation
-    (:func:`_build_comm_precision_map_loop`, asserted by property test).
+    scans.  Bit-identical to the literal triple loop of the paper's
+    pseudocode, which lives in the test tree as the oracle
+    (``tests/comm_map_oracle.py``, asserted by property test).
     """
     nt = kmap.nt
     codes = np.asarray(kmap.codes, dtype=np.int8)
@@ -262,67 +263,6 @@ def build_comm_precision_map(kmap: KernelPrecisionMap) -> CommPrecisionMap:
     cmap = CommPrecisionMap(nt=nt, comm_codes=comm, storage_codes=storage)
     _emit_comm_decision(cmap)
     return cmap
-
-
-def _build_comm_precision_map_loop(kmap: KernelPrecisionMap) -> CommPrecisionMap:
-    """Reference O(NT³) loop implementation of Algorithm 2.
-
-    Kept as the executable specification the vectorized
-    :func:`build_comm_precision_map` is property-tested against (and
-    benchmarked against in ``benchmarks/test_sweep_planning.py``).  Does
-    not emit telemetry.
-    """
-    nt = kmap.nt
-    comm = np.full((nt, nt), int(Precision.FP64), dtype=np.int8)
-    storage = np.full((nt, nt), int(Precision.FP64), dtype=np.int8)
-
-    for i in range(nt):
-        for j in range(i + 1):
-            storage[i, j] = int(get_storage_precision(kmap.kernel(i, j)))
-            storage[j, i] = storage[i, j]
-
-    for k in range(nt):
-        prec = Precision.FP32
-        for m in range(k + 1, nt):
-            if kmap.kernel(m, k) == Precision.FP64:
-                prec = Precision.FP64
-                break
-        if k == nt - 1:
-            prec = Precision.FP64  # no successors; no broadcast is issued
-        comm[k, k] = int(prec)
-
-    # Off-diagonal tiles (m, k) operating TRSM(m, k).
-    for k in range(nt - 1):
-        for m in range(k + 1, nt):
-            tile_storage = Precision(int(storage[m, k]))
-            # SYRK(m, k) consumes the payload at the tile's own kernel
-            # precision (see module docstring).
-            prec = kmap.kernel(m, k)
-            if prec >= tile_storage:
-                comm[m, k] = int(tile_storage)
-                continue
-            done = False
-            # row broadcast: GEMM(m, n, k) writes tile (m, n), k < n < m
-            for n in range(k + 1, m):
-                prec = max(prec, kmap.kernel(m, n))
-                if prec >= tile_storage:
-                    comm[m, k] = int(tile_storage)
-                    done = True
-                    break
-            if done:
-                continue
-            # column broadcast: GEMM(n, m, k) writes tile (n, m), n > m
-            for n in range(m + 1, nt):
-                prec = max(prec, kmap.kernel(n, m))
-                if prec >= tile_storage:
-                    comm[m, k] = int(tile_storage)
-                    done = True
-                    break
-            if done:
-                continue
-            comm[m, k] = int(prec)
-
-    return CommPrecisionMap(nt=nt, comm_codes=comm, storage_codes=storage)
 
 
 def _emit_comm_decision(cmap: CommPrecisionMap) -> None:

@@ -153,18 +153,15 @@ class _CholeskyDataflow:
         )
 
 
-def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], TaskClassSpec]:
-    """The four Cholesky task classes, in both emission layouts.
+def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
+    """The four Cholesky task classes as one k-major spec.
 
-    Returns ``(classes, kmajor)``: the class-major spec list the
-    materialising :func:`~repro.runtime.dsl.unroll` has always consumed
-    (POTRF space, then TRSM, SYRK, GEMM — *not* topological, POTRF(k)
-    reads a SYRK emitted later), and a single merged spec whose space
-    interleaves all four classes iteration-major — for each ``k``:
-    POTRF(k), the TRSMs, the SYRKs, then the GEMMs of that iteration.
-    The k-major emission *is* topological (every read names a task of
-    the same or an earlier ``k`` already emitted), which is what lets
-    :func:`~repro.runtime.dsl.unroll_stream` skip the Kahn sort.
+    Algorithm 1 read iteration by iteration: a single merged spec whose
+    space interleaves the four classes — for each ``k``: POTRF(k), the
+    TRSMs, the SYRKs, then the GEMMs of that iteration.  The emission is
+    topological (every read names a task of the same or an earlier
+    ``k``, already emitted), which is the order
+    :func:`~repro.runtime.dsl.unroll_stream` requires.
     """
     nt = rules.nt
     grid = rules.grid
@@ -176,10 +173,6 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], Ta
     sender_conv = rules.sender_conv
 
     # -- task classes ------------------------------------------------------
-    def potrf_space():
-        for k in range(nt):
-            yield (k,)
-
     def potrf_inst(params):
         (k,) = params
         c_prod = None if k == 0 else ("SYRK", (k, k - 1))
@@ -198,11 +191,6 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], Ta
             sender_conversion=sender_conv(k, k) if has_bcast else None,
             priority=prio(k, KernelKind.POTRF),
         )
-
-    def trsm_space():
-        for k in range(nt - 1):
-            for m in range(k + 1, nt):
-                yield (m, k)
 
     def trsm_inst(params):
         m, k = params
@@ -239,11 +227,6 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], Ta
             priority=prio(k, KernelKind.TRSM),
         )
 
-    def syrk_space():
-        for k in range(nt - 1):
-            for m in range(k + 1, nt):
-                yield (m, k)
-
     def syrk_inst(params):
         m, k = params
         c_prod = None if k == 0 else ("SYRK", (m, k - 1))
@@ -275,12 +258,6 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], Ta
             ],
             priority=prio(k, KernelKind.SYRK),
         )
-
-    def gemm_space():
-        for k in range(nt - 2):
-            for m in range(k + 2, nt):
-                for nn in range(k + 1, m):
-                    yield (m, nn, k)
 
     def gemm_inst(params):
         m, nn, k = params
@@ -323,15 +300,6 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], Ta
             priority=prio(k, KernelKind.GEMM),
         )
 
-    classes = [
-        TaskClassSpec("POTRF", potrf_space, potrf_inst),
-        TaskClassSpec("TRSM", trsm_space, trsm_inst),
-        TaskClassSpec("SYRK", syrk_space, syrk_inst),
-        TaskClassSpec("GEMM", gemm_space, gemm_inst),
-    ]
-
-    # -- k-major emission: one merged class whose space interleaves the
-    # four kinds iteration by iteration, already topologically sorted
     _inst = {
         KernelKind.POTRF: potrf_inst,
         KernelKind.TRSM: trsm_inst,
@@ -354,8 +322,7 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> tuple[list[TaskClassSpec], Ta
         kind, params = tagged
         return _inst[kind](params)
 
-    kmajor = TaskClassSpec("CHOLESKY", kmajor_space, kmajor_inst)
-    return classes, kmajor
+    return [TaskClassSpec("CHOLESKY", kmajor_space, kmajor_inst)]
 
 
 def build_cholesky_dag(
@@ -366,23 +333,16 @@ def build_cholesky_dag(
     strategy: ConversionStrategy = ConversionStrategy.AUTO,
     grid: ProcessGrid | None = None,
     comm_map: CommPrecisionMap | None = None,
-    stream: bool = False,
 ) -> CholeskyDag:
     """Unroll Algorithm 1 into a :class:`~repro.runtime.task.TaskGraph`.
 
-    ``stream=True`` builds the same graph through the one-pass streaming
-    unroll (k-major emission, no instance list or Kahn sort) — faster
-    and lighter, but the task ids follow the k-major emission order
-    instead of the historical Kahn order over the class-major emission,
-    so schedules are *valid but not tid-identical* to the default path.
-    The default stays the materialising path to keep panel-first's
-    pinned regression constants byte-stable.  For simulation without any
-    materialised graph at all, see :func:`stream_cholesky_tasks`.
+    Tasks are numbered in k-major emission order — the ids
+    :func:`stream_cholesky_tasks` yields, which is the same emission
+    consumed lazily instead of held.
     """
     rules = _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
-    classes, kmajor = _cholesky_classes(rules)
     with hot_region("dag.build"):
-        graph = unroll([kmajor], stream=True) if stream else unroll(classes)
+        graph = unroll(_cholesky_classes(rules))
     return rules.dag(graph)
 
 
@@ -404,7 +364,6 @@ def stream_cholesky_tasks(
     (``cholesky_task_count(nt) ≈ nt³/6`` tasks) never materialises the
     DAG.
     """
-    _classes, kmajor = _cholesky_classes(
-        _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
+    return unroll_stream(
+        _cholesky_classes(_CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map))
     )
-    return unroll_stream([kmajor])

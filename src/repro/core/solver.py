@@ -164,13 +164,14 @@ def simulate_cholesky(
     matrices.  ``policy`` selects the scheduling policy (see
     :mod:`repro.runtime.policies`; default ``panel-first``).
 
-    ``stream=True`` is million-task mode: tasks are emitted lazily in
-    k-major order and simulated through
+    ``stream=True`` is million-task mode: the same k-major emission
+    (same task ids) is consumed lazily through
     :func:`repro.runtime.simulator.simulate_stream` with an emission
     window of ``lookahead`` tasks (default
-    :func:`default_stream_lookahead`), so the DAG is never materialised
-    and peak memory is O(NT²) instead of O(NT³).  Restricted to
-    frontier-local policies (panel-first, fifo).
+    :func:`default_stream_lookahead`) instead of being held as a graph,
+    so peak memory is O(NT²) instead of O(NT³).  It chooses lazy versus
+    held task objects, never a numbering.  Restricted to frontier-local
+    policies (panel-first, fifo, ooc-static).
     """
     if stream:
         nt = kernel_map.nt
@@ -218,9 +219,8 @@ def replay_cholesky(
 ) -> SimReport:
     """Re-execute an exported :class:`StaticSchedule` with no scheduler.
 
-    Rebuilds the Cholesky DAG in the layout the schedule was exported
-    from (materialised class-major ids, or k-major streamed ids),
-    validates the schedule's fingerprint against it, and runs
+    Rebuilds the Cholesky DAG, validates the schedule's fingerprint
+    against it, and runs
     :func:`repro.runtime.simulator.simulate_replay` — bit-identical to
     the run that produced the schedule, without any ready-heap or
     policy-key work.
@@ -231,7 +231,6 @@ def replay_cholesky(
         kernel_map,
         strategy=strategy,
         grid=platform.process_grid(),
-        stream=schedule.layout == "stream",
     )
     schedule.validate_against(len(dag.graph), platform)
     return simulate_replay(

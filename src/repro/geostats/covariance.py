@@ -150,12 +150,21 @@ class Matern(CovarianceModel):
         out = np.empty_like(scaled)
         zero = scaled <= 0.0
         out[zero] = sigma2
-        s = scaled[~zero]
+        vals = scaled[~zero]  # a copy: holds s, then s^ν, then the product
         coeff = sigma2 * (2.0 ** (1.0 - nu)) / scipy.special.gamma(nu)
-        vals = coeff * np.power(s, nu) * scipy.special.kv(nu, s)
-        # K_ν underflows to 0 for huge arguments; the limit is 0, which is
-        # exactly what the covariance should be there.
-        out[~zero] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+        k = scipy.special.kv(nu, vals)
+        # K_ν underflows to 0 for huge arguments, where the covariance's
+        # limit is 0, and overflows to inf as s → 0⁺, where it is σ²;
+        # s^ν saturates the other way, so the product is formed (in
+        # place: this is the n² hot spot) only where K_ν is positive and
+        # finite, and inf·0 never is.
+        live = (k > 0.0) & np.isfinite(k)
+        np.power(vals, nu, out=vals, where=live)
+        np.multiply(vals, coeff, out=vals, where=live)
+        np.multiply(vals, k, out=vals, where=live)
+        dead = ~live
+        vals[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
+        out[~zero] = vals
         return out
 
     @staticmethod

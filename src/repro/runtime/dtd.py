@@ -63,7 +63,6 @@ class DTDRuntime:
         self._version: dict[tuple[int, int], int] = {}
         self._writer: dict[tuple[int, int], int | None] = {}
         self._default_elements = default_elements
-        self._finalized = False
 
     # -- insertion --------------------------------------------------------
     def insert_task(
@@ -85,8 +84,6 @@ class DTDRuntime:
         task writes — matching the tile-algorithm structure where every
         kernel has a single output tile).
         """
-        if self._finalized:
-            raise RuntimeError("runtime already finalized")
         writes = [a for a in accesses if a.mode in (AccessMode.INOUT, AccessMode.OUTPUT)]
         if len(writes) != 1:
             raise ValueError(f"{kind}{params}: exactly one INOUT/OUTPUT access required")
@@ -141,7 +138,6 @@ class DTDRuntime:
     def finalize(self) -> TaskGraph:
         """Freeze insertion and return the discovered task graph."""
         self.graph.finalize()
-        self._finalized = True
         return self.graph
 
     def current_version(self, tile: tuple[int, int]) -> int:

@@ -17,14 +17,13 @@ change the arithmetic (asserted by tests).
 
 from __future__ import annotations
 
-import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import traced
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .executor import _collect_finals, _execute_task, _mat_tiles, _seed_version0, _task_span
-from .policies import SchedState, SchedulePolicy, resolve_policy
+from .policies import ReadyFrontier, SchedulePolicy, resolve_policy
 from .task import TaskGraph
 
 __all__ = ["execute_numeric_parallel"]
@@ -48,24 +47,14 @@ def execute_numeric_parallel(
         raise ValueError("n_threads must be positive")
     sched = resolve_policy(policy)
     sched.prepare(graph, None, mat.nb)
-    # no engine/cache model here: the explicit null state (nothing
-    # resident) keeps residency-aware policies deterministic instead of
-    # silently dropping the state argument
-    state = SchedState.null()
     out = mat.copy()
 
     values = _seed_version0(graph, _mat_tiles(out))
 
-    n = len(graph)
-    in_count = [len(graph.predecessors(t)) for t in range(n)]
-    lock = threading.Lock()
-    ready: list[tuple[float, float, int]] = []  # (*policy key, tid)
-    for tid in range(n):
-        if in_count[tid] == 0:
-            heapq.heappush(ready, (*sched.key(graph.tasks[tid], 0.0, state), tid))
+    frontier = ReadyFrontier(graph, sched)
+    lock = threading.Lock()  # guards frontier, values and errors
     done = threading.Event()
     errors: list[BaseException] = []
-    remaining = [n]
 
     def run_one(tid: int) -> None:
         task = graph.tasks[tid]
@@ -77,18 +66,11 @@ def execute_numeric_parallel(
                 errors.append(exc)
                 done.set()
             return
-        newly_ready = []
         with lock:
             values[key] = result
-            for succ in graph.successors(tid):
-                in_count[succ] -= 1
-                if in_count[succ] == 0:
-                    newly_ready.append(succ)
-            remaining[0] -= 1
-            if remaining[0] == 0:
+            frontier.complete(tid)
+            if frontier.remaining == 0:
                 done.set()
-            for s in newly_ready:
-                heapq.heappush(ready, (*sched.key(graph.tasks[s], 0.0, state), s))
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         # simple work loop: each worker pops the highest-priority ready
@@ -96,12 +78,9 @@ def execute_numeric_parallel(
         def worker() -> None:
             while not done.is_set():
                 with lock:
-                    if errors or (remaining[0] == 0):
+                    if errors or frontier.remaining == 0:
                         return
-                    if not ready:
-                        task_id = None
-                    else:
-                        task_id = heapq.heappop(ready)[-1]
+                    task_id = frontier.pop()
                 if task_id is None:
                     done.wait(timeout=0.001)
                     continue
@@ -113,7 +92,7 @@ def execute_numeric_parallel(
 
     if errors:
         raise errors[0]
-    if remaining[0] != 0:
-        raise RuntimeError(f"parallel execution stalled with {remaining[0]} tasks left")
+    if frontier.remaining:
+        raise RuntimeError(f"parallel execution stalled with {frontier.remaining} tasks left")
 
     return _collect_finals(values, out)

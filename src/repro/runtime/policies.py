@@ -46,6 +46,7 @@ Adding a policy: subclass :class:`SchedulePolicy`, implement ``key``
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -59,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "SchedulePolicy",
     "SchedState",
+    "ReadyFrontier",
     "PanelFirstPolicy",
     "FifoPolicy",
     "CriticalPathPolicy",
@@ -98,13 +100,55 @@ class SchedState:
 
         Every payload reports non-resident, so e.g. ``comm-aware-eft``
         charges full staging for all inputs — a deterministic,
-        graph-only score suitable outside the simulator (numeric
-        executors, :func:`policy_topological_order`).
+        graph-only score suitable outside the simulator
+        (:class:`ReadyFrontier`).
         """
         return SchedState(
             resident=lambda rank, key: False,
             host_resident=lambda node, key: False,
         )
+
+
+class ReadyFrontier:
+    """The ready set of a held graph under a policy, outside the simulator.
+
+    Kahn's algorithm as an object: a task is ready once
+    :meth:`complete` has been called for every predecessor, and
+    :meth:`pop` hands out ready tasks in ``(*policy.key, tid)`` order.
+    There is no engine/cache model at this level, so keys are taken at
+    ready time 0 against the explicit :meth:`SchedState.null` state —
+    deterministic and the same on every rank.  ``policy`` must already
+    be prepared.  Not thread-safe: concurrent callers hold their own
+    lock around ``pop``/``complete``.
+    """
+
+    def __init__(self, graph: "TaskGraph", policy: "SchedulePolicy") -> None:
+        self._graph = graph
+        self._key = policy.key
+        self._state = SchedState.null()
+        self._in_count = [len(graph.predecessors(t)) for t in range(len(graph))]
+        self._heap: list[tuple[float, float, int]] = []
+        #: tasks not yet completed
+        self.remaining = len(graph)
+        for tid, pending in enumerate(self._in_count):
+            if pending == 0:
+                self._push(tid)
+
+    def _push(self, tid: int) -> None:
+        heapq.heappush(self._heap, (*self._key(self._graph.tasks[tid], 0.0, self._state), tid))
+
+    def pop(self) -> int | None:
+        """The most preferred ready task, or ``None`` when none is ready."""
+        return heapq.heappop(self._heap)[-1] if self._heap else None
+
+    def complete(self, tid: int) -> None:
+        """``tid`` has finished: successors it was the last to block become ready."""
+        self.remaining -= 1
+        in_count = self._in_count
+        for succ in self._graph.successors(tid):
+            in_count[succ] -= 1
+            if in_count[succ] == 0:
+                self._push(succ)
 
 
 class SchedulePolicy:
@@ -217,7 +261,7 @@ class CriticalPathPolicy(SchedulePolicy):
     def prepare(self, graph: "TaskGraph", platform: "Platform | None", nb: int) -> None:
         n = len(graph)
         upward = [0.0] * n
-        # task ids are topological (finalize() enforces producer < consumer),
+        # task ids are topological (TaskGraph.add enforces producer < consumer),
         # so one reverse sweep is the whole backward pass
         for tid in range(n - 1, -1, -1):
             tail = max((upward[s] for s in graph.successors(tid)), default=0.0)
@@ -389,40 +433,21 @@ def policy_topological_order(graph: "TaskGraph", policy: "str | SchedulePolicy |
                              platform: "Platform | None" = None) -> list[int]:
     """A policy-guided topological order of the whole graph.
 
-    Kahn's algorithm with the frontier heap keyed ``(*policy.key, tid)``
-    at ready time 0: the result is a valid execution order that agrees
-    with the policy's preferences, *globally consistent* across ranks —
-    which is what the distributed executor needs for its
+    A drain of :class:`ReadyFrontier`: a valid execution order that
+    agrees with the policy's preferences, *globally consistent* across
+    ranks — which is what the distributed executor needs for its
     deadlock-freedom induction (every blocking wait is for a task
     strictly earlier in this shared order).
-
-    There is no engine/cache model at this level, so policies see the
-    explicit :meth:`SchedState.null` state (nothing resident):
-    residency-aware policies score every payload as needing staging —
-    deterministic and rank-independent, which the shared-order contract
-    requires.
     """
-    import heapq
-
     pol = resolve_policy(policy)
     pol.prepare(graph, platform, nb)
-    state = SchedState.null()
-    n = len(graph)
-    in_count = [len(graph.predecessors(t)) for t in range(n)]
-    heap = [
-        (*pol.key(graph.tasks[tid], 0.0, state), tid) for tid in range(n) if in_count[tid] == 0
-    ]
-    heapq.heapify(heap)
+    frontier = ReadyFrontier(graph, pol)
     order: list[int] = []
-    while heap:
-        tid = heapq.heappop(heap)[-1]
+    while (tid := frontier.pop()) is not None:
         order.append(tid)
-        for succ in graph.successors(tid):
-            in_count[succ] -= 1
-            if in_count[succ] == 0:
-                heapq.heappush(heap, (*pol.key(graph.tasks[succ], 0.0, state), succ))
-    if len(order) != n:
-        raise RuntimeError(f"cycle: ordered {len(order)}/{n} tasks")
+        frontier.complete(tid)
+    if frontier.remaining:
+        raise RuntimeError(f"cycle: ordered {len(order)}/{len(graph)} tasks")
     return order
 
 

@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["StaticSchedule"]
 
-#: on-disk schema tag; bump on incompatible layout changes
-SCHEMA = "repro.schedule/1"
+#: on-disk schema tag; bump on incompatible changes
+SCHEMA = "repro.schedule/2"
 
 
 def _platform_fingerprint(platform: "Platform | None") -> dict:
@@ -50,18 +50,17 @@ def _platform_fingerprint(platform: "Platform | None") -> dict:
 class StaticSchedule:
     """A committed task order plus the fingerprint needed to replay it.
 
-    ``order[i]`` is the task id committed at step ``i``; ids index the
-    graph built with the recorded ``layout`` (``"materialize"`` = the
-    historical class-major Kahn ids, ``"stream"`` = k-major emission
-    ids), so a replayer must rebuild the DAG the same way.  ``makespan``
-    and ``trace_hash`` pin what the replay must reproduce.
+    ``order[i]`` is the task id committed at step ``i``; ids are the
+    k-major emission ids every build of the same factorization mints,
+    so the order replays whether it was recorded from a held graph or a
+    streamed run.  ``makespan`` and ``trace_hash`` pin what the replay
+    must reproduce.
     """
 
     policy: str
     order: tuple[int, ...]
     nb: int
     n: int = 0
-    layout: str = "materialize"
     platform: dict = field(default_factory=dict)
     makespan: float = 0.0
     trace_hash: str | None = None
@@ -78,7 +77,6 @@ class StaticSchedule:
         nb: int,
         n: int = 0,
         platform: "Platform | None" = None,
-        layout: str = "materialize",
     ) -> "StaticSchedule":
         """Capture a finished run's committed order as a schedule."""
         if not report.commit_order:
@@ -89,7 +87,6 @@ class StaticSchedule:
             order=tuple(report.commit_order),
             nb=nb,
             n=n,
-            layout=layout,
             platform=_platform_fingerprint(platform),
             makespan=report.makespan,
             trace_hash=trace_hash,
@@ -117,7 +114,6 @@ class StaticSchedule:
             "n_tasks": self.n_tasks,
             "nb": self.nb,
             "n": self.n,
-            "layout": self.layout,
             "platform": dict(self.platform),
             "makespan_seconds": self.makespan,
             "trace_hash": self.trace_hash,
@@ -137,7 +133,6 @@ class StaticSchedule:
             order=order,
             nb=int(payload["nb"]),
             n=int(payload.get("n", 0)),
-            layout=str(payload.get("layout", "materialize")),
             platform=dict(payload.get("platform") or {}),
             makespan=float(payload.get("makespan_seconds", 0.0)),
             trace_hash=payload.get("trace_hash"),

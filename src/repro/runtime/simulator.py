@@ -616,7 +616,7 @@ def _drive(
 
     streamed = source is not None
     emit = iter(source if streamed else graph.tasks)
-    # the lists below grow (append) and shrink (retire) in place under a
+    # the lists below grow (add) and shrink (retire) in place under a
     # streamed source, so these references stay current
     preds, succs = graph.adjacency()
     tasks = graph.tasks
@@ -655,7 +655,7 @@ def _drive(
                     if task is None:
                         exhausted = True
                         break
-                    tid = graph.append(task) if streamed else task.tid
+                    tid = graph.add(task) if streamed else task.tid
                     seed_host(task)
                     pending = 0
                     ready_t = 0.0
@@ -823,7 +823,6 @@ def simulate_stream(
             "policy (panel-first, fifo)"
         )
     frontier = TaskGraph()
-    frontier.finalize()  # empty, so the adjacency exists; append() grows it in place
     sched.prepare(frontier, platform, nb)
     return _drive(
         frontier, platform, nb, source=source, lookahead=lookahead, key_of=sched.key,

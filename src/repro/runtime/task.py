@@ -82,74 +82,50 @@ class Task:
 
 
 class TaskGraph:
-    """An immutable-after-finalize DAG of :class:`Task` objects.
+    """A seal-after-construction DAG of :class:`Task` objects.
 
-    Two construction modes:
+    :meth:`add` / :meth:`new_task` take tasks one at a time, producers
+    before consumers, and wire the dependency edges as each task
+    arrives — so :meth:`successors` / :meth:`predecessors` work on the
+    graph built so far while more tasks are still being emitted.
+    :meth:`finalize` seals the graph against further ``add``;
+    :meth:`retire` drops a task's heavy payload once a consumer loop is
+    done with it.  ``add``/``retire`` is the frontier API the streaming
+    simulator consumes: live memory stays proportional to the emission
+    window, not the DAG.
 
-    * **materialising** — :meth:`add` / :meth:`new_task` all tasks, then
-      :meth:`finalize` builds the adjacency in one pass;
-    * **streaming** — :meth:`append` tasks one at a time (adjacency is
-      wired incrementally, so the graph is usable as a growing frontier
-      while emission continues) and :meth:`retire` drops a task's heavy
-      payload once a consumer loop is done with it.  This is the
-      append-only frontier API the streaming simulator consumes: live
-      memory stays proportional to the emission window, not the DAG.
-
-    Both modes dedupe dependency edges: a task reading two tiles from
-    the same producer contributes one predecessor/successor edge, so
+    Dependency edges are deduped: a task reading two tiles from the
+    same producer contributes one predecessor/successor edge, so
     ``in_count`` bookkeeping and degree statistics count *tasks*, not
     payloads.
     """
 
     def __init__(self) -> None:
         self.tasks: list[Task | None] = []
-        self._succs: list[list[int]] | None = None
-        self._preds: list[list[int]] | None = None
+        self._succs: list[list[int]] = []
+        self._preds: list[list[int]] = []
+        self._sealed = False
         self._n_retired = 0
 
     # -- construction ----------------------------------------------------
     def add(self, task: Task) -> int:
-        if self._succs is not None:
-            raise RuntimeError("graph already finalized")
-        if task.tid != len(self.tasks):
-            raise ValueError(f"task ids must be dense: got {task.tid}, expected {len(self.tasks)}")
-        self.tasks.append(task)
-        return task.tid
+        """Add ``task`` and wire its (deduped, first-seen order) edges now.
 
-    def new_task(self, **kwargs) -> Task:
-        """Create, add, and return a task with the next id."""
-        task = Task(tid=len(self.tasks), **kwargs)
-        self.add(task)
-        return task
-
-    def append(self, task: Task) -> int:
-        """Streaming construction: add ``task`` and wire its edges now.
-
-        Unlike :meth:`add`, the adjacency is extended immediately (and
-        deduped), so :meth:`successors` / :meth:`predecessors` work on
-        the graph built so far while more tasks are still being emitted.
-        Producers must already be present (emission order must be
-        topological).  A graph started with ``append`` reports
-        ``finalized`` and rejects :meth:`add`; :meth:`finalize` is a
-        no-op seal.
+        Task ids must be dense and every producer must already be
+        present: emission order is topological by construction.
         """
-        if self._succs is None:
-            if self.tasks:
-                raise RuntimeError("cannot mix append() into a graph built with add()")
-            self._succs = []
-            self._preds = []
+        if self._sealed:
+            raise RuntimeError("graph already finalized")
         tid = task.tid
         if tid != len(self.tasks):
             raise ValueError(f"task ids must be dense: got {tid}, expected {len(self.tasks)}")
         preds: list[int] = []
-        seen: set[int] = set()
         for inp in task.inputs:
             p = inp.producer
-            if p is None or p in seen:
+            if p is None or p in preds:
                 continue
             if not 0 <= p < tid:
                 raise ValueError(f"task {tid} references unknown or later producer {p}")
-            seen.add(p)
             preds.append(p)
         self.tasks.append(task)
         self._succs.append([])
@@ -157,6 +133,12 @@ class TaskGraph:
         for p in preds:
             self._succs[p].append(tid)
         return tid
+
+    def new_task(self, **kwargs) -> Task:
+        """Create, add, and return a task with the next id."""
+        task = Task(tid=len(self.tasks), **kwargs)
+        self.add(task)
+        return task
 
     def retire(self, tid: int) -> None:
         """Release a consumed task's payload (streaming graphs).
@@ -169,7 +151,7 @@ class TaskGraph:
         consumer that has already folded the task into its own state.
         """
         self.tasks[tid] = None
-        self._succs[tid] = []  # type: ignore[index]
+        self._succs[tid] = []
         self._n_retired += 1
 
     @property
@@ -177,49 +159,15 @@ class TaskGraph:
         return self._n_retired
 
     def finalize(self) -> None:
-        """Freeze the graph and build predecessor/successor adjacency.
-
-        Parallel edges collapse: a consumer reading several tiles from
-        one producer yields a single dependency edge (order preserved).
-        """
-        if self._succs is not None:
-            return
-        n = len(self.tasks)
-        succs: list[list[int]] = [[] for _ in range(n)]
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for task in self.tasks:
-            seen: set[int] = set()
-            for inp in task.inputs:
-                if inp.producer is None or inp.producer in seen:
-                    continue
-                if not 0 <= inp.producer < n:
-                    raise ValueError(f"task {task.tid} references unknown producer {inp.producer}")
-                if inp.producer >= task.tid:
-                    raise ValueError(
-                        f"task {task.tid} depends on later task {inp.producer}: not a DAG"
-                    )
-                seen.add(inp.producer)
-                succs[inp.producer].append(task.tid)
-                preds[task.tid].append(inp.producer)
-        self._succs = succs
-        self._preds = preds
+        """Seal the graph: no further :meth:`add`."""
+        self._sealed = True
 
     # -- topology ----------------------------------------------------------
-    @property
-    def finalized(self) -> bool:
-        return self._succs is not None
-
-    def _require_finalized(self) -> None:
-        if self._succs is None:
-            raise RuntimeError("call finalize() first")
-
     def successors(self, tid: int) -> Sequence[int]:
-        self._require_finalized()
-        return self._succs[tid]  # type: ignore[index]
+        return self._succs[tid]
 
     def predecessors(self, tid: int) -> Sequence[int]:
-        self._require_finalized()
-        return self._preds[tid]  # type: ignore[index]
+        return self._preds[tid]
 
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
         """``(preds, succs)`` lists, indexed by tid — for hot loops.
@@ -227,8 +175,7 @@ class TaskGraph:
         Direct list access avoids a method call per edge in the
         simulator's ready-heap loop; callers must not mutate.
         """
-        self._require_finalized()
-        return self._preds, self._succs  # type: ignore[return-value]
+        return self._preds, self._succs
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -240,10 +187,9 @@ class TaskGraph:
         """Task ids in a valid execution order.
 
         Task ids are assigned in construction order and producers must
-        precede consumers (enforced in :meth:`finalize`), so the id order
+        precede consumers (enforced in :meth:`add`), so the id order
         is itself topological.
         """
-        self._require_finalized()
         return list(range(len(self.tasks)))
 
     def total_flops(self) -> float:
@@ -263,7 +209,6 @@ class TaskGraph:
 
     def critical_path_length(self, duration=lambda task: 1.0) -> float:
         """Length of the longest path under a task-duration function."""
-        self._require_finalized()
         dist = [0.0] * len(self.tasks)
         best = 0.0
         for tid in self.topological_order():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import ConversionStrategy
 from repro.core.conversion import (
-    _build_comm_precision_map_loop,
     accumulator_encoding,
     build_comm_precision_map,
     encoding_width,
@@ -22,6 +21,8 @@ from repro.core.precision_map import (
     uniform_map,
 )
 from repro.precision import ADAPTIVE_FORMATS, Precision, get_storage_precision
+
+from tests.comm_map_oracle import build_comm_precision_map_loop
 
 
 def random_kmap(nt: int, seed: int) -> KernelPrecisionMap:
@@ -178,7 +179,7 @@ class TestVectorizedEquivalence:
         np.fill_diagonal(codes, int(Precision.FP64))
         kmap = KernelPrecisionMap(nt=nt, codes=codes)
         fast = build_comm_precision_map(kmap)
-        ref = _build_comm_precision_map_loop(kmap)
+        ref = build_comm_precision_map_loop(kmap)
         assert np.array_equal(fast.comm_codes, ref.comm_codes)
         assert np.array_equal(fast.storage_codes, ref.storage_codes)
         assert fast.comm_codes.dtype == ref.comm_codes.dtype == np.int8
@@ -189,7 +190,7 @@ class TestVectorizedEquivalence:
         for nt in (1, 2, 3, 8, 17):
             kmap = two_precision_map(nt, low)
             fast = build_comm_precision_map(kmap)
-            ref = _build_comm_precision_map_loop(kmap)
+            ref = build_comm_precision_map_loop(kmap)
             assert np.array_equal(fast.comm_codes, ref.comm_codes)
             assert np.array_equal(fast.storage_codes, ref.storage_codes)
 
@@ -198,7 +199,7 @@ class TestVectorizedEquivalence:
 
         kmap = build_precision_map(tile_norms(matern_cov_160), 1e-6)
         fast = build_comm_precision_map(kmap)
-        ref = _build_comm_precision_map_loop(kmap)
+        ref = build_comm_precision_map_loop(kmap)
         assert np.array_equal(fast.comm_codes, ref.comm_codes)
 
     def test_stc_fraction_matches_loop_count(self):

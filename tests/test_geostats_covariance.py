@@ -69,6 +69,22 @@ class TestMatern:
         out = model.correlation(np.array([1e6]), np.array([1.0, 0.01, 0.5]))
         assert out[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "h, nu, limit",
+        [
+            (1e2, 100.0, 0.0),  # s^ν → inf against K_ν → 0: the limit is 0
+            (1e-150, 3.0, 1.5),  # s^ν → 0 against K_ν → inf: the limit is σ²
+        ],
+    )
+    def test_saturated_lanes_take_their_limit_silently(self, h, nu, limit):
+        """inf·0 is never formed (RuntimeWarnings are errors under tier-1),
+        and a finite lane beside the saturated one keeps its exact value."""
+        model = Matern(dim=2)
+        theta = np.array([1.5, 0.01, nu])
+        out = model.correlation(np.array([h, 0.02]), theta)
+        assert out[0] == limit
+        assert out[1] == model.correlation(np.array([0.02]), theta)[0] > 0.0
+
     def test_cov_matrix_spd(self):
         model = Matern(dim=2)
         locs = generate_locations(60, 2, seed=1)

@@ -153,9 +153,11 @@ class TestStaticSchedule:
         rep = _run("panel-first")
         sched = StaticSchedule.from_report(rep, nb=NB, n=2048)
         doc = sched.to_dict()
-        doc["schema"] = "bogus/9"
-        with pytest.raises(ValueError, match="schema"):
-            StaticSchedule.from_dict(doc)
+        assert doc["schema"] == "repro.schedule/2" and "layout" not in doc
+        # /1 orders used one of two task numberings: rejected, not reinterpreted
+        for schema in ("bogus/9", "repro.schedule/1"):
+            with pytest.raises(ValueError, match="unsupported schedule schema"):
+                StaticSchedule.from_dict({**doc, "schema": schema, "layout": "materialize"})
 
     def test_replay_rejects_invalid_orders(self):
         from repro.core.dag_cholesky import build_cholesky_dag

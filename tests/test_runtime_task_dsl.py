@@ -50,16 +50,13 @@ class TestTaskGraph:
 
     def test_forward_dependency_rejected(self):
         g = TaskGraph()
-        g.add(_task(0, inputs=[_inp(1)]))
-        g.add(_task(1))
-        with pytest.raises(ValueError, match="not a DAG"):
-            g.finalize()
+        with pytest.raises(ValueError, match="later producer"):
+            g.add(_task(0, inputs=[_inp(1)]))
 
     def test_unknown_producer_rejected(self):
         g = TaskGraph()
-        g.add(_task(0, inputs=[_inp(5)]))
-        with pytest.raises(ValueError, match="unknown producer"):
-            g.finalize()
+        with pytest.raises(ValueError, match="unknown or later producer"):
+            g.add(_task(0, inputs=[_inp(5)]))
 
     def test_add_after_finalize_rejected(self):
         g = TaskGraph()
@@ -67,12 +64,6 @@ class TestTaskGraph:
         g.finalize()
         with pytest.raises(RuntimeError):
             g.add(_task(1))
-
-    def test_topology_requires_finalize(self):
-        g = TaskGraph()
-        g.add(_task(0))
-        with pytest.raises(RuntimeError):
-            g.successors(0)
 
     def test_flops_and_counts(self):
         g = TaskGraph()
@@ -132,63 +123,39 @@ class TestFinalizeDedupe:
 
 
 class TestAppendFrontier:
-    def test_append_matches_add_finalize(self):
-        tasks = [
-            _task(0),
-            _task(1, inputs=[_inp(0)]),
-            _task(2, inputs=[_inp(0), _inp(1)]),
-            _task(3, inputs=[_inp(2), _inp(2)]),  # duplicate producer read
-        ]
-        g_add = TaskGraph()
-        for t in tasks:
-            g_add.add(t)
-        g_add.finalize()
-        g_app = TaskGraph()
-        for t in tasks:
-            g_app.append(t)
-        assert g_app.finalized
-        for tid in range(len(tasks)):
-            assert list(g_app.successors(tid)) == list(g_add.successors(tid))
-            assert list(g_app.predecessors(tid)) == list(g_add.predecessors(tid))
+    """``add``/``retire``: the graph is an append-only frontier while it grows."""
 
     def test_adjacency_usable_mid_stream(self):
         g = TaskGraph()
-        g.append(_task(0))
-        g.append(_task(1, inputs=[_inp(0)]))
+        g.add(_task(0))
+        g.add(_task(1, inputs=[_inp(0)]))
         assert g.successors(0) == [1]  # before emission is finished
 
     def test_append_rejects_forward_producer(self):
         g = TaskGraph()
-        g.append(_task(0))
+        g.add(_task(0))
         with pytest.raises(ValueError, match="unknown or later producer"):
-            g.append(_task(1, inputs=[_inp(5)]))
+            g.add(_task(1, inputs=[_inp(1)]))  # itself: not yet present
+        assert len(g) == 1 and g.successors(0) == []  # the rejected task left no trace
 
     def test_append_rejects_sparse_ids(self):
         g = TaskGraph()
-        g.append(_task(0))
-        with pytest.raises(ValueError, match="dense"):
-            g.append(_task(2))
-
-    def test_mixing_modes_rejected(self):
-        g = TaskGraph()
         g.add(_task(0))
-        with pytest.raises(RuntimeError, match="mix"):
-            g.append(_task(1))
-        g2 = TaskGraph()
-        g2.append(_task(0))
-        with pytest.raises(RuntimeError, match="finalized"):
-            g2.add(_task(1))
+        with pytest.raises(ValueError, match="dense"):
+            g.add(_task(2))
 
     def test_finalize_is_noop_seal(self):
         g = TaskGraph()
-        g.append(_task(0))
+        g.add(_task(0))
+        g.add(_task(1, inputs=[_inp(0), _inp(0)]))
         g.finalize()
-        assert g.successors(0) == []
+        g.finalize()  # idempotent
+        assert g.successors(0) == [1] and g.predecessors(1) == [0]
 
     def test_retire_drops_payload_keeps_preds(self):
         g = TaskGraph()
-        g.append(_task(0))
-        g.append(_task(1, inputs=[_inp(0)]))
+        g.add(_task(0))
+        g.add(_task(1, inputs=[_inp(0)]))
         g.retire(0)
         assert g.tasks[0] is None
         assert g.n_retired == 1
@@ -209,22 +176,29 @@ def _mk_instance(name, params, reads, rank=0):
     )
 
 
+def _consumer_and_producer():
+    """B(0) reads A(0): topological only when A's class is listed first."""
+    consumer = TaskClassSpec(
+        "B",
+        lambda: [(0,)],
+        lambda p: _mk_instance(
+            "B", p,
+            [(("A", (0,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
+        ),
+    )
+    return consumer, TaskClassSpec("A", lambda: [(0,)], lambda p: _mk_instance("A", p, []))
+
+
 class TestDSL:
     def test_unroll_forward_references(self):
-        """Classes may reference instances emitted later (topological sort)."""
-        consumer = TaskClassSpec(
-            "B",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "B", p,
-                [(("A", (0,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-            ),
-        )
-        producer = TaskClassSpec("A", lambda: [(0,)], lambda p: _mk_instance("A", p, []))
-        graph = unroll([consumer, producer])  # consumer listed first
-        assert len(graph) == 2
-        kinds = [graph.tasks[t].kind for t in graph.topological_order()]
-        assert kinds == ["A", "B"]
+        """Emission order is the task order: a class reading an instance
+        emitted later is an error for every caller, never a re-sort."""
+        consumer, producer = _consumer_and_producer()
+        with pytest.raises(StreamOrderError, match="not been emitted"):
+            unroll([consumer, producer])  # consumer listed first
+        graph = unroll([producer, consumer])
+        assert [t.kind for t in graph.tasks] == ["A", "B"]
+        assert graph.predecessors(1) == [0]
 
     def test_duplicate_instance_rejected(self):
         dup = TaskClassSpec(
@@ -242,7 +216,7 @@ class TestDSL:
                 [(("X", (9,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
             ),
         )
-        with pytest.raises(ValueError, match="unknown producer"):
+        with pytest.raises(StreamOrderError, match="unknown producer"):
             unroll([bad])
 
     def test_cycle_rejected(self):
@@ -262,7 +236,7 @@ class TestDSL:
                 [(("A", (0,)), TileRef(1, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
             ),
         )
-        with pytest.raises(ValueError, match="cycle"):
+        with pytest.raises(StreamOrderError, match="cycle"):
             unroll([a, b])
 
     def test_host_reads_allowed(self):
@@ -277,7 +251,7 @@ class TestDSL:
         assert graph.tasks[0].inputs[0].producer is None
 
 
-# -- streamed unroll ≡ materialising baseline --------------------------------
+# -- unroll is unroll_stream, held ---------------------------------------------
 
 def _topo_ptg(pred_sets):
     """One task class over a random DAG whose emission order (ascending
@@ -296,16 +270,6 @@ def _topo_ptg(pred_sets):
     return TaskClassSpec("T", lambda: [(i,) for i in range(len(pred_sets))], inst)
 
 
-def _assert_graphs_identical(a, b):
-    assert len(a) == len(b)
-    for ta, tb in zip(a.tasks, b.tasks):
-        assert ta == tb  # dataclass equality: tid, kind, params, inputs, …
-    for tid in range(len(a)):
-        assert list(a.predecessors(tid)) == list(b.predecessors(tid))
-        assert list(a.successors(tid)) == list(b.successors(tid))
-    assert a.topological_order() == b.topological_order()
-
-
 @st.composite
 def _random_dag(draw):
     n = draw(st.integers(1, 24))
@@ -320,77 +284,33 @@ def _random_dag(draw):
 
 class TestStreamedUnroll:
     @given(_random_dag())
-    @settings(max_examples=60, deadline=None)
-    def test_stream_equals_materialize_on_topological_emission(self, pred_sets):
-        """For a topologically-emitted PTG the streamed build and the
-        Kahn materialising build produce bit-identical graphs."""
-        streamed = unroll([_topo_ptg(pred_sets)], stream=True)
-        baseline = unroll([_topo_ptg(pred_sets)])
-        _assert_graphs_identical(streamed, baseline)
-
-    @given(_random_dag())
     @settings(max_examples=30, deadline=None)
     def test_unroll_stream_generator_matches_materialized_tasks(self, pred_sets):
         tasks = list(unroll_stream([_topo_ptg(pred_sets)]))
-        baseline = unroll([_topo_ptg(pred_sets)])
-        assert [t.tid for t in tasks] == list(range(len(baseline)))
-        assert tasks == list(baseline.tasks)
+        held = unroll([_topo_ptg(pred_sets)])
+        assert [t.tid for t in tasks] == list(range(len(held)))
+        assert tasks == list(held.tasks)  # dataclass equality: tid, kind, params, inputs, …
+        for tid, preds in enumerate(pred_sets):
+            assert list(held.predecessors(tid)) == sorted(preds)
 
     def test_cholesky_stream_equals_materialize(self):
-        """The k-major Cholesky PTG streams to the same graph the
-        class-major PTG materialises to (same canonical task set)."""
-        from repro.core import build_cholesky_dag, cholesky_task_count, two_precision_map
-
-        n, nb = 8 * 64, 64
-        kmap = two_precision_map(8, Precision.FP16)
-        base = build_cholesky_dag(n, nb, kmap).graph
-        stream = build_cholesky_dag(n, nb, kmap, stream=True).graph
-        assert len(base) == len(stream) == cholesky_task_count(8)
-
-        def canon(g):
-            by_key = {}
-            key_of = {t.tid: (t.kind, t.params) for t in g.tasks}
-            for t in g.tasks:
-                by_key[(t.kind, t.params)] = (
-                    t.rank, t.precision, t.flops, t.output, t.output_precision,
-                    t.priority, t.sender_conversion,
-                    [
-                        (None if i.producer is None else key_of[i.producer],
-                         i.tile, i.payload_precision, i.storage_precision,
-                         i.elements, i.role)
-                        for i in t.inputs
-                    ],
-                )
-            return by_key
-
-        assert canon(base) == canon(stream)
-
-    def test_forward_reference_falls_back_to_kahn(self):
-        """Cross-class forward reference: unroll(stream=True) silently
-        falls back to the materialising path and matches unroll()."""
-        consumer = TaskClassSpec(
-            "B",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "B", p,
-                [(("A", (0,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-            ),
+        """The held Cholesky graph is the lazy k-major emission, task for
+        task: same tids, same producer ids."""
+        from repro.core import (
+            build_cholesky_dag,
+            cholesky_task_count,
+            stream_cholesky_tasks,
+            two_precision_map,
         )
-        producer = TaskClassSpec("A", lambda: [(0,)], lambda p: _mk_instance("A", p, []))
-        streamed = unroll([consumer, producer], stream=True)
-        baseline = unroll([consumer, producer])
-        _assert_graphs_identical(streamed, baseline)
+
+        n, nb = 8 * 64 - 5, 64  # ragged last tile
+        kmap = two_precision_map(8, Precision.FP16)
+        held = build_cholesky_dag(n, nb, kmap).graph
+        assert len(held) == cholesky_task_count(8)
+        assert list(stream_cholesky_tasks(n, nb, kmap)) == list(held.tasks)
 
     def test_unroll_stream_raises_on_forward_reference(self):
-        consumer = TaskClassSpec(
-            "B",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "B", p,
-                [(("A", (0,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-            ),
-        )
-        producer = TaskClassSpec("A", lambda: [(0,)], lambda p: _mk_instance("A", p, []))
+        consumer, producer = _consumer_and_producer()
         with pytest.raises(StreamOrderError):
             list(unroll_stream([consumer, producer]))
         # StreamOrderError is a ValueError so existing catch-alls still work

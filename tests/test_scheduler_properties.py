@@ -223,6 +223,36 @@ class TestOneSchedulingLoop:
             assert other.stats.to_dict() == base.stats.to_dict()
             assert other.trace.content_hash() == base.trace.content_hash()
 
+    def test_cholesky_one_tid_space(self, policy, tight):
+        """Held and streamed Cholesky runs commit the same tids in the
+        same order (the default window is smaller than this DAG), and a
+        schedule exported from either replays on the held graph with the
+        same makespan and trace hash."""
+        from repro.core import (
+            cholesky_task_count,
+            default_stream_lookahead,
+            replay_cholesky,
+            simulate_cholesky,
+            two_precision_map,
+        )
+        from repro.runtime import StaticSchedule
+
+        nt = 30
+        n = nt * NB - 9  # ragged last tile
+        assert default_stream_lookahead(nt) < cholesky_task_count(nt)
+        kmap = two_precision_map(nt, Precision.FP16_32)
+        platform = _platform(2, tight=tight)
+        held = simulate_cholesky(n, NB, kmap, platform, policy=policy)
+        streamed = simulate_cholesky(n, NB, kmap, platform, policy=policy, stream=True)
+        assert streamed.peak_live_tasks < held.peak_live_tasks
+        assert streamed.commit_order == held.commit_order
+        for run in (held, streamed):
+            schedule = StaticSchedule.from_report(run, nb=NB, n=n, platform=platform)
+            replayed = replay_cholesky(n, NB, kmap, platform, schedule)
+            assert replayed.makespan == held.makespan
+            assert replayed.trace.content_hash() == held.trace.content_hash()
+            assert schedule.trace_hash == held.trace.content_hash()
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("policy", POLICY_NAMES)
