@@ -16,26 +16,22 @@ Commands
 ``analyze``   explain a captured run: data-motion ledger, conversion-site
               attribution, critical path, utilization (trace or run dir)
 ``compare``   regression sentinel: diff BENCH/run-summary documents with
-              per-metric thresholds; ``--fail-on-regress`` gates CI;
-              ``--against-history DB --window N`` runs the windowed
-              trend sentinel over warehouse history instead
+              per-metric thresholds; ``--fail-on-regress`` gates CI
 ``schedule-compare``
               price one configuration under several scheduling policies
               (see ``docs/SCHEDULING.md``) and diff each against a
               baseline policy via the regression-sentinel report format
-``history``   the cross-run telemetry warehouse: ingest run summaries /
-              BENCH / profile documents into a SQLite store and list
-              the accumulated history (``docs/OBSERVABILITY.md``)
-``merge-shards``
-              merge the per-rank ``events-rank<k>.jsonl`` shards of a
-              distributed run into one clock-aligned trace + summary
-              that ``repro analyze`` accepts
+``watch``     poll a live run's ``/progress`` endpoint (``--live-port``)
+``ingest``    bring a point set into the dataplane (CSV/NPZ/Parquet or
+              synthetic); ``reorder`` sorts one along a space-filling
+              curve (``docs/DATAPLANE.md``)
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
 ``--trace-out`` (Perfetto JSON with counter tracks), ``--metrics-out``
 (metrics + manifest + trace summary), ``--events-out`` (JSONL) and
 ``--profile-out`` (sampling profiler; prints the hottest frames);
-``mle`` takes ``--events-out`` for per-iteration records.
+``mle`` takes ``--events-out`` for per-iteration records.  The family is
+declared once, in :func:`_add_capture_flags`.
 
 Resilience flags (see ``docs/RESILIENCE.md``): ``sweep`` takes
 ``--max-retries`` (per-point retry with exponential backoff) and
@@ -73,6 +69,52 @@ def _add_live_flags(p: argparse.ArgumentParser) -> None:
                         "rank-silent=SECONDS, METRIC<FLOOR, METRIC>CEILING, "
                         "each optionally suffixed :abort; repeatable "
                         "(implies the live plane even without --live-port)")
+
+
+#: per-verb wording of the telemetry-output flags (the verb is the last
+#: word of the sub-parser's ``prog``); the flags themselves are declared
+#: once, in :func:`_add_capture_flags`
+_CAPTURE_HELP = {
+    "mle": {
+        "events": "write per-iteration telemetry to a JSONL event log",
+        "metrics": "write metrics + run manifest as JSON",
+    },
+    "simulate": {
+        "events": "write a structured JSONL event log",
+        "metrics": "write metrics + run manifest + trace summary as JSON",
+        "profile": "run under the sampling profiler, print the hottest "
+                   "frames and write the repro.obs.profile/1 document "
+                   "(see docs/OBSERVABILITY.md)",
+    },
+    "sweep": {
+        "events": "write sweep.run/sweep.complete events to a JSONL log",
+        "metrics": "write metrics + campaign manifest as JSON",
+        "profile": "run the sweep under the sampling profiler and write "
+                   "the repro.obs.profile/1 document",
+    },
+}
+
+
+def _add_capture_flags(p: argparse.ArgumentParser, *, trace: bool, profile: bool) -> None:
+    """The telemetry-output flag family (see ``docs/OBSERVABILITY.md``):
+    ``--events-out`` and ``--metrics-out`` always; ``--profile-out`` for
+    the verbs that run under the sampling profiler; ``--trace-out``,
+    ``--csv-out`` and ``--run-id`` for the one verb that records a
+    simulator trace.  :func:`_capture` / :func:`_write_capture` act on
+    them."""
+    text = _CAPTURE_HELP[p.prog.split()[-1]]
+    p.add_argument("--events-out", default=None, metavar="PATH", help=text["events"])
+    p.add_argument("--metrics-out", default=None, metavar="PATH", help=text["metrics"])
+    if profile:
+        p.add_argument("--profile-out", default=None, metavar="PATH",
+                       help=text["profile"])
+    if trace:
+        p.add_argument("--trace-out", default=None, metavar="PATH",
+                       help="write a Perfetto/Chrome trace JSON with counter tracks")
+        p.add_argument("--csv-out", default=None, metavar="PATH",
+                       help="write the raw event trace as CSV")
+        p.add_argument("--run-id", default=None,
+                       help="run identifier for logs/manifest")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, *, n: int, nb: int, config: str) -> None:
@@ -122,10 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nugget", type=float, default=None,
                    help="measurement-error variance (default: 0.01 for sqexp)")
-    p.add_argument("--events-out", default=None, metavar="PATH",
-                   help="write per-iteration telemetry to a JSONL event log")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write metrics + run manifest as JSON")
+    _add_capture_flags(p, trace=False, profile=False)
 
     p = sub.add_parser("maps", help="print precision maps for an application")
     p.add_argument("--app", default="2d-matern",
@@ -156,19 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(by a run with or without --stream) instead of "
                         "running a policy (bit-identical, no ready-heap "
                         "work; not combinable with --stream)")
-    p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="write a Perfetto/Chrome trace JSON with counter tracks")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write metrics + run manifest + trace summary as JSON")
-    p.add_argument("--events-out", default=None, metavar="PATH",
-                   help="write a structured JSONL event log")
-    p.add_argument("--csv-out", default=None, metavar="PATH",
-                   help="write the raw event trace as CSV")
-    p.add_argument("--profile-out", default=None, metavar="PATH",
-                   help="run under the sampling profiler, print the hottest "
-                        "frames and write the repro.obs.profile/1 document "
-                        "(see docs/OBSERVABILITY.md)")
-    p.add_argument("--run-id", default=None, help="run identifier for logs/manifest")
+    _add_capture_flags(p, trace=True, profile=True)
     _add_live_flags(p)
     p.add_argument("--live-stall-after", type=int, default=None, metavar="TASKS",
                    help="(testing) freeze the hot loop once TASKS tasks are "
@@ -224,13 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="sweep", help="campaign name (BENCH_<name>.json)")
     p.add_argument("--bench-out", default=None, metavar="DIR",
                    help="write BENCH_<name>.json under DIR")
-    p.add_argument("--events-out", default=None, metavar="PATH",
-                   help="write sweep.run/sweep.complete events to a JSONL log")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write metrics + campaign manifest as JSON")
-    p.add_argument("--profile-out", default=None, metavar="PATH",
-                   help="run the sweep under the sampling profiler and write "
-                        "the repro.obs.profile/1 document")
+    _add_capture_flags(p, trace=False, profile=True)
     p.add_argument("--progress-every", type=float, default=10.0, metavar="SECONDS",
                    help="seconds between completed/total progress lines "
                         "(0 = every completion, negative = silent; default: 10)")
@@ -265,33 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="regression sentinel: diff BENCH/run-summary documents",
     )
     p.add_argument("baseline",
-                   help="baseline BENCH_*.json or run-summary JSON (the "
-                        "candidate itself when --against-history is given)")
+                   help="baseline BENCH_*.json or run-summary JSON")
     p.add_argument("candidates", nargs="*",
                    help="candidate document(s) compared against the baseline")
     p.add_argument("--threshold", action="append", default=None,
                    metavar="METRIC=REL[:DIRECTION]",
                    help="override a relative threshold, e.g. tflops=0.10 or "
                         "my_metric=0.05:higher; repeatable")
-    p.add_argument("--against-history", default=None, metavar="DB",
-                   help="windowed trend sentinel: compare the (single) "
-                        "document against the last --window runs in a "
-                        "warehouse DB (see repro history)")
-    p.add_argument("--window", type=int, default=5, metavar="N",
-                   help="history window for --against-history (default: 5)")
-    p.add_argument("--policy", default=None,
-                   help="restrict the --against-history window to runs with "
-                        "this scheduling policy")
-    p.add_argument("--nt", type=int, default=None,
-                   help="restrict the --against-history window to runs with "
-                        "this tile count")
-    p.add_argument("--config", default=None,
-                   help="restrict the --against-history window to runs with "
-                        "this precision configuration")
-    p.add_argument("--history-command", default=None, metavar="COMMAND",
-                   help="restrict the --against-history window to runs whose "
-                        "manifest command matches (e.g. simulate), so each "
-                        "verb's runs gate against their own history")
     p.add_argument("--fail-on-regress", action="store_true",
                    help="exit non-zero when any metric regresses beyond threshold")
     p.add_argument("--all-metrics", action="store_true",
@@ -320,41 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "against the baseline")
     p.add_argument("--report-out", default=None, metavar="PATH",
                    help="write the per-policy regression verdicts as JSON")
-
-    p = sub.add_parser(
-        "history",
-        help="cross-run telemetry warehouse: ingest and list run history",
-    )
-    p.add_argument("db", metavar="DB",
-                   help="SQLite warehouse path (created on first use)")
-    p.add_argument("--ingest", action="append", default=None, metavar="PATH",
-                   help="ingest a run-summary / BENCH / profile JSON document "
-                        "before listing; repeatable")
-    p.add_argument("--policy", default=None,
-                   help="only list runs with this scheduling policy")
-    p.add_argument("--nt", type=int, default=None,
-                   help="only list runs with this tile count")
-    p.add_argument("--config", default=None,
-                   help="only list runs with this precision configuration "
-                        "(e.g. FP64/FP16)")
-    p.add_argument("--kind", default=None,
-                   choices=["run_summary", "bench", "profile", "stats", "live"],
-                   help="only list runs of this document kind")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="show only the newest N matching runs")
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="write the machine-readable history document")
-
-    p = sub.add_parser(
-        "merge-shards",
-        help="merge distributed per-rank trace shards into one trace",
-    )
-    p.add_argument("shard_dir", metavar="SHARD-DIR",
-                   help="directory holding events-rank<k>.jsonl + "
-                        "shard-manifest.json")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="write trace.json + summary.json under DIR "
-                        "(default: SHARD-DIR/merged)")
 
     p = sub.add_parser("bench", help="run one experiment driver")
     p.add_argument("target", choices=[
@@ -399,24 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shuffle seed for --ordering random (default: 0)")
     p.add_argument("--format", default=None, choices=["npz", "parquet"],
                    help="force the output encoding")
-
-    p = sub.add_parser(
-        "partition",
-        help="split a point set into per-partition files plus a manifest",
-    )
-    p.add_argument("--input", required=True, metavar="PATH",
-                   help="point-set file (ideally already reordered)")
-    p.add_argument("--out", required=True, metavar="DIR",
-                   help="partition directory (manifest.json + part-*.npz)")
-    p.add_argument("--scheme", default="kdtree", choices=["kdtree", "grid"],
-                   help="partitioner (default: kdtree)")
-    p.add_argument("--max-points", type=int, default=65536, metavar="K",
-                   help="kd-tree leaf capacity (default: 65536)")
-    p.add_argument("--cells", type=int, default=8, metavar="C",
-                   help="grid cells per dimension for --scheme grid "
-                        "(default: 8)")
-    p.add_argument("--format", default=None, choices=["npz", "parquet"],
-                   help="force the partition-file encoding")
 
     p = sub.add_parser(
         "watch",
@@ -872,19 +820,15 @@ def _cmd_compare(args) -> int:
             return 2
     try:
         thresholds = parse_threshold_args(args.threshold)
-        if args.against_history:
-            reports = [_compare_against_history(args, thresholds)]
-        elif args.candidates:
-            reports = []
-            for candidate in args.candidates:
-                try:
-                    reports.append(compare_files(args.baseline, candidate,
-                                                 thresholds=thresholds))
-                except ValueError as exc:
-                    raise ValueError(f"{candidate}: {exc}") from None
-        else:
-            raise ValueError("need at least one candidate document "
-                             "(or --against-history DB)")
+        if not args.candidates:
+            raise ValueError("need at least one candidate document")
+        reports = []
+        for candidate in args.candidates:
+            try:
+                reports.append(compare_files(args.baseline, candidate,
+                                             thresholds=thresholds))
+            except ValueError as exc:
+                raise ValueError(f"{candidate}: {exc}") from None
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 2
@@ -896,33 +840,6 @@ def _cmd_compare(args) -> int:
             print(f"  scopes added in candidate: {', '.join(report.added_in_candidate)}")
         print()
     return _gate_reports(args, reports)
-
-
-def _compare_against_history(args, thresholds):
-    """``repro compare --against-history DB --window N CANDIDATE``: the
-    report of the (single) document against the warehouse window."""
-    import json
-
-    from .obs.regress import compare_against_window
-    from .obs.warehouse import Warehouse
-
-    if args.candidates:
-        raise ValueError("--against-history takes exactly one document "
-                         "(the candidate)")
-    if not Path(args.against_history).exists():
-        raise ValueError(f"no such warehouse: {args.against_history}")
-    with open(args.baseline, "r", encoding="utf-8") as fh:
-        candidate = json.load(fh)
-    filters = {k: getattr(args, k) for k in ("policy", "nt", "config")
-               if getattr(args, k) is not None}
-    if args.history_command is not None:
-        filters["command"] = args.history_command
-    with Warehouse(args.against_history) as wh:
-        return compare_against_window(
-            wh.window_scopes(args.window, **filters), candidate,
-            thresholds=thresholds, window=args.window,
-            history_name=args.against_history, candidate_name=args.baseline,
-        )
 
 
 def _gate_reports(args, reports, *, payload=None) -> int:
@@ -939,11 +856,9 @@ def _gate_reports(args, reports, *, payload=None) -> int:
         write_json(args.report_out, payload)
         print(f"  verdict → {args.report_out}")
     n_regressions = sum(r.n_regressions for r in reports)
-    n_drifts = sum(len(r.drifts) for r in reports)
-    if args.fail_on_regress and (n_regressions or n_drifts):
-        drifting = f", {n_drifts} drifting trend(s)" if n_drifts else ""
-        print(f"{args.command}: {n_regressions} regression(s){drifting} "
-              f"beyond threshold", file=sys.stderr)
+    if args.fail_on_regress and n_regressions:
+        print(f"{args.command}: {n_regressions} regression(s) beyond threshold",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -1034,49 +949,6 @@ def _cmd_schedule_compare(args) -> int:
         "metrics": metrics,
         "reports": [r.to_dict() for r in reports],
     })
-
-
-def _cmd_history(args) -> int:
-    from .obs import write_json
-    from .obs.warehouse import Warehouse
-
-    try:
-        with Warehouse(args.db) as wh:
-            for path in args.ingest or []:
-                if not Path(path).exists():
-                    print(f"history: no such file: {path}", file=sys.stderr)
-                    return 2
-                result = wh.ingest_file(path)
-                print(f"  ingested {path} → seq {result.seq} "
-                      f"({result.kind}, key {result.run_key}, "
-                      f"{result.n_metrics} metrics, {result.n_points} points)")
-            filters = {k: getattr(args, k) for k in ("policy", "nt", "config", "kind")
-                       if getattr(args, k) is not None}
-            rows = wh.runs(limit=args.limit, **filters)
-            print(wh.history_table(rows))
-            if args.json_out:
-                write_json(args.json_out, wh.history_json(rows))
-                print(f"  history → {args.json_out}")
-    except ValueError as exc:
-        print(f"history: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_merge_shards(args) -> int:
-    from .obs.merge import merge_shards, render_merge, write_merged
-
-    try:
-        merged = merge_shards(args.shard_dir)
-    except ValueError as exc:
-        print(f"merge-shards: {exc}", file=sys.stderr)
-        return 2
-    print(render_merge(merged))
-    out_dir = args.out or str(Path(args.shard_dir) / "merged")
-    paths = write_merged(merged, out_dir)
-    print(f"  trace   → {paths['trace']}")
-    print(f"  summary → {paths['summary']}")
-    return 0
 
 
 def _cmd_bench(args) -> int:
@@ -1264,35 +1136,6 @@ def _cmd_reorder(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
-    from .geostats import dataplane as dp
-
-    ps = _load_any_pointset(args.input)
-    if args.scheme == "kdtree":
-        parts = dp.kdtree_partition(ps.coords, args.max_points)
-    else:
-        parts = dp.grid_partition(ps.coords, args.cells)
-    score = dp.check_spatial_order(ps.coords)
-    ordering = ps.meta.get("ordering", "unknown")
-    manifest = dp.write_partitions(
-        ps, parts, args.out,
-        scheme=args.scheme, ordering=ordering, ordering_score=score,
-        format=args.format,
-    )
-    dp.validate_manifest(manifest, args.out)
-    sizes = [p["n_points"] for p in manifest["partitions"]]
-    contiguous = sum(1 for p in manifest["partitions"] if p["contiguous"])
-    print(f"partitioned {ps.n} points: {args.scheme} → "
-          f"{len(parts)} partitions ({manifest['format']})")
-    print(f"  manifest → {args.out}/manifest.json (schema {manifest['schema']})")
-    print(f"  manifest OK: totals reconcile, {ps.n} rows covered")
-    if sizes:
-        print(f"  sizes min/max {min(sizes)}/{max(sizes)}, "
-              f"{contiguous}/{len(sizes)} row-contiguous, "
-              f"ordering {ordering} (score {score:.4f})")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -1306,12 +1149,9 @@ def main(argv: list[str] | None = None) -> int:
         "analyze": _cmd_analyze,
         "compare": _cmd_compare,
         "schedule-compare": _cmd_schedule_compare,
-        "history": _cmd_history,
-        "merge-shards": _cmd_merge_shards,
         "watch": _cmd_watch,
         "ingest": _cmd_ingest,
         "reorder": _cmd_reorder,
-        "partition": _cmd_partition,
     }[args.command]
     from .obs.alerts import WatchdogAbort
 

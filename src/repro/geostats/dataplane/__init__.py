@@ -1,10 +1,9 @@
-"""Geospatial data plane: columnar ingest, Hilbert ordering, partitioned streaming.
+"""Geospatial data plane: columnar ingest and Hilbert ordering.
 
 The input side of the pipeline (docs/DATAPLANE.md): point sets on disk
-(Parquet when pyarrow exists, self-describing NPZ always), Hilbert-curve
-spatial ordering so tile blocks hold neighbouring locations, and spatial
-partitioners whose manifests drive per-rank streaming ingest in the
-distributed executor.
+(Parquet when pyarrow exists, self-describing NPZ always) and
+Hilbert-curve spatial ordering so tile blocks hold neighbouring
+locations.
 """
 
 from .format import (
@@ -30,49 +29,23 @@ from .hilbert import (
     order_indices,
     order_locations,
 )
-from .ingest import (
-    RankIngest,
-    ingest_tiled_covariance,
-    load_row_blocks,
-    permute_dataset,
-    rank_partition_plan,
-    reorder_dataset,
-    reorder_pointset,
-)
-from .partition import (
-    MANIFEST_SCHEMA,
-    grid_partition,
-    kdtree_partition,
-    load_manifest,
-    read_partition,
-    validate_manifest,
-    write_partitions,
-)
+from .ingest import permute_dataset, reorder_dataset, reorder_pointset
 
 __all__ = [
-    "MANIFEST_SCHEMA",
     "ORDERINGS",
     "POINTSET_SCHEMA",
     "PointSet",
-    "RankIngest",
     "check_spatial_order",
     "dataset_from_pointset",
-    "grid_partition",
     "hilbert_decode",
     "hilbert_encode",
     "hilbert_order",
-    "ingest_tiled_covariance",
-    "kdtree_partition",
-    "load_manifest",
-    "load_row_blocks",
     "nn_index_distance",
     "order_indices",
     "order_locations",
     "parquet_available",
     "permute_dataset",
     "pointset_from_dataset",
-    "rank_partition_plan",
-    "read_partition",
     "read_pointset",
     "read_pointset_csv",
     "reorder_dataset",
@@ -80,6 +53,4 @@ __all__ = [
     "resolve_format",
     "stream_pointset",
     "synthesize_pointset",
-    "validate_manifest",
-    "write_partitions",
 ]

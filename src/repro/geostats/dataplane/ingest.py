@@ -1,18 +1,7 @@
-"""Reordering and partition-driven ingest into the tiled pipeline.
+"""Reordering point sets and datasets on their way into the tiled pipeline.
 
-Two consumers sit on top of the partitioned format:
-
-* the **sequential** path (:func:`ingest_tiled_covariance`) streams a
-  partition directory into a :class:`TiledSymmetricMatrix`, block of
-  rows at a time — bit-identical to building from in-memory locations;
-* the **distributed** path (:class:`RankIngest`) gives each rank a
-  picklable recipe that reads *only* the partitions whose global row
-  ranges intersect the rank's 2D block-cyclic tile footprint, then
-  builds that rank's version-0 covariance tiles locally — the paper's
-  per-rank ingest, where no process ever holds the full dataset.
-
-Reordering helpers (:func:`reorder_pointset`, :func:`reorder_dataset`)
-apply one permutation to coordinates *and* measurements together;
+The helpers (:func:`reorder_pointset`, :func:`reorder_dataset`) apply
+one permutation to coordinates *and* measurements together;
 applying it to coordinates alone silently decorrelates z from its
 locations, which is the bug class the covariance-consistency regression
 test pins down.
@@ -20,31 +9,19 @@ test pins down.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from ...obs import get_registry
-from ...tiles.distribution import ProcessGrid
-from ...tiles.tilematrix import TiledSymmetricMatrix, tile_index_range
-from ..covariance import get_model
-from .format import PointSet, stream_pointset
+from .format import PointSet
 from .hilbert import check_spatial_order, order_indices
-from .partition import load_manifest
 
 __all__ = [
-    "RankIngest",
-    "ingest_tiled_covariance",
-    "load_row_blocks",
     "permute_dataset",
-    "rank_partition_plan",
     "reorder_dataset",
     "reorder_pointset",
 ]
-
-
-# -- reordering -----------------------------------------------------------
 
 
 def reorder_pointset(
@@ -76,188 +53,3 @@ def reorder_dataset(dataset, ordering: str, *, seed: int = 0):
     """Reorder a :class:`Dataset` spatially (observations follow)."""
     perm = order_indices(dataset.locations, ordering, seed=seed)
     return permute_dataset(dataset, perm)
-
-
-# -- partition-driven block loading ---------------------------------------
-
-
-def load_row_blocks(
-    manifest_dir: str,
-    ranges: dict[int, tuple[int, int]],
-    *,
-    manifest: dict | None = None,
-    batch_size: int = 65536,
-) -> dict[int, np.ndarray]:
-    """Stream the partitions covering ``ranges`` into per-block coords.
-
-    ``ranges`` maps a block id to its half-open global row range.  Only
-    partition files whose manifest row span intersects a requested range
-    are opened; each is read in bounded batches.  Raises if any
-    requested row is absent from the partition set.
-    """
-    manifest = manifest or load_manifest(manifest_dir)
-    dtype = np.dtype(manifest.get("coord_dtype", "float64"))
-    blocks = {
-        b: np.zeros((r1 - r0, manifest["dim"]), dtype=dtype)
-        for b, (r0, r1) in ranges.items()
-    }
-    filled = {b: np.zeros(r1 - r0, dtype=bool) for b, (r0, r1) in ranges.items()}
-    for part in manifest["partitions"]:
-        if part["n_points"] == 0:
-            continue
-        if not any(
-            part["row_min"] < r1 and part["row_max"] >= r0
-            for r0, r1 in ranges.values()
-        ):
-            continue
-        path = os.path.join(manifest_dir, part["path"])
-        for batch in stream_pointset(path, batch_size):
-            if batch.rows is None:
-                raise ValueError(f"partition {part['id']} lacks row indices")
-            for b, (r0, r1) in ranges.items():
-                mask = (batch.rows >= r0) & (batch.rows < r1)
-                if not np.any(mask):
-                    continue
-                local = batch.rows[mask] - r0
-                blocks[b][local] = batch.coords[mask]
-                filled[b][local] = True
-    for b, flags in filled.items():
-        if not np.all(flags):
-            missing = int(np.sum(~flags))
-            raise ValueError(
-                f"block {b}: {missing} rows missing from partition set "
-                f"(range {ranges[b]})"
-            )
-    return blocks
-
-
-def rank_partition_plan(
-    manifest: dict, grid: ProcessGrid, n: int, nb: int
-) -> dict[int, list[int]]:
-    """Partition ids each rank must read to seed its owned tiles.
-
-    A rank's footprint is the union of block-row ranges over the i and j
-    indices of its lower-triangle tiles; a partition is needed when its
-    row span intersects that footprint.
-    """
-    nt = -(-n // nb)
-    plan: dict[int, list[int]] = {}
-    for rank in range(grid.size):
-        blocks = sorted(
-            {b for tile in grid.tiles_owned(rank, nt) for b in tile}
-        )
-        spans = [tile_index_range(n, nb, b) for b in blocks]
-        ids = [
-            part["id"]
-            for part in manifest["partitions"]
-            if part["n_points"]
-            and any(part["row_min"] < r1 and part["row_max"] >= r0 for r0, r1 in spans)
-        ]
-        plan[rank] = ids
-    return plan
-
-
-# -- covariance assembly --------------------------------------------------
-
-
-def _tile_from_blocks(
-    coords_i: np.ndarray, coords_j: np.ndarray, model, theta_v, nugget: float, diag: bool
-) -> np.ndarray:
-    """Covariance tile from two coordinate blocks.
-
-    Matches :func:`repro.geostats.generator.build_tiled_covariance`'s
-    fill expression operation-for-operation, so streamed assembly is
-    bit-identical to the in-memory path.
-    """
-    a = np.asarray(coords_i, dtype=np.float64)[:, None, :]
-    b = np.asarray(coords_j, dtype=np.float64)[None, :, :]
-    h = np.sqrt(np.sum((a - b) ** 2, axis=-1))
-    tile = model.correlation(h, theta_v)
-    if nugget > 0.0 and diag:
-        tile = tile + nugget * np.eye(tile.shape[0])
-    return tile
-
-
-@dataclass(frozen=True)
-class RankIngest:
-    """Picklable per-rank ingest recipe for the distributed executor.
-
-    Workers receive this instead of tile payloads: each rank streams the
-    partitions its tiles need (see :func:`rank_partition_plan`) and
-    evaluates the covariance kernel locally.  ``model`` is a registry
-    key (``2d-sqexp``/``2d-matern``/``3d-sqexp``) so the object crosses
-    process boundaries without pickling kernel closures.
-    """
-
-    manifest_dir: str
-    model: str
-    theta: tuple[float, ...]
-    nb: int
-    nugget: float = 0.0
-
-    def build_tiles(
-        self, tiles: list[tuple[int, int]], *, batch_size: int = 65536
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """FP64 covariance tiles for ``tiles``, streaming only needed rows."""
-        if not tiles:
-            return {}
-        manifest = load_manifest(self.manifest_dir)
-        n = manifest["n_points"]
-        model = get_model(self.model)
-        theta_v = model.validate_theta(self.theta)
-        blocks = sorted({b for tile in tiles for b in tile})
-        ranges = {b: tile_index_range(n, self.nb, b) for b in blocks}
-        coords = load_row_blocks(
-            self.manifest_dir, ranges, manifest=manifest, batch_size=batch_size
-        )
-        return {
-            (i, j): _tile_from_blocks(
-                coords[i], coords[j], model, theta_v, self.nugget, i == j
-            )
-            for i, j in tiles
-        }
-
-    def matrix_n(self) -> int:
-        """Total row count — the matrix order the manifest describes."""
-        return int(load_manifest(self.manifest_dir)["n_points"])
-
-
-def ingest_tiled_covariance(
-    manifest_dir: str,
-    model: str,
-    theta,
-    nb: int,
-    *,
-    nugget: float = 0.0,
-    kernel_precision=None,
-    batch_size: int = 65536,
-) -> TiledSymmetricMatrix:
-    """Assemble Σ(θ) from a partition directory, block-row streamed.
-
-    The single-node mirror of :class:`RankIngest`: bit-identical to
-    ``build_tiled_covariance`` on the same (ordered) locations, with
-    coordinates streamed in block rows on demand (and cached — O(n·dim),
-    negligible against the O(n²) matrix).
-    """
-    manifest = load_manifest(manifest_dir)
-    n = manifest["n_points"]
-    cov_model = get_model(model)
-    theta_v = cov_model.validate_theta(tuple(theta))
-    cache: dict[int, np.ndarray] = {}
-
-    def block(b: int) -> np.ndarray:
-        if b not in cache:
-            cache[b] = load_row_blocks(
-                manifest_dir,
-                {b: tile_index_range(n, nb, b)},
-                manifest=manifest,
-                batch_size=batch_size,
-            )[b]
-        return cache[b]
-
-    def fill(i: int, j: int) -> np.ndarray:
-        return _tile_from_blocks(block(i), block(j), cov_model, theta_v, nugget, i == j)
-
-    return TiledSymmetricMatrix.from_tile_function(
-        n, nb, fill, kernel_precision=kernel_precision
-    )

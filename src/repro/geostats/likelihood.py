@@ -8,7 +8,8 @@ map is re-derived per evaluation, exactly as the adaptive framework
 does), factors with Algorithm 1, and computes the log-determinant and
 quadratic form from the factor.  A parameter vector whose covariance is
 numerically indefinite yields ``-inf`` — the optimizer treats it as an
-infeasible probe.
+infeasible probe — and says why: the evaluation carries a ``reason`` and
+ticks ``mle.infeasible{reason=}``.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..core.cholesky import logdet_from_factor, mp_cholesky, solve_with_factor
 from ..core.config import MPConfig
 from ..core.conversion import build_comm_precision_map
 from ..core.precision_map import KernelPrecisionMap, build_precision_map
+from ..obs import get_registry
 from ..tiles.kernels import NotPositiveDefiniteError
 from ..tiles.norms import tile_norms
 from .generator import Dataset, build_tiled_covariance
@@ -39,10 +39,23 @@ class LikelihoodEval:
     quadratic: float
     theta: tuple[float, ...]
     kernel_map: KernelPrecisionMap | None = None
+    #: why ``value`` is ``-inf``, by the site that returned it: ``cov_build``
+    #: (Σ(θ) could not be assembled), ``not_positive_definite`` (the
+    #: mixed-precision factorization broke down), ``logdet`` (not finite) or
+    #: ``quadratic`` (zᵀΣ⁻¹z not finite or negative); ``None`` when feasible
+    reason: str | None = None
 
     @property
     def feasible(self) -> bool:
         return math.isfinite(self.value)
+
+
+def _infeasible(reason: str, theta, logdet=math.nan, quad=math.nan, kmap=None) -> LikelihoodEval:
+    """The ``-inf`` evaluation of one failure site, counted by reason."""
+    get_registry().counter(
+        "mle.infeasible", "likelihood evaluations that returned -inf"
+    ).inc(reason=reason)
+    return LikelihoodEval(-math.inf, logdet, quad, theta, kernel_map=kmap, reason=reason)
 
 
 def log_likelihood(
@@ -61,33 +74,31 @@ def log_likelihood(
             dataset.locations, dataset.model, theta_t, nb, nugget=dataset.nugget
         )
     except (ValueError, FloatingPointError):
-        return LikelihoodEval(-math.inf, math.nan, math.nan, theta_t)
+        return _infeasible("cov_build", theta_t)
 
     norms = tile_norms(cov)
     kmap = build_precision_map(norms, config.accuracy, config.formats)
     cmap = build_comm_precision_map(kmap)
+    kept = kmap if keep_map else None
     try:
         result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap, overwrite=True)
     except NotPositiveDefiniteError:
-        return LikelihoodEval(-math.inf, math.nan, math.nan, theta_t,
-                              kernel_map=kmap if keep_map else None)
+        return _infeasible("not_positive_definite", theta_t, kmap=kept)
 
     logdet = logdet_from_factor(result.factor)
     if not math.isfinite(logdet):
-        return LikelihoodEval(-math.inf, logdet, math.nan, theta_t,
-                              kernel_map=kmap if keep_map else None)
+        return _infeasible("logdet", theta_t, logdet, kmap=kept)
     x = solve_with_factor(result.factor, dataset.z)
     quad = float(dataset.z @ x)
     if not math.isfinite(quad) or quad < 0.0:
         # reduced-precision factors can, in principle, destroy positivity
         # of the quadratic form for near-singular θ; treat as infeasible
-        return LikelihoodEval(-math.inf, logdet, quad, theta_t,
-                              kernel_map=kmap if keep_map else None)
+        return _infeasible("quadratic", theta_t, logdet, quad, kmap=kept)
     value = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad
     return LikelihoodEval(
         value=value,
         logdet=logdet,
         quadratic=quad,
         theta=theta_t,
-        kernel_map=kmap if keep_map else None,
+        kernel_map=kept,
     )

@@ -9,9 +9,9 @@ optimisation tolerance of 1e-9.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,11 @@ class MLEResult:
     accuracy_label: str
     model_name: str
     optimizer: OptimizeResult
+    #: evaluations :func:`fit_mle` saw return ``-inf``, in total and by
+    #: :attr:`LikelihoodEval.reason` — a fit that steered around breakdowns
+    #: of its own precision map says so
+    infeasible_evals: int = 0
+    infeasible_by_reason: dict[str, int] = field(default_factory=dict)
 
     def __iter__(self):
         return iter(self.theta_hat)
@@ -93,15 +98,18 @@ def fit_mle(
     eval_timer = get_registry().timer("mle.eval_seconds", "log-likelihood evaluation time")
     eval_seconds = [0.0]
     eval_count = [0]
+    infeasible: Counter[str] = Counter()
 
     def objective(theta: np.ndarray) -> float:
         t0 = time.perf_counter()
-        val = log_likelihood(dataset, theta, config).value
+        ev = log_likelihood(dataset, theta, config)
         dt = time.perf_counter() - t0
         eval_seconds[0] += dt
         eval_count[0] += 1
         eval_timer.observe(dt, accuracy=label)
-        return val if math.isfinite(val) else -math.inf
+        if ev.reason is not None:
+            infeasible[ev.reason] += 1
+        return ev.value
 
     # per-iteration telemetry: one structured record per simplex iteration
     # (theta, log-likelihood, cumulative evaluation cost) — the restart
@@ -159,4 +167,6 @@ def fit_mle(
         accuracy_label=label,
         model_name=model.name,
         optimizer=res,
+        infeasible_evals=infeasible.total(),
+        infeasible_by_reason=dict(sorted(infeasible.items())),
     )

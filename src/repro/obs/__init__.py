@@ -22,12 +22,7 @@ reproduction measures itself.  Four pieces, shared by every layer:
   analyze``);
 * **regression sentinel** (:mod:`repro.obs.regress`) — thresholded
   BENCH/run-summary diffing with a machine-readable verdict (``repro
-  compare``), wired into CI as a perf-trajectory gate, plus the
-  N-run windowed trend sentinel (``repro compare --against-history``);
-* **warehouse** (:mod:`repro.obs.warehouse`) — the SQLite cross-run
-  store behind ``repro history`` and the windowed sentinel;
-* **shard merge** (:mod:`repro.obs.merge`) — clock-aligned aggregation
-  of distributed per-rank trace shards (``repro merge-shards``);
+  compare``), wired into CI as a perf-trajectory gate;
 * **profiler** (:mod:`repro.obs.profile`) — sampling wall-clock
   profiler + named hot regions (``--profile-out``);
 * **live plane** (:mod:`repro.obs.live`, :mod:`repro.obs.alerts`) —
@@ -38,7 +33,7 @@ reproduction measures itself.  Four pieces, shared by every layer:
 See ``docs/OBSERVABILITY.md`` for the capture-analyze-compare workflow.
 """
 
-from . import alerts, analysis, live, merge, profile, regress, warehouse
+from . import alerts, analysis, live, profile, regress
 from .alerts import AlertRule, Watchdog, WatchdogAbort, parse_alert_arg
 from .analysis import analyze_path, analyze_trace, build_ledger, critical_path
 from .live import (
@@ -52,10 +47,8 @@ from .live import (
     run_started,
     set_live_gauge,
 )
-from .merge import MergedTrace, merge_shards, write_merged
 from .profile import SamplingProfiler, active_profiler, hot_region, write_profile
-from .regress import compare_against_window, compare_docs, compare_files
-from .warehouse import Warehouse
+from .regress import compare_docs, compare_files
 
 from ._runtime import (
     current_span_path,
@@ -86,9 +79,7 @@ __all__ = [
     "Counter",
     "EventLog",
     "LivePlane",
-    "MergedTrace",
     "SamplingProfiler",
-    "Warehouse",
     "Watchdog",
     "WatchdogAbort",
     "active_profiler",
@@ -100,7 +91,6 @@ __all__ = [
     "build_ledger",
     "campaign",
     "campaign_progress",
-    "compare_against_window",
     "compare_docs",
     "compare_files",
     "critical_path",
@@ -109,16 +99,12 @@ __all__ = [
     "lint_prometheus_text",
     "live",
     "live_plane",
-    "merge",
-    "merge_shards",
     "parse_alert_arg",
     "profile",
     "regress",
     "run_finished",
     "run_started",
     "set_live_gauge",
-    "warehouse",
-    "write_merged",
     "write_profile",
     "Gauge",
     "Histogram",

@@ -79,15 +79,6 @@ class EventLog:
     def n_events(self) -> int:
         return self._seq
 
-    def elapsed(self) -> float:
-        """Seconds on this log's clock (monotonic since the log opened).
-
-        Event ``ts`` fields use the same origin, so callers can stamp
-        intervals (e.g. per-rank task start/end in trace shards) that
-        line up with the log's own timestamps.
-        """
-        return time.monotonic() - self._t0
-
     def emit(
         self,
         type: str,

@@ -135,8 +135,8 @@ def run_summary(
 def write_json(path: str | Path, doc: Mapping) -> Path:
     """Write ``doc`` as pretty, key-sorted JSON, creating parent directories.
 
-    The one serialisation every document this package (and the sweep,
-    fault and shard layers) leaves on disk goes through.
+    The one serialisation every document this package (and the sweep
+    and fault layers) leaves on disk goes through.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

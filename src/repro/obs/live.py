@@ -17,8 +17,7 @@ only after it ends.  This module makes a running process observable
 * :class:`LiveServer` — a stdlib :mod:`http.server` on a daemon thread
   exposing ``/metrics`` (Prometheus text, reusing
   :func:`~repro.obs.exporters.to_prometheus_text`), ``/progress``
-  (the JSON snapshot, schema ``repro.obs.live/1`` — ingestable by the
-  warehouse as ``kind="live"``), and ``/healthz``.
+  (the JSON snapshot, schema ``repro.obs.live/1``), and ``/healthz``.
 * the :class:`~repro.obs.alerts.Watchdog` rides the bus: every snapshot
   is judged against the declarative alert rules, and a fired ``abort``
   rule raises :class:`~repro.obs.alerts.WatchdogAbort` out of the run's

@@ -21,9 +21,7 @@ Two complementary instruments, both stdlib-only:
 
 ``repro simulate/sweep --profile-out`` wrap their normal work in the
 profiler and print the hottest frames.  The report document (schema
-``repro.obs.profile/1``) carries ``tasks_per_second`` so
-:mod:`repro.obs.warehouse` can track simulator speed as a longitudinal
-trend.
+``repro.obs.profile/1``) carries the run's ``tasks_per_second``.
 """
 
 from __future__ import annotations

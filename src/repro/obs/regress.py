@@ -18,11 +18,8 @@ A *regression* is a delta beyond the metric's relative threshold in its
 bad direction (makespan up, tflops down, bytes up…); an improvement
 beyond threshold is reported but never fails the gate.
 
-There is one comparison — a candidate against a window of baseline runs
-(``repro compare --against-history``), judged on *level* (vs the window
-mean) and on *trend* (least-squares drift across window + candidate,
-which catches five PRs each drifting 1.5 % under a 2 % gate).  Pairwise
-``compare A B`` is the window-of-one case: no mean to take, no trend.
+There is one comparison, pairwise: :func:`compare_docs` judges each
+thresholded metric of a candidate on its level against the baseline's.
 """
 
 from __future__ import annotations
@@ -38,8 +35,6 @@ __all__ = [
     "MetricDelta",
     "RegressionReport",
     "Threshold",
-    "TrendDelta",
-    "compare_against_window",
     "compare_docs",
     "compare_files",
     "load_metric_scopes",
@@ -114,26 +109,6 @@ class MetricDelta:
         }
 
 
-@dataclass(frozen=True)
-class TrendDelta:
-    """Least-squares drift of one metric across the window + candidate."""
-
-    scope: str
-    metric: str
-    values: tuple[float, ...]  # history values, oldest first, then candidate
-    slope: float  # fitted change per run
-    rel_drift: float  # fitted total change across the series / |fitted start|
-    rel_tol: float
-    direction: str
-    drifting: bool  # drift beyond tolerance in the bad direction
-
-    def to_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "rel_drift": self.rel_drift if math.isfinite(self.rel_drift) else None,
-        }
-
-
 @dataclass
 class RegressionReport:
     """Machine-readable verdict of one candidate against its baseline."""
@@ -144,10 +119,6 @@ class RegressionReport:
     #: scopes present on one side only (grid changed between runs)
     missing_in_candidate: list[str] = field(default_factory=list)
     added_in_candidate: list[str] = field(default_factory=list)
-    #: runs of history behind the baseline mean (1 = a pairwise compare,
-    #: which has no trend to fit)
-    window: int = 1
-    trends: list[TrendDelta] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[MetricDelta]:
@@ -158,40 +129,31 @@ class RegressionReport:
         return [d for d in self.deltas if d.improved]
 
     @property
-    def drifts(self) -> list[TrendDelta]:
-        return [t for t in self.trends if t.drifting]
-
-    @property
     def n_regressions(self) -> int:
         return len(self.regressions)
 
     @property
     def verdict(self) -> str:
-        return "regressed" if self.regressions or self.drifts else "ok"
+        return "regressed" if self.regressions else "ok"
 
     def to_dict(self) -> dict:
         return {
             "schema": "repro.obs.regress/1",
             "baseline": self.baseline,
             "candidate": self.candidate,
-            "window": self.window,
             "verdict": self.verdict,
             "n_compared": len(self.deltas),
             "n_regressions": self.n_regressions,
             "n_improvements": len(self.improvements),
-            "n_drifting": len(self.drifts),
             "missing_in_candidate": list(self.missing_in_candidate),
             "added_in_candidate": list(self.added_in_candidate),
             "deltas": [d.to_dict() for d in self.deltas],
-            "trends": [t.to_dict() for t in self.trends],
         }
 
     def table(self, *, all_metrics: bool = False) -> str:
-        """Human view: level deltas (regressions and improvements, or
-        everything), then — against a window — the drifting trends."""
+        """Human view: regressions and improvements, or every delta."""
         from ..bench.reporting import format_table
 
-        windowed = self.window > 1
         shown = (
             self.deltas
             if all_metrics
@@ -212,44 +174,17 @@ class RegressionReport:
             )
         ]
         title = (
-            f"compare {self.baseline} → {self.candidate}"
-            + (f" (window of {self.window})" if windowed else "")
-            + f": {len(self.deltas)} metrics, {self.n_regressions} regression(s), "
-            + f"{len(self.improvements)} improvement(s)"
-            + (f", {len(self.drifts)} drifting trend(s)" if windowed else "")
-            + f" — verdict {self.verdict.upper()}"
+            f"compare {self.baseline} → {self.candidate}: "
+            f"{len(self.deltas)} metrics, {self.n_regressions} regression(s), "
+            f"{len(self.improvements)} improvement(s) — verdict {self.verdict.upper()}"
         )
         if not rows:
-            parts = [title + "\n(all compared metrics within thresholds)"]
-        else:
-            parts = [format_table(
-                ["scope", "metric", "window mean" if windowed else "baseline",
-                 "candidate", "delta", "tol", "status"],
-                rows,
-                title=title,
-            )]
-        trend_rows = [
-            (
-                t.scope,
-                t.metric,
-                len(t.values),
-                f"{t.slope:+.4g}/run",
-                f"{t.rel_drift * 100.0:+.2f}%",
-                f"±{t.rel_tol * 100.0:g}%",
-                "DRIFTING" if t.drifting else "ok",
-            )
-            for t in sorted(
-                self.trends if all_metrics else self.drifts,
-                key=lambda t: (not t.drifting, t.scope, t.metric),
-            )
-        ]
-        if trend_rows:
-            parts.append(format_table(
-                ["scope", "metric", "points", "slope", "total drift", "tol", "status"],
-                trend_rows,
-                title="least-squares drift over the window",
-            ))
-        return "\n\n".join(parts)
+            return title + "\n(all compared metrics within thresholds)"
+        return format_table(
+            ["scope", "metric", "baseline", "candidate", "delta", "tol", "status"],
+            rows,
+            title=title,
+        )
 
 
 # -- loading ---------------------------------------------------------------
@@ -351,102 +286,6 @@ def _compare_metric(
     )
 
 
-def _trend(
-    scope: str,
-    metric: str,
-    series: Sequence[float],
-    threshold: Threshold,
-) -> TrendDelta:
-    """Least-squares line through ``series`` (≥ 2 points) over x = 0..n-1."""
-    n = len(series)
-    mean_x = (n - 1) / 2.0
-    mean_y = sum(series) / n
-    sxx = sum((i - mean_x) ** 2 for i in range(n))
-    sxy = sum((i - mean_x) * (y - mean_y) for i, y in enumerate(series))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    total = slope * (n - 1)  # fitted change across the series
-    if total == 0.0:
-        rel = 0.0
-    elif intercept == 0.0:
-        rel = math.inf if total > 0.0 else -math.inf
-    else:
-        rel = total / abs(intercept)
-    if threshold.direction == "lower":
-        drifting = rel > threshold.rel_tol
-    else:
-        drifting = rel < -threshold.rel_tol
-    return TrendDelta(
-        scope=scope,
-        metric=metric,
-        values=tuple(series),
-        slope=slope,
-        rel_drift=rel,
-        rel_tol=threshold.rel_tol,
-        direction=threshold.direction,
-        drifting=drifting,
-    )
-
-
-def compare_against_window(
-    history: Sequence[Mapping[str, Mapping[str, float]]],
-    candidate: Mapping,
-    *,
-    thresholds: Mapping[str, Threshold] | None = None,
-    window: int = 5,
-    history_name: str = "history",
-    candidate_name: str = "candidate",
-) -> RegressionReport:
-    """Compare a candidate document against an N-run rolling history.
-
-    ``history`` is a sequence of ``{scope: {metric: value}}`` dicts,
-    oldest first — exactly what :meth:`Warehouse.window_scopes` returns;
-    the last ``window`` entries are used.  ``candidate`` is any document
-    :func:`load_metric_scopes` understands.  Each thresholded metric is
-    judged on level (vs the window mean) and, given two or more history
-    points, on trend (least-squares drift across history + candidate);
-    either failing regresses.
-    """
-    if window < 1:
-        raise ValueError("window must be positive")
-    used = list(history[-window:])
-    if not used:
-        raise ValueError("history is empty: ingest runs before comparing against it")
-    thresholds = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
-    cand_scopes = load_metric_scopes(candidate)
-
-    hist_scopes = set().union(*used)
-    report = RegressionReport(
-        baseline=history_name,
-        candidate=candidate_name,
-        window=len(used),
-        missing_in_candidate=sorted(hist_scopes - set(cand_scopes)),
-        added_in_candidate=sorted(set(cand_scopes) - hist_scopes),
-    )
-    for scope in sorted(hist_scopes & set(cand_scopes)):
-        cand_metrics = cand_scopes[scope]
-        for metric in sorted(cand_metrics):
-            threshold = thresholds.get(metric)
-            if threshold is None:
-                continue
-            series = [
-                float(scopes[scope][metric])
-                for scopes in used
-                if scope in scopes and metric in scopes[scope]
-            ]
-            if not series:
-                continue
-            mean = sum(series) / len(series)
-            report.deltas.append(
-                _compare_metric(scope, metric, mean, cand_metrics[metric], threshold)
-            )
-            if len(series) >= 2:
-                report.trends.append(
-                    _trend(scope, metric, [*series, cand_metrics[metric]], threshold)
-                )
-    return report
-
-
 def compare_docs(
     baseline: Mapping,
     candidate: Mapping,
@@ -456,10 +295,25 @@ def compare_docs(
     candidate_name: str = "candidate",
 ) -> RegressionReport:
     """Compare two documents; only thresholded metrics can regress."""
-    return compare_against_window(
-        [load_metric_scopes(baseline)], candidate, thresholds=thresholds,
-        history_name=baseline_name, candidate_name=candidate_name,
+    thresholds = dict(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
+    base_scopes = load_metric_scopes(baseline)
+    cand_scopes = load_metric_scopes(candidate)
+    report = RegressionReport(
+        baseline=baseline_name,
+        candidate=candidate_name,
+        missing_in_candidate=sorted(set(base_scopes) - set(cand_scopes)),
+        added_in_candidate=sorted(set(cand_scopes) - set(base_scopes)),
     )
+    for scope in sorted(set(base_scopes) & set(cand_scopes)):
+        base_metrics = base_scopes[scope]
+        cand_metrics = cand_scopes[scope]
+        for metric in sorted(set(base_metrics) & set(cand_metrics)):
+            threshold = thresholds.get(metric)
+            if threshold is not None:
+                report.deltas.append(_compare_metric(
+                    scope, metric, base_metrics[metric], cand_metrics[metric], threshold
+                ))
+    return report
 
 
 def compare_files(

@@ -39,18 +39,17 @@ import queue as queue_mod
 import signal
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..faults import FaultInjector, FaultPlan
-from ..obs import emit_event, get_registry, write_json
+from ..obs import emit_event, get_registry
 from ..obs.alerts import RANK_AGE_GAUGE
 from ..obs.live import set_live_gauge
 from ..precision.emulate import quantize
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
-from .executor import _execute_task, _mat_tiles, _seed_version0
+from .executor import _execute_task, _seed_version0
 from .task import TaskGraph
 
 __all__ = [
@@ -66,9 +65,6 @@ _START_METHODS = ("fork", "forkserver", "spawn")
 #: before the parent declares it dead (covers the exit-0 race where the
 #: feeder thread is still draining when the process object shows exited)
 _EXIT_GRACE = 1.0
-#: workers emit a ``rank.heartbeat`` shard event every this many tasks
-#: (the shared-memory heartbeat stamp updates on *every* task)
-_HEARTBEAT_EVENT_STRIDE = 16
 
 
 class _RollingDeadline:
@@ -174,49 +170,18 @@ def _rank_main(
     timeout: float,
     fault_plan: dict | None = None,
     policy: str | None = None,
-    shard_dir: str | None = None,
-    run_id: str | None = None,
     heartbeats=None,
-    ingest=None,
 ) -> None:
-    shard = None
     try:
         injector = FaultInjector(fault_plan)
-        # with ingest, this worker builds its own tiles (see _seed_version0)
-        fetch_tiles = ingest.build_tiles if ingest is not None else _mat_tiles(mat)
-        values = _seed_version0(graph, fetch_tiles, rank)
+        values = _seed_version0(graph, mat, rank)
         plan = _consumer_plan(graph)
         inbox = inboxes[rank]
         stash: dict[tuple[int, int, int, int], np.ndarray] = {}
         n_sent = 0  # outbound payload counter for message faults
-        n_done = 0  # local task counter for heartbeat events
         if heartbeats is not None:
             # wall clock: shared across processes, unlike monotonic
             heartbeats[rank] = time.time()
-
-        # per-rank trace shard: every task / send / conversion this rank
-        # performs, on this shard's own clock, plus its RunStats — merged
-        # and clock-aligned by repro.obs.merge (see docs/OBSERVABILITY.md)
-        stats = None
-        if shard_dir is not None:
-            from ..obs.events import EventLog
-            from .tracing import RunStats
-
-            shard = EventLog(
-                Path(shard_dir) / f"events-rank{rank}.jsonl", run_id=run_id
-            )
-            stats = RunStats()
-            # wall_time is the cross-process alignment anchor: monotonic
-            # clocks are per-process, the wall clock is machine-shared
-            shard.emit(
-                "shard.open",
-                attrs={
-                    "rank": rank,
-                    "wall_time": time.time(),
-                    "pid": os.getpid(),
-                    "policy": policy,
-                },
-            )
 
         def recv(key: tuple[int, int, int, int]) -> np.ndarray:
             while key not in stash:
@@ -251,33 +216,10 @@ def _rank_main(
                     raise KeyError(f"rank {rank}: missing host tile {key3}")
                 payload = recv((*key3, int(inp.payload_precision)))
                 values[key3] = payload
-            t_task = shard.elapsed() if shard is not None else 0.0
             out_key, result = _execute_task(task, values)
             values[out_key] = result
-            n_done += 1
             if heartbeats is not None:
                 heartbeats[rank] = time.time()
-            if shard is not None and n_done % _HEARTBEAT_EVENT_STRIDE == 0:
-                shard.emit(
-                    "rank.heartbeat",
-                    attrs={"rank": rank, "n_done": n_done,
-                           "wall_time": time.time()},
-                )
-            if shard is not None:
-                t_done = shard.elapsed()
-                stats.add_flops(task.precision, task.flops)
-                stats.n_tasks += 1
-                shard.emit(
-                    "rank.task",
-                    attrs={
-                        "tid": tid,
-                        "kind": task.kind,
-                        "precision": task.precision,
-                        "flops": task.flops,
-                        "t_start": t_task,
-                        "t_end": t_done,
-                    },
-                )
             # ship to remote consumers at each edge's wire precision
             for dest, prec in plan.get(tid, ()):
                 fault = injector.message_fault(rank, n_sent)
@@ -287,39 +229,7 @@ def _rank_main(
                     if fault.kind == "drop_message":
                         continue  # the consumer will starve and time out
                     time.sleep(fault.delay_s)
-                t_conv = shard.elapsed() if shard is not None else 0.0
-                wire = quantize(result, prec)
-                if shard is not None:
-                    t_send = shard.elapsed()
-                    if int(prec) != int(task.output_precision):
-                        # sender-side re-encode: the STC pass of the
-                        # strategy, charged where the paper charges it
-                        stats.add_conversion("stc", t_send - t_conv)
-                        shard.emit(
-                            "rank.convert",
-                            attrs={
-                                "tid": tid,
-                                "site": "stc",
-                                "src": task.output_precision,
-                                "dst": prec,
-                                "t_start": t_conv,
-                                "t_end": t_send,
-                            },
-                        )
-                inboxes[dest].put((*out_key, int(prec), wire))
-                if shard is not None:
-                    stats.add_nic(prec, int(wire.nbytes))
-                    shard.emit(
-                        "rank.send",
-                        attrs={
-                            "tid": tid,
-                            "dest": dest,
-                            "bytes": int(wire.nbytes),
-                            "precision": prec,
-                            "t_start": t_send,
-                            "t_end": shard.elapsed(),
-                        },
-                    )
+                inboxes[dest].put((*out_key, int(prec), quantize(result, prec)))
 
         # report final version of every tile this rank owns
         finals: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
@@ -330,18 +240,9 @@ def _rank_main(
             v = task.output.version
             if key not in finals or v > finals[key][0]:
                 finals[key] = (v, values[(key[0], key[1], v)])
-        if shard is not None:
-            stats.makespan = shard.elapsed()
-            shard.emit(
-                "rank.stats",
-                attrs={"rank": rank, "stats": stats.to_dict()},
-            )
         results.put((rank, {k: v[1] for k, v in finals.items()}, None))
     except BaseException as exc:  # surface worker failures to the parent
         results.put((rank, {}, repr(exc)))
-    finally:
-        if shard is not None:
-            shard.close()
 
 
 def execute_numeric_distributed(
@@ -354,33 +255,14 @@ def execute_numeric_distributed(
     degrade: bool = False,
     return_report: bool = False,
     policy: str | None = None,
-    shard_dir: str | Path | None = None,
-    run_id: str | None = None,
     silent_after: float | None = None,
-    ingest=None,
 ) -> TiledSymmetricMatrix | DistributedReport:
     """Execute the graph numerically across ``n_ranks`` processes.
-
-    ``ingest`` (a :class:`repro.geostats.dataplane.RankIngest`) switches
-    version-0 seeding from parent-shipped tiles to per-rank streaming:
-    each worker reads only the dataplane partitions its 2D block-cyclic
-    tile footprint touches and evaluates the covariance kernel locally.
-    Results are bit-identical to seeding from ``mat`` when the manifest
-    describes the same ordered locations.
 
     ``policy`` (a scheduling-policy name; see
     :mod:`repro.runtime.policies`) reorders each rank's local execution
     along the policy-guided global topological order; ``None`` keeps the
     historical task-id order.  Results are bit-identical either way.
-
-    ``shard_dir`` turns on per-rank trace shards: each worker writes
-    ``events-rank<k>.jsonl`` (tasks, sends, sender-side conversions, its
-    ``RunStats``) on its own clock, and the parent drops a
-    ``shard-manifest.json`` carrying its reference wall timestamp, so
-    :func:`repro.obs.merge.merge_shards` can align the shards into one
-    trace.  Shards are only produced on the real multi-process path
-    (``n_ranks >= 2``); the single-rank short-circuit runs the
-    sequential executor, which has no ranks to shard.
 
     ``graph`` must have been built for a process grid with exactly
     ``n_ranks`` ranks (task ``rank`` fields in ``[0, n_ranks)``).
@@ -430,20 +312,6 @@ def execute_numeric_distributed(
         plan = fault_plan if isinstance(fault_plan, FaultPlan) else FaultPlan.from_dict(fault_plan)
         plan_dict = plan.to_dict()
 
-    shard_path: str | None = None
-    if shard_dir is not None:
-        shard_root = Path(shard_dir)
-        # the parent's reference timestamp every shard clock aligns to
-        manifest = {
-            "schema": "repro.obs.shards/1",
-            "wall_time": time.time(),
-            "n_ranks": n_ranks,
-            "policy": policy,
-            "run_id": run_id,
-        }
-        write_json(shard_root / "shard-manifest.json", manifest)
-        shard_path = str(shard_root)
-
     ctx = pick_mp_context()
     inboxes = [ctx.Queue() for _ in range(n_ranks)]
     results = ctx.Queue()
@@ -454,7 +322,7 @@ def execute_numeric_distributed(
         ctx.Process(
             target=_rank_main,
             args=(r, graph, mat, inboxes, results, timeout, plan_dict, policy,
-                  shard_path, run_id, heartbeats, ingest),
+                  heartbeats),
         )
         for r in range(n_ranks)
     ]

@@ -62,27 +62,16 @@ def _panel(values: _Values, inp) -> Operand:
     return panel
 
 
-def _mat_tiles(mat: TiledSymmetricMatrix):
-    """``mat`` as a :func:`_seed_version0` tile source."""
-    return lambda coords: {(i, j): mat.get(i, j) for i, j in coords}
-
-
-def _seed_version0(graph: TaskGraph, fetch_tiles, rank: int | None = None) -> _Values:
-    """Version-0 tiles the graph reads, quantised to storage precision.
-
-    ``fetch_tiles(coords)`` maps a sorted list of ``(i, j)`` tile
-    coordinates to their raw FP64 tiles: :func:`_mat_tiles` of the input
-    matrix, or :meth:`repro.geostats.dataplane.RankIngest.build_tiles`
-    (per-rank streaming ingest, where the tiles are *built in-process*
-    from the partitions covering the footprint and the parent never
-    ships tile payloads).  Both go through the same quantisation, so the
-    results are bit-identical.
+def _seed_version0(
+    graph: TaskGraph, mat: TiledSymmetricMatrix, rank: int | None = None
+) -> _Values:
+    """Version-0 tiles of ``mat`` the graph reads, quantised to storage precision.
 
     All tiles sharing a storage precision go through one
     :func:`quantize_batch` pass (the generation-phase cast of Section V,
     vectorised) instead of one quantise call per tile.  ``rank``
     restricts the scan to that rank's tasks (the distributed executor's
-    per-shard seeding).
+    per-rank seeding).
     """
     wanted: dict[tuple[int, int, int], object] = {}
     for task in graph:
@@ -93,13 +82,12 @@ def _seed_version0(graph: TaskGraph, fetch_tiles, rank: int | None = None) -> _V
                 key = (inp.tile.i, inp.tile.j, inp.tile.version)
                 if key not in wanted:
                     wanted[key] = inp.storage_precision
-    raw = fetch_tiles(sorted({(i, j) for i, j, _v in wanted}))
     by_precision: dict[object, list[tuple[int, int, int]]] = {}
     for key, prec in wanted.items():
         by_precision.setdefault(prec, []).append(key)
     values = _Values()
     for prec, keys in by_precision.items():
-        tiles = quantize_batch([raw[(i, j)] for i, j, _v in keys], prec)
+        tiles = quantize_batch([mat.get(i, j) for i, j, _v in keys], prec)
         for key, tile in zip(keys, tiles):
             values[key] = tile
     return values
@@ -142,7 +130,7 @@ def execute_numeric(graph: TaskGraph, mat: TiledSymmetricMatrix) -> TiledSymmetr
     output precisions dictate.
     """
     out = mat.copy()
-    values = _seed_version0(graph, _mat_tiles(out))
+    values = _seed_version0(graph, out)
 
     with span("executor.sequential", n_tasks=len(graph)):
         for tid in graph.topological_order():

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import traced
 from ..tiles.tilematrix import TiledSymmetricMatrix
-from .executor import _collect_finals, _execute_task, _mat_tiles, _seed_version0, _task_span
+from .executor import _collect_finals, _execute_task, _seed_version0, _task_span
 from .policies import ReadyFrontier, SchedulePolicy, resolve_policy
 from .task import TaskGraph
 
@@ -49,7 +49,7 @@ def execute_numeric_parallel(
     sched.prepare(graph, None, mat.nb)
     out = mat.copy()
 
-    values = _seed_version0(graph, _mat_tiles(out))
+    values = _seed_version0(graph, out)
 
     frontier = ReadyFrontier(graph, sched)
     lock = threading.Lock()  # guards frontier, values and errors

@@ -84,7 +84,7 @@ class TestSimbench:
         # one verb: the config, not the command, tells the modes apart
         assert doc["manifest"]["command"] == "simulate"
         assert doc["manifest"]["config"]["stream"] is (mode == "stream")
-        # n/nb ride in the manifest config so the warehouse derives nt
+        # n/nb ride in the manifest config
         assert doc["manifest"]["config"]["n"] == 8 * 128
         stats = doc["stats"]
         assert stats["n_tasks"] == 8 + 8 * 7 + 8 * 7 * 6 // 6
@@ -149,31 +149,60 @@ class TestSimulateFlagCoherence:
 
 
 class TestParserSurface:
-    """Pins the CLI surface: the verb set, and that the symbolic-run
-    verbs share one run-description flag group."""
+    """Pins the CLI surface: the verb set and the verb×flag count, that
+    the symbolic-run verbs share one run-description flag group, and that
+    declaring the telemetry-output flags once changed none of them."""
 
     RUN_FLAGS = ("--gpu", "--gpus", "--nodes", "--n", "--nb", "--config",
                  "--strategy", "--host-memory-gb")
 
     @staticmethod
-    def _verbs():
+    def _subparsers():
         import argparse
 
-        parser = build_parser()
-        (sub,) = [a for a in parser._actions
+        (sub,) = [a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    @classmethod
+    def _verbs(cls):
         return {
             name: {a.option_strings[-1]: a for a in sp._actions
                    if a.option_strings and a.dest != "help"}
-            for name, sp in sub.choices.items()
+            for name, sp in cls._subparsers().items()
         }
 
     def test_verb_set(self):
         assert set(self._verbs()) == {
             "mle", "maps", "simulate", "sweep", "schedule-compare", "bench",
-            "info", "report", "analyze", "compare", "history", "merge-shards",
-            "watch", "ingest", "reorder", "partition",
+            "info", "report", "analyze", "compare", "watch", "ingest", "reorder",
         }
+
+    def test_verb_flag_count(self):
+        # every argument of every verb, positionals included
+        assert sum(len([a for a in sp._actions if a.dest != "help"])
+                   for sp in self._subparsers().values()) == 110
+
+    def test_capture_flag_verbs_parse_as_before(self):
+        """``mle``, ``simulate`` and ``sweep`` argument for argument against
+        the dump taken before ``_add_capture_flags`` existed (order apart)."""
+        import json
+        from pathlib import Path
+
+        subparsers = self._subparsers()
+        before = json.loads((Path(__file__).parent / "data" /
+                             "parser_surface_pr15.json").read_text(encoding="utf-8"))
+        for verb, expected in before.items():
+            now = sorted((
+                dict(flags=a.option_strings, dest=a.dest, nargs=a.nargs,
+                     const=a.const, default=a.default,
+                     type=getattr(a.type, "__name__", None),
+                     choices=list(a.choices) if a.choices else None,
+                     required=a.required, help=a.help, metavar=a.metavar,
+                     action=type(a).__name__)
+                for a in subparsers[verb]._actions if a.dest != "help"
+            ), key=lambda d: d["dest"])
+            assert now == expected, verb
 
     def test_simulate_and_schedule_compare_share_the_run_flags(self):
         verbs = self._verbs()

@@ -6,31 +6,20 @@ Invariants under test:
 * ``hilbert_order`` is deterministic, canonical under input permutation,
   and permutation-only (values bit-identical);
 * the locality invariant: mean nearest-neighbour *index* distance after
-  a Hilbert sort never exceeds a random sort's;
-* partition round-trips preserve the exact multiset of points;
-* manifest totals reconcile with per-partition counts.
+  a Hilbert sort never exceeds a random sort's.
 """
 
-import tempfile
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geostats.dataplane import (
-    PointSet,
     check_spatial_order,
-    grid_partition,
     hilbert_decode,
     hilbert_encode,
     hilbert_order,
-    kdtree_partition,
     nn_index_distance,
     order_locations,
-    read_partition,
-    validate_manifest,
-    write_partitions,
 )
 
 
@@ -133,69 +122,3 @@ def test_spatial_order_score_hilbert_beats_random(n, seed):
     hil = check_spatial_order(order_locations(pts, "hilbert"))
     rnd = check_spatial_order(order_locations(pts, "random", seed=seed + 7))
     assert hil <= rnd
-
-
-# -- partition round-trip -------------------------------------------------
-
-
-def _roundtrip(ps: PointSet, parts, scheme: str) -> None:
-    with tempfile.TemporaryDirectory() as d:
-        manifest = write_partitions(ps, parts, d, scheme=scheme, format="npz")
-        validate_manifest(manifest, d)
-        assert sum(p["n_points"] for p in manifest["partitions"]) == ps.n
-        pieces = [read_partition(d, p) for p in manifest["partitions"]]
-        coords = np.concatenate([p.coords for p in pieces]) if pieces else np.zeros((0, ps.dim))
-        values = np.concatenate([p.values for p in pieces]) if pieces else np.zeros(0)
-        rows = np.concatenate([p.rows for p in pieces]) if pieces else np.zeros(0, np.int64)
-        assert sorted(rows.tolist()) == list(range(ps.n))
-        inv = np.argsort(rows)
-        assert coords[inv].tobytes() == ps.coords.tobytes()
-        assert values[inv].tobytes() == ps.values.tobytes()
-
-
-@given(st.sampled_from([2, 3]), st.integers(1, 400), st.integers(1, 128),
-       st.integers(0, 10**6))
-@settings(max_examples=20, deadline=None)
-def test_kdtree_partition_roundtrip_exact_multiset(dim, n, max_points, seed):
-    pts = _points(n, dim, seed)
-    rng = np.random.default_rng(seed + 3)
-    ps = PointSet(coords=pts, values=rng.standard_normal(n))
-    parts = kdtree_partition(pts, max_points)
-    assert all(len(p) <= max_points for p in parts)
-    _roundtrip(ps, parts, "kdtree")
-
-
-@given(st.sampled_from([2, 3]), st.integers(1, 400), st.integers(1, 6),
-       st.integers(0, 10**6))
-@settings(max_examples=20, deadline=None)
-def test_grid_partition_roundtrip_exact_multiset(dim, n, cells, seed):
-    pts = _points(n, dim, seed)
-    rng = np.random.default_rng(seed + 3)
-    ps = PointSet(coords=pts, values=rng.standard_normal(n))
-    _roundtrip(ps, grid_partition(pts, cells), "grid")
-
-
-def test_manifest_reconciliation_detects_count_drift():
-    pts = _points(100, 2, 0)
-    ps = PointSet(coords=pts, values=np.zeros(100))
-    with tempfile.TemporaryDirectory() as d:
-        manifest = write_partitions(ps, kdtree_partition(pts, 32), d,
-                                    scheme="kdtree", format="npz")
-        validate_manifest(manifest, d)
-        manifest["partitions"][0]["n_points"] += 1
-        with pytest.raises(ValueError, match="reconcil"):
-            validate_manifest(manifest)
-
-
-def test_manifest_reconciliation_detects_missing_rows():
-    pts = _points(64, 2, 1)
-    ps = PointSet(coords=pts, values=np.zeros(64))
-    with tempfile.TemporaryDirectory() as d:
-        parts = kdtree_partition(pts, 16)
-        manifest = write_partitions(ps, parts, d, scheme="kdtree", format="npz")
-        dropped = dict(manifest)
-        kept = manifest["partitions"][1:]
-        dropped["partitions"] = kept
-        dropped["n_points"] = sum(p["n_points"] for p in kept)
-        with pytest.raises(ValueError, match="lost|outside|reconcil"):
-            validate_manifest(dropped, d)

@@ -18,6 +18,13 @@ def dataset():
     return SyntheticField.matern_2d(n=144, range_=0.1, smoothness=0.5, seed=3).sample()
 
 
+@pytest.fixture(scope="module")
+def near_singular():
+    """Dense squared-exponential field with a 1e-3 nugget: SPD in FP64,
+    but demoted tiles break the factorization around the true range."""
+    return SyntheticField.sqexp_2d(n=144, range_=0.1, seed=0, nugget=1e-3).sample()
+
+
 def _exact_config(nb=18):
     return MPConfig(accuracy=1e-15, formats=(Precision.FP64,), tile_size=nb)
 
@@ -62,6 +69,7 @@ class TestLikelihood:
         # not an exception — the optimizer depends on this contract
         ev = log_likelihood(dataset, (0.0, 0.1, 0.5), _exact_config())
         assert ev.value == -math.inf
+        assert ev.reason == "cov_build"
 
     def test_singular_covariance_gives_neg_inf(self):
         # the nugget-free squared exponential at dense sampling is
@@ -70,6 +78,25 @@ class TestLikelihood:
         ds = field.sample()
         ev = log_likelihood(ds, (1.0, 0.3), _exact_config())
         assert ev.value == -math.inf
+        assert ev.reason == "not_positive_definite"
+
+    def test_feasible_evaluation_has_no_reason(self, dataset):
+        ev = log_likelihood(dataset, (1.0, 0.1, 0.5), _exact_config())
+        assert ev.feasible and ev.reason is None
+
+    def test_precision_map_breakdown_is_counted_by_reason(self, near_singular):
+        """A θ the FP64 factorization handles but this accuracy's precision
+        map does not: the -inf names its site and ticks the counter."""
+        from repro import obs
+
+        theta = (1.0, 0.3)
+        assert log_likelihood(near_singular, theta, _exact_config()).feasible
+        counter = obs.get_registry().counter("mle.infeasible")
+        before = counter.value(reason="not_positive_definite")
+        ev = log_likelihood(near_singular, theta, MPConfig(accuracy=1e-2, tile_size=18))
+        assert ev.value == -math.inf
+        assert ev.reason == "not_positive_definite"
+        assert counter.value(reason="not_positive_definite") == before + 1
 
     def test_keep_map(self, dataset):
         ev = log_likelihood(
@@ -102,6 +129,20 @@ class TestFitMLE:
         assert 0.2 < res.theta_hat[2] < 1.5
         assert res.accuracy_label == "exact"
         assert math.isfinite(res.loglik)
+        # a healthy fit met no infeasible probe, and says so
+        assert res.infeasible_evals == 0
+        assert res.infeasible_by_reason == {}
+
+    def test_fit_reports_the_breakdowns_it_steered_around(self, near_singular):
+        kw = dict(tile_size=18, max_evals=60, xtol=1e-4, restarts=0, x0=(1.0, 0.3))
+        loose = fit_mle(near_singular, accuracy=1e-2, **kw)
+        assert loose.infeasible_evals > 0
+        assert loose.infeasible_by_reason == {
+            "not_positive_definite": loose.infeasible_evals}
+        # the same start in FP64 meets none and ends somewhere better
+        exact = fit_mle(near_singular, exact=True, **kw)
+        assert exact.infeasible_evals == 0
+        assert exact.loglik > loose.loglik
 
     def test_tight_accuracy_matches_exact(self, dataset):
         exact = fit_mle(dataset, exact=True, tile_size=18, max_evals=200, xtol=1e-6)

@@ -3,8 +3,7 @@
 Covers the Prometheus exposition conformance lint, the in-flight
 progress state with fake clocks, alert-rule parsing and watchdog
 edge/grace/abort semantics, the scrape server's endpoints over real
-HTTP, immediate flushing of alert-severity events, warehouse ingest of
-live documents, ``repro watch``, and — the acceptance test — a real
+HTTP, immediate flushing of alert-severity events, ``repro watch``, and — the acceptance test — a real
 subprocess whose synthetic stall raises a ``live.stall`` alert while
 ``/metrics`` and ``/progress`` stay conformant and monotone.
 """
@@ -399,34 +398,6 @@ class TestLivePlaneServer:
         snap = plane.snapshot()
         assert snap["alerts"] == ["stall"]
         assert plane.health()["status"] == "alerting"
-
-
-# -- warehouse ingest of live documents --------------------------------------
-
-class TestWarehouseLiveKind:
-    def test_snapshot_and_alert_ingest(self, tmp_path):
-        from repro.obs.warehouse import Warehouse
-
-        snap = {"schema": "repro.obs.live/1", "run_id": "lr", "phase": "s",
-                "done": 10, "total": 100, "fraction": 0.1,
-                "tasks_per_second": 123.0, "eta_seconds": 0.7,
-                "live_tasks": 2, "elapsed_seconds": 0.08,
-                "heartbeat_age_seconds": 0.0, "complete": False,
-                "gauges": {"host_pressure": 0.5}}
-        alert = {"run_id": "lr", "ts": 0.5, "type": "live.stall", "seq": 3,
-                 "severity": "alert",
-                 "attrs": {"rule": "stall", "value": 6.0, "done": 10,
-                           "total": 100, "elapsed_seconds": 6.5}}
-        with Warehouse(tmp_path / "w.db") as wh:
-            r1 = wh.ingest(snap)
-            r2 = wh.ingest(alert)
-            assert (r1.kind, r2.kind) == ("live", "live")
-            assert r1.run_key == r2.run_key == "lr"
-            scopes = wh.metric_scopes(r1.seq)
-            assert scopes["live"]["tasks_per_second"] == 123.0
-            assert scopes["live"]["gauge[host_pressure]"] == 0.5
-            assert wh.metric_scopes(r2.seq)["live"]["alert_value"] == 6.0
-            assert "live" in wh.history_table(kind="live")
 
 
 # -- rendering ---------------------------------------------------------------
