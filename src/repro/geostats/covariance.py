@@ -13,6 +13,16 @@ Two families, exactly as the paper defines them:
 Each model knows its parameter names, bounds (the paper constrains all
 parameters to [0.01, 2]), and paper-calibrated "weak/strong correlation"
 presets (β = 0.03 / 0.3; ν = 0.5 rough, 1.0 smooth).
+
+``Matern.correlation`` pays for a Bessel function only where ν demands
+one.  With s = h/β it dispatches on the value of ν it is handed:
+ν = ½ (preset "rough") → σ²e^{−s}, 3⁄2 → σ²(1+s)e^{−s},
+5⁄2 → σ²(1+s+s²⁄3)e^{−s}, all through ``np.exp``; ν = 1 (preset
+"smooth") → σ²·s·K₁(s) through ``scipy.special``'s ``k1``; every other
+ν → the general form above through its ``kv``.  Dense matrices
+(``cov_matrix``) and tiled ones (``generator.build_tiled_covariance``)
+both make one kernel call, over the packed lower-triangle distances of
+:class:`~.locations.TileDistances`.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .locations import cross_distances, pairwise_distances
+from .locations import TileDistances, cross_distances
 
 __all__ = [
     "CovarianceModel",
@@ -36,6 +46,9 @@ __all__ = [
 #: paper-wide optimisation bounds for every parameter (Section VII-B)
 PARAM_LOWER = 0.01
 PARAM_UPPER = 2.0
+
+#: tile size ``cov_matrix`` walks the lower triangle at (any gives the same matrix)
+_DENSE_NB = 256
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,14 @@ class CovarianceModel:
     def cov_matrix(self, locations: np.ndarray, theta: Sequence[float]) -> np.ndarray:
         """Dense covariance matrix Σ(θ) over one location set."""
         theta = self.validate_theta(theta)
-        h = pairwise_distances(locations)
-        return self.correlation(h, theta)
+        dist = TileDistances(locations, _DENSE_NB)
+        values = self.correlation(dist.packed, theta)
+        out = np.empty((dist.n, dist.n))
+        for (i, j), tile in dist.unpack(values, values[-1]):
+            r, c = i * dist.nb, j * dist.nb
+            out[r : r + tile.shape[0], c : c + tile.shape[1]] = tile
+            out[c : c + tile.shape[1], r : r + tile.shape[0]] = tile.T
+        return out
 
     def cross_cov(
         self, a: np.ndarray, b: np.ndarray, theta: Sequence[float]
@@ -145,27 +164,35 @@ class Matern(CovarianceModel):
 
     def correlation(self, h: np.ndarray, theta: np.ndarray) -> np.ndarray:
         sigma2, beta, nu = theta
-        h = np.asarray(h, dtype=np.float64)
-        scaled = h / beta
-        out = np.empty_like(scaled)
-        zero = scaled <= 0.0
-        out[zero] = sigma2
-        vals = scaled[~zero]  # a copy: holds s, then s^ν, then the product
-        coeff = sigma2 * (2.0 ** (1.0 - nu)) / scipy.special.gamma(nu)
-        k = scipy.special.kv(nu, vals)
+        s = np.asarray(h, dtype=np.float64) / beta  # a fresh array, reused below
+        if nu in (0.5, 1.5, 2.5):
+            # closed forms: h = 0 gives σ²·1; e^{−s} is exactly 0 from s ≈ 745
+            # on, and the clamp keeps the polynomial beside it finite
+            np.minimum(s, 750.0, out=s)
+            out = np.exp(-s)
+            if nu == 1.5:
+                out *= 1.0 + s
+            elif nu == 2.5:
+                out *= 1.0 + s + s * s / 3.0
+            return np.multiply(out, sigma2, out=out)
+        if nu == 1.0:
+            coeff, k = sigma2, scipy.special.k1(s)
+        else:
+            coeff = sigma2 * (2.0 ** (1.0 - nu)) / scipy.special.gamma(nu)
+            k = scipy.special.kv(nu, s)
         # K_ν underflows to 0 for huge arguments, where the covariance's
-        # limit is 0, and overflows to inf as s → 0⁺, where it is σ²;
-        # s^ν saturates the other way, so the product is formed (in
-        # place: this is the n² hot spot) only where K_ν is positive and
-        # finite, and inf·0 never is.
+        # limit is 0, and overflows to inf as s → 0⁺ (and at h = 0), where
+        # it is σ²; s^ν saturates the other way, so the product is formed
+        # (in place, in s) only where K_ν is positive and finite, and
+        # inf·0 never is.
         live = (k > 0.0) & np.isfinite(k)
-        np.power(vals, nu, out=vals, where=live)
-        np.multiply(vals, coeff, out=vals, where=live)
-        np.multiply(vals, k, out=vals, where=live)
+        if nu != 1.0:
+            np.power(s, nu, out=s, where=live)
+        np.multiply(s, coeff, out=s, where=live)
+        np.multiply(s, k, out=s, where=live)
         dead = ~live
-        vals[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
-        out[~zero] = vals
-        return out
+        s[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
+        return s
 
     @staticmethod
     def preset(

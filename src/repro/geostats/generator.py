@@ -6,9 +6,12 @@ measurements ``z = L e`` with ``e ~ N(0, I)`` — the 100-replica datasets
 of the Monte Carlo study are repeated :meth:`SyntheticField.sample` calls
 with distinct seeds.
 
-``build_tiled_covariance`` assembles Σ(θ) directly into tiled storage,
-tile by tile through the covariance kernel, without materialising the
-dense matrix first — the path every likelihood evaluation takes.
+``build_tiled_covariance`` assembles Σ(θ) in tiled storage from the
+packed lower-triangle distances (:class:`~.locations.TileDistances`): one
+kernel call over the whole triangle, tiles cut out of the result as
+views — the path every likelihood evaluation takes.  The distances do
+not depend on θ, so a :class:`Dataset` keeps them per tile size and a
+fit computes its geometry once.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..tiles.tilematrix import TiledSymmetricMatrix, tile_index_range
+from ..tiles.tilematrix import TiledSymmetricMatrix
 from .covariance import CovarianceModel, Matern, SquaredExponential
-from .locations import generate_locations
+from .locations import TileDistances, generate_locations
 
 __all__ = ["Dataset", "SyntheticField", "build_tiled_covariance"]
 
@@ -51,6 +54,9 @@ class Dataset:
     exponential kernel's spectrum decays super-exponentially), so the
     sqexp Monte Carlo studies run with a small fixed nugget — see
     DESIGN.md's substitution table.
+
+    :meth:`tile_distances` keeps the θ-independent geometry per tile size:
+    dropped when ``locations`` is rebound, not copied by ``replace``, not pickled.
     """
 
     locations: np.ndarray
@@ -58,6 +64,7 @@ class Dataset:
     model: CovarianceModel
     theta_true: tuple[float, ...] | None = None
     nugget: float = 0.0
+    _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.locations = _finite_float(self.locations, "locations")
@@ -74,9 +81,23 @@ class Dataset:
                 f"{self.locations.shape[1]}D"
             )
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "locations":
+            object.__setattr__(self, "_distances", {})
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_distances": {}}
+
     @property
     def n(self) -> int:
         return self.z.shape[0]
+
+    def tile_distances(self, nb: int) -> TileDistances:
+        """Lower-triangle distances of ``locations`` at tile size ``nb``, built once."""
+        if nb not in self._distances:
+            self._distances[nb] = TileDistances(self.locations, nb)
+        return self._distances[nb]
 
 
 @dataclass
@@ -169,28 +190,25 @@ def build_tiled_covariance(
     *,
     kernel_precision=None,
     nugget: float = 0.0,
+    distances: TileDistances | None = None,
 ) -> TiledSymmetricMatrix:
-    """Assemble Σ(θ) tile-by-tile into tiled mixed-precision storage.
+    """Assemble Σ(θ) into tiled mixed-precision storage.
 
     ``kernel_precision`` — optional ``(i, j) → Precision`` callable (the
     Fig. 2a map); when given, each tile is cast to its storage precision
     at generation time exactly as Section V describes.
+
+    ``distances`` — the ``TileDistances`` of ``locations`` at ``nb`` when
+    the caller already holds them (``Dataset.tile_distances``); the same
+    tiles, bit for bit, as when they are computed here.
     """
-    locs = np.asarray(locations, dtype=np.float64)
-    n = locs.shape[0]
     theta_v = model.validate_theta(theta)
-
-    def fill(i: int, j: int) -> np.ndarray:
-        ri = tile_index_range(n, nb, i)
-        rj = tile_index_range(n, nb, j)
-        a = locs[ri[0] : ri[1], None, :]
-        b = locs[None, rj[0] : rj[1], :]
-        h = np.sqrt(np.sum((a - b) ** 2, axis=-1))
-        tile = model.correlation(h, theta_v)
-        if nugget > 0.0 and i == j:
-            tile = tile + nugget * np.eye(tile.shape[0])
-        return tile
-
+    if distances is None:
+        distances = TileDistances(locations, nb)
+    elif (distances.n, distances.nb) != (len(locations), nb):
+        raise ValueError(f"distances are for (n, nb) = {distances.n, distances.nb}, not {len(locations), nb}")
+    values = model.correlation(distances.packed, theta_v)
+    tiles = dict(distances.unpack(values, values[-1] + max(nugget, 0.0)))
     return TiledSymmetricMatrix.from_tile_function(
-        n, nb, fill, kernel_precision=kernel_precision
+        distances.n, nb, lambda i, j: tiles[i, j], kernel_precision=kernel_precision
     )

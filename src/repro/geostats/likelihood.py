@@ -2,7 +2,8 @@
 
     ℓ(θ) = −(n/2)·log 2π − (1/2)·log|Σ(θ)| − (1/2)·zᵀ Σ(θ)⁻¹ z
 
-Each evaluation assembles Σ(θ) in tiled storage, plans the precision maps
+Each evaluation assembles Σ(θ) in tiled storage (from the distances the
+dataset keeps: geometry is not recomputed per θ), plans the precision maps
 for *this* θ (the tile norms change with the parameters, so the Fig. 2a
 map is re-derived per evaluation, exactly as the adaptive framework
 does), factors with Algorithm 1, and computes the log-determinant and
@@ -50,12 +51,41 @@ class LikelihoodEval:
         return math.isfinite(self.value)
 
 
-def _infeasible(reason: str, theta, logdet=math.nan, quad=math.nan, kmap=None) -> LikelihoodEval:
-    """The ``-inf`` evaluation of one failure site, counted by reason."""
+def _count_infeasible(reason: str) -> None:
     get_registry().counter(
         "mle.infeasible", "likelihood evaluations that returned -inf"
     ).inc(reason=reason)
+
+
+def _infeasible(reason: str, theta, logdet=math.nan, quad=math.nan, kmap=None) -> LikelihoodEval:
+    """The ``-inf`` evaluation of one failure site, counted by reason."""
+    _count_infeasible(reason)
     return LikelihoodEval(-math.inf, logdet, quad, theta, kernel_map=kmap, reason=reason)
+
+
+def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
+    """Assemble Σ(θ) from the dataset's kept distances, plan it, factor it.
+
+    The one build → norms → kernel map → comm map → Algorithm 1 sequence
+    behind the likelihood, the profile likelihood and kriging.  Returns
+    ``(factor, kernel map, None)``, or ``(None, the kernel map if one was
+    planned, reason)`` with reason ``cov_build`` or ``not_positive_definite``.
+    """
+    nb = min(config.tile_size, dataset.n)
+    try:
+        cov = build_tiled_covariance(
+            dataset.locations, dataset.model, theta, nb,
+            nugget=dataset.nugget, distances=dataset.tile_distances(nb),
+        )
+    except (ValueError, FloatingPointError):
+        return None, None, "cov_build"
+    kmap = build_precision_map(tile_norms(cov), config.accuracy, config.formats)
+    cmap = build_comm_precision_map(kmap)
+    try:
+        result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap, overwrite=True)
+    except NotPositiveDefiniteError:
+        return None, kmap, "not_positive_definite"
+    return result.factor, kmap, None
 
 
 def log_likelihood(
@@ -68,27 +98,15 @@ def log_likelihood(
     """Evaluate ℓ(θ) for ``dataset`` under the mixed-precision config."""
     theta_t = tuple(float(t) for t in theta)
     n = dataset.n
-    nb = min(config.tile_size, n)
-    try:
-        cov = build_tiled_covariance(
-            dataset.locations, dataset.model, theta_t, nb, nugget=dataset.nugget
-        )
-    except (ValueError, FloatingPointError):
-        return _infeasible("cov_build", theta_t)
-
-    norms = tile_norms(cov)
-    kmap = build_precision_map(norms, config.accuracy, config.formats)
-    cmap = build_comm_precision_map(kmap)
+    factor, kmap, reason = _factorize(dataset, theta_t, config)
     kept = kmap if keep_map else None
-    try:
-        result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap, overwrite=True)
-    except NotPositiveDefiniteError:
-        return _infeasible("not_positive_definite", theta_t, kmap=kept)
+    if reason is not None:
+        return _infeasible(reason, theta_t, kmap=kept)
 
-    logdet = logdet_from_factor(result.factor)
+    logdet = logdet_from_factor(factor)
     if not math.isfinite(logdet):
         return _infeasible("logdet", theta_t, logdet, kmap=kept)
-    x = solve_with_factor(result.factor, dataset.z)
+    x = solve_with_factor(factor, dataset.z)
     quad = float(dataset.z @ x)
     if not math.isfinite(quad) or quad < 0.0:
         # reduced-precision factors can, in principle, destroy positivity

@@ -17,10 +17,17 @@ selection exploits (Section V).
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["generate_locations", "morton_order", "pairwise_distances", "cross_distances"]
+__all__ = [
+    "generate_locations",
+    "morton_order",
+    "pairwise_distances",
+    "cross_distances",
+    "TileDistances",
+]
 
 _MORTON_BITS = 16
 
@@ -86,16 +93,72 @@ def generate_locations(
     return pts
 
 
-def pairwise_distances(locations: np.ndarray) -> np.ndarray:
-    """Dense n×n Euclidean distance matrix."""
-    locs = np.asarray(locations, dtype=np.float64)
-    diff = locs[:, None, :] - locs[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
 def cross_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between two location sets: (len(a), len(b))."""
+    """Euclidean distances between two location sets: (len(a), len(b)).
+
+    Accumulated one coordinate at a time — the same left-to-right sum as
+    ``sqrt(sum((a − b)², axis=−1))`` without its (len(a), len(b), dim)
+    temporaries.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    diff = a[:, None, 0] - b[None, :, 0]
+    total = diff * diff
+    for d in range(1, a.shape[1]):
+        np.subtract(a[:, None, d], b[None, :, d], out=diff)
+        np.multiply(diff, diff, out=diff)
+        total += diff
+    return np.sqrt(total, out=total)
+
+
+def pairwise_distances(locations: np.ndarray) -> np.ndarray:
+    """Dense n×n Euclidean distance matrix."""
+    return cross_distances(locations, locations)
+
+
+class TileDistances:
+    """Lower-triangle distances of one location set at one tile size.
+
+    The part of Σ(θ) that does not depend on θ, computed once: ``packed``
+    is one contiguous float64 vector holding the lower tiles in
+    ``(i, j ≤ i)`` order — an off-diagonal tile row-major, a diagonal
+    tile's strictly-lower entries only — and a final 0, each point's
+    distance to itself, so one kernel call over it yields every tile and
+    C(0).  Read-only; in-place writes to the locations are not watched.
+    """
+
+    def __init__(self, locations: np.ndarray, nb: int) -> None:
+        if nb <= 0:
+            raise ValueError("nb must be positive")
+        locs = np.asarray(locations, dtype=np.float64)
+        self.n, self.nb = locs.shape[0], nb
+        bounds = [(lo, min(self.n, lo + nb)) for lo in range(0, self.n, nb)]
+        self._lower = {m: np.tril_indices(m, -1) for m in {hi - lo for lo, hi in bounds}}
+        #: (i, j, rows, cols, offset into ``packed``) per lower tile
+        self._layout: list[tuple[int, int, int, int, int]] = []
+        self.packed = np.zeros(self.n * (self.n - 1) // 2 + 1)  # every pair once, then the 0
+        offset = 0
+        for i, (ilo, ihi) in enumerate(bounds):
+            for j, (jlo, jhi) in enumerate(bounds[: i + 1]):
+                h = cross_distances(locs[ilo:ihi], locs[jlo:jhi])
+                block = h[self._lower[ihi - ilo]] if i == j else h.ravel()
+                self._layout.append((i, j, ihi - ilo, jhi - jlo, offset))
+                self.packed[offset : offset + block.size] = block
+                offset += block.size
+        self.packed.flags.writeable = False
+
+    def unpack(self, values: np.ndarray, diagonal: float) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+        """``((i, j), tile)`` for ``values`` laid out like ``packed``.
+
+        Off-diagonal tiles are views of ``values``; a diagonal tile is
+        mirrored from its strictly-lower entries around ``diagonal``.
+        """
+        for i, j, rows, cols, offset in self._layout:
+            if i != j:
+                yield (i, j), values[offset : offset + rows * cols].reshape(rows, cols)
+                continue
+            r, c = self._lower[rows]
+            tile = np.empty((rows, rows))
+            tile[r, c] = tile[c, r] = values[offset : offset + r.size]
+            np.fill_diagonal(tile, diagonal)
+            yield (i, j), tile

@@ -30,7 +30,7 @@ def default_tile_size(n: int) -> int:
 
     The paper fixes nb = 2048 on its GPUs; at our Monte Carlo scale
     (hundreds to thousands of locations) we target ~8 tile rows so the
-    precision map has structure to exploit, clamped to [32, 2048].
+    precision map has structure to exploit, clamped to [16, 2048].
     """
     return int(min(2048, max(16, -(-n // 8))))
 

@@ -19,12 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.cholesky import mp_cholesky, solve_with_factor
+from ..core.cholesky import solve_with_factor
 from ..core.config import MPConfig
-from ..core.conversion import build_comm_precision_map
-from ..core.precision_map import build_precision_map
-from ..tiles.norms import tile_norms
-from .generator import Dataset, build_tiled_covariance
+from ..tiles.kernels import NotPositiveDefiniteError
+from .generator import Dataset
+from .likelihood import _factorize
 
 __all__ = ["KrigingResult", "krige"]
 
@@ -57,20 +56,14 @@ def krige(
     if new_locations.ndim != 2 or new_locations.shape[1] != model.dim:
         raise ValueError(f"new_locations must be (m, {model.dim})")
 
-    nb = min(config.tile_size, dataset.n)
-    cov = build_tiled_covariance(
-        dataset.locations, model, theta_t, nb, nugget=dataset.nugget
-    )
-    kmap = build_precision_map(tile_norms(cov), config.accuracy, config.formats)
-    result = mp_cholesky(
-        cov, kmap, strategy=config.strategy, comm_map=build_comm_precision_map(kmap),
-        overwrite=True,
-    )
+    factor, _kmap, reason = _factorize(dataset, theta_t, config)
+    if reason is not None:  # a LinAlgError is a ValueError, which also fits a θ Σ cannot be built from
+        raise NotPositiveDefiniteError(f"no factorization of Σ(θ) at θ = {theta_t}: {reason}")
 
     cross = model.cross_cov(dataset.locations, new_locations, theta_t)  # (n, m)
-    alpha = solve_with_factor(result.factor, dataset.z)  # Σ⁻¹ z
+    alpha = solve_with_factor(factor, dataset.z)  # Σ⁻¹ z
     mean = cross.T @ alpha
-    solved_cross = solve_with_factor(result.factor, cross)  # Σ⁻¹ Σ*
+    solved_cross = solve_with_factor(factor, cross)  # Σ⁻¹ Σ*
     prior_var = model.correlation(np.zeros(new_locations.shape[0]), np.asarray(theta_t))
     variance = prior_var - np.einsum("ij,ij->j", cross, solved_cross)
     return KrigingResult(mean=mean, variance=variance, theta=theta_t)

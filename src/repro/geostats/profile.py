@@ -23,18 +23,16 @@ nugget-free models; ``fit_mle_profile`` refuses otherwise.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.cholesky import logdet_from_factor, mp_cholesky, solve_with_factor
+from ..core.cholesky import logdet_from_factor, solve_with_factor
 from ..core.config import MPConfig
-from ..core.conversion import build_comm_precision_map
-from ..core.precision_map import build_precision_map
 from ..precision.formats import ADAPTIVE_FORMATS, Precision
-from ..tiles.kernels import NotPositiveDefiniteError
-from ..tiles.norms import tile_norms
-from .generator import Dataset, build_tiled_covariance
+from .generator import Dataset
+from .likelihood import _count_infeasible, _factorize
 from .mle import MLEResult, default_tile_size
 from .optimizer import maximize_bounded
 
@@ -45,6 +43,13 @@ __all__ = ["profile_log_likelihood", "fit_mle_profile"]
 class _ProfileEval:
     value: float
     sigma2_hat: float
+    #: why ``value`` is ``-inf`` — the reasons of :class:`LikelihoodEval`
+    reason: str | None = None
+
+
+def _infeasible(reason: str) -> _ProfileEval:
+    _count_infeasible(reason)
+    return _ProfileEval(-math.inf, math.nan, reason)
 
 
 def profile_log_likelihood(
@@ -61,25 +66,15 @@ def profile_log_likelihood(
         raise ValueError("profile likelihood requires a nugget-free model")
     n = dataset.n
     theta = (1.0, *phi)  # unit-variance correlation matrix R(φ)
-    nb = min(config.tile_size, n)
-    try:
-        corr = build_tiled_covariance(dataset.locations, dataset.model, theta, nb)
-    except (ValueError, FloatingPointError):
-        return _ProfileEval(-math.inf, math.nan)
-    kmap = build_precision_map(tile_norms(corr), config.accuracy, config.formats)
-    try:
-        result = mp_cholesky(
-            corr, kmap, strategy=config.strategy,
-            comm_map=build_comm_precision_map(kmap), overwrite=True,
-        )
-    except NotPositiveDefiniteError:
-        return _ProfileEval(-math.inf, math.nan)
-    logdet_r = logdet_from_factor(result.factor)
+    factor, _kmap, reason = _factorize(dataset, theta, config)
+    if reason is not None:
+        return _infeasible(reason)
+    logdet_r = logdet_from_factor(factor)
     if not math.isfinite(logdet_r):
-        return _ProfileEval(-math.inf, math.nan)
-    quad = float(dataset.z @ solve_with_factor(result.factor, dataset.z))
+        return _infeasible("logdet")
+    quad = float(dataset.z @ solve_with_factor(factor, dataset.z))
     if not math.isfinite(quad) or quad <= 0.0:
-        return _ProfileEval(-math.inf, math.nan)
+        return _infeasible("quadratic")
     sigma2 = quad / n
     value = -0.5 * n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2)) - 0.5 * logdet_r
     return _ProfileEval(value, sigma2)
@@ -115,18 +110,20 @@ def fit_mle_profile(
     if not bounds:
         raise ValueError("the model has no non-variance parameters to profile over")
     x0 = tuple(lo for lo, _hi in bounds)
-    best_sigma2: dict[tuple, float] = {}
+    infeasible: Counter[str] = Counter()
 
     def objective(phi: np.ndarray) -> float:
         ev = profile_log_likelihood(dataset, tuple(phi), config)
-        if math.isfinite(ev.value):
-            best_sigma2[tuple(np.round(phi, 12))] = ev.sigma2_hat
-        return ev.value if math.isfinite(ev.value) else -math.inf
+        if ev.reason is not None:
+            infeasible[ev.reason] += 1
+        return ev.value
 
     res = maximize_bounded(objective, x0, bounds, xtol=xtol, ftol=xtol,
                            max_evals=max_evals)
     # recover σ̂² at the optimum
     final = profile_log_likelihood(dataset, tuple(res.x), config)
+    if final.reason is not None:
+        infeasible[final.reason] += 1
     theta_hat = (final.sigma2_hat, *(float(v) for v in res.x))
     return MLEResult(
         theta_hat=theta_hat,
@@ -136,4 +133,6 @@ def fit_mle_profile(
         accuracy_label=label,
         model_name=model.name,
         optimizer=res,
+        infeasible_evals=infeasible.total(),
+        infeasible_by_reason=dict(sorted(infeasible.items())),
     )
