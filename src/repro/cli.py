@@ -637,10 +637,21 @@ def _enter_live(stack, args, *, run_id=None):
 def _peak_rss_bytes() -> int:
     """Peak resident set of this process, in bytes (0 when unavailable).
 
-    ``ru_maxrss`` is kilobytes on Linux, bytes on macOS; it is monotonic
-    over the process lifetime, so comparing ``simulate`` with and without
-    ``--stream`` needs one process per run (as the CI bench-floor job does).
+    Linux: ``VmHWM`` of ``/proc/self/status`` — per address space, reset
+    at ``exec``.  ``ru_maxrss`` (kilobytes on Linux, bytes on macOS) is
+    inherited across ``fork``/``exec``, so a ``repro simulate`` child of
+    a fat parent would report the *parent's* peak; it is the fallback
+    elsewhere.  Either is monotonic over the process lifetime, so
+    comparing ``simulate`` with and without ``--stream`` needs one
+    process per run (as the CI bench-floor job does).
     """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
     except ImportError:  # non-POSIX

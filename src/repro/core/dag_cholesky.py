@@ -1,10 +1,15 @@
-"""The Cholesky PTG: Algorithm 1 expressed as parameterized task classes.
+"""The Cholesky PTG: Algorithm 1 as one parameterised k-major emitter.
 
 Four task classes — POTRF, TRSM, SYRK, GEMM — unroll into the dataflow
 DAG of the tile Cholesky factorization (Fig. 3 shows its first two
 iterations).  Every dataflow edge carries the payload precision decided
 by the conversion strategy, and tasks that apply sender-side conversion
 (STC) carry the one-time conversion they perform before broadcasting.
+The description is parameterised the PTG way — a task is its class and
+index tuple, its producers follow from the indices — and is held
+(:func:`build_cholesky_dag`) or consumed lazily
+(:func:`stream_cholesky_tasks`); the closure-per-class DSL it replaced
+is the test tree's oracle (``tests/cholesky_ptg_oracle.py``).
 
 Tile versioning: tile (i, j) starts at version 0 (the generated
 covariance tile on the host) and each writing task bumps the version, so
@@ -23,8 +28,7 @@ from typing import Iterator
 from ..obs.profile import hot_region
 from ..perfmodel.kernels import KernelKind, kernel_flops, kernel_flops_rect
 from ..precision.formats import Precision
-from ..runtime.dsl import TaskClassSpec, TaskInstance, unroll, unroll_stream
-from ..runtime.task import Task, TaskGraph, TileRef
+from ..runtime.task import Task, TaskGraph, TaskInput, TileRef
 from ..tiles.distribution import ProcessGrid
 from ..tiles.kernels import trsm_execution_precision
 from .config import ConversionStrategy
@@ -49,12 +53,16 @@ def cholesky_task_count(nt: int) -> int:
         raise ValueError("nt must be positive")
     return nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) // 6
 
+
 _KIND_RANK = {
     KernelKind.POTRF: 0,
     KernelKind.TRSM: 1,
     KernelKind.SYRK: 2,
     KernelKind.GEMM: 3,
 }
+
+#: code → Precision, indexable by the int8 codes of the precision maps
+_PRECISIONS = tuple(sorted(Precision))
 
 
 @dataclass
@@ -74,10 +82,12 @@ class CholeskyDag:
 class _CholeskyDataflow:
     """The dataflow rules of Algorithm 1, shared by both DSL front ends.
 
-    The PTG task classes below and the DTD insertion loops of
+    The k-major emitter below and the DTD insertion loops of
     :mod:`repro.core.dtd_cholesky` must describe the *same* graph
     (``tests/test_runtime_dtd.py``), so everything that decides a tile's
-    size, a task's priority or the encoding on an edge lives here once.
+    size, a task's priority or the encoding on an edge lives here once —
+    as per-tile tables built once from the maps' int8 code arrays, so a
+    rule is a list lookup for either front end.
     """
 
     n: int
@@ -88,19 +98,50 @@ class _CholeskyDataflow:
     comm_map: CommPrecisionMap | None
 
     def __post_init__(self) -> None:
-        n, nb, self.nt = self.n, self.nb, self.kernel_map.nt
+        n, nb, nt = self.n, self.nb, self.kernel_map.nt
+        self.nt = nt
         expected_nt = -(-n // nb)
-        if self.nt != expected_nt:
+        if nt != expected_nt:
             raise ValueError(
-                f"kernel map NT={self.nt} inconsistent with n={n}, nb={nb} (NT={expected_nt})"
+                f"kernel map NT={nt} inconsistent with n={n}, nb={nb} (NT={expected_nt})"
             )
         if self.grid is None:
             self.grid = ProcessGrid(1, 1)
         if self.comm_map is None:
             self.comm_map = build_comm_precision_map(self.kernel_map)
-        self.storage = self.comm_map.storage
         #: edge length of tile row/col ``t`` (the last tile may be ragged)
-        self._edges = [min(n, (t + 1) * nb) - t * nb for t in range(self.nt)]
+        self._edges = [min(n, (t + 1) * nb) - t * nb for t in range(nt)]
+
+        def table(codes) -> list[list[Precision]]:
+            return [[_PRECISIONS[c] for c in row] for row in codes.tolist()]
+
+        #: kernel precision of tile (i, j); mirrored, like the kernel map
+        self._kernel = table(self.kernel_map.codes)
+        #: storage precision of tile (i, j); mirrored
+        self._storage = table(self.comm_map.storage_codes)
+        #: precision tile (i, j)'s broadcast travels in (lower triangle)
+        self._payload = (
+            self._storage
+            if self.strategy == ConversionStrategy.TTC
+            else table(self.comm_map.comm_codes)
+        )
+        #: STC conversion done by the task writing tile (i, j), else None
+        self._sender_conv = [
+            [
+                (sto, pay) if payload_encoding(pay) != payload_encoding(sto) else None
+                for sto, pay in zip(self._storage[i][: i + 1], self._payload[i])
+            ]
+            for i in range(nt)
+        ]
+        #: encoding a GEMM leaves tile (i, j) in: a pure-FP16 accumulator
+        #: is FP16-valued, every other tile rests at storage precision
+        self._rests = [
+            [Precision.FP16 if ker == Precision.FP16 else sto for ker, sto in zip(kers, stos)]
+            for kers, stos in zip(self._kernel, self._storage)
+        ]
+        #: owner-computes rank of lower tile (i, j)
+        owner = self.grid.owner
+        self._owner = [[owner(i, j) for j in range(i + 1)] for i in range(nt)]
 
     def edge(self, t: int) -> int:
         return self._edges[t]
@@ -113,15 +154,14 @@ class _CholeskyDataflow:
         return k * 4 + _KIND_RANK[kind]
 
     def payload(self, i: int, j: int) -> Precision:
-        return self.comm_map.payload(i, j, self.strategy)
+        return self._payload[i][j]
+
+    def storage(self, i: int, j: int) -> Precision:
+        return self._storage[i][j]
 
     def sender_conv(self, i: int, j: int) -> tuple[Precision, Precision] | None:
         """STC conversion performed by the task writing tile (i, j)."""
-        pay = self.payload(i, j)
-        sto = self.storage(i, j)
-        if payload_encoding(pay) != payload_encoding(sto):
-            return (sto, pay)
-        return None
+        return self._sender_conv[i][j]
 
     def trailing(self, i: int, j: int, k: int) -> tuple[Precision, Precision, Precision]:
         """Off-diagonal tile (i, j) as iteration ``k`` meets it.
@@ -135,10 +175,11 @@ class _CholeskyDataflow:
         at-rest encoding is paid at the chain's ends (first load,
         eventual TRSM), not per GEMM.
         """
-        kernel = self.kernel_map.kernel(i, j)
-        storage = self.storage(i, j)
-        rests = Precision.FP16 if kernel == Precision.FP16 else storage
-        return kernel, (storage if k == 0 else rests), rests
+        return self._kernel[i][j], self._arrives(k)[i][j], self._rests[i][j]
+
+    def _arrives(self, k: int) -> list[list[Precision]]:
+        """Per tile, the encoding iteration ``k`` finds it in (see :meth:`trailing`)."""
+        return self._storage if k == 0 else self._rests
 
     def dag(self, graph: TaskGraph) -> CholeskyDag:
         """Wrap a built ``graph`` with the maps that shaped it."""
@@ -153,176 +194,96 @@ class _CholeskyDataflow:
         )
 
 
-def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
-    """The four Cholesky task classes as one k-major spec.
+def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
+    """Algorithm 1 read iteration by iteration: the parameterised PTG.
 
-    Algorithm 1 read iteration by iteration: a single merged spec whose
-    space interleaves the four classes — for each ``k``: POTRF(k), the
-    TRSMs, the SYRKs, then the GEMMs of that iteration.  The emission is
-    topological (every read names a task of the same or an earlier
-    ``k``, already emitted), which is the order
-    :func:`~repro.runtime.dsl.unroll_stream` requires.
+    For each ``k``: POTRF(k), the TRSMs, the SYRKs, then the GEMMs of
+    that iteration, each minted once as a :class:`Task` with the next
+    dense id.  The order is topological — every read names a task of the
+    same or an earlier ``k`` — so a producer is simply the last writer
+    of the tile, kept per tile next to the :class:`TileRef` it wrote.
+
+    A panel tile has one writer and many readers (the SYRK of its row,
+    the GEMMs of its row and column; the POTRF tile, every TRSM below
+    it), all of which read the same version in the same encoding: the
+    writer mints that one frozen :class:`TaskInput` and every consumer's
+    ``inputs`` lists the same object.
     """
     nt = rules.nt
-    grid = rules.grid
-    edge = rules.edge
-    elements = rules.elements
-    prio = rules.prio
-    panel_payload = rules.payload
-    panel_storage = rules.storage
-    sender_conv = rules.sender_conv
+    edges = rules._edges
+    kernel, storage, payload = rules._kernel, rules._storage, rules._payload
+    rests, sender_conv, owner = rules._rests, rules._sender_conv, rules._owner
+    POTRF, TRSM, SYRK, GEMM = KernelKind.POTRF, KernelKind.TRSM, KernelKind.SYRK, KernelKind.GEMM
+    FP64 = Precision.FP64
+    # positional, in field order:
+    #   Task(tid, kind, params, rank, precision, flops, output, output_precision,
+    #        inputs, sender_conversion, priority)
+    #   TaskInput(producer, tile, payload_precision, storage_precision, elements, role)
 
-    # -- task classes ------------------------------------------------------
-    def potrf_inst(params):
-        (k,) = params
-        c_prod = None if k == 0 else ("SYRK", (k, k - 1))
-        has_bcast = k < nt - 1
-        return TaskInstance(
-            cls=KernelKind.POTRF,
-            params=params,
-            rank=grid.owner(k, k),
-            precision=Precision.FP64,
-            flops=kernel_flops(KernelKind.POTRF, edge(k)),
-            writes=TileRef(k, k, k + 1),
-            output_precision=Precision.FP64,
-            reads=[
-                (c_prod, TileRef(k, k, k), Precision.FP64, Precision.FP64, elements(k, k), "inout")
-            ],
-            sender_conversion=sender_conv(k, k) if has_bcast else None,
-            priority=prio(k, KernelKind.POTRF),
+    #: per lower tile: id of its last writer (None: the generated host
+    #: tile) and the version that writer left
+    writer: list[list[int | None]] = [[None] * (i + 1) for i in range(nt)]
+    ref = [[TileRef(i, j, 0) for j in range(i + 1)] for i in range(nt)]
+    #: panel[m]: the shared read of tile (m, k) as TRSM(m, k) wrote it
+    panel: list[TaskInput | None] = [None] * nt
+    tid = 0
+    for k in range(nt):
+        ek = edges[k]
+        arrives = rules._arrives(k)
+        p_potrf, p_trsm, p_syrk, p_gemm = (rules.prio(k, kind) for kind in (POTRF, TRSM, SYRK, GEMM))
+        diag = TileRef(k, k, k + 1)
+        yield Task(
+            tid, POTRF, (k,), owner[k][k], FP64, kernel_flops(POTRF, ek), diag, FP64,
+            [TaskInput(writer[k][k], ref[k][k], FP64, FP64, ek * ek, "inout")],
+            sender_conv[k][k] if k < nt - 1 else None,
+            p_potrf,
         )
-
-    def trsm_inst(params):
-        m, k = params
-        c_prod = None if k == 0 else ("GEMM", (m, k, k - 1))
-        # the panel tile arrives from its last GEMM in its at-rest encoding
-        kernel, c_payload, _rests = rules.trailing(m, k, k)
-        return TaskInstance(
-            cls=KernelKind.TRSM,
-            params=params,
-            rank=grid.owner(m, k),
-            precision=trsm_execution_precision(kernel),
-            flops=kernel_flops_rect(KernelKind.TRSM, edge(m), edge(k)),
-            writes=TileRef(m, k, k + 1),
-            output_precision=panel_storage(m, k),
-            reads=[
-                (
-                    ("POTRF", (k,)),
-                    TileRef(k, k, k + 1),
-                    panel_payload(k, k),
-                    Precision.FP64,
-                    elements(k, k),
-                    "in",
-                ),
-                (
-                    c_prod,
-                    TileRef(m, k, k),
-                    c_payload,
-                    c_payload,
-                    elements(m, k),
-                    "inout",
-                ),
-            ],
-            sender_conversion=sender_conv(m, k),
-            priority=prio(k, KernelKind.TRSM),
-        )
-
-    def syrk_inst(params):
-        m, k = params
-        c_prod = None if k == 0 else ("SYRK", (m, k - 1))
-        return TaskInstance(
-            cls=KernelKind.SYRK,
-            params=params,
-            rank=grid.owner(m, m),
-            precision=Precision.FP64,
-            flops=kernel_flops_rect(KernelKind.SYRK, edge(m), edge(k)),
-            writes=TileRef(m, m, k + 1),
-            output_precision=Precision.FP64,
-            reads=[
-                (
-                    ("TRSM", (m, k)),
-                    TileRef(m, k, k + 1),
-                    panel_payload(m, k),
-                    panel_storage(m, k),
-                    elements(m, k),
-                    "in",
-                ),
-                (
-                    c_prod,
-                    TileRef(m, m, k),
-                    Precision.FP64,
-                    Precision.FP64,
-                    elements(m, m),
-                    "inout",
-                ),
-            ],
-            priority=prio(k, KernelKind.SYRK),
-        )
-
-    def gemm_inst(params):
-        m, nn, k = params
-        c_prod = None if k == 0 else ("GEMM", (m, nn, k - 1))
-        prec, c_payload, out_prec = rules.trailing(m, nn, k)
-        return TaskInstance(
-            cls=KernelKind.GEMM,
-            params=params,
-            rank=grid.owner(m, nn),
-            precision=prec,
-            flops=kernel_flops_rect(KernelKind.GEMM, edge(m), edge(nn), edge(k)),
-            writes=TileRef(m, nn, k + 1),
-            output_precision=out_prec,
-            reads=[
-                (
-                    ("TRSM", (m, k)),
-                    TileRef(m, k, k + 1),
-                    panel_payload(m, k),
-                    panel_storage(m, k),
-                    elements(m, k),
-                    "in",
-                ),
-                (
-                    ("TRSM", (nn, k)),
-                    TileRef(nn, k, k + 1),
-                    panel_payload(nn, k),
-                    panel_storage(nn, k),
-                    elements(nn, k),
-                    "in",
-                ),
-                (
-                    c_prod,
-                    TileRef(m, nn, k),
-                    c_payload,
-                    c_payload,
-                    elements(m, nn),
-                    "inout",
-                ),
-            ],
-            priority=prio(k, KernelKind.GEMM),
-        )
-
-    _inst = {
-        KernelKind.POTRF: potrf_inst,
-        KernelKind.TRSM: trsm_inst,
-        KernelKind.SYRK: syrk_inst,
-        KernelKind.GEMM: gemm_inst,
-    }
-
-    def kmajor_space():
-        for k in range(nt):
-            yield (KernelKind.POTRF, (k,))
-            for m in range(k + 1, nt):
-                yield (KernelKind.TRSM, (m, k))
-            for m in range(k + 1, nt):
-                yield (KernelKind.SYRK, (m, k))
-            for m in range(k + 2, nt):
-                for nn in range(k + 1, m):
-                    yield (KernelKind.GEMM, (m, nn, k))
-
-    def kmajor_inst(tagged):
-        kind, params = tagged
-        return _inst[kind](params)
-
-    return [TaskClassSpec("CHOLESKY", kmajor_space, kmajor_inst)]
+        if k == nt - 1:
+            return
+        factor = TaskInput(tid, diag, payload[k][k], FP64, ek * ek, "in")
+        tid += 1
+        for m in range(k + 1, nt):
+            em = edges[m]
+            # the panel tile arrives from its last GEMM in its at-rest encoding
+            c_in = arrives[m][k]
+            out = TileRef(m, k, k + 1)
+            yield Task(
+                tid, TRSM, (m, k), owner[m][k], trsm_execution_precision(kernel[m][k]),
+                kernel_flops_rect(TRSM, em, ek), out, storage[m][k],
+                [factor, TaskInput(writer[m][k], ref[m][k], c_in, c_in, em * ek, "inout")],
+                sender_conv[m][k],
+                p_trsm,
+            )
+            panel[m] = TaskInput(tid, out, payload[m][k], storage[m][k], em * ek, "in")
+            tid += 1
+        for m in range(k + 1, nt):
+            em = edges[m]
+            out = TileRef(m, m, k + 1)
+            yield Task(
+                tid, SYRK, (m, k), owner[m][m], FP64, kernel_flops_rect(SYRK, em, ek), out, FP64,
+                [panel[m], TaskInput(writer[m][m], ref[m][m], FP64, FP64, em * em, "inout")],
+                None,
+                p_syrk,
+            )
+            writer[m][m], ref[m][m] = tid, out
+            tid += 1
+        for m in range(k + 2, nt):
+            em = edges[m]
+            a = panel[m]
+            row_writer, row_ref, row_rests, row_arrives = writer[m], ref[m], rests[m], arrives[m]
+            for nn in range(k + 1, m):
+                c_in = row_arrives[nn]
+                out = TileRef(m, nn, k + 1)
+                yield Task(
+                    tid, GEMM, (m, nn, k), owner[m][nn], kernel[m][nn],
+                    kernel_flops_rect(GEMM, em, edges[nn], ek), out, row_rests[nn],
+                    [a, panel[nn],
+                     TaskInput(row_writer[nn], row_ref[nn], c_in, c_in, em * edges[nn], "inout")],
+                    None,
+                    p_gemm,
+                )
+                row_writer[nn], row_ref[nn] = tid, out
+                tid += 1
 
 
 def build_cholesky_dag(
@@ -341,8 +302,11 @@ def build_cholesky_dag(
     consumed lazily instead of held.
     """
     rules = _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
+    graph = TaskGraph()
     with hot_region("dag.build"):
-        graph = unroll(_cholesky_classes(rules))
+        for task in _emit_kmajor(rules):
+            graph.add(task)
+    graph.finalize()
     return rules.dag(graph)
 
 
@@ -359,11 +323,9 @@ def stream_cholesky_tasks(
 
     The generator counterpart of :func:`build_cholesky_dag` for
     :func:`repro.runtime.simulator.simulate_stream`: tasks are yielded
-    one at a time and nothing global is retained besides the
-    ``(class, params) → tid`` map, so simulating NT in the thousands
+    one at a time and nothing global is retained besides the O(NT²)
+    per-tile tables, so simulating NT in the thousands
     (``cholesky_task_count(nt) ≈ nt³/6`` tasks) never materialises the
     DAG.
     """
-    return unroll_stream(
-        _cholesky_classes(_CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map))
-    )
+    return _emit_kmajor(_CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map))

@@ -1,7 +1,6 @@
-"""PaRSEC-like task runtime: DAG, PTG DSL, simulator, numeric executor."""
+"""PaRSEC-like task runtime: DAG, DTD front end, simulator, numeric executors."""
 
 from .distributed import DistributedReport, execute_numeric_distributed, pick_mp_context
-from .dsl import StreamOrderError, TaskClassSpec, TaskInstance, unroll, unroll_stream
 from .dtd import AccessMode, DataAccess, DTDRuntime
 from .executor import execute_numeric
 from .gantt import ascii_gantt, engine_utilisation, to_chrome_trace
@@ -40,12 +39,9 @@ __all__ = [
     "RunStats",
     "SimReport",
     "StaticSchedule",
-    "StreamOrderError",
     "Task",
-    "TaskClassSpec",
     "TaskGraph",
     "TaskInput",
-    "TaskInstance",
     "TileRef",
     "Trace",
     "TraceEvent",
@@ -62,6 +58,4 @@ __all__ = [
     "simulate_replay",
     "simulate_stream",
     "to_chrome_trace",
-    "unroll",
-    "unroll_stream",
 ]

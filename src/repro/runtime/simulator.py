@@ -43,9 +43,10 @@ is only its two sources:
 * the **task source** — a finalized
   :class:`~repro.runtime.task.TaskGraph` (one emission of the whole
   task list, unbounded window, nothing retired), or a lazy task iterator
-  (:func:`repro.runtime.dsl.unroll_stream`) appended into a frontier
-  graph under a bounded emission window, each task retired once it has
-  executed, so peak memory follows the window instead of the DAG;
+  (:func:`repro.core.dag_cholesky.stream_cholesky_tasks`) appended into
+  a frontier graph under a bounded emission window, each task retired
+  once it has executed, so peak memory follows the window instead of
+  the DAG;
 * the **order source** — the policy-keyed ready heap, or a recorded
   task-id sequence (the degenerate policy: no heap, no key calls),
   checked against the same in-degree bookkeeping the heap path keeps.
@@ -167,11 +168,9 @@ def _build_engine(
     platform: Platform,
     nb: int,
     enforce_memory: bool,
-    record: Callable[[TraceEvent], None],
+    record: Callable[[TraceEvent], None] | None,
     stats: RunStats,
     busy: dict[str, float],
-    evictions_metric,
-    conversions_metric,
 ):
     """The per-run machine model the scheduling loop (:func:`_drive`) runs on.
 
@@ -185,6 +184,9 @@ def _build_engine(
       evictions — the exact operation sequence of the historical inline
       loop, so panel-first stays regression-pinned bit-identical;
     * ``sched_state`` exposes live GPU/host residency to policies.
+
+    ``record`` is ``None`` when nobody reads the trace: a
+    :class:`TraceEvent` is constructed only for a recording run.
 
     Per-task input payload keys are computed exactly once here and
     reused for the protect set, cache probes, and staging — one of the
@@ -223,7 +225,7 @@ def _build_engine(
     nic_lat = platform.node.nic_latency
     disk_bw = platform.node.disk_bandwidth
     disk_lat = platform.node.disk_latency
-    node_of = platform.node_of
+    node_of = [platform.node_of(rank) for rank in range(n_ranks)].__getitem__
     gpus_per_node = platform.node.gpus_per_node
     bpe = {p: bytes_per_element(p) for p in Precision}.__getitem__
 
@@ -287,7 +289,10 @@ def _build_engine(
         stats.n_spills += 1
         stats.add_disk_write(key[3], nbytes)
         busy["disk_write"] += end - start
-        record(TraceEvent(gpus_per_node * node, "disk_write", "SPILL", start, end, key[3], nbytes))
+        if record is not None:
+            record(
+                TraceEvent(gpus_per_node * node, "disk_write", "SPILL", start, end, key[3], nbytes)
+            )
 
     def _host_insert(node: int, key: _Key, nbytes: int, t: float, protect: set[_Key]) -> None:
         """Register ``key`` in ``node``'s host memory, evicting LRU overflow.
@@ -309,15 +314,14 @@ def _build_engine(
     ) -> None:
         """Account one GPU eviction; flush to the host only when required.
 
-        Every eviction counts toward ``stats.n_evictions`` and the
-        ``sim.evictions`` metric.  The d2h transfer is charged only when
-        no lower tier (host or local disk) holds a copy or the entry is
-        dirty; a clean entry the host (or disk) already holds is dropped
-        for free.
+        Every eviction counts toward ``stats.n_evictions`` (which the
+        driving loop publishes as ``sim.evictions``).  The d2h transfer
+        is charged only when no lower tier (host or local disk) holds a
+        copy or the entry is dirty; a clean entry the host (or disk)
+        already holds is dropped for free.
         """
         node = node_of(rank)
         stats.n_evictions += 1
-        evictions_metric.inc()
         if not dirty and (key in host_ready[node] or key in disk_ready[node]):
             return
         start = max(d2h_free[rank], gpu_ready[rank].get(key, now))
@@ -325,7 +329,8 @@ def _build_engine(
         d2h_free[rank] = end
         stats.add_d2h(key[3], nbytes)
         busy["d2h"] += end - start
-        record(TraceEvent(rank, "d2h", "EVICT", start, end, key[3], nbytes))
+        if record is not None:
+            record(TraceEvent(rank, "d2h", "EVICT", start, end, key[3], nbytes))
         _host_insert(node, key, nbytes, end, protect)
 
     def _stage_to_host(dest_node: int, key: _Key, nbytes: int, protect: set[_Key]) -> float:
@@ -348,7 +353,8 @@ def _build_engine(
                 d2h_free[src_rank] = end
                 stats.add_d2h(key[3], nbytes)
                 busy["d2h"] += end - start
-                record(TraceEvent(src_rank, "d2h", "STAGE", start, end, key[3], nbytes))
+                if record is not None:
+                    record(TraceEvent(src_rank, "d2h", "STAGE", start, end, key[3], nbytes))
             else:
                 disk_t = disk_ready[src_node].get(key)
                 if disk_t is None:
@@ -358,11 +364,12 @@ def _build_engine(
                 disk_free[src_node] = end
                 stats.add_disk_read(key[3], nbytes)
                 busy["disk_read"] += end - start
-                record(
-                    TraceEvent(
-                        gpus_per_node * src_node, "disk_read", "FETCH", start, end, key[3], nbytes
+                if record is not None:
+                    record(
+                        TraceEvent(
+                            gpus_per_node * src_node, "disk_read", "FETCH", start, end, key[3], nbytes
+                        )
                     )
-                )
             _host_insert(src_node, key, nbytes, end, protect)
             if key not in host_ready[src_node]:  # pragma: no cover - defensive
                 raise RuntimeError(f"host tier at node {src_node} cannot hold payload {key}")
@@ -374,7 +381,8 @@ def _build_engine(
         nic_free[src_node] = end
         stats.add_nic(key[3], nbytes)
         busy["nic"] += end - start
-        record(TraceEvent(gpus_per_node * src_node, "nic", "SEND", start, end, key[3], nbytes))
+        if record is not None:
+            record(TraceEvent(gpus_per_node * src_node, "nic", "SEND", start, end, key[3], nbytes))
         _host_insert(dest_node, key, nbytes, end, protect)
         return end
 
@@ -398,7 +406,8 @@ def _build_engine(
             gpu_ready[rank].pop(ev_key, None)
         stats.add_h2d(payload_prec, nbytes)
         busy["h2d"] += end - start
-        record(TraceEvent(rank, "h2d", "LOAD", start, end, payload_prec, nbytes))
+        if record is not None:
+            record(TraceEvent(rank, "h2d", "LOAD", start, end, payload_prec, nbytes))
         return end
 
     _no_protect: set[_Key] = set()
@@ -412,15 +421,18 @@ def _build_engine(
         since the disk already has those tiles — and first touch pays
         the disk read instead.
         """
+        rank = task.rank
+        if not 0 <= rank < n_ranks:  # the node_of table would wrap or overrun
+            raise ValueError(f"rank {rank} outside platform of {n_ranks} ranks")
         for inp in task.inputs:
             if inp.producer is None:
                 tile = inp.tile
                 key: _Key = (tile.i, tile.j, tile.version, inp.payload_precision)
-                node = node_of(task.rank)
+                node = node_of(rank)
                 if key not in host_ready[node]:
                     disk_ready[node].setdefault(key, 0.0)
                     _host_insert(node, key, _payload_bytes(inp), 0.0, _no_protect)
-                origin_rank.setdefault(key, task.rank)
+                origin_rank.setdefault(key, rank)
 
     def exec_task(task: Task, ready_t: float) -> tuple[float, float]:
         """Run one ready task; returns its (start, end) compute interval."""
@@ -457,7 +469,6 @@ def _build_engine(
             src, dst = task.sender_conversion
             conversions.append(("stc", src, dst, conversion_time_cached(nb * nb, src, dst)))
         conv_seconds = sum(c[3] for c in conversions)
-        n_conv = len(conversions)
 
         start = max(compute_free[rank], arrival)
         exec_t = kernel_time_cached(task.kind, task_prec)
@@ -466,29 +477,31 @@ def _build_engine(
 
         conv_t = start
         for site, src, dst, seconds in conversions:
-            record(
-                TraceEvent(
-                    rank,
-                    "compute",
-                    "CONVERT",
-                    conv_t,
-                    conv_t + seconds,
-                    task_prec,
-                    site=site,
-                    src_precision=src,
-                    dst_precision=dst,
+            if record is not None:
+                record(
+                    TraceEvent(
+                        rank,
+                        "compute",
+                        "CONVERT",
+                        conv_t,
+                        conv_t + seconds,
+                        task_prec,
+                        site=site,
+                        src_precision=src,
+                        dst_precision=dst,
+                    )
                 )
-            )
             conv_t += seconds
             stats.add_conversion(site, seconds)
-        record(
-            TraceEvent(rank, "compute", task.kind, start + conv_seconds, end, task_prec, 0, task.flops)
-        )
+        if record is not None:
+            record(
+                TraceEvent(
+                    rank, "compute", task.kind, start + conv_seconds, end, task_prec, 0, task.flops
+                )
+            )
         stats.add_flops(task_prec, task.flops)
         stats.n_tasks += 1
         busy["compute"] += end - start
-        if n_conv:
-            conversions_metric.inc(n_conv)
 
         # output materialises on this GPU
         out_bytes = nb * nb * bpe(task.output_precision)
@@ -607,12 +620,22 @@ def _drive(
     }
     trace = Trace()
     stats = trace.stats
-    record = trace.record if record_events else (lambda ev: None)
     seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, record, stats, busy,
-        registry.counter("sim.evictions", "LRU evictions (all causes)"),
-        registry.counter("sim.conversions", "datatype conversion passes"),
+        platform, nb, enforce_memory, trace.record if record_events else None, stats, busy
     )
+    evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
+    conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
+    evictions_seen = conversions_seen = 0
+
+    def publish_counts() -> None:
+        """Move the two live counters up to the run's ``RunStats`` totals."""
+        nonlocal evictions_seen, conversions_seen
+        if stats.n_evictions > evictions_seen:
+            evictions_metric.inc(stats.n_evictions - evictions_seen)
+            evictions_seen = stats.n_evictions
+        if stats.n_conversions > conversions_seen:
+            conversions_metric.inc(stats.n_conversions - conversions_seen)
+            conversions_seen = stats.n_conversions
 
     streamed = source is not None
     emit = iter(source if streamed else graph.tasks)
@@ -720,8 +743,10 @@ def _drive(
                 graph.retire(tid)
             live -= 1
             done += 1
-            if beat is not None and not done % BEAT_STRIDE:
-                beat(done, live)
+            if not done % BEAT_STRIDE:
+                publish_counts()
+                if beat is not None:
+                    beat(done, live)
 
     if live:
         if picks is not None:
@@ -730,6 +755,7 @@ def _drive(
             f"simulation deadlock: {done} tasks executed, {live} live "
             "(emission order is not topological?)"
         )
+    publish_counts()
     return _finish(policy_name, trace, busy, task_end, task_start, peak_live, commit_order)
 
 
@@ -745,8 +771,12 @@ def simulate(
 ) -> SimReport:
     """Simulate ``graph`` on ``platform`` and return timing + counters.
 
-    ``nb`` is the tile edge used to price kernels and conversions (ragged
-    edge tiles are priced as full tiles — a ≤1/NT relative error).
+    ``nb`` is the tile edge used to price kernels, the STC pass and the
+    output bytes: a ragged edge tile is priced there as a full ``nb``²
+    tile, while transfers and TTC passes use each input's real element
+    count.  With ``nb ∤ n`` kernel seconds are therefore over-priced by
+    up to ``1 − ((NT−1)/NT)³ ≤ 3/NT`` (the flops the ragged last tile
+    row and column shed); the makespan moves less (2–3 % at NT=16).
 
     ``policy`` picks the :class:`~repro.runtime.policies.SchedulePolicy`
     that orders the ready heap (name or instance; default
@@ -754,9 +784,10 @@ def simulate(
     Policies reorder ready tasks only, so they change timing and data
     motion but never which payloads a task consumes.
 
-    Telemetry: runs inside a ``sim.run`` span; eviction/conversion
-    counters tick live and per-engine busy time, byte totals, and the
-    makespan land in the :mod:`repro.obs` registry at completion.
+    Telemetry: runs inside a ``sim.run`` span; the eviction/conversion
+    counters tick every ``BEAT_STRIDE`` executed tasks and per-engine
+    busy time, byte totals, and the makespan land in the
+    :mod:`repro.obs` registry at completion.
     """
     sched = resolve_policy(policy)
     sched.prepare(graph, platform, nb)
@@ -781,13 +812,13 @@ def simulate_stream(
 
     ``source`` yields :class:`Task` objects in a dependency-safe
     (topological) emission order with dense tids — what
-    :func:`repro.runtime.dsl.unroll_stream` produces.  Tasks are pulled
-    into a :class:`TaskGraph` frontier until ``lookahead`` of them are
-    live (emitted but unexecuted), scheduled exactly like
-    :func:`simulate`, and retired as soon as they execute, so peak
-    memory tracks the window rather than the task count.  When the heap
-    drains while the window is still blocked, emission widens past
-    ``lookahead`` until a ready task appears (the window is a soft
+    :func:`repro.core.dag_cholesky.stream_cholesky_tasks` produces.
+    Tasks are pulled into a :class:`TaskGraph` frontier until
+    ``lookahead`` of them are live (emitted but unexecuted), scheduled
+    exactly like :func:`simulate`, and retired as soon as they execute,
+    so peak memory tracks the window rather than the task count.  When
+    the heap drains while the window is still blocked, emission widens
+    past ``lookahead`` until a ready task appears (the window is a soft
     target, never a correctness constraint).
 
     Every pop order is a valid schedule; it matches the materialised

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -218,3 +222,23 @@ class TestParserSurface:
     def test_stream_and_replay_are_parameters_of_simulate(self):
         sim = self._verbs()["simulate"]
         assert {"--policy", "--replay", "--stream", "--lookahead"} <= set(sim)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is a /proc field")
+def test_peak_rss_is_this_process_not_its_parent(tmp_path):
+    """``ru_maxrss`` survives fork/exec, so the child of a fat parent used
+    to report the parent's peak; ``VmHWM`` restarts at exec."""
+    import resource
+
+    import numpy as np
+
+    ballast = np.ones(128 * 2**20, dtype=np.uint8)  # touched, so resident
+    parent_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    assert parent_peak > ballast.nbytes
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "from repro.cli import _peak_rss_bytes as f; print(f())"
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    ).stdout
+    assert 0 < int(out) < ballast.nbytes

@@ -1,13 +1,18 @@
 """Unit tests for the Cholesky PTG (DAG construction)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import ConversionStrategy
-from repro.core.dag_cholesky import build_cholesky_dag
-from repro.core.precision_map import two_precision_map, uniform_map
+from repro.core.config import ConversionStrategy, MPConfig
+from repro.core.dag_cholesky import build_cholesky_dag, stream_cholesky_tasks
+from repro.core.precision_map import KernelPrecisionMap, two_precision_map, uniform_map
 from repro.precision import Precision
 from repro.tiles.distribution import ProcessGrid
+from tests.cholesky_ptg_oracle import build_cholesky_graph_oracle
 
 
 def _dag(nt=5, nb=16, prec=Precision.FP16, strategy=ConversionStrategy.AUTO, grid=None):
@@ -186,3 +191,70 @@ class TestOwnership:
         by_label = {t.label: t for t in dag.graph}
         assert by_label["POTRF(0,)"].priority < by_label["TRSM(1, 0)"].priority
         assert by_label["GEMM(2, 1, 0)"].priority < by_label["POTRF(1,)"].priority + 4
+
+
+# -- the table-driven emitter ≡ the closure PTG it replaced ---------------------
+
+@st.composite
+def _cholesky_case(draw):
+    """(n, nb, kernel map, strategy, grid): ragged or full, any map over
+    the adaptive formats (FP64 diagonal, mirrored like every built map)."""
+    nt = draw(st.integers(1, 12))
+    nb = draw(st.sampled_from([4, 16]))
+    n = nt * nb - draw(st.integers(0, nb - 1))  # nb ∤ n unless the draw is 0
+    formats = [int(p) for p in MPConfig().formats]
+    lower = draw(st.lists(st.sampled_from(formats), min_size=nt * nt, max_size=nt * nt))
+    codes = np.tril(np.array(lower, dtype=np.int8).reshape(nt, nt), -1)
+    codes = codes + codes.T
+    np.fill_diagonal(codes, int(Precision.FP64))
+    strategy = draw(st.sampled_from(list(ConversionStrategy)))
+    grid = draw(st.sampled_from([None, ProcessGrid(2, 2), ProcessGrid(2, 3)]))
+    return n, nb, KernelPrecisionMap(nt, codes), strategy, grid
+
+
+class TestEmitterEqualsOracle:
+    @given(_cholesky_case())
+    @settings(max_examples=60, deadline=None)
+    def test_graph_equals_oracle_and_stream(self, case):
+        n, nb, kmap, strategy, grid = case
+        graph = build_cholesky_dag(n, nb, kmap, strategy=strategy, grid=grid).graph
+        oracle = build_cholesky_graph_oracle(n, nb, kmap, strategy=strategy, grid=grid)
+        assert graph.tasks == oracle.tasks  # dataclass equality, field for field
+        assert graph.adjacency() == oracle.adjacency()
+        streamed = list(stream_cholesky_tasks(n, nb, kmap, strategy=strategy, grid=grid))
+        assert streamed == graph.tasks
+
+
+class TestSharedPanelReads:
+    """One panel tile, one ``TaskInput``: the writer mints it, every
+    consumer lists the same frozen object."""
+
+    def test_consumers_share_the_writers_input(self):
+        nt = 6
+        by_label = {t.label: t for t in _dag(nt=nt).graph}
+        m, k = 3, 1
+        trsm = by_label[f"TRSM({m}, {k})"]
+        shared = by_label[f"SYRK({m}, {k})"].inputs[0]
+        assert shared.producer == trsm.tid and shared.tile is trsm.output
+        row = [by_label[f"GEMM({m}, {nn}, {k})"].inputs[0] for nn in range(k + 1, m)]
+        col = [by_label[f"GEMM({mm}, {m}, {k})"].inputs[1] for mm in range(m + 1, nt)]
+        assert row and col and all(inp is shared for inp in row + col)
+        # the factored diagonal tile is shared by the TRSMs below it the same way
+        diag = {id(by_label[f"TRSM({mm}, {k})"].inputs[0]) for mm in range(k + 1, nt)}
+        assert len(diag) == 1
+
+    def test_distinct_input_count_pinned(self):
+        """NT=8: 8 POTRF + 28 TRSM + 28 SYRK + 56 GEMM accumulator reads,
+        7 shared diagonal reads, 28 shared panel reads — not one per
+        consumer (288 reads in all)."""
+        graph = _dag(nt=8).graph
+        assert sum(len(t.inputs) for t in graph) == 288
+        assert len({id(inp) for t in graph for inp in t.inputs}) == 8 + 28 + 28 + 56 + 7 + 28
+
+    def test_shared_objects_are_frozen(self):
+        """Aliasing is safe because neither object can be written."""
+        inp = _dag(nt=3).graph.tasks[1].inputs[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inp.producer = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inp.tile.version = 9

@@ -38,6 +38,48 @@ class TestSimulatorMetrics:
         assert reg.gauge("sim.makespan_seconds").value() == pytest.approx(rep.makespan)
         assert reg.timer("span.duration_seconds").count(span="sim.run") == 1
 
+    def test_counters_tick_per_beat_stride_and_match_stats(self, monkeypatch):
+        """``sim.evictions`` / ``sim.conversions`` move every
+        ``BEAT_STRIDE`` executed tasks — a live plane sees them rise
+        mid-run — and land on the ``RunStats`` totals at the finish."""
+        from repro.core import two_precision_map
+        from repro.core.solver import simulate_cholesky
+        from repro.obs.live import BEAT_STRIDE, live_plane
+        from repro.perfmodel.gpus import V100
+        from repro.precision import Precision
+        from repro.runtime import Platform
+
+        nt, nb = 16, 128
+        platform = Platform.of_gpus(V100, host_memory=32 * nb * nb * 8,
+                                    gpu_memory=12 * nb * nb * 8)
+        obs.reset_metrics()
+        reg = obs.get_registry()
+        seen = []
+        with live_plane(interval=30.0) as plane:
+            begin = plane.progress.begin
+
+            def spying_begin(total, phase):
+                beat = begin(total, phase)
+
+                def spy(done, live):
+                    seen.append((done, reg.counter("sim.evictions").value(),
+                                 reg.counter("sim.conversions").value()))
+                    beat(done, live)
+
+                return spy
+
+            monkeypatch.setattr(plane.progress, "begin", spying_begin)
+            rep = simulate_cholesky(nt * nb, nb, two_precision_map(nt, Precision.FP16_32),
+                                    platform, record_events=False)
+        assert rep.stats.n_tasks > 2 * BEAT_STRIDE
+        assert [done for done, _, _ in seen] == list(
+            range(BEAT_STRIDE, rep.stats.n_tasks + 1, BEAT_STRIDE))
+        # before run_finished: already non-zero, not yet the total
+        assert 0 < seen[0][1] < rep.stats.n_evictions
+        assert 0 < seen[0][2] < rep.stats.n_conversions
+        assert reg.counter("sim.evictions").value() == rep.stats.n_evictions
+        assert reg.counter("sim.conversions").value() == rep.stats.n_conversions
+
 
 class TestExecutorSpans:
     def test_sequential_executor_emits_task_spans(self, tmp_path, tiled_96):

@@ -269,3 +269,79 @@ class TestStreamingSimulation:
         expected = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) // 6
         assert rep.stats.n_tasks == expected
         assert rep.peak_live_tasks < expected // 2
+
+
+class TestRecordOnlyForAReader:
+    """``record_events=False`` constructs no ``TraceEvent`` — and is
+    otherwise the recording run, number for number."""
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["in-memory", "ooc-static-tight"])
+    def test_no_event_built_same_result(self, tight, monkeypatch):
+        import dataclasses
+
+        from repro.core import build_cholesky_dag, stream_cholesky_tasks
+        from repro.runtime import simulator
+
+        nt, nb = 16, 128
+        kmap = two_precision_map(nt, Precision.FP16_32)
+        if tight:  # a dozen tiles of device memory over a host of 32: every tier spills
+            gpu = dataclasses.replace(V100, memory_bytes=12 * nb * nb * 8)
+            plat, policy = _platform(gpu=gpu, host_memory=32 * nb * nb * 8), "ooc-static"
+        else:
+            plat, policy = _platform(n_gpus=2, n_nodes=2), "panel-first"
+        grid = plat.process_grid()
+        graph = build_cholesky_dag(nt * nb, nb, kmap, grid=grid).graph
+
+        built = []
+        trace_event = simulator.TraceEvent
+
+        def counting_event(*args, **kwargs):
+            built.append(None)
+            return trace_event(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "TraceEvent", counting_event)
+
+        on = simulator.simulate(graph, plat, nb, policy=policy, record_events=True)
+        assert len(built) == len(on.trace.events) > len(graph)
+        if tight:
+            assert on.stats.n_evictions and on.stats.n_host_evictions and on.stats.n_spills
+        del built[:]
+
+        off = simulator.simulate(graph, plat, nb, policy=policy, record_events=False)
+        streamed = simulator.simulate_stream(
+            stream_cholesky_tasks(nt * nb, nb, kmap, grid=grid), plat, nb,
+            policy=policy, record_events=False,
+        )
+        replayed = simulator.simulate_replay(
+            graph, plat, nb, on.commit_order, record_events=False, source_policy=policy
+        )
+        assert built == []
+        for rep in (off, streamed, replayed):
+            assert rep.trace.events == []
+            assert rep.makespan == on.makespan
+            assert rep.stats.to_dict() == on.stats.to_dict()
+            assert rep.commit_order == on.commit_order
+            assert rep.task_start == on.task_start and rep.task_end == on.task_end
+
+
+class TestRaggedPricingBound:
+    """Kernels of ragged edge tiles are priced as full ``nb``² tiles
+    while transfers and TTC passes use the real element count: the
+    ragged run is never slower than the full-tile run, and the flops it
+    accounts fall by at most ``1 − ((NT−1)/NT)³`` (the bound
+    ``simulate``'s docstring states)."""
+
+    @pytest.mark.parametrize("strategy", [ConversionStrategy.TTC, ConversionStrategy.AUTO])
+    @pytest.mark.parametrize("nt", [4, 8, 16])
+    def test_ragged_never_slower_flops_within_bound(self, nt, strategy):
+        nb = 256
+        plat = _platform(n_gpus=2, n_nodes=2)
+        kmap = two_precision_map(nt, Precision.FP16)
+        full = simulate_cholesky(nt * nb, nb, kmap, plat, strategy=strategy, record_events=False)
+        ragged = simulate_cholesky(
+            nt * nb - nb + 7, nb, kmap, plat, strategy=strategy, record_events=False
+        )
+        assert ragged.stats.n_tasks == full.stats.n_tasks
+        assert ragged.makespan <= full.makespan
+        ratio = ragged.stats.total_flops / full.stats.total_flops
+        assert ((nt - 1) / nt) ** 3 <= ratio < 1.0

@@ -1,11 +1,8 @@
-"""Unit tests for the task graph and the PTG DSL."""
+"""Unit tests for the task graph (and the Cholesky emission held vs streamed)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.precision import Precision
-from repro.runtime.dsl import StreamOrderError, TaskClassSpec, TaskInstance, unroll, unroll_stream
 from repro.runtime.task import Task, TaskGraph, TaskInput, TileRef
 
 
@@ -163,136 +160,7 @@ class TestAppendFrontier:
         assert g.predecessors(1) == [0]  # successors still need ready bookkeeping
 
 
-def _mk_instance(name, params, reads, rank=0):
-    return TaskInstance(
-        cls=name,
-        params=params,
-        rank=rank,
-        precision=Precision.FP64,
-        flops=1.0,
-        writes=TileRef(params[0], 0, 1),
-        output_precision=Precision.FP64,
-        reads=reads,
-    )
-
-
-def _consumer_and_producer():
-    """B(0) reads A(0): topological only when A's class is listed first."""
-    consumer = TaskClassSpec(
-        "B",
-        lambda: [(0,)],
-        lambda p: _mk_instance(
-            "B", p,
-            [(("A", (0,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-        ),
-    )
-    return consumer, TaskClassSpec("A", lambda: [(0,)], lambda p: _mk_instance("A", p, []))
-
-
-class TestDSL:
-    def test_unroll_forward_references(self):
-        """Emission order is the task order: a class reading an instance
-        emitted later is an error for every caller, never a re-sort."""
-        consumer, producer = _consumer_and_producer()
-        with pytest.raises(StreamOrderError, match="not been emitted"):
-            unroll([consumer, producer])  # consumer listed first
-        graph = unroll([producer, consumer])
-        assert [t.kind for t in graph.tasks] == ["A", "B"]
-        assert graph.predecessors(1) == [0]
-
-    def test_duplicate_instance_rejected(self):
-        dup = TaskClassSpec(
-            "A", lambda: [(0,), (0,)], lambda p: _mk_instance("A", p, [])
-        )
-        with pytest.raises(ValueError, match="duplicate"):
-            unroll([dup])
-
-    def test_unknown_producer_rejected(self):
-        bad = TaskClassSpec(
-            "B",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "B", p,
-                [(("X", (9,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-            ),
-        )
-        with pytest.raises(StreamOrderError, match="unknown producer"):
-            unroll([bad])
-
-    def test_cycle_rejected(self):
-        a = TaskClassSpec(
-            "A",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "A", p,
-                [(("B", (0,)), TileRef(0, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-            ),
-        )
-        b = TaskClassSpec(
-            "B",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "B", p,
-                [(("A", (0,)), TileRef(1, 0, 1), Precision.FP64, Precision.FP64, 4, "in")],
-            ),
-        )
-        with pytest.raises(StreamOrderError, match="cycle"):
-            unroll([a, b])
-
-    def test_host_reads_allowed(self):
-        spec = TaskClassSpec(
-            "A",
-            lambda: [(0,)],
-            lambda p: _mk_instance(
-                "A", p, [(None, TileRef(0, 0, 0), Precision.FP64, Precision.FP64, 4, "inout")]
-            ),
-        )
-        graph = unroll([spec])
-        assert graph.tasks[0].inputs[0].producer is None
-
-
-# -- unroll is unroll_stream, held ---------------------------------------------
-
-def _topo_ptg(pred_sets):
-    """One task class over a random DAG whose emission order (ascending
-    task index) is topological: task ``i`` reads from ``pred_sets[i]``,
-    every predecessor < i, plus one host tile so sources have inputs."""
-
-    def inst(params):
-        (i,) = params
-        reads = [(None, TileRef(i, i, 0), Precision.FP64, Precision.FP64, 4, "inout")]
-        reads += [
-            (("T", (p,)), TileRef(p, p, 1), Precision.FP64, Precision.FP64, 4, "in")
-            for p in sorted(pred_sets[i])
-        ]
-        return _mk_instance("T", params, reads)
-
-    return TaskClassSpec("T", lambda: [(i,) for i in range(len(pred_sets))], inst)
-
-
-@st.composite
-def _random_dag(draw):
-    n = draw(st.integers(1, 24))
-    preds = []
-    for i in range(n):
-        if i == 0:
-            preds.append(set())
-        else:
-            preds.append(set(draw(st.lists(st.integers(0, i - 1), max_size=4))))
-    return preds
-
-
 class TestStreamedUnroll:
-    @given(_random_dag())
-    @settings(max_examples=30, deadline=None)
-    def test_unroll_stream_generator_matches_materialized_tasks(self, pred_sets):
-        tasks = list(unroll_stream([_topo_ptg(pred_sets)]))
-        held = unroll([_topo_ptg(pred_sets)])
-        assert [t.tid for t in tasks] == list(range(len(held)))
-        assert tasks == list(held.tasks)  # dataclass equality: tid, kind, params, inputs, …
-        for tid, preds in enumerate(pred_sets):
-            assert list(held.predecessors(tid)) == sorted(preds)
-
     def test_cholesky_stream_equals_materialize(self):
         """The held Cholesky graph is the lazy k-major emission, task for
         task: same tids, same producer ids."""
@@ -308,15 +176,3 @@ class TestStreamedUnroll:
         held = build_cholesky_dag(n, nb, kmap).graph
         assert len(held) == cholesky_task_count(8)
         assert list(stream_cholesky_tasks(n, nb, kmap)) == list(held.tasks)
-
-    def test_unroll_stream_raises_on_forward_reference(self):
-        consumer, producer = _consumer_and_producer()
-        with pytest.raises(StreamOrderError):
-            list(unroll_stream([consumer, producer]))
-        # StreamOrderError is a ValueError so existing catch-alls still work
-        assert issubclass(StreamOrderError, ValueError)
-
-    def test_unroll_stream_duplicate_instance_rejected(self):
-        dup = TaskClassSpec("A", lambda: [(0,), (0,)], lambda p: _mk_instance("A", p, []))
-        with pytest.raises(ValueError, match="duplicate"):
-            list(unroll_stream([dup]))
