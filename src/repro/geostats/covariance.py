@@ -19,14 +19,18 @@ one.  With s = h/β it dispatches on the value of ν it is handed:
 ν = ½ (preset "rough") → σ²e^{−s}, 3⁄2 → σ²(1+s)e^{−s},
 5⁄2 → σ²(1+s+s²⁄3)e^{−s}, all through ``np.exp``; ν = 1 (preset
 "smooth") → σ²·s·K₁(s) through ``scipy.special``'s ``k1``; every other
-ν → the general form above through its ``kv``.  Dense matrices
-(``cov_matrix``) and tiled ones (``generator.build_tiled_covariance``)
-both make one kernel call, over the packed lower-triangle distances of
-:class:`~.locations.TileDistances`.
+ν → the general form above as σ²·exp(r(log s) − s), where r, the log of
+the kernel scaled by e^s, is O(log s), analytic in log s and read from
+one table of ``kve`` per call (:func:`_matern_general`): a fit that
+estimates ν pays a few hundred Bessel evaluations per θ, not one per
+pair of points.  Dense matrices (``cov_matrix``) and tiled ones
+(``generator.build_tiled_covariance``) both make one kernel call, over
+the packed lower-triangle distances of :class:`~.locations.TileDistances`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,8 +168,11 @@ class Matern(CovarianceModel):
 
     def correlation(self, h: np.ndarray, theta: np.ndarray) -> np.ndarray:
         sigma2, beta, nu = theta
-        s = np.asarray(h, dtype=np.float64) / beta  # a fresh array, reused below
-        if nu in (0.5, 1.5, 2.5):
+        h = np.asarray(h, dtype=np.float64)
+        if nu not in (0.5, 1.0, 1.5, 2.5):
+            return _matern_general(h, sigma2, beta, nu)
+        s = h / beta  # a fresh array, reused below
+        if nu != 1.0:
             # closed forms: h = 0 gives σ²·1; e^{−s} is exactly 0 from s ≈ 745
             # on, and the clamp keeps the polynomial beside it finite
             np.minimum(s, 750.0, out=s)
@@ -175,20 +182,13 @@ class Matern(CovarianceModel):
             elif nu == 2.5:
                 out *= 1.0 + s + s * s / 3.0
             return np.multiply(out, sigma2, out=out)
-        if nu == 1.0:
-            coeff, k = sigma2, scipy.special.k1(s)
-        else:
-            coeff = sigma2 * (2.0 ** (1.0 - nu)) / scipy.special.gamma(nu)
-            k = scipy.special.kv(nu, s)
-        # K_ν underflows to 0 for huge arguments, where the covariance's
+        # K₁ underflows to 0 for huge arguments, where the covariance's
         # limit is 0, and overflows to inf as s → 0⁺ (and at h = 0), where
-        # it is σ²; s^ν saturates the other way, so the product is formed
-        # (in place, in s) only where K_ν is positive and finite, and
-        # inf·0 never is.
+        # it is σ²: the product is formed (in place, in s) only where K₁ is
+        # positive and finite, and inf·0 never is.
+        k = scipy.special.k1(s)
         live = (k > 0.0) & np.isfinite(k)
-        if nu != 1.0:
-            np.power(s, nu, out=s, where=live)
-        np.multiply(s, coeff, out=s, where=live)
+        np.multiply(s, sigma2, out=s, where=live)
         np.multiply(s, k, out=s, where=live)
         dead = ~live
         s[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
@@ -202,6 +202,84 @@ class Matern(CovarianceModel):
         beta = {"weak": 0.03, "strong": 0.3}[correlation]
         nu = {"rough": 0.5, "smooth": 1.0}[smoothness]
         return Matern(dim=2), (1.0, beta, nu)
+
+
+#: the general-ν table: nodes at t = log s = k·_STEP, read in blocks of _BLOCK entries;
+#: e^{−s} is 0 from s ≈ 745 on, so the Bessel function's argument stops at _S_MAX (−s does not)
+_STEP, _BLOCK, _S_MAX = 1.0 / 64.0, 16_384, 750.0
+#: node values → monomial coefficients in v ∈ [−½, ½) of the degree-7 polynomial
+#: through the 8 nodes at v = −3.5 … 3.5: the Lagrange basis expanded in half-steps
+#: 2v, where every product is a small integer, so each entry is rounded once
+_HALF_STEPS = np.arange(-7.0, 8.0, 2.0)
+_NODES_TO_COEFFS = np.array([
+    np.poly(np.delete(_HALF_STEPS, k))[::-1] * 2.0 ** np.arange(8)
+    / np.prod(_HALF_STEPS[k] - np.delete(_HALF_STEPS, k))
+    for k in range(8)
+])
+
+
+def _log_scaled_matern(nu: float, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``r(t) = log(2^{1−ν}/Γ(ν) · s^ν · e^s K_ν(s))`` at ``s = e^t``, 0 < s ≤ 750.
+
+    O(log s) in size and analytic in t; 0 in the limit s → 0⁺, and exactly
+    0 where ``kve`` overflows on the way there.
+    """
+    k = scipy.special.kve(nu, s)
+    r = np.log(k) + nu * t - (math.lgamma(nu) + (nu - 1.0) * math.log(2.0))
+    r[np.isinf(k)] = 0.0
+    return r
+
+
+def _matern_general(h: np.ndarray, sigma2: float, beta: float, nu: float) -> np.ndarray:
+    """``σ²·2^{1−ν}/Γ(ν)·s^ν·K_ν(s)`` as ``σ²·exp(r(log s) − s)``, s = h/β, at any ν.
+
+    ``r`` is :func:`_log_scaled_matern`, evaluated at the entries themselves
+    or — when that means fewer Bessel evaluations than the array has positive
+    entries — at the nodes of a uniform grid in t = log s spanning them and
+    read through the degree-7 polynomial on the 8 nodes around each interval
+    (≤ 1e-13 from the entries' own, but for the 3e-13 jump AMOS itself makes
+    at s = 2; ``tests/test_geostats_matern_table.py`` holds both routes to
+    ``mpmath``).  h = 0 gives σ² exactly, ``np.exp`` underflows to the limit
+    0, and the array is walked in blocks with reused buffers.
+    """
+    out = np.full(h.shape, float(sigma2))
+    flat_h, flat_out = h.reshape(-1), out.reshape(-1)  # a strided h is copied here, once
+    blocks = [(flat_h[i : i + _BLOCK], flat_out[i : i + _BLOCK]) for i in range(0, h.size, _BLOCK)]
+    lo = min((float(np.min(hb, where=hb > 0.0, initial=np.inf)) for hb, _ in blocks), default=np.inf)
+    if lo == np.inf:  # nothing but h = 0
+        return out
+    s_lo, s_hi = min(lo / beta, _S_MAX), min(float(h.max()) / beta, _S_MAX)
+    first = math.floor(math.log(s_lo) / _STEP)  # interval k is [k, k + 1)·_STEP
+    n_intervals = math.floor(math.log(s_hi) / _STEP) - first + 1
+    coeffs = None
+    if n_intervals + 7 < np.count_nonzero(h):
+        t = (first - 3 + np.arange(n_intervals + 7)) * _STEP
+        windows = np.lib.stride_tricks.sliding_window_view(_log_scaled_matern(nu, np.exp(t), t), 8)
+        coeffs = _NODES_TO_COEFFS.T @ windows.T  # (8 powers, intervals), each row contiguous
+    s, r, v, term = np.empty((4, min(_BLOCK, h.size)))
+    index = np.empty(s.size, dtype=np.intp)
+    for hb, ob in blocks:
+        s, r, v, term, index = (buf[: hb.size] for buf in (s, r, v, term, index))
+        np.divide(hb, beta, out=s)
+        np.clip(s, s_lo, _S_MAX, out=v)  # an h = 0 rides along at the smallest s; ``ob`` keeps its σ²
+        np.log(v, out=r)
+        if coeffs is None:
+            r[:] = _log_scaled_matern(nu, v, r)
+        else:
+            r *= 1.0 / _STEP
+            r -= first  # the interval's number plus the position inside it
+            np.clip(np.floor(r, out=v), 0, n_intervals - 1, out=v)
+            np.copyto(index, v, casting="unsafe")
+            np.subtract(r, v, out=v)
+            v -= 0.5
+            np.take(coeffs[7], index, out=r, mode="clip")
+            for row in coeffs[6::-1]:  # Horner
+                r *= v
+                r += np.take(row, index, out=term, mode="clip")
+        r -= s
+        np.exp(r, out=r)
+        np.multiply(r, sigma2, out=ob, where=hb > 0.0)
+    return out
 
 
 MODEL_REGISTRY: dict[str, Callable[[], CovarianceModel]] = {

@@ -64,6 +64,6 @@ def krige(
     alpha = solve_with_factor(factor, dataset.z)  # Σ⁻¹ z
     mean = cross.T @ alpha
     solved_cross = solve_with_factor(factor, cross)  # Σ⁻¹ Σ*
-    prior_var = model.correlation(np.zeros(new_locations.shape[0]), np.asarray(theta_t))
+    prior_var = model.correlation(np.zeros(1), np.asarray(theta_t))[0]  # C(0), the same at every point
     variance = prior_var - np.einsum("ij,ij->j", cross, solved_cross)
     return KrigingResult(mean=mean, variance=variance, theta=theta_t)

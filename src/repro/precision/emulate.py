@@ -92,11 +92,19 @@ def truncate_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
 
 
 _FP16_MIN_NORMAL = 2.0**-14
+#: halfway from the largest fp16 (65504) to 2^16: from here on the cast saturates to ±inf
+_FP16_SATURATES = 65520.0
 #: 1.5 · 2^(p−1) · 2^-24 for a p-bit significand: a sum in [2^(p−1), 2^p) · 2^-24
 #: has ulp 2^-24, the spacing of the fp16 subnormals
 _FP16_SUBNORMAL_MAGIC = {
     np.dtype(np.float32): np.float32(0.75),
     np.dtype(np.float64): np.float64(1.5 * 2.0**28),
+}
+#: per dtype: the exponent field of its encoding (|x| with the mantissa masked off is
+#: the lane's binade 2^E) and 2^(mantissa bits − 10), a binade's ulp over its fp16 step
+_FP16_BINADE_MAGIC = {
+    np.dtype(np.float32): (_EXP_MASK, 2.0**13),
+    np.dtype(np.float64): (np.uint64(0x7FF0000000000000), 2.0**42),
 }
 
 
@@ -110,8 +118,15 @@ def round_to_fp16(x: np.ndarray) -> np.ndarray:
     grid is the multiples of 2^-24, and ``(|x| + magic) − magic`` rounds
     to it in one correctly rounded add (the sum's ulp is 2^-24) and an
     exact subtract; ``copysign`` restores the sign, including that of a
-    zero result.  Only the remaining lanes (normal in fp16, or not
-    finite) go through NumPy's cast, which is fast on them.
+    zero result.  A lane that is normal in fp16 has the same rounding on
+    the grid of its own binade, 2^(E−10) for |x| ∈ [2^E, 2^(E+1)): when
+    every lane is finite and below 65520 the magic constant is built per
+    lane from the lane's exponent, 2^(E+13) in float32 and 2^(E+42) in
+    float64 (E held at −14 below the normal range, which is the subnormal
+    constant's grid again), and no lane needs NumPy's cast.  Only an
+    array with a NaN, an infinity or a saturating lane (or a 0-d one)
+    sends its normal and non-finite lanes through the cast, which is
+    fast on them.
     """
     magic = _FP16_SUBNORMAL_MAGIC[x.dtype]
     mag = np.abs(x)
@@ -119,10 +134,17 @@ def round_to_fp16(x: np.ndarray) -> np.ndarray:
     # over: finite values from 65520 up saturate to ±inf in the cast, as on the hardware;
     # invalid: a signalling NaN trips the add, and its lane is the cast's anyway
     with np.errstate(over="ignore", invalid="ignore"):
+        top = mag.max(initial=0.0) if x.ndim else np.inf  # NaN when any lane is
+        if _FP16_MIN_NORMAL <= top < _FP16_SATURATES:
+            exponent_field, scale = _FP16_BINADE_MAGIC[x.dtype]
+            magic = (mag.view(exponent_field.dtype) & exponent_field).view(x.dtype)
+            np.maximum(magic, _FP16_MIN_NORMAL, out=magic)
+            magic *= scale
         np.copysign((mag + magic) - magic, x, out=out)
-        rest = ~(mag < _FP16_MIN_NORMAL)  # not ``>=``: NaN lanes belong to the cast
-        if rest.any():
-            out[rest] = x[rest].astype(np.float16)
+        if not top < _FP16_SATURATES:
+            rest = ~(mag < _FP16_MIN_NORMAL)  # not ``>=``: NaN lanes belong to the cast
+            if rest.any():
+                out[rest] = x[rest].astype(np.float16)
     return out
 
 

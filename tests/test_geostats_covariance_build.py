@@ -2,7 +2,10 @@
 
 Held against ``tests/covariance_oracle.py`` (the per-tile, ``kv``-everywhere
 build they replaced): bit for bit wherever the arithmetic did not change,
-to 1e-14 relative at the ν that now take a closed form.
+to 1e-14 relative at the ν that now take a closed form, and to ``BUDGET``
+at every other ν, where the kernel is ``σ²·exp(r(log s) − s)`` with ``r``
+read from a table (``tests/test_geostats_matern_table.py`` holds that
+route to ``mpmath``).
 """
 
 import dataclasses
@@ -40,7 +43,8 @@ from tests.covariance_oracle import (
     matern_correlation_kv,
 )
 
-#: models × θ whose arithmetic is the oracle's: every tile must be identical
+#: models × θ held to the oracle tile by tile: identical where the arithmetic
+#: is the oracle's (squared exponential), within ``BUDGET`` at a general ν
 UNCHANGED = [
     (SquaredExponential(dim=2), (1.1, 0.05)),
     (SquaredExponential(dim=3), (0.9, 0.2)),
@@ -49,14 +53,32 @@ UNCHANGED = [
     (Matern(dim=2), (1.0, 0.1, 2.0)),
 ]
 PRESET_NU = (0.5, 1.0, 1.5, 2.5)
+#: relative error per entry the general-ν kernel may sit from the oracle's
+#: ``kv``: AMOS reaches 1e-13 next to a half-integer ν, the table may add
+#: 1e-13, and the two do not round alike
+BUDGET = 5e-13
 
 
-def _same_tiles(a, b):
+def _rtol(model, theta):
+    """0 where the kernel's arithmetic is the oracle's, ``BUDGET`` at a general ν."""
+    return BUDGET if isinstance(model, Matern) and theta[2] not in PRESET_NU else 0.0
+
+
+def _same_tiles(a, b, rtol=0.0):
     assert a.tiles.keys() == b.tiles.keys()
     assert a.storage_precision == b.storage_precision
     for key, tile in b.tiles.items():
         assert a.tiles[key].dtype == tile.dtype
-        assert np.array_equal(a.tiles[key], tile), key
+        if rtol == 0.0:
+            assert np.array_equal(a.tiles[key], tile), key
+            continue
+        # a tile stored in float32/float16 can round a 14th-digit difference
+        # to one step of its own grid (of its subnormal grid near 0)
+        grid = np.finfo(tile.dtype)
+        atol = 0.0 if tile.dtype == np.float64 else float(grid.smallest_subnormal)
+        np.testing.assert_allclose(
+            a.tiles[key].astype(np.float64), tile.astype(np.float64),
+            rtol=max(rtol, float(grid.eps)), atol=atol, err_msg=str(key))
 
 
 class TestDistances:
@@ -99,6 +121,7 @@ class TestBitIdentity:
         _same_tiles(
             build_tiled_covariance(locs, model, theta, nb, nugget=nugget),
             build_tiled_covariance_oracle(locs, model, theta, nb, nugget=nugget),
+            rtol=_rtol(model, theta),
         )
 
     @pytest.mark.parametrize("model, theta", UNCHANGED[::2], ids=lambda v: getattr(v, "name", str(v)))
@@ -110,14 +133,15 @@ class TestBitIdentity:
 
         new = build_tiled_covariance(locs, model, theta, 32, kernel_precision=kernel_precision)
         _same_tiles(new, build_tiled_covariance_oracle(
-            locs, model, theta, 32, kernel_precision=kernel_precision))
+            locs, model, theta, 32, kernel_precision=kernel_precision), rtol=_rtol(model, theta))
         assert (new.tiles[(0, 0)].dtype, new.tiles[(4, 0)].dtype) == (np.float64, np.float32)
 
     @pytest.mark.parametrize("model, theta", UNCHANGED, ids=lambda v: getattr(v, "name", str(v)))
     def test_dense_matrix_is_the_tiled_one_and_the_oracle(self, model, theta):
         locs = generate_locations(300, model.dim, seed=6)  # two 256-tiles inside cov_matrix
         cov = model.cov_matrix(locs, theta)
-        assert np.array_equal(cov, cov_matrix_oracle(model, locs, theta))
+        np.testing.assert_allclose(
+            cov, cov_matrix_oracle(model, locs, theta), rtol=_rtol(model, theta), atol=0.0)
         assert np.array_equal(cov, build_tiled_covariance(locs, model, theta, 64).to_dense())
 
     @pytest.mark.parametrize("nu", PRESET_NU)
@@ -268,9 +292,21 @@ def _factor_through_oracle(ds, theta, cfg):
 
 
 class TestOnePipeline:
-    """Likelihood, profile likelihood and kriging share one factorization."""
+    """Likelihood, profile likelihood and kriging share one factorization.
+
+    The dataset's ν = 0.8 is a general ν, so Σ sits within ``BUDGET`` per
+    entry of the oracle's (‖δΣ‖₂ ≤ BUDGET·‖Σ‖_F) and what is solved with it
+    within κ(Σ) times that, to first order: the tolerances below are that
+    bound, no looser.  They were ``==`` while both sides called ``kv``.
+    """
 
     CFG = MPConfig(accuracy=1e-6, tile_size=20)
+
+    @staticmethod
+    def _solve_rtol(dataset, theta):
+        """‖Σ⁻¹‖₂·‖δΣ‖₂ for an entrywise relative perturbation of ``BUDGET``."""
+        cov = dataset.model.cov_matrix(dataset.locations, theta)
+        return BUDGET * np.linalg.norm(np.linalg.inv(cov), 2) * np.linalg.norm(cov, "fro")
 
     def test_profile_value_unchanged_to_the_last_bit(self, dataset):
         phi = (0.13, 0.8)
@@ -280,17 +316,31 @@ class TestOnePipeline:
         value = (-0.5 * dataset.n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2))
                  - 0.5 * logdet_from_factor(factor))
         ev = profile_log_likelihood(dataset, phi, self.CFG)
-        assert (ev.value, ev.sigma2_hat, ev.reason) == (value, sigma2, None)
+        assert ev.reason is None
+        # δ(zᵀΣ⁻¹z)/zᵀΣ⁻¹z and δ log|Σ| / n are both ≤ ‖Σ⁻¹‖‖δΣ‖, and the
+        # profile value is −(n/2)·log σ̂² − ½·log|Σ| + const
+        rtol = self._solve_rtol(dataset, (1.0, *phi))
+        assert rtol < 1e-8
+        assert abs(ev.sigma2_hat - sigma2) <= rtol * sigma2
+        assert abs(ev.value - value) <= dataset.n * rtol
 
     def test_krige_unchanged_to_the_last_bit(self, dataset):
         theta = (0.9, 0.13, 0.8)
         new = generate_locations(12, 2, seed=3)
         factor = _factor_through_oracle(dataset, theta, self.CFG)
         cross = dataset.model.cross_cov(dataset.locations, new, theta)
-        mean = cross.T @ solve_with_factor(factor, dataset.z)
-        variance = theta[0] - np.einsum("ij,ij->j", cross, solve_with_factor(factor, cross))
+        alpha = solve_with_factor(factor, dataset.z)
+        solved = solve_with_factor(factor, cross)
+        mean = cross.T @ alpha
+        variance = theta[0] - np.einsum("ij,ij->j", cross, solved)
         out = krige(dataset, new, theta, config=self.CFG)
-        assert np.array_equal(out.mean, mean) and np.array_equal(out.variance, variance)
+        # δ(Σ⁻¹b) ≤ ‖Σ⁻¹‖‖δΣ‖·‖Σ⁻¹b‖, then Cauchy–Schwarz against each Σ* column
+        rtol = self._solve_rtol(dataset, theta)
+        assert rtol < 1e-8
+        reach = np.linalg.norm(cross, axis=0)
+        assert np.all(np.abs(out.mean - mean) <= rtol * reach * np.linalg.norm(alpha))
+        assert np.all(np.abs(out.variance - variance)
+                      <= rtol * reach * np.linalg.norm(solved, axis=0))
 
     def test_krige_still_raises_where_there_is_no_factor(self, dataset):
         with pytest.raises(ValueError, match="cov_build"):

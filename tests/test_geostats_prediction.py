@@ -67,6 +67,32 @@ class TestKrige:
         mixed = krige(train, locs, theta, config=_config(1e-9))
         assert np.allclose(exact.mean, mixed.mean, atol=1e-4)
 
+    def test_prior_variance_is_one_kernel_entry(self, split_field, monkeypatch):
+        """C(0) is a constant: taken from one entry, not from m zeros, same bits."""
+        from repro.core.cholesky import solve_with_factor
+        from repro.geostats.covariance import Matern
+        from repro.geostats.likelihood import _factorize
+
+        train, locs, _z, theta = split_field  # ν = ½, a preset: closed form
+        factor, _kmap, reason = _factorize(train, tuple(theta), _config())
+        assert reason is None
+        cross = train.model.cross_cov(train.locations, locs, theta)
+        prior = train.model.correlation(np.zeros(len(locs)), np.asarray(theta))
+        variance = prior - np.einsum("ij,ij->j", cross, solve_with_factor(factor, cross))
+
+        zeros_seen = []
+        correlation = Matern.correlation
+
+        def watched(self, h, theta):
+            if not np.any(h):
+                zeros_seen.append(np.size(h))
+            return correlation(self, h, theta)
+
+        monkeypatch.setattr(Matern, "correlation", watched)
+        out = krige(train, locs, theta, config=_config())
+        assert np.array_equal(out.variance, variance)
+        assert zeros_seen == [1]
+
     def test_validates_locations(self, split_field):
         train, _locs, _z, theta = split_field
         with pytest.raises(ValueError):

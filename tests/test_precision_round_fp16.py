@@ -82,6 +82,26 @@ class TestAgainstNumpyCast:
         out = round_to_fp16(x)
         assert out[0] == 65504.0 and out[1] == 65504.0 and np.isposinf(out[2])
 
+    def test_all_finite_arrays_up_to_the_saturation_boundary(self, dtype):
+        # no NaN, inf or saturating lane: every lane is rounded on its own
+        # binade's grid, none by the cast
+        x = every_fp16().astype(dtype)
+        x = x[np.isfinite(x)]
+        assert_same_bits(x)
+        assert np.array_equal(round_to_fp16(x), x)
+        below = np.nextafter(dtype(65520.0), dtype(0.0))
+        edge = np.array([65504.0, 65519.99, below, -65519.99, -below, 1.0, 2.0**-20, 0.0], dtype=dtype)
+        assert_same_bits(edge)
+        assert np.all(np.abs(round_to_fp16(edge)[:5]) == 65504.0)
+        # one lane on the boundary and the array is the cast's again
+        for top in (65520.0, -65520.0):
+            over = np.array([top, 65519.99, 1.0, 2.0**-20], dtype=dtype)
+            assert_same_bits(over)
+            assert np.isinf(round_to_fp16(over)[0]) and round_to_fp16(over)[1] == 65504.0
+        # the shortcut's own boundary: largest subnormal, smallest normal
+        for top in (2.0**-14, np.nextafter(dtype(2.0**-14), dtype(0.0))):
+            assert_same_bits(np.array([top, -top, 2.0**-25, 3 * 2.0**-25, 0.0], dtype=dtype))
+
     def test_nan_payloads(self, dtype):
         uint = UINT[dtype]
         mant_bits = 23 if dtype is np.float32 else 52
