@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """A tour of the PaRSEC-like runtime substrate.
 
-Builds the same mixed-precision Cholesky three ways and shows the
-runtime tooling around it:
+Builds one mixed-precision Cholesky DAG and shows the runtime tooling
+around it:
 
-1. the PTG (parameterized task graph) and the DTD (dynamic task
-   discovery) front ends produce the *same* DAG;
+1. the PTG (parameterized task graph) unrolls into the task DAG;
 2. the DAG executes numerically — sequentially, on host threads, and
    across OS processes with wire-quantised payloads — all bit-identical;
 3. the same DAG is priced on a simulated V100 and the trace rendered as
@@ -18,7 +17,7 @@ import json
 
 import numpy as np
 
-from repro.core import build_cholesky_dag, build_cholesky_dag_dtd, build_precision_map
+from repro.core import build_cholesky_dag, build_precision_map
 from repro.perfmodel import V100
 from repro.runtime import (
     Platform,
@@ -39,13 +38,10 @@ def main() -> None:
     mat = TiledSymmetricMatrix.from_dense(a @ a.T + n * np.eye(n), nb)
     kmap = build_precision_map(tile_norms(mat), 1e-6)
 
-    # 1. two DSLs, one DAG
+    # 1. the DAG
     grid = ProcessGrid(2, 2)
     ptg = build_cholesky_dag(n, nb, kmap, grid=grid)
-    dtd = build_cholesky_dag_dtd(n, nb, kmap, grid=grid)
     print(f"PTG: {len(ptg.graph)} tasks {ptg.graph.counts_by_kind()}")
-    print(f"DTD: {len(dtd.graph)} tasks — same census: "
-          f"{ptg.graph.counts_by_kind() == dtd.graph.counts_by_kind()}")
 
     # 2. three executors, one answer
     seq = execute_numeric(ptg.graph, mat).lower_dense()

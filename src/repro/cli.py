@@ -22,9 +22,6 @@ Commands
               (see ``docs/SCHEDULING.md``) and diff each against a
               baseline policy via the regression-sentinel report format
 ``watch``     poll a live run's ``/progress`` endpoint (``--live-port``)
-``ingest``    bring a point set into the dataplane (CSV/NPZ/Parquet or
-              synthetic); ``reorder`` sorts one along a space-filling
-              curve (``docs/DATAPLANE.md``)
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
 ``--trace-out`` (Perfetto JSON with counter tracks), ``--metrics-out``
@@ -98,10 +95,9 @@ _CAPTURE_HELP = {
 def _add_capture_flags(p: argparse.ArgumentParser, *, trace: bool, profile: bool) -> None:
     """The telemetry-output flag family (see ``docs/OBSERVABILITY.md``):
     ``--events-out`` and ``--metrics-out`` always; ``--profile-out`` for
-    the verbs that run under the sampling profiler; ``--trace-out``,
-    ``--csv-out`` and ``--run-id`` for the one verb that records a
-    simulator trace.  :func:`_capture` / :func:`_write_capture` act on
-    them."""
+    the verbs that run under the sampling profiler; ``--trace-out``
+    and ``--run-id`` for the one verb that records a simulator trace.
+    :func:`_capture` / :func:`_write_capture` act on them."""
     text = _CAPTURE_HELP[p.prog.split()[-1]]
     p.add_argument("--events-out", default=None, metavar="PATH", help=text["events"])
     p.add_argument("--metrics-out", default=None, metavar="PATH", help=text["metrics"])
@@ -111,8 +107,6 @@ def _add_capture_flags(p: argparse.ArgumentParser, *, trace: bool, profile: bool
     if trace:
         p.add_argument("--trace-out", default=None, metavar="PATH",
                        help="write a Perfetto/Chrome trace JSON with counter tracks")
-        p.add_argument("--csv-out", default=None, metavar="PATH",
-                       help="write the raw event trace as CSV")
         p.add_argument("--run-id", default=None,
                        help="run identifier for logs/manifest")
 
@@ -331,42 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="encoded GPU specifications")
 
     p = sub.add_parser(
-        "ingest",
-        help="bring a point set into the dataplane (CSV/NPZ/Parquet or synthetic)",
-    )
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", default=None, metavar="PATH",
-                     help="source point set: .csv (x,y[,z],value), .npz, or "
-                          ".parquet")
-    src.add_argument("--synthetic", type=int, default=None, metavar="N",
-                     help="synthesize N points (perturbed grid, unordered)")
-    p.add_argument("--dim", type=int, default=2, choices=[2, 3],
-                   help="coordinate dimension for --synthetic (default: 2)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for --synthetic (default: 0)")
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="destination point-set file (.npz or .parquet)")
-    p.add_argument("--format", default=None, choices=["npz", "parquet"],
-                   help="force the encoding (default: by extension, then "
-                        "parquet when pyarrow exists, else npz)")
-
-    p = sub.add_parser(
-        "reorder",
-        help="sort a point set along a space-filling curve (or shuffle it)",
-    )
-    p.add_argument("--input", required=True, metavar="PATH",
-                   help="point-set file written by `repro ingest`")
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="destination point-set file")
-    p.add_argument("--ordering", default="hilbert",
-                   choices=["morton", "random", "hilbert"],
-                   help="spatial ordering to apply (default: hilbert)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="shuffle seed for --ordering random (default: 0)")
-    p.add_argument("--format", default=None, choices=["npz", "parquet"],
-                   help="force the output encoding")
-
-    p = sub.add_parser(
         "watch",
         help="poll a live run's /progress endpoint and render its progress",
     )
@@ -515,15 +473,15 @@ def _cmd_simulate(args) -> int:
               "exported from a --stream run replays without it)", file=sys.stderr)
         return 2
     platform, kmap, strategy = _run_from_args(args)
-    # events are needed whenever a trace/CSV export was requested; a
+    # events are needed whenever a trace export was requested; a
     # schedule export wants them too so the trace hash rides along for
     # replay verification
-    record_events = bool(args.trace_out or args.csv_out or args.schedule_out)
+    record_events = bool(args.trace_out or args.schedule_out)
     if args.stream and record_events:
         # the O(window) live-memory bound covers Task objects only; a
         # recorded Trace still accumulates O(n_tasks) events
-        print("simulate: warning: --trace-out/--csv-out/--schedule-out void "
-              "the O(window) memory bound of --stream — the event trace "
+        print("simulate: warning: --trace-out/--schedule-out void the "
+              "O(window) memory bound of --stream — the event trace "
               "grows with every task (see docs/SCHEDULING.md)", file=sys.stderr)
     schedule = StaticSchedule.load(args.replay) if args.replay else None
     with _capture(args) as (profiler, plane):
@@ -599,9 +557,6 @@ def _cmd_simulate(args) -> int:
                                  obs_events=obs_events,
                                  metadata={"policy": rep.policy})
         print(f"  trace   → {args.trace_out}")
-    if args.csv_out:
-        obs.write_trace_csv(rep.trace.events, args.csv_out)
-        print(f"  csv     → {args.csv_out}")
     _write_capture(args, profiler, command="simulate", stats=d,
                    n_tasks=d["n_tasks"],
                    trace=rep.trace if record_events else None)
@@ -1108,45 +1063,6 @@ def _cmd_watch(args) -> int:
             out_fh.close()
 
 
-def _load_any_pointset(path: str):
-    """Read a point set from CSV, NPZ, or Parquet by extension."""
-    from .geostats import dataplane as dp
-
-    if path.endswith(".csv"):
-        return dp.read_pointset_csv(path)
-    return dp.read_pointset(path)
-
-
-def _cmd_ingest(args) -> int:
-    from .geostats import dataplane as dp
-
-    if args.synthetic is not None:
-        ps = dp.synthesize_pointset(args.synthetic, args.dim, seed=args.seed)
-        source = f"synthetic n={args.synthetic} dim={args.dim} seed={args.seed}"
-    else:
-        ps = _load_any_pointset(args.input)
-        source = args.input
-    out = dp.write_pointset(args.out, ps, format=args.format)
-    score = dp.check_spatial_order(ps.coords)
-    print(f"ingested {ps.n} points ({ps.dim}D, {ps.coords.dtype}) from {source}")
-    print(f"  wrote   → {out}")
-    print(f"  order score {score:.4f} (1.0 ≈ random; lower is more coherent)")
-    return 0
-
-
-def _cmd_reorder(args) -> int:
-    from .geostats import dataplane as dp
-
-    ps = _load_any_pointset(args.input)
-    before = dp.check_spatial_order(ps.coords)
-    ordered, _perm, after = dp.reorder_pointset(ps, args.ordering, seed=args.seed)
-    out = dp.write_pointset(args.out, ordered, format=args.format)
-    print(f"reordered {ps.n} points: {args.ordering}")
-    print(f"  wrote   → {out}")
-    print(f"  order score {before:.4f} → {after:.4f}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -1161,8 +1077,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "schedule-compare": _cmd_schedule_compare,
         "watch": _cmd_watch,
-        "ingest": _cmd_ingest,
-        "reorder": _cmd_reorder,
     }[args.command]
     from .obs.alerts import WatchdogAbort
 

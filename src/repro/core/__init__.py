@@ -12,7 +12,6 @@ from .conversion import (
     payload_encoding,
 )
 from .dag_cholesky import CholeskyDag, build_cholesky_dag, cholesky_task_count, stream_cholesky_tasks
-from .dtd_cholesky import build_cholesky_dag_dtd
 from .refinement import RefinementResult, refine_solve
 from .precision_map import (
     FIXED_CONFIGS,
@@ -46,7 +45,6 @@ __all__ = [
     "band_precision_map",
     "build_cholesky_dag",
     "cholesky_task_count",
-    "build_cholesky_dag_dtd",
     "build_comm_precision_map",
     "build_precision_map",
     "input_encoding",

@@ -80,14 +80,12 @@ class CholeskyDag:
 
 @dataclass
 class _CholeskyDataflow:
-    """The dataflow rules of Algorithm 1, shared by both DSL front ends.
+    """The dataflow rules of Algorithm 1, as tables the emitter reads.
 
-    The k-major emitter below and the DTD insertion loops of
-    :mod:`repro.core.dtd_cholesky` must describe the *same* graph
-    (``tests/test_runtime_dtd.py``), so everything that decides a tile's
-    size, a task's priority or the encoding on an edge lives here once —
-    as per-tile tables built once from the maps' int8 code arrays, so a
-    rule is a list lookup for either front end.
+    Everything that decides a tile's size, a task's priority or the
+    encoding on an edge lives here once — per-tile tables built once
+    from the maps' int8 code arrays, so a rule is a list lookup in
+    :func:`_emit_kmajor`.
     """
 
     n: int
@@ -134,7 +132,11 @@ class _CholeskyDataflow:
             for i in range(nt)
         ]
         #: encoding a GEMM leaves tile (i, j) in: a pure-FP16 accumulator
-        #: is FP16-valued, every other tile rests at storage precision
+        #: is FP16-valued, so the tile rests in FP16 on the device between
+        #: consecutive updates — the single conversion to/from the FP32
+        #: at-rest encoding is paid at the chain's ends (first load,
+        #: eventual TRSM), not per GEMM; every other tile rests at storage
+        #: precision
         self._rests = [
             [Precision.FP16 if ker == Precision.FP16 else sto for ker, sto in zip(kers, stos)]
             for kers, stos in zip(self._kernel, self._storage)
@@ -143,42 +145,14 @@ class _CholeskyDataflow:
         owner = self.grid.owner
         self._owner = [[owner(i, j) for j in range(i + 1)] for i in range(nt)]
 
-    def edge(self, t: int) -> int:
-        return self._edges[t]
-
-    def elements(self, i: int, j: int) -> int:
-        return self._edges[i] * self._edges[j]
-
     @staticmethod
     def prio(k: int, kind: str) -> int:
         return k * 4 + _KIND_RANK[kind]
 
-    def payload(self, i: int, j: int) -> Precision:
-        return self._payload[i][j]
-
-    def storage(self, i: int, j: int) -> Precision:
-        return self._storage[i][j]
-
-    def sender_conv(self, i: int, j: int) -> tuple[Precision, Precision] | None:
-        """STC conversion performed by the task writing tile (i, j)."""
-        return self._sender_conv[i][j]
-
-    def trailing(self, i: int, j: int, k: int) -> tuple[Precision, Precision, Precision]:
-        """Off-diagonal tile (i, j) as iteration ``k`` meets it.
-
-        Returns ``(kernel, arrives, rests)``: its kernel precision, the
-        encoding it arrives in — the generated tile at storage precision
-        for ``k == 0``, else whatever its last GEMM left — and the
-        encoding a GEMM leaves it in.  A pure-FP16 GEMM's accumulator is
-        FP16-valued, so the tile rests in FP16 on the device between
-        consecutive updates; the single conversion to/from the FP32
-        at-rest encoding is paid at the chain's ends (first load,
-        eventual TRSM), not per GEMM.
-        """
-        return self._kernel[i][j], self._arrives(k)[i][j], self._rests[i][j]
-
     def _arrives(self, k: int) -> list[list[Precision]]:
-        """Per tile, the encoding iteration ``k`` finds it in (see :meth:`trailing`)."""
+        """Per tile, the encoding iteration ``k`` finds it in: the generated
+        tile at storage precision for ``k == 0``, else whatever its last
+        GEMM left."""
         return self._storage if k == 0 else self._rests
 
     def dag(self, graph: TaskGraph) -> CholeskyDag:

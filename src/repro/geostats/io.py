@@ -41,18 +41,33 @@ def load_dataset_csv(path: str, model_name: str, *, nugget: float = 0.0) -> Data
 
     ``model_name`` picks the covariance family (``2d-sqexp``,
     ``2d-matern``, ``3d-sqexp``); its dimension must match the file.
+    Only the first non-blank line may be a header; any later row that is
+    not numbers, or not as wide as the first, is a :class:`ValueError`
+    naming the line.
     """
     model = get_model(model_name)
     rows: list[list[float]] = []
+    header_allowed = True
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row:
                 continue
+            is_first, header_allowed = header_allowed, False
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
-                continue  # header line
+                if is_first:
+                    continue  # header line
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: not a row of numbers: {row!r}"
+                ) from None
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(values)} columns, "
+                    f"expected {len(rows[0])}"
+                )
+            rows.append(values)
     if not rows:
         raise ValueError(f"no data rows in {path}")
     data = np.asarray(rows, dtype=np.float64)

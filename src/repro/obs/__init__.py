@@ -13,9 +13,9 @@ reproduction measures itself.  Four pieces, shared by every layer:
   with ``event_log(path)`` and instrumented code lights up,
   detach and the same call sites cost nothing;
 * **exporters + manifest** (:mod:`repro.obs.exporters`,
-  :mod:`repro.obs.manifest`) — Perfetto traces with counter tracks, CSV
-  dumps, JSON run summaries, and a deterministic per-run manifest
-  (config, seed, versions, git revision, platform);
+  :mod:`repro.obs.manifest`) — Perfetto traces with counter tracks,
+  JSON run summaries, and a deterministic per-run manifest (config,
+  seed, versions, git revision, platform);
 * **analysis** (:mod:`repro.obs.analysis`) — the data-motion ledger
   (bytes per link/precision, STC-vs-TTC conversion attribution, savings
   vs all-FP64), critical-path and occupancy analysis (``repro
@@ -64,11 +64,9 @@ from .exporters import (
     lint_prometheus_text,
     run_summary,
     to_prometheus_text,
-    trace_to_csv,
     write_json,
     write_perfetto_trace,
     write_run_summary,
-    write_trace_csv,
 )
 from .manifest import build_manifest, git_revision, write_manifest
 from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry, Timer
@@ -126,11 +124,9 @@ __all__ = [
     "set_event_log",
     "span",
     "to_prometheus_text",
-    "trace_to_csv",
     "traced",
     "write_json",
     "write_manifest",
     "write_perfetto_trace",
     "write_run_summary",
-    "write_trace_csv",
 ]

@@ -1,4 +1,4 @@
-"""Exporters: Perfetto traces, CSV event dumps, JSON run summaries.
+"""Exporters: Perfetto traces, Prometheus text, JSON run summaries.
 
 These sit on top of the simulator's :class:`~repro.runtime.tracing.TraceEvent`
 stream and the metrics registry, and are what ``repro simulate
@@ -9,8 +9,6 @@ package every layer may import without cycles.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from pathlib import Path
@@ -19,28 +17,10 @@ from typing import Mapping, Sequence
 __all__ = [
     "lint_prometheus_text",
     "to_prometheus_text",
-    "trace_to_csv",
     "run_summary",
     "write_perfetto_trace",
     "write_run_summary",
-    "write_trace_csv",
 ]
-
-_CSV_FIELDS = (
-    "rank",
-    "engine",
-    "kind",
-    "t_start",
-    "t_end",
-    "duration",
-    "precision",
-    "bytes",
-    "flops",
-    "site",
-    "src_precision",
-    "dst_precision",
-)
-
 
 def write_perfetto_trace(
     events: Sequence,
@@ -66,42 +46,6 @@ def write_perfetto_trace(
                         metadata=metadata),
         encoding="utf-8",
     )
-    return path
-
-
-def _prec_name(precision) -> str:
-    return precision.name if precision is not None else ""
-
-
-def trace_to_csv(events: Sequence) -> str:
-    """Render the event stream as a flat CSV (one row per event)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for ev in sorted(events, key=lambda e: (e.t_start, e.rank, e.engine)):
-        writer.writerow(
-            [
-                ev.rank,
-                ev.engine,
-                ev.kind,
-                repr(ev.t_start),
-                repr(ev.t_end),
-                repr(ev.duration),
-                ev.precision.name if ev.precision is not None else "",
-                ev.bytes,
-                repr(ev.flops),
-                getattr(ev, "site", None) or "",
-                _prec_name(getattr(ev, "src_precision", None)),
-                _prec_name(getattr(ev, "dst_precision", None)),
-            ]
-        )
-    return buf.getvalue()
-
-
-def write_trace_csv(events: Sequence, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(trace_to_csv(events), encoding="utf-8")
     return path
 
 

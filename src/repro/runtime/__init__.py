@@ -1,7 +1,6 @@
-"""PaRSEC-like task runtime: DAG, DTD front end, simulator, numeric executors."""
+"""PaRSEC-like task runtime: DAG, simulator, numeric executors."""
 
 from .distributed import DistributedReport, execute_numeric_distributed, pick_mp_context
-from .dtd import AccessMode, DataAccess, DTDRuntime
 from .executor import execute_numeric
 from .gantt import ascii_gantt, engine_utilisation, to_chrome_trace
 from .parallel_executor import execute_numeric_parallel
@@ -16,7 +15,6 @@ from .policies import (
     SchedulePolicy,
     get_policy,
     policy_topological_order,
-    register_policy,
 )
 from .schedule import StaticSchedule
 from .simulator import SimReport, simulate, simulate_replay, simulate_stream
@@ -24,11 +22,8 @@ from .task import Task, TaskGraph, TaskInput, TileRef
 from .tracing import RunStats, Trace, TraceEvent
 
 __all__ = [
-    "AccessMode",
     "CommAwareEftPolicy",
     "CriticalPathPolicy",
-    "DTDRuntime",
-    "DataAccess",
     "DistributedReport",
     "FifoPolicy",
     "OocStaticPolicy",
@@ -53,7 +48,6 @@ __all__ = [
     "get_policy",
     "pick_mp_context",
     "policy_topological_order",
-    "register_policy",
     "simulate",
     "simulate_replay",
     "simulate_stream",

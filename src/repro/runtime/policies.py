@@ -39,9 +39,9 @@ Shipped policies
                    whose tiles are hot on their GPU go first and stay
                    resident.
 
-Adding a policy: subclass :class:`SchedulePolicy`, implement ``key``
-(and optionally ``prepare``), and register the class with
-:func:`register_policy`.  See ``docs/SCHEDULING.md``.
+A custom policy: subclass :class:`SchedulePolicy`, implement ``key``
+(and optionally ``prepare``), and pass an *instance* wherever a
+``policy=`` argument takes a name.  See ``docs/SCHEDULING.md``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ __all__ = [
     "OocStaticPolicy",
     "POLICY_NAMES",
     "get_policy",
-    "register_policy",
     "resolve_policy",
 ]
 
@@ -381,41 +380,24 @@ class OocStaticPolicy(SchedulePolicy):
         return (penalty, ready_t + 1e-9 * task.priority)
 
 
-#: name -> zero-arg policy factory (classes are stateful per run)
-_REGISTRY: dict[str, Callable[[], SchedulePolicy]] = {}
+#: name -> policy class (instances are stateful per run)
+_POLICIES: dict[str, type[SchedulePolicy]] = {
+    cls.name: cls
+    for cls in (PanelFirstPolicy, FifoPolicy, CriticalPathPolicy, CommAwareEftPolicy,
+                OocStaticPolicy)
+}
 
-
-#: registered policy names, registration order (panel-first is default);
-#: rebuilt by :func:`register_policy` — import from this module at call
-#: time to observe late registrations
-POLICY_NAMES: tuple[str, ...] = ()
-
-
-def register_policy(factory: Callable[[], SchedulePolicy], name: str | None = None) -> None:
-    """Register a policy factory under ``name`` (default: its ``name`` attr).
-
-    Registered names join :data:`POLICY_NAMES` and become valid for
-    every ``policy=`` argument, ``--policy`` flag, and the
-    ``RunSpec.policy`` sweep axis.
-    """
-    global POLICY_NAMES
-    name = name or factory().name
-    _REGISTRY[name] = factory
-    POLICY_NAMES = tuple(_REGISTRY)
-
-
-for _cls in (PanelFirstPolicy, FifoPolicy, CriticalPathPolicy, CommAwareEftPolicy,
-             OocStaticPolicy):
-    register_policy(_cls)
+#: the shipped policy names (panel-first is the default)
+POLICY_NAMES: tuple[str, ...] = tuple(_POLICIES)
 
 
 def get_policy(name: str) -> SchedulePolicy:
     """A fresh policy instance for ``name``; raises on unknown names."""
     try:
-        return _REGISTRY[name]()
+        return _POLICIES[name]()
     except KeyError:
         raise ValueError(
-            f"unknown scheduling policy {name!r}; expected one of {sorted(_REGISTRY)}"
+            f"unknown scheduling policy {name!r}; expected one of {sorted(_POLICIES)}"
         ) from None
 
 

@@ -68,14 +68,12 @@ class TestCensus:
         assert dag.graph.total_flops() == pytest.approx(expected, rel=1e-12)
 
     def test_flops_total_ragged_matches_dtd(self):
-        """The DTD discovery path prices ragged tiles identically."""
-        from repro.core.dtd_cholesky import build_cholesky_dag_dtd
-
+        """The closure-PTG oracle prices ragged tiles identically."""
         n, nb = 87, 16
         kmap = uniform_map(-(-n // nb), Precision.FP64)
         ptg = build_cholesky_dag(n, nb, kmap)
-        dtd = build_cholesky_dag_dtd(n, nb, kmap)
-        assert dtd.graph.total_flops() == pytest.approx(
+        oracle = build_cholesky_graph_oracle(n, nb, kmap)
+        assert oracle.total_flops() == pytest.approx(
             ptg.graph.total_flops(), rel=1e-12
         )
 

@@ -15,6 +15,7 @@ from repro.geostats import (
     theoretical_variogram,
 )
 from repro.geostats.covariance import Matern, SquaredExponential
+from repro.geostats.locations import generate_locations
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,82 @@ class TestIO:
         path = str(tmp_path / "x.npz")
         save_dataset_npz(ds, path)
         assert load_dataset_npz(path).theta_true is None
+
+    def test_csv_bad_row_raises_naming_the_line(self, tmp_path):
+        """A row that does not parse is an error, not a dropped point."""
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,value\n0.1,0.2,1.0\n0.3,oops,2.0\n0.5,0.6,3.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv, line 3"):
+            load_dataset_csv(str(path), "2d-matern")
+
+    def test_csv_wrong_width_row_raises_naming_the_line(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("0.1,0.2,1.0\n0.3,0.4\n")
+        with pytest.raises(ValueError, match=r"ragged\.csv, line 2"):
+            load_dataset_csv(str(path), "2d-matern")
+
+    @pytest.mark.parametrize("header", ["x,y,value\n", ""])
+    @pytest.mark.parametrize("tail", ["", "\n"])
+    def test_csv_header_optional_and_blank_tail(self, tmp_path, header, tail):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "0.1,0.2,1.0\n0.3,0.4,2.0\n" + tail)
+        back = load_dataset_csv(str(path), "2d-matern")
+        assert np.array_equal(back.locations, [[0.1, 0.2], [0.3, 0.4]])
+        assert np.array_equal(back.z, [1.0, 2.0])
+
+
+# -- Dataset boundary and round-trip edge cases ---------------------------
+
+
+def test_dataset_rejects_nan_locations():
+    locs = generate_locations(16, 2, seed=0)
+    locs[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(locations=locs, z=np.zeros(16), model=Matern(dim=2))
+
+
+def test_dataset_rejects_inf_measurements():
+    locs = generate_locations(16, 2, seed=0)
+    z = np.zeros(16)
+    z[5] = -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(locations=locs, z=z, model=Matern(dim=2))
+
+
+def test_empty_dataset_npz_roundtrip(tmp_path):
+    ds = Dataset(locations=np.zeros((0, 2)), z=np.zeros(0), model=Matern(dim=2))
+    path = save_dataset_npz(ds, str(tmp_path / "empty"))
+    back = load_dataset_npz(path)
+    assert back.n == 0 and back.model.name == ds.model.name
+
+
+def test_single_point_dataset_csv_roundtrip(tmp_path):
+    ds = Dataset(locations=np.array([[0.5, 0.5]]), z=np.array([2.0]),
+                 model=Matern(dim=2))
+    path = str(tmp_path / "one.csv")
+    save_dataset_csv(ds, path)
+    back = load_dataset_csv(path, "2d-matern")
+    assert back.n == 1
+    assert np.array_equal(back.locations, ds.locations)
+    assert np.array_equal(back.z, ds.z)
+
+
+def test_empty_csv_raises_clear_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,value\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_dataset_csv(str(path), "2d-matern")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dataset_npz_roundtrip_preserves_dtype(tmp_path, dtype):
+    rng = np.random.default_rng(4)
+    locs = rng.uniform(size=(12, 2)).astype(dtype)
+    z = rng.standard_normal(12).astype(dtype)
+    ds = Dataset(locations=locs, z=z, model=Matern(dim=2))
+    assert ds.locations.dtype == dtype  # construction preserves it
+    path = save_dataset_npz(ds, str(tmp_path / "ds"))
+    back = load_dataset_npz(path)
+    assert back.locations.dtype == dtype and back.z.dtype == dtype
+    assert back.locations.tobytes() == locs.tobytes()
+    assert back.z.tobytes() == z.tobytes()

@@ -1,7 +1,5 @@
 """Run manifests and the Perfetto/CSV/JSON exporters."""
 
-import csv
-import io
 import json
 
 import pytest
@@ -130,19 +128,6 @@ class TestPerfettoExport:
 
 
 class TestCsvAndSummary:
-    def test_csv_round_trip(self, tmp_path):
-        events = [
-            TraceEvent(0, "compute", "GEMM", 0.0, 1.0, Precision.FP16, 0, 64.0),
-            TraceEvent(1, "nic", "SEND", 0.5, 0.75, None, 512, 0.0),
-        ]
-        text = obs.trace_to_csv(events)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[0]["kind"] == "GEMM" and rows[0]["precision"] == "FP16"
-        assert rows[1]["precision"] == "" and rows[1]["bytes"] == "512"
-        path = obs.write_trace_csv(events, tmp_path / "t.csv")
-        assert path.read_text() == text
-
     def test_run_summary_sections(self, sim_report, tmp_path):
         manifest = obs.build_manifest(run_id="s", command="simulate")
         path = obs.write_run_summary(

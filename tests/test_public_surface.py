@@ -14,7 +14,8 @@ from repro.cli import build_parser
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("module", ["repro.obs", "repro.runtime", "repro.geostats.dataplane"])
+@pytest.mark.parametrize("module", ["repro.obs", "repro.runtime", "repro.geostats.dataplane",
+                                    "repro.core", "repro.geostats"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]

@@ -199,8 +199,8 @@ class TestPolicyDivergence:
 
 class TestCustomPolicy:
     def test_register_and_use(self):
-        from repro.runtime import policies as policies_mod
-        from repro.runtime import register_policy
+        """A custom policy is passed as an instance and reported by its
+        ``name``; the names a string may spell stay the shipped five."""
 
         class ReverseTid(SchedulePolicy):
             name = "reverse-tid-test"
@@ -208,16 +208,14 @@ class TestCustomPolicy:
             def key(self, task, ready_t, state=None):
                 return (ready_t, -task.tid)
 
-        register_policy(ReverseTid)
-        try:
-            assert "reverse-tid-test" in policies_mod.POLICY_NAMES
-            graph = _chain_free_graph([0, 0, 0])
-            assert policy_topological_order(graph, "reverse-tid-test", nb=64) == [2, 1, 0]
-            rep = simulate(graph, _ref_platform(), 64, policy="reverse-tid-test")
-            assert rep.policy == "reverse-tid-test"
-        finally:
-            policies_mod._REGISTRY.pop("reverse-tid-test", None)
-            policies_mod.POLICY_NAMES = tuple(policies_mod._REGISTRY)
+        graph = _chain_free_graph([0, 0, 0])
+        assert policy_topological_order(graph, ReverseTid(), nb=64) == [2, 1, 0]
+        rep = simulate(graph, _ref_platform(), 64, policy=ReverseTid())
+        assert rep.policy == "reverse-tid-test"
+        with pytest.raises(ValueError, match="unknown scheduling policy") as exc:
+            simulate(graph, _ref_platform(), 64, policy="reverse-tid-test")
+        assert all(name in str(exc.value) for name in POLICY_NAMES)
+        assert len(POLICY_NAMES) == 5
 
 
 class TestTraceMetadata:

@@ -2,17 +2,15 @@
 
 Empty traces, zero-duration events, and ``precision=None`` events must
 survive every consumer of the :class:`TraceEvent` schema — summary,
-Chrome/Perfetto export, CSV, ASCII Gantt, counters, and the analysis
+Chrome/Perfetto export, ASCII Gantt, counters, and the analysis
 layer — without crashing or mis-counting.
 """
 
-import csv
-import io
 import json
 
 import pytest
 
-from repro.obs import trace_to_csv, write_perfetto_trace
+from repro.obs import write_perfetto_trace
 from repro.obs.analysis import build_ledger, critical_path, load_trace_events
 from repro.precision import Precision
 from repro.runtime.gantt import ascii_gantt, to_chrome_trace
@@ -34,11 +32,6 @@ class TestEmptyTrace:
 
     def test_chrome_trace_is_valid_and_empty(self):
         assert _parse([], ph=None, counters=True) == []
-
-    def test_csv_is_header_only(self):
-        text = trace_to_csv([])
-        rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 1 and rows[0][0] == "rank"
 
     def test_ascii_gantt(self):
         assert ascii_gantt([]) == "(empty trace)"
@@ -67,12 +60,6 @@ class TestZeroDurationEvents:
     def test_chrome_trace_emits_zero_duration_slice(self):
         (sl,) = _parse([self._event()])
         assert sl["ph"] == "X" and sl["dur"] == 0.0
-
-    def test_csv_round_trip(self):
-        text = trace_to_csv([self._event()])
-        (_, row) = list(csv.reader(io.StringIO(text)))
-        assert float(row[3]) == float(row[4]) == 0.5
-        assert float(row[5]) == 0.0
 
     def test_ascii_gantt_renders(self):
         chart = ascii_gantt([self._event(), TraceEvent(0, "compute", "GEMM", 0.0, 1.0)])
@@ -108,10 +95,6 @@ class TestPrecisionNoneEvents:
         (sl,) = _parse([self._event()])
         assert sl["args"]["precision"] == ""
 
-    def test_csv_blank_precision(self):
-        (_, row) = list(csv.reader(io.StringIO(trace_to_csv([self._event()]))))
-        assert row[6] == ""
-
     def test_perfetto_round_trip_keeps_none(self, tmp_path):
         path = write_perfetto_trace([self._event()], tmp_path / "t.json")
         (ev,) = load_trace_events(path)
@@ -130,8 +113,6 @@ class TestPrecisionNoneEvents:
                         precision=Precision.FP16, bytes=64)
         (sl,) = _parse([ev])
         assert sl["args"]["precision"] == "FP16"
-        (_, row) = list(csv.reader(io.StringIO(trace_to_csv([ev]))))
-        assert row[6] == "FP16"
         assert build_ledger([ev]).bytes_by_link_precision() == {("h2d", "FP16"): 64}
 
     def test_convert_tags_with_fp16_endpoints(self, tmp_path):
