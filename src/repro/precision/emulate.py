@@ -28,7 +28,10 @@ kernel's input grid and narrows it to the dtype the emulated product
 multiplies in.  A tile that many kernels read — a POTRF/TRSM broadcast
 payload — is wrapped in an :class:`Operand`, which remembers each form it
 has been asked for, so the conversion is paid by the first consumer of a
-format and reused by the rest.
+format and reused by the rest.  The inout tile of a chain of FP16 GEMMs
+carries the same knowledge itself: the kernel returns it as an
+:class:`OnFp16Grid`, which :func:`as_input` hands to the next fp16-input
+kernel as it is, so the tile is rounded at its first FP16 update only.
 
 Why :func:`round_to_fp16` exists
 --------------------------------
@@ -50,6 +53,7 @@ from .formats import FORMAT_INFO, Precision
 __all__ = [
     "truncate_mantissa",
     "round_to_fp16",
+    "OnFp16Grid",
     "Operand",
     "as_input",
     "quantize",
@@ -94,17 +98,19 @@ def truncate_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
 _FP16_MIN_NORMAL = 2.0**-14
 #: halfway from the largest fp16 (65504) to 2^16: from here on the cast saturates to ±inf
 _FP16_SATURATES = 65520.0
-#: 1.5 · 2^(p−1) · 2^-24 for a p-bit significand: a sum in [2^(p−1), 2^p) · 2^-24
+#: per dtype: the sign bit and the exponent field of its encoding (|x| with the mantissa
+#: masked off is the lane's binade 2^E); 2^(mantissa bits − 10), a binade's ulp over its
+#: fp16 step; the encodings of 2^-14 and 65520 (|x| orders as its encoding does, NaN on
+#: top); and 1.5 · 2^(p−1) · 2^-24 for the p-bit significand: a sum in [2^(p−1), 2^p) · 2^-24
 #: has ulp 2^-24, the spacing of the fp16 subnormals
-_FP16_SUBNORMAL_MAGIC = {
-    np.dtype(np.float32): np.float32(0.75),
-    np.dtype(np.float64): np.float64(1.5 * 2.0**28),
-}
-#: per dtype: the exponent field of its encoding (|x| with the mantissa masked off is
-#: the lane's binade 2^E) and 2^(mantissa bits − 10), a binade's ulp over its fp16 step
-_FP16_BINADE_MAGIC = {
-    np.dtype(np.float32): (_EXP_MASK, 2.0**13),
-    np.dtype(np.float64): (np.uint64(0x7FF0000000000000), 2.0**42),
+_FP16_MAGIC = {
+    np.dtype(f): (
+        u(sign), u(field), scale, f(_FP16_MIN_NORMAL).view(u), f(_FP16_SATURATES).view(u), f(sub)
+    )
+    for f, u, sign, field, scale, sub in (
+        (np.float32, np.uint32, 1 << 31, 0x7F800000, 2.0**13, 0.75),
+        (np.float64, np.uint64, 1 << 63, 0x7FF0000000000000, 2.0**42, 1.5 * 2.0**28),
+    )
 }
 
 
@@ -117,56 +123,67 @@ def round_to_fp16(x: np.ndarray) -> np.ndarray:
     that cast's slow path.  Below the smallest normal fp16 (2^-14) the
     grid is the multiples of 2^-24, and ``(|x| + magic) − magic`` rounds
     to it in one correctly rounded add (the sum's ulp is 2^-24) and an
-    exact subtract; ``copysign`` restores the sign, including that of a
-    zero result.  A lane that is normal in fp16 has the same rounding on
+    exact subtract; the sign bit of ``x`` is put back, on a zero result
+    too.  A lane that is normal in fp16 has the same rounding on
     the grid of its own binade, 2^(E−10) for |x| ∈ [2^E, 2^(E+1)): when
     every lane is finite and below 65520 the magic constant is built per
     lane from the lane's exponent, 2^(E+13) in float32 and 2^(E+42) in
     float64 (E held at −14 below the normal range, which is the subnormal
-    constant's grid again), and no lane needs NumPy's cast.  Only an
-    array with a NaN, an infinity or a saturating lane (or a 0-d one)
-    sends its normal and non-finite lanes through the cast, which is
-    fast on them.
+    constant's grid again), and no lane needs NumPy's cast or can raise a
+    floating-point flag.  Only an array with a NaN, an infinity or a
+    saturating lane (or a 0-d one) sends its normal and non-finite lanes
+    through the cast, which is fast on them.
     """
-    magic = _FP16_SUBNORMAL_MAGIC[x.dtype]
+    sign, exponent_field, scale, min_normal, saturates, magic = _FP16_MAGIC[x.dtype]
     mag = np.abs(x)
-    out = np.empty_like(x)
-    # over: finite values from 65520 up saturate to ±inf in the cast, as on the hardware;
-    # invalid: a signalling NaN trips the add, and its lane is the cast's anyway
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = mag.max(initial=0.0) if x.ndim else np.inf  # NaN when any lane is
-        if _FP16_MIN_NORMAL <= top < _FP16_SATURATES:
-            exponent_field, scale = _FP16_BINADE_MAGIC[x.dtype]
-            magic = (mag.view(exponent_field.dtype) & exponent_field).view(x.dtype)
-            np.maximum(magic, _FP16_MIN_NORMAL, out=magic)
-            magic *= scale
-        np.copysign((mag + magic) - magic, x, out=out)
-        if not top < _FP16_SATURATES:
+    bits = mag.view(sign.dtype)
+    top = bits.max(initial=0) if x.ndim else saturates
+    if top >= saturates:
+        out = np.empty_like(x)
+        # over: finite values from 65520 up saturate to ±inf in the cast, as on the hardware;
+        # invalid: a signalling NaN trips the add, and its lane is the cast's anyway
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copysign((mag + magic) - magic, x, out=out)
             rest = ~(mag < _FP16_MIN_NORMAL)  # not ``>=``: NaN lanes belong to the cast
             if rest.any():
                 out[rest] = x[rest].astype(np.float16)
-    return out
+        return out
+    if top >= min_normal:
+        magic = (bits & exponent_field).view(x.dtype)
+        np.maximum(magic, _FP16_MIN_NORMAL, out=magic)
+        magic *= scale
+    mag += magic
+    mag -= magic
+    bits |= x.view(sign.dtype) & sign
+    return mag
+
+
+class OnFp16Grid(np.ndarray):
+    """A float32 tile that says it rests on the fp16 grid (module docstring).
+
+    The claim is about these values: arithmetic on one gives a plain
+    array back, and nothing may write into one.
+    """
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        return array[()] if return_scalar else array
 
 
 def _input_form(x: np.ndarray, precision: Precision) -> np.ndarray:
     """``x`` on the input grid of ``precision``, in the product's dtype."""
     if precision == Precision.FP64:
         return np.asarray(x, dtype=np.float64)
-    x = np.asarray(x)
+    x = np.asanyarray(x)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     if precision in (Precision.FP16, Precision.FP16_32):
         # rounded at the width it arrives in: narrowing a float64 to
         # float32 first would round twice
-        return round_to_fp16(x).astype(np.float32, copy=False)
+        on_grid = x if isinstance(x, OnFp16Grid) else round_to_fp16(x)
+        return on_grid.astype(np.float32, copy=False)
     x = x.astype(np.float32, copy=False)
-    if precision == Precision.FP32:
-        return x
-    if precision == Precision.TF32:
-        return truncate_mantissa(x, 11)
-    if precision == Precision.BF16_32:
-        return truncate_mantissa(x, 8)
-    raise ValueError(f"unsupported precision {precision!r}")
+    # TF32 and BF16_32 keep 11 and 8 significand bits
+    return x if precision == Precision.FP32 else truncate_mantissa(x, FORMAT_INFO[precision].input_bits)
 
 
 class Operand:
@@ -219,23 +236,15 @@ def quantize_batch(tiles: "list[np.ndarray]", precision: Precision) -> "list[np.
     the dtype casts / mantissa bit-twiddling once over the concatenated
     payload instead of once per tile — the same batching trick that
     vectorised ``build_comm_precision_map``.  Shapes may be ragged; each
-    output keeps its input's shape.  Used by the numeric executors to
-    seed all version-0 tiles of one storage precision in a single call,
-    and by :mod:`repro.tlr.compression` for low-rank factor pairs.
+    output keeps its input's shape.  Used by :mod:`repro.tlr.compression`
+    for low-rank factor pairs.
     """
     arrays = [np.asarray(t, dtype=np.float64) for t in tiles]
-    if not arrays:
-        return []
-    if precision == Precision.FP64:
+    if not arrays or precision == Precision.FP64:
         return arrays
-    flat = np.concatenate([a.ravel() for a in arrays])
-    q = quantize(flat, precision)
-    out: list[np.ndarray] = []
-    offset = 0
-    for a in arrays:
-        out.append(q[offset : offset + a.size].reshape(a.shape))
-        offset += a.size
-    return out
+    q = quantize(np.concatenate([a.ravel() for a in arrays]), precision)
+    pieces = np.split(q, np.cumsum([a.size for a in arrays])[:-1])
+    return [piece.reshape(a.shape) for piece, a in zip(pieces, arrays)]
 
 
 def storage_dtype(precision: Precision) -> np.dtype:
@@ -250,10 +259,4 @@ def quantize_tile(tile: np.ndarray, precision: Precision) -> np.ndarray:
     numerics), this mimics the matrix-generation phase of Section V where
     tiles are written out directly in their storage precision.
     """
-    if precision == Precision.FP64:
-        return np.asarray(tile, dtype=np.float64)
-    if precision in (Precision.FP32, Precision.FP16_32, Precision.TF32, Precision.BF16_32):
-        return np.asarray(tile, dtype=np.float32)
-    if precision == Precision.FP16:
-        return np.asarray(tile, dtype=np.float16)
-    raise ValueError(f"unsupported precision {precision!r}")
+    return np.asarray(tile, dtype=storage_dtype(precision))

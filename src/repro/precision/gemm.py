@@ -10,14 +10,15 @@ accumulated at the format's accumulator width and combined with ``C``.
 The tile kernels call the second step with operands whose prepared form
 is shared between all the GEMMs reading one panel payload (the
 convert-once rule, see :mod:`repro.precision.emulate`); ``mixed_gemm``
-with raw arrays runs the very same code.  The result is returned in
-float64 so callers can measure accuracy against the FP64 reference
+with raw arrays runs the very same code and widens the result to
+float64, so callers can measure accuracy against the FP64 reference
 (Fig. 1, top row).
 
-Inside the kernel nothing is wider than the format: an FP32-class
-product, its ``alpha``/``beta`` scaling and ``C`` stay float32, and the
-pure-FP16 accumulator is a float32 array whose values sit on the fp16
-grid.
+Nothing is wider than the format, inside the kernel or on the way out
+of it: an FP32-class product, its ``alpha``/``beta`` scaling, ``C`` and
+the result stay float32, and the pure-FP16 accumulator and result are
+float32 arrays whose values sit on the fp16 grid (the result says so:
+:class:`~repro.precision.emulate.OnFp16Grid`).
 
 For the pure-FP16 format, accumulation happens in half precision.  We
 emulate the error growth of an fp16 accumulator by splitting the inner
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emulate import Operand, as_input, quantize, round_to_fp16
+from .emulate import OnFp16Grid, Operand, as_input, quantize, round_to_fp16
 from .formats import Precision
 
 # ``quantize`` is not used here; it stays a name of this module because
@@ -43,15 +44,19 @@ __all__ = ["mixed_gemm", "multiply_accumulate", "mixed_syrk", "gemm_relative_err
 _FP16_CHUNK = 32
 
 
-def _scale_fp16(scalar: float, x: np.ndarray) -> np.ndarray:
-    """NumPy's half multiply ``float16(scalar) * x`` for ``x`` on the fp16 grid.
+def _scaled(scalar: float, x: np.ndarray, fp16: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """``scalar * x`` at ``x``'s width, into ``out`` if given; by 1 it is ``x`` itself.
 
-    The product of two fp16 values is exact in float32, so one rounding
-    of it is the half multiply bit for bit; by ±1 it is already on the
-    grid and the rounding is skipped.
+    For the pure-FP16 format (``x`` on the fp16 grid) it is NumPy's half
+    multiply ``float16(scalar) * x``: the product of two fp16 values is
+    exact in float32, so one rounding of it is the half multiply bit for
+    bit, and by −1 it is already on the grid and the rounding is skipped.
     """
-    s = np.float32(np.float16(scalar))
-    return s * x if abs(s) == 1.0 else round_to_fp16(s * x)
+    scalar = np.float32(np.float16(scalar)) if fp16 else x.dtype.type(scalar)
+    if scalar == 1.0:
+        return x
+    y = np.multiply(x, scalar, out=out)
+    return round_to_fp16(y) if fp16 and scalar != -1.0 else y
 
 
 def multiply_accumulate(
@@ -68,36 +73,40 @@ def multiply_accumulate(
 
     ``a`` (m, k) and ``b`` (k, n) are what
     :func:`~repro.precision.emulate.as_input` returns for ``precision``;
-    ``c`` (m, n) is read at whatever dtype it rests in.  Returns float64.
+    ``c`` (m, n) is read at whatever dtype it rests in.  The update of a
+    ``c`` is returned at the accumulator's width, float64 for FP64 and
+    float32 for the rest; without one the product has left the
+    accumulator, and is scaled and returned in float64.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible GEMM shapes {a.shape} x {b.shape}")
-    if precision == Precision.FP16:
-        # the running sum is re-rounded to the fp16 grid after every
-        # chunk of the inner dimension: half-precision accumulation
-        # error growth and saturation (products of fp16-grid values are
-        # exact in float32)
-        prod = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-        for start in range(0, a.shape[1], fp16_chunk):
-            stop = start + fp16_chunk
-            prod += a[:, start:stop] @ b[start:stop, :]
+    if c is None and beta != 0.0:
+        raise ValueError("beta != 0 requires c")
+    if c is not None and np.shape(c) != (a.shape[0], b.shape[1]):
+        raise ValueError(f"c has shape {np.shape(c)}, expected {(a.shape[0], b.shape[1])}")
+    fp16 = precision == Precision.FP16
+    # invalid, FP16 only: a saturated half sum meeting an infinity of the other sign
+    # is a NaN the factorization reports at its next POTRF, not a warning
+    with np.errstate(invalid="ignore" if fp16 else None):
+        if fp16:
+            # the running sum is re-rounded to the fp16 grid after every
+            # chunk of the inner dimension: half-precision accumulation
+            # error growth and saturation (products of fp16-grid values are
+            # exact in float32).  It starts from +0: a product of zeros is +0
+            prod = a[:, :fp16_chunk] @ b[:fp16_chunk, :]
+            prod += 0.0
+            for start in range(fp16_chunk, a.shape[1], fp16_chunk):
+                prod = round_to_fp16(prod)
+                prod += a[:, start : start + fp16_chunk] @ b[start : start + fp16_chunk, :]
             prod = round_to_fp16(prod)
-    else:
-        prod = a @ b
-
-    if c is None:
-        if beta != 0.0:
-            raise ValueError("beta != 0 requires c")
-        return alpha * prod.astype(np.float64, copy=False)
-    if np.shape(c) != prod.shape:
-        raise ValueError(f"c has shape {np.shape(c)}, expected {prod.shape}")
-    if precision == Precision.FP16:
-        out = round_to_fp16(_scale_fp16(alpha, prod) + _scale_fp16(beta, as_input(c, precision)))
-    else:
-        # at the accumulator's width: float64 for FP64, float32 for the rest
-        width = prod.dtype.type
-        out = width(alpha) * prod + width(beta) * np.asarray(c, dtype=width)
-    return out.astype(np.float64, copy=False)
+        else:
+            prod = a @ b
+        if c is None:
+            return alpha * prod.astype(np.float64, copy=False)
+        c = as_input(c, precision) if fp16 else np.asarray(c, dtype=prod.dtype)
+        out = _scaled(alpha, prod, fp16, out=prod)
+        out += _scaled(beta, c, fp16)
+        return round_to_fp16(out).view(OnFp16Grid) if fp16 else out
 
 
 def mixed_gemm(
@@ -116,7 +125,7 @@ def mixed_gemm(
     optional ``c`` is (m, n).  The result is float64 carrying the rounding
     error of the emulated format.
     """
-    return multiply_accumulate(
+    out = multiply_accumulate(
         as_input(a, precision),
         as_input(b, precision),
         c,
@@ -125,6 +134,7 @@ def mixed_gemm(
         beta=beta,
         fp16_chunk=fp16_chunk,
     )
+    return np.asarray(out, dtype=np.float64)
 
 
 def mixed_syrk(

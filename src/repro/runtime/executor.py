@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import span
-from ..precision.emulate import Operand, as_input, quantize_batch
+from ..precision.emulate import Operand, as_input
 from ..tiles import kernels as tk
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .task import Task, TaskGraph
@@ -65,31 +65,21 @@ def _panel(values: _Values, inp) -> Operand:
 def _seed_version0(
     graph: TaskGraph, mat: TiledSymmetricMatrix, rank: int | None = None
 ) -> _Values:
-    """Version-0 tiles of ``mat`` the graph reads, quantised to storage precision.
+    """Version-0 tiles of ``mat`` the graph reads, at their storage precision.
 
-    All tiles sharing a storage precision go through one
-    :func:`quantize_batch` pass (the generation-phase cast of Section V,
-    vectorised) instead of one quantise call per tile.  ``rank``
-    restricts the scan to that rank's tasks (the distributed executor's
-    per-rank seeding).
+    The generation-phase cast of Section V: each tile is rounded once to
+    the precision it rests in and held at that dtype.  ``rank`` restricts
+    the scan to that rank's tasks (the distributed executor's per-rank
+    seeding).
     """
-    wanted: dict[tuple[int, int, int], object] = {}
+    values = _Values()
     for task in graph:
         if rank is not None and task.rank != rank:
             continue
         for inp in task.inputs:
-            if inp.producer is None:
-                key = (inp.tile.i, inp.tile.j, inp.tile.version)
-                if key not in wanted:
-                    wanted[key] = inp.storage_precision
-    by_precision: dict[object, list[tuple[int, int, int]]] = {}
-    for key, prec in wanted.items():
-        by_precision.setdefault(prec, []).append(key)
-    values = _Values()
-    for prec, keys in by_precision.items():
-        tiles = quantize_batch([mat.get(i, j) for i, j, _v in keys], prec)
-        for key, tile in zip(keys, tiles):
-            values[key] = tile
+            key = (inp.tile.i, inp.tile.j, inp.tile.version)
+            if inp.producer is None and key not in values:
+                values[key] = as_input(mat.get(inp.tile.i, inp.tile.j), inp.storage_precision)
     return values
 
 
@@ -105,8 +95,21 @@ def _execute_task(task: Task, values: _Values) -> tuple[tuple[int, int, int], np
     Returns the ``(i, j, version)`` key to store the tile under, and the
     tile at its rest dtype (float32 unless the output precision is FP64).
     """
-    result = as_input(_run_task(task, values), task.output_precision)
-    return (task.output.i, task.output.j, task.output.version), result
+    # the PTG's input order (module docstring): broadcast panels, then the inout tile
+    *panels, c_inp = task.inputs
+    c = _payload(values, c_inp)
+    if task.kind == "POTRF":
+        result = np.tril(tk.potrf(c))
+    elif task.kind == "TRSM":
+        result = tk.trsm(_panel(values, panels[0]), c, precision=task.precision)
+    elif task.kind == "SYRK":
+        result = tk.syrk(_panel(values, panels[0]), c, precision=panels[0].payload_precision)
+    elif task.kind == "GEMM":
+        a, b = (_panel(values, inp) for inp in panels)
+        result = tk.gemm(a, b, c, precision=task.precision)
+    else:
+        raise ValueError(f"unknown task kind {task.kind!r}")
+    return (task.output.i, task.output.j, task.output.version), as_input(result, task.output_precision)
 
 
 def _collect_finals(values: dict, out: TiledSymmetricMatrix) -> TiledSymmetricMatrix:
@@ -140,22 +143,3 @@ def execute_numeric(graph: TaskGraph, mat: TiledSymmetricMatrix) -> TiledSymmetr
             values[key] = result
 
     return _collect_finals(values, out)
-
-
-def _run_task(task: Task, values: _Values) -> np.ndarray:
-    # the PTG's input order (module docstring): broadcast panels, then the inout tile
-    *panels, c_inp = task.inputs
-    c = _payload(values, c_inp)
-    kind = task.kind
-    if kind == "POTRF":
-        return np.tril(tk.potrf(c))
-    if kind == "TRSM":
-        (l_inp,) = panels
-        return tk.trsm(_panel(values, l_inp), c, precision=task.precision)
-    if kind == "SYRK":
-        (panel_inp,) = panels
-        return tk.syrk(_panel(values, panel_inp), c, precision=panel_inp.payload_precision)
-    if kind == "GEMM":
-        a_inp, b_inp = panels
-        return tk.gemm(_panel(values, a_inp), _panel(values, b_inp), c, precision=task.precision)
-    raise ValueError(f"unknown task kind {kind!r}")

@@ -12,17 +12,20 @@ The four kernels of the tile Cholesky factorization:
 * ``gemm`` — the workhorse (>90 % of the flops); runs in any of the
   adaptive formats via the emulated mixed-precision GEMM.
 
-All kernels return float64 arrays; reduced precision enters via
+Each kernel returns its tile at the width it computed in — float64 for
+``potrf``, ``syrk`` and the FP64 ``trsm``/``gemm``, float32 below — which
+is the dtype the tile rests in (Fig. 2b); reduced precision enters via
 quantisation of inputs and emulated low-precision accumulation.  Every
 operand is taken through :func:`repro.precision.emulate.as_input`, so a
 panel payload passed as an :class:`~repro.precision.emulate.Operand` is
-converted once per input format, not once per kernel that reads it.
+converted once per input format, not once per kernel that reads it, and
+the inout tile of a chain of FP16 ``gemm`` updates at the first only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from ..precision.emulate import Operand, as_input, quantize
 from ..precision.formats import Precision
@@ -53,9 +56,7 @@ def trsm_execution_precision(precision: Precision) -> Precision:
     FP16-family tiles execute their TRSM in FP32 (hardware limitation,
     Section V); everything else runs natively.
     """
-    if precision in (Precision.FP16, Precision.FP16_32, Precision.BF16_32, Precision.TF32):
-        return Precision.FP32
-    return precision
+    return Precision.FP64 if precision == Precision.FP64 else Precision.FP32
 
 
 def potrf(c_kk: np.ndarray) -> np.ndarray:
@@ -67,18 +68,30 @@ def potrf(c_kk: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
+#: the LAPACK routine ``scipy.linalg.solve_triangular`` resolves to, per execution precision
+_TRTRS = {Precision.FP64: lapack.dtrtrs, Precision.FP32: lapack.strtrs}
+
+
 def trsm(
     l_kk: np.ndarray | Operand, c_mk: np.ndarray, precision: Precision = Precision.FP64
 ) -> np.ndarray:
     """Triangular solve ``C_mk ← C_mk · L_kk^{-T}``.
 
     Runs in FP64 or FP32 depending on :func:`trsm_execution_precision`.
+    ``L X^T = C^T`` as ``scipy.linalg.solve_triangular`` poses it to
+    LAPACK — finiteness checked, a row-major ``L`` handed over as its
+    upper-triangular transpose — without that wrapper's per-call cost.
     """
     exec_prec = trsm_execution_precision(precision)
-    xt = scipy.linalg.solve_triangular(
-        as_input(l_kk, exec_prec), as_input(c_mk, exec_prec).T, lower=True
-    )
-    return np.ascontiguousarray(xt.T).astype(np.float64, copy=False)
+    lower = np.asarray_chkfinite(as_input(l_kk, exec_prec))
+    ct = np.asarray_chkfinite(as_input(c_mk, exec_prec)).T
+    if lower.flags.f_contiguous:
+        xt, info = _TRTRS[exec_prec](lower, ct, lower=True)
+    else:
+        xt, info = _TRTRS[exec_prec](lower.T, ct, lower=False, trans=True)
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return xt.T
 
 
 def syrk(
@@ -91,9 +104,11 @@ def syrk(
     itself always accumulates in FP64 as in Algorithm 1.
     """
     a = quantize(c_mk, precision)
-    c = np.asarray(c_mm, dtype=np.float64)
-    out = c - a @ a.T
-    return (out + out.T) * 0.5
+    out = a @ a.T
+    np.subtract(c_mm, out, out=out)  # a float32 tile is widened by the subtraction
+    sym = out + out.T
+    sym *= 0.5
+    return sym
 
 
 def gemm(
@@ -103,11 +118,5 @@ def gemm(
     precision: Precision = Precision.FP64,
 ) -> np.ndarray:
     """Trailing update ``C_mn ← C_mn − C_mk · C_nk^T`` in ``precision``."""
-    return multiply_accumulate(
-        as_input(c_mk, precision),
-        as_input(c_nk, precision).T,
-        c_mn,
-        precision=precision,
-        alpha=-1.0,
-        beta=1.0,
-    )
+    a, bt = as_input(c_mk, precision), as_input(c_nk, precision).T
+    return multiply_accumulate(a, bt, c_mn, precision=precision, alpha=-1.0, beta=1.0)

@@ -7,10 +7,13 @@ NumPy array and can carry its *own* dtype — that is exactly the paper's
 mixed-precision storage map (Fig. 2b): FP64 tiles on and near the
 diagonal, FP32 for everything whose kernels run at or below FP32.
 
-Values are always materialised to float64 for computation (the emulation
-layer reinstates format rounding at kernel granularity); the storage
-dtype records — and enforces by an actual cast — what the tile lost when
-it was generated at reduced precision.
+``get`` and ``set`` speak float64 — what a caller assembling or reading a
+matrix wants — and cast to and from the storage dtype, which records, and
+enforces by an actual cast, what the tile lost when it was generated at
+reduced precision.  The factorization does not go through them between
+kernels: it reads and replaces ``tiles[(i, j)]`` at the dtype the tile
+rests in (the emulation layer reinstates format rounding at kernel
+granularity).
 """
 
 from __future__ import annotations
@@ -124,15 +127,10 @@ class TiledSymmetricMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        mat = cls(n=a.shape[0], nb=nb)
-        for i, j in mat.lower_indices():
-            ri = tile_index_range(mat.n, nb, i)
-            rj = tile_index_range(mat.n, nb, j)
-            prec = Precision.FP64
-            if kernel_precision is not None:
-                prec = get_storage_precision(kernel_precision(i, j))
-            mat.set(i, j, a[ri[0] : ri[1], rj[0] : rj[1]], precision=prec)
-        return mat
+        return cls.from_tile_function(
+            a.shape[0], nb, lambda i, j: a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb],
+            kernel_precision=kernel_precision,
+        )
 
     @classmethod
     def from_tile_function(
@@ -153,22 +151,25 @@ class TiledSymmetricMatrix:
         return mat
 
     # -- conversions ------------------------------------------------------
-    def to_dense(self, *, symmetrize: bool = True) -> np.ndarray:
-        """Materialise the full matrix as float64."""
+    def to_dense(self) -> np.ndarray:
+        """Materialise the full symmetric matrix as float64."""
         out = np.zeros((self.n, self.n), dtype=np.float64)
         for i, j in self.lower_indices():
             ri = tile_index_range(self.n, self.nb, i)
             rj = tile_index_range(self.n, self.nb, j)
             block = self.get(i, j)
             out[ri[0] : ri[1], rj[0] : rj[1]] = block
-            if symmetrize and i != j:
+            if i != j:
                 out[rj[0] : rj[1], ri[0] : ri[1]] = block.T
         return out
 
     def lower_dense(self) -> np.ndarray:
-        """Materialise only the lower triangle (upper left at zero)."""
-        out = self.to_dense(symmetrize=False)
-        return np.tril(out)
+        """Materialise only the lower triangle (upper left at zero), in one pass."""
+        out = np.zeros((self.n, self.n), dtype=np.float64)
+        for i, j in self.lower_indices():
+            tile, r, c = self.tiles[(i, j)], i * self.nb, j * self.nb
+            out[r : r + tile.shape[0], c : c + tile.shape[1]] = np.tril(tile) if i == j else tile
+        return out
 
     def copy(self) -> "TiledSymmetricMatrix":
         clone = TiledSymmetricMatrix(n=self.n, nb=self.nb)

@@ -171,12 +171,11 @@ _KIND_RANK = {
 
 @dataclass
 class _CholeskyDataflow:
-    """The dataflow rules of Algorithm 1, shared by both DSL front ends.
+    """The dataflow rules of Algorithm 1, as the closure PTG looks them up.
 
-    The PTG task classes below and the DTD insertion loops of
-    :mod:`repro.core.dtd_cholesky` must describe the *same* graph
-    (``tests/test_runtime_dtd.py``), so everything that decides a tile's
-    size, a task's priority or the encoding on an edge lives here once.
+    Everything that decides a tile's size, a task's priority or the
+    encoding on an edge lives here once, a method per question; the four
+    task classes below ask it per instance.
     """
 
     n: int

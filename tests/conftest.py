@@ -53,6 +53,14 @@ def matern_cov_160() -> TiledSymmetricMatrix:
     return build_tiled_covariance(locs, Matern(dim=2), (1.0, 0.05, 0.5), 20)
 
 
+@pytest.fixture(scope="session")
+def weak_sqexp_cov() -> TiledSymmetricMatrix:
+    """The short-range 2D-sqexp covariance of ``test_convert_once.py`` (ragged
+    NT=7): at ``u_req`` = 1e-4 all four adaptive formats.  Shared: do not write into it."""
+    ds = SyntheticField.sqexp_2d(200, 1.0, 0.03, seed=1, nugget=0.01).sample()
+    return build_tiled_covariance(ds.locations, ds.model, ds.theta_true, 32, nugget=ds.nugget)
+
+
 @pytest.fixture
 def small_field() -> SyntheticField:
     return SyntheticField.matern_2d(n=144, variance=1.0, range_=0.1, smoothness=0.5, seed=3)

@@ -167,6 +167,7 @@ class TestPerfbenchPatchPoints:
         res = mp_cholesky(mat, kmap)
         assert seen == res.kernel_counts
         assert {Precision.FP16, Precision.FP16_32, Precision.FP32} <= {p for kind, p in seen if kind == "GEMM"}
-        n_kernels = sum(seen.values())
-        # every kernel reads its inout tile with ``get`` and writes it back with ``set``
-        assert accesses["get"] >= n_kernels and accesses["set"] >= n_kernels
+        # tiles stay at their rest dtype between kernels: the float64 accessors are
+        # the generation-phase cast only (perfbench ``pop``s both, so each is called)
+        n_tiles = mat.nt * (mat.nt + 1) // 2
+        assert 1 <= accesses["get"] <= n_tiles and 1 <= accesses["set"] <= n_tiles

@@ -262,7 +262,11 @@ class TestPreparedOperands:
         prepared = multiply_accumulate(as_input(a, prec), as_input(b, prec).T, c,
                                        precision=prec, alpha=-1.0, beta=1.0)
         kernel = tk.gemm(Operand(a), Operand(b), c, precision=prec)
-        assert _same_bits(raw, ops) and _same_bits(raw, prepared) and _same_bits(raw, kernel)
+        # the kernels return at the accumulator's width; ``mixed_gemm`` widens that to float64
+        width = np.float64 if prec == Precision.FP64 else np.float32
+        assert prepared.dtype == kernel.dtype == width
+        assert _same_bits(raw, ops)
+        assert _same_bits(raw, prepared.astype(np.float64)) and _same_bits(raw, kernel.astype(np.float64))
 
 
 def test_unasked_for_invalid_is_an_error():
