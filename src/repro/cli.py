@@ -12,9 +12,9 @@ Commands
 ``sweep``     fan a grid of configurations across a process pool (cached)
 ``bench``     run one experiment driver (table/figure) and print its table
 ``info``      show the encoded GPU specifications (Table I)
-``report``    summarise a captured run (metrics/manifest, events, trace)
-``analyze``   explain a captured run: data-motion ledger, conversion-site
-              attribution, critical path, utilization (trace or run dir)
+``analyze``   read a captured run (trace, summary, event log or run dir):
+              run header, event counts, data-motion ledger, conversion-site
+              attribution, critical path, utilization
 ``compare``   regression sentinel: diff BENCH/run-summary documents with
               per-metric thresholds; ``--fail-on-regress`` gates CI
 ``schedule-compare``
@@ -251,25 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(0 = every completion, negative = silent; default: 10)")
     _add_live_flags(p)
 
-    p = sub.add_parser("report", help="summarise a captured run")
-    p.add_argument("--metrics", default=None, metavar="PATH",
-                   help="metrics/manifest JSON written by --metrics-out")
-    p.add_argument("--events", default=None, metavar="PATH",
-                   help="JSONL event log written by --events-out")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="Perfetto trace JSON written by --trace-out")
-    p.add_argument("--format", default="text", choices=["text", "prom"],
-                   help="output format: human text (default) or Prometheus "
-                        "text exposition of the captured metrics (needs "
-                        "--metrics)")
-
     p = sub.add_parser(
         "analyze",
-        help="explain a captured run: data-motion ledger, critical path, occupancy",
+        help="read a captured run: header, event counts, data-motion ledger, "
+             "critical path, occupancy",
     )
     p.add_argument("path", metavar="TRACE|RUN-DIR",
                    help="Perfetto trace JSON (--trace-out), run-summary JSON "
-                        "(--metrics-out), or a directory holding either/both")
+                        "(--metrics-out), JSONL event log (--events-out), or a "
+                        "directory holding any of them")
     p.add_argument("--buckets", type=int, default=20,
                    help="utilization-timeline buckets (default: 20)")
     p.add_argument("--json-out", default=None, metavar="PATH",
@@ -659,105 +649,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _format_metric_series(metric: dict) -> list[str]:
-    lines = []
-    for series in metric.get("series", []):
-        labels = series.get("labels") or {}
-        label_s = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        value = series.get("value")
-        if isinstance(value, dict):  # histogram/timer digest
-            value_s = (f"count={value.get('count')} sum={value.get('sum'):.6g} "
-                       f"p50={value.get('p50')} p99={value.get('p99')}")
-        else:
-            value_s = f"{value:.6g}" if isinstance(value, float) else str(value)
-        lines.append(f"    {metric['name']}{{{label_s}}} = {value_s}")
-    return lines
-
-
-def _cmd_report(args) -> int:
-    import json
-
-    from .obs import read_events
-
-    if not (args.metrics or args.events or args.trace):
-        print("report: nothing to do — pass --metrics, --events, and/or --trace",
-              file=sys.stderr)
-        return 2
-
-    for path in (args.metrics, args.events, args.trace):
-        if path and not Path(path).exists():
-            print(f"report: no such file: {path}", file=sys.stderr)
-            return 2
-
-    if args.format == "prom":
-        from .obs.exporters import to_prometheus_text
-
-        if not args.metrics:
-            print("report: --format prom needs --metrics", file=sys.stderr)
-            return 2
-        with open(args.metrics, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        print(to_prometheus_text(doc.get("metrics") or {}), end="")
-        return 0
-
-    if args.metrics:
-        with open(args.metrics, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        manifest = doc.get("manifest") or {}
-        print(f"== run {manifest.get('run_id') or '<unnamed>'} "
-              f"({args.metrics}) ==")
-        if manifest:
-            versions = manifest.get("versions") or {}
-            print(f"  command   {manifest.get('command')}")
-            print(f"  seed      {manifest.get('seed')}")
-            print(f"  git rev   {manifest.get('git_revision')}")
-            print("  versions  " + ", ".join(
-                f"{k} {v}" for k, v in sorted(versions.items())))
-        stats = doc.get("stats")
-        if stats:
-            print("  -- stats --")
-            for key in ("makespan_seconds", "tflops", "h2d_bytes", "d2h_bytes",
-                        "nic_bytes", "n_tasks", "n_conversions", "n_evictions"):
-                if key in stats:
-                    print(f"    {key:<20} {stats[key]}")
-        metrics = doc.get("metrics") or {}
-        if metrics:
-            print("  -- metrics --")
-            for name in sorted(metrics):
-                for line in _format_metric_series(metrics[name]):
-                    print(line)
-
-    if args.events:
-        events = read_events(args.events)
-        by_type: dict[str, int] = {}
-        for ev in events:
-            by_type[ev.get("type", "?")] = by_type.get(ev.get("type", "?"), 0) + 1
-        run_ids = {ev.get("run_id") for ev in events}
-        print(f"== events ({args.events}) ==")
-        print(f"  {len(events)} events, run(s) {', '.join(sorted(filter(None, run_ids)))}")
-        for type_, count in sorted(by_type.items()):
-            print(f"    {type_:<24} {count}")
-        iters = [ev for ev in events if ev.get("type") == "mle.iteration"]
-        if iters:
-            last = iters[-1]["attrs"]
-            print(f"  last MLE iteration: k={last.get('k')} "
-                  f"loglik={last.get('loglik'):.4f} theta={last.get('theta')}")
-
-    if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        trace_events = payload.get("traceEvents", [])
-        slices = [e for e in trace_events if e.get("ph") == "X"]
-        counters = {e["name"] for e in trace_events if e.get("ph") == "C"}
-        span_us = max((e["ts"] + e.get("dur", 0.0) for e in slices), default=0.0)
-        print(f"== trace ({args.trace}) ==")
-        print(f"  {len(slices)} slices over {span_us / 1e3:.3f} ms, "
-              f"{len({e.get('pid') for e in slices})} rank(s)")
-        if counters:
-            print("  counter tracks: " + ", ".join(sorted(counters)))
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     from .obs import write_json
     from .obs.analysis import analyze_path, render_analysis
@@ -1072,7 +963,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "bench": _cmd_bench,
         "info": _cmd_info,
-        "report": _cmd_report,
         "analyze": _cmd_analyze,
         "compare": _cmd_compare,
         "schedule-compare": _cmd_schedule_compare,

@@ -1,4 +1,4 @@
-"""repro.faults — deterministic fault injection and retry.
+"""repro.faults — deterministic fault injection, retry, and the batch runner.
 
 Production-scale runs lose ranks, drop messages, and straggle; this
 package makes those failures *schedulable* so the recovery paths of the
@@ -6,18 +6,23 @@ execution layers are tested code instead of hope:
 
 * **fault plans** (:mod:`repro.faults.plan`) — a seeded, picklable
   script of failures (:class:`FaultPlan` of :class:`FaultSpec`) that
-  :mod:`repro.runtime.distributed`, :mod:`repro.sweep.engine`, and
-  :mod:`repro.geostats.montecarlo` consult at their injection points,
-  with per-process runtime state in a :class:`FaultInjector`;
+  :mod:`repro.runtime.distributed` and :func:`run_batch` consult at
+  their injection points, with per-process runtime state in a
+  :class:`FaultInjector`;
 * **retry** (:mod:`repro.faults.retry`) — :class:`RetryPolicy`
   (exponential backoff, capped, seeded jitter) driven through
-  :func:`call_with_retry` / the :func:`retry` decorator.
+  :func:`call_with_retry`, the one retry loop;
+* **the batch runner** (:mod:`repro.faults.batch`) — :func:`run_batch`
+  applies a function to independent items, inline or across a process
+  pool, each under the retry policy and the fault plan; the sweep
+  engine and the Monte Carlo driver are its two callers.
 
 Everything reports through :mod:`repro.obs`: ``faults.injected``,
 ``retry.attempts``, ``retry.gave_up`` counters and ``fault`` /
 ``retry`` / ``retry.gave_up`` events.  See ``docs/RESILIENCE.md``.
 """
 
+from .batch import pick_mp_context, run_batch
 from .plan import (
     FAULT_KINDS,
     FAULT_MODES,
@@ -26,7 +31,7 @@ from .plan import (
     FaultPlan,
     FaultSpec,
 )
-from .retry import RetryError, RetryPolicy, call_with_retry, retry
+from .retry import RetryError, RetryPolicy, call_with_retry
 
 __all__ = [
     "FAULT_KINDS",
@@ -38,5 +43,6 @@ __all__ = [
     "RetryError",
     "RetryPolicy",
     "call_with_retry",
-    "retry",
+    "pick_mp_context",
+    "run_batch",
 ]

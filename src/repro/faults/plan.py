@@ -4,10 +4,10 @@ The paper's runs survive Summit-scale realities — ranks die, links
 stall, workers straggle — and a reproduction that only ever executes on
 a healthy laptop never exercises the recovery paths it claims to have.
 A :class:`FaultPlan` is a declarative, seeded script of failures that
-the execution layers (:mod:`repro.runtime.distributed`,
-:mod:`repro.sweep.engine`, :mod:`repro.geostats.montecarlo`) consult at
-well-defined points: *kill rank 2 when it reaches task 17*, *drop the
-third message rank 0 sends*, *crash the sweep worker on point X twice*,
+the execution layers (:mod:`repro.runtime.distributed`, and
+:func:`repro.faults.batch.run_batch` for the sweep engine and the Monte
+Carlo driver) consult at well-defined points: *kill rank 2 when it
+reaches task 17*, *drop the third message rank 0 sends*, *crash the sweep worker on point X twice*,
 *fail the first attempt of every matching point with probability 0.5*.
 
 Determinism is the design constraint: the same plan with the same seed
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -125,15 +125,6 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self):
-        return iter(self.faults)
-
-    def with_fault(self, spec: FaultSpec) -> "FaultPlan":
-        return replace(self, faults=self.faults + (spec,))
-
     def to_dict(self) -> dict:
         return {
             "schema": "repro.faults/1",
@@ -146,19 +137,12 @@ class FaultPlan:
         faults = tuple(FaultSpec.from_dict(f) for f in d.get("faults", ()))
         return cls(faults=faults, seed=int(d.get("seed", 0)))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
     def save(self, path: str | Path) -> Path:
         return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 class FaultInjector:
@@ -192,14 +176,6 @@ class FaultInjector:
                 return None
         self._fired[idx] = self._fired.get(idx, 0) + 1
         return spec
-
-    def fired(self, spec: FaultSpec | None = None) -> int:
-        """Total faults fired so far (or fires of one spec)."""
-        if spec is None:
-            return sum(self._fired.values())
-        return sum(
-            n for idx, n in self._fired.items() if self.plan.faults[idx] == spec
-        )
 
     def kill_at(self, rank: int, task: int) -> FaultSpec | None:
         """The armed ``kill_rank`` fault for (rank, task), if any."""
@@ -253,9 +229,3 @@ class FaultInjector:
             f"injected {spec.kind} at {where}" + (f" ({spec.note})" if spec.note else "")
         )
 
-
-def _coerce_plan(plan: "FaultPlan | Mapping | None") -> FaultPlan | None:
-    """Accept a plan, its dict form, or None (for kwargs crossing pickles)."""
-    if plan is None or isinstance(plan, FaultPlan):
-        return plan
-    return FaultPlan.from_dict(plan)

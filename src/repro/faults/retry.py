@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from ..obs import emit_event, get_registry
 
-__all__ = ["RetryError", "RetryPolicy", "call_with_retry", "retry"]
+__all__ = ["RetryError", "RetryPolicy", "call_with_retry"]
 
 
 class RetryError(RuntimeError):
@@ -78,13 +78,6 @@ class RetryPolicy:
         """The full deterministic backoff schedule."""
         return [self.delay(k) for k in range(1, self.max_retries + 1)]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "RetryPolicy":
-        return cls(**dict(d))
-
 
 def call_with_retry(
     fn: Callable,
@@ -131,27 +124,3 @@ def call_with_retry(
                 emit_event("retry", {"op": op, "attempt": attempts, "error": repr(exc)})
             sleep(policy.delay(attempts))
 
-
-def retry(
-    policy: RetryPolicy | None = None,
-    *,
-    op: str | None = None,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-) -> Callable:
-    """Decorator form of :func:`call_with_retry`."""
-
-    def decorate(fn: Callable) -> Callable:
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            return call_with_retry(
-                lambda: fn(*args, **kwargs),
-                policy,
-                op=op or fn.__qualname__,
-                retry_on=retry_on,
-            )
-
-        return wrapper
-
-    return decorate

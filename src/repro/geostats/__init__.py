@@ -15,8 +15,6 @@ from .mle import MLEResult, default_tile_size, fit_mle
 from .montecarlo import BoxStats, MonteCarloStudy, ReplicaEstimate, run_monte_carlo
 from .optimizer import OptimizeResult, maximize_bounded, nelder_mead_bounded
 from .prediction import KrigingResult, krige
-from .profile import fit_mle_profile, profile_log_likelihood
-from .trends import TrendModel, detrend, polynomial_design
 from .variogram import (
     EmpiricalVariogram,
     empirical_variogram,
@@ -39,14 +37,11 @@ __all__ = [
     "SquaredExponential",
     "SyntheticField",
     "build_tiled_covariance",
-    "TrendModel",
     "cross_distances",
     "dataplane",
-    "detrend",
     "default_tile_size",
     "empirical_variogram",
     "fit_mle",
-    "fit_mle_profile",
     "fit_variogram",
     "generate_locations",
     "get_model",
@@ -58,8 +53,6 @@ __all__ = [
     "morton_order",
     "nelder_mead_bounded",
     "pairwise_distances",
-    "polynomial_design",
-    "profile_log_likelihood",
     "run_monte_carlo",
     "save_dataset_csv",
     "save_dataset_npz",

@@ -31,6 +31,7 @@ the packed lower-triangle distances of :class:`~.locations.TileDistances`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -248,7 +249,10 @@ def _matern_general(h: np.ndarray, sigma2: float, beta: float, nu: float) -> np.
     lo = min((float(np.min(hb, where=hb > 0.0, initial=np.inf)) for hb, _ in blocks), default=np.inf)
     if lo == np.inf:  # nothing but h = 0
         return out
-    s_lo, s_hi = min(lo / beta, _S_MAX), min(float(h.max()) / beta, _S_MAX)
+    # a subnormal h/β underflows to 0, where log has no value: the limit there is σ²,
+    # which the smallest normal s already gives to the last bit
+    s_lo = max(min(lo / beta, _S_MAX), sys.float_info.min)
+    s_hi = max(min(float(h.max()) / beta, _S_MAX), s_lo)
     first = math.floor(math.log(s_lo) / _STEP)  # interval k is [k, k + 1)·_STEP
     n_intervals = math.floor(math.log(s_hi) / _STEP) - first + 1
     coeffs = None

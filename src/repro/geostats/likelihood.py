@@ -42,7 +42,8 @@ class LikelihoodEval:
     kernel_map: KernelPrecisionMap | None = None
     #: why ``value`` is ``-inf``, by the site that returned it: ``cov_build``
     #: (Σ(θ) could not be assembled), ``not_positive_definite`` (the
-    #: mixed-precision factorization broke down), ``logdet`` (not finite) or
+    #: mixed-precision factorization broke down), ``non_finite`` (a panel
+    #: tile held an inf/NaN before it), ``logdet`` (not finite) or
     #: ``quadratic`` (zᵀΣ⁻¹z not finite or negative); ``None`` when feasible
     reason: str | None = None
 
@@ -67,9 +68,9 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
     """Assemble Σ(θ) from the dataset's kept distances, plan it, factor it.
 
     The one build → norms → kernel map → comm map → Algorithm 1 sequence
-    behind the likelihood, the profile likelihood and kriging.  Returns
-    ``(factor, kernel map, None)``, or ``(None, the kernel map if one was
-    planned, reason)`` with reason ``cov_build`` or ``not_positive_definite``.
+    behind the likelihood and kriging.  Returns ``(factor, kernel map,
+    None)``, or ``(None, the kernel map if one was planned, reason)`` with
+    reason ``cov_build``, ``not_positive_definite`` or ``non_finite``.
     """
     nb = min(config.tile_size, dataset.n)
     try:
@@ -85,6 +86,11 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
         result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap, overwrite=True)
     except NotPositiveDefiniteError:
         return None, kmap, "not_positive_definite"
+    except ValueError as exc:
+        # TRSM's finiteness check meets an inf/NaN panel tile before any POTRF does
+        if "infs or NaNs" not in str(exc):
+            raise
+        return None, kmap, "non_finite"
     return result.factor, kmap, None
 
 

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..faults import FaultInjector, FaultPlan, RetryPolicy
-from ..obs import emit_event, get_registry
+from ..faults import FaultPlan, RetryPolicy, run_batch
+from ..obs import emit_event
 from .generator import SyntheticField
 from .mle import MLEResult, fit_mle
 
@@ -139,42 +139,6 @@ def _fit_replica(payload: tuple) -> MLEResult:
     return fit_mle(dataset, accuracy=float(level), **kwargs)
 
 
-def _fit_replica_resilient(payload: tuple) -> dict:
-    """Fit one cell under retry + fault injection; never raises.
-
-    Returns an envelope ``{ok, result, attempts, faults, error}`` so one
-    crashed worker cannot sink the whole study (telemetry is re-counted
-    by the parent from the envelope — see
-    :func:`repro.sweep.engine._run_point` for the same pattern).
-    """
-    import time
-
-    dataset, level, kwargs, cell_label, retry_dict, plan_dict = payload
-    policy = (RetryPolicy.from_dict(retry_dict) if retry_dict
-              else RetryPolicy(max_retries=0))
-    injector = FaultInjector(plan_dict, use_metrics=False)
-    attempts = 0
-    fault_kinds: list[str] = []
-    last_err: BaseException | None = None
-    while attempts <= policy.max_retries:
-        attempts += 1
-        try:
-            fault = injector.point_fault(cell_label)
-            if fault is not None:
-                fault_kinds.append(fault.kind)
-                injector.raise_fault(fault, where=f"montecarlo:{cell_label}",
-                                     attempt=attempts)
-            result = _fit_replica((dataset, level, kwargs))
-            return {"ok": True, "result": result, "attempts": attempts,
-                    "faults": fault_kinds, "error": None}
-        except Exception as exc:
-            last_err = exc
-            if attempts <= policy.max_retries:
-                time.sleep(policy.delay(attempts))
-    return {"ok": False, "result": None, "attempts": attempts,
-            "faults": fault_kinds, "error": repr(last_err)}
-
-
 def run_monte_carlo(
     synth: SyntheticField,
     accuracies: Sequence[float | str],
@@ -195,8 +159,8 @@ def run_monte_carlo(
     40,000 locations; defaults here are scaled for commodity hardware and
     can be raised via arguments.
 
-    ``workers > 1`` fans the (replica, accuracy) cells across the same
-    process pool the sweep engine uses (:func:`repro.sweep.make_pool`);
+    ``workers > 1`` fans the (replica, accuracy) cells across a process
+    pool (:func:`repro.faults.run_batch`, the sweep engine's runner);
     each fit is independent and deterministic, so the study is identical
     to the sequential one regardless of worker count or completion order.
 
@@ -206,8 +170,6 @@ def run_monte_carlo(
     ``fault_plan`` injects scripted failures into cells whose
     ``"<label>:<replica>"`` identifier matches (see :mod:`repro.faults`).
     """
-    if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
-        fault_plan = FaultPlan.from_dict(fault_plan)
     study = MonteCarloStudy(
         field_name=synth.model.name,
         theta_true=tuple(synth.theta),
@@ -220,34 +182,21 @@ def run_monte_carlo(
         for level in accuracies
         for r, dataset in enumerate(datasets)
     ]
-    retry_dict = retry_policy.to_dict() if retry_policy else None
-    plan_dict = fault_plan.to_dict() if fault_plan else None
 
-    def cell_label(level, r: int) -> str:
-        # matches MLEResult.accuracy_label's format ("exact" / "1e-02")
-        return (level if level == "exact" else f"{float(level):.0e}") + f":{r}"
+    def accuracy_label(level) -> str:
+        # MLEResult.accuracy_label's format ("exact" / "1e-02")
+        return level if level == "exact" else f"{float(level):.0e}"
 
-    payloads = [
-        (dataset, level, kwargs, cell_label(level, r), retry_dict, plan_dict)
-        for level, r, dataset in cells
-    ]
-    if workers > 1 and len(payloads) > 1:
-        from ..sweep.pool import make_pool  # deferred: sweep sits above geostats
-
-        with make_pool(min(workers, len(payloads))) as pool:
-            envelopes = list(pool.map(_fit_replica_resilient, payloads))
-    else:
-        envelopes = [_fit_replica_resilient(p) for p in payloads]
-
-    registry = get_registry()
+    envelopes = run_batch(
+        _fit_replica,
+        [(dataset, level, kwargs) for level, _r, dataset in cells],
+        [(f"{accuracy_label(level)}:{r}",) for level, r, _dataset in cells],
+        op="montecarlo.replica",
+        workers=workers,
+        retry_policy=retry_policy,
+        fault_plan=fault_plan,
+    )
     for (level, r, _dataset), env in zip(cells, envelopes):
-        registry.counter(
-            "retry.attempts", "re-attempts performed by retry policies"
-        ).inc(max(0, env["attempts"] - 1), op="montecarlo.replica")
-        for kind in env["faults"]:
-            registry.counter(
-                "faults.injected", "faults fired from the active fault plan"
-            ).inc(kind=kind)
         if env["ok"]:
             result: MLEResult = env["result"]
             study.estimates.append(
@@ -260,10 +209,7 @@ def run_monte_carlo(
                 )
             )
         else:
-            registry.counter(
-                "retry.gave_up", "calls that exhausted their retry policy"
-            ).inc(op="montecarlo.replica")
-            label = level if level == "exact" else f"{float(level):.0e}"
+            label = accuracy_label(level)
             study.failures.append(
                 ReplicaFailure(
                     replica=r,

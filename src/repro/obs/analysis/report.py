@@ -1,29 +1,34 @@
-"""Loaders and rendering behind ``repro analyze``.
+"""Loaders and rendering behind ``repro analyze``, the one run reader.
 
 ``repro analyze <path>`` accepts:
 
 * a Perfetto/Chrome trace JSON written by ``--trace-out`` (the slices
   are parsed back into :class:`~repro.runtime.tracing.TraceEvent`-shaped
   records, CONVERT site tags included);
-* a run-summary JSON written by ``--metrics-out`` (stats counters only —
-  the ledger loses per-rank detail but keeps per-link per-precision
-  totals);
-* a directory holding either or both — with both, the event-derived
-  ledger is *reconciled* against the stats counters and any discrepancy
-  is reported.
+* a run-summary JSON written by ``--metrics-out`` (the run header from
+  its manifest; stats counters only — the ledger loses per-rank detail
+  but keeps per-link per-precision totals);
+* a JSONL event log written by ``--events-out`` (event counts by type
+  and the last ``mle.iteration``);
+* a directory holding any of them — with a trace and a summary, the
+  event-derived ledger is *reconciled* against the stats counters and
+  any discrepancy is reported.  A capture without simulator stats (an
+  ``mle`` run) is a header and an event census.
 
-The output is a text report (data-motion ledger, conversion-site table,
-critical path, per-engine slack, utilization timeline) plus a
-machine-readable document (``--json-out``).
+The output is a text report (run header, event counts, data-motion
+ledger, conversion-site table, critical path, per-engine slack,
+utilization timeline) plus a machine-readable document (``--json-out``).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
 from ...precision.formats import Precision
+from ..events import iter_events
 from .critical_path import critical_path, engine_slack, utilization_timeline
 from .ledger import build_ledger
 
@@ -85,6 +90,26 @@ def _stats_from_doc(doc: dict) -> dict | None:
     return None
 
 
+def _summarize_event_log(path: Path) -> dict:
+    """Event counts by type (plus the last ``mle.iteration``) of a JSONL log."""
+    by_type: Counter[str] = Counter()
+    run_ids: set[str] = set()
+    last_iteration = None
+    for ev in iter_events(path):
+        by_type[ev.get("type", "?")] += 1
+        if ev.get("run_id"):
+            run_ids.add(ev["run_id"])
+        if ev.get("type") == "mle.iteration":
+            last_iteration = ev.get("attrs")
+    return {
+        "path": str(path),
+        "n_events": sum(by_type.values()),
+        "run_ids": sorted(run_ids),
+        "by_type": dict(sorted(by_type.items())),
+        "last_mle_iteration": last_iteration,
+    }
+
+
 def analyze_trace(
     events: Sequence | None = None,
     stats: dict | None = None,
@@ -127,6 +152,24 @@ def render_analysis(doc: dict) -> str:
     from .ledger import ConversionRow, DataMotionLedger, LedgerRow
 
     lines: list[str] = []
+    run = doc.get("run")
+    if run:
+        lines.append(
+            f"run {run.get('run_id') or '<unnamed>'}: command {run.get('command')}, "
+            f"seed {run.get('seed')}, git rev {run.get('git_revision')}"
+        )
+    log = doc.get("event_log")
+    if log:
+        lines.append(
+            f"{log['n_events']} events in {log['path']}, run(s) {', '.join(log['run_ids'])}"
+        )
+        lines.extend(f"    {type_:<24} {count}" for type_, count in log["by_type"].items())
+        last = log.get("last_mle_iteration")
+        if last:
+            lines.append(
+                f"  last MLE iteration: k={last.get('k')} "
+                f"loglik={last.get('loglik'):.4f} theta={last.get('theta')}"
+            )
     led = doc.get("ledger") or {}
     ledger = DataMotionLedger(
         rows=[
@@ -210,7 +253,7 @@ def render_analysis(doc: dict) -> str:
 
 
 def analyze_path(path: str | Path, *, n_buckets: int = 20) -> dict:
-    """Analyze a trace file, summary file, or run directory.
+    """Analyze a trace file, summary file, event log, or run directory.
 
     Returns the analysis document; raises ``ValueError`` when the path
     holds nothing analyzable.
@@ -218,9 +261,14 @@ def analyze_path(path: str | Path, *, n_buckets: int = 20) -> dict:
     path = Path(path)
     trace_file: Path | None = None
     stats: dict | None = None
+    manifest: dict | None = None
+    event_log: Path | None = None
 
     def classify(file: Path) -> None:
-        nonlocal trace_file, stats
+        nonlocal trace_file, stats, manifest, event_log
+        if file.suffix == ".jsonl":
+            event_log = event_log or file
+            return
         try:
             doc = json.loads(file.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -229,26 +277,33 @@ def analyze_path(path: str | Path, *, n_buckets: int = 20) -> dict:
             return
         if "traceEvents" in doc:
             trace_file = trace_file or file
-        elif stats is None:
-            found = _stats_from_doc(doc)
-            if found is not None:
-                stats = found
+            return
+        if stats is None:
+            stats = _stats_from_doc(doc)
+        if manifest is None and isinstance(doc.get("manifest"), dict):
+            manifest = doc["manifest"]
 
     if path.is_dir():
-        for file in sorted(path.glob("*.json")):
+        for file in sorted([*path.glob("*.json"), *path.glob("*.jsonl")]):
             classify(file)
     elif path.is_file():
         classify(path)
     else:
         raise ValueError(f"no such file or directory: {path}")
 
-    if trace_file is None and stats is None:
+    if trace_file is None and stats is None and manifest is None and event_log is None:
         raise ValueError(
             f"nothing analyzable under {path}: expected a Perfetto trace JSON "
-            "(--trace-out) and/or a run-summary JSON (--metrics-out)"
+            "(--trace-out), a run-summary JSON (--metrics-out) and/or a JSONL "
+            "event log (--events-out)"
         )
     events = load_trace_events(trace_file) if trace_file is not None else None
     doc = analyze_trace(events=events, stats=stats, n_buckets=n_buckets)
+    if manifest is not None:
+        doc["run"] = {key: manifest.get(key)
+                      for key in ("run_id", "command", "seed", "git_revision")}
+    if event_log is not None:
+        doc["event_log"] = _summarize_event_log(event_log)
     doc["source"] = {
         "trace": str(trace_file) if trace_file else None,
         "stats": "embedded" if stats is not None else None,

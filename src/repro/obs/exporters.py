@@ -2,7 +2,7 @@
 
 These sit on top of the simulator's :class:`~repro.runtime.tracing.TraceEvent`
 stream and the metrics registry, and are what ``repro simulate
---trace-out/--metrics-out`` and ``repro report`` call into.  Runtime
+--trace-out/--metrics-out`` and the live ``/metrics`` endpoint call into.  Runtime
 imports happen inside the functions so ``repro.obs`` stays a leaf
 package every layer may import without cycles.
 """
@@ -133,9 +133,8 @@ def to_prometheus_text(registry=None) -> str:
     Counters get the conventional ``_total`` suffix; histograms and
     timers are exported as *summaries* (``{quantile="..."}`` series plus
     ``_sum``/``_count``), matching what their bounded reservoir can
-    answer.  This is the payload the future serving layer's ``/metrics``
-    endpoint will scrape; until then ``repro report --format prom``
-    writes it to stdout or a file.
+    answer.  This is the payload the live plane's ``/metrics`` endpoint
+    serves (:mod:`repro.obs.live`).
     """
     if registry is None:
         from ._runtime import get_registry

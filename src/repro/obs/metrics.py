@@ -9,7 +9,7 @@ dependency-free metrics substrate in the Prometheus idiom:
 * each metric holds *labeled series* (``counter.inc(3, engine="h2d")``
   and ``counter.inc(5, engine="nic")`` are independent series);
 * everything snapshots to plain dicts via :meth:`MetricsRegistry.to_dict`
-  for the JSON exporters and ``repro report``.
+  for the JSON exporters.
 
 Histograms keep a bounded reservoir (deterministic stride-doubling
 decimation, no RNG) so per-task observations stay O(1) memory even for

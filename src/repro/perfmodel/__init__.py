@@ -9,7 +9,7 @@ these models, and the energy/occupancy modules post-process the resulting
 timelines into the paper's Fig. 9/10 observables.
 """
 
-from .calibration import CalibrationReport, calibrate_gpu, fit_gemm_curve, verify_table2
+from .calibration import CalibrationReport, verify_table2
 from .energy import EnergyReport, PowerSample, energy_report, power_trace
 from .gpus import (
     A100,
@@ -26,21 +26,19 @@ from .gpus import (
 )
 from .kernels import (
     KernelKind,
-    KernelTimeModel,
     conversion_time,
     gemm_time,
     kernel_flops,
     kernel_flops_rect,
     kernel_time,
 )
-from .network import NetworkModel, broadcast_steps, broadcast_time, message_time
 from .occupancy import (
     OccupancySample,
     busy_fraction,
     mean_occupancy,
     occupancy_trace,
 )
-from .transfers import TransferModel, d2h_time, h2d_time, host_copy_time, tile_bytes
+from .transfers import d2h_time, h2d_time, host_copy_time, tile_bytes
 
 __all__ = [
     "A100",
@@ -56,19 +54,13 @@ __all__ = [
     "EnergyReport",
     "GPUSpec",
     "KernelKind",
-    "KernelTimeModel",
-    "NetworkModel",
     "NodeSpec",
     "OccupancySample",
     "PowerSample",
-    "broadcast_steps",
-    "calibrate_gpu",
-    "broadcast_time",
     "busy_fraction",
     "conversion_time",
     "d2h_time",
     "energy_report",
-    "fit_gemm_curve",
     "gemm_time",
     "h2d_time",
     "host_copy_time",
@@ -76,7 +68,6 @@ __all__ = [
     "kernel_flops_rect",
     "kernel_time",
     "mean_occupancy",
-    "message_time",
     "occupancy_trace",
     "power_trace",
     "tile_bytes",

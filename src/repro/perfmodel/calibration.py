@@ -1,18 +1,12 @@
-"""Calibration utilities for the performance model.
+"""The Table II oracle of the performance model.
 
-The simulator is only as good as its anchors.  This module (a) verifies
-the shipped model against the paper's Table II programmatically, and
-(b) lets a user **re-calibrate** a :class:`GPUSpec` from their own
-measured GEMM samples — fitting the two free parameters of the
-sustained-rate law ``R(n) = f·P · x²/(1+x²)``, ``x = n/n_half`` by
-least squares — so the reproduction can be re-anchored to real hardware
-when it is available.
+The simulator is only as good as its anchors: :func:`verify_table2`
+compares the shipped model against the paper's Table II, cell by cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +15,7 @@ from .gpus import GPUSpec, V100
 from .kernels import gemm_time
 from .transfers import h2d_time
 
-__all__ = ["CalibrationReport", "verify_table2", "fit_gemm_curve", "calibrate_gpu"]
+__all__ = ["CalibrationReport", "verify_table2"]
 
 #: the paper's Table II (ms) — the shipped model's ground truth
 TABLE2_MS = {
@@ -67,51 +61,3 @@ def verify_table2(gpu: GPUSpec = V100) -> CalibrationReport:
     return CalibrationReport(
         max_rel_error=max_err, mean_rel_error=float(np.mean(errs)), worst_cell=worst
     )
-
-
-def fit_gemm_curve(
-    sizes: Sequence[int],
-    tflops: Sequence[float],
-    peak_tflops: float,
-) -> tuple[float, int]:
-    """Fit (sustained_fraction, half_perf_size) to measured GEMM rates.
-
-    Grid-searches ``n_half`` (the law is nonlinear in it) with the
-    optimal ``f`` computed in closed form per candidate — robust for the
-    handful of sample points a microbenchmark produces.
-    """
-    sizes_a = np.asarray(sizes, dtype=np.float64)
-    rates = np.asarray(tflops, dtype=np.float64)
-    if sizes_a.size != rates.size or sizes_a.size < 2:
-        raise ValueError("need at least two (size, rate) samples")
-    if np.any(rates <= 0) or np.any(sizes_a <= 0):
-        raise ValueError("sizes and rates must be positive")
-    best = (np.inf, 0.5, 256)
-    for n_half in range(32, 4097, 16):
-        x = sizes_a / n_half
-        g = x * x / (1.0 + x * x)  # shape function
-        denom = float(np.dot(g, g))
-        if denom == 0.0:
-            continue
-        f = float(np.dot(g, rates)) / (peak_tflops * denom)
-        f = min(max(f, 1e-3), 1.0)
-        resid = float(np.sum((peak_tflops * f * g - rates) ** 2))
-        if resid < best[0]:
-            best = (resid, f, n_half)
-    return best[1], best[2]
-
-
-def calibrate_gpu(
-    gpu: GPUSpec,
-    precision: Precision,
-    sizes: Sequence[int],
-    measured_tflops: Sequence[float],
-) -> GPUSpec:
-    """Return a copy of ``gpu`` re-anchored to measured GEMM samples."""
-    peak = gpu.peak(precision) / 1e12
-    f, n_half = fit_gemm_curve(sizes, measured_tflops, peak)
-    sustained = dict(gpu.sustained_fraction)
-    half = dict(gpu.half_perf_size)
-    sustained[precision] = f
-    half[precision] = n_half
-    return replace(gpu, sustained_fraction=sustained, half_perf_size=half)

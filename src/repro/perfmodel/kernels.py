@@ -12,7 +12,6 @@ source and writing the destination encoding through HBM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from ..precision.formats import Precision, bytes_per_element
 from .gpus import GPUSpec
@@ -24,7 +23,6 @@ __all__ = [
     "kernel_time",
     "gemm_time",
     "conversion_time",
-    "KernelTimeModel",
 ]
 
 
@@ -122,20 +120,3 @@ def conversion_time(gpu: GPUSpec, elements: int, src: Precision, dst: Precision)
     return gpu.conversion_launch + nbytes / (
         gpu.memory_bandwidth * gpu.conversion_efficiency
     )
-
-
-@dataclass(frozen=True)
-class KernelTimeModel:
-    """Convenience bundle binding a :class:`GPUSpec` and a tile size."""
-
-    gpu: GPUSpec
-    nb: int
-
-    def time(self, kind: str, precision: Precision) -> float:
-        return kernel_time(self.gpu, kind, self.nb, precision)
-
-    def flops(self, kind: str) -> float:
-        return kernel_flops(kind, self.nb)
-
-    def convert(self, src: Precision, dst: Precision) -> float:
-        return conversion_time(self.gpu, self.nb * self.nb, src, dst)

@@ -11,12 +11,10 @@ fewer bytes cross the link) falls directly out of this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..precision.formats import Precision, bytes_per_element
 from .gpus import GPUSpec, NodeSpec
 
-__all__ = ["tile_bytes", "h2d_time", "d2h_time", "host_copy_time", "TransferModel"]
+__all__ = ["tile_bytes", "h2d_time", "d2h_time", "host_copy_time"]
 
 
 def tile_bytes(nb: int, precision: Precision) -> int:
@@ -37,20 +35,3 @@ def d2h_time(gpu: GPUSpec, nb: int, precision: Precision) -> float:
 def host_copy_time(node: NodeSpec, nbytes: float) -> float:
     """Seconds for a host-memory staging copy of ``nbytes``."""
     return nbytes / node.cpu_memory_bandwidth
-
-
-@dataclass(frozen=True)
-class TransferModel:
-    """Bundle binding a :class:`GPUSpec` and a tile size (Table II rows)."""
-
-    gpu: GPUSpec
-    nb: int
-
-    def bytes(self, precision: Precision) -> int:
-        return tile_bytes(self.nb, precision)
-
-    def h2d(self, precision: Precision) -> float:
-        return h2d_time(self.gpu, self.nb, precision)
-
-    def d2h(self, precision: Precision) -> float:
-        return d2h_time(self.gpu, self.nb, precision)

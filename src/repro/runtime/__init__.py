@@ -1,6 +1,6 @@
 """PaRSEC-like task runtime: DAG, simulator, numeric executors."""
 
-from .distributed import DistributedReport, execute_numeric_distributed, pick_mp_context
+from .distributed import DistributedReport, execute_numeric_distributed
 from .executor import execute_numeric
 from .gantt import ascii_gantt, engine_utilisation, to_chrome_trace
 from .parallel_executor import execute_numeric_parallel
@@ -46,7 +46,6 @@ __all__ = [
     "execute_numeric_distributed",
     "execute_numeric_parallel",
     "get_policy",
-    "pick_mp_context",
     "policy_topological_order",
     "simulate",
     "simulate_replay",

@@ -33,7 +33,6 @@ table).
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import queue as queue_mod
 import signal
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultInjector, FaultPlan, pick_mp_context
 from ..obs import emit_event, get_registry
 from ..obs.alerts import RANK_AGE_GAUGE
 from ..obs.live import set_live_gauge
@@ -55,12 +54,9 @@ from .task import TaskGraph
 __all__ = [
     "DistributedReport",
     "execute_numeric_distributed",
-    "pick_mp_context",
 ]
 
 _DEFAULT_TIMEOUT = 120.0
-#: start methods in preference order: cheapest/most-inheriting first
-_START_METHODS = ("fork", "forkserver", "spawn")
 #: how long an exited-but-silent rank gets to flush its result queue
 #: before the parent declares it dead (covers the exit-0 race where the
 #: feeder thread is still draining when the process object shows exited)
@@ -111,23 +107,6 @@ class DistributedReport:
     error: str | None = None
     dead_ranks: tuple[int, ...] = ()
     heartbeat_ages: dict[int, float] = field(default_factory=dict)
-
-
-def pick_mp_context() -> mp.context.BaseContext:
-    """The best available multiprocessing context for SPMD workers.
-
-    Prefers ``fork``, falls back to ``forkserver`` then ``spawn``;
-    raises a clear :class:`RuntimeError` when the platform supports no
-    usable start method (so callers can skip cleanly).
-    """
-    available = mp.get_all_start_methods()
-    for method in _START_METHODS:
-        if method in available:
-            return mp.get_context(method)
-    raise RuntimeError(
-        "no usable multiprocessing start method: platform offers "
-        f"{available or 'none'}, need one of {list(_START_METHODS)}"
-    )
 
 
 def _consumer_plan(graph: TaskGraph) -> dict[int, list[tuple[int, Precision]]]:

@@ -358,7 +358,15 @@ def _build_engine(
             else:
                 disk_t = disk_ready[src_node].get(key)
                 if disk_t is None:
-                    raise KeyError(f"payload {key} vanished from its origin node {src_node}")
+                    # an earlier _writeback found every older host entry protected
+                    # by the task then running and shed the payload it wrote back
+                    working_set = sum(nb * nb * bpe(k[3]) for k in protect)
+                    raise ValueError(
+                        f"payload {key} is in no tier of its origin node {src_node}: the "
+                        f"node's host memory ({host_caches[src_node].capacity:.0f} bytes) "
+                        f"cannot hold a task's working set (here {len(protect)} payloads, "
+                        f"{working_set} bytes) beside a payload its GPU writes back"
+                    )
                 start = max(disk_free[src_node], disk_t)
                 end = start + disk_lat + nbytes / disk_bw
                 disk_free[src_node] = end

@@ -11,7 +11,6 @@ obs manifests/metrics, and aggregated output as a results table plus a
 
 from .engine import SweepResult, SweepRun, execute_spec, run_sweep
 from .grid import KERNEL_CONFIGS, RunSpec, SweepGrid
-from .pool import make_pool
 
 __all__ = [
     "KERNEL_CONFIGS",
@@ -20,6 +19,5 @@ __all__ = [
     "SweepResult",
     "SweepRun",
     "execute_spec",
-    "make_pool",
     "run_sweep",
 ]

@@ -11,25 +11,21 @@ Two properties make large campaigns cheap:
   cache key (``<cache_dir>/<key>.json`` with the spec, the result, and
   an obs manifest); re-running an unchanged grid reads every point back
   and reports 100 % cache hits;
-* **parallelism** — cache misses fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (one simulator run
-  per process; the planner itself is vectorized, see
-  :func:`repro.core.conversion.build_comm_precision_map`).
+* **parallelism** — cache misses go through the batch runner
+  (:func:`repro.faults.run_batch`: one simulator run per item, inline or
+  across a process pool, each under the retry policy and the fault plan).
 
-Campaigns are also **resilient** (see ``docs/RESILIENCE.md``): each
-point runs under a :class:`~repro.faults.RetryPolicy` (exponential
-backoff, seeded jitter), a point that exhausts its retries is recorded
-with ``failed=True`` instead of aborting the sweep, and unreadable or
-schema-invalid cache files are quarantined with a ``.corrupt`` suffix
-and treated as misses.  A :class:`~repro.faults.FaultPlan` injects
-scripted crashes for testing the recovery paths.
+A point that exhausts its retries is recorded with ``failed=True``
+instead of aborting the sweep, and unreadable or schema-invalid cache
+files are quarantined with a ``.corrupt`` suffix and treated as misses
+(see ``docs/RESILIENCE.md``).
 
 Telemetry goes through :mod:`repro.obs`: ``sweep.runs`` /
 ``sweep.cache_hits`` / ``sweep.cache_misses`` / ``sweep.cache_corrupt``
-/ ``sweep.failed`` counters, ``retry.attempts`` / ``retry.gave_up`` /
-``faults.injected`` counters from the resilience layer, a
-``sweep.run_seconds`` timer, and ``sweep.run`` / ``sweep.complete``
-events when an event log is attached.
+/ ``sweep.failed`` counters (``retry.attempts`` / ``retry.gave_up`` /
+``faults.injected`` are the batch runner's), a ``sweep.run_seconds``
+timer, and ``sweep.run`` / ``sweep.complete`` events when an event log
+is attached.
 """
 
 from __future__ import annotations
@@ -37,12 +33,11 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..faults import FaultInjector, FaultPlan, RetryPolicy
+from ..faults import FaultPlan, RetryPolicy, run_batch
 from ..obs import build_manifest, emit_event, get_registry, span, write_json
 from ..obs.live import campaign, campaign_progress
 from ..obs.profile import hot_region
@@ -140,42 +135,6 @@ def execute_spec(spec_dict: dict) -> dict:
         fp64_band_width=kmap.fp64_band_width(),
     )
     return result
-
-
-def _run_point(payload: dict) -> dict:
-    """Execute one sweep point under retry + fault injection; never raises.
-
-    Module-level so worker processes can pickle it.  Returns an envelope
-    — ``{ok, result, attempts, faults, error}`` — rather than raising,
-    so one poisoned point cannot abort the campaign (or, through a
-    :class:`~concurrent.futures.process.BrokenProcessPool`, sink every
-    other in-flight point).  Telemetry is *not* written here: the parent
-    re-counts attempts and fault kinds from the envelope so campaign
-    metrics land exactly once, in one registry.
-    """
-    policy = (RetryPolicy.from_dict(payload["retry"]) if payload.get("retry")
-              else RetryPolicy(max_retries=0))
-    injector = FaultInjector(payload.get("fault_plan"), use_metrics=False)
-    key, label = payload["key"], payload["label"]
-    attempts = 0
-    fault_kinds: list[str] = []
-    last_err: BaseException | None = None
-    while attempts <= policy.max_retries:
-        attempts += 1
-        try:
-            fault = injector.point_fault(key, label)
-            if fault is not None:
-                fault_kinds.append(fault.kind)
-                injector.raise_fault(fault, where=f"sweep:{label}", attempt=attempts)
-            result = execute_spec(payload["spec"])
-            return {"ok": True, "result": result, "attempts": attempts,
-                    "faults": fault_kinds, "error": None}
-        except Exception as exc:
-            last_err = exc
-            if attempts <= policy.max_retries:
-                time.sleep(policy.delay(attempts))
-    return {"ok": False, "result": None, "attempts": attempts,
-            "faults": fault_kinds, "error": repr(last_err)}
 
 
 @dataclass(frozen=True)
@@ -473,11 +432,9 @@ def run_sweep(
     ignores (and rewrites) existing cache entries.  Results keep the
     grid's expansion order regardless of completion order.
 
-    ``retry_policy`` re-attempts crashed points with exponential backoff;
+    ``retry_policy`` and ``fault_plan`` are :func:`repro.faults.run_batch`'s;
     a point that exhausts its retries is recorded with ``failed=True``
-    (and left uncached, so the next campaign retries it) instead of
-    aborting the sweep.  ``fault_plan`` injects scripted failures into
-    matching points (see :mod:`repro.faults`).
+    (and left uncached, so the next campaign retries it).
 
     ``progress_seconds`` rate-limits ``completed/total`` progress
     reporting (a stderr line plus a ``sweep.progress`` event, with
@@ -498,17 +455,11 @@ def run_sweep(
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
-        fault_plan = FaultPlan.from_dict(fault_plan)
-
     registry = get_registry()
     runs_metric = registry.counter("sweep.runs", "sweep points priced (hits + misses)")
     hits_metric = registry.counter("sweep.cache_hits", "sweep points served from cache")
     misses_metric = registry.counter("sweep.cache_misses", "sweep points executed")
     failed_metric = registry.counter("sweep.failed", "sweep points that exhausted retries")
-    faults_metric = registry.counter("faults.injected", "faults fired from the active fault plan")
-    retries_metric = registry.counter("retry.attempts", "re-attempts performed by retry policies")
-    gave_up_metric = registry.counter("retry.gave_up", "calls that exhausted their retry policy")
     run_timer = registry.timer("sweep.run_seconds", "wall time per executed sweep point")
 
     t_start = time.perf_counter()
@@ -540,43 +491,19 @@ def run_sweep(
         attempts_spent: dict[int, int] = {}
         unique = sorted(owner.values())
         if unique:
-            payloads = [
-                {
-                    "spec": specs[i].to_dict(),
-                    "key": keys[i],
-                    "label": specs[i].label,
-                    "retry": retry_policy.to_dict() if retry_policy else None,
-                    "fault_plan": fault_plan.to_dict() if fault_plan else None,
-                }
-                for i in unique
-            ]
             with hot_region("sweep.dispatch"):
-                if workers > 1 and len(unique) > 1:
-                    from .pool import make_pool
-
-                    # submit + as_completed (not pool.map): progress is
-                    # observed at each completion, in completion order
-                    outputs: list[dict | None] = [None] * len(payloads)
-                    with make_pool(min(workers, len(unique))) as pool:
-                        futures = {
-                            pool.submit(_run_point, payload): pos
-                            for pos, payload in enumerate(payloads)
-                        }
-                        for fut in as_completed(futures):
-                            pos = futures[fut]
-                            outputs[pos] = fut.result()
-                            progress.point_done(outputs[pos])
-                else:
-                    outputs = []
-                    for payload in payloads:
-                        env = _run_point(payload)
-                        outputs.append(env)
-                        progress.point_done(env)
+                outputs = run_batch(
+                    execute_spec,
+                    [specs[i].to_dict() for i in unique],
+                    [(keys[i], specs[i].label) for i in unique],
+                    op="sweep.point",
+                    workers=workers,
+                    retry_policy=retry_policy,
+                    fault_plan=fault_plan,
+                    on_done=progress.point_done,
+                )
             for i, env in zip(unique, outputs):
                 attempts_spent[i] = env["attempts"]
-                retries_metric.inc(max(0, env["attempts"] - 1), op="sweep.point")
-                for kind in env["faults"]:
-                    faults_metric.inc(kind=kind)
                 if env["ok"]:
                     result = env["result"]
                     _store_cached(cache_dir, specs[i], keys[i], result)
@@ -588,7 +515,6 @@ def run_sweep(
                     result = {"failed": True, "error": env["error"],
                               "attempts": env["attempts"]}
                     failed_metric.inc()
-                    gave_up_metric.inc(op="sweep.point")
                     emit_event("sweep.point_failed",
                                {"key": keys[i], "label": specs[i].label,
                                 "attempts": env["attempts"], "error": env["error"]})

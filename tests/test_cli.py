@@ -179,13 +179,13 @@ class TestParserSurface:
     def test_verb_set(self):
         assert set(self._verbs()) == {
             "mle", "maps", "simulate", "sweep", "schedule-compare", "bench",
-            "info", "report", "analyze", "compare", "watch",
+            "info", "analyze", "compare", "watch",
         }
 
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 98
+                   for sp in self._subparsers().values()) == 94
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against

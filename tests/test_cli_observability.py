@@ -1,5 +1,5 @@
-"""CLI coverage for ``report --format prom``, the ``--profile-out`` flags
-and ``compare``'s argument errors."""
+"""CLI coverage for the ``--profile-out`` flags and ``compare``'s
+argument errors."""
 
 import json
 
@@ -62,38 +62,3 @@ class TestCompareVerb:
         assert main(["compare", doc]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "compare: need at least one candidate document"
-
-
-class TestReportProm:
-    def test_prom_exposition(self, tmp_path, capsys):
-        metrics_doc = {
-            "schema": "repro.obs.run_summary/1",
-            "metrics": {
-                "sim_bytes_moved": {
-                    "name": "sim_bytes_moved", "type": "counter",
-                    "help": "bytes moved per link",
-                    "series": [{"labels": {"link": "h2d", "precision": "FP64"},
-                                "value": 1024}],
-                },
-                "sim_task_seconds": {
-                    "name": "sim_task_seconds", "type": "timer", "help": "",
-                    "series": [{"labels": {},
-                                "value": {"count": 4, "sum": 0.4, "p50": 0.1,
-                                          "p90": 0.15, "p99": 0.2}}],
-                },
-            },
-        }
-        path = _write(tmp_path / "metrics.json", metrics_doc)
-        assert main(["report", "--metrics", path, "--format", "prom"]) == 0
-        out = capsys.readouterr().out
-        assert 'sim_bytes_moved_total{link="h2d",precision="FP64"} 1024' in out
-        assert "# TYPE sim_task_seconds summary" in out
-        assert 'sim_task_seconds{quantile="0.5"} 0.1' in out
-        assert "sim_task_seconds_count 4" in out
-
-    def test_prom_needs_metrics(self, capsys, tmp_path):
-        events = tmp_path / "events.jsonl"
-        events.write_text("", encoding="utf-8")
-        assert main(["report", "--events", str(events),
-                     "--format", "prom"]) == 2
-        assert "--format prom needs --metrics" in capsys.readouterr().err

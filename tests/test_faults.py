@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection & retry subsystem (repro.faults)."""
 
+import json
+
 import pytest
 
 from repro.faults import (
@@ -11,7 +13,6 @@ from repro.faults import (
     RetryError,
     RetryPolicy,
     call_with_retry,
-    retry,
 )
 from repro.obs import get_registry
 from repro.runtime.distributed import _RollingDeadline
@@ -56,17 +57,12 @@ class TestFaultPlan:
     def test_roundtrip_dict_and_json(self):
         plan = self.plan()
         assert FaultPlan.from_dict(plan.to_dict()) == plan
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
     def test_save_load(self, tmp_path):
         plan = self.plan()
         path = plan.save(tmp_path / "plan.json")
         assert FaultPlan.load(path) == plan
-
-    def test_with_fault_and_len(self):
-        plan = FaultPlan().with_fault(FaultSpec("transient", point=""))
-        assert len(plan) == 1
-        assert list(plan)[0].kind == "transient"
 
     def test_picklable(self):
         import pickle
@@ -118,7 +114,6 @@ class TestFaultInjector:
         inj = FaultInjector(FaultPlan((FaultSpec("transient", point="", times=2),)))
         spec = inj.point_fault("x")
         inj.fire(spec)
-        assert inj.fired() == 1
         assert reg.counter("faults.injected").total() == before + 1
 
     def test_use_metrics_false_is_silent(self):
@@ -165,8 +160,11 @@ class TestRetryPolicy:
         assert a != b
 
     def test_roundtrip(self):
+        """A policy crosses into pool workers pickled, as it is."""
+        import pickle
+
         pol = RetryPolicy(max_retries=5, base_delay=0.2, seed=9)
-        assert RetryPolicy.from_dict(pol.to_dict()) == pol
+        assert pickle.loads(pickle.dumps(pol)) == pol
 
 
 class TestCallWithRetry:
@@ -237,18 +235,6 @@ class TestCallWithRetry:
                         sleep=lambda s: None,
                         on_retry=lambda attempt, exc: seen.append((attempt, type(exc))))
         assert seen == [(1, ValueError)]
-
-    def test_decorator(self):
-        calls = []
-
-        @retry(RetryPolicy(max_retries=1, base_delay=0.0), op="deco")
-        def flaky():
-            calls.append(1)
-            if len(calls) < 2:
-                raise ValueError("boom")
-            return "done"
-
-        assert flaky() == "done"
 
 
 class TestRollingDeadline:

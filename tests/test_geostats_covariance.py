@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geostats.covariance import Matern, SquaredExponential, get_model
@@ -144,6 +144,7 @@ class TestEntryOracle:
     st.floats(0.05, 2.0), st.floats(0.02, 2.0), st.floats(0.1, 3.0),
     st.lists(st.floats(0.0, 3.0), min_size=1, max_size=10),
 )
+@example(1.0, 2.0, 0.75, [5e-324])  # h/β underflows to 0: σ², not log(0)
 @settings(max_examples=50, deadline=None)
 def test_property_matern_bounded_by_variance(sigma2, beta, nu, hs):
     """0 ≤ C(h) ≤ σ² everywhere, with equality only at h = 0."""

@@ -34,7 +34,6 @@ from repro.geostats.locations import (
     pairwise_distances,
 )
 from repro.geostats.prediction import krige
-from repro.geostats.profile import fit_mle_profile, profile_log_likelihood
 from repro.precision import Precision
 from repro.tiles.norms import tile_norms
 from tests.covariance_oracle import (
@@ -239,7 +238,6 @@ class TestMemo:
         assert constructions == [18]
         assert first.feasible and again.feasible
         krige(dataset, dataset.locations[:3], (1.0, 0.1, 0.8), config=_fp64())
-        profile_log_likelihood(dataset, (0.1, 0.8), _fp64())
         assert constructions == [18]
 
     def test_two_tile_sizes_coexist(self, dataset, constructions):
@@ -292,7 +290,7 @@ def _factor_through_oracle(ds, theta, cfg):
 
 
 class TestOnePipeline:
-    """Likelihood, profile likelihood and kriging share one factorization.
+    """Likelihood and kriging share one factorization.
 
     The dataset's ν = 0.8 is a general ν, so Σ sits within ``BUDGET`` per
     entry of the oracle's (‖δΣ‖₂ ≤ BUDGET·‖Σ‖_F) and what is solved with it
@@ -308,21 +306,20 @@ class TestOnePipeline:
         cov = dataset.model.cov_matrix(dataset.locations, theta)
         return BUDGET * np.linalg.norm(np.linalg.inv(cov), 2) * np.linalg.norm(cov, "fro")
 
-    def test_profile_value_unchanged_to_the_last_bit(self, dataset):
-        phi = (0.13, 0.8)
-        factor = _factor_through_oracle(dataset, (1.0, *phi), self.CFG)
+    def test_likelihood_unchanged_to_the_last_bit(self, dataset):
+        theta = (0.9, 0.13, 0.8)
+        factor = _factor_through_oracle(dataset, theta, self.CFG)
         quad = float(dataset.z @ solve_with_factor(factor, dataset.z))
-        sigma2 = quad / dataset.n
-        value = (-0.5 * dataset.n * (math.log(2.0 * math.pi) + 1.0 + math.log(sigma2))
-                 - 0.5 * logdet_from_factor(factor))
-        ev = profile_log_likelihood(dataset, phi, self.CFG)
+        logdet = logdet_from_factor(factor)
+        value = -0.5 * dataset.n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad
+        ev = log_likelihood(dataset, theta, self.CFG)
         assert ev.reason is None
-        # δ(zᵀΣ⁻¹z)/zᵀΣ⁻¹z and δ log|Σ| / n are both ≤ ‖Σ⁻¹‖‖δΣ‖, and the
-        # profile value is −(n/2)·log σ̂² − ½·log|Σ| + const
-        rtol = self._solve_rtol(dataset, (1.0, *phi))
+        # δ(zᵀΣ⁻¹z)/zᵀΣ⁻¹z and δ log|Σ| / n are both ≤ ‖Σ⁻¹‖‖δΣ‖
+        rtol = self._solve_rtol(dataset, theta)
         assert rtol < 1e-8
-        assert abs(ev.sigma2_hat - sigma2) <= rtol * sigma2
-        assert abs(ev.value - value) <= dataset.n * rtol
+        assert abs(ev.quadratic - quad) <= rtol * quad
+        assert abs(ev.logdet - logdet) <= dataset.n * rtol
+        assert abs(ev.value - value) <= 0.5 * rtol * (dataset.n + quad)
 
     def test_krige_unchanged_to_the_last_bit(self, dataset):
         theta = (0.9, 0.13, 0.8)
@@ -348,27 +345,3 @@ class TestOnePipeline:
         singular = SyntheticField.sqexp_2d(n=144, range_=0.3, seed=0).sample()
         with pytest.raises(np.linalg.LinAlgError, match="not_positive_definite"):
             krige(singular, singular.locations[:2], (1.0, 0.3), config=_fp64())
-
-    def test_profile_names_its_reasons_and_ticks_the_counter(self, dataset):
-        from repro import obs
-
-        counter = obs.get_registry().counter("mle.infeasible")
-        before = counter.value(reason="cov_build")
-        ev = profile_log_likelihood(dataset, (-1.0, 0.5), _fp64())
-        assert (ev.value, ev.reason) == (-math.inf, "cov_build")
-        assert counter.value(reason="cov_build") == before + 1
-        singular = SyntheticField.sqexp_2d(n=144, range_=0.3, seed=0).sample()
-        assert profile_log_likelihood(singular, (0.3,), _fp64()).reason == "not_positive_definite"
-
-    def test_profile_fit_reports_the_breakdowns_it_met(self):
-        # nugget-free dense squared exponential: singular in FP64 from a
-        # modest range on, and the simplex walks up into it from β = 0.01
-        singular = SyntheticField.sqexp_2d(n=144, range_=0.3, seed=0).sample()
-        res = fit_mle_profile(singular, exact=True, tile_size=18, max_evals=40, xtol=1e-4)
-        assert res.infeasible_evals > 0
-        assert res.infeasible_by_reason == {"not_positive_definite": res.infeasible_evals}
-        assert math.isfinite(res.loglik)
-
-    def test_healthy_profile_fit_reports_none(self, dataset):
-        res = fit_mle_profile(dataset, exact=True, tile_size=18, max_evals=30, xtol=1e-3)
-        assert (res.infeasible_evals, res.infeasible_by_reason) == (0, {})

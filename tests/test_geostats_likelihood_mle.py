@@ -98,6 +98,35 @@ class TestLikelihood:
         assert ev.reason == "not_positive_definite"
         assert counter.value(reason="not_positive_definite") == before + 1
 
+    def test_non_finite_panel_tile_is_an_infeasible_probe(self, monkeypatch):
+        """A variance of 1e8 saturates a demoted update into a NaN *panel* tile,
+        which TRSM's finiteness check meets before any POTRF does: that one
+        ``ValueError`` is a reason, not an exception."""
+        import warnings
+
+        from repro import obs
+        from repro.geostats import likelihood
+        from repro.geostats.prediction import krige
+
+        ds = SyntheticField.sqexp_2d(200, 1.0, 0.03, seed=1, nugget=0.01).sample()
+        cfg = MPConfig(accuracy=1e-4, tile_size=32)
+        counter = obs.get_registry().counter("mle.infeasible")
+        before = counter.value(reason="non_finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = log_likelihood(ds, (1e8, 0.03), cfg)
+        assert (ev.value, ev.reason) == (-math.inf, "non_finite")
+        assert counter.value(reason="non_finite") == before + 1
+        with pytest.raises(np.linalg.LinAlgError, match="non_finite"):
+            krige(ds, ds.locations[:2], (1e8, 0.03), config=cfg)
+
+        def broken(*_args, **_kwargs):
+            raise ValueError("some other defect")
+
+        monkeypatch.setattr(likelihood, "mp_cholesky", broken)
+        with pytest.raises(ValueError, match="some other defect"):
+            log_likelihood(ds, (1.0, 0.03), cfg)
+
     def test_keep_map(self, dataset):
         ev = log_likelihood(
             dataset, (1.0, 0.1, 0.5), MPConfig(accuracy=1e-4, tile_size=18), keep_map=True

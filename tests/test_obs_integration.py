@@ -220,29 +220,52 @@ class TestCliTelemetry:
         assert any(e["type"] == "sim.complete" for e in recs)
         assert all(e["run_id"] == "cli-test" for e in recs)
 
-        assert main(["report", "--metrics", str(metrics), "--events", str(events),
-                     "--trace", str(trace)]) == 0
+        # the one run reader: header, event counts, ledger, critical path
+        assert main(["analyze", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "cli-test" in out
-        assert "sim.busy_seconds" in out
-        assert "counter tracks" in out
+        assert "run cli-test: command simulate" in out
+        assert doc["manifest"]["git_revision"] in out
         assert "sim.complete" in out
+        assert "reconciles exactly" in out
+        assert "critical path" in out
+
+    def test_analyze_exits_1_on_reconciliation_mismatch(self, tmp_path, capsys):
+        trace = tmp_path / "run.json"
+        metrics = tmp_path / "metrics.json"
+        assert main(["simulate", "--n", "4096", "--nb", "512",
+                     "--trace-out", str(trace), "--metrics-out", str(metrics)]) == 0
+        doc = json.loads(metrics.read_text())
+        doc["stats"]["h2d_bytes_by_precision"]["FP64"] += 8
+        metrics.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path)]) == 1
+        assert "RECONCILIATION FAILED" in capsys.readouterr().out
 
     def test_mle_events_out_flag(self, tmp_path, capsys):
         events = tmp_path / "mle.jsonl"
         assert main(["mle", "--model", "2d-matern", "--n", "64",
-                     "--accuracy", "1e-4", "--events-out", str(events)]) == 0
+                     "--accuracy", "1e-4", "--events-out", str(events),
+                     "--metrics-out", str(tmp_path / "mle.json")]) == 0
         capsys.readouterr()
         recs = obs.read_events(events)
         assert any(e["type"] == "mle.iteration" for e in recs)
-        assert main(["report", "--events", str(events)]) == 0
+        assert main(["analyze", str(events)]) == 0
         out = capsys.readouterr().out
         assert "mle.iteration" in out
         assert "last MLE iteration" in out
+        # a capture without simulator stats is a header and an event census
+        out_json = tmp_path / "analysis.json"
+        assert main(["analyze", str(tmp_path), "--json-out", str(out_json)]) == 0
+        assert "command mle, seed 0" in capsys.readouterr().out
+        analysis = json.loads(out_json.read_text())
+        assert analysis["run"]["command"] == "mle"
+        n_iter = sum(e["type"] == "mle.iteration" for e in recs)
+        assert analysis["event_log"]["by_type"]["mle.iteration"] == n_iter
+        assert analysis["event_log"]["last_mle_iteration"]["k"] == n_iter
 
-    def test_report_without_inputs_errors(self, capsys):
-        assert main(["report"]) == 2
-        assert "nothing to do" in capsys.readouterr().err
+    def test_report_without_inputs_errors(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert "nothing analyzable" in capsys.readouterr().err
 
     def test_simulate_without_flags_unchanged(self, capsys):
         assert main(["simulate", "--n", "4096", "--nb", "512"]) == 0

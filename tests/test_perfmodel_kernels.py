@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perfmodel.calibration import verify_table2
 from repro.perfmodel.gpus import A100, V100
 from repro.perfmodel.kernels import (
     KernelKind,
-    KernelTimeModel,
     conversion_time,
     gemm_time,
     kernel_flops,
@@ -115,13 +115,8 @@ class TestConversion:
         assert tiny >= V100.conversion_launch
 
 
-class TestKernelTimeModel:
-    def test_bundle_consistent(self):
-        model = KernelTimeModel(gpu=V100, nb=1024)
-        assert model.time(KernelKind.GEMM, Precision.FP32) == kernel_time(
-            V100, KernelKind.GEMM, 1024, Precision.FP32
-        )
-        assert model.flops(KernelKind.GEMM) == kernel_flops(KernelKind.GEMM, 1024)
-        assert model.convert(Precision.FP64, Precision.FP16) == conversion_time(
-            V100, 1024 * 1024, Precision.FP64, Precision.FP16
-        )
+class TestCalibration:
+    def test_shipped_model_passes_table2(self):
+        report = verify_table2()
+        assert report.ok, f"worst cell {report.worst_cell}: {report.max_rel_error:.3f}"
+        assert report.mean_rel_error < 0.08

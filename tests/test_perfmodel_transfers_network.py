@@ -1,18 +1,11 @@
-"""Unit tests for the transfer and network models."""
+"""Unit tests for the transfer-time model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perfmodel.gpus import SUMMIT_NODE, V100
-from repro.perfmodel.network import (
-    NetworkModel,
-    broadcast_steps,
-    broadcast_time,
-    message_time,
-)
 from repro.perfmodel.transfers import (
-    TransferModel,
     d2h_time,
     h2d_time,
     host_copy_time,
@@ -54,29 +47,3 @@ class TestTransferTimes:
     def test_host_copy(self):
         t = host_copy_time(SUMMIT_NODE, 1e9)
         assert t == pytest.approx(1e9 / SUMMIT_NODE.cpu_memory_bandwidth)
-
-    def test_model_bundle(self):
-        tm = TransferModel(gpu=V100, nb=2048)
-        assert tm.bytes(Precision.FP64) == tile_bytes(2048, Precision.FP64)
-        assert tm.h2d(Precision.FP64) == h2d_time(V100, 2048, Precision.FP64)
-        assert tm.d2h(Precision.FP16) == d2h_time(V100, 2048, Precision.FP16)
-
-
-class TestNetwork:
-    def test_alpha_beta(self):
-        t = message_time(SUMMIT_NODE, 1e9)
-        assert t == pytest.approx(SUMMIT_NODE.nic_latency + 1e9 / SUMMIT_NODE.nic_bandwidth)
-
-    @pytest.mark.parametrize("n,steps", [(0, 0), (1, 1), (2, 2), (3, 2), (7, 3), (8, 4), (63, 6)])
-    def test_binomial_steps(self, n, steps):
-        assert broadcast_steps(n) == steps
-
-    def test_broadcast_time_grows_logarithmically(self):
-        t8 = broadcast_time(SUMMIT_NODE, 1e8, 8)
-        t64 = broadcast_time(SUMMIT_NODE, 1e8, 64)
-        assert t64 / t8 < 3.0  # log2(65)/log2(9) ≈ 1.9
-
-    def test_model_bundle(self):
-        nm = NetworkModel(node=SUMMIT_NODE)
-        assert nm.p2p(1e6) == message_time(SUMMIT_NODE, 1e6)
-        assert nm.bcast(1e6, 5) == broadcast_time(SUMMIT_NODE, 1e6, 5)

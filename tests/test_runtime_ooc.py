@@ -80,6 +80,26 @@ class TestDiskTier:
         assert "disk_read" in engines
 
 
+    def test_host_smaller_than_a_working_set_is_rejected_with_a_message(self):
+        """A GEMM's working set is four tiles: on a three-tile host a GPU
+        write-back is shed from every tier (this used to surface as a
+        ``KeyError`` about a vanished payload); four tiles still run."""
+        from repro.core.precision_map import uniform_map
+
+        nb, tile = 512, 512 * 512 * 8
+        kmap = uniform_map(8, Precision.FP64)
+
+        def tiny(host_tiles):
+            gpu = dataclasses.replace(V100, memory_bytes=4 * tile)
+            return Platform(NodeSpec("tiny", gpu, 1, host_tiles * tile, 25e9, 1.5e-6), n_nodes=1)
+
+        with pytest.raises(ValueError, match=rf"host memory \({3 * tile} bytes\) cannot hold "
+                                             r"a task's working set \(here \d payloads"):
+            simulate_cholesky(8 * nb, nb, kmap, tiny(3))
+        rep = simulate_cholesky(8 * nb, nb, kmap, tiny(4))
+        assert rep.makespan == 0.34248074908278964  # the parent commit's, to the bit
+
+
 class TestOocStaticPolicy:
     def test_beats_baselines_under_capacity_pressure(self):
         """The acceptance bar: strictly less eviction+spill traffic than
