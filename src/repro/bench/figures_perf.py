@@ -98,16 +98,11 @@ def default_sizes(gpu_name: str) -> tuple[int, ...]:
     return (16384, 32768, 61440, 73728)
 
 
-def fig8_rows(
-    gpu_name: str,
-    sizes: tuple[int, ...] | None = None,
-    *,
-    nb: int = NB,
+def _strategy_rows(
+    platform: Platform, gpu_label: str, sizes: tuple[int, ...], nb: int
 ) -> list[PerfPoint]:
-    """Fig. 8: STC vs TTC across precision configs on one GPU."""
-    gpu = GPU_BY_NAME[gpu_name]
-    platform = Platform.single_gpu(gpu)
-    sizes = sizes or default_sizes(gpu_name)
+    """The Fig. 8 / Fig. 11 loop: every :func:`fig8_configs` series at
+    every size, priced on ``platform``."""
     out: list[PerfPoint] = []
     for n in sizes:
         nt = -(-n // nb)
@@ -119,7 +114,7 @@ def fig8_rows(
             out.append(
                 PerfPoint(
                     label=label,
-                    gpu=gpu_name,
+                    gpu=gpu_label,
                     n=n,
                     strategy="STC" if strategy == ConversionStrategy.AUTO else "TTC",
                     tflops=rep.stats.tflops,
@@ -129,6 +124,17 @@ def fig8_rows(
                 )
             )
     return out
+
+
+def fig8_rows(
+    gpu_name: str,
+    sizes: tuple[int, ...] | None = None,
+    *,
+    nb: int = NB,
+) -> list[PerfPoint]:
+    """Fig. 8: STC vs TTC across precision configs on one GPU."""
+    platform = Platform.single_gpu(GPU_BY_NAME[gpu_name])
+    return _strategy_rows(platform, gpu_name, sizes or default_sizes(gpu_name), nb)
 
 
 def fig9_occupancy_rows(
@@ -198,28 +204,8 @@ def fig11_rows(
 ) -> list[PerfPoint]:
     """Fig. 11: single-node multi-GPU STC vs TTC (Summit 6×V100, Guyot 8×A100)."""
     node = {"summit": SUMMIT_NODE, "guyot": GUYOT_NODE}[node_name]
-    platform = Platform(node=node, n_nodes=1)
-    out: list[PerfPoint] = []
-    for n in sizes:
-        nt = -(-n // nb)
-        for label, strategy in fig8_configs():
-            kmap = fixed_config_map(nt, label)
-            rep = simulate_cholesky(
-                n, nb, kmap, platform, strategy=strategy, record_events=False
-            )
-            out.append(
-                PerfPoint(
-                    label=label,
-                    gpu=f"{node.gpu.name}x{node.gpus_per_node}",
-                    n=n,
-                    strategy="STC" if strategy == ConversionStrategy.AUTO else "TTC",
-                    tflops=rep.stats.tflops,
-                    seconds=rep.makespan,
-                    h2d_gb=rep.stats.h2d_bytes / 1e9,
-                    conversions=rep.stats.n_conversions,
-                )
-            )
-    return out
+    return _strategy_rows(Platform(node=node, n_nodes=1),
+                          f"{node.gpu.name}x{node.gpus_per_node}", sizes, nb)
 
 
 def fig12_weak_rows(
@@ -358,22 +344,12 @@ def ablation_scheduler_rows(
     *,
     n: int = 32768,
     nb: int = NB,
-    gpu_name: str = "V100",
 ) -> list[list]:
     """Cholesky panel priority vs FIFO dispatch in the simulator."""
-    from ..core.dag_cholesky import build_cholesky_dag
-    from ..runtime.simulator import simulate
-
-    gpu = GPU_BY_NAME[gpu_name]
     platform = Platform(node=SUMMIT_NODE, n_nodes=1)
-    nt = -(-n // nb)
-    kmap = two_precision_map(nt, Precision.FP16)
+    kmap = two_precision_map(-(-n // nb), Precision.FP16)
     rows = []
-    for scheme in ("panel-priority", "fifo"):
-        dag = build_cholesky_dag(n, nb, kmap, grid=platform.process_grid())
-        if scheme == "fifo":
-            for task in dag.graph:
-                task.priority = 0
-        rep = simulate(dag.graph, platform, nb, record_events=False)
+    for scheme, policy in (("panel-priority", "panel-first"), ("fifo", "fifo")):
+        rep = simulate_cholesky(n, nb, kmap, platform, record_events=False, policy=policy)
         rows.append([scheme, rep.stats.tflops, rep.makespan])
     return rows

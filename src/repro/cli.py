@@ -9,18 +9,14 @@ Commands
               ``--replay`` of an exported schedule and ``--stream``
               (lazy million-task emission) are three parameters of it;
               always records host wall time, tasks/sec and peak RSS
-``sweep``     fan a grid of configurations across a process pool (cached)
-``bench``     run one experiment driver (table/figure) and print its table
+``sweep``     fan a grid of configurations across a process pool (cached);
+              its ``--policy`` axis is the per-policy comparison
 ``info``      show the encoded GPU specifications (Table I)
 ``analyze``   read a captured run (trace, summary, event log or run dir):
               run header, event counts, data-motion ledger, conversion-site
               attribution, critical path, utilization
 ``compare``   regression sentinel: diff BENCH/run-summary documents with
               per-metric thresholds; ``--fail-on-regress`` gates CI
-``schedule-compare``
-              price one configuration under several scheduling policies
-              (see ``docs/SCHEDULING.md``) and diff each against a
-              baseline policy via the regression-sentinel report format
 ``watch``     poll a live run's ``/progress`` endpoint (``--live-port``)
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
@@ -111,32 +107,8 @@ def _add_capture_flags(p: argparse.ArgumentParser, *, trace: bool, profile: bool
                        help="run identifier for logs/manifest")
 
 
-def _add_run_flags(p: argparse.ArgumentParser, *, n: int, nb: int, config: str) -> None:
-    """The run description shared by the symbolic-run verbs: the tuple
-    every performance experiment of the paper varies (GPU model × GPUs ×
-    nodes × n × nb × fixed config × conversion strategy).  Only the
-    problem-size defaults differ per verb; :func:`_run_from_args` turns
-    the parsed flags into ``(platform, kernel map, strategy)``."""
-    from .core import FIXED_CONFIGS, ConversionStrategy
-    from .perfmodel import GPU_BY_NAME
-
-    p.add_argument("--gpu", default="V100", choices=list(GPU_BY_NAME))
-    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
-    p.add_argument("--nodes", type=int, default=1)
-    p.add_argument("--n", type=int, default=n)
-    p.add_argument("--nb", type=int, default=nb)
-    p.add_argument("--config", default=config, choices=list(FIXED_CONFIGS))
-    p.add_argument("--strategy", default="auto",
-                   choices=[s.value for s in ConversionStrategy])
-    p.add_argument("--host-memory-gb", type=float, default=256.0,
-                   help="host DRAM capacity per node in GB; tiles evicted "
-                        "beyond this spill to the simulated disk tier — "
-                        "shrink it to surface eviction/spill traffic "
-                        "(default: 256)")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    from .core import ConversionStrategy
+    from .core import FIXED_CONFIGS, ConversionStrategy
     from .perfmodel import GPU_BY_NAME
     from .runtime.policies import POLICY_NAMES
     from .sweep.grid import KERNEL_CONFIGS
@@ -169,7 +141,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the application's u_req")
 
     p = sub.add_parser("simulate", help="price a factorization on simulated hardware")
-    _add_run_flags(p, n=32768, nb=2048, config="FP64/FP16")
+    # the run description every performance experiment of the paper
+    # varies: GPU model × GPUs × nodes × n × nb × fixed config × strategy
+    p.add_argument("--gpu", default="V100", choices=list(GPU_BY_NAME))
+    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
+    p.add_argument("--nodes", type=int, default=1)
+    p.add_argument("--n", type=int, default=32768)
+    p.add_argument("--nb", type=int, default=2048)
+    p.add_argument("--config", default="FP64/FP16", choices=list(FIXED_CONFIGS))
+    p.add_argument("--strategy", default="auto",
+                   choices=[s.value for s in ConversionStrategy])
+    p.add_argument("--host-memory-gb", type=float, default=256.0,
+                   help="host DRAM capacity per node in GB; tiles evicted "
+                        "beyond this spill to the simulated disk tier — "
+                        "shrink it to surface eviction/spill traffic "
+                        "(default: 256)")
     p.add_argument("--policy", default="panel-first", choices=list(POLICY_NAMES),
                    help="scheduling policy for the ready heap "
                         "(default: panel-first; see docs/SCHEDULING.md)")
@@ -183,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: max(4096, nt^2 + 4*nt))")
     p.add_argument("--schedule-out", default=None, metavar="PATH",
                    help="export the committed task order as a replayable "
-                        "static schedule (.json, or .npz for compact binary)")
+                        "static schedule (JSON)")
     p.add_argument("--replay", default=None, metavar="PATH",
                    help="replay a schedule exported with --schedule-out "
                         "(by a run with or without --stream) instead of "
@@ -284,34 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None, metavar="PATH",
                    help="write the machine-readable verdict JSON")
 
-    p = sub.add_parser(
-        "schedule-compare",
-        help="price one configuration under several scheduling policies",
-    )
-    _add_run_flags(p, n=2048, nb=128, config="FP64/FP16_32")
-    p.add_argument("--policy", action="append", default=None,
-                   choices=list(POLICY_NAMES),
-                   help="policy to include; repeatable (default: all policies)")
-    p.add_argument("--baseline", default="panel-first", choices=list(POLICY_NAMES),
-                   help="policy the others are diffed against (default: panel-first)")
-    p.add_argument("--gpu-memory-gb", type=float, default=None,
-                   help="override device memory per GPU in GB (capacity-"
-                        "constrained out-of-core studies)")
-    p.add_argument("--replay-check", action="store_true",
-                   help="also export the baseline's schedule and append a "
-                        "replay:<baseline> row (must be bit-identical)")
-    p.add_argument("--fail-on-regress", action="store_true",
-                   help="exit non-zero when a policy regresses beyond threshold "
-                        "against the baseline")
-    p.add_argument("--report-out", default=None, metavar="PATH",
-                   help="write the per-policy regression verdicts as JSON")
-
-    p = sub.add_parser("bench", help="run one experiment driver")
-    p.add_argument("target", choices=[
-        "table1", "table2", "fig1", "fig7", "fig8", "fig12",
-    ])
-    p.add_argument("--gpu", default="V100", choices=list(GPU_BY_NAME))
-
     sub.add_parser("info", help="encoded GPU specifications")
 
     p = sub.add_parser(
@@ -393,23 +351,6 @@ def _cmd_maps(args) -> int:
     return 0
 
 
-def _run_from_args(args):
-    """``(platform, kernel map, strategy)`` of the run :func:`_add_run_flags`
-    describes (``--gpu-memory-gb`` is honoured where the verb has it)."""
-    from .core import ConversionStrategy, fixed_config_map
-    from .perfmodel import GPU_BY_NAME
-    from .runtime import Platform
-
-    gpu_memory_gb = getattr(args, "gpu_memory_gb", None)
-    platform = Platform.of_gpus(
-        GPU_BY_NAME[args.gpu], args.gpus, args.nodes,
-        host_memory=args.host_memory_gb * 1e9,
-        gpu_memory=None if gpu_memory_gb is None else gpu_memory_gb * 1e9,
-    )
-    kmap = fixed_config_map(-(-args.n // args.nb), args.config)
-    return platform, kmap, ConversionStrategy(args.strategy)
-
-
 @contextlib.contextmanager
 def _capture(args):
     """Enter what the telemetry flags ask for around a run — the JSONL
@@ -454,15 +395,24 @@ def _write_capture(args, profiler, *, command, stats, n_tasks, trace=None) -> No
 
 def _cmd_simulate(args) -> int:
     from . import obs
-    from .core import replay_cholesky, simulate_cholesky
-    from .runtime import StaticSchedule
+    from .core import (
+        ConversionStrategy,
+        fixed_config_map,
+        replay_cholesky,
+        simulate_cholesky,
+    )
+    from .perfmodel import GPU_BY_NAME
+    from .runtime import Platform, StaticSchedule
 
     if args.replay and args.stream:
         print("simulate: --replay walks a recorded order over the held task "
               "graph; it cannot be combined with --stream (a schedule "
               "exported from a --stream run replays without it)", file=sys.stderr)
         return 2
-    platform, kmap, strategy = _run_from_args(args)
+    platform = Platform.of_gpus(GPU_BY_NAME[args.gpu], args.gpus, args.nodes,
+                                host_memory=args.host_memory_gb * 1e9)
+    kmap = fixed_config_map(-(-args.n // args.nb), args.config)
+    strategy = ConversionStrategy(args.strategy)
     # events are needed whenever a trace export was requested; a
     # schedule export wants them too so the trace hash rides along for
     # replay verification
@@ -473,7 +423,12 @@ def _cmd_simulate(args) -> int:
         print("simulate: warning: --trace-out/--schedule-out void the "
               "O(window) memory bound of --stream — the event trace "
               "grows with every task (see docs/SCHEDULING.md)", file=sys.stderr)
-    schedule = StaticSchedule.load(args.replay) if args.replay else None
+    try:
+        schedule = StaticSchedule.load(args.replay) if args.replay else None
+    except (OSError, ValueError, KeyError) as exc:
+        # exit 1 means "replay diverged"; an unreadable file is a usage error
+        print(f"simulate: cannot read schedule {args.replay}: {exc}", file=sys.stderr)
+        return 2
     with _capture(args) as (profiler, plane):
         if plane is not None and args.live_stall_after is not None:
             plane.configure_stall(args.live_stall_after, args.live_stall_seconds)
@@ -588,7 +543,7 @@ def _peak_rss_bytes() -> int:
     a fat parent would report the *parent's* peak; it is the fallback
     elsewhere.  Either is monotonic over the process lifetime, so
     comparing ``simulate`` with and without ``--stream`` needs one
-    process per run (as the CI bench-floor job does).
+    process per run (as ``benchmarks/test_simulator_scale.py`` does).
     """
     try:
         with open("/proc/self/status", encoding="ascii") as status:
@@ -669,6 +624,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .obs import write_json
     from .obs.regress import compare_files, parse_threshold_args
 
     for path in [args.baseline, *args.candidates]:
@@ -696,159 +652,18 @@ def _cmd_compare(args) -> int:
         if report.added_in_candidate:
             print(f"  scopes added in candidate: {', '.join(report.added_in_candidate)}")
         print()
-    return _gate_reports(args, reports)
-
-
-def _gate_reports(args, reports, *, payload=None) -> int:
-    """The tail every report-emitting verb shares: write ``--report-out``
-    (one report as is, several under ``…regress/1+multi``, or the verb's
-    own ``payload``), then apply ``--fail-on-regress``."""
-    from .obs import write_json
-
     if args.report_out:
-        if payload is None:
-            payload = (reports[0].to_dict() if len(reports) == 1
-                       else {"schema": "repro.obs.regress/1+multi",
-                             "reports": [r.to_dict() for r in reports]})
+        # one report as is, several under ``…regress/1+multi``
+        payload = (reports[0].to_dict() if len(reports) == 1
+                   else {"schema": "repro.obs.regress/1+multi",
+                         "reports": [r.to_dict() for r in reports]})
         write_json(args.report_out, payload)
         print(f"  verdict → {args.report_out}")
     n_regressions = sum(r.n_regressions for r in reports)
     if args.fail_on_regress and n_regressions:
-        print(f"{args.command}: {n_regressions} regression(s) beyond threshold",
+        print(f"compare: {n_regressions} regression(s) beyond threshold",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_schedule_compare(args) -> int:
-    from .bench.reporting import format_table
-    from .core import simulate_cholesky
-    from .obs.regress import compare_docs
-    from .perfmodel.energy import energy_report
-    from .runtime import POLICY_NAMES
-
-    policies = list(dict.fromkeys(args.policy)) if args.policy else list(POLICY_NAMES)
-    if args.baseline not in policies:
-        policies.insert(0, args.baseline)
-
-    platform, kmap, strategy = _run_from_args(args)
-    metrics: dict[str, dict] = {}
-
-    def _row(label: str, rep) -> tuple:
-        d = rep.stats.to_dict()
-        d["energy_joules"] = energy_report(
-            platform.gpu, rep.trace.events, rep.makespan).total_joules
-        metrics[label] = d
-        return (
-            label,
-            f"{d['makespan_seconds']:.6g}",
-            f"{d['tflops']:.1f}",
-            f"{d['h2d_bytes'] / 1e9:.3f}",
-            f"{d['d2h_bytes'] / 1e9:.3f}",
-            f"{d['nic_bytes'] / 1e9:.3f}",
-            f"{(d.get('disk_read_bytes', 0) + d.get('disk_write_bytes', 0)) / 1e9:.3f}",
-            d["n_evictions"],
-            d.get("n_spills", 0),
-            d["n_conversions"],
-            f"{d['energy_joules']:.1f}",
-        )
-
-    rows = []
-    baseline_rep = None
-    for pol in policies:
-        rep = simulate_cholesky(args.n, args.nb, kmap, platform, strategy=strategy,
-                                record_events=True, policy=pol)
-        if pol == args.baseline:
-            baseline_rep = rep
-        rows.append(_row(pol, rep))
-
-    if args.replay_check and baseline_rep is not None:
-        from .core import replay_cholesky
-        from .runtime import StaticSchedule
-
-        schedule = StaticSchedule.from_report(
-            baseline_rep, nb=args.nb, n=args.n, platform=platform,
-        )
-        rep = replay_cholesky(args.n, args.nb, kmap, platform, schedule,
-                              strategy=strategy, record_events=True)
-        rows.append(_row(f"replay:{args.baseline}", rep))
-        if (rep.makespan != baseline_rep.makespan
-                or rep.trace.content_hash() != baseline_rep.trace.content_hash()):
-            print(f"schedule-compare: replay of {args.baseline} diverged "
-                  f"from the live run", file=sys.stderr)
-            return 1
-
-    title = (f"schedule-compare: {args.config}/{args.strategy} n={args.n} "
-             f"nb={args.nb} {args.nodes}x{args.gpus}x{args.gpu}")
-    print(format_table(
-        ("policy", "makespan_s", "tflops", "h2d_gb", "d2h_gb", "nic_gb",
-         "disk_gb", "evictions", "spills", "conversions", "energy_j"),
-        rows, title=title,
-    ))
-
-    # diff every non-baseline policy against the baseline with the same
-    # report format (repro.obs.regress/1) the regression sentinel emits
-    reports = [
-        compare_docs(metrics[args.baseline], metrics[pol],
-                     baseline_name=f"policy:{args.baseline}",
-                     candidate_name=f"policy:{pol}")
-        for pol in policies if pol != args.baseline
-    ]
-    for report in reports:
-        print()
-        print(report.table())
-    return _gate_reports(args, reports, payload={
-        "schema": "repro.obs.regress/1+multi",
-        "baseline_policy": args.baseline,
-        "config": {"n": args.n, "nb": args.nb, "config": args.config,
-                   "strategy": args.strategy, "gpu": args.gpu,
-                   "gpus_per_node": args.gpus, "n_nodes": args.nodes},
-        "metrics": metrics,
-        "reports": [r.to_dict() for r in reports],
-    })
-
-
-def _cmd_bench(args) -> int:
-    from .bench import (
-        fig1_performance_rows,
-        fig7_fraction_rows,
-        fig8_rows,
-        fig12_mp_rows,
-        format_table,
-        table1_rows,
-        table2_rows,
-    )
-
-    if args.target == "table1":
-        print(format_table(["Precision", "V100", "A100", "H100"], table1_rows(),
-                           title="Table I (Tflop/s)"))
-    elif args.target == "table2":
-        print(format_table(
-            ["operation", "2048", "4096", "6144", "8192", "10240"],
-            table2_rows(), title="Table II (ms, V100)",
-        ))
-    elif args.target == "fig1":
-        rows = fig1_performance_rows(gpus=(args.gpu,))
-        print(format_table(
-            ["gpu", "n", "FP64", "FP32", "TF32", "FP16_32", "BF16_32", "FP16"],
-            rows, title="Fig. 1 (bottom): GEMM Tflop/s",
-        ))
-    elif args.target == "fig7":
-        rows = fig7_fraction_rows(n=65536, samples_per_tile=24)
-        print(format_table(
-            ["application", "FP64 %", "FP32 %", "FP16_32 %", "FP16 %"], rows,
-            title="Fig. 7 tile fractions (n=65,536)",
-        ))
-    elif args.target == "fig8":
-        points = fig8_rows(args.gpu, (16384, 32768))
-        print(format_table(
-            ["config", "gpu", "n", "strategy", "Tflop/s", "s", "H2D GB", "conv"],
-            [p.row() for p in points], title=f"Fig. 8 — {args.gpu}",
-        ))
-    elif args.target == "fig12":
-        rows = fig12_mp_rows((262144,), samples_per_tile=16)
-        print(format_table(["n", "config", "Tflop/s", "speedup"], rows,
-                           title="Fig. 12c — 384 GPUs"))
     return 0
 
 
@@ -961,11 +776,9 @@ def main(argv: list[str] | None = None) -> int:
         "maps": _cmd_maps,
         "simulate": _cmd_simulate,
         "sweep": _cmd_sweep,
-        "bench": _cmd_bench,
         "info": _cmd_info,
         "analyze": _cmd_analyze,
         "compare": _cmd_compare,
-        "schedule-compare": _cmd_schedule_compare,
         "watch": _cmd_watch,
     }[args.command]
     from .obs.alerts import WatchdogAbort

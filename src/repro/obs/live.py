@@ -111,7 +111,7 @@ class LiveProgress:
         self._rate_ewma: float | None = None
         self._rate_mark: tuple[float, int] | None = None
         self._abort_reason: str | None = None
-        # synthetic-stall injection (testing / CI live-smoke)
+        # synthetic-stall injection (testing / the CI smoke job)
         self._stall_after: int | None = None
         self._stall_seconds = 0.0
         self._stall_fired = False

@@ -211,8 +211,8 @@ def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
     """``{scope: {metric: value}}`` from any supported document form.
 
     * ``repro.bench/1`` — one scope per non-failed run (keyed by the
-      run's spec label when available, else its cache key) plus an
-      ``aggregate`` scope;
+      sorted ``k=v`` fields of the run's spec when available, else its
+      cache key) plus an ``aggregate`` scope;
     * ``repro.obs.run_summary/1`` — one ``run`` scope from the embedded
       stats section;
     * a bare stats dict (has ``makespan_seconds``) — one ``run`` scope.
@@ -229,10 +229,10 @@ def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
         for run in doc.get("runs") or []:
             if run.get("failed"):
                 continue
+            # every spec field identifies the point: runs that differ only
+            # in policy, ordering, seed, … are separate scopes
             spec = run.get("spec") or {}
-            label = "/".join(
-                str(spec[k]) for k in ("config", "strategy", "n", "nb", "gpu") if k in spec
-            ) or str(run.get("key", "?"))
+            label = ",".join(f"{k}={spec[k]}" for k in sorted(spec)) or str(run.get("key", "?"))
             metrics = _numeric_metrics(run.get("metrics") or {})
             if metrics:
                 scopes[label] = metrics

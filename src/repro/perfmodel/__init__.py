@@ -34,11 +34,10 @@ from .kernels import (
 )
 from .occupancy import (
     OccupancySample,
-    busy_fraction,
     mean_occupancy,
     occupancy_trace,
 )
-from .transfers import d2h_time, h2d_time, host_copy_time, tile_bytes
+from .transfers import h2d_time, tile_bytes
 
 __all__ = [
     "A100",
@@ -57,13 +56,10 @@ __all__ = [
     "NodeSpec",
     "OccupancySample",
     "PowerSample",
-    "busy_fraction",
     "conversion_time",
-    "d2h_time",
     "energy_report",
     "gemm_time",
     "h2d_time",
-    "host_copy_time",
     "kernel_flops",
     "kernel_flops_rect",
     "kernel_time",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["OccupancySample", "occupancy_trace", "mean_occupancy", "busy_fraction"]
+__all__ = ["OccupancySample", "occupancy_trace", "mean_occupancy"]
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,6 @@ def _busy_intervals(events: Sequence, engine: str) -> list[tuple[float, float]]:
         else:
             merged.append((t0, t1))
     return merged
-
-
-def busy_fraction(events: Sequence, makespan: float, engine: str = "compute") -> float:
-    """Overall fraction of the run during which ``engine`` was busy."""
-    if makespan <= 0.0:
-        return 0.0
-    total = sum(t1 - t0 for t0, t1 in _busy_intervals(events, engine))
-    return min(1.0, total / makespan)
 
 
 def occupancy_trace(

@@ -12,9 +12,9 @@ fewer bytes cross the link) falls directly out of this model.
 from __future__ import annotations
 
 from ..precision.formats import Precision, bytes_per_element
-from .gpus import GPUSpec, NodeSpec
+from .gpus import GPUSpec
 
-__all__ = ["tile_bytes", "h2d_time", "d2h_time", "host_copy_time"]
+__all__ = ["tile_bytes", "h2d_time"]
 
 
 def tile_bytes(nb: int, precision: Precision) -> int:
@@ -23,15 +23,6 @@ def tile_bytes(nb: int, precision: Precision) -> int:
 
 
 def h2d_time(gpu: GPUSpec, nb: int, precision: Precision) -> float:
-    """Seconds to move one tile host → device over the GPU's host link."""
+    """Seconds to move one tile over the GPU's host link (either way: the
+    link is symmetric)."""
     return gpu.host_link_latency + tile_bytes(nb, precision) / gpu.host_link_bandwidth
-
-
-def d2h_time(gpu: GPUSpec, nb: int, precision: Precision) -> float:
-    """Seconds to move one tile device → host (symmetric link)."""
-    return h2d_time(gpu, nb, precision)
-
-
-def host_copy_time(node: NodeSpec, nbytes: float) -> float:
-    """Seconds for a host-memory staging copy of ``nbytes``."""
-    return nbytes / node.cpu_memory_bandwidth

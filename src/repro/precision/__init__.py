@@ -30,12 +30,8 @@ from .formats import (
     FormatInfo,
     Precision,
     bytes_per_element,
-    get_higher_precision,
-    get_lower_precision,
     get_storage_precision,
-    parse_precision,
     rule_epsilon,
-    sort_by_width,
     validate_adaptive_set,
 )
 from .gemm import gemm_relative_error, mixed_gemm, mixed_syrk, multiply_accumulate
@@ -51,21 +47,17 @@ __all__ = [
     "combine_frobenius",
     "frobenius",
     "gemm_relative_error",
-    "get_higher_precision",
-    "get_lower_precision",
     "get_storage_precision",
     "max_abs_error",
     "mixed_gemm",
     "mixed_syrk",
     "multiply_accumulate",
-    "parse_precision",
     "quantize",
     "quantize_batch",
     "quantize_tile",
     "relative_frobenius_error",
     "round_to_fp16",
     "rule_epsilon",
-    "sort_by_width",
     "storage_dtype",
     "truncate_mantissa",
     "validate_adaptive_set",

@@ -25,8 +25,8 @@ numerical metadata each format carries:
 * ``input_bits`` / ``accum_bits`` — significand widths of the input and
   accumulation formats, used by the emulation layer.
 
-The lattice is totally ordered for the purposes of
-``get_higher_precision`` (Algorithm 2, line 19/25): FP64 > FP32 > TF32 >
+The lattice is totally ordered — ``max`` is Algorithm 2's
+``get_higher_precision`` (line 19/25): FP64 > FP32 > TF32 >
 FP16_32 > BF16_32 > FP16.  The relative order of TF32/FP16_32/BF16_32 is
 immaterial to the paper's framework (only FP64, FP32, FP16_32, FP16 are
 adaptively mixed) but a total order keeps the conversion algorithm simple
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,21 +46,18 @@ __all__ = [
     "FormatInfo",
     "FORMAT_INFO",
     "ADAPTIVE_FORMATS",
-    "get_higher_precision",
-    "get_lower_precision",
     "get_storage_precision",
     "bytes_per_element",
     "rule_epsilon",
-    "parse_precision",
 ]
 
 
 class Precision(enum.IntEnum):
     """Floating-point formats, ordered from narrowest to widest.
 
-    The integer value encodes the lattice rank so that ``max`` /
-    ``min`` implement ``get_higher_precision`` / ``get_lower_precision``
-    directly.
+    The integer value encodes the lattice rank, so ``max`` / ``min``
+    return the wider / narrower of two formats and ``sorted`` orders
+    them narrowest first.
     """
 
     FP16 = 0
@@ -184,16 +181,6 @@ ADAPTIVE_FORMATS: tuple[Precision, ...] = (
 )
 
 
-def get_higher_precision(a: Precision, b: Precision) -> Precision:
-    """Return the wider of two formats (Algorithm 2 helper)."""
-    return a if a >= b else b
-
-
-def get_lower_precision(a: Precision, b: Precision) -> Precision:
-    """Return the narrower of two formats."""
-    return a if a <= b else b
-
-
 def get_storage_precision(kernel_precision: Precision) -> Precision:
     """Storage precision of a tile given its kernel precision (Fig. 2b).
 
@@ -216,31 +203,6 @@ def bytes_per_element(precision: Precision) -> int:
 def rule_epsilon(precision: Precision) -> float:
     """Machine epsilon ``u_low`` of ``precision`` for the selection rule."""
     return FORMAT_INFO[precision].rule_epsilon
-
-
-def parse_precision(name: str | Precision) -> Precision:
-    """Parse a user-facing precision name (``"fp16_32"``, ``"FP64"``...)."""
-    if isinstance(name, Precision):
-        return name
-    key = name.strip().upper().replace("-", "_")
-    aliases = {
-        "DOUBLE": "FP64",
-        "SINGLE": "FP32",
-        "HALF": "FP16",
-        "FP16_FP32": "FP16_32",
-        "BF16": "BF16_32",
-    }
-    key = aliases.get(key, key)
-    try:
-        return Precision[key]
-    except KeyError as exc:
-        valid = ", ".join(p.name for p in Precision)
-        raise ValueError(f"unknown precision {name!r}; expected one of {valid}") from exc
-
-
-def sort_by_width(formats: Iterable[Precision]) -> list[Precision]:
-    """Sort formats from narrowest to widest."""
-    return sorted(formats)
 
 
 def validate_adaptive_set(formats: Sequence[Precision]) -> tuple[Precision, ...]:

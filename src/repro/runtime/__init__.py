@@ -2,7 +2,7 @@
 
 from .distributed import DistributedReport, execute_numeric_distributed
 from .executor import execute_numeric
-from .gantt import ascii_gantt, engine_utilisation, to_chrome_trace
+from .gantt import ascii_gantt, to_chrome_trace
 from .parallel_executor import execute_numeric_parallel
 from .platform import Platform
 from .policies import (
@@ -41,7 +41,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "ascii_gantt",
-    "engine_utilisation",
     "execute_numeric",
     "execute_numeric_distributed",
     "execute_numeric_parallel",

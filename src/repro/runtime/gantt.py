@@ -5,8 +5,10 @@ This module gives the simulated traces the same affordances:
 
 * :func:`ascii_gantt` — a quick terminal Gantt chart per rank/engine;
 * :func:`to_chrome_trace` — Chrome ``about://tracing`` / Perfetto JSON,
-  one row per (rank, engine), kernels coloured by precision;
-* :func:`engine_utilisation` — per-engine busy fractions.
+  one row per (rank, engine), kernels coloured by precision.
+
+Busy fractions are read by :func:`repro.obs.analysis.utilization_timeline`
+and :func:`repro.perfmodel.occupancy.occupancy_trace`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .tracing import TraceEvent
 
-__all__ = ["ascii_gantt", "to_chrome_trace", "engine_utilisation"]
+__all__ = ["ascii_gantt", "to_chrome_trace"]
 
 #: obs-event types rendered as Perfetto instant events (degraded-run
 #: markers: injected faults, retries, give-ups, dead/failed work)
@@ -270,16 +272,3 @@ def to_chrome_trace(
     if metadata:
         doc["metadata"] = dict(metadata)
     return json.dumps(doc)
-
-
-def engine_utilisation(
-    events: Sequence[TraceEvent], makespan: float
-) -> dict[tuple[int, str], float]:
-    """Busy fraction per (rank, engine) over the makespan."""
-    if makespan <= 0:
-        return {}
-    out: dict[tuple[int, str], float] = {}
-    for key, evs in _rows(events):
-        busy = sum(max(0.0, e.t_end - e.t_start) for e in evs)
-        out[key] = min(1.0, busy / makespan)
-    return out

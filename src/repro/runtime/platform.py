@@ -9,7 +9,7 @@ simulator and the DAG builder share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..perfmodel.gpus import GPUSpec, NodeSpec
 from ..tiles.distribution import ProcessGrid
@@ -58,7 +58,6 @@ class Platform:
         n_nodes: int = 1,
         *,
         host_memory: float = 256e9,
-        gpu_memory: float | None = None,
     ) -> "Platform":
         """``n_nodes`` generic nodes of ``gpus_per_node`` GPUs of one model.
 
@@ -66,11 +65,8 @@ class Platform:
         figure driver) to a platform: every such node gets the same
         25 GB/s, 1.5 µs injection NIC as the paper's named machines
         (:mod:`repro.perfmodel.gpus`).  ``host_memory`` (bytes per node)
-        and ``gpu_memory`` (bytes per GPU, default: the model's own)
-        shrink the capacities for out-of-core studies.
+        shrinks the host tier for out-of-core studies.
         """
-        if gpu_memory is not None:
-            gpu = replace(gpu, memory_bytes=gpu_memory)
         # "cli" is part of the platform fingerprint of every schedule
         # `repro simulate --schedule-out` has exported; keep it replayable
         node = NodeSpec(

@@ -5,16 +5,14 @@ The out-of-core line of work (arXiv 2410.09819) plans tile residency
 overhead.  This module is the artifact half of that story: a
 :class:`StaticSchedule` captures the ``commit_order`` of a simulated run
 together with enough fingerprint to validate it against a rebuilt graph,
-and round-trips through compact JSON (or ``.npz``, where the order is a
-packed int array).  :func:`repro.runtime.simulator.simulate_replay`
-executes the order with no ready-heap or policy-key work and reproduces
-the original run bit-identically — same makespan, same trace content
-hash (property-tested across policies in
-``tests/test_runtime_ooc.py``).
+and round-trips through compact JSON.
+:func:`repro.runtime.simulator.simulate_replay` executes the order with
+no ready-heap or policy-key work and reproduces the original run
+bit-identically — same makespan, same trace content hash
+(property-tested across policies in ``tests/test_runtime_ooc.py``).
 
 CLI: ``repro simulate --schedule-out plan.json`` exports, ``repro
-simulate --replay plan.json`` replays; ``repro schedule-compare`` adds a
-``replay:<baseline>`` row priced through this path.
+simulate --replay plan.json`` replays.
 """
 
 from __future__ import annotations
@@ -122,7 +120,7 @@ class StaticSchedule:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StaticSchedule":
-        schema = payload.get("schema")
+        schema = payload.get("schema") if isinstance(payload, dict) else None
         if schema != SCHEMA:
             raise ValueError(f"unsupported schedule schema {schema!r} (expected {SCHEMA!r})")
         order = tuple(int(t) for t in payload["order"])
@@ -139,31 +137,11 @@ class StaticSchedule:
         )
 
     def save(self, path: str | Path) -> Path:
-        """Write the schedule; ``.npz`` packs the order as an int array."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if path.suffix == ".npz":
-            import numpy as np
-
-            meta = self.to_dict()
-            order = meta.pop("order")
-            np.savez_compressed(
-                path,
-                order=np.asarray(order, dtype=np.int64),
-                meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-            )
-        else:
-            path.write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(self.to_dict()) + "\n", encoding="utf-8")
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "StaticSchedule":
-        path = Path(path)
-        if path.suffix == ".npz":
-            import numpy as np
-
-            with np.load(path) as data:
-                meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-                meta["order"] = [int(t) for t in data["order"]]
-            return cls.from_dict(meta)
-        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

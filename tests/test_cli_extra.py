@@ -1,4 +1,4 @@
-"""Additional CLI coverage: exact mode, sqexp nugget defaults, fig benches."""
+"""Additional CLI coverage: exact mode, sqexp nugget defaults, policies."""
 
 import pytest
 
@@ -21,18 +21,6 @@ class TestMLEVariants:
         assert main(["mle", "--model", "3d-sqexp", "--n", "27",
                      "--nugget", "0.05"]) == 0
         assert "nugget=0.05" in capsys.readouterr().out
-
-
-class TestBenchTargets:
-    def test_fig1(self, capsys):
-        assert main(["bench", "fig1", "--gpu", "A100"]) == 0
-        out = capsys.readouterr().out
-        assert "A100" in out and "FP16" in out
-
-    def test_fig7(self, capsys):
-        assert main(["bench", "fig7"]) == 0
-        out = capsys.readouterr().out
-        assert "2D-sqexp" in out and "3D-sqexp" in out
 
 
 class TestMapsAccuracyOverride:
@@ -75,31 +63,13 @@ class TestSimulateConfigs:
 
 
 class TestScheduleCompare:
-    def test_table_and_verdicts(self, capsys):
-        assert main(["schedule-compare", "--n", "2048", "--nb", "128"]) == 0
-        out = capsys.readouterr().out
-        for name in ("panel-first", "fifo", "critical-path", "comm-aware-eft"):
-            assert name in out
-        assert "energy_j" in out and "makespan_s" in out
-        assert "policy:panel-first" in out  # regression-sentinel diff headers
-
-    def test_report_out_and_policy_subset(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "verdict.json"
-        assert main(["schedule-compare", "--n", "1024", "--nb", "256",
-                     "--policy", "fifo", "--policy", "critical-path",
-                     "--report-out", str(out_path)]) == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.obs.regress/1+multi"
-        assert doc["baseline_policy"] == "panel-first"
-        assert set(doc["metrics"]) == {"panel-first", "fifo", "critical-path"}
-        assert all("energy_joules" in m for m in doc["metrics"].values())
-        assert [r["schema"] for r in doc["reports"]] == ["repro.obs.regress/1"] * 2
+    """Comparing schedules: one policy per ``simulate``, a ``--policy``
+    axis per ``sweep``."""
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["schedule-compare", "--policy", "yolo"])
+        for verb in ("simulate", "sweep"):
+            with pytest.raises(SystemExit):
+                main([verb, "--policy", "yolo"])
 
     def test_simulate_policy_flag_and_trace_metadata(self, tmp_path, capsys):
         import json

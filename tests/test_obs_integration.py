@@ -42,6 +42,8 @@ class TestSimulatorMetrics:
         """``sim.evictions`` / ``sim.conversions`` move every
         ``BEAT_STRIDE`` executed tasks — a live plane sees them rise
         mid-run — and land on the ``RunStats`` totals at the finish."""
+        from dataclasses import replace
+
         from repro.core import two_precision_map
         from repro.core.solver import simulate_cholesky
         from repro.obs.live import BEAT_STRIDE, live_plane
@@ -50,8 +52,8 @@ class TestSimulatorMetrics:
         from repro.runtime import Platform
 
         nt, nb = 16, 128
-        platform = Platform.of_gpus(V100, host_memory=32 * nb * nb * 8,
-                                    gpu_memory=12 * nb * nb * 8)
+        platform = Platform.of_gpus(replace(V100, memory_bytes=12 * nb * nb * 8),
+                                    host_memory=32 * nb * nb * 8)
         obs.reset_metrics()
         reg = obs.get_registry()
         seen = []

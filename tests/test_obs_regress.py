@@ -62,7 +62,7 @@ class TestLoadScopes:
         assert scopes["aggregate"]["best_tflops"] == 20.0
         assert scopes["aggregate"]["n_failed"] == 0
         assert "total_plan_seconds" not in scopes["aggregate"]  # noisy
-        label = "FP64/auto/1024/256/V100"
+        label = "config=FP64,gpu=V100,n=1024,nb=256,strategy=auto"
         assert scopes[label]["makespan_seconds"] == 1.0
 
     def test_failed_runs_are_skipped(self):
@@ -141,8 +141,31 @@ class TestCompare:
         cand = _bench_doc()
         cand["runs"][0]["spec"]["n"] = 2048
         report = compare_docs(base, cand)
-        assert report.missing_in_candidate == ["FP64/auto/1024/256/V100"]
-        assert report.added_in_candidate == ["FP64/auto/2048/256/V100"]
+        assert report.missing_in_candidate == ["config=FP64,gpu=V100,n=1024,nb=256,strategy=auto"]
+        assert report.added_in_candidate == ["config=FP64,gpu=V100,n=2048,nb=256,strategy=auto"]
+
+    def test_sweep_points_differing_only_in_policy_are_separate_scopes(self, tmp_path):
+        """A policy axis used to collapse into one scope holding whichever
+        run came last, so ``compare`` silently diffed one point of three."""
+        import copy
+
+        from repro.sweep import SweepGrid, run_sweep
+
+        grid = SweepGrid.from_axes(n=1024, nb=256, config="FP64/FP16_32",
+                                   policy=["panel-first", "fifo", "critical-path"])
+        base = run_sweep(grid, cache_dir=tmp_path, progress_seconds=None).to_bench_json()
+        scopes = load_metric_scopes(base)
+        runs = [s for s in scopes if s != "aggregate"]
+        assert len(runs) == 3
+        (fifo,) = [s for s in runs if "policy=fifo" in s]
+
+        cand = copy.deepcopy(base)
+        for run in cand["runs"]:
+            if run["spec"]["policy"] == "fifo":
+                run["metrics"]["makespan_seconds"] *= 1.05
+        report = compare_docs(base, cand)
+        assert [(d.scope, d.metric) for d in report.regressions] == [
+            (fifo, "makespan_seconds")]
 
     def test_table_renders_verdict(self):
         report = compare_docs(_stats_doc(), _stats_doc(makespan_seconds=2.0))

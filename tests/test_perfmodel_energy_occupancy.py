@@ -7,7 +7,7 @@ import pytest
 
 from repro.perfmodel.energy import energy_report, power_trace
 from repro.perfmodel.gpus import V100
-from repro.perfmodel.occupancy import busy_fraction, mean_occupancy, occupancy_trace
+from repro.perfmodel.occupancy import mean_occupancy, occupancy_trace
 from repro.precision import Precision
 
 
@@ -132,25 +132,31 @@ class TestPowerTraceRegressions:
         assert float(np.trapezoid(w, t)) == pytest.approx(rep.total_joules, rel=1e-6)
 
 
+def _busy(evs, makespan, **kw):
+    """Whole-run busy fraction: the occupancy of one window."""
+    (sample,) = occupancy_trace(evs, makespan, n_windows=1, **kw)
+    return sample.occupancy
+
+
 class TestOccupancy:
     def test_full_busy(self):
         evs = [Ev(0.0, 10.0)]
-        assert busy_fraction(evs, 10.0) == pytest.approx(1.0)
+        assert _busy(evs, 10.0) == pytest.approx(1.0)
         trace = occupancy_trace(evs, 10.0, n_windows=10)
         assert mean_occupancy(trace) == pytest.approx(1.0)
 
     def test_half_busy(self):
         evs = [Ev(0.0, 5.0)]
-        assert busy_fraction(evs, 10.0) == pytest.approx(0.5)
+        assert _busy(evs, 10.0) == pytest.approx(0.5)
 
     def test_overlapping_intervals_merged(self):
         evs = [Ev(0.0, 6.0), Ev(4.0, 8.0)]
-        assert busy_fraction(evs, 10.0) == pytest.approx(0.8)
+        assert _busy(evs, 10.0) == pytest.approx(0.8)
 
     def test_engine_filter(self):
         evs = [Ev(0.0, 10.0, "h2d")]
-        assert busy_fraction(evs, 10.0, engine="compute") == 0.0
-        assert busy_fraction(evs, 10.0, engine="h2d") == pytest.approx(1.0)
+        assert _busy(evs, 10.0, engine="compute") == 0.0
+        assert _busy(evs, 10.0, engine="h2d") == pytest.approx(1.0)
 
     def test_windowed_trace(self):
         evs = [Ev(0.0, 2.5)]

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perfmodel.gpus import SUMMIT_NODE, V100
-from repro.perfmodel.transfers import (
-    d2h_time,
-    h2d_time,
-    host_copy_time,
-    tile_bytes,
-)
+from repro.perfmodel.gpus import V100
+from repro.perfmodel.transfers import h2d_time, tile_bytes
 from repro.precision import Precision
 
 
@@ -31,7 +26,23 @@ class TestTransferTimes:
         assert h2d_time(V100, 10240, Precision.FP16) * 1e3 == pytest.approx(4.19, rel=0.05)
 
     def test_symmetric_link(self):
-        assert h2d_time(V100, 4096, Precision.FP32) == d2h_time(V100, 4096, Precision.FP32)
+        """The simulator prices a write-back (d2h) of a tile like its h2d:
+        one link model, both directions."""
+        import dataclasses
+
+        from repro.core import two_precision_map
+        from repro.core.solver import simulate_cholesky
+        from repro.perfmodel.gpus import NodeSpec
+        from repro.runtime import Platform
+
+        nb = 128  # a 12-tile GPU forces evictions, hence write-backs
+        gpu = dataclasses.replace(V100, memory_bytes=12 * nb * nb * 8)
+        platform = Platform(NodeSpec("tight", gpu, 1, 256e9, 25e9, 1.5e-6), n_nodes=1)
+        rep = simulate_cholesky(16 * nb, nb, two_precision_map(16, Precision.FP16_32), platform)
+        links = [e for e in rep.trace.events if e.engine in ("h2d", "d2h")]
+        assert {e.engine for e in links} == {"h2d", "d2h"}
+        for e in links:
+            assert e.t_end - e.t_start == pytest.approx(h2d_time(gpu, nb, e.precision), rel=1e-9)
 
     @given(st.integers(64, 8192))
     @settings(max_examples=30)
@@ -43,7 +54,3 @@ class TestTransferTimes:
 
     def test_latency_floor(self):
         assert h2d_time(V100, 1, Precision.FP16) >= V100.host_link_latency
-
-    def test_host_copy(self):
-        t = host_copy_time(SUMMIT_NODE, 1e9)
-        assert t == pytest.approx(1e9 / SUMMIT_NODE.cpu_memory_bandwidth)

@@ -10,12 +10,8 @@ from repro.precision.formats import (
     FORMAT_INFO,
     Precision,
     bytes_per_element,
-    get_higher_precision,
-    get_lower_precision,
     get_storage_precision,
-    parse_precision,
     rule_epsilon,
-    sort_by_width,
     validate_adaptive_set,
 )
 
@@ -23,6 +19,9 @@ ALL = list(Precision)
 
 
 class TestLattice:
+    """``max`` / ``min`` / ``sorted`` over the ordered enum are the lattice
+    operations (Algorithm 2's ``get_higher_precision`` is ``max``)."""
+
     def test_total_order(self):
         assert (
             Precision.FP16
@@ -35,24 +34,22 @@ class TestLattice:
 
     @given(st.sampled_from(ALL), st.sampled_from(ALL))
     def test_higher_lower_consistent(self, a, b):
-        hi = get_higher_precision(a, b)
-        lo = get_lower_precision(a, b)
+        hi = max(a, b)
+        lo = min(a, b)
         assert {hi, lo} == {a, b}
         assert hi >= lo
 
     @given(st.sampled_from(ALL), st.sampled_from(ALL), st.sampled_from(ALL))
     def test_higher_associative(self, a, b, c):
-        assert get_higher_precision(get_higher_precision(a, b), c) == get_higher_precision(
-            a, get_higher_precision(b, c)
-        )
+        assert max(max(a, b), c) == max(a, max(b, c))
 
     @given(st.sampled_from(ALL))
     def test_idempotent(self, a):
-        assert get_higher_precision(a, a) == a
-        assert get_lower_precision(a, a) == a
+        assert max(a, a) == a
+        assert min(a, a) == a
 
     def test_sort_by_width(self):
-        assert sort_by_width([Precision.FP64, Precision.FP16, Precision.FP32]) == [
+        assert sorted([Precision.FP64, Precision.FP16, Precision.FP32]) == [
             Precision.FP16,
             Precision.FP32,
             Precision.FP64,
@@ -102,28 +99,6 @@ class TestStoragePrecision:
     def test_everything_else_rests_fp32(self, prec):
         # TRSM's FP32 hardware floor forces FP32 storage (Fig. 2b)
         assert get_storage_precision(prec) == Precision.FP32
-
-
-class TestParsing:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("fp64", Precision.FP64),
-            ("FP32", Precision.FP32),
-            ("double", Precision.FP64),
-            ("single", Precision.FP32),
-            ("half", Precision.FP16),
-            ("fp16-32", Precision.FP16_32),
-            ("bf16", Precision.BF16_32),
-            (Precision.TF32, Precision.TF32),
-        ],
-    )
-    def test_aliases(self, name, expected):
-        assert parse_precision(name) == expected
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown precision"):
-            parse_precision("fp8")
 
 
 class TestValidateAdaptiveSet:

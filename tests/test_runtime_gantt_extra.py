@@ -1,9 +1,10 @@
-"""Additional edge-case coverage for trace export."""
+"""Additional edge-case coverage for trace export and busy fractions."""
 
 import json
 
+from repro.obs.analysis import utilization_timeline
 from repro.precision import Precision
-from repro.runtime.gantt import ascii_gantt, engine_utilisation, to_chrome_trace
+from repro.runtime.gantt import ascii_gantt, to_chrome_trace
 from repro.runtime.tracing import TraceEvent
 
 
@@ -42,9 +43,9 @@ class TestGanttEdges:
         assert payload["traceEvents"][0]["args"]["bytes"] == 512
 
     def test_utilisation_empty_makespan(self):
-        assert engine_utilisation([_ev()], 0.0) == {}
+        assert utilization_timeline([_ev()], makespan=0.0) == {}
 
     def test_utilisation_clamped(self):
         evs = [_ev(t0=0.0, t1=2.0)]  # event longer than makespan
-        util = engine_utilisation(evs, 1.0)
-        assert util[(0, "compute")] == 1.0
+        util = utilization_timeline(evs, makespan=1.0, n_buckets=1)
+        assert util["compute"] == [1.0]

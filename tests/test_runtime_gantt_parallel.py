@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import build_cholesky_dag, build_precision_map, two_precision_map
 from repro.core.solver import simulate_cholesky
+from repro.obs.analysis import utilization_timeline
 from repro.perfmodel import V100
 from repro.precision import Precision
 from repro.runtime import Platform, execute_numeric
-from repro.runtime.gantt import ascii_gantt, engine_utilisation, to_chrome_trace
+from repro.runtime.gantt import ascii_gantt, to_chrome_trace
 from repro.runtime.parallel_executor import execute_numeric_parallel
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
@@ -51,9 +52,10 @@ class TestGantt:
         assert any(name == "thread_name" for name, _pid, _tid in meta)
 
     def test_utilisation(self, sim_report):
-        util = engine_utilisation(sim_report.trace.events, sim_report.makespan)
-        assert 0.5 < util[(0, "compute")] <= 1.0
-        assert all(0.0 <= v <= 1.0 for v in util.values())
+        util = utilization_timeline(sim_report.trace.events,
+                                    makespan=sim_report.makespan, n_buckets=1)
+        assert 0.5 < util["compute"][0] <= 1.0  # one GPU: rank 0's compute engine
+        assert all(0.0 <= v <= 1.0 for (v,) in util.values())
 
 
 class TestParallelExecutor:

@@ -153,11 +153,9 @@ class TestStaticSchedule:
         assert sched.policy == "ooc-static"
         assert len(sched.order) == rep.stats.n_tasks
         assert sched.makespan == rep.makespan
-        for suffix in (".json", ".npz"):
-            path = tmp_path / f"sched{suffix}"
-            sched.save(path)
-            loaded = StaticSchedule.load(path)
-            assert loaded == sched
+        path = tmp_path / "sched.json"
+        sched.save(path)
+        assert StaticSchedule.load(path) == sched
 
     def test_validate_against_rejects_mismatch(self):
         rep = _run("panel-first")
@@ -216,7 +214,7 @@ class TestReplayBitIdentity:
     def test_replay_survives_file_roundtrip(self, policy, tmp_path):
         platform = _tight_platform()
         live = _run(policy, platform=platform)
-        path = tmp_path / "sched.npz"
+        path = tmp_path / "sched.json"
         StaticSchedule.from_report(live, nb=NB, n=2048, platform=platform).save(path)
         replay = replay_cholesky(
             2048, NB, two_precision_map(16, Precision.FP16_32), platform,
