@@ -496,7 +496,7 @@ def _cmd_simulate(args) -> int:
               f"(policy {schedule.policy}, bit-identical)")
 
     if args.trace_out:
-        # fault/retry obs events (if captured) ride along as instants
+        # fault and failure obs events (if captured) ride along as instants
         obs_events = obs.read_events(args.events_out) if args.events_out else None
         obs.write_perfetto_trace(rep.trace.events, args.trace_out, counters=True,
                                  obs_events=obs_events,

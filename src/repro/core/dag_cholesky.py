@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..obs import traced
 from ..obs.profile import hot_region
 from ..perfmodel.kernels import KernelKind, kernel_flops, kernel_flops_rect
 from ..precision.formats import Precision
@@ -260,6 +261,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
                 tid += 1
 
 
+@traced("core.dag_build")
 def build_cholesky_dag(
     n: int,
     nb: int,

@@ -17,9 +17,11 @@ execution layers are tested code instead of hope:
   pool, each under the retry policy and the fault plan; the sweep
   engine and the Monte Carlo driver are its two callers.
 
-Everything reports through :mod:`repro.obs`: ``faults.injected``,
-``retry.attempts``, ``retry.gave_up`` counters and ``fault`` /
-``retry`` / ``retry.gave_up`` events.  See ``docs/RESILIENCE.md``.
+Injectors and retry loops write no telemetry: they run in workers whose
+registry and log die with them.  The parent process counts
+``faults.injected{kind}`` (emitting one ``fault`` event per fired fault,
+:func:`record_faults`), ``retry.attempts{op}`` and ``retry.gave_up{op}``
+from what its workers report.  See ``docs/RESILIENCE.md``.
 """
 
 from .batch import pick_mp_context, run_batch
@@ -30,6 +32,7 @@ from .plan import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
+    record_faults,
 )
 from .retry import RetryError, RetryPolicy, call_with_retry
 
@@ -44,5 +47,6 @@ __all__ = [
     "RetryPolicy",
     "call_with_retry",
     "pick_mp_context",
+    "record_faults",
     "run_batch",
 ]

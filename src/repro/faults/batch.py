@@ -8,8 +8,9 @@ that job, once.  A worker never raises: each item comes back as an
 envelope ``{ok, result, attempts, faults, error}``, so one poisoned item
 cannot abort the batch (or, through a ``BrokenProcessPool``, sink every
 other in-flight item).  Workers write no telemetry; the parent counts
-``retry.attempts{op}``, ``faults.injected{kind}`` and
-``retry.gave_up{op}`` from the envelopes, exactly once, in one registry.
+``retry.attempts{op}``, ``faults.injected{kind}`` (one ``fault`` event
+each) and ``retry.gave_up{op}`` from the envelopes, exactly once, in one
+registry and one event log.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Mapping, Sequence
 
 from ..obs import get_registry
-from .plan import FaultInjector, FaultPlan
+from .plan import FaultInjector, FaultPlan, record_faults
 from .retry import RetryError, RetryPolicy, call_with_retry
 
 __all__ = ["pick_mp_context", "run_batch"]
@@ -53,26 +54,23 @@ def _run_item(payload: tuple) -> dict:
     its fires per item, whichever process runs it.
     """
     fn, item, labels, policy, plan, op = payload
-    injector = FaultInjector(plan, use_metrics=False)
-    faults: list[str] = []
+    injector = FaultInjector(plan)
     retried: list[int] = []  # the failed attempts call_with_retry went on from
 
     def attempt():
         fault = injector.point_fault(*labels)
         if fault is not None:
-            faults.append(fault.kind)
             injector.raise_fault(fault, where=f"{op}:{labels[-1]}")
         return fn(item)
 
     try:
         result = call_with_retry(attempt, policy or RetryPolicy(max_retries=0), op=op,
-                                 on_retry=lambda n, _exc: retried.append(n),
-                                 use_metrics=False)
+                                 on_retry=lambda n, _exc: retried.append(n))
     except RetryError as exc:
         return {"ok": False, "result": None, "attempts": exc.attempts,
-                "faults": faults, "error": repr(exc.last)}
+                "faults": injector.fired, "error": repr(exc.last)}
     return {"ok": True, "result": result, "attempts": len(retried) + 1,
-            "faults": faults, "error": None}
+            "faults": injector.fired, "error": None}
 
 
 def run_batch(
@@ -114,12 +112,10 @@ def run_batch(
 
     registry = get_registry()
     retries = registry.counter("retry.attempts", "re-attempts performed by retry policies")
-    faults = registry.counter("faults.injected", "faults fired from the active fault plan")
     gave_up = registry.counter("retry.gave_up", "calls that exhausted their retry policy")
-    for env in envelopes:
+    for env, lab in zip(envelopes, labels):
         retries.inc(env["attempts"] - 1, op=op)
-        for kind in env["faults"]:
-            faults.inc(kind=kind)
+        record_faults(env["faults"], op=op, label=lab[-1])
         if not env["ok"]:
             gave_up.inc(op=op)
     return envelopes

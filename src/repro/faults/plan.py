@@ -27,7 +27,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..obs import emit_event, get_registry, write_json
 
@@ -38,6 +38,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
+    "record_faults",
 ]
 
 #: supported fault kinds
@@ -150,17 +151,19 @@ class FaultInjector:
 
     The execution layers ask it at their injection points (``kill_at``,
     ``message_fault``, ``point_fault``); a spec that matches, has fires
-    left, and wins its seeded coin flip is *armed* and returned.  The
-    caller then acts on it via :meth:`fire` (which records the fault in
-    the obs layer) before carrying out the failure.
+    left, and wins its seeded coin flip *fires*: it is returned, and its
+    kind is appended to :attr:`fired`.  The caller then carries out the
+    failure.  An injector writes no telemetry — it usually lives in a
+    worker process whose registry and log die with it — so its owner
+    ships :attr:`fired` back to the parent, which calls
+    :func:`record_faults`.
     """
 
-    def __init__(self, plan: FaultPlan | Mapping | None, *, use_metrics: bool = True) -> None:
+    def __init__(self, plan: FaultPlan | Mapping | None) -> None:
         if plan is not None and not isinstance(plan, FaultPlan):
             plan = FaultPlan.from_dict(plan)
         self.plan = plan or FaultPlan()
-        self.use_metrics = use_metrics  # False in worker subprocesses: the
-        # parent re-counts fired faults from returned metadata instead
+        self.fired: list[str] = []  # kinds, in firing order
         self._fired: dict[int, int] = {}   # spec index -> times fired
         self._occasions: dict[int, int] = {}  # spec index -> matches seen
 
@@ -175,6 +178,7 @@ class FaultInjector:
             if coin >= spec.probability:
                 return None
         self._fired[idx] = self._fired.get(idx, 0) + 1
+        self.fired.append(spec.kind)
         return spec
 
     def kill_at(self, rank: int, task: int) -> FaultSpec | None:
@@ -212,20 +216,23 @@ class FaultInjector:
                     return armed
         return None
 
-    def fire(self, spec: FaultSpec, **attrs: object) -> None:
-        """Record one injected fault in metrics and the event log."""
-        if not self.use_metrics:
-            return
-        get_registry().counter(
-            "faults.injected", "faults fired from the active fault plan"
-        ).inc(kind=spec.kind)
-        emit_event("fault", {"kind": spec.kind, "mode": spec.mode,
-                             "note": spec.note, **attrs})
-
-    def raise_fault(self, spec: FaultSpec, where: str, **attrs: object) -> None:
-        """Fire ``spec`` and raise it as a :class:`FaultInjectedError`."""
-        self.fire(spec, where=where, **attrs)
+    @staticmethod
+    def raise_fault(spec: FaultSpec, where: str) -> None:
+        """Carry out a fired ``spec`` as a :class:`FaultInjectedError`."""
         raise FaultInjectedError(
             f"injected {spec.kind} at {where}" + (f" ({spec.note})" if spec.note else "")
         )
 
+
+def record_faults(kinds: Sequence[str], **attrs: object) -> None:
+    """Count ``faults.injected{kind}`` and emit one ``fault`` event per kind.
+
+    Called in the parent process with the :attr:`FaultInjector.fired`
+    lists its workers report, so every fired fault lands exactly once in
+    the registry and the event log that outlive the run.  ``attrs``
+    (``rank``, ``op``, ``label``) ride on each event.
+    """
+    counter = get_registry().counter("faults.injected", "faults fired from the active fault plan")
+    for kind in kinds:
+        counter.inc(kind=kind)
+        emit_event("fault", {"kind": kind, **attrs})

@@ -1,4 +1,4 @@
-"""Retry with exponential backoff, deterministic jitter, and telemetry.
+"""Retry with exponential backoff and deterministic jitter.
 
 The execution layers retry *transient* failures — a worker process that
 died on one sweep point, an injected blip from a
@@ -9,12 +9,10 @@ Jitter is drawn from :class:`random.Random` keyed on ``(seed, attempt)``
 — the same policy produces the same delays on every run, which keeps
 recovery tests deterministic.
 
-Every retry increments ``retry.attempts`` (labeled by ``op``) and emits
-a ``retry`` event; exhausting the policy increments ``retry.gave_up``
-and emits ``retry.gave_up`` before the last exception propagates.
-Worker subprocesses pass ``use_metrics=False`` and report attempt counts
-back to the parent instead, so campaign telemetry is counted exactly
-once, in one registry.
+The loop writes no telemetry: it runs inside worker processes, whose
+registry dies with them.  :func:`repro.faults.run_batch` reports each
+item's attempt count back to the parent, which counts
+``retry.attempts{op}`` and ``retry.gave_up{op}`` exactly once.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import random
 import time
 from dataclasses import dataclass
 from typing import Callable
-
-from ..obs import emit_event, get_registry
 
 __all__ = ["RetryError", "RetryPolicy", "call_with_retry"]
 
@@ -87,14 +83,12 @@ def call_with_retry(
     retry_on: tuple[type[BaseException], ...] = (Exception,),
     sleep: Callable[[float], None] = time.sleep,
     on_retry: Callable[[int, BaseException], None] | None = None,
-    use_metrics: bool = True,
 ) -> object:
     """Call ``fn()`` under ``policy``; raise :class:`RetryError` when exhausted.
 
     ``sleep`` is injectable so tests run the schedule against a fake
     clock; ``on_retry(attempt, exc)`` observes each failure before the
-    backoff.  ``use_metrics=False`` silences the registry/event log (for
-    worker subprocesses whose telemetry the parent re-counts).
+    backoff.
     """
     policy = policy or RetryPolicy()
     attempts = 0
@@ -104,12 +98,6 @@ def call_with_retry(
             return fn()
         except retry_on as exc:
             if attempts > policy.max_retries:
-                if use_metrics:
-                    get_registry().counter(
-                        "retry.gave_up", "calls that exhausted their retry policy"
-                    ).inc(op=op)
-                    emit_event("retry.gave_up",
-                               {"op": op, "attempts": attempts, "error": repr(exc)})
                 raise RetryError(
                     f"{op}: gave up after {attempts} attempt(s): {exc!r}",
                     attempts=attempts,
@@ -117,10 +105,5 @@ def call_with_retry(
                 ) from exc
             if on_retry is not None:
                 on_retry(attempts, exc)
-            if use_metrics:
-                get_registry().counter(
-                    "retry.attempts", "re-attempts performed by retry policies"
-                ).inc(op=op)
-                emit_event("retry", {"op": op, "attempt": attempts, "error": repr(exc)})
             sleep(policy.delay(attempts))
 

@@ -23,7 +23,7 @@ from ..core.cholesky import logdet_from_factor, mp_cholesky, solve_with_factor
 from ..core.config import MPConfig
 from ..core.conversion import build_comm_precision_map
 from ..core.precision_map import KernelPrecisionMap, build_precision_map
-from ..obs import get_registry
+from ..obs import get_registry, span, traced
 from ..tiles.kernels import NotPositiveDefiniteError
 from ..tiles.norms import tile_norms
 from .generator import Dataset, build_tiled_covariance
@@ -74,16 +74,22 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
     """
     nb = min(config.tile_size, dataset.n)
     try:
-        cov = build_tiled_covariance(
-            dataset.locations, dataset.model, theta, nb,
-            nugget=dataset.nugget, distances=dataset.tile_distances(nb),
-        )
+        with span("geostats.cov_build"):
+            cov = build_tiled_covariance(
+                dataset.locations, dataset.model, theta, nb,
+                nugget=dataset.nugget, distances=dataset.tile_distances(nb),
+            )
     except (ValueError, FloatingPointError):
         return None, None, "cov_build"
-    kmap = build_precision_map(tile_norms(cov), config.accuracy, config.formats)
-    cmap = build_comm_precision_map(kmap)
+    with span("tiles.tile_norms"):
+        norms = tile_norms(cov)
+    with span("core.plan"):
+        kmap = build_precision_map(norms, config.accuracy, config.formats)
+        cmap = build_comm_precision_map(kmap)
     try:
-        result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap, overwrite=True)
+        with span("core.mp_cholesky"):
+            result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap,
+                                 overwrite=True)
     except NotPositiveDefiniteError:
         return None, kmap, "not_positive_definite"
     except ValueError as exc:
@@ -94,6 +100,7 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
     return result.factor, kmap, None
 
 
+@traced("geostats.log_likelihood")
 def log_likelihood(
     dataset: Dataset,
     theta: Sequence[float],
@@ -101,7 +108,12 @@ def log_likelihood(
     *,
     keep_map: bool = False,
 ) -> LikelihoodEval:
-    """Evaluate ℓ(θ) for ``dataset`` under the mixed-precision config."""
+    """Evaluate ℓ(θ) for ``dataset`` under the mixed-precision config.
+
+    Each layer of the evaluation is a span (``geostats.cov_build``,
+    ``tiles.tile_norms``, ``core.plan``, ``core.mp_cholesky``,
+    ``core.solve``) under the evaluation's ``geostats.log_likelihood``.
+    """
     theta_t = tuple(float(t) for t in theta)
     n = dataset.n
     factor, kmap, reason = _factorize(dataset, theta_t, config)
@@ -109,10 +121,11 @@ def log_likelihood(
     if reason is not None:
         return _infeasible(reason, theta_t, kmap=kept)
 
-    logdet = logdet_from_factor(factor)
-    if not math.isfinite(logdet):
-        return _infeasible("logdet", theta_t, logdet, kmap=kept)
-    x = solve_with_factor(factor, dataset.z)
+    with span("core.solve"):
+        logdet = logdet_from_factor(factor)
+        if not math.isfinite(logdet):
+            return _infeasible("logdet", theta_t, logdet, kmap=kept)
+        x = solve_with_factor(factor, dataset.z)
     quad = float(dataset.z @ x)
     if not math.isfinite(quad) or quad < 0.0:
         # reduced-precision factors can, in principle, destroy positivity

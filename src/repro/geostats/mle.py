@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import ConversionStrategy, MPConfig
-from ..obs import emit_event, get_registry, span
+from ..obs import emit_event, span
 from ..precision.formats import ADAPTIVE_FORMATS, Precision
 from .generator import Dataset
 from .likelihood import log_likelihood
@@ -95,7 +95,6 @@ def fit_mle(
     if x0 is None:
         x0 = tuple(lo for lo, _hi in bounds)
 
-    eval_timer = get_registry().timer("mle.eval_seconds", "log-likelihood evaluation time")
     eval_seconds = [0.0]
     eval_count = [0]
     infeasible: Counter[str] = Counter()
@@ -103,10 +102,8 @@ def fit_mle(
     def objective(theta: np.ndarray) -> float:
         t0 = time.perf_counter()
         ev = log_likelihood(dataset, theta, config)
-        dt = time.perf_counter() - t0
-        eval_seconds[0] += dt
+        eval_seconds[0] += time.perf_counter() - t0
         eval_count[0] += 1
-        eval_timer.observe(dt, accuracy=label)
         if ev.reason is not None:
             infeasible[ev.reason] += 1
         return ev.value

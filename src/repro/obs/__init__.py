@@ -4,10 +4,10 @@ The paper's claims are measurements; this package is where the
 reproduction measures itself.  Four pieces, shared by every layer:
 
 * **metrics** (:mod:`repro.obs.metrics`) — a process-global registry of
-  labeled counters/gauges/histograms/timers (``get_registry()``);
-* **spans** (:mod:`repro.obs.spans`) — nested timing contexts
-  (``span("mle.fit", n=400)`` / ``@traced``) feeding the registry and
-  the event log;
+  labeled counters and gauges (``get_registry()``);
+* **spans** (:mod:`repro.obs.spans`) — the one clock: nested timing
+  contexts (``span("mle.fit", n=400)`` / ``@traced``) whose durations
+  land in the event log, one check when no log is attached;
 * **structured run logs** (:mod:`repro.obs.events`) — JSONL, one event
   per line with run id + monotonic timestamp + span path; attach a sink
   with ``event_log(path)`` and instrumented code lights up,
@@ -69,7 +69,7 @@ from .exporters import (
     write_run_summary,
 )
 from .manifest import build_manifest, git_revision, write_manifest
-from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry, Timer
+from .metrics import Counter, Gauge, Metric, MetricsRegistry
 from .spans import Span, span, traced
 
 __all__ = [
@@ -105,11 +105,9 @@ __all__ = [
     "set_live_gauge",
     "write_profile",
     "Gauge",
-    "Histogram",
     "Metric",
     "MetricsRegistry",
     "Span",
-    "Timer",
     "build_manifest",
     "current_span_path",
     "emit_event",

@@ -2,10 +2,10 @@
 
 One :class:`~repro.obs.metrics.MetricsRegistry` and (optionally) one
 active :class:`~repro.obs.events.EventLog` per process, plus the
-per-thread span stack.  Instrumentation sites throughout the codebase
-call :func:`emit_event` unconditionally — when no event log is attached
-the call is a cheap no-op, so the hot paths pay nothing unless a run is
-being captured.
+per-thread stack of logged spans.  Instrumentation sites throughout the
+codebase call :func:`emit_event` unconditionally — when no event log is
+attached the call is a cheap no-op, so the hot paths pay nothing unless
+a run is being captured.
 """
 
 from __future__ import annotations
@@ -93,7 +93,11 @@ def _pop_span() -> None:
 
 
 def current_span_path() -> str | None:
-    """Slash-joined path of the innermost active span on this thread."""
+    """Slash-joined path of the innermost active span on this thread.
+
+    Only spans opened while an event log is attached are stacked: the
+    path exists to label logged events.
+    """
     stack = _stack()
     return stack[-1] if stack else None
 

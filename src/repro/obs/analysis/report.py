@@ -8,16 +8,18 @@
 * a run-summary JSON written by ``--metrics-out`` (the run header from
   its manifest; stats counters only — the ledger loses per-rank detail
   but keeps per-link per-precision totals);
-* a JSONL event log written by ``--events-out`` (event counts by type
-  and the last ``mle.iteration``);
+* a JSONL event log written by ``--events-out`` (event counts by type,
+  the last ``mle.iteration`` and, from its ``span`` events, the time by
+  layer);
 * a directory holding any of them — with a trace and a summary, the
   event-derived ledger is *reconciled* against the stats counters and
   any discrepancy is reported.  A capture without simulator stats (an
-  ``mle`` run) is a header and an event census.
+  ``mle`` run) is a header, an event census and its time by layer.
 
-The output is a text report (run header, event counts, data-motion
-ledger, conversion-site table, critical path, per-engine slack,
-utilization timeline) plus a machine-readable document (``--json-out``).
+The output is a text report (run header, event counts, time by layer,
+data-motion ledger, conversion-site table, critical path, per-engine
+slack, utilization timeline) plus a machine-readable document
+(``--json-out``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Sequence
 
 from ...precision.formats import Precision
 from ..events import iter_events
+from ..exporters import run_stats
 from .critical_path import critical_path, engine_slack, utilization_timeline
 from .ledger import build_ledger
 
@@ -77,37 +80,44 @@ def load_trace_events(path: str | Path) -> list:
     return events
 
 
-def _stats_from_doc(doc: dict) -> dict | None:
-    """Pull a RunStats-dict out of a run-summary / metrics document."""
-    stats = doc.get("stats")
-    if isinstance(stats, dict) and "makespan_seconds" in stats:
-        return stats
-    trace = doc.get("trace")
-    if isinstance(trace, dict) and isinstance(trace.get("stats"), dict):
-        return trace["stats"]
-    if "makespan_seconds" in doc:  # a bare RunStats.to_dict() file
-        return doc
-    return None
+def _read_event_log(path: Path) -> tuple[dict, dict]:
+    """Event counts by type (plus the last ``mle.iteration``) of a JSONL
+    log, and its time by layer.
 
-
-def _summarize_event_log(path: Path) -> dict:
-    """Event counts by type (plus the last ``mle.iteration``) of a JSONL log."""
+    The layers are the ``span`` events grouped by span name: calls, total
+    seconds and self seconds (total minus the direct child spans').  A
+    span closes after its children, so the children's time is waiting
+    under its path when it does.
+    """
     by_type: Counter[str] = Counter()
     run_ids: set[str] = set()
     last_iteration = None
+    layers: dict[str, dict] = {}
+    in_children: Counter[str] = Counter()  # span path -> closed direct children's seconds
     for ev in iter_events(path):
-        by_type[ev.get("type", "?")] += 1
+        type_ = ev.get("type", "?")
+        by_type[type_] += 1
         if ev.get("run_id"):
             run_ids.add(ev["run_id"])
-        if ev.get("type") == "mle.iteration":
+        if type_ == "mle.iteration":
             last_iteration = ev.get("attrs")
-    return {
+        elif type_ == "span":
+            span_path, seconds = ev["span"], ev["attrs"]["duration_seconds"]
+            parent, _, name = span_path.rpartition("/")
+            if parent:
+                in_children[parent] += seconds
+            row = layers.setdefault(name, {"calls": 0, "total_seconds": 0.0, "self_seconds": 0.0})
+            row["calls"] += 1
+            row["total_seconds"] += seconds
+            row["self_seconds"] += seconds - in_children.pop(span_path, 0.0)
+    summary = {
         "path": str(path),
         "n_events": sum(by_type.values()),
         "run_ids": sorted(run_ids),
         "by_type": dict(sorted(by_type.items())),
         "last_mle_iteration": last_iteration,
     }
+    return summary, dict(sorted(layers.items(), key=lambda kv: -kv[1]["total_seconds"]))
 
 
 def analyze_trace(
@@ -170,6 +180,15 @@ def render_analysis(doc: dict) -> str:
                 f"  last MLE iteration: k={last.get('k')} "
                 f"loglik={last.get('loglik'):.4f} theta={last.get('theta')}"
             )
+    layers = doc.get("layers")
+    if layers:
+        lines.append("time by layer (self = total minus direct child spans):")
+        lines.append(f"    {'span':<28} {'calls':>7} {'total s':>11} {'self s':>11}")
+        lines.extend(
+            f"    {name:<28} {row['calls']:>7} {row['total_seconds']:>11.4f} "
+            f"{row['self_seconds']:>11.4f}"
+            for name, row in layers.items()
+        )
     led = doc.get("ledger") or {}
     ledger = DataMotionLedger(
         rows=[
@@ -279,7 +298,7 @@ def analyze_path(path: str | Path, *, n_buckets: int = 20) -> dict:
             trace_file = trace_file or file
             return
         if stats is None:
-            stats = _stats_from_doc(doc)
+            stats = run_stats(doc)
         if manifest is None and isinstance(doc.get("manifest"), dict):
             manifest = doc["manifest"]
 
@@ -303,7 +322,9 @@ def analyze_path(path: str | Path, *, n_buckets: int = 20) -> dict:
         doc["run"] = {key: manifest.get(key)
                       for key in ("run_id", "command", "seed", "git_revision")}
     if event_log is not None:
-        doc["event_log"] = _summarize_event_log(event_log)
+        doc["event_log"], layers = _read_event_log(event_log)
+        if layers:
+            doc["layers"] = layers
     doc["source"] = {
         "trace": str(trace_file) if trace_file else None,
         "stats": "embedded" if stats is not None else None,

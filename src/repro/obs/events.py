@@ -10,7 +10,8 @@ was active when the event fired, and a free-form attribute dict:
      "span": "mle.fit", "attrs": {"k": 3, "loglik": -512.4}}
 
 The format is append-only and crash-tolerant: a truncated final line is
-skipped on read, everything before it survives.
+skipped on read, everything before it survives.  A bad line anywhere
+else is an error, not an early end.
 """
 
 from __future__ import annotations
@@ -134,16 +135,26 @@ class EventLog:
 
 
 def iter_events(path: str | Path) -> Iterator[dict]:
-    """Yield the records of a JSONL event log, skipping a torn tail line."""
+    """Yield the records of a JSONL event log, skipping a torn tail line.
+
+    Only the last line may be torn (a crash mid-write); an unreadable
+    line with records after it is corruption and raises ``ValueError``
+    naming the path and line number.
+    """
+    torn = None  # number of the unreadable line, while it is the last one seen
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if torn is not None:
+                raise ValueError(f"{path}: line {torn} is not a JSON event")
             try:
-                yield json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError:
-                return  # torn final line from a crash — stop cleanly
+                torn = number
+                continue
+            yield record
 
 
 def read_events(path: str | Path) -> list[dict]:

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 __all__ = [
     "lint_prometheus_text",
     "to_prometheus_text",
+    "run_stats",
     "run_summary",
     "write_perfetto_trace",
     "write_run_summary",
@@ -33,7 +34,7 @@ def write_perfetto_trace(
     """Write a Perfetto/Chrome trace JSON with metadata + counter tracks.
 
     ``obs_events`` (records from :func:`repro.obs.read_events`) renders
-    fault/retry telemetry as instant markers alongside the slices;
+    fault and failure telemetry as instant markers alongside the slices;
     ``metadata`` (e.g. the scheduling policy) lands in the trace's
     top-level ``"metadata"`` object.
     """
@@ -76,6 +77,22 @@ def run_summary(
     return doc
 
 
+def run_stats(doc: Mapping) -> Mapping | None:
+    """The RunStats dict a document holds, ``None`` when it holds none.
+
+    The one reader of the layout :func:`run_summary` writes: its
+    ``stats`` section, else a trace summary's ``trace.stats``, else the
+    document itself when it is a bare ``RunStats.to_dict()``.
+    """
+    stats = doc.get("stats")
+    if isinstance(stats, Mapping) and "makespan_seconds" in stats:
+        return stats
+    trace = doc.get("trace")
+    if isinstance(trace, Mapping) and isinstance(trace.get("stats"), Mapping):
+        return trace["stats"]
+    return doc if "makespan_seconds" in doc else None
+
+
 def write_json(path: str | Path, doc: Mapping) -> Path:
     """Write ``doc`` as pretty, key-sorted JSON, creating parent directories.
 
@@ -107,13 +124,12 @@ def _prom_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _prom_labels(labels: Mapping[str, str], extra: Mapping[str, str] | None = None) -> str:
-    merged = {**labels, **(extra or {})}
-    if not merged:
+def _prom_labels(labels: Mapping[str, str]) -> str:
+    if not labels:
         return ""
     body = ",".join(
         f'{_prom_name(k)}="{_prom_label_value(str(v))}"'
-        for k, v in sorted(merged.items())
+        for k, v in sorted(labels.items())
     )
     return "{" + body + "}"
 
@@ -130,49 +146,24 @@ def _prom_number(value) -> str:
 def to_prometheus_text(registry=None) -> str:
     """The registry in Prometheus text exposition format (version 0.0.4).
 
-    Counters get the conventional ``_total`` suffix; histograms and
-    timers are exported as *summaries* (``{quantile="..."}`` series plus
-    ``_sum``/``_count``), matching what their bounded reservoir can
-    answer.  This is the payload the live plane's ``/metrics`` endpoint
-    serves (:mod:`repro.obs.live`).
+    Counters get the conventional ``_total`` suffix.  This is the
+    payload the live plane's ``/metrics`` endpoint serves
+    (:mod:`repro.obs.live`).
     """
     if registry is None:
         from ._runtime import get_registry
 
         registry = get_registry()
-    snapshot = registry.to_dict() if hasattr(registry, "to_dict") else dict(registry)
     lines: list[str] = []
-    for name in sorted(snapshot):
-        metric = snapshot[name]
-        kind = metric.get("type", "gauge")
+    for name, metric in registry.to_dict().items():  # sorted by name
         base = _prom_name(name)
-        if kind == "counter" and not base.endswith("_total"):
+        if metric["type"] == "counter" and not base.endswith("_total"):
             base += "_total"
-        prom_type = {
-            "counter": "counter",
-            "gauge": "gauge",
-            "histogram": "summary",
-            "timer": "summary",
-        }.get(kind, "untyped")
-        if metric.get("help"):
+        if metric["help"]:
             lines.append(f"# HELP {base} {metric['help']}")
-        lines.append(f"# TYPE {base} {prom_type}")
-        for series in metric.get("series", []):
-            labels = {str(k): str(v) for k, v in (series.get("labels") or {}).items()}
-            value = series.get("value")
-            if prom_type == "summary" and isinstance(value, Mapping):
-                for q_label, q_key in (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99")):
-                    q_value = value.get(q_key)
-                    if q_value is not None:
-                        lines.append(
-                            f"{base}{_prom_labels(labels, {'quantile': q_label})}"
-                            f" {_prom_number(q_value)}"
-                        )
-                lines.append(f"{base}_sum{_prom_labels(labels)} {_prom_number(value.get('sum', 0.0))}")
-                lines.append(f"{base}_count{_prom_labels(labels)} {_prom_number(value.get('count', 0))}")
-            else:
-                scalar = value if isinstance(value, (int, float)) else 0.0
-                lines.append(f"{base}{_prom_labels(labels)} {_prom_number(scalar)}")
+        lines.append(f"# TYPE {base} {metric['type']}")
+        for series in metric["series"]:
+            lines.append(f"{base}{_prom_labels(series['labels'])} {_prom_number(series['value'])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -30,6 +30,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .exporters import run_stats
+
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "MetricDelta",
@@ -237,13 +239,7 @@ def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
             if metrics:
                 scopes[label] = metrics
         return scopes
-    stats = None
-    if isinstance(doc.get("stats"), Mapping):
-        stats = doc["stats"]
-    elif isinstance(doc.get("trace"), Mapping) and isinstance(doc["trace"].get("stats"), Mapping):
-        stats = doc["trace"]["stats"]
-    elif "makespan_seconds" in doc:
-        stats = doc
+    stats = run_stats(doc)
     if stats is None:
         raise ValueError(
             "unsupported document: expected repro.bench/1, repro.obs.run_summary/1, "

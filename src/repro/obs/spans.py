@@ -1,32 +1,29 @@
-"""Span instrumentation: nested timing contexts that feed metrics + logs.
+"""Span instrumentation: the one clock of the stack.
 
-A *span* is one timed region of a run — a simulated factorization, one
-task execution, one MLE fit.  Spans nest per thread; the active path is
-slash-joined (``"mle.fit/simulate"``).  Closing a span
+A *span* is one timed region of a run — a likelihood evaluation, one of
+its layers, one task execution, one MLE fit.  Every span fills
+:attr:`Span.duration`.  What else it does depends on whether an event
+log is attached when it opens:
 
-* observes its wall time into the registry timer ``span.duration_seconds``
-  (labeled by span name), and
-* emits a ``"span"`` event to the active JSONL log (if any) carrying the
-  full path, duration, and user attributes.
+* **no log** — nothing else: one ``is None`` check and two
+  ``perf_counter`` reads, no lock, no registry, no payload;
+* **a log** — the span joins the per-thread span stack (its path is
+  slash-joined, ``"mle.fit/geostats.log_likelihood"``) and its close
+  emits one ``"span"`` event carrying the path, the user attributes and
+  ``duration_seconds``.  That event is the only place a duration is
+  kept; ``repro analyze`` reads them back as the "time by layer" table.
 
-Use the :func:`span` context manager for ad-hoc regions and the
-:func:`traced` decorator for whole functions.
+Use :func:`span` for ad-hoc regions and :func:`traced` for whole
+functions.
 """
 
 from __future__ import annotations
 
 import functools
-import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, TypeVar
+from time import perf_counter
+from typing import Callable, TypeVar
 
-from ._runtime import (
-    _pop_span,
-    _push_span,
-    current_span_path,
-    emit_event,
-    get_registry,
-)
+from ._runtime import _pop_span, _push_span, current_span_path, emit_event, get_event_log
 
 __all__ = ["Span", "span", "traced"]
 
@@ -34,14 +31,19 @@ F = TypeVar("F", bound=Callable)
 
 
 class Span:
-    """Handle yielded by :func:`span`; attributes may be added mid-flight."""
+    """A timed region; the handle :func:`span` returns and ``with`` yields.
 
-    __slots__ = ("name", "path", "attrs", "duration")
+    Attributes may be added mid-flight with :meth:`set`; ``duration`` is
+    the wall time in seconds once the region has closed.  This base
+    class is the span with no event log attached.
+    """
 
-    def __init__(self, name: str, path: str, attrs: dict) -> None:
+    __slots__ = ("name", "attrs", "path", "duration", "_t0")
+
+    def __init__(self, name: str, attrs: dict) -> None:
         self.name = name
-        self.path = path
         self.attrs = attrs
+        self.path: str | None = None
         self.duration: float | None = None
 
     def set(self, **attrs: object) -> "Span":
@@ -49,45 +51,53 @@ class Span:
         self.attrs.update(attrs)
         return self
 
+    def __enter__(self) -> "Span":
+        self._t0 = perf_counter()
+        return self
 
-@contextmanager
-def span(name: str, **attrs: object) -> Iterator[Span]:
-    """Open a nested, timed span named ``name``.
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration = perf_counter() - self._t0
 
-    ``attrs`` become the attributes of the emitted span event; the
-    measured duration is always appended as ``duration_seconds``.
-    """
-    parent = current_span_path()
-    path = f"{parent}/{name}" if parent else name
-    handle = Span(name, path, dict(attrs))
-    _push_span(path)
-    t0 = time.perf_counter()
-    error: str | None = None
-    try:
-        yield handle
-    except BaseException as exc:
-        error = type(exc).__name__
-        raise
-    finally:
-        duration = time.perf_counter() - t0
+
+class _LoggedSpan(Span):
+    """A span opened while an event log is attached: stacked and logged."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "Span":
+        parent = current_span_path()
+        self.path = f"{parent}/{self.name}" if parent else self.name
+        _push_span(self.path)
+        self._t0 = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration = perf_counter() - self._t0
         _pop_span()
-        handle.duration = duration
-        get_registry().timer(
-            "span.duration_seconds", "wall time of instrumented spans"
-        ).observe(duration, span=name)
-        payload = dict(handle.attrs)
-        payload["duration_seconds"] = duration
-        if error is not None:
-            payload["error"] = error
-        emit_event("span", payload, span=path)
+        payload = dict(self.attrs, duration_seconds=self.duration)
+        if exc_type is not None:
+            payload["error"] = exc_type.__name__
+        emit_event("span", payload, span=self.path)
+
+
+def span(name: str, **attrs: object) -> Span:
+    """A span named ``name``: ``with span("core.solve", n=n) as s: ...``.
+
+    ``attrs`` become the attributes of the emitted span event (when a
+    log is attached); the measured duration is appended as
+    ``duration_seconds``.
+    """
+    if get_event_log() is None:
+        return Span(name, attrs)
+    return _LoggedSpan(name, attrs)
 
 
 def traced(name: str | Callable | None = None, **attrs: object):
     """Decorator form of :func:`span`.
 
     Works bare (``@traced``) or parameterised
-    (``@traced("solver.plan", layer="core")``); the span name defaults to
-    the function's qualified name.
+    (``@traced("core.dag_build")``); the span name defaults to the
+    function's qualified name.
     """
 
     def decorate(fn: F, span_name: str | None = None) -> F:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..faults import FaultInjector, FaultPlan, pick_mp_context
+from ..faults import FaultInjector, FaultPlan, pick_mp_context, record_faults
 from ..obs import emit_event, get_registry
 from ..obs.alerts import RANK_AGE_GAUGE
 from ..obs.live import set_live_gauge
@@ -151,8 +151,10 @@ def _rank_main(
     policy: str | None = None,
     heartbeats=None,
 ) -> None:
+    # every result tuple carries the kinds of the faults this rank fired:
+    # its own registry and log die with it, so the parent records them
+    injector = FaultInjector(fault_plan)
     try:
-        injector = FaultInjector(fault_plan)
         values = _seed_version0(graph, mat, rank)
         plan = _consumer_plan(graph)
         inbox = inboxes[rank]
@@ -184,7 +186,6 @@ def _rank_main(
                 continue
             kill = injector.kill_at(rank, tid)
             if kill is not None:
-                injector.fire(kill, rank=rank, task=tid)
                 _die(kill)
             # gather remote inputs
             for inp in task.inputs:
@@ -204,7 +205,6 @@ def _rank_main(
                 fault = injector.message_fault(rank, n_sent)
                 n_sent += 1
                 if fault is not None:
-                    injector.fire(fault, rank=rank, dest=dest, message=n_sent - 1)
                     if fault.kind == "drop_message":
                         continue  # the consumer will starve and time out
                     time.sleep(fault.delay_s)
@@ -219,9 +219,9 @@ def _rank_main(
             v = task.output.version
             if key not in finals or v > finals[key][0]:
                 finals[key] = (v, values[(key[0], key[1], v)])
-        results.put((rank, {k: v[1] for k, v in finals.items()}, None))
+        results.put((rank, {k: v[1] for k, v in finals.items()}, None, injector.fired))
     except BaseException as exc:  # surface worker failures to the parent
-        results.put((rank, {}, repr(exc)))
+        results.put((rank, {}, repr(exc), injector.fired))
 
 
 def execute_numeric_distributed(
@@ -265,8 +265,11 @@ def execute_numeric_distributed(
     land in :attr:`DistributedReport.heartbeat_ages`.
 
     ``fault_plan`` injects scripted failures (see :mod:`repro.faults`);
-    ``degrade=True`` recovers from unrecoverable rank loss by
-    re-executing sequentially via
+    each rank reports the kinds it fired with its result and the parent
+    records them (:func:`repro.faults.record_faults`) — a rank that dies
+    by ``sigkill``/``exit0`` reports nothing and counts only in
+    ``distributed.rank_deaths``.  ``degrade=True`` recovers from
+    unrecoverable rank loss by re-executing sequentially via
     :func:`repro.runtime.executor.execute_numeric` (bit-identical to a
     healthy distributed run) instead of raising; ``return_report=True``
     returns a :class:`DistributedReport` carrying the matrix plus the
@@ -319,7 +322,7 @@ def execute_numeric_distributed(
     try:
         while pending and error is None:
             try:
-                rank, finals, err = results.get(timeout=0.2)
+                rank, finals, err, fired = results.get(timeout=0.2)
             except queue_mod.Empty:
                 # hung-rank visibility: a rank can be alive yet silent
                 # (deadlocked wait, delayed message) — dead-peer scans
@@ -385,6 +388,7 @@ def execute_numeric_distributed(
                     break
                 continue
             pending.discard(rank)
+            record_faults(fired, rank=rank)
             heartbeat_ages[rank] = 0.0  # reported = fresh by definition
             set_live_gauge(f"{RANK_AGE_GAUGE}[{rank}]", 0.0)
             deadline.refresh()  # progress: `timeout` bounds each wait, not all

@@ -21,11 +21,9 @@ from .tracing import TraceEvent
 __all__ = ["ascii_gantt", "to_chrome_trace"]
 
 #: obs-event types rendered as Perfetto instant events (degraded-run
-#: markers: injected faults, retries, give-ups, dead/failed work)
+#: markers: injected faults, dead/failed work)
 INSTANT_EVENT_TYPES = frozenset({
     "fault",
-    "retry",
-    "retry.gave_up",
     "sweep.point_failed",
     "distributed.failure",
     "distributed.degraded",
@@ -185,7 +183,7 @@ def _metadata_events(events: Sequence[TraceEvent]) -> list[dict]:
 
 
 def _instant_events(obs_events: Sequence[Mapping]) -> list[dict]:
-    """Render fault/retry telemetry records as Perfetto instant events.
+    """Render fault and failure telemetry records as Perfetto instant events.
 
     ``obs_events`` are JSONL records from :func:`repro.obs.read_events`;
     every record whose ``type`` is in :data:`INSTANT_EVENT_TYPES` becomes
@@ -230,7 +228,7 @@ def to_chrome_trace(
     diffing); ``counters=True`` appends the derived counter tracks
     (memory-pool occupancy, in-flight copy bytes, cumulative NIC bytes
     and conversions); ``obs_events`` (JSONL records from an event log)
-    adds fault/retry instant markers; process/thread metadata events
+    adds fault and failure instant markers; process/thread metadata events
     close the stream so Perfetto labels every row.  ``metadata`` lands
     as the top-level ``"metadata"`` object (Perfetto surfaces it under
     Info & stats) — e.g. the scheduling policy that produced the trace.

@@ -23,9 +23,10 @@ files are quarantined with a ``.corrupt`` suffix and treated as misses
 Telemetry goes through :mod:`repro.obs`: ``sweep.runs`` /
 ``sweep.cache_hits`` / ``sweep.cache_misses`` / ``sweep.cache_corrupt``
 / ``sweep.failed`` counters (``retry.attempts`` / ``retry.gave_up`` /
-``faults.injected`` are the batch runner's), a ``sweep.run_seconds``
-timer, and ``sweep.run`` / ``sweep.complete`` events when an event log
-is attached.
+``faults.injected`` and the ``fault`` events are the batch runner's),
+and ``sweep.run`` / ``sweep.complete`` events when an event log is
+attached.  A point's ``plan_seconds`` / ``sim_seconds`` ride in its
+result.
 """
 
 from __future__ import annotations
@@ -460,7 +461,6 @@ def run_sweep(
     hits_metric = registry.counter("sweep.cache_hits", "sweep points served from cache")
     misses_metric = registry.counter("sweep.cache_misses", "sweep points executed")
     failed_metric = registry.counter("sweep.failed", "sweep points that exhausted retries")
-    run_timer = registry.timer("sweep.run_seconds", "wall time per executed sweep point")
 
     t_start = time.perf_counter()
     keys = [spec.cache_key() for spec in specs]
@@ -507,8 +507,6 @@ def run_sweep(
                 if env["ok"]:
                     result = env["result"]
                     _store_cached(cache_dir, specs[i], keys[i], result)
-                    run_timer.observe(result.get("plan_seconds", 0.0)
-                                      + result.get("sim_seconds", 0.0))
                 else:
                     # a failed point stays uncached: the next campaign
                     # retries it instead of replaying the failure

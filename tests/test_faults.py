@@ -13,8 +13,9 @@ from repro.faults import (
     RetryError,
     RetryPolicy,
     call_with_retry,
+    record_faults,
 )
-from repro.obs import get_registry
+from repro.obs import event_log, get_registry, read_events
 from repro.runtime.distributed import _RollingDeadline
 
 
@@ -108,21 +109,27 @@ class TestFaultInjector:
         assert any(pattern[0]) and not all(pattern[0])
         assert fires is not None
 
-    def test_fire_counts_and_metric(self):
-        reg = get_registry()
-        before = reg.counter("faults.injected").total()
+    def test_fire_counts_and_metric(self, tmp_path):
+        """The injector lists what fired; the parent's record_faults counts
+        each kind and logs one ``fault`` event per fire."""
         inj = FaultInjector(FaultPlan((FaultSpec("transient", point="", times=2),)))
-        spec = inj.point_fault("x")
-        inj.fire(spec)
-        assert reg.counter("faults.injected").total() == before + 1
+        for _ in range(3):
+            inj.point_fault("x")
+        assert inj.fired == ["transient", "transient"]
+        reg = get_registry()
+        before = reg.counter("faults.injected").value(kind="transient")
+        with event_log(tmp_path / "run.jsonl"):
+            record_faults(inj.fired, op="unit")
+        assert reg.counter("faults.injected").value(kind="transient") == before + 2
+        faults = [e for e in read_events(tmp_path / "run.jsonl") if e["type"] == "fault"]
+        assert [e["attrs"] for e in faults] == [{"kind": "transient", "op": "unit"}] * 2
 
-    def test_use_metrics_false_is_silent(self):
+    def test_injector_writes_no_telemetry(self):
         reg = get_registry()
         before = reg.counter("faults.injected").total()
-        inj = FaultInjector(
-            FaultPlan((FaultSpec("transient", point="", times=2),)), use_metrics=False
-        )
-        inj.fire(inj.point_fault("x"))
+        inj = FaultInjector(FaultPlan((FaultSpec("crash_point", point="", times=2),)))
+        with pytest.raises(FaultInjectedError):
+            inj.raise_fault(inj.point_fault("x"), where="unit")
         assert reg.counter("faults.injected").total() == before
 
     def test_raise_fault(self):
@@ -188,23 +195,21 @@ class TestCallWithRetry:
         assert slept == [0.1, 0.2]
 
     def test_gave_up_raises_retry_error(self):
-        reg = get_registry()
-        before = reg.counter("retry.gave_up").value(op="unit")
-
         def always():
             raise KeyError("nope")
 
-        with pytest.raises(RetryError) as err:
+        with pytest.raises(RetryError, match="unit: gave up after 3") as err:
             call_with_retry(always, RetryPolicy(max_retries=2, base_delay=0.0),
                             op="unit", sleep=lambda s: None)
         assert err.value.attempts == 3
         assert isinstance(err.value.last, KeyError)
-        assert reg.counter("retry.gave_up").value(op="unit") == before + 1
 
     def test_attempts_counted(self):
+        """The loop counts attempts for its caller and writes no telemetry:
+        run_batch's parent counts ``retry.attempts`` from the envelopes."""
         reg = get_registry()
         before = reg.counter("retry.attempts").value(op="unit2")
-        calls = []
+        calls, retried = [], []
 
         def flaky():
             calls.append(1)
@@ -213,8 +218,10 @@ class TestCallWithRetry:
             return 1
 
         call_with_retry(flaky, RetryPolicy(max_retries=2, base_delay=0.0),
-                        op="unit2", sleep=lambda s: None)
-        assert reg.counter("retry.attempts").value(op="unit2") == before + 1
+                        op="unit2", sleep=lambda s: None,
+                        on_retry=lambda attempt, _exc: retried.append(attempt))
+        assert (len(calls), retried) == (2, [1])
+        assert reg.counter("retry.attempts").value(op="unit2") == before
 
     def test_retry_on_filters_exceptions(self):
         with pytest.raises(ZeroDivisionError):  # not retried, propagates raw

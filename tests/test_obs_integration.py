@@ -20,7 +20,7 @@ def clean_state():
 
 
 class TestSimulatorMetrics:
-    def test_live_metrics_populated(self):
+    def test_live_metrics_populated(self, tmp_path):
         from repro.core import two_precision_map
         from repro.core.solver import simulate_cholesky
         from repro.perfmodel.gpus import V100
@@ -28,15 +28,18 @@ class TestSimulatorMetrics:
         from repro.runtime import Platform
 
         obs.reset_metrics()
-        rep = simulate_cholesky(8 * 512, 512, two_precision_map(8, Precision.FP16),
-                                Platform.single_gpu(V100))
+        with obs.event_log(tmp_path / "run.jsonl"):
+            rep = simulate_cholesky(8 * 512, 512, two_precision_map(8, Precision.FP16),
+                                    Platform.single_gpu(V100))
         reg = obs.get_registry()
         assert reg.counter("sim.tasks").value() == rep.stats.n_tasks
         assert reg.counter("sim.conversions").value() == rep.stats.n_conversions
         assert reg.counter("sim.busy_seconds").value(engine="compute") > 0.0
         assert reg.counter("sim.bytes_moved").total() >= rep.stats.h2d_bytes
         assert reg.gauge("sim.makespan_seconds").value() == pytest.approx(rep.makespan)
-        assert reg.timer("span.duration_seconds").count(span="sim.run") == 1
+        spans = [e["span"] for e in obs.read_events(tmp_path / "run.jsonl")
+                 if e["type"] == "span"]
+        assert spans.count("sim.run") == 1
 
     def test_counters_tick_per_beat_stride_and_match_stats(self, monkeypatch):
         """``sim.evictions`` / ``sim.conversions`` move every
@@ -175,6 +178,33 @@ class TestMLEEvents:
         # planning decision logs rode along
         assert any(e["type"] == "precision_map.built" for e in events)
         assert any(e["type"] == "comm_map.built" for e in events)
+
+    def test_likelihood_layers_are_spans_analyze_reads(self, tmp_path, capsys):
+        """The layers come from the real call path: one
+        ``geostats.log_likelihood`` span per evaluation the fit counts,
+        each layer under it, and self times that add up to the roots."""
+        field = SyntheticField.matern_2d(n=64, variance=1.0, range_=0.1,
+                                         smoothness=0.5, seed=3)
+        with obs.event_log(tmp_path / "events.jsonl"):
+            res = fit_mle(field.sample(), accuracy=1e-4, tile_size=16, max_evals=30,
+                          restarts=0)
+        spans = [e for e in obs.read_events(tmp_path / "events.jsonl") if e["type"] == "span"]
+        evals = "mle.fit/geostats.log_likelihood"
+        assert sum(e["span"] == evals for e in spans) == res.n_evals
+        inner = {e["span"].rpartition("/")[2] for e in spans
+                 if e["span"].rpartition("/")[0] == evals}
+        assert inner == {"geostats.cov_build", "tiles.tile_norms", "core.plan",
+                         "core.mp_cholesky", "core.solve"}
+
+        out_json = tmp_path / "analysis.json"
+        assert main(["analyze", str(tmp_path), "--json-out", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert "time by layer" in out and "core.mp_cholesky" in out
+        layers = json.loads(out_json.read_text())["layers"]
+        assert layers["geostats.log_likelihood"]["calls"] == res.n_evals
+        roots = sum(e["attrs"]["duration_seconds"] for e in spans if "/" not in e["span"])
+        self_total = sum(row["self_seconds"] for row in layers.values())
+        assert self_total == pytest.approx(roots, rel=1e-9)
 
     def test_precision_decision_log_contents(self, tmp_path):
         from repro.core import build_precision_map

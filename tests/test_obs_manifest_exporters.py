@@ -105,17 +105,17 @@ class TestPerfettoExport:
     def test_obs_events_become_instant_markers(self, sim_report):
         obs_events = [
             {"type": "fault", "ts": 0.5, "attrs": {"kind": "transient", "rank": 1}},
-            {"type": "retry", "ts": 0.6, "attrs": {"op": "sweep.point"}},
+            {"type": "sweep.point_failed", "ts": 0.6, "attrs": {"label": "p"}},
             {"type": "sweep.run", "ts": 0.7, "attrs": {}},  # not a fault marker
         ]
         payload = json.loads(to_chrome_trace(sim_report.trace.events,
                                              obs_events=obs_events))
         instants = [e for e in payload["traceEvents"] if e.get("ph") == "i"]
-        assert {e["name"] for e in instants} == {"fault", "retry"}
+        assert {e["name"] for e in instants} == {"fault", "sweep.point_failed"}
         fault = next(e for e in instants if e["name"] == "fault")
         assert fault["pid"] == 1 and fault["s"] == "p"  # rank-scoped
-        retry = next(e for e in instants if e["name"] == "retry")
-        assert retry["s"] == "g"  # no rank → global scope
+        failed = next(e for e in instants if e["name"] == "sweep.point_failed")
+        assert failed["s"] == "g"  # no rank → global scope
         assert fault["ts"] == pytest.approx(0.5e6)
 
     def test_metadata_names_processes_and_threads(self, sim_report):

@@ -1,6 +1,5 @@
-"""Metrics registry semantics: labels, histogram quantiles, timers."""
+"""Metrics registry semantics: labeled counters and gauges."""
 
-import math
 import threading
 
 import pytest
@@ -69,58 +68,6 @@ class TestGauge:
         g.add(100)
         g.add(-40)
         assert g.value() == 60
-
-
-class TestHistogram:
-    def test_quantiles(self, reg):
-        h = reg.histogram("lat")
-        for v in range(1, 101):
-            h.observe(float(v))
-        assert h.count() == 100
-        assert h.sum() == pytest.approx(5050.0)
-        assert h.mean() == pytest.approx(50.5)
-        assert h.quantile(0.5) == pytest.approx(50.0)
-        assert h.quantile(0.9) == pytest.approx(90.0)
-        assert h.quantile(1.0) == pytest.approx(100.0)
-        assert h.quantile(0.0) == pytest.approx(1.0)
-
-    def test_quantile_validation(self, reg):
-        with pytest.raises(ValueError):
-            reg.histogram("h").quantile(1.5)
-
-    def test_empty_quantile_is_nan(self, reg):
-        assert math.isnan(reg.histogram("h").quantile(0.5))
-
-    def test_labeled_series(self, reg):
-        h = reg.histogram("t")
-        h.observe(1.0, kind="GEMM")
-        h.observe(3.0, kind="POTRF")
-        assert h.count(kind="GEMM") == 1
-        assert h.count(kind="POTRF") == 1
-        assert h.count() == 0
-
-    def test_reservoir_stays_bounded_but_exact_aggregates(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("big", max_samples=64)
-        n = 10_000
-        for v in range(n):
-            h.observe(float(v))
-        assert h.count() == n
-        assert h.sum() == pytest.approx(sum(range(n)))
-        series = h.to_dict()["series"][0]["value"]
-        assert series["min"] == 0.0 and series["max"] == float(n - 1)
-        # decimated reservoir still tracks the distribution roughly
-        assert abs(h.quantile(0.5) - n / 2) < n * 0.1
-
-
-class TestTimer:
-    def test_context_manager_records(self, reg):
-        t = reg.timer("step")
-        with t.time(phase="plan") as running:
-            pass
-        assert running.elapsed >= 0.0
-        assert t.count(phase="plan") == 1
-        assert t.sum(phase="plan") == pytest.approx(running.elapsed)
 
 
 class TestRegistry:

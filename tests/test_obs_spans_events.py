@@ -1,5 +1,6 @@
 """Span nesting, the JSONL event log, and their integration."""
 
+import io
 import json
 import threading
 
@@ -17,8 +18,15 @@ def clean_state():
     obs.reset_metrics()
 
 
+@pytest.fixture
+def logged():
+    """An event log attached for the test: spans stack only under one."""
+    with obs.event_log(io.StringIO()) as log:
+        yield log
+
+
 class TestSpans:
-    def test_nesting_builds_slash_paths(self):
+    def test_nesting_builds_slash_paths(self, logged):
         paths = []
         with obs.span("outer"):
             paths.append(obs.current_span_path())
@@ -28,11 +36,11 @@ class TestSpans:
         assert paths == ["outer", "outer/inner", "outer"]
         assert obs.current_span_path() is None
 
-    def test_span_records_timer_metric(self):
-        with obs.span("timed.region"):
-            pass
-        timer = obs.get_registry().timer("span.duration_seconds")
-        assert timer.count(span="timed.region") == 1
+    def test_span_without_log_is_only_a_clock(self):
+        with obs.span("quiet", n=3) as handle:
+            assert obs.current_span_path() is None  # not stacked
+        assert handle.duration is not None and handle.duration >= 0.0
+        assert obs.get_registry().to_dict() == {}
 
     def test_span_handle_attrs_and_duration(self):
         with obs.span("s", a=1) as handle:
@@ -40,13 +48,13 @@ class TestSpans:
         assert handle.duration is not None and handle.duration >= 0.0
         assert handle.attrs == {"a": 1, "b": 2}
 
-    def test_stack_unwinds_on_exception(self):
+    def test_stack_unwinds_on_exception(self, logged):
         with pytest.raises(RuntimeError):
             with obs.span("boom"):
                 raise RuntimeError("x")
         assert obs.current_span_path() is None
 
-    def test_traced_decorator_bare_and_named(self):
+    def test_traced_decorator_bare_and_named(self, logged):
         @obs.traced
         def f():
             return obs.current_span_path()
@@ -58,7 +66,7 @@ class TestSpans:
         assert f().endswith("f")
         assert g() == "custom.name"
 
-    def test_threads_have_independent_stacks(self):
+    def test_threads_have_independent_stacks(self, logged):
         seen = {}
 
         def work():
@@ -107,6 +115,23 @@ class TestEventLog:
             fh.write('{"type": "torn')  # crash mid-write
         events = obs.read_events(path)
         assert [e["type"] for e in events] == ["ok"]
+
+    def test_corrupt_middle_line_raises(self, tmp_path, capsys):
+        """Only the last line may be torn; a bad line with events after it
+        is corruption, not the end of the log."""
+        from repro.cli import main
+
+        path = tmp_path / "run.jsonl"
+        with obs.EventLog(path) as log:
+            for type_ in ("a", "b", "c", "d"):
+                log.emit(type_)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:10]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"run\.jsonl: line 2 "):
+            obs.read_events(path)
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_emit_after_close_is_dropped(self, tmp_path):
         log = obs.EventLog(tmp_path / "run.jsonl")

@@ -13,6 +13,7 @@ from repro.core import (
     uniform_map,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.obs import event_log, get_registry, read_events
 from repro.precision import Precision
 from repro.runtime import DistributedReport, execute_numeric
 from repro.runtime.distributed import execute_numeric_distributed
@@ -134,10 +135,30 @@ class TestDistributedFaults:
             (FaultSpec("kill_rank", rank=0, task=_rank_task(dag.graph, 0),
                        mode="exception", note="scripted"),)
         )
+        kills = get_registry().counter("faults.injected")
+        before = kills.value(kind="kill_rank")
         with pytest.raises(RuntimeError, match="rank 0"):
             execute_numeric_distributed(
                 dag.graph, mat, g.size, timeout=self.TIMEOUT, fault_plan=plan
             )
+        # the dying rank's failure report carries the fault it fired
+        assert kills.value(kind="kill_rank") == before + 1
+
+    def test_fired_fault_reaches_the_parent_telemetry(self, rng, tmp_path):
+        """A rank's registry and log die with it: the fault it fires is
+        counted and logged by the parent, once."""
+        mat = _mat(rng)
+        g = ProcessGrid(2, 1)
+        dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64), grid=g)
+        plan = FaultPlan((FaultSpec("delay_message", rank=0, message=0, delay_s=0.05),))
+        counter = get_registry().counter("faults.injected")
+        before = counter.value(kind="delay_message")
+        with event_log(tmp_path / "run.jsonl"):
+            execute_numeric_distributed(dag.graph, mat, g.size, timeout=self.TIMEOUT,
+                                        fault_plan=plan)
+        assert counter.value(kind="delay_message") == before + 1
+        faults = [e for e in read_events(tmp_path / "run.jsonl") if e["type"] == "fault"]
+        assert [e["attrs"] for e in faults] == [{"kind": "delay_message", "rank": 0}]
 
     def test_degradation_is_bit_identical(self, rng):
         """Rank loss + degrade=True recovers the exact sequential result."""
@@ -224,8 +245,6 @@ class TestRankHeartbeats:
         the parent must emit ``distributed.rank_silent`` at alert severity
         while the numeric result stays bit-identical."""
         import json
-
-        from repro.obs import event_log, get_registry
 
         mat, g, dag = self.setup_case(rng)
         seq = execute_numeric(dag.graph, mat.copy())

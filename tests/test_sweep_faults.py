@@ -3,7 +3,7 @@
 import json
 
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
-from repro.obs import get_registry
+from repro.obs import event_log, get_registry, read_events
 from repro.sweep import RunSpec, run_sweep
 
 TINY = dict(n=1024, nb=256)  # nt=4 — fast enough for unit tests
@@ -113,6 +113,21 @@ class TestSweepFaults:
                   fault_plan=_crash_plan(specs[0], times=None))
         # fired on the first try and on the retry
         assert reg.counter("faults.injected").value(kind="crash_point") == before + 2
+
+    def test_fired_faults_are_logged_by_the_parent(self, tmp_path):
+        """Two transients absorbed by two retries: one ``fault`` event each
+        in the campaign's log (the per-attempt ``retry`` event is gone)."""
+        specs = _specs()[:2]
+        with event_log(tmp_path / "run.jsonl"):
+            result = run_sweep(specs, cache_dir=tmp_path / "cache",
+                               retry_policy=RetryPolicy(max_retries=2, base_delay=0.0),
+                               fault_plan=FaultPlan((FaultSpec("transient", point=""),)))
+        assert (result.n_failed, result.total_retries) == (0, 2)
+        events = read_events(tmp_path / "run.jsonl")
+        faults = [e["attrs"] for e in events if e["type"] == "fault"]
+        assert faults == [{"kind": "transient", "op": "sweep.point", "label": s.label}
+                          for s in specs]
+        assert not any(e["type"].startswith("retry") for e in events)
 
 
 class TestCacheQuarantine:
