@@ -40,8 +40,8 @@ def main() -> None:
                 total_flops=rep.stats.total_flops,
             )
             h2d = ", ".join(
-                f"{p.name}:{b / 1e9:.1f}GB"
-                for p, b in sorted(rep.stats.h2d_bytes_by_precision.items(), reverse=True)
+                f"{name}:{b / 1e9:.1f}GB"
+                for name, b in rep.stats.to_dict()["h2d_bytes_by_precision"].items()
             )
             rows.append([
                 label,

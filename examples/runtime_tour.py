@@ -59,7 +59,7 @@ def main() -> None:
     platform = Platform(node=node, n_nodes=1)
     report = simulate(ptg.graph, platform, nb)
     print(f"\nsimulated on {grid.size}xV100: {report.makespan * 1e3:.3f} ms, "
-          f"{report.stats.h2d_bytes / 1e3:.0f} kB host→device, "
+          f"{report.stats.link_bytes('h2d') / 1e3:.0f} kB host→device, "
           f"{report.stats.n_conversions} conversions")
     print()
     print(ascii_gantt(report.trace.events, report.makespan, width=80))

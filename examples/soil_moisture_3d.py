@@ -41,7 +41,7 @@ def main() -> None:
     factor, report = solver.factorize_via_runtime(cov)
     print(f"\nsimulated factorization: {report.makespan * 1e3:.2f} ms on one V100, "
           f"{report.stats.n_tasks} tasks, "
-          f"{report.stats.h2d_bytes / 1e6:.1f} MB host→device")
+          f"{report.stats.link_bytes('h2d') / 1e6:.1f} MB host→device")
 
     # fit the MLE at 1e-8 vs exact
     exact = fit_mle(dataset, exact=True, tile_size=64, max_evals=200, xtol=1e-7)

@@ -119,7 +119,7 @@ def _strategy_rows(
                     strategy="STC" if strategy == ConversionStrategy.AUTO else "TTC",
                     tflops=rep.stats.tflops,
                     seconds=rep.makespan,
-                    h2d_gb=rep.stats.h2d_bytes / 1e9,
+                    h2d_gb=rep.stats.to_dict()["h2d_bytes"] / 1e9,
                     conversions=rep.stats.n_conversions,
                 )
             )

@@ -23,11 +23,21 @@ from typing import Iterable, Mapping, Sequence
 
 from ...precision.formats import Precision, bytes_per_element
 
-__all__ = ["LedgerRow", "ConversionRow", "DataMotionLedger", "build_ledger"]
+__all__ = [
+    "LedgerRow", "ConversionRow", "DataMotionLedger", "build_ledger", "ledger_table",
+    "parse_precision",
+]
 
-#: the links of the simulated memory hierarchy, in report order; the
-#: disk pair only carries bytes in out-of-core runs (host-tier spills)
-LINKS = ("h2d", "d2h", "nic", "disk_read", "disk_write")
+# ``LINKS`` is imported inside the functions that read it: ``repro.obs``
+# loads before ``repro.runtime`` exists (see ``repro.obs.exporters``)
+
+
+def parse_precision(name) -> Precision | None:
+    """The :class:`Precision` a serialised name denotes; ``None`` when blank or unknown."""
+    try:
+        return Precision[name] if name else None
+    except KeyError:
+        return None
 
 
 def _fp64_bytes(precision: Precision | None, nbytes: int) -> int:
@@ -191,59 +201,59 @@ class DataMotionLedger:
 
     def table(self) -> str:
         """Human-readable ledger (per link/precision, ranks merged)."""
-        from ...bench.reporting import format_table
+        return ledger_table(self.to_dict())
 
-        grouped: dict[tuple[str, str], list[int]] = {}
-        for row in self.rows:
-            key = (row.link, row.precision.name if row.precision is not None else "?")
-            agg = grouped.setdefault(key, [0, 0, 0])
-            agg[0] += row.bytes
-            agg[1] += row.n_events
-            agg[2] += row.saved_bytes
-        body = [
-            (
-                link,
-                prec,
-                nbytes / 1e9,
-                n_events,
-                saved / 1e9,
-                (saved / (nbytes + saved) * 100.0) if (nbytes + saved) else 0.0,
-            )
-            for (link, prec), (nbytes, n_events, saved) in sorted(
-                grouped.items(), key=lambda kv: (LINKS.index(kv[0][0]), kv[0][1])
-            )
+
+def ledger_table(doc: Mapping) -> str:
+    """Render a :meth:`DataMotionLedger.to_dict` document as text tables."""
+    from ...bench.reporting import format_table
+    from ...runtime.tracing import LINKS
+
+    grouped: dict[tuple[str, str], list[int]] = {}
+    for row in doc["rows"]:
+        agg = grouped.setdefault((row["link"], row["precision"] or "?"), [0, 0, 0])
+        agg[0] += row["bytes"]
+        agg[1] += row["n_events"]
+        agg[2] += row["saved_bytes"]
+    body = [
+        (
+            link,
+            prec,
+            nbytes / 1e9,
+            n_events,
+            saved / 1e9,
+            (saved / (nbytes + saved) * 100.0) if (nbytes + saved) else 0.0,
+        )
+        for (link, prec), (nbytes, n_events, saved) in sorted(
+            grouped.items(), key=lambda kv: (LINKS.index(kv[0][0]), kv[0][1])
+        )
+    ]
+    lines = [
+        format_table(
+            ["link", "precision", "GB", "events", "saved GB", "saved %"],
+            body,
+            title="data-motion ledger (vs all-FP64)",
+        )
+    ]
+    if doc["conversions"]:
+        # already in (site, src, dst) order: both builders sort them
+        conv_body = [
+            (c["site"], c["src"] or "?", c["dst"] or "?", c["count"], c["seconds"] * 1e3)
+            for c in doc["conversions"]
         ]
-        lines = [
+        lines.append(
             format_table(
-                ["link", "precision", "GB", "events", "saved GB", "saved %"],
-                body,
-                title="data-motion ledger (vs all-FP64)",
+                ["site", "src", "dst", "count", "ms"],
+                conv_body,
+                title="conversion passes by site (stc = sender, ttc = receiver)",
             )
-        ]
-        if self.conversions:
-            conv_body = [
-                (
-                    c.site,
-                    c.src.name if c.src is not None else "?",
-                    c.dst.name if c.dst is not None else "?",
-                    c.count,
-                    c.seconds * 1e3,
-                )
-                for c in sorted(
-                    self.conversions, key=lambda c: (c.site, str(c.src), str(c.dst))
-                )
-            ]
-            lines.append(
-                format_table(
-                    ["site", "src", "dst", "count", "ms"],
-                    conv_body,
-                    title="conversion passes by site (stc = sender, ttc = receiver)",
-                )
-            )
-        return "\n\n".join(lines)
+        )
+    return "\n\n".join(lines)
 
 
 def _ledger_from_events(events: Iterable) -> DataMotionLedger:
+    from ...runtime.tracing import LINKS
+
     rows: dict[tuple[str, Precision | None, int], list[int]] = {}
     convs: dict[tuple[str, Precision | None, Precision | None], list[float]] = {}
     for ev in events:
@@ -276,38 +286,23 @@ def _ledger_from_events(events: Iterable) -> DataMotionLedger:
     )
 
 
-def _parse_precision_name(name) -> Precision | None:
-    if not name:
-        return None
-    try:
-        return Precision[name]
-    except KeyError:
-        return None
-
-
 def _normalize_stats(stats):
     """``(by_link, conversions_by_site, conversion_seconds_by_site)`` from
-    a :class:`RunStats` or its ``to_dict()`` form."""
-    if isinstance(stats, Mapping):
-        by_link = {
-            link: {
-                _parse_precision_name(name): int(nbytes)
-                for name, nbytes in (stats.get(f"{link}_bytes_by_precision") or {}).items()
-            }
-            for link in LINKS
+    a :class:`RunStats` or its ``to_dict()`` form; ``by_link`` is in
+    ``LINKS`` order."""
+    from ...runtime.tracing import LINKS
+
+    if not isinstance(stats, Mapping):
+        stats = stats.to_dict()
+    by_link = {
+        link: {
+            parse_precision(name): int(nbytes)
+            for name, nbytes in (stats.get(f"{link}_bytes_by_precision") or {}).items()
         }
-        conv_counts = dict(stats.get("conversions_by_site") or {})
-        conv_seconds = dict(stats.get("conversion_seconds_by_site") or {})
-    else:
-        by_link = {
-            "h2d": stats.h2d_bytes_by_precision,
-            "d2h": stats.d2h_bytes_by_precision,
-            "nic": stats.nic_bytes_by_precision,
-            "disk_read": getattr(stats, "disk_read_bytes_by_precision", {}),
-            "disk_write": getattr(stats, "disk_write_bytes_by_precision", {}),
-        }
-        conv_counts = stats.conversions_by_site
-        conv_seconds = stats.conversion_seconds_by_site
+        for link in LINKS
+    }
+    conv_counts = dict(stats.get("conversions_by_site") or {})
+    conv_seconds = dict(stats.get("conversion_seconds_by_site") or {})
     return by_link, conv_counts, conv_seconds
 
 
@@ -316,8 +311,8 @@ def _ledger_from_stats(stats) -> DataMotionLedger:
     by_link, conv_counts, conv_seconds = _normalize_stats(stats)
     rows = [
         LedgerRow(link, precision, None, int(nbytes))
-        for link in LINKS
-        for precision, nbytes in sorted(by_link[link].items(), key=lambda kv: str(kv[0]))
+        for link, by_precision in by_link.items()
+        for precision, nbytes in sorted(by_precision.items(), key=lambda kv: str(kv[0]))
         if nbytes
     ]
     conversions = [

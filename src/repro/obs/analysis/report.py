@@ -29,22 +29,12 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from ...precision.formats import Precision
 from ..events import iter_events
 from ..exporters import run_stats
 from .critical_path import critical_path, engine_slack, utilization_timeline
-from .ledger import build_ledger
+from .ledger import build_ledger, ledger_table, parse_precision
 
 __all__ = ["analyze_path", "analyze_trace", "load_trace_events", "render_analysis"]
-
-
-def _parse_precision(name) -> Precision | None:
-    if not name:
-        return None
-    try:
-        return Precision[name]
-    except KeyError:
-        return None
 
 
 def load_trace_events(path: str | Path) -> list:
@@ -69,12 +59,12 @@ def load_trace_events(path: str | Path) -> list:
                 kind=str(sl.get("name", "")),
                 t_start=t_start,
                 t_end=t_start + float(sl.get("dur", 0.0)) / 1e6,
-                precision=_parse_precision(args.get("precision")),
+                precision=parse_precision(args.get("precision")),
                 bytes=int(args.get("bytes", 0)),
                 flops=float(args.get("flops", 0.0)),
                 site=args.get("site") or None,
-                src_precision=_parse_precision(args.get("src_precision")),
-                dst_precision=_parse_precision(args.get("dst_precision")),
+                src_precision=parse_precision(args.get("src_precision")),
+                dst_precision=parse_precision(args.get("dst_precision")),
             )
         )
     return events
@@ -159,8 +149,6 @@ def _sparkline(fractions: Sequence[float]) -> str:
 
 def render_analysis(doc: dict) -> str:
     """Human-readable rendering of an :func:`analyze_trace` document."""
-    from .ledger import ConversionRow, DataMotionLedger, LedgerRow
-
     lines: list[str] = []
     run = doc.get("run")
     if run:
@@ -190,31 +178,8 @@ def render_analysis(doc: dict) -> str:
             for name, row in layers.items()
         )
     led = doc.get("ledger") or {}
-    ledger = DataMotionLedger(
-        rows=[
-            LedgerRow(
-                r["link"],
-                _parse_precision(r.get("precision")),
-                r.get("rank"),
-                int(r.get("bytes", 0)),
-                int(r.get("n_events", 0)),
-            )
-            for r in led.get("rows", [])
-        ],
-        conversions=[
-            ConversionRow(
-                c["site"],
-                _parse_precision(c.get("src")),
-                _parse_precision(c.get("dst")),
-                int(c.get("count", 0)),
-                float(c.get("seconds", 0.0)),
-            )
-            for c in led.get("conversions", [])
-        ],
-        source=led.get("source", "events"),
-    )
-    if ledger.rows or ledger.conversions:
-        lines.append(ledger.table())
+    if led.get("rows") or led.get("conversions"):
+        lines.append(ledger_table(led))
         saved = led.get("total_saved_bytes_vs_fp64", 0)
         total = led.get("total_bytes", 0)
         denom = total + saved

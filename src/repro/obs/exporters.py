@@ -81,15 +81,12 @@ def run_stats(doc: Mapping) -> Mapping | None:
     """The RunStats dict a document holds, ``None`` when it holds none.
 
     The one reader of the layout :func:`run_summary` writes: its
-    ``stats`` section, else a trace summary's ``trace.stats``, else the
-    document itself when it is a bare ``RunStats.to_dict()``.
+    ``stats`` section, else the document itself when it is a bare
+    ``RunStats.to_dict()``.
     """
     stats = doc.get("stats")
     if isinstance(stats, Mapping) and "makespan_seconds" in stats:
         return stats
-    trace = doc.get("trace")
-    if isinstance(trace, Mapping) and isinstance(trace.get("stats"), Mapping):
-        return trace["stats"]
     return doc if "makespan_seconds" in doc else None
 
 

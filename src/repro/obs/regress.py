@@ -68,12 +68,19 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
     "gflops": Threshold(0.02, "higher"),
     "best_tflops": Threshold(0.02, "higher"),
     "total_sim_makespan_seconds": Threshold(0.02, "lower"),
+    # every ``RunStats`` link total (``repro.runtime.tracing.LINKS``; spelled
+    # out because ``repro.obs`` loads before ``repro.runtime``) and the
+    # out-of-core counters: any increase in data motion regresses
     "h2d_bytes": Threshold(0.0, "lower"),
     "d2h_bytes": Threshold(0.0, "lower"),
     "nic_bytes": Threshold(0.0, "lower"),
+    "disk_read_bytes": Threshold(0.0, "lower"),
+    "disk_write_bytes": Threshold(0.0, "lower"),
     "n_conversions": Threshold(0.0, "lower"),
     "conversion_seconds": Threshold(0.02, "lower"),
     "n_evictions": Threshold(0.0, "lower"),
+    "n_host_evictions": Threshold(0.0, "lower"),
+    "n_spills": Threshold(0.0, "lower"),
     "n_failed": Threshold(0.0, "lower"),
     # bench floors (the host numbers ``repro simulate`` records):
     # scheduling throughput and peak resident set.  Wide tolerances —

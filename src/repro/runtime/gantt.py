@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Mapping, Sequence
 
-from .tracing import TraceEvent
+from .tracing import LINKS, TraceEvent
 
 __all__ = ["ascii_gantt", "to_chrome_trace"]
 
@@ -88,7 +88,8 @@ def ascii_gantt(
     return "\n".join(lines) + f"\n[{legend}]"
 
 
-_TID = {"compute": 0, "h2d": 1, "d2h": 2, "nic": 3}
+#: one Perfetto thread row per engine: compute, then every link
+_TID = {engine: tid for tid, engine in enumerate(("compute", *LINKS))}
 
 
 def _counter_events(events: Sequence[TraceEvent]) -> list[dict]:
@@ -160,7 +161,7 @@ def _metadata_events(events: Sequence[TraceEvent]) -> list[dict]:
             }
         )
     for rank, engine in rows:
-        tid = _TID.get(engine, 4)
+        tid = _TID[engine]
         out.append(
             {
                 "name": "thread_name",
@@ -233,7 +234,7 @@ def to_chrome_trace(
     as the top-level ``"metadata"`` object (Perfetto surfaces it under
     Info & stats) — e.g. the scheduling policy that produced the trace.
     """
-    ordered = sorted(events, key=lambda e: (e.t_start, e.rank, _TID.get(e.engine, 4)))
+    ordered = sorted(events, key=lambda e: (e.t_start, e.rank, _TID[e.engine]))
     out = []
     for ev in ordered:
         args = {
@@ -257,7 +258,7 @@ def to_chrome_trace(
                 "ts": ev.t_start * 1e6,  # microseconds
                 "dur": max(ev.t_end - ev.t_start, 0.0) * 1e6,
                 "pid": ev.rank,
-                "tid": _TID.get(ev.engine, 4),
+                "tid": _TID[ev.engine],
                 "args": args,
             }
         )

@@ -170,7 +170,6 @@ def _build_engine(
     enforce_memory: bool,
     record: Callable[[TraceEvent], None] | None,
     stats: RunStats,
-    busy: dict[str, float],
 ):
     """The per-run machine model the scheduling loop (:func:`_drive`) runs on.
 
@@ -186,7 +185,8 @@ def _build_engine(
     * ``sched_state`` exposes live GPU/host residency to policies.
 
     ``record`` is ``None`` when nobody reads the trace: a
-    :class:`TraceEvent` is constructed only for a recording run.
+    :class:`TraceEvent` is constructed only for a recording run.  Every
+    transfer is charged through ``move``, the one writer of link bytes.
 
     Per-task input payload keys are computed exactly once here and
     reused for the protect set, cache probes, and staging — one of the
@@ -260,6 +260,13 @@ def _build_engine(
             t = _conv_time[key] = conversion_time(gpu, elements, src, dst)
         return t
 
+    def move(link: str, rank: int, kind: str, start: float, end: float,
+             precision: Precision, nbytes: int) -> None:
+        """Charge one transfer: its bytes to ``stats``, its interval to the trace."""
+        stats.add_bytes(link, precision, nbytes)
+        if record is not None:
+            record(TraceEvent(rank, link, kind, start, end, precision, nbytes))
+
     def _host_evict(node: int, key: _Key, nbytes: int) -> None:
         """Handle one host-tier LRU eviction at ``node``.
 
@@ -287,12 +294,7 @@ def _build_engine(
         disk_free[node] = end
         disk_ready[node][key] = end
         stats.n_spills += 1
-        stats.add_disk_write(key[3], nbytes)
-        busy["disk_write"] += end - start
-        if record is not None:
-            record(
-                TraceEvent(gpus_per_node * node, "disk_write", "SPILL", start, end, key[3], nbytes)
-            )
+        move("disk_write", gpus_per_node * node, "SPILL", start, end, key[3], nbytes)
 
     def _host_insert(node: int, key: _Key, nbytes: int, t: float, protect: set[_Key]) -> None:
         """Register ``key`` in ``node``'s host memory, evicting LRU overflow.
@@ -327,10 +329,7 @@ def _build_engine(
         start = max(d2h_free[rank], gpu_ready[rank].get(key, now))
         end = start + link_lat + nbytes / link_bw
         d2h_free[rank] = end
-        stats.add_d2h(key[3], nbytes)
-        busy["d2h"] += end - start
-        if record is not None:
-            record(TraceEvent(rank, "d2h", "EVICT", start, end, key[3], nbytes))
+        move("d2h", rank, "EVICT", start, end, key[3], nbytes)
         _host_insert(node, key, nbytes, end, protect)
 
     def _stage_to_host(dest_node: int, key: _Key, nbytes: int, protect: set[_Key]) -> float:
@@ -351,10 +350,7 @@ def _build_engine(
                 start = max(d2h_free[src_rank], data_t)
                 end = start + link_lat + nbytes / link_bw
                 d2h_free[src_rank] = end
-                stats.add_d2h(key[3], nbytes)
-                busy["d2h"] += end - start
-                if record is not None:
-                    record(TraceEvent(src_rank, "d2h", "STAGE", start, end, key[3], nbytes))
+                move("d2h", src_rank, "STAGE", start, end, key[3], nbytes)
             else:
                 disk_t = disk_ready[src_node].get(key)
                 if disk_t is None:
@@ -370,14 +366,7 @@ def _build_engine(
                 start = max(disk_free[src_node], disk_t)
                 end = start + disk_lat + nbytes / disk_bw
                 disk_free[src_node] = end
-                stats.add_disk_read(key[3], nbytes)
-                busy["disk_read"] += end - start
-                if record is not None:
-                    record(
-                        TraceEvent(
-                            gpus_per_node * src_node, "disk_read", "FETCH", start, end, key[3], nbytes
-                        )
-                    )
+                move("disk_read", gpus_per_node * src_node, "FETCH", start, end, key[3], nbytes)
             _host_insert(src_node, key, nbytes, end, protect)
             if key not in host_ready[src_node]:  # pragma: no cover - defensive
                 raise RuntimeError(f"host tier at node {src_node} cannot hold payload {key}")
@@ -387,10 +376,7 @@ def _build_engine(
         start = max(nic_free[src_node], host_ready[src_node][key])
         end = start + nic_lat + nbytes / nic_bw
         nic_free[src_node] = end
-        stats.add_nic(key[3], nbytes)
-        busy["nic"] += end - start
-        if record is not None:
-            record(TraceEvent(gpus_per_node * src_node, "nic", "SEND", start, end, key[3], nbytes))
+        move("nic", gpus_per_node * src_node, "SEND", start, end, key[3], nbytes)
         _host_insert(dest_node, key, nbytes, end, protect)
         return end
 
@@ -412,10 +398,7 @@ def _build_engine(
         for ev_key, ev_bytes, ev_dirty in cache.evict_until_fits(protect):
             _writeback(rank, ev_key, ev_bytes, ev_dirty, now, protect)
             gpu_ready[rank].pop(ev_key, None)
-        stats.add_h2d(payload_prec, nbytes)
-        busy["h2d"] += end - start
-        if record is not None:
-            record(TraceEvent(rank, "h2d", "LOAD", start, end, payload_prec, nbytes))
+        move("h2d", rank, "LOAD", start, end, payload_prec, nbytes)
         return end
 
     _no_protect: set[_Key] = set()
@@ -509,7 +492,6 @@ def _build_engine(
             )
         stats.add_flops(task_prec, task.flops)
         stats.n_tasks += 1
-        busy["compute"] += end - start
 
         # output materialises on this GPU
         out_bytes = nb * nb * bpe(task.output_precision)
@@ -536,51 +518,29 @@ def _build_engine(
     return seed_host, exec_task, sched_state
 
 
+#: the ``RunStats.to_dict()`` counters a ``sim.complete`` event carries
+_COMPLETE_KEYS = (
+    "n_tasks", "makespan_seconds", "tflops", "h2d_bytes", "nic_bytes",
+    "n_conversions", "n_evictions", "n_host_evictions", "n_spills",
+)
+
+
 def _finish(
     policy_name: str,
     trace: Trace,
-    busy: dict[str, float],
     task_end: list[float],
     task_start: list[float],
     peak_live: int,
     commit_order: list[int],
 ) -> SimReport:
-    """Publish run telemetry and assemble the :class:`SimReport`."""
+    """Emit ``sim.complete`` and assemble the :class:`SimReport`."""
     stats = trace.stats
     makespan = max(task_end, default=0.0)
     stats.makespan = makespan
-    registry = get_registry()
-
-    registry.counter("sim.tasks", "tasks executed by the simulator").inc(stats.n_tasks)
-    busy_metric = registry.counter("sim.busy_seconds", "engine busy time")
-    for engine, seconds in busy.items():
-        if seconds > 0.0:
-            busy_metric.inc(seconds, engine=engine)
-    bytes_metric = registry.counter("sim.bytes_moved", "bytes moved per link")
-    for link, by_precision in (
-        ("h2d", stats.h2d_bytes_by_precision),
-        ("d2h", stats.d2h_bytes_by_precision),
-        ("nic", stats.nic_bytes_by_precision),
-        ("disk_read", stats.disk_read_bytes_by_precision),
-        ("disk_write", stats.disk_write_bytes_by_precision),
-    ):
-        for precision, nbytes in by_precision.items():
-            bytes_metric.inc(nbytes, link=link, precision=precision.name)
-    registry.gauge("sim.makespan_seconds", "makespan of the last run").set(makespan)
+    doc = stats.to_dict()
     emit_event(
         "sim.complete",
-        {
-            "n_tasks": stats.n_tasks,
-            "makespan_seconds": makespan,
-            "tflops": stats.tflops,
-            "h2d_bytes": stats.h2d_bytes,
-            "nic_bytes": stats.nic_bytes,
-            "n_conversions": stats.n_conversions,
-            "n_evictions": stats.n_evictions,
-            "n_host_evictions": stats.n_host_evictions,
-            "n_spills": stats.n_spills,
-            "policy": policy_name,
-        },
+        {key: doc[key] for key in _COMPLETE_KEYS} | {"policy": policy_name},
     )
     run_finished(stats.n_tasks)
     return SimReport(
@@ -622,14 +582,10 @@ def _drive(
     itself — so anything but ``0`` is an invalid pick.
     """
     registry = get_registry()
-    busy: dict[str, float] = {
-        "compute": 0.0, "h2d": 0.0, "d2h": 0.0, "nic": 0.0,
-        "disk_read": 0.0, "disk_write": 0.0,
-    }
     trace = Trace()
     stats = trace.stats
     seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, trace.record if record_events else None, stats, busy
+        platform, nb, enforce_memory, trace.record if record_events else None, stats
     )
     evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
     conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
@@ -764,7 +720,7 @@ def _drive(
             "(emission order is not topological?)"
         )
     publish_counts()
-    return _finish(policy_name, trace, busy, task_end, task_start, peak_live, commit_order)
+    return _finish(policy_name, trace, task_end, task_start, peak_live, commit_order)
 
 
 @traced("sim.run")
@@ -793,9 +749,8 @@ def simulate(
     motion but never which payloads a task consumes.
 
     Telemetry: runs inside a ``sim.run`` span; the eviction/conversion
-    counters tick every ``BEAT_STRIDE`` executed tasks and per-engine
-    busy time, byte totals, and the makespan land in the
-    :mod:`repro.obs` registry at completion.
+    counters tick every ``BEAT_STRIDE`` executed tasks, and a
+    ``sim.complete`` event carries the run's totals.
     """
     sched = resolve_policy(policy)
     sched.prepare(graph, platform, nb)

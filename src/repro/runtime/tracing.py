@@ -1,19 +1,17 @@
 """Execution traces and counters produced by the simulator.
 
 A :class:`TraceEvent` is one busy interval of one engine of one rank —
-compute (kernel or conversion), h2d/d2h copy, or NIC message.  The
-energy, occupancy, analysis, and reporting layers all consume this
-single schema.  ``CONVERT`` events additionally carry their conversion
-*site* (``"stc"`` for the one-off sender-side pass, ``"ttc"`` for
-receiver-side passes) and the source→destination precisions, so
-conversion time can be attributed per strategy (Section VI).
+compute (kernel or conversion) or a transfer over one of the
+:data:`LINKS`.  The energy, occupancy, analysis, and reporting layers
+all consume this single schema.  ``CONVERT`` events additionally carry
+their conversion *site* (``"stc"`` for the one-off sender-side pass,
+``"ttc"`` for receiver-side passes) and the source→destination
+precisions, so conversion time can be attributed per strategy (Section VI).
 
 :class:`RunStats` aggregates the counters the paper reports: bytes moved
-per link per precision (the data-motion reduction of Section VII-D) —
-symmetrically for all three links, so STC-vs-TTC byte accounting works
-on the NIC as well as h2d — conversion counts/time split by site (STC's
-"convert once" saving), flops per precision, and kernel/transfer busy
-time.
+per link per precision (the data-motion reduction of Section VII-D) in
+one map, the same for every link, conversion counts/time split by site
+(STC's "convert once" saving), and flops per precision.
 """
 
 from __future__ import annotations
@@ -22,7 +20,11 @@ from dataclasses import dataclass, field
 
 from ..precision.formats import Precision
 
-__all__ = ["TraceEvent", "RunStats", "Trace"]
+__all__ = ["LINKS", "TraceEvent", "RunStats", "Trace"]
+
+#: the links of the simulated memory hierarchy, in report order; the
+#: disk pair only carries bytes in out-of-core runs (host-tier spills)
+LINKS = ("h2d", "d2h", "nic", "disk_read", "disk_write")
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class TraceEvent:
     """One busy interval of one engine."""
 
     rank: int
-    engine: str  # "compute" | "h2d" | "d2h" | "nic"
+    engine: str  # "compute" or one of LINKS
     kind: str  # kernel name, "CONVERT", or transfer label
     t_start: float
     t_end: float
@@ -55,9 +57,8 @@ class RunStats:
     makespan: float = 0.0
     total_flops: float = 0.0
     flops_by_precision: dict[Precision, float] = field(default_factory=dict)
-    h2d_bytes_by_precision: dict[Precision, int] = field(default_factory=dict)
-    d2h_bytes_by_precision: dict[Precision, int] = field(default_factory=dict)
-    nic_bytes_by_precision: dict[Precision, int] = field(default_factory=dict)
+    #: bytes moved per (link, payload precision), ``link`` one of :data:`LINKS`
+    bytes_moved: dict[tuple[str, Precision], int] = field(default_factory=dict)
     n_conversions: int = 0
     conversion_seconds: float = 0.0
     conversions_by_site: dict[str, int] = field(default_factory=dict)
@@ -69,29 +70,10 @@ class RunStats:
     n_host_evictions: int = 0
     #: host entries whose only copy had to be written to the disk tier
     n_spills: int = 0
-    #: disk-tier traffic (out-of-core spills and re-reads)
-    disk_read_bytes_by_precision: dict[Precision, int] = field(default_factory=dict)
-    disk_write_bytes_by_precision: dict[Precision, int] = field(default_factory=dict)
 
-    @property
-    def h2d_bytes(self) -> int:
-        return sum(self.h2d_bytes_by_precision.values())
-
-    @property
-    def d2h_bytes(self) -> int:
-        return sum(self.d2h_bytes_by_precision.values())
-
-    @property
-    def nic_bytes(self) -> int:
-        return sum(self.nic_bytes_by_precision.values())
-
-    @property
-    def disk_read_bytes(self) -> int:
-        return sum(self.disk_read_bytes_by_precision.values())
-
-    @property
-    def disk_write_bytes(self) -> int:
-        return sum(self.disk_write_bytes_by_precision.values())
+    def link_bytes(self, link: str) -> int:
+        """Bytes moved over ``link`` in every precision."""
+        return sum(v for (name, _p), v in self.bytes_moved.items() if name == link)
 
     @property
     def gflops(self) -> float:
@@ -108,30 +90,9 @@ class RunStats:
         self.total_flops += flops
         self.flops_by_precision[precision] = self.flops_by_precision.get(precision, 0.0) + flops
 
-    def add_h2d(self, precision: Precision, nbytes: int) -> None:
-        self.h2d_bytes_by_precision[precision] = (
-            self.h2d_bytes_by_precision.get(precision, 0) + nbytes
-        )
-
-    def add_d2h(self, precision: Precision, nbytes: int) -> None:
-        self.d2h_bytes_by_precision[precision] = (
-            self.d2h_bytes_by_precision.get(precision, 0) + nbytes
-        )
-
-    def add_nic(self, precision: Precision, nbytes: int) -> None:
-        self.nic_bytes_by_precision[precision] = (
-            self.nic_bytes_by_precision.get(precision, 0) + nbytes
-        )
-
-    def add_disk_read(self, precision: Precision, nbytes: int) -> None:
-        self.disk_read_bytes_by_precision[precision] = (
-            self.disk_read_bytes_by_precision.get(precision, 0) + nbytes
-        )
-
-    def add_disk_write(self, precision: Precision, nbytes: int) -> None:
-        self.disk_write_bytes_by_precision[precision] = (
-            self.disk_write_bytes_by_precision.get(precision, 0) + nbytes
-        )
+    def add_bytes(self, link: str, precision: Precision, nbytes: int) -> None:
+        key = (link, precision)
+        self.bytes_moved[key] = self.bytes_moved.get(key, 0) + nbytes
 
     def add_conversion(self, site: str, seconds: float) -> None:
         """Count one conversion pass at ``site`` ("stc" | "ttc")."""
@@ -143,26 +104,18 @@ class RunStats:
         )
 
     def to_dict(self) -> dict:
-        """Serialise every counter to plain JSON-ready types."""
-        return {
+        """Serialise every counter to plain JSON-ready types.
+
+        Each link ``L`` gives ``L_bytes`` and ``L_bytes_by_precision``
+        (precision names, widest first).
+        """
+        doc = {
             "makespan_seconds": self.makespan,
             "total_flops": self.total_flops,
             "gflops": self.gflops,
             "tflops": self.tflops,
             "flops_by_precision": {
                 p.name: v for p, v in sorted(self.flops_by_precision.items(), reverse=True)
-            },
-            "h2d_bytes": self.h2d_bytes,
-            "h2d_bytes_by_precision": {
-                p.name: v for p, v in sorted(self.h2d_bytes_by_precision.items(), reverse=True)
-            },
-            "d2h_bytes": self.d2h_bytes,
-            "d2h_bytes_by_precision": {
-                p.name: v for p, v in sorted(self.d2h_bytes_by_precision.items(), reverse=True)
-            },
-            "nic_bytes": self.nic_bytes,
-            "nic_bytes_by_precision": {
-                p.name: v for p, v in sorted(self.nic_bytes_by_precision.items(), reverse=True)
             },
             "n_conversions": self.n_conversions,
             "conversion_seconds": self.conversion_seconds,
@@ -172,16 +125,14 @@ class RunStats:
             "n_evictions": self.n_evictions,
             "n_host_evictions": self.n_host_evictions,
             "n_spills": self.n_spills,
-            "disk_read_bytes": self.disk_read_bytes,
-            "disk_read_bytes_by_precision": {
-                p.name: v for p, v in sorted(self.disk_read_bytes_by_precision.items(), reverse=True)
-            },
-            "disk_write_bytes": self.disk_write_bytes,
-            "disk_write_bytes_by_precision": {
-                p.name: v
-                for p, v in sorted(self.disk_write_bytes_by_precision.items(), reverse=True)
-            },
         }
+        for link in LINKS:
+            by_precision = sorted(
+                ((p, v) for (name, p), v in self.bytes_moved.items() if name == link), reverse=True
+            )
+            doc[f"{link}_bytes"] = sum(v for _p, v in by_precision)
+            doc[f"{link}_bytes_by_precision"] = {p.name: v for p, v in by_precision}
+        return doc
 
 
 @dataclass
@@ -236,5 +187,4 @@ class Trace:
             "makespan_seconds": makespan,
             "busy_seconds_by_engine": dict(sorted(by_engine.items())),
             "events_by_kind": dict(sorted(by_kind.items())),
-            "stats": self.stats.to_dict(),
         }

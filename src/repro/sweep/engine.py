@@ -42,6 +42,7 @@ from ..faults import FaultPlan, RetryPolicy, run_batch
 from ..obs import build_manifest, emit_event, get_registry, span, write_json
 from ..obs.live import campaign, campaign_progress
 from ..obs.profile import hot_region
+from ..runtime.tracing import LINKS
 from .grid import CACHE_SCHEMA, RunSpec, SweepGrid
 
 __all__ = ["SweepRun", "SweepResult", "run_sweep", "execute_spec"]
@@ -245,9 +246,8 @@ class SweepResult:
                 "total_plan_seconds": sum(r.result.get("plan_seconds", 0.0) for r in ok),
                 "total_sim_seconds": sum(r.result.get("sim_seconds", 0.0) for r in ok),
                 "planned_tasks": sum(r.result.get("n_tasks", 0) for r in ok),
-                "total_h2d_bytes": sum(r.result.get("h2d_bytes", 0) for r in ok),
-                "total_d2h_bytes": sum(r.result.get("d2h_bytes", 0) for r in ok),
-                "total_nic_bytes": sum(r.result.get("nic_bytes", 0) for r in ok),
+                **{f"total_{link}_bytes": sum(r.result.get(f"{link}_bytes", 0) for r in ok)
+                   for link in LINKS},
                 "total_conversions": sum(r.result.get("n_conversions", 0) for r in ok),
             },
             "runs": [

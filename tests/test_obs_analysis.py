@@ -23,7 +23,7 @@ from repro.perfmodel import NodeSpec
 from repro.perfmodel.gpus import V100
 from repro.precision import Precision
 from repro.runtime import Platform
-from repro.runtime.tracing import RunStats, TraceEvent
+from repro.runtime.tracing import LINKS, RunStats, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +50,19 @@ class TestLedger:
 
     def test_reconciles_multinode_with_nic_traffic(self, multinode_report):
         ledger = build_ledger(multinode_report.trace.events)
-        assert multinode_report.stats.nic_bytes > 0
-        assert ledger.bytes_by_link()["nic"] == multinode_report.stats.nic_bytes
+        assert multinode_report.stats.link_bytes("nic") > 0
+        assert ledger.bytes_by_link()["nic"] == multinode_report.stats.link_bytes("nic")
         assert ledger.reconcile(multinode_report.stats) == []
 
     def test_totals_match_stats_counters(self, sim_report):
         ledger = build_ledger(sim_report.trace.events)
         by_link = ledger.bytes_by_link()
-        assert by_link["h2d"] == sim_report.stats.h2d_bytes
-        assert by_link.get("d2h", 0) == sim_report.stats.d2h_bytes
+        assert by_link["h2d"] == sim_report.stats.link_bytes("h2d")
+        assert by_link.get("d2h", 0) == sim_report.stats.link_bytes("d2h")
         assert ledger.total_bytes == (
-            sim_report.stats.h2d_bytes
-            + sim_report.stats.d2h_bytes
-            + sim_report.stats.nic_bytes
+            sim_report.stats.link_bytes("h2d")
+            + sim_report.stats.link_bytes("d2h")
+            + sim_report.stats.link_bytes("nic")
         )
 
     def test_mixed_precision_saves_bytes_vs_fp64(self, sim_report):
@@ -90,7 +90,7 @@ class TestLedger:
     def test_stats_only_ledger(self, sim_report):
         ledger = build_ledger(stats=sim_report.stats)
         assert ledger.source == "stats"
-        assert ledger.bytes_by_link()["h2d"] == sim_report.stats.h2d_bytes
+        assert ledger.bytes_by_link()["h2d"] == sim_report.stats.link_bytes("h2d")
         assert ledger.reconcile(sim_report.stats) == []
 
     def test_table_renders(self, sim_report):
@@ -145,7 +145,7 @@ _precisions = st.sampled_from(list(Precision))
 _link_event = st.builds(
     TraceEvent,
     rank=st.integers(0, 3),
-    engine=st.sampled_from(["h2d", "d2h", "nic"]),
+    engine=st.sampled_from(LINKS),
     kind=st.just("XFER"),
     t_start=st.just(0.0),
     t_end=st.floats(0.0, 1.0, allow_nan=False),
@@ -174,12 +174,8 @@ class TestLedgerProperty:
         # the ledger must agree with them byte-for-byte, always
         stats = RunStats()
         for ev in events:
-            if ev.engine == "h2d":
-                stats.add_h2d(ev.precision, ev.bytes)
-            elif ev.engine == "d2h":
-                stats.add_d2h(ev.precision, ev.bytes)
-            elif ev.engine == "nic":
-                stats.add_nic(ev.precision, ev.bytes)
+            if ev.engine != "compute":
+                stats.add_bytes(ev.engine, ev.precision, ev.bytes)
             elif ev.kind == "CONVERT":
                 stats.add_conversion(ev.site, ev.duration)
         ledger = build_ledger(events)

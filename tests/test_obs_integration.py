@@ -32,11 +32,7 @@ class TestSimulatorMetrics:
             rep = simulate_cholesky(8 * 512, 512, two_precision_map(8, Precision.FP16),
                                     Platform.single_gpu(V100))
         reg = obs.get_registry()
-        assert reg.counter("sim.tasks").value() == rep.stats.n_tasks
         assert reg.counter("sim.conversions").value() == rep.stats.n_conversions
-        assert reg.counter("sim.busy_seconds").value(engine="compute") > 0.0
-        assert reg.counter("sim.bytes_moved").total() >= rep.stats.h2d_bytes
-        assert reg.gauge("sim.makespan_seconds").value() == pytest.approx(rep.makespan)
         spans = [e["span"] for e in obs.read_events(tmp_path / "run.jsonl")
                  if e["type"] == "span"]
         assert spans.count("sim.run") == 1
@@ -246,7 +242,7 @@ class TestCliTelemetry:
         assert doc["manifest"]["command"] == "simulate"
         assert doc["stats"]["n_tasks"] > 0
         assert doc["trace"]["n_events"] > 0
-        assert "sim.tasks" in doc["metrics"]
+        assert "sim.evictions" in doc["metrics"]
 
         recs = obs.read_events(events)
         assert any(e["type"] == "sim.complete" for e in recs)

@@ -146,7 +146,7 @@ class TestCsvAndSummary:
         d = sim_report.stats.to_dict()
         json.dumps(d)
         assert d["n_tasks"] == sim_report.stats.n_tasks
-        assert d["h2d_bytes"] == sim_report.stats.h2d_bytes
+        assert d["h2d_bytes"] == sim_report.stats.link_bytes("h2d")
         assert all(isinstance(k, str) for k in d["flops_by_precision"])
 
     def test_trace_summary(self, sim_report):

@@ -118,6 +118,18 @@ class TestCompare:
         assert report.verdict == "ok"
         assert [d.metric for d in report.improvements] == ["h2d_bytes"]
 
+    def test_out_of_core_traffic_gates(self):
+        base = _stats_doc(disk_write_bytes=4_096, disk_read_bytes=0, n_spills=1,
+                          n_host_evictions=2)
+        report = compare_docs(base, {**base, "disk_write_bytes": 8_192})
+        assert [d.metric for d in report.regressions] == ["disk_write_bytes"]
+
+    def test_every_link_total_gates(self):
+        from repro.runtime.tracing import LINKS
+
+        for metric in [f"{link}_bytes" for link in LINKS] + ["n_spills", "n_host_evictions"]:
+            assert DEFAULT_THRESHOLDS[metric] == Threshold(0.0, "lower")
+
     def test_zero_baseline_increase_is_infinite_regression(self):
         report = compare_docs(_stats_doc(), _stats_doc(nic_bytes=100))
         (delta,) = report.regressions

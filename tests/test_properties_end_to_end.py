@@ -61,7 +61,7 @@ def test_stc_never_slower_or_heavier(nt, n_gpus, low):
     ttc = simulate_cholesky(nt * nb, nb, kmap, plat, strategy=ConversionStrategy.TTC,
                             record_events=False)
     assert stc.makespan <= ttc.makespan * 1.0001
-    assert stc.stats.h2d_bytes <= ttc.stats.h2d_bytes * 1.0001
+    assert stc.stats.link_bytes("h2d") <= ttc.stats.link_bytes("h2d") * 1.0001
     assert stc.stats.n_conversions <= ttc.stats.n_conversions
 
 
@@ -105,10 +105,10 @@ def test_simulation_conservation_laws(nt, gpus, nodes):
     )
     assert rep.makespan >= busy * 0.999
     # every h2d byte is accounted in the per-precision split
-    assert rep.stats.h2d_bytes == sum(rep.stats.h2d_bytes_by_precision.values())
+    assert rep.stats.link_bytes("h2d") == sum(rep.stats.to_dict()["h2d_bytes_by_precision"].values())
     # single node never touches the NIC
     if nodes == 1:
-        assert rep.stats.nic_bytes == 0
+        assert rep.stats.link_bytes("nic") == 0
 
 
 @given(st.integers(0, 10**6), st.sampled_from([1e-3, 1e-6]))

@@ -9,6 +9,7 @@ Fig. 11 matrix (5.1 TB at FP64) against 352 GB of device+host memory.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.obs.analysis import build_ledger
 from repro.perfmodel.gpus import NodeSpec, V100
 from repro.precision import Precision
 from repro.runtime import POLICY_NAMES, Platform, StaticSchedule
+from repro.runtime.gantt import to_chrome_trace
 from repro.runtime.simulator import simulate_replay
 
 NB = 128
@@ -78,6 +80,18 @@ class TestDiskTier:
         engines = {e.engine for e in rep.trace.events}
         assert "disk_write" in engines
         assert "disk_read" in engines
+
+    def test_perfetto_gives_every_engine_its_own_row(self):
+        """Both disk engines used to share tid 4: one row, two names."""
+        rep = _run("panel-first")
+        doc = json.loads(to_chrome_trace(rep.trace.events))
+        names: dict[tuple[int, int], set[str]] = {}
+        for ev in doc["traceEvents"]:
+            if ev["ph"] == "M" and ev["name"] == "thread_name":
+                names.setdefault((ev["pid"], ev["tid"]), set()).add(ev["args"]["name"])
+        assert all(len(engines) == 1 for engines in names.values())
+        tid = {engine: t for (_pid, t), (engine,) in names.items()}
+        assert tid["disk_read"] != tid["disk_write"]
 
 
     def test_host_smaller_than_a_working_set_is_rejected_with_a_message(self):

@@ -65,7 +65,7 @@ class TestBasics:
         """Every matrix tile crosses the link once at FP64 (in-memory case)."""
         rep = _run(nt=5)
         tiles = 5 * 6 // 2
-        assert rep.stats.h2d_bytes == tiles * NB * NB * 8
+        assert rep.stats.link_bytes("h2d") == tiles * NB * NB * 8
         assert rep.stats.n_evictions == 0
 
     def test_deterministic(self):
@@ -95,8 +95,8 @@ class TestPrecisionEffects:
         assert t16 < t64 / 1.3
 
     def test_fp16_moves_fewer_bytes(self):
-        b64 = _run(nt=8, prec=Precision.FP64).stats.h2d_bytes
-        b16 = _run(nt=8, prec=Precision.FP16).stats.h2d_bytes
+        b64 = _run(nt=8, prec=Precision.FP64).stats.link_bytes("h2d")
+        b16 = _run(nt=8, prec=Precision.FP16).stats.link_bytes("h2d")
         assert b16 < b64
 
     def test_stc_fewer_conversions_than_ttc(self):
@@ -111,12 +111,12 @@ class TestPrecisionEffects:
         p = _platform(4)
         stc = _run(nt=8, prec=Precision.FP16, strategy=ConversionStrategy.AUTO, platform=p)
         ttc = _run(nt=8, prec=Precision.FP16, strategy=ConversionStrategy.TTC, platform=p)
-        assert stc.stats.h2d_bytes < ttc.stats.h2d_bytes
+        assert stc.stats.link_bytes("h2d") < ttc.stats.link_bytes("h2d")
 
     def test_h2d_split_by_precision(self):
         rep = _run(nt=8, prec=Precision.FP16, strategy=ConversionStrategy.AUTO)
-        by_prec = rep.stats.h2d_bytes_by_precision
-        assert Precision.FP16 in by_prec or Precision.FP32 in by_prec
+        moved = rep.stats.bytes_moved
+        assert ("h2d", Precision.FP16) in moved or ("h2d", Precision.FP32) in moved
 
 
 class TestMemoryPressure:
@@ -135,9 +135,9 @@ class TestMemoryPressure:
         )
         rep = _run(nt=8, platform=_platform(gpu=tiny_gpu))
         assert rep.stats.n_evictions > 0
-        assert rep.stats.d2h_bytes > 0
+        assert rep.stats.link_bytes("d2h") > 0
         # reloads inflate h2d beyond the matrix size
-        assert rep.stats.h2d_bytes > 36 * NB * NB * 8
+        assert rep.stats.link_bytes("h2d") > 36 * NB * NB * 8
 
     def test_enforce_memory_off(self):
         rep = _run(nt=8, enforce_memory=False)
@@ -167,7 +167,7 @@ class TestMemoryPressure:
         # the seeds loaded from host and evicted before any write are free
         assert rep.stats.n_evictions > len(charged)
         # and the charged ones are the only d2h-EVICT traffic
-        assert sum(e.bytes for e in charged) <= rep.stats.d2h_bytes
+        assert sum(e.bytes for e in charged) <= rep.stats.link_bytes("d2h")
 
 
 class TestMultiGPU:
@@ -180,15 +180,15 @@ class TestMultiGPU:
         rep1 = _run(nt=10, platform=_platform(1))
         rep4 = _run(nt=10, platform=_platform(4))
         # remote consumers force d2h staging that a single GPU never pays
-        assert rep4.stats.d2h_bytes > rep1.stats.d2h_bytes
+        assert rep4.stats.link_bytes("d2h") > rep1.stats.link_bytes("d2h")
 
     def test_multi_node_uses_nic(self):
         rep = _run(nt=10, platform=_platform(n_gpus=2, n_nodes=2))
-        assert rep.stats.nic_bytes > 0
+        assert rep.stats.link_bytes("nic") > 0
 
     def test_single_node_no_nic(self):
         rep = _run(nt=10, platform=_platform(n_gpus=4, n_nodes=1))
-        assert rep.stats.nic_bytes == 0
+        assert rep.stats.link_bytes("nic") == 0
 
     def test_gflops_property(self):
         rep = _run(nt=8)
