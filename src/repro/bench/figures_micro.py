@@ -121,12 +121,6 @@ class ExampleMaps:
     comm_map: CommPrecisionMap
     nt: int
 
-    def renders(self) -> dict[str, str]:
-        return {
-            "kernel (Fig. 2a)": self.kernel_map.render(),
-            "communication (Fig. 4b)": self.comm_map.render(),
-        }
-
 
 def example_precision_maps(
     nt: int = 8,

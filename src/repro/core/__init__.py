@@ -7,7 +7,6 @@ from .conversion import (
     CommPrecisionMap,
     accumulator_encoding,
     build_comm_precision_map,
-    input_encoding,
     needs_conversion,
     payload_encoding,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "cholesky_task_count",
     "build_comm_precision_map",
     "build_precision_map",
-    "input_encoding",
     "logdet_from_factor",
     "mp_cholesky",
     "needs_conversion",

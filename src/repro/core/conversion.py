@@ -45,35 +45,23 @@ __all__ = [
     "accumulator_encoding",
     "build_comm_precision_map",
     "encoding_width",
-    "input_encoding",
     "needs_conversion",
     "payload_encoding",
 ]
 
 
 def payload_encoding(precision: Precision) -> str:
-    """Wire encoding of a tile communicated in ``precision``."""
+    """Word encoding of ``precision``: a tile on the wire, or a kernel's inputs.
+
+    FP64/FP32 are native words; TF32 travels and is read as FP32 words
+    (the truncation happens inside the tensor core); FP16_32 and FP16
+    are half-precision words.
+    """
     if precision == Precision.FP64:
         return "f64"
     if precision in (Precision.FP32, Precision.TF32):
         return "f32"
     if precision == Precision.BF16_32:
-        return "bf16"
-    return "f16"
-
-
-def input_encoding(kernel_precision: Precision) -> str:
-    """Encoding a kernel reads its inputs in.
-
-    FP64/FP32 kernels read native words; TF32 reads FP32 words (the
-    truncation happens inside the tensor core); FP16_32 and FP16 read
-    half-precision words.
-    """
-    if kernel_precision == Precision.FP64:
-        return "f64"
-    if kernel_precision in (Precision.FP32, Precision.TF32):
-        return "f32"
-    if kernel_precision == Precision.BF16_32:
         return "bf16"
     return "f16"
 
@@ -111,7 +99,7 @@ def needs_conversion(
     triangular factors) from in/out accumulators (``"inout"`` — the C
     operand of GEMM/SYRK, POTRF's tile).
     """
-    needed = input_encoding(consumer_kernel) if role == "in" else accumulator_encoding(consumer_kernel)
+    needed = payload_encoding(consumer_kernel) if role == "in" else accumulator_encoding(consumer_kernel)
     return payload_encoding(payload) != needed
 
 

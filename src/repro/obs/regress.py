@@ -346,11 +346,10 @@ def parse_threshold_args(args: Sequence[str] | None) -> dict[str, Threshold]:
         if "=" not in item:
             raise ValueError(f"--threshold expects METRIC=REL[:DIRECTION], got {item!r}")
         metric, _, value = item.partition("=")
-        direction = None
-        if ":" in value:
-            value, _, direction = value.partition(":")
+        value, _, direction = value.partition(":")
+        metric, direction = metric.strip(), direction.strip()
         default = thresholds.get(metric)
-        thresholds[metric.strip()] = Threshold(
+        thresholds[metric] = Threshold(
             rel_tol=float(value),
             direction=direction or (default.direction if default else "lower"),
         )

@@ -70,11 +70,6 @@ class Precision(enum.IntEnum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
-    @property
-    def is_mixed_input(self) -> bool:
-        """True when inputs are stored narrower than the accumulator."""
-        return self in (Precision.FP16_32, Precision.BF16_32, Precision.TF32)
-
 
 @dataclass(frozen=True)
 class FormatInfo:

@@ -13,8 +13,6 @@ from .policies import (
     OocStaticPolicy,
     PanelFirstPolicy,
     SchedulePolicy,
-    get_policy,
-    policy_topological_order,
 )
 from .schedule import StaticSchedule
 from .simulator import SimReport, simulate, simulate_replay, simulate_stream
@@ -44,8 +42,6 @@ __all__ = [
     "execute_numeric",
     "execute_numeric_distributed",
     "execute_numeric_parallel",
-    "get_policy",
-    "policy_topological_order",
     "simulate",
     "simulate_replay",
     "simulate_stream",

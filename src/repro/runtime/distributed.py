@@ -8,19 +8,15 @@ payloads that travel **already quantised to the edge's communication
 precision** — the sender-side conversion of STC happens where the paper
 puts it, and receivers re-quantise to their kernel's needs.
 
-Ranks process the graph in a single *global* topological order: each
-rank executes the tasks it owns, blocks on its inbox for remote
-payloads, and pushes its outputs to every remote consumer rank.  The
-default order is task-id order; a scheduling policy substitutes the
-policy-guided topological order from
-:func:`repro.runtime.policies.policy_topological_order`, which every
-rank derives identically.  Because every blocking wait is for a task
-strictly earlier in that shared order, the protocol is deadlock-free by
-induction on order positions; because local reads see full-storage
-values and remote reads see sender-quantised payloads — exactly the
-sequential executor's semantics — the result is bit-identical to
-:func:`repro.runtime.executor.execute_numeric` for *every* policy
-(asserted in tests).
+Ranks process the graph in one *global* topological order, task-id
+order: each rank executes the tasks it owns, blocks on its inbox for
+remote payloads, and pushes its outputs to every remote consumer rank.
+Because every blocking wait is for a task strictly earlier in that
+shared order, the protocol is deadlock-free by induction on order
+positions; because local reads see full-storage values and remote reads
+see sender-quantised payloads — exactly the sequential executor's
+semantics — the result is bit-identical to
+:func:`repro.runtime.executor.execute_numeric` (asserted in tests).
 
 Prefers the ``fork`` start method (workers inherit the graph and the
 input matrix for free) and falls back to ``forkserver``/``spawn`` on
@@ -148,7 +144,6 @@ def _rank_main(
     results,
     timeout: float,
     fault_plan: dict | None = None,
-    policy: str | None = None,
     heartbeats=None,
 ) -> None:
     # every result tuple carries the kinds of the faults this rank fired:
@@ -172,15 +167,7 @@ def _rank_main(
                 stash[(i, j, v, p)] = data
             return stash[key]
 
-        if policy is None:
-            order = graph.topological_order()
-        else:
-            # every rank computes the same policy-guided global order,
-            # so cross-rank waits stay acyclic (deadlock-free induction)
-            from .policies import policy_topological_order
-
-            order = policy_topological_order(graph, policy, nb=mat.nb)
-        for tid in order:
+        for tid in graph.topological_order():
             task = graph.tasks[tid]
             if task.rank != rank:
                 continue
@@ -233,15 +220,9 @@ def execute_numeric_distributed(
     fault_plan: FaultPlan | dict | None = None,
     degrade: bool = False,
     return_report: bool = False,
-    policy: str | None = None,
     silent_after: float | None = None,
 ) -> TiledSymmetricMatrix | DistributedReport:
     """Execute the graph numerically across ``n_ranks`` processes.
-
-    ``policy`` (a scheduling-policy name; see
-    :mod:`repro.runtime.policies`) reorders each rank's local execution
-    along the policy-guided global topological order; ``None`` keeps the
-    historical task-id order.  Results are bit-identical either way.
 
     ``graph`` must have been built for a process grid with exactly
     ``n_ranks`` ranks (task ``rank`` fields in ``[0, n_ranks)``).
@@ -303,8 +284,7 @@ def execute_numeric_distributed(
     procs = [
         ctx.Process(
             target=_rank_main,
-            args=(r, graph, mat, inboxes, results, timeout, plan_dict, policy,
-                  heartbeats),
+            args=(r, graph, mat, inboxes, results, timeout, plan_dict, heartbeats),
         )
         for r in range(n_ranks)
     ]

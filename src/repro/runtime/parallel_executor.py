@@ -7,23 +7,22 @@ threads.  NumPy kernels release the GIL inside BLAS, so tile kernels on
 independent tiles genuinely overlap.
 
 Scheduling is a thread-pool over the dependency frontier: a task becomes
-runnable when its last predecessor completes; ties are broken by a
-pluggable :class:`~repro.runtime.policies.SchedulePolicy` (default: the
-same panel-first priority the simulator uses).  Results are bit-identical
-to the sequential executor — and across policies — because every task
-consumes exactly the payloads its inputs name; execution order cannot
-change the arithmetic (asserted by tests).
+runnable when its last predecessor completes, and a free thread takes
+the ready task with the lowest ``(priority, tid)`` — panel tasks of
+earlier iterations first.  Results are bit-identical to the sequential
+executor because every task consumes exactly the payloads its inputs
+name; execution order cannot change the arithmetic (asserted by tests).
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import traced
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .executor import _collect_finals, _execute_task, _seed_version0, _task_span
-from .policies import ReadyFrontier, SchedulePolicy, resolve_policy
 from .task import TaskGraph
 
 __all__ = ["execute_numeric_parallel"]
@@ -35,29 +34,29 @@ def execute_numeric_parallel(
     mat: TiledSymmetricMatrix,
     *,
     n_threads: int = 4,
-    policy: str | SchedulePolicy | None = None,
 ) -> TiledSymmetricMatrix:
     """Run the task graph numerically on ``n_threads`` host threads.
 
     Same contract as :func:`repro.runtime.executor.execute_numeric`.
-    ``policy`` orders the ready heap (default panel-first); it changes
-    which runnable task a free thread grabs, never the arithmetic.
     """
     if n_threads < 1:
         raise ValueError("n_threads must be positive")
-    sched = resolve_policy(policy)
-    sched.prepare(graph, None, mat.nb)
     out = mat.copy()
 
     values = _seed_version0(graph, out)
 
-    frontier = ReadyFrontier(graph, sched)
-    lock = threading.Lock()  # guards frontier, values and errors
+    tasks = graph.tasks
+    in_count = [len(graph.predecessors(t)) for t in range(len(graph))]
+    ready = [(tasks[t].priority, t) for t, n in enumerate(in_count) if n == 0]
+    heapq.heapify(ready)
+    remaining = len(graph)
+    lock = threading.Lock()  # guards ready, in_count, remaining, values and errors
     done = threading.Event()
     errors: list[BaseException] = []
 
     def run_one(tid: int) -> None:
-        task = graph.tasks[tid]
+        nonlocal remaining
+        task = tasks[tid]
         try:
             with _task_span(task):
                 key, result = _execute_task(task, values)
@@ -68,8 +67,12 @@ def execute_numeric_parallel(
             return
         with lock:
             values[key] = result
-            frontier.complete(tid)
-            if frontier.remaining == 0:
+            remaining -= 1
+            for succ in graph.successors(tid):
+                in_count[succ] -= 1
+                if in_count[succ] == 0:
+                    heapq.heappush(ready, (tasks[succ].priority, succ))
+            if remaining == 0:
                 done.set()
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -78,9 +81,9 @@ def execute_numeric_parallel(
         def worker() -> None:
             while not done.is_set():
                 with lock:
-                    if errors or frontier.remaining == 0:
+                    if errors or remaining == 0:
                         return
-                    task_id = frontier.pop()
+                    task_id = heapq.heappop(ready)[1] if ready else None
                 if task_id is None:
                     done.wait(timeout=0.001)
                     continue
@@ -92,7 +95,7 @@ def execute_numeric_parallel(
 
     if errors:
         raise errors[0]
-    if frontier.remaining:
-        raise RuntimeError(f"parallel execution stalled with {frontier.remaining} tasks left")
+    if remaining:
+        raise RuntimeError(f"parallel execution stalled with {remaining} tasks left")
 
     return _collect_finals(values, out)

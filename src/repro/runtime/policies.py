@@ -9,14 +9,13 @@ mixed-precision GEMM line of work.  This module makes that choice a
 first-class, swappable object instead of a heuristic hard-coded in
 :func:`repro.runtime.simulator.simulate`.
 
-A :class:`SchedulePolicy` ranks *ready* tasks: the simulator (and the
-numeric executors) keep a heap of ready tasks keyed by the explicit
-triple ``(*policy.key(task, ready_t), tid)`` — the policy owns the
-first two comparator fields, the task id always closes the key so every
-policy is fully deterministic.  Only tasks whose predecessors have all
-been scheduled enter the heap, so a policy can change *timing*
-(makespan, overlap, cache behaviour) but never *numerics* (every task
-still consumes exactly the payloads its inputs name).
+A :class:`SchedulePolicy` is the comparator of the simulator's ready
+heap, keyed by the explicit triple ``(*policy.key(task, ready_t,
+state), tid)`` — the policy owns the first two comparator fields, the
+task id always closes the key so every policy is fully deterministic.
+Only tasks whose predecessors have all been scheduled enter the heap,
+so a policy changes *timing* (makespan, overlap, cache behaviour) and
+nothing else; the numeric executors take no policy.
 
 Shipped policies
 ----------------
@@ -38,6 +37,8 @@ Shipped policies
                    GPU, datatype conversions, and the kernel — so tasks
                    whose tiles are hot on their GPU go first and stay
                    resident.
+``ooc-static``     out-of-core: the task whose inputs move the fewest
+                   bytes given the live GPU/host residency goes first.
 
 A custom policy: subclass :class:`SchedulePolicy`, implement ``key``
 (and optionally ``prepare``), and pass an *instance* wherever a
@@ -46,7 +47,6 @@ A custom policy: subclass :class:`SchedulePolicy`, implement ``key``
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -60,14 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "SchedulePolicy",
     "SchedState",
-    "ReadyFrontier",
     "PanelFirstPolicy",
     "FifoPolicy",
     "CriticalPathPolicy",
     "CommAwareEftPolicy",
     "OocStaticPolicy",
     "POLICY_NAMES",
-    "get_policy",
     "resolve_policy",
 ]
 
@@ -76,78 +74,15 @@ __all__ = [
 class SchedState:
     """Read-only snapshot of simulator state a policy may consult.
 
-    Only :class:`CommAwareEftPolicy` uses it today.
+    The residency-aware policies (``comm-aware-eft``, ``ooc-static``)
+    read it; the simulator passes its live state to every ``key`` call.
     ``resident(rank, key)`` answers whether a payload key already sits
     in ``rank``'s GPU cache; ``host_resident(node, key)`` whether the
     node's host memory holds it.
-
-    Callers without a memory-hierarchy model (the numeric executors,
-    graph-level orderings) pass :meth:`null` — an explicit
-    nothing-is-resident state — rather than ``None``, so a
-    residency-aware policy degrades to its *pessimistic* static
-    estimate deterministically instead of silently losing the state
-    argument.  A policy must still tolerate ``state=None`` (same
-    static fallback) for direct callers.
     """
 
     resident: Callable[[int, tuple], bool]
     host_resident: Callable[[int, tuple], bool]
-
-    @staticmethod
-    def null() -> "SchedState":
-        """The explicit no-residency-information state.
-
-        Every payload reports non-resident, so e.g. ``comm-aware-eft``
-        charges full staging for all inputs — a deterministic,
-        graph-only score suitable outside the simulator
-        (:class:`ReadyFrontier`).
-        """
-        return SchedState(
-            resident=lambda rank, key: False,
-            host_resident=lambda node, key: False,
-        )
-
-
-class ReadyFrontier:
-    """The ready set of a held graph under a policy, outside the simulator.
-
-    Kahn's algorithm as an object: a task is ready once
-    :meth:`complete` has been called for every predecessor, and
-    :meth:`pop` hands out ready tasks in ``(*policy.key, tid)`` order.
-    There is no engine/cache model at this level, so keys are taken at
-    ready time 0 against the explicit :meth:`SchedState.null` state —
-    deterministic and the same on every rank.  ``policy`` must already
-    be prepared.  Not thread-safe: concurrent callers hold their own
-    lock around ``pop``/``complete``.
-    """
-
-    def __init__(self, graph: "TaskGraph", policy: "SchedulePolicy") -> None:
-        self._graph = graph
-        self._key = policy.key
-        self._state = SchedState.null()
-        self._in_count = [len(graph.predecessors(t)) for t in range(len(graph))]
-        self._heap: list[tuple[float, float, int]] = []
-        #: tasks not yet completed
-        self.remaining = len(graph)
-        for tid, pending in enumerate(self._in_count):
-            if pending == 0:
-                self._push(tid)
-
-    def _push(self, tid: int) -> None:
-        heapq.heappush(self._heap, (*self._key(self._graph.tasks[tid], 0.0, self._state), tid))
-
-    def pop(self) -> int | None:
-        """The most preferred ready task, or ``None`` when none is ready."""
-        return heapq.heappop(self._heap)[-1] if self._heap else None
-
-    def complete(self, tid: int) -> None:
-        """``tid`` has finished: successors it was the last to block become ready."""
-        self.remaining -= 1
-        in_count = self._in_count
-        for succ in self._graph.successors(tid):
-            in_count[succ] -= 1
-            if in_count[succ] == 0:
-                self._push(succ)
 
 
 class SchedulePolicy:
@@ -162,12 +97,10 @@ class SchedulePolicy:
     #: materialises the graph.
     requires_full_graph: bool = False
 
-    def prepare(self, graph: "TaskGraph", platform: "Platform | None", nb: int) -> None:
+    def prepare(self, graph: "TaskGraph", platform: "Platform", nb: int) -> None:
         """Precompute whatever ``key`` needs; called once per run."""
 
-    def key(
-        self, task: "Task", ready_t: float, state: SchedState | None = None
-    ) -> tuple[float, float]:
+    def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         """The first two heap-comparator fields for a ready ``task``.
 
         The scheduler appends ``task.tid`` as the final field, so the
@@ -194,9 +127,7 @@ class PanelFirstPolicy(SchedulePolicy):
 
     name = "panel-first"
 
-    def key(
-        self, task: "Task", ready_t: float, state: SchedState | None = None
-    ) -> tuple[float, float]:
+    def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         return (ready_t, task.priority)
 
 
@@ -205,24 +136,19 @@ class FifoPolicy(SchedulePolicy):
 
     name = "fifo"
 
-    def key(
-        self, task: "Task", ready_t: float, state: SchedState | None = None
-    ) -> tuple[float, float]:
+    def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         return (ready_t, 0.0)
 
 
-def _task_cost(task: "Task", platform: "Platform | None", nb: int) -> float:
+def _task_cost(task: "Task", platform: "Platform", nb: int) -> float:
     """Perfmodel seconds charged to ``task``'s compute stream.
 
     Kernel time plus every conversion pass the simulator will bill the
     task (receiver-side re-encodes and the one-off STC pass), priced on
     the platform GPU — the same :mod:`repro.perfmodel` estimates the
     simulator itself uses, so graph-level longest paths are commensurate
-    with simulated makespans.  Without a platform (numeric executors)
-    the cost degrades to flops, which preserves the ordering intent.
+    with simulated makespans.
     """
-    if platform is None:
-        return float(task.flops)
     from ..core.conversion import needs_conversion
 
     gpu = platform.gpu
@@ -257,7 +183,7 @@ class CriticalPathPolicy(SchedulePolicy):
     def __init__(self) -> None:
         self._upward: list[float] = []
 
-    def prepare(self, graph: "TaskGraph", platform: "Platform | None", nb: int) -> None:
+    def prepare(self, graph: "TaskGraph", platform: "Platform", nb: int) -> None:
         n = len(graph)
         upward = [0.0] * n
         # task ids are topological (TaskGraph.add enforces producer < consumer),
@@ -267,9 +193,7 @@ class CriticalPathPolicy(SchedulePolicy):
             upward[tid] = _task_cost(graph.tasks[tid], platform, nb) + tail
         self._upward = upward
 
-    def key(
-        self, task: "Task", ready_t: float, state: SchedState | None = None
-    ) -> tuple[float, float]:
+    def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         return (-self._upward[task.tid], ready_t)
 
 
@@ -292,21 +216,15 @@ class CommAwareEftPolicy(SchedulePolicy):
 
     def __init__(self) -> None:
         self._platform: "Platform | None" = None
-        self._nb = 0
         self._static: list[float] = []
 
-    def prepare(self, graph: "TaskGraph", platform: "Platform | None", nb: int) -> None:
+    def prepare(self, graph: "TaskGraph", platform: "Platform", nb: int) -> None:
         self._platform = platform
-        self._nb = nb
         self._static = [_task_cost(t, platform, nb) for t in graph.tasks]
 
-    def key(
-        self, task: "Task", ready_t: float, state: SchedState | None = None
-    ) -> tuple[float, float]:
+    def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         seconds = self._static[task.tid]
         platform = self._platform
-        if platform is None or state is None:
-            return (ready_t + seconds, 0.0)
         gpu = platform.gpu
         link_lat = gpu.host_link_latency
         link_bw = gpu.host_link_bandwidth
@@ -356,17 +274,12 @@ class OocStaticPolicy(SchedulePolicy):
     def __init__(self) -> None:
         self._platform: "Platform | None" = None
 
-    def prepare(self, graph: "TaskGraph", platform: "Platform | None", nb: int) -> None:
+    def prepare(self, graph: "TaskGraph", platform: "Platform", nb: int) -> None:
         self._platform = platform
 
-    def key(
-        self, task: "Task", ready_t: float, state: SchedState | None = None
-    ) -> tuple[float, float]:
-        platform = self._platform
-        if platform is None or state is None:
-            return (ready_t, task.priority)
+    def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         rank = task.rank
-        node = platform.node_of(rank)
+        node = self._platform.node_of(rank)
         penalty = 0.0
         for inp in task.inputs:
             key = (inp.tile.i, inp.tile.j, inp.tile.version, inp.payload_precision)
@@ -391,46 +304,19 @@ _POLICIES: dict[str, type[SchedulePolicy]] = {
 POLICY_NAMES: tuple[str, ...] = tuple(_POLICIES)
 
 
-def get_policy(name: str) -> SchedulePolicy:
-    """A fresh policy instance for ``name``; raises on unknown names."""
-    try:
-        return _POLICIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling policy {name!r}; expected one of {sorted(_POLICIES)}"
-        ) from None
-
-
 def resolve_policy(policy: "str | SchedulePolicy | None") -> SchedulePolicy:
-    """Accept a policy name, instance, or None (→ the default policy)."""
+    """A policy instance for a name (a fresh one), an instance (itself),
+    or ``None`` (the default, panel-first); raises on unknown names."""
     if policy is None:
         return PanelFirstPolicy()
     if isinstance(policy, SchedulePolicy):
         return policy
-    return get_policy(policy)
-
-
-def policy_topological_order(graph: "TaskGraph", policy: "str | SchedulePolicy | None",
-                             *, nb: int = 0,
-                             platform: "Platform | None" = None) -> list[int]:
-    """A policy-guided topological order of the whole graph.
-
-    A drain of :class:`ReadyFrontier`: a valid execution order that
-    agrees with the policy's preferences, *globally consistent* across
-    ranks — which is what the distributed executor needs for its
-    deadlock-freedom induction (every blocking wait is for a task
-    strictly earlier in this shared order).
-    """
-    pol = resolve_policy(policy)
-    pol.prepare(graph, platform, nb)
-    frontier = ReadyFrontier(graph, pol)
-    order: list[int] = []
-    while (tid := frontier.pop()) is not None:
-        order.append(tid)
-        frontier.complete(tid)
-    if frontier.remaining:
-        raise RuntimeError(f"cycle: ordered {len(order)}/{len(graph)} tasks")
-    return order
+    try:
+        return _POLICIES[policy]()
+    except KeyError:
+        raise ValueError(
+            f"unknown scheduling policy {policy!r}; expected one of {sorted(_POLICIES)}"
+        ) from None
 
 
 # re-exported convenience: the cost model a graph-level lower bound uses

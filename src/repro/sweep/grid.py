@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator, Mapping
 
 from ..core.precision_map import FIXED_CONFIGS
@@ -145,14 +145,13 @@ class SweepGrid:
     ordering: tuple[str, ...] = ("morton",)
     enforce_memory: bool = True
     name: str = "sweep"
-    extra: Mapping[str, object] = field(default_factory=dict)
 
     @classmethod
     def from_axes(cls, **axes) -> "SweepGrid":
         """Build a grid, lifting scalar axis values to 1-tuples."""
         norm: dict[str, object] = {}
         for key, value in axes.items():
-            if key in ("enforce_memory", "name", "extra"):
+            if key in ("enforce_memory", "name"):
                 norm[key] = value
             elif isinstance(value, (list, tuple)):
                 norm[key] = tuple(value)

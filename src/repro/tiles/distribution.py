@@ -70,9 +70,6 @@ class ProcessGrid:
         """Rank owning tile (i, j) under 2D block-cyclic distribution."""
         return (i % self.p) * self.q + (j % self.q)
 
-    def owns(self, rank: int, i: int, j: int) -> bool:
-        return self.owner(i, j) == rank
-
     def tiles_owned(self, rank: int, nt: int, *, lower_only: bool = True) -> list[tuple[int, int]]:
         """Tiles of an ``nt × nt`` tiled matrix owned by ``rank``."""
         tiles = lower_triangle_tiles(nt) if lower_only else (

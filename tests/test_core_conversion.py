@@ -10,7 +10,6 @@ from repro.core.conversion import (
     accumulator_encoding,
     build_comm_precision_map,
     encoding_width,
-    input_encoding,
     needs_conversion,
     payload_encoding,
 )
@@ -37,14 +36,19 @@ class TestEncodings:
     def test_payload_encodings(self):
         assert payload_encoding(Precision.FP64) == "f64"
         assert payload_encoding(Precision.FP32) == "f32"
-        assert payload_encoding(Precision.TF32) == "f32"
+        assert payload_encoding(Precision.TF32) == "f32"  # truncation inside the core
         assert payload_encoding(Precision.FP16_32) == "f16"
         assert payload_encoding(Precision.FP16) == "f16"
         assert payload_encoding(Precision.BF16_32) == "bf16"
 
     def test_input_encodings(self):
-        assert input_encoding(Precision.TF32) == "f32"  # truncation inside the core
-        assert input_encoding(Precision.FP16_32) == "f16"
+        """A kernel reads its read-only inputs in its own payload encoding."""
+        # TF32 reads FP32 words: the truncation happens inside the core
+        assert not needs_conversion(Precision.FP32, Precision.TF32, role="in")
+        assert needs_conversion(Precision.FP16_32, Precision.TF32, role="in")
+        # FP16_32 reads half-precision words
+        assert not needs_conversion(Precision.FP16, Precision.FP16_32, role="in")
+        assert needs_conversion(Precision.FP32, Precision.FP16_32, role="in")
 
     def test_accumulator_encodings(self):
         assert accumulator_encoding(Precision.FP64) == "f64"

@@ -205,6 +205,12 @@ class TestThresholdParsing:
         assert thresholds["makespan_seconds"] == Threshold(0.5, "lower")
         assert thresholds["my_metric"] == Threshold(0.1, "higher")
 
+    def test_spaces_keep_the_default_direction(self):
+        """A padded metric name still finds its default direction: a
+        ``tflops`` drop must stay a regression, not turn into a gain."""
+        for spec in ("tflops =0.10", "tflops=0.10: higher"):
+            assert parse_threshold_args([spec])["tflops"] == Threshold(0.1, "higher")
+
     def test_bad_spec_raises(self):
         with pytest.raises(ValueError, match="METRIC=REL"):
             parse_threshold_args(["nonsense"])

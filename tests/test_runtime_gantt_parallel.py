@@ -72,6 +72,32 @@ class TestParallelExecutor:
         par = execute_numeric_parallel(dag.graph, mat, n_threads=threads)
         assert np.array_equal(par.lower_dense(), seq.lower_dense())
 
+    def test_many_threads_fast_switching(self, rng):
+        """More threads than cores and a tiny switch interval: a lost
+        update to the pool's ready heap or dependency counts would stall
+        the run or change the factor."""
+        import sys
+        import threading
+
+        mat = self._mat(rng)
+        kmap = build_precision_map(tile_norms(mat), 1e-4)
+        dag = build_cholesky_dag(96, 16, kmap)
+        seq = execute_numeric(dag.graph, mat)
+        out = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: out.append(execute_numeric_parallel(dag.graph, mat, n_threads=16)),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not runner.is_alive() and len(out) == 1
+        assert np.array_equal(out[0].lower_dense(), seq.lower_dense())
+
     def test_fp64_correct(self, rng):
         mat = self._mat(rng)
         from repro.core import uniform_map

@@ -32,8 +32,6 @@ from repro.runtime import (
     TaskGraph,
     TaskInput,
     TileRef,
-    get_policy,
-    policy_topological_order,
     simulate,
     to_chrome_trace,
 )
@@ -80,12 +78,12 @@ class TestRegistry:
             "panel-first", "fifo", "critical-path", "comm-aware-eft", "ooc-static"
         )
         for name in POLICY_NAMES:
-            pol = get_policy(name)
+            pol = resolve_policy(name)
             assert isinstance(pol, SchedulePolicy) and pol.name == name
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
-            get_policy("hope-for-the-best")
+            resolve_policy("hope-for-the-best")
 
     def test_resolve(self):
         assert isinstance(resolve_policy(None), PanelFirstPolicy)
@@ -94,7 +92,7 @@ class TestRegistry:
         assert resolve_policy(inst) is inst
 
     def test_fresh_instance_per_call(self):
-        assert get_policy("critical-path") is not get_policy("critical-path")
+        assert resolve_policy("critical-path") is not resolve_policy("critical-path")
 
 
 class TestPanelFirstPinned:
@@ -131,21 +129,25 @@ def _chain_free_graph(priorities):
     return graph
 
 
+def _commit_order(graph, policy):
+    return simulate(graph, _ref_platform(), 64, policy=policy).commit_order
+
+
 class TestTieBreaking:
     """The comparator is the explicit triple (ready, priority, tid)."""
 
     def test_priority_breaks_ready_ties(self):
         graph = _chain_free_graph([5, 5, 1])
-        assert policy_topological_order(graph, "panel-first", nb=64) == [2, 0, 1]
+        assert _commit_order(graph, "panel-first") == [2, 0, 1]
 
     def test_tid_breaks_priority_ties(self):
         graph = _chain_free_graph([3, 3, 3])
-        assert policy_topological_order(graph, "panel-first", nb=64) == [0, 1, 2]
-        assert policy_topological_order(graph, "fifo", nb=64) == [0, 1, 2]
+        assert _commit_order(graph, "panel-first") == [0, 1, 2]
+        assert _commit_order(graph, "fifo") == [0, 1, 2]
 
     def test_fifo_ignores_priority(self):
         graph = _chain_free_graph([9, 0, 4])
-        assert policy_topological_order(graph, "fifo", nb=64) == [0, 1, 2]
+        assert _commit_order(graph, "fifo") == [0, 1, 2]
 
     def test_simulator_commits_in_comparator_order(self):
         graph = _chain_free_graph([2, 1, 1])
@@ -205,12 +207,12 @@ class TestCustomPolicy:
         class ReverseTid(SchedulePolicy):
             name = "reverse-tid-test"
 
-            def key(self, task, ready_t, state=None):
+            def key(self, task, ready_t, state):
                 return (ready_t, -task.tid)
 
         graph = _chain_free_graph([0, 0, 0])
-        assert policy_topological_order(graph, ReverseTid(), nb=64) == [2, 1, 0]
         rep = simulate(graph, _ref_platform(), 64, policy=ReverseTid())
+        assert rep.commit_order == [2, 1, 0]
         assert rep.policy == "reverse-tid-test"
         with pytest.raises(ValueError, match="unknown scheduling policy") as exc:
             simulate(graph, _ref_platform(), 64, policy="reverse-tid-test")
@@ -245,80 +247,3 @@ class TestTraceMetadata:
         rep = _ref_report(None)
         doc = json.loads(to_chrome_trace(rep.trace.events))
         assert "metadata" not in doc
-
-
-class TestDistributedPolicyOrder:
-    def test_global_order_shared_by_all_policies(self):
-        from repro.core import build_cholesky_dag, uniform_map
-
-        dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        for pol in POLICY_NAMES:
-            order = policy_topological_order(dag.graph, pol, nb=16)
-            assert sorted(order) == list(range(len(dag.graph)))
-
-    def test_distributed_policy_matches_sequential(self, tiled_96):
-        from repro.core import build_cholesky_dag, uniform_map
-        from repro.runtime import execute_numeric
-        from repro.runtime.distributed import execute_numeric_distributed
-        from repro.tiles import ProcessGrid
-
-        import numpy as np
-
-        grid = ProcessGrid(2, 1)
-        dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64), grid=grid)
-        seq = execute_numeric(dag.graph, tiled_96)
-        dist = execute_numeric_distributed(
-            dag.graph, tiled_96, grid.size, timeout=60.0, policy="critical-path"
-        )
-        assert np.array_equal(dist.lower_dense(), seq.lower_dense())
-
-
-class TestNullStateThreading:
-    """Regression battery for ``SchedulePolicy.key`` called without a
-    ``SchedState``: both ``policy_topological_order`` and the parallel
-    executor now thread the explicit null state (nothing resident), so
-    residency-aware policies get a real state object instead of crashing
-    or silently receiving ``None``."""
-
-    def test_null_state_reports_nothing_resident(self):
-        from repro.runtime.policies import SchedState
-
-        state = SchedState.null()
-        assert not state.resident(0, TileRef(0, 0, 1))
-        assert not state.host_resident(0, TileRef(0, 0, 1))
-
-    @pytest.mark.parametrize("pol", list(POLICY_NAMES))
-    def test_topological_order_valid_per_policy(self, pol):
-        from repro.core import build_cholesky_dag, two_precision_map as tpm
-
-        dag = build_cholesky_dag(96 * 4, 96, tpm(4, Precision.FP16),
-                                 grid=_ref_platform().process_grid())
-        order = policy_topological_order(dag.graph, pol, nb=96,
-                                         platform=_ref_platform())
-        assert sorted(order) == list(range(len(dag.graph)))
-        pos = {tid: k for k, tid in enumerate(order)}
-        for tid in range(len(dag.graph)):
-            for p in dag.graph.predecessors(tid):
-                assert pos[p] < pos[tid], f"{pol}: {p} must precede {tid}"
-
-    @pytest.mark.parametrize("pol", list(POLICY_NAMES))
-    def test_topological_order_deterministic_per_policy(self, pol):
-        from repro.core import build_cholesky_dag, uniform_map
-
-        dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        a = policy_topological_order(dag.graph, pol, nb=16)
-        b = policy_topological_order(dag.graph, pol, nb=16)
-        assert a == b
-
-    @pytest.mark.parametrize("pol", list(POLICY_NAMES))
-    def test_parallel_executor_bit_identical_per_policy(self, pol, tiled_96):
-        import numpy as np
-
-        from repro.core import build_cholesky_dag, uniform_map
-        from repro.runtime import execute_numeric
-        from repro.runtime.parallel_executor import execute_numeric_parallel
-
-        dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        seq = execute_numeric(dag.graph, tiled_96)
-        par = execute_numeric_parallel(dag.graph, tiled_96, n_threads=3, policy=pol)
-        assert np.array_equal(par.lower_dense(), seq.lower_dense())

@@ -17,8 +17,8 @@ scheduling policy must uphold, on each of them:
    stream whose window covers the graph, replay of the committed order)
    produce the same schedule, with and without memory pressure.
 
-Separately, the numeric executors must produce *identical numerics*
-under every policy: ordering is pure preference, never arithmetic.
+Separately, the threaded executor must produce *identical numerics* to
+the sequential one: execution order is preference, never arithmetic.
 
 Example counts come from the hypothesis profile registered in
 ``conftest.py`` (``REPRO_HYPOTHESIS_PROFILE=quick|default|full``); the
@@ -46,7 +46,7 @@ from repro.runtime import (
     TileRef,
     simulate,
 )
-from repro.runtime.policies import get_policy, graph_cost_lower_bound, policy_topological_order
+from repro.runtime.policies import graph_cost_lower_bound, resolve_policy
 from repro.runtime.simulator import simulate_replay, simulate_stream
 
 NB = 64
@@ -186,8 +186,10 @@ class TestPolicyInvariants:
     @given(data=random_dags())
     @settings(deadline=None)
     def test_topological_order_is_valid(self, policy, data):
-        graph, _ = data
-        order = policy_topological_order(graph, policy, nb=NB)
+        """The committed order (what a static schedule exports) is a
+        topological order of the graph."""
+        graph, n_ranks = data
+        order = simulate(graph, _platform(n_ranks), NB, policy=policy).commit_order
         assert sorted(order) == list(range(len(graph)))
         position = {tid: i for i, tid in enumerate(order)}
         for task in graph:
@@ -197,7 +199,7 @@ class TestPolicyInvariants:
 
 @pytest.mark.parametrize("tight", [False, True], ids=["roomy", "tight"])
 @pytest.mark.parametrize(
-    "policy", [name for name in POLICY_NAMES if not get_policy(name).requires_full_graph]
+    "policy", [name for name in POLICY_NAMES if not resolve_policy(name).requires_full_graph]
 )
 class TestOneSchedulingLoop:
     """materialised ≡ streamed (window ≥ n) ≡ replayed, on multi-root DAGs.
@@ -273,8 +275,9 @@ class TestPolicyInvariantsMultiNode:
 
 
 class TestNumericInvariance:
-    """Execution order is preference, not arithmetic: results are bitwise
-    identical across every policy and the sequential reference."""
+    """Execution order is preference, not arithmetic: the threaded result
+    is bitwise identical to the sequential reference when it runs in any
+    policy's committed order, and every policy simulates the same work."""
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_parallel_executor_matches_sequential(self, policy, tiled_96):
@@ -284,8 +287,16 @@ class TestNumericInvariance:
         kmap = two_precision_map(6, Precision.FP16_32)
         dag = build_cholesky_dag(96, 16, kmap)
         seq = execute_numeric(dag.graph, tiled_96)
-        par = execute_numeric_parallel(dag.graph, tiled_96, n_threads=4, policy=policy)
-        assert np.array_equal(par.lower_dense(), seq.lower_dense())
+        # the thread pool takes ready tasks by (priority, tid): ranking each
+        # task by its position in the policy's committed order makes one
+        # thread replay that order exactly, and four threads overlap it
+        order = simulate(dag.graph, _platform(1), 16, policy=policy).commit_order
+        graph = copy.deepcopy(dag.graph)
+        for position, tid in enumerate(order):
+            graph.tasks[tid].priority = position
+        for n_threads in (1, 4):
+            par = execute_numeric_parallel(graph, tiled_96, n_threads=n_threads)
+            assert np.array_equal(par.lower_dense(), seq.lower_dense())
 
     def test_simulated_flops_identical_across_policies(self):
         from repro.core import simulate_cholesky, two_precision_map
