@@ -33,8 +33,9 @@ from repro.perfmodel import GPU_BY_NAME
 from repro.precision import Precision
 from repro.runtime import Platform
 
-#: conservative: local runs sustain ~20k tasks/s, shared CI is slower
-TASKS_PER_SECOND_FLOOR = 2_000.0
+#: about a quarter of the measured rate: NT=48 sustains 65–80k tasks/s
+#: materialized and ~65k streamed on a 2-core Xeon, shared CI is slower
+TASKS_PER_SECOND_FLOOR = 15_000.0
 
 
 def _platform(n_gpus: int = 2, n_nodes: int = 2) -> Platform:

@@ -181,7 +181,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
     A panel tile has one writer and many readers (the SYRK of its row,
     the GEMMs of its row and column; the POTRF tile, every TRSM below
     it), all of which read the same version in the same encoding: the
-    writer mints that one frozen :class:`TaskInput` and every consumer's
+    writer mints that one immutable :class:`TaskInput` and every consumer's
     ``inputs`` lists the same object.
     """
     nt = rules.nt

@@ -85,9 +85,10 @@ def multiply_accumulate(
     if c is not None and np.shape(c) != (a.shape[0], b.shape[1]):
         raise ValueError(f"c has shape {np.shape(c)}, expected {(a.shape[0], b.shape[1])}")
     fp16 = precision == Precision.FP16
-    # invalid, FP16 only: a saturated half sum meeting an infinity of the other sign
-    # is a NaN the factorization reports at its next POTRF, not a warning
-    with np.errstate(invalid="ignore" if fp16 else None):
+    # invalid, fp16-grid inputs only: a payload saturated to ±inf (inf·0, or a
+    # sum meeting an infinity of the other sign) is a NaN the factorization
+    # reports at its next POTRF, not a warning
+    with np.errstate(invalid="ignore" if precision in (Precision.FP16, Precision.FP16_32) else None):
         if fp16:
             # the running sum is re-rounded to the fp16 grid after every
             # chunk of the inner dimension: half-precision accumulation

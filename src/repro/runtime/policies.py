@@ -232,7 +232,7 @@ class CommAwareEftPolicy(SchedulePolicy):
         nic_bw = platform.node.nic_bandwidth
         node = platform.node_of(task.rank)
         for inp in task.inputs:
-            key = (inp.tile.i, inp.tile.j, inp.tile.version, inp.payload_precision)
+            key = inp.tile + (inp.payload_precision,)
             if state.resident(task.rank, key):
                 continue
             nbytes = inp.elements * bytes_per_element(inp.payload_precision)
@@ -282,7 +282,7 @@ class OocStaticPolicy(SchedulePolicy):
         node = self._platform.node_of(rank)
         penalty = 0.0
         for inp in task.inputs:
-            key = (inp.tile.i, inp.tile.j, inp.tile.version, inp.payload_precision)
+            key = inp.tile + (inp.payload_precision,)
             if state.resident(rank, key):
                 continue
             nbytes = inp.elements * bytes_per_element(inp.payload_precision)

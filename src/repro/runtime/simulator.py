@@ -77,7 +77,7 @@ from ..perfmodel.kernels import conversion_time, kernel_time
 from ..precision.formats import Precision, bytes_per_element
 from .platform import Platform
 from .policies import SchedState, SchedulePolicy, resolve_policy
-from .task import Task, TaskGraph, TaskInput
+from .task import Task, TaskGraph
 from .tracing import RunStats, Trace, TraceEvent
 from ..core.conversion import needs_conversion
 
@@ -160,10 +160,6 @@ class _Lru:
         return evicted
 
 
-def _payload_bytes(inp: TaskInput) -> int:
-    return inp.elements * bytes_per_element(inp.payload_precision)
-
-
 def _build_engine(
     platform: Platform,
     nb: int,
@@ -188,11 +184,11 @@ def _build_engine(
     :class:`TraceEvent` is constructed only for a recording run.  Every
     transfer is charged through ``move``, the one writer of link bytes.
 
-    Per-task input payload keys are computed exactly once here and
-    reused for the protect set, cache probes, and staging — one of the
-    ``--profile-out``-guided hot-loop savings (the profile attributed
-    ~an eighth of ``sim.ready_heap_loop`` samples to re-deriving keys
-    and protect sets).
+    ``exec_task`` runs once per task, so it derives each input's payload
+    key once and reuses it for the protect set, the cache probe and the
+    staging; serves a GPU-cache hit inline (only a miss calls ``_load``);
+    and runs an LRU's eviction scan only once the cache is over its
+    limit (``inf`` for an unbounded cache).
     """
     gpu = platform.gpu
     n_ranks = platform.n_ranks
@@ -203,13 +199,14 @@ def _build_engine(
     d2h_free = [0.0] * n_ranks
     nic_free = [0.0] * n_nodes
 
-    caches = [_Lru(gpu.memory_bytes if enforce_memory else 0.0) for _ in range(n_ranks)]
+    unbounded = float("inf")
+    caches = [_Lru(gpu.memory_bytes if enforce_memory else unbounded) for _ in range(n_ranks)]
     gpu_ready: list[dict[_Key, float]] = [dict() for _ in range(n_ranks)]
     # host tier: per-node availability times plus a byte-bounded LRU; the
     # LRU never evicts while the working set fits (existing in-memory
     # configurations are bit-identical to the unbounded-host model)
     host_caches = [
-        _Lru(platform.node.host_memory_bytes if enforce_memory else 0.0)
+        _Lru(platform.node.host_memory_bytes if enforce_memory else unbounded)
         for _ in range(n_nodes)
     ]
     host_ready: list[dict[_Key, float]] = [dict() for _ in range(n_nodes)]
@@ -229,41 +226,33 @@ def _build_engine(
     gpus_per_node = platform.node.gpus_per_node
     bpe = {p: bytes_per_element(p) for p in Precision}.__getitem__
 
-    # memoised pure perfmodel lookups (gpu and nb are fixed per run, so
-    # these are exact caches — identical floats, just not recomputed):
-    # another repro-profile-guided hot-loop saving, needs_conversion and
-    # kernel_time together were ~20% of ready-heap-loop samples
-    _kt_cache: dict[tuple[str, Precision], float] = {}
+    bytes_moved = stats.bytes_moved
+    flops_by_precision = stats.flops_by_precision
+    conversions_by_site = stats.conversions_by_site
+    conversion_seconds_by_site = stats.conversion_seconds_by_site
 
-    def kernel_time_cached(kind: str, prec: Precision) -> float:
-        key = (kind, prec)
-        t = _kt_cache.get(key)
-        if t is None:
-            t = _kt_cache[key] = kernel_time(gpu, kind, nb, prec)
-        return t
+    # Exact memos of pure perfmodel lookups: gpu and nb are fixed per run,
+    # so each entry is the very float the perfmodel returns.  Every task
+    # prices its kernel and every input its receiver-side check, over a
+    # handful of distinct arguments.
+    kernel_seconds: dict[tuple[str, Precision], float] = {}
+    #: (payload, task precision, role, elements) -> the ``("ttc", src,
+    #: dst, seconds)`` pass that input costs its consumer, ``()`` if none
+    ttc_pass: dict[tuple[Precision, Precision, str, int], tuple] = {}
+    #: a task's ``sender_conversion`` -> its ``("stc", src, dst, seconds)`` pass
+    stc_pass: dict[tuple[Precision, Precision], tuple] = {}
 
-    _conv_need: dict[tuple[Precision, Precision, str], bool] = {}
-
-    def needs_conversion_cached(src: Precision, dst: Precision, role: str) -> bool:
-        key = (src, dst, role)
-        v = _conv_need.get(key)
-        if v is None:
-            v = _conv_need[key] = needs_conversion(src, dst, role)
-        return v
-
-    _conv_time: dict[tuple[int, Precision, Precision], float] = {}
-
-    def conversion_time_cached(elements: int, src: Precision, dst: Precision) -> float:
-        key = (elements, src, dst)
-        t = _conv_time.get(key)
-        if t is None:
-            t = _conv_time[key] = conversion_time(gpu, elements, src, dst)
-        return t
+    def _ttc(payload: Precision, task_prec: Precision, role: str, elements: int) -> tuple:
+        """Receiver-side pass (TTC, or a residual re-encode under STC), if any."""
+        if not needs_conversion(payload, task_prec, role):
+            return ()
+        return ("ttc", payload, task_prec, conversion_time(gpu, elements, payload, task_prec))
 
     def move(link: str, rank: int, kind: str, start: float, end: float,
              precision: Precision, nbytes: int) -> None:
         """Charge one transfer: its bytes to ``stats``, its interval to the trace."""
-        stats.add_bytes(link, precision, nbytes)
+        key = (link, precision)
+        bytes_moved[key] = bytes_moved.get(key, 0) + nbytes
         if record is not None:
             record(TraceEvent(rank, link, kind, start, end, precision, nbytes))
 
@@ -308,8 +297,9 @@ def _build_engine(
             return
         host_ready[node][key] = t
         cache.insert(key, nbytes, dirty=False)
-        for ev_key, ev_bytes, _ev_dirty in cache.evict_until_fits(protect):
-            _host_evict(node, ev_key, ev_bytes)
+        if cache.bytes > cache.capacity:
+            for ev_key, ev_bytes, _ev_dirty in cache.evict_until_fits(protect):
+                _host_evict(node, ev_key, ev_bytes)
 
     def _writeback(
         rank: int, key: _Key, nbytes: int, dirty: bool, now: float, protect: set[_Key]
@@ -380,25 +370,25 @@ def _build_engine(
         _host_insert(dest_node, key, nbytes, end, protect)
         return end
 
-    def _acquire(
-        rank: int, key: _Key, nbytes: int, payload_prec: Precision, now: float, protect: set[_Key]
-    ) -> float:
-        """Make one payload available on ``rank``'s GPU; return ready time."""
-        cache = caches[rank]
-        if key in cache:
-            cache.touch(key)
-            return gpu_ready[rank][key]
-        node = node_of(rank)
-        t_host = _stage_to_host(node, key, nbytes, protect)
+    def _evict_gpu(rank: int, now: float, protect: set[_Key]) -> None:
+        """Shed ``rank``'s LRU overflow, each payload through :func:`_writeback`."""
+        ready = gpu_ready[rank]
+        for ev_key, ev_bytes, ev_dirty in caches[rank].evict_until_fits(protect):
+            _writeback(rank, ev_key, ev_bytes, ev_dirty, now, protect)
+            ready.pop(ev_key, None)
+
+    def _load(rank: int, key: _Key, nbytes: int, now: float, protect: set[_Key]) -> float:
+        """Stage one payload missing from ``rank``'s GPU; return its ready time."""
+        t_host = _stage_to_host(node_of(rank), key, nbytes, protect)
         start = max(h2d_free[rank], t_host)
         end = start + link_lat + nbytes / link_bw
         h2d_free[rank] = end
         gpu_ready[rank][key] = end
+        cache = caches[rank]
         cache.insert(key, nbytes, dirty=False)
-        for ev_key, ev_bytes, ev_dirty in cache.evict_until_fits(protect):
-            _writeback(rank, ev_key, ev_bytes, ev_dirty, now, protect)
-            gpu_ready[rank].pop(ev_key, None)
-        move("h2d", rank, "LOAD", start, end, payload_prec, nbytes)
+        if cache.bytes > cache.capacity:
+            _evict_gpu(rank, now, protect)
+        move("h2d", rank, "LOAD", start, end, key[3], nbytes)
         return end
 
     _no_protect: set[_Key] = set()
@@ -417,52 +407,58 @@ def _build_engine(
             raise ValueError(f"rank {rank} outside platform of {n_ranks} ranks")
         for inp in task.inputs:
             if inp.producer is None:
-                tile = inp.tile
-                key: _Key = (tile.i, tile.j, tile.version, inp.payload_precision)
+                key: _Key = inp.tile + (inp.payload_precision,)
                 node = node_of(rank)
                 if key not in host_ready[node]:
                     disk_ready[node].setdefault(key, 0.0)
-                    _host_insert(node, key, _payload_bytes(inp), 0.0, _no_protect)
+                    _host_insert(node, key, inp.elements * bpe(key[3]), 0.0, _no_protect)
                 origin_rank.setdefault(key, rank)
 
     def exec_task(task: Task, ready_t: float) -> tuple[float, float]:
         """Run one ready task; returns its (start, end) compute interval."""
         rank = task.rank
         inputs = task.inputs
-        # one pass over the inputs derives every key/byte pair; the
-        # protect set and all staging probes reuse them
-        staged = []
-        protect: set[_Key] = set()
-        for inp in inputs:
-            tile = inp.tile
-            prec = inp.payload_precision
-            key = (tile.i, tile.j, tile.version, prec)
-            staged.append((inp, key, inp.elements * bpe(prec), prec))
-            protect.add(key)
-        out = task.output
-        out_key: _Key = (out.i, out.j, out.version, task.output_precision)
-        protect.add(out_key)
-
         task_prec = task.precision
+        out = task.output
+        # (i, j, version, payload precision): a TileRef is a tuple
+        keys: list[_Key] = [inp.tile + (inp.payload_precision,) for inp in inputs]
+        out_key: _Key = out + (task.output_precision,)
+        protect = {*keys, out_key}
+        cache = caches[rank]
+        entries = cache.entries
+        ready = gpu_ready[rank]
+
         arrival = ready_t
         # (site, src, dst, seconds) per conversion pass charged to this task
         conversions: list[tuple[str, Precision, Precision, float]] = []
-        for inp, key, nbytes, prec in staged:
-            t = _acquire(rank, key, nbytes, prec, ready_t, protect)
+        conv_seconds = 0.0
+        for inp, key in zip(inputs, keys):
+            if key in entries:
+                entries.move_to_end(key)
+                t = ready[key]
+            else:
+                t = _load(rank, key, inp.elements * bpe(key[3]), ready_t, protect)
             if t > arrival:
                 arrival = t
-            # receiver-side conversion (TTC, or residual re-encode under STC)
-            if needs_conversion_cached(prec, task_prec, inp.role):
-                conversions.append(
-                    ("ttc", prec, task_prec, conversion_time_cached(inp.elements, prec, task_prec))
-                )
-        if task.sender_conversion is not None:
-            src, dst = task.sender_conversion
-            conversions.append(("stc", src, dst, conversion_time_cached(nb * nb, src, dst)))
-        conv_seconds = sum(c[3] for c in conversions)
+            memo = (key[3], task_prec, inp.role, inp.elements)
+            ttc = ttc_pass.get(memo)
+            if ttc is None:
+                ttc = ttc_pass[memo] = _ttc(*memo)
+            if ttc:
+                conversions.append(ttc)
+                conv_seconds += ttc[3]
+        sender = task.sender_conversion
+        if sender is not None:
+            stc = stc_pass.get(sender)
+            if stc is None:
+                stc = stc_pass[sender] = ("stc", *sender, conversion_time(gpu, nb * nb, *sender))
+            conversions.append(stc)
+            conv_seconds += stc[3]
 
         start = max(compute_free[rank], arrival)
-        exec_t = kernel_time_cached(task.kind, task_prec)
+        exec_t = kernel_seconds.get((task.kind, task_prec))
+        if exec_t is None:
+            exec_t = kernel_seconds[task.kind, task_prec] = kernel_time(gpu, task.kind, nb, task_prec)
         end = start + exec_t + conv_seconds
         compute_free[rank] = end
 
@@ -483,32 +479,33 @@ def _build_engine(
                     )
                 )
             conv_t += seconds
-            stats.add_conversion(site, seconds)
+            stats.n_conversions += 1
+            stats.conversion_seconds += seconds
+            conversions_by_site[site] = conversions_by_site.get(site, 0) + 1
+            conversion_seconds_by_site[site] = conversion_seconds_by_site.get(site, 0.0) + seconds
         if record is not None:
             record(
                 TraceEvent(
                     rank, "compute", task.kind, start + conv_seconds, end, task_prec, 0, task.flops
                 )
             )
-        stats.add_flops(task_prec, task.flops)
+        flops = task.flops
+        stats.total_flops += flops
+        flops_by_precision[task_prec] = flops_by_precision.get(task_prec, 0.0) + flops
         stats.n_tasks += 1
 
         # output materialises on this GPU
-        out_bytes = nb * nb * bpe(task.output_precision)
-        gpu_ready[rank][out_key] = end
-        caches[rank].insert(out_key, out_bytes, dirty=True)
+        ready[out_key] = end
+        cache.insert(out_key, nb * nb * bpe(task.output_precision), dirty=True)
         origin_rank[out_key] = rank
         # STC payload copy (converted once here, broadcast in low precision)
-        if task.sender_conversion is not None:
-            _src, dst = task.sender_conversion
-            pay_key: _Key = (out.i, out.j, out.version, dst)
-            pay_bytes = nb * nb * bpe(dst)
-            gpu_ready[rank][pay_key] = end
-            caches[rank].insert(pay_key, pay_bytes, dirty=False)
+        if sender is not None:
+            pay_key: _Key = out + (sender[1],)
+            ready[pay_key] = end
+            cache.insert(pay_key, nb * nb * bpe(sender[1]), dirty=False)
             origin_rank[pay_key] = rank
-        for ev_key, ev_bytes, ev_dirty in caches[rank].evict_until_fits(protect):
-            _writeback(rank, ev_key, ev_bytes, ev_dirty, end, protect)
-            gpu_ready[rank].pop(ev_key, None)
+        if cache.bytes > cache.capacity:
+            _evict_gpu(rank, end, protect)
         return start, end
 
     sched_state = SchedState(

@@ -9,21 +9,22 @@ count, and the list of :class:`TaskInput` payloads it consumes.  A
 ``TaskInput`` names the producing task (or ``None`` for an original
 matrix tile staged on the host), the tile/version it carries, and the
 precision in which the payload travels — the quantity Algorithm 2
-decides.
+decides.  ``TileRef`` and ``TaskInput`` are immutable named tuples: one
+object may be shared by every consumer of a payload, and a tuple costs
+a third of a frozen dataclass to build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ..precision.formats import Precision
 
 __all__ = ["TileRef", "TaskInput", "Task", "TaskGraph"]
 
 
-@dataclass(frozen=True)
-class TileRef:
+class TileRef(NamedTuple):
     """A specific version of one tile: the unit of dataflow."""
 
     i: int
@@ -35,8 +36,7 @@ class TileRef:
         return (self.i, self.j)
 
 
-@dataclass(frozen=True)
-class TaskInput:
+class TaskInput(NamedTuple):
     """One payload consumed by a task.
 
     ``producer`` is the task id that wrote this tile version, or ``None``

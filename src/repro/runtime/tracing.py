@@ -52,7 +52,11 @@ class TraceEvent:
 
 @dataclass
 class RunStats:
-    """Aggregated counters of one simulated run."""
+    """Aggregated counters of one simulated run.
+
+    The simulator's engine writes the fields in place, once per task,
+    transfer and conversion pass.
+    """
 
     makespan: float = 0.0
     total_flops: float = 0.0
@@ -85,23 +89,6 @@ class RunStats:
     @property
     def tflops(self) -> float:
         return self.gflops / 1e3
-
-    def add_flops(self, precision: Precision, flops: float) -> None:
-        self.total_flops += flops
-        self.flops_by_precision[precision] = self.flops_by_precision.get(precision, 0.0) + flops
-
-    def add_bytes(self, link: str, precision: Precision, nbytes: int) -> None:
-        key = (link, precision)
-        self.bytes_moved[key] = self.bytes_moved.get(key, 0) + nbytes
-
-    def add_conversion(self, site: str, seconds: float) -> None:
-        """Count one conversion pass at ``site`` ("stc" | "ttc")."""
-        self.n_conversions += 1
-        self.conversion_seconds += seconds
-        self.conversions_by_site[site] = self.conversions_by_site.get(site, 0) + 1
-        self.conversion_seconds_by_site[site] = (
-            self.conversion_seconds_by_site.get(site, 0.0) + seconds
-        )
 
     def to_dict(self) -> dict:
         """Serialise every counter to plain JSON-ready types.

@@ -104,7 +104,13 @@ def syrk(
     itself always accumulates in FP64 as in Algorithm 1.
     """
     a = quantize(c_mk, precision)
-    out = a @ a.T
+    if precision in (Precision.FP16, Precision.FP16_32):
+        # a panel saturated to ±inf on the fp16 grid (inf − inf): a NaN the
+        # next POTRF reports, not a warning
+        with np.errstate(invalid="ignore"):
+            out = a @ a.T
+    else:
+        out = a @ a.T
     np.subtract(c_mm, out, out=out)  # a float32 tile is widened by the subtraction
     sym = out + out.T
     sym *= 0.5

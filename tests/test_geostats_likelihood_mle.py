@@ -127,6 +127,23 @@ class TestLikelihood:
         with pytest.raises(ValueError, match="some other defect"):
             log_likelihood(ds, (1.0, 0.03), cfg)
 
+    @pytest.mark.parametrize(
+        "accuracy, reason",
+        [(1e-2, "not_positive_definite"), (1e-4, "non_finite")],
+        ids=["syrk", "fp16_32-gemm"],
+    )
+    def test_saturating_variance_is_a_silent_reason(self, accuracy, reason):
+        """A variance of 1e12 saturates fp16-grid payloads to ±inf.  The SYRK
+        (at 1e-2) or FP16_32 GEMM (at 1e-4) reading them makes a NaN that the
+        next POTRF or TRSM reports as a reason, with no RuntimeWarning."""
+        import warnings
+
+        ds = SyntheticField.sqexp_2d(256, 1.0, 0.03, seed=0, nugget=0.01).sample()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = log_likelihood(ds, (1e12, 0.03), MPConfig(accuracy=accuracy, tile_size=32))
+        assert (ev.value, ev.reason) == (-math.inf, reason)
+
     def test_keep_map(self, dataset):
         ev = log_likelihood(
             dataset, (1.0, 0.1, 0.5), MPConfig(accuracy=1e-4, tile_size=18), keep_map=True
