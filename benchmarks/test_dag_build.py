@@ -15,7 +15,7 @@ from repro.bench.apps import app_kernel_map
 from repro.core import build_cholesky_dag, cholesky_task_count
 from repro.tiles.distribution import ProcessGrid
 
-from tests.cholesky_ptg_oracle import build_cholesky_graph_oracle
+from tests.cholesky_ptg_oracle import build_cholesky_graph_oracle, edge_lists
 
 NT, NB = 40, 512
 SPEEDUP_FLOOR = 3.0
@@ -42,7 +42,11 @@ def test_emitter_beats_the_closure_ptg(benchmark):
 
     n_tasks = cholesky_task_count(NT)
     assert len(dag.graph) == n_tasks
-    assert dag.graph.tasks == oracle.tasks and dag.graph.adjacency() == oracle.adjacency()
+    graph = dag.graph
+    assert graph.tasks == oracle.tasks
+    preds, succs = edge_lists(oracle.tasks)
+    assert [graph.predecessors(t) for t in range(n_tasks)] == preds
+    assert [graph.successors(t) for t in range(n_tasks)] == succs
     speedup = t_oracle / t_new
     print(f"\nNT={NT} ({n_tasks} tasks): closure PTG {t_oracle:.3f}s ({n_tasks / t_oracle:,.0f} tasks/s)"
           f"  emitter {t_new:.3f}s ({n_tasks / t_new:,.0f} tasks/s)  speedup {speedup:.1f}x")

@@ -369,6 +369,31 @@ def _capture(args):
         yield profiler, _enter_live(stack, args, run_id=run_id)
 
 
+@contextlib.contextmanager
+def _gc_cost():
+    """Yield a dict that holds, once the block exits, what the cyclic
+    garbage collector cost inside it: ``gc_seconds`` and
+    ``gc_collections`` (collections per generation, 0/1/2)."""
+    import gc
+
+    cost = {"gc_seconds": 0.0, "gc_collections": [0, 0, 0]}
+    started = 0.0
+
+    def hook(phase, info):
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            cost["gc_seconds"] += time.perf_counter() - started
+            cost["gc_collections"][info["generation"]] += 1
+
+    gc.callbacks.append(hook)
+    try:
+        yield cost
+    finally:
+        gc.callbacks.remove(hook)
+
+
 def _write_capture(args, profiler, *, command, stats, n_tasks, trace=None) -> None:
     """The ``--profile-out`` / ``--metrics-out`` tail of :func:`_capture`:
     hottest frames + profile document, then the run summary."""
@@ -429,7 +454,7 @@ def _cmd_simulate(args) -> int:
         # exit 1 means "replay diverged"; an unreadable file is a usage error
         print(f"simulate: cannot read schedule {args.replay}: {exc}", file=sys.stderr)
         return 2
-    with _capture(args) as (profiler, plane):
+    with _capture(args) as (profiler, plane), _gc_cost() as gc_cost:
         if plane is not None and args.live_stall_after is not None:
             plane.configure_stall(args.live_stall_after, args.live_stall_seconds)
         t0 = time.perf_counter()
@@ -459,6 +484,7 @@ def _cmd_simulate(args) -> int:
         tasks_per_second=d["n_tasks"] / wall if wall > 0.0 else 0.0,
         peak_rss_bytes=_peak_rss_bytes(),
         peak_live_tasks=rep.peak_live_tasks,
+        **gc_cost,
     )
     print(f"{args.config} on {args.nodes}x{args.gpus}x{args.gpu} "
           f"(n={args.n}, nb={args.nb}, {args.strategy.upper()}, "
@@ -476,7 +502,9 @@ def _cmd_simulate(args) -> int:
               f"{d['disk_write_bytes'] / 1e9:.2f} GB")
     print(f"  host       {wall:.2f} s wall  {d['tasks_per_second']:,.0f} tasks/s  "
           f"peak live {rep.peak_live_tasks} tasks  "
-          f"peak rss {d['peak_rss_bytes'] / 1e6:,.0f} MB")
+          f"peak rss {d['peak_rss_bytes'] / 1e6:,.0f} MB  "
+          f"gc {d['gc_seconds']:.3f} s ({'/'.join(map(str, d['gc_collections']))} "
+          "gen-0/1/2 collections)")
 
     if args.schedule_out:
         StaticSchedule.from_report(rep, nb=args.nb, n=args.n, platform=platform).save(args.schedule_out)

@@ -182,6 +182,8 @@ class CommPrecisionMap:
 _STORAGE_CODE_LUT = np.array(
     [int(get_storage_precision(p)) for p in sorted(Precision)], dtype=np.int8
 )
+#: code → payload encoding, indexed the same way
+_ENCODING_LUT = np.array([payload_encoding(p) for p in sorted(Precision)])
 
 
 def build_comm_precision_map(kmap: KernelPrecisionMap) -> CommPrecisionMap:
@@ -241,12 +243,13 @@ def build_comm_precision_map(kmap: KernelPrecisionMap) -> CommPrecisionMap:
 
     # Off-diagonal tiles (m, k) operating TRSM(m, k): the SYRK successor
     # requires the tile's own kernel precision (see module docstring),
-    # the GEMM successors the row/column maxima, capped at storage.
+    # the GEMM successors the row/column maxima, capped at storage; a payload
+    # in its storage's encoding (TF32 under FP32) is the storage: no STC copy.
     io, jo = np.nonzero(strict_lower)
     if io.size:
-        need = np.maximum(codes[io, jo], row_succ[io, jo])
-        need = np.maximum(need, col_succ[io])
-        comm[io, jo] = np.minimum(storage[io, jo], need)
+        sto = storage[io, jo]
+        need = np.minimum(sto, np.maximum(np.maximum(codes[io, jo], row_succ[io, jo]), col_succ[io]))
+        comm[io, jo] = np.where(_ENCODING_LUT[need] == _ENCODING_LUT[sto], sto, need)
 
     cmap = CommPrecisionMap(nt=nt, comm_codes=comm, storage_codes=storage)
     _emit_comm_decision(cmap)

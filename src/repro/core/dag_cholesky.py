@@ -29,7 +29,7 @@ from ..obs import traced
 from ..obs.profile import hot_region
 from ..perfmodel.kernels import KernelKind, kernel_flops, kernel_flops_rect
 from ..precision.formats import Precision
-from ..runtime.task import Task, TaskGraph, TaskInput, TileRef
+from ..runtime.task import Task, TaskGraph, TaskInput
 from ..tiles.distribution import ProcessGrid
 from ..tiles.kernels import trsm_execution_precision
 from .config import ConversionStrategy
@@ -124,12 +124,12 @@ class _CholeskyDataflow:
             if self.strategy == ConversionStrategy.TTC
             else table(self.comm_map.comm_codes)
         )
-        #: STC conversion done by the task writing tile (i, j), else None
+        #: STC conversion done by the task writing tile (i, j), else None:
+        #: one shared tuple per (storage, payload) pair, not one per tile
+        conv = {(s, p): (s, p) for s in Precision for p in Precision
+                if payload_encoding(p) != payload_encoding(s)}
         self._sender_conv = [
-            [
-                (sto, pay) if payload_encoding(pay) != payload_encoding(sto) else None
-                for sto, pay in zip(self._storage[i][: i + 1], self._payload[i])
-            ]
+            [conv.get((sto, pay)) for sto, pay in zip(self._storage[i][: i + 1], self._payload[i])]
             for i in range(nt)
         ]
         #: encoding a GEMM leaves tile (i, j) in: a pure-FP16 accumulator
@@ -176,7 +176,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
     that iteration, each minted once as a :class:`Task` with the next
     dense id.  The order is topological — every read names a task of the
     same or an earlier ``k`` — so a producer is simply the last writer
-    of the tile, kept per tile next to the :class:`TileRef` it wrote.
+    of the tile, kept per tile next to the ``(i, j, version)`` it wrote.
 
     A panel tile has one writer and many readers (the SYRK of its row,
     the GEMMs of its row and column; the POTRF tile, every TRSM below
@@ -198,7 +198,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
     #: per lower tile: id of its last writer (None: the generated host
     #: tile) and the version that writer left
     writer: list[list[int | None]] = [[None] * (i + 1) for i in range(nt)]
-    ref = [[TileRef(i, j, 0) for j in range(i + 1)] for i in range(nt)]
+    ref = [[(i, j, 0) for j in range(i + 1)] for i in range(nt)]
     #: panel[m]: the shared read of tile (m, k) as TRSM(m, k) wrote it
     panel: list[TaskInput | None] = [None] * nt
     tid = 0
@@ -206,7 +206,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
         ek = edges[k]
         arrives = rules._arrives(k)
         p_potrf, p_trsm, p_syrk, p_gemm = (rules.prio(k, kind) for kind in (POTRF, TRSM, SYRK, GEMM))
-        diag = TileRef(k, k, k + 1)
+        diag = (k, k, k + 1)
         yield Task(
             tid, POTRF, (k,), owner[k][k], FP64, kernel_flops(POTRF, ek), diag, FP64,
             [TaskInput(writer[k][k], ref[k][k], FP64, FP64, ek * ek, "inout")],
@@ -221,7 +221,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
             em = edges[m]
             # the panel tile arrives from its last GEMM in its at-rest encoding
             c_in = arrives[m][k]
-            out = TileRef(m, k, k + 1)
+            out = (m, k, k + 1)
             yield Task(
                 tid, TRSM, (m, k), owner[m][k], trsm_execution_precision(kernel[m][k]),
                 kernel_flops_rect(TRSM, em, ek), out, storage[m][k],
@@ -233,7 +233,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
             tid += 1
         for m in range(k + 1, nt):
             em = edges[m]
-            out = TileRef(m, m, k + 1)
+            out = (m, m, k + 1)
             yield Task(
                 tid, SYRK, (m, k), owner[m][m], FP64, kernel_flops_rect(SYRK, em, ek), out, FP64,
                 [panel[m], TaskInput(writer[m][m], ref[m][m], FP64, FP64, em * em, "inout")],
@@ -248,7 +248,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
             row_writer, row_ref, row_rests, row_arrives = writer[m], ref[m], rests[m], arrives[m]
             for nn in range(k + 1, m):
                 c_in = row_arrives[nn]
-                out = TileRef(m, nn, k + 1)
+                out = (m, nn, k + 1)
                 yield Task(
                     tid, GEMM, (m, nn, k), owner[m][nn], kernel[m][nn],
                     kernel_flops_rect(GEMM, em, edges[nn], ek), out, row_rests[nn],

@@ -200,7 +200,7 @@ class RegressionReport:
 
 #: wall-clock metrics never compared by default (machine noise)
 _NOISY = frozenset({
-    "plan_seconds", "sim_seconds", "wall_seconds", "total_plan_seconds",
+    "plan_seconds", "sim_seconds", "wall_seconds", "gc_seconds", "total_plan_seconds",
     "total_sim_seconds",
 })
 

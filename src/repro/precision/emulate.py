@@ -257,6 +257,11 @@ def quantize_tile(tile: np.ndarray, precision: Precision) -> np.ndarray:
 
     Unlike :func:`quantize` (which widens back to float64 for in-place
     numerics), this mimics the matrix-generation phase of Section V where
-    tiles are written out directly in their storage precision.
+    tiles are written out directly in their storage precision.  Values
+    past float32's range saturate to ±inf, like the hardware cast.
     """
-    return np.asarray(tile, dtype=storage_dtype(precision))
+    dtype = storage_dtype(precision)
+    if dtype == np.float32:
+        with np.errstate(over="ignore"):
+            return np.asarray(tile, dtype=dtype)
+    return np.asarray(tile, dtype=dtype)

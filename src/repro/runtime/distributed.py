@@ -176,7 +176,7 @@ def _rank_main(
                 _die(kill)
             # gather remote inputs
             for inp in task.inputs:
-                key3 = (inp.tile.i, inp.tile.j, inp.tile.version)
+                key3 = inp.tile
                 if key3 in values:
                     continue
                 if inp.producer is None:
@@ -202,10 +202,9 @@ def _rank_main(
         for task in graph:
             if task.rank != rank:
                 continue
-            key = (task.output.i, task.output.j)
-            v = task.output.version
-            if key not in finals or v > finals[key][0]:
-                finals[key] = (v, values[(key[0], key[1], v)])
+            i, j, v = task.output
+            if (i, j) not in finals or v > finals[(i, j)][0]:
+                finals[(i, j)] = (v, values[task.output])
         results.put((rank, {k: v[1] for k, v in finals.items()}, None, injector.fired))
     except BaseException as exc:  # surface worker failures to the parent
         results.put((rank, {}, repr(exc), injector.fired))

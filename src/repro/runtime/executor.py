@@ -49,13 +49,12 @@ def _payload(values: _Values, inp) -> np.ndarray:
     dtype the payload rests in (float32 below FP64) — a tile stored at
     the precision it travels at is passed on as it is.
     """
-    key = (inp.tile.i, inp.tile.j, inp.tile.version)
-    return as_input(values[key], inp.payload_precision)
+    return as_input(values[inp.tile], inp.payload_precision)
 
 
 def _panel(values: _Values, inp) -> Operand:
     """:func:`_payload` of a broadcast input, made once for all its readers."""
-    key = (inp.tile.i, inp.tile.j, inp.tile.version, inp.payload_precision)
+    key = inp.tile + (inp.payload_precision,)
     panel = values.panels.get(key)
     if panel is None:
         panel = values.panels[key] = Operand(_payload(values, inp))
@@ -77,16 +76,15 @@ def _seed_version0(
         if rank is not None and task.rank != rank:
             continue
         for inp in task.inputs:
-            key = (inp.tile.i, inp.tile.j, inp.tile.version)
+            key = inp.tile
             if inp.producer is None and key not in values:
-                values[key] = as_input(mat.get(inp.tile.i, inp.tile.j), inp.storage_precision)
+                values[key] = as_input(mat.get(key[0], key[1]), inp.storage_precision)
     return values
 
 
 def _task_span(task: Task):
     """The span the in-process executors record around each task."""
-    out = task.output
-    return span("task", kind=task.kind, tile=(out.i, out.j), precision=task.precision.name)
+    return span("task", kind=task.kind, tile=task.output[:2], precision=task.precision.name)
 
 
 def _execute_task(task: Task, values: _Values) -> tuple[tuple[int, int, int], np.ndarray]:
@@ -109,7 +107,7 @@ def _execute_task(task: Task, values: _Values) -> tuple[tuple[int, int, int], np
         result = tk.gemm(a, b, c, precision=task.precision)
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
-    return (task.output.i, task.output.j, task.output.version), as_input(result, task.output_precision)
+    return task.output, as_input(result, task.output_precision)
 
 
 def _collect_finals(values: dict, out: TiledSymmetricMatrix) -> TiledSymmetricMatrix:

@@ -46,6 +46,8 @@ def execute_numeric_parallel(
     values = _seed_version0(graph, out)
 
     tasks = graph.tasks
+    # read once, before the pool: walking the edges under the lock serialises it
+    succs = [graph.successors(t) for t in range(len(graph))]
     in_count = [len(graph.predecessors(t)) for t in range(len(graph))]
     ready = [(tasks[t].priority, t) for t, n in enumerate(in_count) if n == 0]
     heapq.heapify(ready)
@@ -68,7 +70,7 @@ def execute_numeric_parallel(
         with lock:
             values[key] = result
             remaining -= 1
-            for succ in graph.successors(tid):
+            for succ in succs[tid]:
                 in_count[succ] -= 1
                 if in_count[succ] == 0:
                     heapq.heappush(ready, (tasks[succ].priority, succ))

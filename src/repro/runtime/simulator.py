@@ -118,12 +118,14 @@ class _Lru:
     Eviction hands ``(key, bytes, dirty)`` back to the simulator, which
     counts every eviction and writes back through the d2h engine only
     when the entry is dirty or the host holds no copy; clean entries the
-    host already holds are dropped without traffic.
+    host already holds are dropped without traffic.  An entry is its byte
+    count and the dirty keys a set (sticky until eviction): no tuple per insert.
     """
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
-        self.entries: "OrderedDict[_Key, tuple[int, bool]]" = OrderedDict()  # key -> (bytes, dirty)
+        self.entries: "OrderedDict[_Key, int]" = OrderedDict()  # key -> bytes
+        self.dirty: set[_Key] = set()
         self.bytes = 0
 
     def __contains__(self, key: _Key) -> bool:
@@ -133,30 +135,34 @@ class _Lru:
         self.entries.move_to_end(key)
 
     def insert(self, key: _Key, nbytes: int, dirty: bool) -> None:
-        if key in self.entries:
-            old_bytes, old_dirty = self.entries.pop(key)
-            self.bytes -= old_bytes
-            dirty = dirty or old_dirty
-        self.entries[key] = (nbytes, dirty)
-        self.bytes += nbytes
+        old_bytes = self.entries.pop(key, 0)
+        self.entries[key] = nbytes
+        self.bytes += nbytes - old_bytes
+        if dirty:
+            self.dirty.add(key)
 
     def evict_until_fits(self, protect: set[_Key]) -> list[tuple[_Key, int, bool]]:
         """Evict least-recently-used entries until within capacity."""
         evicted: list[tuple[_Key, int, bool]] = []
         if self.capacity <= 0 or self.bytes <= self.capacity:
             return evicted
-        skipped: list[tuple[_Key, tuple[int, bool]]] = []
-        while self.bytes > self.capacity and self.entries:
-            key, (nbytes, dirty) = self.entries.popitem(last=False)
+        entries, dirty = self.entries, self.dirty
+        skipped: list[tuple[_Key, int]] = []
+        while self.bytes > self.capacity and entries:
+            key, nbytes = entries.popitem(last=False)
             if key in protect:
-                skipped.append((key, (nbytes, dirty)))
+                skipped.append((key, nbytes))
                 continue
             self.bytes -= nbytes
-            evicted.append((key, nbytes, dirty))
+            if key in dirty:
+                dirty.remove(key)
+                evicted.append((key, nbytes, True))
+            else:
+                evicted.append((key, nbytes, False))
         # reinstate protected entries at the LRU end (oldest position)
-        for key, value in reversed(skipped):
-            self.entries[key] = value
-            self.entries.move_to_end(key, last=False)
+        for key, nbytes in reversed(skipped):
+            entries[key] = nbytes
+            entries.move_to_end(key, last=False)
         return evicted
 
 
@@ -184,11 +190,8 @@ def _build_engine(
     :class:`TraceEvent` is constructed only for a recording run.  Every
     transfer is charged through ``move``, the one writer of link bytes.
 
-    ``exec_task`` runs once per task, so it derives each input's payload
-    key once and reuses it for the protect set, the cache probe and the
-    staging; serves a GPU-cache hit inline (only a miss calls ``_load``);
-    and runs an LRU's eviction scan only once the cache is over its
-    limit (``inf`` for an unbounded cache).
+    ``exec_task`` derives each input's payload key once, serves a GPU-cache
+    hit inline and scans an LRU only once it is over its limit.
     """
     gpu = platform.gpu
     n_ranks = platform.n_ranks
@@ -602,7 +605,8 @@ def _drive(
     emit = iter(source if streamed else graph.tasks)
     # the lists below grow (add) and shrink (retire) in place under a
     # streamed source, so these references stay current
-    preds, succs = graph.adjacency()
+    head, dst, nxt = graph.forward_star()
+    preds = graph.predecessors
     tasks = graph.tasks
     in_count: list[int] = []
     task_end: list[float] = []
@@ -625,13 +629,10 @@ def _drive(
     with hot_region("sim.ready_heap_loop"):
         while True:
             if not exhausted and (live < lookahead or (picks is None and not heap)):
-                # One window fill — or, when the frontier is still blocked
-                # inside a full window, one more task (repeated until a task
-                # is ready or the source runs dry).  The whole fill is
-                # host-seeded before any of its ready tasks is keyed, so a
-                # residency-aware policy scores roots against the same host
-                # state whether they arrive in one emission or through a
-                # stream whose window covers them.
+                # One window fill — or, while a full window is blocked, one
+                # more task.  The whole fill is host-seeded before any of its
+                # ready tasks is keyed, so a residency-aware policy scores
+                # roots alike whether they arrive in one emission or a stream.
                 limit = max(lookahead, live + 1)
                 first = len(in_count)
                 while live < limit:
@@ -643,7 +644,7 @@ def _drive(
                     seed_host(task)
                     pending = 0
                     ready_t = 0.0
-                    for p in preds[tid]:
+                    for p in preds(tid):
                         if in_count[p] < 0:
                             if task_end[p] > ready_t:
                                 ready_t = task_end[p]
@@ -656,13 +657,9 @@ def _drive(
                     live += 1
                 if live > peak_live:
                     peak_live = live
-                # Heap comparator is the explicit triple (*policy.key, tid):
-                # the policy owns the first two fields, task id pins the order
-                # of equal-key tasks so every policy is fully deterministic.
-                # Only tasks whose predecessors have all executed enter the
-                # heap, so any pop order is a valid schedule; the recorded
-                # ready time still gates the task's start via its input
-                # arrival times.
+                # Heap entries are (*policy.key, tid): the tid makes every
+                # policy deterministic.  Only tasks whose predecessors have all
+                # executed enter the heap, so any pop order is a valid schedule.
                 if key_of is not None:
                     for tid in range(first, len(in_count)):
                         if in_count[tid] == 0:
@@ -683,7 +680,7 @@ def _drive(
                         f"{'already executed' if 0 <= tid < len(in_count) else 'out of range'}"
                     )
                 if in_count[tid]:
-                    blocker = next(p for p in preds[tid] if in_count[p] >= 0)
+                    blocker = next(p for p in preds(tid) if in_count[p] >= 0)
                     raise ValueError(
                         f"replay order violates precedence: task {tid} scheduled "
                         f"before its predecessor {blocker}"
@@ -693,7 +690,10 @@ def _drive(
             task_start[tid] = start
             task_end[tid] = end
             in_count[tid] = -1
-            for succ in succs[tid]:
+            edge = head[tid]
+            while edge >= 0:
+                succ = dst[edge]
+                edge = nxt[edge]
                 left = in_count[succ] - 1
                 in_count[succ] = left
                 if end > task_ready[succ]:

@@ -9,31 +9,22 @@ count, and the list of :class:`TaskInput` payloads it consumes.  A
 ``TaskInput`` names the producing task (or ``None`` for an original
 matrix tile staged on the host), the tile/version it carries, and the
 precision in which the payload travels — the quantity Algorithm 2
-decides.  ``TileRef`` and ``TaskInput`` are immutable named tuples: one
-object may be shared by every consumer of a payload, and a tuple costs
-a third of a frozen dataclass to build.
+decides.  ``TaskInput`` is an immutable named tuple, shared by every
+consumer of a payload; a ``TileRef`` is a plain ``(i, j, version)`` int
+tuple, which the cyclic GC stops tracking (a named tuple it never does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from ..precision.formats import Precision
 
 __all__ = ["TileRef", "TaskInput", "Task", "TaskGraph"]
 
-
-class TileRef(NamedTuple):
-    """A specific version of one tile: the unit of dataflow."""
-
-    i: int
-    j: int
-    version: int
-
-    @property
-    def coords(self) -> tuple[int, int]:
-        return (self.i, self.j)
+#: a specific version of one tile, ``(i, j, version)``: the unit of dataflow
+TileRef = tuple[int, int, int]
 
 
 class TaskInput(NamedTuple):
@@ -94,18 +85,20 @@ class TaskGraph:
     simulator consumes: live memory stays proportional to the emission
     window, not the DAG.
 
-    Dependency edges are deduped: a task reading two tiles from the
-    same producer contributes one predecessor/successor edge, so
-    ``in_count`` bookkeeping and degree statistics count *tasks*, not
-    payloads.
+    Dependency edges are deduped (two reads of one producer are one
+    edge), so ``in_count`` bookkeeping counts *tasks*, not payloads.  A
+    task's predecessors are computed from its own inputs; successors are
+    one forward star of flat int lists, so the graph holds no per-task
+    container for the garbage collector to trace.
     """
 
     def __init__(self) -> None:
         self.tasks: list[Task | None] = []
-        self._succs: list[list[int]] = []
-        self._preds: list[list[int]] = []
+        #: the forward star: per task its first and last outgoing edge, per
+        #: edge its consumer and the producer's next edge (-1: none)
+        self._head, self._tail, self._dst, self._next = [], [], [], []
         self._sealed = False
-        self._n_retired = 0
+        self.n_retired = 0
 
     # -- construction ----------------------------------------------------
     def add(self, task: Task) -> int:
@@ -119,63 +112,69 @@ class TaskGraph:
         tid = task.tid
         if tid != len(self.tasks):
             raise ValueError(f"task ids must be dense: got {tid}, expected {len(self.tasks)}")
-        preds: list[int] = []
         for inp in task.inputs:
             p = inp.producer
-            if p is None or p in preds:
-                continue
-            if not 0 <= p < tid:
+            if p is not None and not 0 <= p < tid:
                 raise ValueError(f"task {tid} references unknown or later producer {p}")
-            preds.append(p)
         self.tasks.append(task)
-        self._succs.append([])
-        self._preds.append(preds)
-        for p in preds:
-            self._succs[p].append(tid)
+        self._head.append(-1)
+        self._tail.append(-1)
+        head, tail, dst, nxt = self._head, self._tail, self._dst, self._next
+        for inp in task.inputs:
+            p = inp.producer
+            if p is None or (tail[p] >= 0 and dst[tail[p]] == tid):
+                continue  # a host tile, or a repeated producer: one edge
+            last = tail[p]
+            edge = tail[p] = len(dst)
+            dst.append(tid)
+            nxt.append(-1)
+            if last < 0:
+                head[p] = edge
+            else:
+                nxt[last] = edge
         return tid
 
     def new_task(self, **kwargs) -> Task:
         """Create, add, and return a task with the next id."""
-        task = Task(tid=len(self.tasks), **kwargs)
-        self.add(task)
-        return task
+        return self.tasks[self.add(Task(tid=len(self.tasks), **kwargs))]
 
     def retire(self, tid: int) -> None:
-        """Release a consumed task's payload (streaming graphs).
+        """Release a consumed task (streaming graphs): drop the :class:`Task`
+        — its predecessors go with it — and empty its successor list.
 
-        Drops the :class:`Task` object and its outgoing edge list; the
-        integer predecessor lists stay (successors still need them for
-        ready-time bookkeeping).  Whole-graph accessors
-        (``total_flops``, iteration, …) are off-limits after the first
-        retire — this is the tail end of the frontier API, meant for a
-        consumer that has already folded the task into its own state.
+        Whole-graph accessors (``total_flops``, iteration, …) are
+        off-limits after the first retire: a consumer calls this once it
+        has folded the task into its own state.
         """
         self.tasks[tid] = None
-        self._succs[tid] = []
-        self._n_retired += 1
-
-    @property
-    def n_retired(self) -> int:
-        return self._n_retired
+        self._head[tid] = self._tail[tid] = -1
+        self.n_retired += 1
 
     def finalize(self) -> None:
         """Seal the graph: no further :meth:`add`."""
         self._sealed = True
 
     # -- topology ----------------------------------------------------------
-    def successors(self, tid: int) -> Sequence[int]:
-        return self._succs[tid]
+    def successors(self, tid: int) -> list[int]:
+        out, edge = [], self._head[tid]
+        while edge >= 0:
+            out.append(self._dst[edge])
+            edge = self._next[edge]
+        return out
 
-    def predecessors(self, tid: int) -> Sequence[int]:
-        return self._preds[tid]
+    def predecessors(self, tid: int) -> list[int]:
+        out: list[int] = []
+        for inp in self.tasks[tid].inputs:
+            p = inp.producer
+            if p is not None and p not in out:
+                out.append(p)
+        return out
 
-    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``(preds, succs)`` lists, indexed by tid — for hot loops.
-
-        Direct list access avoids a method call per edge in the
-        simulator's ready-heap loop; callers must not mutate.
-        """
-        return self._preds, self._succs
+    def forward_star(self) -> tuple[list[int], list[int], list[int]]:
+        """``(head, dst, next)`` for hot loops: ``t``'s successors are ``dst[e]``
+        for ``e = head[t]``, ``next[e]``, … until ``-1``.  Read only; the
+        lists grow in place under :meth:`add`, so references stay current."""
+        return self._head, self._dst, self._next
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -209,11 +208,8 @@ class TaskGraph:
 
     def critical_path_length(self, duration=lambda task: 1.0) -> float:
         """Length of the longest path under a task-duration function."""
-        dist = [0.0] * len(self.tasks)
-        best = 0.0
-        for tid in self.topological_order():
-            task = self.tasks[tid]
+        dist = [0.0] * len(self.tasks)  # task ids are topological
+        for tid, task in enumerate(self.tasks):
             start = max((dist[p] for p in self.predecessors(tid)), default=0.0)
             dist[tid] = start + float(duration(task))
-            best = max(best, dist[tid])
-        return best
+        return max(dist, default=0.0)

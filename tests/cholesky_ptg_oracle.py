@@ -159,6 +159,28 @@ def unroll(classes: Sequence[TaskClassSpec]) -> TaskGraph:
     return graph
 
 
+def edge_lists(tasks: Sequence[Task]) -> tuple[list[list[int]], list[list[int]]]:
+    """``(preds, succs)`` per task id, as a list-per-task ``TaskGraph`` held them.
+
+    A task's predecessors are its inputs' producers, deduped in
+    first-seen order; a producer's successors are its consumers in
+    emission order, once each.  :meth:`TaskGraph.predecessors` /
+    :meth:`TaskGraph.successors` must list exactly these.
+    """
+    preds: list[list[int]] = []
+    succs: list[list[int]] = []
+    for task in tasks:
+        mine: list[int] = []
+        for inp in task.inputs:
+            if inp.producer is not None and inp.producer not in mine:
+                mine.append(inp.producer)
+        preds.append(mine)
+        succs.append([])
+        for p in mine:
+            succs[p].append(task.tid)
+    return preds, succs
+
+
 # -- the Cholesky PTG written against it (was repro/core/dag_cholesky.py) -------
 
 _KIND_RANK = {
@@ -269,10 +291,10 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
             rank=grid.owner(k, k),
             precision=Precision.FP64,
             flops=kernel_flops(KernelKind.POTRF, edge(k)),
-            writes=TileRef(k, k, k + 1),
+            writes=(k, k, k + 1),
             output_precision=Precision.FP64,
             reads=[
-                (c_prod, TileRef(k, k, k), Precision.FP64, Precision.FP64, elements(k, k), "inout")
+                (c_prod, (k, k, k), Precision.FP64, Precision.FP64, elements(k, k), "inout")
             ],
             sender_conversion=sender_conv(k, k) if has_bcast else None,
             priority=prio(k, KernelKind.POTRF),
@@ -289,12 +311,12 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
             rank=grid.owner(m, k),
             precision=trsm_execution_precision(kernel),
             flops=kernel_flops_rect(KernelKind.TRSM, edge(m), edge(k)),
-            writes=TileRef(m, k, k + 1),
+            writes=(m, k, k + 1),
             output_precision=panel_storage(m, k),
             reads=[
                 (
                     ("POTRF", (k,)),
-                    TileRef(k, k, k + 1),
+                    (k, k, k + 1),
                     panel_payload(k, k),
                     Precision.FP64,
                     elements(k, k),
@@ -302,7 +324,7 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
                 ),
                 (
                     c_prod,
-                    TileRef(m, k, k),
+                    (m, k, k),
                     c_payload,
                     c_payload,
                     elements(m, k),
@@ -322,12 +344,12 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
             rank=grid.owner(m, m),
             precision=Precision.FP64,
             flops=kernel_flops_rect(KernelKind.SYRK, edge(m), edge(k)),
-            writes=TileRef(m, m, k + 1),
+            writes=(m, m, k + 1),
             output_precision=Precision.FP64,
             reads=[
                 (
                     ("TRSM", (m, k)),
-                    TileRef(m, k, k + 1),
+                    (m, k, k + 1),
                     panel_payload(m, k),
                     panel_storage(m, k),
                     elements(m, k),
@@ -335,7 +357,7 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
                 ),
                 (
                     c_prod,
-                    TileRef(m, m, k),
+                    (m, m, k),
                     Precision.FP64,
                     Precision.FP64,
                     elements(m, m),
@@ -355,12 +377,12 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
             rank=grid.owner(m, nn),
             precision=prec,
             flops=kernel_flops_rect(KernelKind.GEMM, edge(m), edge(nn), edge(k)),
-            writes=TileRef(m, nn, k + 1),
+            writes=(m, nn, k + 1),
             output_precision=out_prec,
             reads=[
                 (
                     ("TRSM", (m, k)),
-                    TileRef(m, k, k + 1),
+                    (m, k, k + 1),
                     panel_payload(m, k),
                     panel_storage(m, k),
                     elements(m, k),
@@ -368,7 +390,7 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
                 ),
                 (
                     ("TRSM", (nn, k)),
-                    TileRef(nn, k, k + 1),
+                    (nn, k, k + 1),
                     panel_payload(nn, k),
                     panel_storage(nn, k),
                     elements(nn, k),
@@ -376,7 +398,7 @@ def _cholesky_classes(rules: _CholeskyDataflow) -> list[TaskClassSpec]:
                 ),
                 (
                     c_prod,
-                    TileRef(m, nn, k),
+                    (m, nn, k),
                     c_payload,
                     c_payload,
                     elements(m, nn),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.conversion import CommPrecisionMap
+from repro.core.conversion import CommPrecisionMap, payload_encoding
 from repro.core.precision_map import KernelPrecisionMap
 from repro.precision import Precision, get_storage_precision
 
@@ -65,6 +65,9 @@ def build_comm_precision_map_loop(kmap: KernelPrecisionMap) -> CommPrecisionMap:
                     break
             if done:
                 continue
-            comm[m, k] = int(prec)
+            # TF32 travels as FP32 words: a payload in its storage's
+            # encoding is the storage precision
+            same = payload_encoding(prec) == payload_encoding(tile_storage)
+            comm[m, k] = int(tile_storage if same else prec)
 
     return CommPrecisionMap(nt=nt, comm_codes=comm, storage_codes=storage)

@@ -144,6 +144,17 @@ class TestLikelihood:
             ev = log_likelihood(ds, (1e12, 0.03), MPConfig(accuracy=accuracy, tile_size=32))
         assert (ev.value, ev.reason) == (-math.inf, reason)
 
+    def test_variance_past_float32_range_is_a_silent_reason(self):
+        """σ² = 1e39 overflows the FP32 storage cast itself: the cast
+        saturates to ±inf on purpose and the factorization reports it."""
+        import warnings
+
+        ds = SyntheticField.sqexp_2d(256, 1.0, 0.03, seed=0, nugget=0.01).sample()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = log_likelihood(ds, (1e39, 0.03), MPConfig(accuracy=1e-4, tile_size=32))
+        assert (ev.value, ev.reason) == (-math.inf, "non_finite")
+
     def test_keep_map(self, dataset):
         ev = log_likelihood(
             dataset, (1.0, 0.1, 0.5), MPConfig(accuracy=1e-4, tile_size=18), keep_map=True

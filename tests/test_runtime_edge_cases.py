@@ -12,7 +12,7 @@ from repro.core import (
 from repro.perfmodel import V100
 from repro.precision import Precision
 from repro.runtime import Platform, TaskGraph, execute_numeric, simulate
-from repro.runtime.task import Task, TaskInput, TileRef
+from repro.runtime.task import Task, TaskInput
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
 
@@ -48,17 +48,17 @@ class TestSimulatorRobustness:
         g = TaskGraph()
         g.add(Task(
             tid=0, kind="POTRF", params=(0,), rank=0, precision=Precision.FP64,
-            flops=1.0, output=TileRef(0, 0, 1), output_precision=Precision.FP64,
-            inputs=[TaskInput(None, TileRef(0, 0, 0), Precision.FP64,
+            flops=1.0, output=(0, 0, 1), output_precision=Precision.FP64,
+            inputs=[TaskInput(None, (0, 0, 0), Precision.FP64,
                               Precision.FP64, 4, "inout")],
         ))
         g.add(Task(
             tid=1, kind="TRSM", params=(1, 0), rank=0, precision=Precision.FP64,
-            flops=1.0, output=TileRef(1, 0, 1), output_precision=Precision.FP64,
+            flops=1.0, output=(1, 0, 1), output_precision=Precision.FP64,
             inputs=[
-                TaskInput(0, TileRef(0, 0, 1), Precision.FP32,  # wrong key!
+                TaskInput(0, (0, 0, 1), Precision.FP32,  # wrong key!
                           Precision.FP64, 4, "in"),
-                TaskInput(None, TileRef(1, 0, 0), Precision.FP64,
+                TaskInput(None, (1, 0, 0), Precision.FP64,
                           Precision.FP64, 4, "inout"),
             ],
         ))

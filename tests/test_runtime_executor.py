@@ -67,3 +67,34 @@ class TestEquivalence:
         dag.graph.tasks[0].kind = "FROBNICATE"
         with pytest.raises(ValueError, match="unknown task kind"):
             execute_numeric(dag.graph, tiled_96)
+
+
+class TestTf32Map:
+    """TF32 panels travel as the FP32 words they rest in (Algorithm 2 maps a
+    payload in its storage's encoding to the storage precision)."""
+
+    def test_no_stc_copy_is_counted(self):
+        from repro.core.conversion import build_comm_precision_map
+
+        cmap = build_comm_precision_map(two_precision_map(4, Precision.TF32))
+        assert all(cmap.comm(m, k) == Precision.FP32 for m in range(4) for k in range(m))
+        assert cmap.stc_counts() == (3, 9)  # only the FP64 → FP32 diagonal broadcasts
+
+    def test_simulates_and_streams_identically(self):
+        from repro.core.solver import simulate_cholesky
+        from repro.perfmodel import GPU_BY_NAME, NodeSpec
+        from repro.runtime import Platform
+
+        kmap = two_precision_map(4, Precision.TF32)
+        platform = Platform(NodeSpec("t", GPU_BY_NAME["V100"], 1, 256e9, 25e9, 1.5e-6), n_nodes=1)
+        held = simulate_cholesky(4 * 512, 512, kmap, platform, record_events=False)
+        streamed = simulate_cholesky(4 * 512, 512, kmap, platform, record_events=False, stream=True)
+        assert held.stats.n_tasks == 20
+        assert streamed.makespan == held.makespan
+        assert streamed.stats.to_dict() == held.stats.to_dict()
+
+    def test_numeric_bit_identical(self, tiled_96):
+        kmap = two_precision_map(6, Precision.TF32)
+        ref = mp_cholesky(tiled_96, kmap).factor.lower_dense()
+        out = execute_numeric(build_cholesky_dag(96, 16, kmap).graph, tiled_96).lower_dense()
+        assert np.array_equal(out, ref)

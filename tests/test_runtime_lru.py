@@ -10,6 +10,8 @@ anything or corrupting its byte ledger.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,9 @@ class TestBasics:
         lru.insert("a", 40, True)
         lru.insert("a", 60, False)
         assert lru.bytes == 60
-        assert lru.entries["a"] == (60, True)  # dirty bit is sticky
+        lru.insert("b", 50, False)
+        # the dirty bit is sticky: the clean re-insert did not clear it
+        assert lru.evict_until_fits(set()) == [("a", 60, True)]
 
     def test_zero_capacity_means_unbounded(self):
         lru = _Lru(0)
@@ -139,7 +143,7 @@ def test_lru_invariants(entries, capacity, protect):
         lru.insert(key, nbytes, dirty)
     evicted = lru.evict_until_fits(protect)
     # ledger: bytes tracks the surviving entries exactly
-    assert lru.bytes == sum(nbytes for nbytes, _ in lru.entries.values())
+    assert lru.bytes == sum(lru.entries.values())
     # no protected key was evicted
     assert all(key not in protect for key, _, _ in evicted)
     # post-condition: within capacity, or only protected entries remain
@@ -147,6 +151,77 @@ def test_lru_invariants(entries, capacity, protect):
         assert set(lru.entries) <= protect
     # evicted + surviving partitions the original key set
     assert {k for k, _, _ in evicted} | set(lru.entries) == {k for k, _, _ in entries}
+
+
+class _TupleLru:
+    """The reference model: the LRU as it held ``key -> (bytes, dirty)``."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = OrderedDict()
+        self.bytes = 0
+
+    def __contains__(self, key):
+        return key in self.entries
+
+    def touch(self, key):
+        self.entries.move_to_end(key)
+
+    def insert(self, key, nbytes, dirty):
+        if key in self.entries:
+            old_bytes, old_dirty = self.entries.pop(key)
+            self.bytes -= old_bytes
+            dirty = dirty or old_dirty
+        self.entries[key] = (nbytes, dirty)
+        self.bytes += nbytes
+
+    def evict_until_fits(self, protect):
+        evicted = []
+        if self.capacity <= 0 or self.bytes <= self.capacity:
+            return evicted
+        skipped = []
+        while self.bytes > self.capacity and self.entries:
+            key, (nbytes, dirty) = self.entries.popitem(last=False)
+            if key in protect:
+                skipped.append((key, (nbytes, dirty)))
+                continue
+            self.bytes -= nbytes
+            evicted.append((key, nbytes, dirty))
+        for key, value in reversed(skipped):
+            self.entries[key] = value
+            self.entries.move_to_end(key, last=False)
+        return evicted
+
+
+_KEYS = st.integers(0, 11)
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), _KEYS, st.integers(1, 100), st.booleans()),
+    st.tuples(st.just("touch"), _KEYS),
+    st.tuples(st.just("evict"), st.frozensets(_KEYS, max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_OPS, max_size=60), capacity=st.integers(0, 400))
+def test_lru_matches_reference_model(ops, capacity):
+    """Random insert/touch/evict/protect sequences: the same evicted
+    ``(key, bytes, dirty)`` triples in the same order, the same bytes."""
+    lru, ref = _Lru(capacity), _TupleLru(capacity)
+    for op in ops:
+        if op[0] == "insert":
+            lru.insert(*op[1:])
+            ref.insert(*op[1:])
+        elif op[0] == "touch":
+            if op[1] in ref:
+                lru.touch(op[1])
+                ref.touch(op[1])
+        else:
+            assert lru.evict_until_fits(op[1]) == ref.evict_until_fits(op[1])
+        assert lru.bytes == ref.bytes
+        assert all((key in lru) == (key in ref) for key in range(12))
+    # drain both: every surviving entry leaves in the same order, same dirty bit
+    lru.capacity = ref.capacity = 0.5
+    assert lru.evict_until_fits(set()) == ref.evict_until_fits(set())
 
 
 if __name__ == "__main__":  # pragma: no cover

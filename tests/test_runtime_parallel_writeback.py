@@ -15,7 +15,7 @@ from repro.precision import Precision
 from repro.precision.emulate import quantize
 from repro.runtime.executor import execute_numeric
 from repro.runtime.parallel_executor import execute_numeric_parallel
-from repro.runtime.task import Task, TaskGraph, TaskInput, TileRef
+from repro.runtime.task import Task, TaskGraph, TaskInput
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
 NB = 16
@@ -32,7 +32,7 @@ def spd_48(rng):
 def _inp(producer, i, j, v, payload, storage, role="in"):
     return TaskInput(
         producer=producer,
-        tile=TileRef(i, j, v),
+        tile=(i, j, v),
         payload_precision=payload,
         storage_precision=storage,
         elements=NB * NB,
@@ -51,13 +51,13 @@ def partial_graph() -> TaskGraph:
     g = TaskGraph()
     g.new_task(
         kind="POTRF", params=(0,), rank=0, precision=Precision.FP64,
-        flops=float(NB**3) / 3, output=TileRef(0, 0, 1),
+        flops=float(NB**3) / 3, output=(0, 0, 1),
         output_precision=Precision.FP64,
         inputs=[_inp(None, 0, 0, 0, Precision.FP64, Precision.FP64, "inout")],
     )
     g.new_task(
         kind="TRSM", params=(1, 0), rank=0, precision=Precision.FP32,
-        flops=float(NB**3), output=TileRef(1, 0, 1),
+        flops=float(NB**3), output=(1, 0, 1),
         output_precision=Precision.FP32,
         inputs=[
             _inp(0, 0, 0, 1, Precision.FP32, Precision.FP64),
@@ -66,7 +66,7 @@ def partial_graph() -> TaskGraph:
     )
     g.new_task(
         kind="GEMM", params=(2, 1, 0), rank=0, precision=Precision.FP16_32,
-        flops=2.0 * NB**3, output=TileRef(2, 1, 1),
+        flops=2.0 * NB**3, output=(2, 1, 1),
         output_precision=Precision.FP32,
         inputs=[
             _inp(None, 2, 0, 0, Precision.FP16, Precision.FP32),

@@ -31,7 +31,6 @@ from repro.runtime import (
     SchedulePolicy,
     TaskGraph,
     TaskInput,
-    TileRef,
     simulate,
     to_chrome_trace,
 )
@@ -119,9 +118,9 @@ def _chain_free_graph(priorities):
             rank=0,
             precision=Precision.FP64,
             flops=1e6,
-            output=TileRef(tid, 0, 1),
+            output=(tid, 0, 1),
             output_precision=Precision.FP64,
-            inputs=[TaskInput(None, TileRef(tid, 1, 0),
+            inputs=[TaskInput(None, (tid, 1, 0),
                               Precision.FP64, Precision.FP64, 64 * 64)],
             priority=prio,
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.precision import Precision
-from repro.runtime.task import Task, TaskGraph, TaskInput, TileRef
+from repro.runtime.task import Task, TaskGraph, TaskInput
 
 
 def _task(tid, kind="GEMM", inputs=(), rank=0):
@@ -14,7 +14,7 @@ def _task(tid, kind="GEMM", inputs=(), rank=0):
         rank=rank,
         precision=Precision.FP64,
         flops=1.0,
-        output=TileRef(tid, 0, 1),
+        output=(tid, 0, 1),
         output_precision=Precision.FP64,
         inputs=list(inputs),
     )
@@ -23,7 +23,7 @@ def _task(tid, kind="GEMM", inputs=(), rank=0):
 def _inp(producer, i=0, j=0, v=1):
     return TaskInput(
         producer=producer,
-        tile=TileRef(i, j, v),
+        tile=(i, j, v),
         payload_precision=Precision.FP64,
         storage_precision=Precision.FP64,
         elements=4,
@@ -102,6 +102,19 @@ class TestFinalizeDedupe:
         g.add(_task(2, inputs=[_inp(1), _inp(0), _inp(1)]))
         g.finalize()
         assert g.predecessors(2) == [1, 0]
+        assert g.successors(0) == [2] and g.successors(1) == [2]
+
+    def test_successors_keep_emission_order(self):
+        """Edges out of one producer interleave with other producers' edges
+        in the flat arrays; each producer still lists its consumers in
+        the order they were added, once each."""
+        g = TaskGraph()
+        g.add(_task(0))
+        g.add(_task(1, inputs=[_inp(0)]))
+        g.add(_task(2, inputs=[_inp(1), _inp(0), _inp(0)]))
+        g.add(_task(3, inputs=[_inp(0), _inp(2), _inp(1)]))
+        assert [g.successors(t) for t in range(4)] == [[1, 2, 3], [2, 3], [3], []]
+        assert [g.predecessors(t) for t in range(4)] == [[], [0], [1, 0], [0, 2, 1]]
 
     def test_simulator_drains_deduped_graph(self):
         """A duplicate-producer graph must simulate to completion with
@@ -158,6 +171,8 @@ class TestAppendFrontier:
         assert g.n_retired == 1
         assert g.successors(0) == []
         assert g.predecessors(1) == [0]  # successors still need ready bookkeeping
+        g.add(_task(2, inputs=[_inp(0), _inp(1)]))  # a late reader of a retired task
+        assert g.successors(0) == [2] and g.successors(1) == [2]
 
 
 class TestStreamedUnroll:

@@ -43,7 +43,6 @@ from repro.runtime import (
     Platform,
     TaskGraph,
     TaskInput,
-    TileRef,
     simulate,
 )
 from repro.runtime.policies import graph_cost_lower_bound, resolve_policy
@@ -83,7 +82,7 @@ def random_dags(draw, max_tasks: int = 16, max_ranks: int = 4):
         if not inputs:
             inputs.append(TaskInput(
                 producer=None,
-                tile=TileRef(tid, 1, 0),
+                tile=(tid, 1, 0),
                 payload_precision=prec,
                 storage_precision=prec,
                 elements=NB * NB,
@@ -94,7 +93,7 @@ def random_dags(draw, max_tasks: int = 16, max_ranks: int = 4):
             rank=draw(st.integers(0, n_ranks - 1)),
             precision=prec,
             flops=float(draw(st.integers(1, 50))) * 1e6,
-            output=TileRef(tid, 0, 1),
+            output=(tid, 0, 1),
             output_precision=prec,
             inputs=inputs,
             priority=draw(st.integers(0, 8)),
