@@ -471,7 +471,8 @@ def _cmd_simulate(args) -> int:
                                         stream=args.stream, lookahead=args.lookahead)
         except ValueError as exc:
             # flags that do not fit together: a full-graph policy with
-            # --stream, a schedule from another n/nb/platform
+            # --stream, a schedule from another n/nb/platform, or a
+            # negative --host-memory-gb
             print(f"simulate: {exc}", file=sys.stderr)
             return 2
         wall = time.perf_counter() - t0

@@ -12,12 +12,15 @@ tracked through the memory hierarchy:
   consumer, staged through host memory;
 * on another node → d2h, NIC message, h2d.
 
-Data is cached per GPU under an LRU policy keyed by
-``(tile, version, payload precision)``.  Every eviction is counted;
-evictions flush through the d2h engine when the entry is dirty or the
-host holds no copy of the key, while clean entries the host already
-holds are dropped for free — this is what makes larger-than-GPU-memory
-matrices stream, and what amplifies the byte savings of STC payloads.
+Payloads keyed ``(tile, version, payload precision)`` live in byte-bounded
+LRUs per GPU and per node's host memory, over a per-node disk.  Each tier
+sheds its own overflow in one loop that decides a key's fate beside the
+pop that evicts it: the GPU (``_evict_gpu``) writes a dirty or host-less
+entry back through the d2h engine and drops a clean one the host or disk
+holds; the host (``_host_insert``) spills an origin's only copy through
+the disk engine and drops the rest.  A 0-byte tier holds only the running
+task's working set.  This is what makes larger-than-memory matrices
+stream, and what amplifies the byte savings of STC payloads.
 
 Datatype conversions are charged where the strategy puts them: once on
 the sender's compute stream for STC payloads, and on every consuming
@@ -113,57 +116,20 @@ class SimReport:
 
 
 class _Lru:
-    """Byte-bounded LRU cache of payload keys on one GPU.
+    """Byte-bounded LRU state of one GPU or host tier: no behaviour.
 
-    Eviction hands ``(key, bytes, dirty)`` back to the simulator, which
-    counts every eviction and writes back through the d2h engine only
-    when the entry is dirty or the host holds no copy; clean entries the
-    host already holds are dropped without traffic.  An entry is its byte
-    count and the dirty keys a set (sticky until eviction): no tuple per insert.
+    ``entries`` maps payload key -> bytes, oldest first; ``dirty`` holds
+    the keys written on this tier since they arrived (sticky until
+    eviction); ``bytes`` is their sum.  The tier sheds its own overflow
+    inside :func:`_build_engine` (``_evict_gpu``, ``_host_insert``),
+    deciding write-back or spill beside the ``popitem`` that evicts.
     """
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
-        self.entries: "OrderedDict[_Key, int]" = OrderedDict()  # key -> bytes
+        self.entries: "OrderedDict[_Key, int]" = OrderedDict()
         self.dirty: set[_Key] = set()
         self.bytes = 0
-
-    def __contains__(self, key: _Key) -> bool:
-        return key in self.entries
-
-    def touch(self, key: _Key) -> None:
-        self.entries.move_to_end(key)
-
-    def insert(self, key: _Key, nbytes: int, dirty: bool) -> None:
-        old_bytes = self.entries.pop(key, 0)
-        self.entries[key] = nbytes
-        self.bytes += nbytes - old_bytes
-        if dirty:
-            self.dirty.add(key)
-
-    def evict_until_fits(self, protect: set[_Key]) -> list[tuple[_Key, int, bool]]:
-        """Evict least-recently-used entries until within capacity."""
-        evicted: list[tuple[_Key, int, bool]] = []
-        if self.capacity <= 0 or self.bytes <= self.capacity:
-            return evicted
-        entries, dirty = self.entries, self.dirty
-        skipped: list[tuple[_Key, int]] = []
-        while self.bytes > self.capacity and entries:
-            key, nbytes = entries.popitem(last=False)
-            if key in protect:
-                skipped.append((key, nbytes))
-                continue
-            self.bytes -= nbytes
-            if key in dirty:
-                dirty.remove(key)
-                evicted.append((key, nbytes, True))
-            else:
-                evicted.append((key, nbytes, False))
-        # reinstate protected entries at the LRU end (oldest position)
-        for key, nbytes in reversed(skipped):
-            entries[key] = nbytes
-            entries.move_to_end(key, last=False)
-        return evicted
 
 
 def _build_engine(
@@ -191,7 +157,7 @@ def _build_engine(
     transfer is charged through ``move``, the one writer of link bytes.
 
     ``exec_task`` derives each input's payload key once, serves a GPU-cache
-    hit inline and scans an LRU only once it is over its limit.
+    hit inline and sheds a tier only once it is over its limit.
     """
     gpu = platform.gpu
     n_ranks = platform.n_ranks
@@ -202,16 +168,19 @@ def _build_engine(
     d2h_free = [0.0] * n_ranks
     nic_free = [0.0] * n_nodes
 
-    unbounded = float("inf")
-    caches = [_Lru(gpu.memory_bytes if enforce_memory else unbounded) for _ in range(n_ranks)]
+    gpu_capacity, host_capacity = gpu.memory_bytes, platform.node.host_memory_bytes
+    for tier, capacity in (("GPU", gpu_capacity), ("host", host_capacity)):
+        if capacity < 0:
+            raise ValueError(f"{tier} memory capacity must be non-negative, got {capacity} bytes")
+    if not enforce_memory:
+        gpu_capacity = host_capacity = float("inf")
+    caches = [_Lru(gpu_capacity) for _ in range(n_ranks)]
+    #: when each payload on a GPU is ready: the same key set as its LRU
     gpu_ready: list[dict[_Key, float]] = [dict() for _ in range(n_ranks)]
     # host tier: per-node availability times plus a byte-bounded LRU; the
     # LRU never evicts while the working set fits (existing in-memory
     # configurations are bit-identical to the unbounded-host model)
-    host_caches = [
-        _Lru(platform.node.host_memory_bytes if enforce_memory else unbounded)
-        for _ in range(n_nodes)
-    ]
+    host_caches = [_Lru(host_capacity) for _ in range(n_nodes)]
     host_ready: list[dict[_Key, float]] = [dict() for _ in range(n_nodes)]
     # disk tier: per-node spill store with its own serial engine
     disk_ready: list[dict[_Key, float]] = [dict() for _ in range(n_nodes)]
@@ -259,138 +228,158 @@ def _build_engine(
         if record is not None:
             record(TraceEvent(rank, link, kind, start, end, precision, nbytes))
 
-    def _host_evict(node: int, key: _Key, nbytes: int) -> None:
-        """Handle one host-tier LRU eviction at ``node``.
-
-        Keys are immutable per (tile, version, precision), so the only
-        question is whether another tier still holds a copy:
-
-        * a *replica* node (not the key's origin node) drops it for free
-          — a later consumer re-stages from the origin;
-        * the origin node drops it for free when the local disk or the
-          origin GPU still holds it (a later GPU eviction re-flushes
-          through the ordinary d2h write-back);
-        * otherwise this was the only copy: it spills through the node's
-          disk engine, and every spilled byte lands in the data-motion
-          ledger under ``disk_write``.
-        """
-        stats.n_host_evictions += 1
-        avail = host_ready[node].pop(key)
-        src_rank = origin_rank.get(key)
-        if src_rank is None or node_of(src_rank) != node:
-            return
-        if key in disk_ready[node] or key in gpu_ready[src_rank]:
-            return
-        start = max(disk_free[node], avail)
-        end = start + disk_lat + nbytes / disk_bw
-        disk_free[node] = end
-        disk_ready[node][key] = end
-        stats.n_spills += 1
-        move("disk_write", gpus_per_node * node, "SPILL", start, end, key[3], nbytes)
-
     def _host_insert(node: int, key: _Key, nbytes: int, t: float, protect: set[_Key]) -> None:
-        """Register ``key`` in ``node``'s host memory, evicting LRU overflow.
+        """Register ``key`` in ``node``'s host memory, then shed the overflow.
 
-        An existing entry keeps its earlier availability time (keys are
-        immutable) and is only refreshed in the LRU order.
+        An existing entry keeps its availability time (keys are immutable)
+        and only moves in the LRU order.  An evicted key asks only whether
+        another tier still holds a copy: a *replica* node (not the key's
+        origin) drops it for free, and so does the origin node while its
+        disk or the origin GPU holds it; otherwise it was the only copy
+        and spills through the node's disk engine (``disk_write``).
+        Protected keys are skipped and reinstated, oldest first.
         """
         cache = host_caches[node]
-        if key in host_ready[node]:
-            cache.touch(key)
+        entries = cache.entries
+        ready = host_ready[node]
+        if key in ready:
+            entries.move_to_end(key)
             return
-        host_ready[node][key] = t
-        cache.insert(key, nbytes, dirty=False)
-        if cache.bytes > cache.capacity:
-            for ev_key, ev_bytes, _ev_dirty in cache.evict_until_fits(protect):
-                _host_evict(node, ev_key, ev_bytes)
+        ready[key] = t
+        entries[key] = nbytes
+        cache.bytes += nbytes
+        skipped = None
+        while cache.bytes > cache.capacity and entries:
+            ev_key, ev_bytes = entries.popitem(last=False)
+            if ev_key in protect:
+                if skipped is None:
+                    skipped = []
+                skipped.append((ev_key, ev_bytes))
+                continue
+            cache.bytes -= ev_bytes
+            stats.n_host_evictions += 1
+            avail = ready.pop(ev_key)
+            src_rank = origin_rank.get(ev_key)
+            if src_rank is None or node_of(src_rank) != node:
+                continue
+            disk = disk_ready[node]
+            if ev_key in disk or ev_key in gpu_ready[src_rank]:
+                continue
+            free = disk_free[node]
+            start = free if free >= avail else avail
+            end = start + disk_lat + ev_bytes / disk_bw
+            disk_free[node] = end
+            disk[ev_key] = end
+            stats.n_spills += 1
+            move("disk_write", gpus_per_node * node, "SPILL", start, end, ev_key[3], ev_bytes)
+        if skipped is not None:
+            for ev_key, ev_bytes in reversed(skipped):
+                entries[ev_key] = ev_bytes
+                entries.move_to_end(ev_key, last=False)
 
-    def _writeback(
-        rank: int, key: _Key, nbytes: int, dirty: bool, now: float, protect: set[_Key]
-    ) -> None:
-        """Account one GPU eviction; flush to the host only when required.
+    def _evict_gpu(rank: int, protect: set[_Key]) -> None:
+        """Shed ``rank``'s LRU overflow, counting every eviction.
 
-        Every eviction counts toward ``stats.n_evictions`` (which the
-        driving loop publishes as ``sim.evictions``).  The d2h transfer
-        is charged only when no lower tier (host or local disk) holds a
-        copy or the entry is dirty; a clean entry the host (or disk)
-        already holds is dropped for free.
+        A dirty payload is written back through the d2h engine, a clean
+        one the node's host or disk holds is dropped for free, any other
+        goes to the host too.  The GPU copy is forgotten only after the
+        host insert: a key the host sheds at once must still see it.
+        Protected keys are skipped and reinstated, oldest first.
+        """
+        cache = caches[rank]
+        entries = cache.entries
+        dirty = cache.dirty
+        ready = gpu_ready[rank]
+        node = node_of(rank)
+        skipped = None
+        while cache.bytes > cache.capacity and entries:
+            key, nbytes = entries.popitem(last=False)
+            if key in protect:
+                if skipped is None:
+                    skipped = []
+                skipped.append((key, nbytes))
+                continue
+            cache.bytes -= nbytes
+            stats.n_evictions += 1
+            if key in dirty:
+                dirty.remove(key)
+            elif key in host_ready[node] or key in disk_ready[node]:
+                del ready[key]
+                continue
+            free, t = d2h_free[rank], ready[key]
+            start = free if free >= t else t
+            end = start + link_lat + nbytes / link_bw
+            d2h_free[rank] = end
+            move("d2h", rank, "EVICT", start, end, key[3], nbytes)
+            _host_insert(node, key, nbytes, end, protect)
+            del ready[key]
+        if skipped is not None:
+            for key, nbytes in reversed(skipped):
+                entries[key] = nbytes
+                entries.move_to_end(key, last=False)
+
+    def _load(rank: int, key: _Key, nbytes: int, protect: set[_Key]) -> float:
+        """Stage one payload missing from ``rank``'s GPU; return its ready time.
+
+        Via the rank's host: recovered at the origin node when absent (d2h
+        from the origin GPU, else a disk read) and sent on by NIC from
+        another node.  ``key`` is protected: no host insert sheds it.
         """
         node = node_of(rank)
-        stats.n_evictions += 1
-        if not dirty and (key in host_ready[node] or key in disk_ready[node]):
-            return
-        start = max(d2h_free[rank], gpu_ready[rank].get(key, now))
-        end = start + link_lat + nbytes / link_bw
-        d2h_free[rank] = end
-        move("d2h", rank, "EVICT", start, end, key[3], nbytes)
-        _host_insert(node, key, nbytes, end, protect)
-
-    def _stage_to_host(dest_node: int, key: _Key, nbytes: int, protect: set[_Key]) -> float:
-        """Time at which ``key`` is available in ``dest_node``'s host memory."""
-        t = host_ready[dest_node].get(key)
-        if t is not None:
-            host_caches[dest_node].touch(key)
-            return t
-        src_rank = origin_rank.get(key)
-        if src_rank is None:
-            raise KeyError(f"payload {key} has no origin (missing producer or host seed)")
-        src_node = node_of(src_rank)
-        # recover at the origin (skipped if the origin's host already has it):
-        # d2h from the origin GPU, or a disk read when the host tier spilled
-        if key not in host_ready[src_node]:
-            data_t = gpu_ready[src_rank].get(key)
-            if data_t is not None:
-                start = max(d2h_free[src_rank], data_t)
-                end = start + link_lat + nbytes / link_bw
-                d2h_free[src_rank] = end
-                move("d2h", src_rank, "STAGE", start, end, key[3], nbytes)
-            else:
-                disk_t = disk_ready[src_node].get(key)
-                if disk_t is None:
-                    # an earlier _writeback found every older host entry protected
-                    # by the task then running and shed the payload it wrote back
-                    working_set = sum(nb * nb * bpe(k[3]) for k in protect)
-                    raise ValueError(
-                        f"payload {key} is in no tier of its origin node {src_node}: the "
-                        f"node's host memory ({host_caches[src_node].capacity:.0f} bytes) "
-                        f"cannot hold a task's working set (here {len(protect)} payloads, "
-                        f"{working_set} bytes) beside a payload its GPU writes back"
-                    )
-                start = max(disk_free[src_node], disk_t)
-                end = start + disk_lat + nbytes / disk_bw
-                disk_free[src_node] = end
-                move("disk_read", gpus_per_node * src_node, "FETCH", start, end, key[3], nbytes)
-            _host_insert(src_node, key, nbytes, end, protect)
-            if key not in host_ready[src_node]:  # pragma: no cover - defensive
-                raise RuntimeError(f"host tier at node {src_node} cannot hold payload {key}")
-        if src_node == dest_node:
-            return host_ready[src_node][key]
-        # inter-node message (sender NIC serialisation, alpha-beta model)
-        start = max(nic_free[src_node], host_ready[src_node][key])
-        end = start + nic_lat + nbytes / nic_bw
-        nic_free[src_node] = end
-        move("nic", gpus_per_node * src_node, "SEND", start, end, key[3], nbytes)
-        _host_insert(dest_node, key, nbytes, end, protect)
-        return end
-
-    def _evict_gpu(rank: int, now: float, protect: set[_Key]) -> None:
-        """Shed ``rank``'s LRU overflow, each payload through :func:`_writeback`."""
-        ready = gpu_ready[rank]
-        for ev_key, ev_bytes, ev_dirty in caches[rank].evict_until_fits(protect):
-            _writeback(rank, ev_key, ev_bytes, ev_dirty, now, protect)
-            ready.pop(ev_key, None)
-
-    def _load(rank: int, key: _Key, nbytes: int, now: float, protect: set[_Key]) -> float:
-        """Stage one payload missing from ``rank``'s GPU; return its ready time."""
-        t_host = _stage_to_host(node_of(rank), key, nbytes, protect)
-        start = max(h2d_free[rank], t_host)
+        t_host = host_ready[node].get(key)
+        if t_host is not None:
+            host_caches[node].entries.move_to_end(key)
+        else:
+            src_rank = origin_rank.get(key)
+            if src_rank is None:
+                raise KeyError(f"payload {key} has no origin (missing producer or host seed)")
+            src_node = node_of(src_rank)
+            src_host = host_ready[src_node]
+            if key not in src_host:
+                data_t = gpu_ready[src_rank].get(key)
+                if data_t is not None:
+                    free = d2h_free[src_rank]
+                    start = free if free >= data_t else data_t
+                    end = start + link_lat + nbytes / link_bw
+                    d2h_free[src_rank] = end
+                    move("d2h", src_rank, "STAGE", start, end, key[3], nbytes)
+                else:
+                    disk_t = disk_ready[src_node].get(key)
+                    if disk_t is None:
+                        # an earlier GPU eviction found every older host entry
+                        # protected and the host shed the payload written back
+                        working_set = sum(nb * nb * bpe(k[3]) for k in protect)
+                        raise ValueError(
+                            f"payload {key} is in no tier of its origin node {src_node}: the "
+                            f"node's host memory ({host_caches[src_node].capacity:.0f} bytes) "
+                            f"cannot hold a task's working set (here {len(protect)} payloads, "
+                            f"{working_set} bytes) beside a payload its GPU writes back"
+                        )
+                    free = disk_free[src_node]
+                    start = free if free >= disk_t else disk_t
+                    end = start + disk_lat + nbytes / disk_bw
+                    disk_free[src_node] = end
+                    move("disk_read", gpus_per_node * src_node, "FETCH", start, end, key[3], nbytes)
+                _host_insert(src_node, key, nbytes, end, protect)
+            t_host = src_host[key]
+            if src_node != node:
+                # inter-node message (sender NIC serialisation, alpha-beta model)
+                free = nic_free[src_node]
+                start = free if free >= t_host else t_host
+                t_host = start + nic_lat + nbytes / nic_bw
+                nic_free[src_node] = t_host
+                move("nic", gpus_per_node * src_node, "SEND", start, t_host, key[3], nbytes)
+                _host_insert(node, key, nbytes, t_host, protect)
+        free = h2d_free[rank]
+        start = free if free >= t_host else t_host
         end = start + link_lat + nbytes / link_bw
         h2d_free[rank] = end
         gpu_ready[rank][key] = end
         cache = caches[rank]
-        cache.insert(key, nbytes, dirty=False)
+        cache.entries[key] = nbytes
+        cache.bytes += nbytes
         if cache.bytes > cache.capacity:
-            _evict_gpu(rank, now, protect)
+            _evict_gpu(rank, protect)
         move("h2d", rank, "LOAD", start, end, key[3], nbytes)
         return end
 
@@ -440,7 +429,7 @@ def _build_engine(
                 entries.move_to_end(key)
                 t = ready[key]
             else:
-                t = _load(rank, key, inp.elements * bpe(key[3]), ready_t, protect)
+                t = _load(rank, key, inp.elements * bpe(key[3]), protect)
             if t > arrival:
                 arrival = t
             memo = (key[3], task_prec, inp.role, inp.elements)
@@ -458,7 +447,8 @@ def _build_engine(
             conversions.append(stc)
             conv_seconds += stc[3]
 
-        start = max(compute_free[rank], arrival)
+        free = compute_free[rank]
+        start = free if free >= arrival else arrival
         exec_t = kernel_seconds.get((task.kind, task_prec))
         if exec_t is None:
             exec_t = kernel_seconds[task.kind, task_prec] = kernel_time(gpu, task.kind, nb, task_prec)
@@ -497,22 +487,29 @@ def _build_engine(
         flops_by_precision[task_prec] = flops_by_precision.get(task_prec, 0.0) + flops
         stats.n_tasks += 1
 
-        # output materialises on this GPU
+        # output materialises on this GPU (a key written again moves to
+        # the MRU end)
         ready[out_key] = end
-        cache.insert(out_key, nb * nb * bpe(task.output_precision), dirty=True)
+        nbytes = nb * nb * bpe(task.output_precision)
+        cache.bytes += nbytes - entries.pop(out_key, 0)
+        entries[out_key] = nbytes
+        cache.dirty.add(out_key)
         origin_rank[out_key] = rank
-        # STC payload copy (converted once here, broadcast in low precision)
+        # STC payload copy (converted once here, broadcast in low precision);
+        # a clean write leaves a dirty key dirty
         if sender is not None:
             pay_key: _Key = out + (sender[1],)
             ready[pay_key] = end
-            cache.insert(pay_key, nb * nb * bpe(sender[1]), dirty=False)
+            nbytes = nb * nb * bpe(sender[1])
+            cache.bytes += nbytes - entries.pop(pay_key, 0)
+            entries[pay_key] = nbytes
             origin_rank[pay_key] = rank
         if cache.bytes > cache.capacity:
-            _evict_gpu(rank, end, protect)
+            _evict_gpu(rank, protect)
         return start, end
 
     sched_state = SchedState(
-        resident=lambda rank, key: key in caches[rank],
+        resident=lambda rank, key: key in gpu_ready[rank],
         host_resident=lambda node, key: key in host_ready[node],
     )
     return seed_host, exec_task, sched_state

@@ -130,6 +130,28 @@ class TestSimulateFlagCoherence:
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream"]) == 0
         assert "warning" not in capsys.readouterr().err
 
+    def test_negative_host_memory_is_a_usage_error(self, capsys):
+        assert main(["simulate", "--n", "1024", "--nb", "128", "--host-memory-gb", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "host memory capacity must be non-negative, got -1000000000.0 bytes" in captured.err
+        assert "makespan" not in captured.out
+
+    def test_zero_host_memory_holds_nothing(self, tmp_path):
+        """``--host-memory-gb 0`` is a host tier with no room, not an
+        unbounded one: the same run as a one-byte host."""
+        import json
+
+        host = ("gc_collections", "gc_seconds", "peak_rss_bytes", "tasks_per_second", "wall_seconds")
+        stats = []
+        for gb in ("0", "1e-9"):
+            out = tmp_path / f"{gb}.json"
+            assert main(["simulate", "--n", "8192", "--nb", "1024", "--config", "FP64",
+                         "--host-memory-gb", gb, "--metrics-out", str(out)]) == 0
+            doc = json.loads(out.read_text(encoding="utf-8"))["stats"]
+            stats.append({k: v for k, v in doc.items() if k not in host})
+        assert stats[0] == stats[1]
+        assert stats[0]["n_host_evictions"] == 71
+
     @pytest.mark.parametrize("content", [None, "not json\n", "[1, 2]\n"],
                              ids=["missing", "non-json", "non-object"])
     def test_unreadable_replay_file_is_a_usage_error(self, content, tmp_path, capsys):

@@ -113,6 +113,14 @@ class TestDiskTier:
         rep = simulate_cholesky(8 * nb, nb, kmap, tiny(4))
         assert rep.makespan == 0.34248074908278964  # the parent commit's, to the bit
 
+    def test_negative_gpu_memory_is_rejected(self):
+        """A 0-byte tier holds only a working set (tests/test_runtime_lru.py,
+        the CLI tests); a negative one is a ValueError naming it."""
+        gpu = dataclasses.replace(V100, memory_bytes=-1)
+        platform = Platform(NodeSpec("negative", gpu, 1, 256e9, 25e9, 1.5e-6), n_nodes=1)
+        with pytest.raises(ValueError, match=r"GPU memory capacity must be non-negative, got -1 "):
+            _run("panel-first", platform=platform)
+
 
 class TestOocStaticPolicy:
     def test_beats_baselines_under_capacity_pressure(self):
