@@ -42,9 +42,6 @@ from pathlib import Path
 
 __all__ = ["main", "build_parser"]
 
-#: exit code of a run aborted by a watchdog ``:abort`` alert rule
-EXIT_WATCHDOG_ABORT = 3
-
 
 def _add_live_flags(p: argparse.ArgumentParser) -> None:
     """The live-telemetry-plane flags shared by long-running verbs."""
@@ -55,13 +52,6 @@ def _add_live_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--live-port-file", default=None, metavar="PATH",
                    help="write the bound live port to PATH (for pollers "
                         "when --live-port 0 picked an ephemeral port)")
-    p.add_argument("--live-interval", type=float, default=1.0, metavar="SECONDS",
-                   help="snapshot-bus capture interval (default: 1.0)")
-    p.add_argument("--alert", action="append", default=None, metavar="RULE",
-                   help="watchdog alert rule: stall=SECONDS, "
-                        "rank-silent=SECONDS, METRIC<FLOOR, METRIC>CEILING, "
-                        "each optionally suffixed :abort; repeatable "
-                        "(implies the live plane even without --live-port)")
 
 
 #: per-verb wording of the telemetry-output flags (the verb is the last
@@ -177,12 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "work; not combinable with --stream)")
     _add_capture_flags(p, trace=True, profile=True)
     _add_live_flags(p)
-    p.add_argument("--live-stall-after", type=int, default=None, metavar="TASKS",
-                   help="(testing) freeze the hot loop once TASKS tasks are "
-                        "done, so a watchdog stall rule can be exercised")
-    p.add_argument("--live-stall-seconds", type=float, default=5.0, metavar="S",
-                   help="(testing) how long the synthetic stall sleeps "
-                        "(default: 5.0; needs --live-stall-after)")
 
     p = sub.add_parser("sweep", help="run a campaign over a grid of configurations")
     p.add_argument("--n", type=int, action="append", default=None,
@@ -354,19 +338,20 @@ def _cmd_maps(args) -> int:
 @contextlib.contextmanager
 def _capture(args):
     """Enter what the telemetry flags ask for around a run — the JSONL
-    event log, the sampling profiler, the live plane — and yield
-    ``(profiler, plane)``, either ``None`` when not requested.
-    :func:`_write_capture` writes the documents once the run is over."""
+    event log, the sampling profiler, the live plane — and yield the
+    profiler (``None`` when not requested).  :func:`_write_capture`
+    writes the documents once the run is over."""
     from . import obs
 
     run_id = getattr(args, "run_id", None)
     with contextlib.ExitStack() as stack:
+        _enter_live(stack, args, run_id=run_id)
         if args.events_out:
             stack.enter_context(obs.event_log(args.events_out, run_id=run_id))
         profiler = None
         if args.profile_out:
             profiler = stack.enter_context(obs.SamplingProfiler())
-        yield profiler, _enter_live(stack, args, run_id=run_id)
+        yield profiler
 
 
 @contextlib.contextmanager
@@ -454,9 +439,7 @@ def _cmd_simulate(args) -> int:
         # exit 1 means "replay diverged"; an unreadable file is a usage error
         print(f"simulate: cannot read schedule {args.replay}: {exc}", file=sys.stderr)
         return 2
-    with _capture(args) as (profiler, plane), _gc_cost() as gc_cost:
-        if plane is not None and args.live_stall_after is not None:
-            plane.configure_stall(args.live_stall_after, args.live_stall_seconds)
+    with _capture(args) as profiler, _gc_cost() as gc_cost:
         t0 = time.perf_counter()
         try:
             if schedule is not None:
@@ -537,30 +520,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _enter_live(stack, args, *, run_id=None):
-    """Enter a live telemetry plane when ``--live-port``/``--alert`` ask
-    for one (``--alert`` alone implies a plane so the watchdog has a bus
-    to ride); returns the plane or ``None``."""
+def _enter_live(stack, args, *, run_id=None) -> None:
+    """Enter a live telemetry plane serving on ``--live-port`` and write
+    its bound port to ``--live-port-file``.  A port file without a port
+    is a usage error (exit 2): a poller waiting on it would hang."""
     port = getattr(args, "live_port", None)
-    alert_specs = getattr(args, "alert", None) or []
-    if port is None and not alert_specs:
-        return None
-    from .obs.alerts import parse_alert_arg
+    port_file = getattr(args, "live_port_file", None)
+    if port is None:
+        if port_file:
+            print(f"{args.command}: --live-port-file needs --live-port "
+                  "(no live plane runs without a port to write)", file=sys.stderr)
+            raise SystemExit(2)
+        return
     from .obs.live import live_plane
 
-    rules = [parse_alert_arg(spec) for spec in alert_specs]
-    plane = stack.enter_context(live_plane(
-        port=port,
-        interval=getattr(args, "live_interval", 1.0),
-        rules=rules,
-        run_id=run_id,
-    ))
-    if plane.url is not None:
-        print(f"live → {plane.url}", file=sys.stderr)
-    port_file = getattr(args, "live_port_file", None)
-    if port_file and plane.port is not None:
+    plane = stack.enter_context(live_plane(port=port, run_id=run_id))
+    print(f"live → {plane.url}", file=sys.stderr)
+    if port_file:
         Path(port_file).write_text(f"{plane.port}\n", encoding="utf-8")
-    return plane
 
 
 def _peak_rss_bytes() -> int:
@@ -612,7 +589,7 @@ def _cmd_sweep(args) -> int:
         ordering=args.ordering or ["morton"],
         name=args.name,
     )
-    with _capture(args) as (profiler, _plane):
+    with _capture(args) as profiler:
         result = run_sweep(
             grid, workers=args.workers, cache_dir=args.cache_dir, force=args.force,
             retry_policy=retry_policy, fault_plan=fault_plan,
@@ -810,13 +787,7 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "watch": _cmd_watch,
     }[args.command]
-    from .obs.alerts import WatchdogAbort
-
-    try:
-        return handler(args)
-    except WatchdogAbort as exc:
-        print(f"{args.command}: aborted by watchdog: {exc}", file=sys.stderr)
-        return EXIT_WATCHDOG_ABORT
+    return handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

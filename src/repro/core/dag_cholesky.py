@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..obs import traced
-from ..obs.profile import hot_region
 from ..perfmodel.kernels import KernelKind, kernel_flops, kernel_flops_rect
 from ..precision.formats import Precision
 from ..runtime.task import Task, TaskGraph, TaskInput
@@ -279,9 +278,8 @@ def build_cholesky_dag(
     """
     rules = _CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map)
     graph = TaskGraph()
-    with hot_region("dag.build"):
-        for task in _emit_kmajor(rules):
-            graph.add(task)
+    for task in _emit_kmajor(rules):
+        graph.add(task)
     graph.finalize()
     return rules.dag(graph)
 

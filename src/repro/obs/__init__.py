@@ -24,17 +24,15 @@ reproduction measures itself.  Four pieces, shared by every layer:
   BENCH/run-summary diffing with a machine-readable verdict (``repro
   compare``), wired into CI as a perf-trajectory gate;
 * **profiler** (:mod:`repro.obs.profile`) — sampling wall-clock
-  profiler + named hot regions (``--profile-out``);
-* **live plane** (:mod:`repro.obs.live`, :mod:`repro.obs.alerts`) —
-  in-flight progress snapshots, ``/metrics`` + ``/progress`` +
-  ``/healthz`` scrape endpoints, and declarative stall/rate/pressure
-  watchdogs (``--live-port``/``--alert``, ``repro watch``).
+  profiler (``--profile-out``);
+* **live plane** (:mod:`repro.obs.live`) — in-flight progress
+  snapshots and the ``/metrics`` + ``/progress`` + ``/healthz`` scrape
+  endpoints (``--live-port``, ``repro watch``); it only reports.
 
 See ``docs/OBSERVABILITY.md`` for the capture-analyze-compare workflow.
 """
 
-from . import alerts, analysis, live, profile, regress
-from .alerts import AlertRule, Watchdog, WatchdogAbort, parse_alert_arg
+from . import analysis, live, profile, regress
 from .analysis import analyze_path, analyze_trace, build_ledger, critical_path
 from .live import (
     LivePlane,
@@ -45,9 +43,8 @@ from .live import (
     live_plane,
     run_finished,
     run_started,
-    set_live_gauge,
 )
-from .profile import SamplingProfiler, active_profiler, hot_region, write_profile
+from .profile import SamplingProfiler, active_profiler, write_profile
 from .regress import compare_docs, compare_files
 
 from ._runtime import (
@@ -73,15 +70,11 @@ from .metrics import Counter, Gauge, Metric, MetricsRegistry
 from .spans import Span, span, traced
 
 __all__ = [
-    "AlertRule",
     "Counter",
     "EventLog",
     "LivePlane",
     "SamplingProfiler",
-    "Watchdog",
-    "WatchdogAbort",
     "active_profiler",
-    "alerts",
     "analysis",
     "analyze_path",
     "analyze_trace",
@@ -93,16 +86,13 @@ __all__ = [
     "compare_files",
     "critical_path",
     "get_plane",
-    "hot_region",
     "lint_prometheus_text",
     "live",
     "live_plane",
-    "parse_alert_arg",
     "profile",
     "regress",
     "run_finished",
     "run_started",
-    "set_live_gauge",
     "write_profile",
     "Gauge",
     "Metric",

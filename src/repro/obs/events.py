@@ -91,7 +91,8 @@ class EventLog:
         """Append one event; thread-safe, silently dropped after close.
 
         ``severity="alert"`` flushes the sink immediately — a crash right
-        after a watchdog alert must still leave the alert on disk.
+        after an alert (``distributed.rank_silent``) must still leave it
+        on disk.
         """
         record: dict[str, object] = {
             "run_id": self.run_id,

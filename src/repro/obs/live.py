@@ -1,34 +1,30 @@
-"""The live telemetry plane: in-flight progress, scrape endpoints, watchdogs.
+"""The live telemetry plane: in-flight progress and scrape endpoints.
 
-Every other :mod:`repro.obs` layer is post-hoc — you learn a run stalled
-only after it ends.  This module makes a running process observable
-*while it runs*, with near-zero cost when disabled:
+Every other :mod:`repro.obs` layer is post-hoc — you learn how a run
+went only after it ends.  This module makes a running process
+observable *while it runs*, with near-zero cost when disabled:
 
 * :class:`LiveProgress` — thread-safe in-flight state (tasks done /
-  total, live tasks, heartbeat timestamps, free-form gauges) fed by
-  heartbeat hooks in the simulator hot loop, the sweep engine, and the
-  distributed executor.  When no plane is installed the hooks resolve to
-  ``None`` and the hot loops pay a single ``is not None`` test per task.
-* :class:`SnapshotBus` — a daemon thread that every ``interval`` seconds
-  captures a snapshot: the progress state (tasks/sec EWMA, ETA,
-  heartbeat age) plus **monotonic deltas** of every registry counter as
-  per-second rates (eviction/spill/host-pressure rates come free from
-  the counters the engine already ticks).
+  total, live tasks, heartbeat timestamps, campaign gauges) fed by
+  heartbeat hooks in the simulator hot loop and the sweep engine.  When
+  no plane is installed the hooks resolve to ``None`` and the hot loops
+  pay a single ``is not None`` test per task.
+* :meth:`LivePlane.snapshot` — captured on demand, per poll: the
+  progress state (tasks/sec EWMA, ETA, heartbeat age) plus **monotonic
+  deltas** of every registry counter as per-second rates
+  (eviction/spill/host-pressure rates come free from the counters the
+  engine already ticks).
 * :class:`LiveServer` — a stdlib :mod:`http.server` on a daemon thread
   exposing ``/metrics`` (Prometheus text, reusing
   :func:`~repro.obs.exporters.to_prometheus_text`), ``/progress``
   (the JSON snapshot, schema ``repro.obs.live/1``), and ``/healthz``.
-* the :class:`~repro.obs.alerts.Watchdog` rides the bus: every snapshot
-  is judged against the declarative alert rules, and a fired ``abort``
-  rule raises :class:`~repro.obs.alerts.WatchdogAbort` out of the run's
-  next heartbeat.
 
-One plane per process, installed with :func:`live_plane` (the CLI's
-``--live-port``/``--alert`` flags) — instrumentation sites call
-:func:`run_started` / :func:`run_finished` / :func:`set_live_gauge`
-unconditionally, exactly like :func:`~repro.obs._runtime.emit_event`.
-``repro watch <url>`` polls ``/progress`` and renders
-:func:`render_progress_line`.
+The plane only reports: nothing in it judges a run or stops one.  One
+plane per process, installed with :func:`live_plane` (the CLI's
+``--live-port`` flag) — instrumentation sites call :func:`run_started`
+/ :func:`run_finished` unconditionally, exactly like
+:func:`~repro.obs._runtime.emit_event`.  ``repro watch <url>`` polls
+``/progress`` and renders :func:`render_progress_line`.
 """
 
 from __future__ import annotations
@@ -36,13 +32,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from ._runtime import get_registry
-from .alerts import AlertRule, Watchdog, WatchdogAbort
 from .exporters import to_prometheus_text
 from .metrics import MetricsRegistry
 
@@ -52,7 +46,6 @@ __all__ = [
     "LivePlane",
     "LiveProgress",
     "LiveServer",
-    "SnapshotBus",
     "announce_total",
     "campaign",
     "campaign_progress",
@@ -62,22 +55,21 @@ __all__ = [
     "render_progress_line",
     "run_started",
     "run_finished",
-    "set_live_gauge",
 ]
 
 LIVE_SCHEMA = "repro.obs.live/1"
 
 #: hot loops call their beat hook once per this many tasks — at the
 #: ~1e5 tasks/s the simulator sustains that is a few hundred calls per
-#: second, far below measurable overhead, yet stall detection still
-#: resolves well under one bus interval
+#: second, far below measurable overhead, yet the heartbeat age a poll
+#: reports stays in the milliseconds
 BEAT_STRIDE = 256
 
-#: EWMA smoothing factor for the tasks/sec rate (per bus interval)
+#: EWMA smoothing factor for the tasks/sec rate (per snapshot)
 _RATE_ALPHA = 0.3
 
-#: ignore rate samples shorter than this (an on-demand /progress poll
-#: right after a bus tick would otherwise divide by a tiny dt)
+#: ignore rate samples shorter than this (a /progress poll right after
+#: another would otherwise divide by a tiny dt)
 _MIN_RATE_DT = 0.1
 
 
@@ -86,11 +78,10 @@ class LiveProgress:
 
     Hot loops hold the bound ``beat`` callable returned by
     :meth:`begin` — one heartbeat per :data:`BEAT_STRIDE` tasks updates
-    ``done``/``live_tasks`` and the heartbeat timestamp, and raises
-    :class:`WatchdogAbort` once an abort rule has fired.  A *held*
+    ``done``/``live_tasks`` and the heartbeat timestamp.  A *held*
     campaign (``repro sweep``) owns the done/total fields at
     point granularity; nested simulator runs then only refresh the
-    heartbeat, so stall detection still sees intra-point liveness.
+    heartbeat, so the heartbeat age still shows intra-point liveness.
     """
 
     def __init__(self, *, run_id: str | None = None,
@@ -110,11 +101,6 @@ class LiveProgress:
         self._held = False
         self._rate_ewma: float | None = None
         self._rate_mark: tuple[float, int] | None = None
-        self._abort_reason: str | None = None
-        # synthetic-stall injection (testing / the CI smoke job)
-        self._stall_after: int | None = None
-        self._stall_seconds = 0.0
-        self._stall_fired = False
 
     # -- lifecycle hooks (called by instrumented run loops) ---------------
     def announce_total(self, total: int) -> None:
@@ -181,21 +167,6 @@ class LiveProgress:
             self._last_beat = self._clock()
             for name, value in gauges.items():
                 self._gauges[name] = float(value)
-        self._check_abort()
-
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = float(value)
-
-    def request_abort(self, reason: str) -> None:
-        """Arm the abort: the run's next heartbeat raises WatchdogAbort."""
-        with self._lock:
-            if self._abort_reason is None:
-                self._abort_reason = reason
-
-    @property
-    def abort_reason(self) -> str | None:
-        return self._abort_reason
 
     # -- the hot-path hooks ------------------------------------------------
     def _beat(self, done: int, live_tasks: int = 0) -> None:
@@ -203,37 +174,12 @@ class LiveProgress:
             self._done = done
             self._live_tasks = live_tasks
             self._last_beat = self._clock()
-            stall = (
-                self._stall_after is not None
-                and not self._stall_fired
-                and done >= self._stall_after
-            )
-            if stall:
-                self._stall_fired = True
-        if stall:
-            # sleep on the caller's (hot-loop) thread: the loop genuinely
-            # stalls while the bus/watchdog threads keep observing it
-            time.sleep(self._stall_seconds)
-        self._check_abort()
 
     def _touch(self, done: int, live_tasks: int = 0) -> None:
         """Heartbeat-only beat used under a held campaign."""
         with self._lock:
             self._live_tasks = live_tasks
             self._last_beat = self._clock()
-        self._check_abort()
-
-    def _check_abort(self) -> None:
-        reason = self._abort_reason
-        if reason is not None:
-            raise WatchdogAbort(reason)
-
-    def configure_stall(self, after_tasks: int, seconds: float) -> None:
-        """(testing) sleep ``seconds`` once ``after_tasks`` tasks complete."""
-        with self._lock:
-            self._stall_after = int(after_tasks)
-            self._stall_seconds = float(seconds)
-            self._stall_fired = False
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -275,121 +221,8 @@ class LiveProgress:
                 "elapsed_seconds": elapsed,
                 "heartbeat_age_seconds": age,
                 "complete": self._complete,
-                "aborting": self._abort_reason,
                 "gauges": dict(self._gauges),
             }
-
-
-class SnapshotBus:
-    """Periodic snapshot capture: progress + monotonic counter deltas.
-
-    Every capture diffs the registry's counter totals against the
-    previous capture and reports per-second rates, so any counter the
-    run already ticks (``sim.evictions``, ``sim.host_evictions``,
-    ``sim.spills``, ``sweep.cache_hits``…) becomes a live rate with no
-    extra hot-path instrumentation.  Subscribers (the watchdog) run on
-    every capture — the periodic daemon-thread tick *and* on-demand
-    ``/progress`` polls — so alerts fire at poll granularity, never
-    slower than the interval.
-    """
-
-    def __init__(
-        self,
-        progress: LiveProgress,
-        *,
-        registry: MetricsRegistry | None = None,
-        interval: float = 1.0,
-        history: int = 120,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
-        self.progress = progress
-        self.registry = registry if registry is not None else get_registry()
-        self.interval = float(interval)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._subscribers: list[Callable[[dict], None]] = []
-        self._history: deque[dict] = deque(maxlen=max(1, history))
-        self._prev_totals: dict[str, float] | None = None
-        self._prev_t: float | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def subscribe(self, fn: Callable[[dict], None]) -> None:
-        self._subscribers.append(fn)
-
-    @property
-    def history(self) -> list[dict]:
-        with self._lock:
-            return list(self._history)
-
-    def _counter_totals(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for metric in self.registry:
-            if metric.kind != "counter":
-                continue
-            total = 0.0
-            for series in metric.to_dict().get("series", []):
-                value = series.get("value")
-                if isinstance(value, (int, float)):
-                    total += value
-            totals[metric.name] = total
-        return totals
-
-    def capture(self) -> dict:
-        """Take one snapshot, append it to history, notify subscribers."""
-        with self._lock:
-            now = self._clock()
-            snap = self.progress.snapshot()
-            totals = self._counter_totals()
-            rates: dict[str, float] = {}
-            if self._prev_t is not None:
-                dt = now - self._prev_t
-                if dt >= _MIN_RATE_DT:
-                    for name, total in totals.items():
-                        delta = total - (self._prev_totals or {}).get(name, 0.0)
-                        rates[name] = max(0.0, delta / dt)
-                    self._prev_totals, self._prev_t = totals, now
-                elif self._history:
-                    # too soon for a fresh delta: carry the last rates
-                    rates = dict(self._history[-1].get("counter_rates") or {})
-            else:
-                self._prev_totals, self._prev_t = totals, now
-            snap["counter_rates"] = rates
-            snap["counter_totals"] = totals
-            self._history.append(snap)
-        for fn in list(self._subscribers):
-            try:
-                fn(snap)
-            except WatchdogAbort:
-                raise
-            except Exception:
-                pass  # a broken subscriber must never kill the bus
-        return snap
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-live-bus", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=max(2.0, 2 * self.interval))
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.capture()
-            except Exception:
-                pass  # the bus outlives any single bad capture
 
 
 # -- scrape server -----------------------------------------------------------
@@ -473,39 +306,25 @@ class LiveServer:
 # -- the plane facade --------------------------------------------------------
 
 class LivePlane:
-    """One process's live telemetry: progress + bus + watchdog + server."""
+    """One process's live telemetry: progress, snapshots and the server."""
 
     def __init__(
         self,
         *,
         port: int | None = None,
-        interval: float = 1.0,
-        rules: Iterable[AlertRule] = (),
         registry: MetricsRegistry | None = None,
         run_id: str | None = None,
-        history: int = 120,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.registry = registry if registry is not None else get_registry()
         self.progress = LiveProgress(run_id=run_id, clock=clock)
-        self.bus = SnapshotBus(
-            self.progress, registry=self.registry, interval=interval,
-            history=history, clock=clock,
-        )
-        rules = list(rules)
-        self.watchdog = (
-            Watchdog(rules, abort_hook=self.progress.request_abort, clock=clock)
-            if rules else None
-        )
-        if self.watchdog is not None:
-            self.bus.subscribe(self._judge)
         self.server = LiveServer(self, port=port) if port is not None else None
         self._t0 = clock()
         self._clock = clock
-
-    def _judge(self, snap: dict) -> None:
-        assert self.watchdog is not None
-        snap["alerts"] = self.watchdog.observe(snap)
+        self._lock = threading.Lock()
+        self._prev_totals: dict[str, float] = {}
+        self._prev_t: float | None = None
+        self._rates: dict[str, float] = {}
 
     @property
     def port(self) -> int | None:
@@ -516,36 +335,54 @@ class LivePlane:
         return self.server.url if self.server is not None else None
 
     def start(self) -> None:
-        self.bus.start()
         if self.server is not None:
             self.server.start()
 
     def stop(self) -> None:
-        try:
-            self.bus.capture()  # final snapshot: the completed state
-        except Exception:
-            pass
         if self.server is not None:
             self.server.stop()
-        self.bus.stop()
-
-    def configure_stall(self, after_tasks: int, seconds: float) -> None:
-        self.progress.configure_stall(after_tasks, seconds)
 
     # -- endpoint payloads -------------------------------------------------
+    def _counter_totals(self) -> dict[str, float]:
+        totals: dict[str, float] = {}
+        for metric in self.registry:
+            if metric.kind != "counter":
+                continue
+            total = 0.0
+            for series in metric.to_dict().get("series", []):
+                value = series.get("value")
+                if isinstance(value, (int, float)):
+                    total += value
+            totals[metric.name] = total
+        return totals
+
     def snapshot(self) -> dict:
-        snap = self.bus.capture()
-        snap.setdefault("alerts", [])
+        """The progress document plus every registry counter's total and
+        its per-second rate since the previous snapshot.  A poll that
+        comes sooner than ``_MIN_RATE_DT`` after it carries the last
+        rates; the first snapshot has none."""
+        with self._lock:
+            now = self._clock()
+            snap = self.progress.snapshot()
+            totals = self._counter_totals()
+            if self._prev_t is None:
+                self._prev_totals, self._prev_t = totals, now
+            elif now - self._prev_t >= _MIN_RATE_DT:
+                dt = now - self._prev_t
+                self._rates = {
+                    name: max(0.0, (total - self._prev_totals.get(name, 0.0)) / dt)
+                    for name, total in totals.items()
+                }
+                self._prev_totals, self._prev_t = totals, now
+            snap["counter_rates"] = dict(self._rates)
+            snap["counter_totals"] = totals
         return snap
 
     def health(self) -> dict:
-        active = self.watchdog.active if self.watchdog is not None else []
         return {
-            "status": "alerting" if active else "ok",
+            "status": "ok",
             "run_id": self.progress.run_id,
-            "alerts": active,
             "uptime_seconds": self._clock() - self._t0,
-            "n_rules": len(self.watchdog.rules) if self.watchdog is not None else 0,
         }
 
     def metrics_text(self) -> str:
@@ -570,10 +407,8 @@ class LivePlane:
         g("live.elapsed_seconds", "seconds since the run began",
           snap["elapsed_seconds"])
         g("live.complete", "1 once the run finished", 1 if snap["complete"] else 0)
-        g("live.alerts_active", "watchdog rules currently breached",
-          len(snap.get("alerts") or []))
         for name, value in (snap.get("gauges") or {}).items():
-            g("live.gauge", "free-form live gauges", value, name=name)
+            g("live.gauge", "campaign gauges", value, name=name)
         for name, rate in (snap.get("counter_rates") or {}).items():
             g("live.counter_rate", "per-second registry counter rates",
               rate, metric=name)
@@ -603,14 +438,11 @@ def install_plane(plane: LivePlane | None) -> LivePlane | None:
 def live_plane(
     *,
     port: int | None = None,
-    interval: float = 1.0,
-    rules: Iterable[AlertRule] = (),
     run_id: str | None = None,
     registry: MetricsRegistry | None = None,
 ) -> Iterator[LivePlane]:
     """Run a live plane for the duration of the ``with`` block."""
-    plane = LivePlane(port=port, interval=interval, rules=rules,
-                      run_id=run_id, registry=registry)
+    plane = LivePlane(port=port, run_id=run_id, registry=registry)
     plane.start()
     previous = install_plane(plane)
     try:
@@ -644,13 +476,6 @@ def announce_total(total: int) -> None:
         plane.progress.announce_total(total)
 
 
-def set_live_gauge(name: str, value: float) -> None:
-    """Publish one free-form gauge to the live plane (no-op when none)."""
-    plane = _plane
-    if plane is not None:
-        plane.progress.set_gauge(name, value)
-
-
 @contextmanager
 def campaign(phase: str, total: int) -> Iterator[None]:
     """Campaign scope (``run_sweep``): own done/total at point granularity;
@@ -668,7 +493,7 @@ def campaign(phase: str, total: int) -> Iterator[None]:
 
 def campaign_progress(done: int, **gauges: float) -> None:
     """Campaign-mode heartbeat: completed points plus counters (no-op
-    without a plane).  Raises WatchdogAbort once an abort rule fired."""
+    without a plane)."""
     plane = _plane
     if plane is not None:
         plane.progress.set_points(done, **gauges)
@@ -697,9 +522,6 @@ def render_progress_line(snap: Mapping) -> str:
     age = snap.get("heartbeat_age_seconds")
     if isinstance(age, (int, float)):
         parts.append(f"hb {age:.1f}s")
-    alerts = snap.get("alerts") or []
-    if alerts:
-        parts.append("ALERTS: " + ",".join(str(a) for a in alerts))
     if snap.get("complete"):
         parts.append("done ✓")
     return "  ".join(parts)

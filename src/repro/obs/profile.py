@@ -1,23 +1,16 @@
 """Low-overhead wall-clock profiling for the hot loops.
 
-The ROADMAP's "simulator raw speed and million-task scale" item needs
-*evidence*: which frames the event loop actually spends its wall time
-in, at overheads small enough to leave the measured workload honest.
-Two complementary instruments, both stdlib-only:
-
-* :class:`SamplingProfiler` — a daemon thread that snapshots the target
-  thread's stack via ``sys._current_frames()`` every ``interval``
-  seconds (no ``sys.setprofile``/``signal`` hooks, so the profiled code
-  runs at full speed between samples).  Each sample credits the top
-  frame with *self* time and every frame on the stack with *cumulative*
-  time; the profiler times its own sampling work and reports the
-  measured overhead fraction, so "overhead < 5 %" is a checked number,
-  not a promise.
-* :func:`hot_region` — explicit named regions around the known hot
-  loops (the simulator's ready-heap loop, the DAG unroll, the sweep
-  pool dispatch).  When no profiler is active the call returns a shared
-  no-op context manager — one global read and no allocation — so the
-  instrumented paths cost effectively nothing in normal runs.
+Which frames the event loop actually spends its wall time in, at
+overheads small enough to leave the measured workload honest:
+:class:`SamplingProfiler` is a stdlib-only daemon thread that snapshots
+the target thread's stack via ``sys._current_frames()`` every
+``interval`` seconds (no ``sys.setprofile``/``signal`` hooks, so the
+profiled code runs at full speed between samples).  Each sample credits
+the top frame with *self* time and every frame on the stack with
+*cumulative* time; the profiler times its own sampling work and reports
+the measured overhead fraction, so "overhead < 5 %" is a checked
+number, not a promise.  Named layers are timed by spans
+(:mod:`repro.obs.spans`), not here.
 
 ``repro simulate/sweep --profile-out`` wrap their normal work in the
 profiler and print the hottest frames.  The report document (schema
@@ -36,7 +29,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "SamplingProfiler",
     "active_profiler",
-    "hot_region",
     "write_profile",
 ]
 
@@ -45,56 +37,13 @@ PROFILE_SCHEMA = "repro.obs.profile/1"
 #: (function, filename, firstlineno) — the identity of one frame
 FrameKey = tuple[str, str, int]
 
-
-class _NullRegion:
-    """Shared no-op context manager returned when no profiler is active."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullRegion":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_REGION = _NullRegion()
 _active_profiler: "SamplingProfiler | None" = None
 _active_lock = threading.Lock()
 
 
 def active_profiler() -> "SamplingProfiler | None":
-    """The profiler currently collecting hot-region timings (or None)."""
+    """The profiler currently sampling (or None)."""
     return _active_profiler
-
-
-def hot_region(name: str):
-    """Context manager timing one named hot region.
-
-    Free when no profiler is active (one global read, shared no-op
-    object); while a :class:`SamplingProfiler` runs, enter/exit cost two
-    ``perf_counter`` calls and a dict update.
-    """
-    prof = _active_profiler
-    if prof is None:
-        return _NULL_REGION
-    return _Region(prof, name)
-
-
-class _Region:
-    __slots__ = ("_prof", "_name", "_t0")
-
-    def __init__(self, prof: "SamplingProfiler", name: str) -> None:
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self) -> "_Region":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._prof._record_region(self._name, time.perf_counter() - self._t0)
-        return False
 
 
 class SamplingProfiler:
@@ -121,8 +70,6 @@ class SamplingProfiler:
         self.n_samples = 0
         self.self_counts: dict[FrameKey, int] = {}
         self.cum_counts: dict[FrameKey, int] = {}
-        self.regions: dict[str, list] = {}  # name -> [calls, seconds]
-        self._region_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._target_tid: int | None = None
@@ -168,14 +115,6 @@ class SamplingProfiler:
         self.stop()
 
     # -- collection -------------------------------------------------------
-    def _record_region(self, name: str, seconds: float) -> None:
-        with self._region_lock:
-            agg = self.regions.get(name)
-            if agg is None:
-                agg = self.regions[name] = [0, 0.0]
-            agg[0] += 1
-            agg[1] += seconds
-
     def _run(self) -> None:
         target = self._target_tid
         while not self._stop.wait(self.interval):
@@ -238,26 +177,14 @@ class SamplingProfiler:
 
     def report(self, *, top: int = 10, extra: Mapping[str, object] | None = None) -> dict:
         """The machine-readable profile document (``repro.obs.profile/1``)."""
-        wall = self.wall_seconds
         doc: dict[str, object] = {
             "schema": PROFILE_SCHEMA,
             "interval_seconds": self.interval,
-            "wall_seconds": wall,
+            "wall_seconds": self.wall_seconds,
             "n_samples": self.n_samples,
             "overhead_seconds": self.overhead_seconds,
             "overhead_fraction": self.overhead_fraction,
             "top_frames": self.top_frames(top),
-            "hot_regions": [
-                {
-                    "name": name,
-                    "calls": calls,
-                    "seconds": seconds,
-                    "fraction": (seconds / wall) if wall > 0.0 else 0.0,
-                }
-                for name, (calls, seconds) in sorted(
-                    self.regions.items(), key=lambda kv: -kv[1][1]
-                )
-            ],
         }
         if extra:
             doc.update({str(k): v for k, v in extra.items()})
@@ -283,21 +210,8 @@ class SamplingProfiler:
             f"(interval {self.interval * 1e3:g} ms, measured overhead "
             f"{self.overhead_fraction * 100.0:.2f}%)"
         )
-        lines = [format_table(["self", "cum", "samples", "function", "where"], rows,
-                              title=title)]
-        if self.regions:
-            wall = self.wall_seconds or 1.0
-            region_rows = [
-                (name, calls, f"{seconds:.4f}", f"{seconds / wall * 100.0:5.1f}%")
-                for name, (calls, seconds) in sorted(
-                    self.regions.items(), key=lambda kv: -kv[1][1]
-                )
-            ]
-            lines.append(format_table(
-                ["hot region", "calls", "seconds", "of wall"], region_rows,
-                title="instrumented hot regions",
-            ))
-        return "\n\n".join(lines)
+        return format_table(["self", "cum", "samples", "function", "where"], rows,
+                            title=title)
 
 
 def _short_path(path: str) -> str:

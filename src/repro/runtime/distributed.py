@@ -39,8 +39,6 @@ import numpy as np
 
 from ..faults import FaultInjector, FaultPlan, pick_mp_context, record_faults
 from ..obs import emit_event, get_registry
-from ..obs.alerts import RANK_AGE_GAUGE
-from ..obs.live import set_live_gauge
 from ..precision.emulate import quantize
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
@@ -238,9 +236,7 @@ def execute_numeric_distributed(
     once a pending rank's heartbeat age exceeds ``silent_after``
     (default ``timeout / 2``) the parent emits a
     ``distributed.rank_silent`` obs-event at alert severity — once per
-    rank — and publishes per-rank ages as live-plane gauges
-    (``rank_heartbeat_age[<r>]``), which the ``rank-silent`` alert rule
-    watches.  Silence alone never aborts: the rolling collection
+    rank.  Silence alone never aborts: the rolling collection
     deadline still owns the timeout decision.  The final observed ages
     land in :attr:`DistributedReport.heartbeat_ages`.
 
@@ -307,16 +303,12 @@ def execute_numeric_distributed(
                 # (deadlocked wait, delayed message) — dead-peer scans
                 # below never see it.  Surface its heartbeat age.
                 now_wall = time.time()
-                max_age = 0.0
                 for r in sorted(pending):
                     stamp = heartbeats[r]
                     if stamp <= 0.0:
                         continue  # worker not started yet
                     age = max(0.0, now_wall - stamp)
                     heartbeat_ages[r] = age
-                    set_live_gauge(f"{RANK_AGE_GAUGE}[{r}]", age)
-                    if age > max_age:
-                        max_age = age
                     if (
                         age > silent_limit
                         and r not in silent_reported
@@ -333,7 +325,6 @@ def execute_numeric_distributed(
                              "silent_after": silent_limit},
                             severity="alert",
                         )
-                set_live_gauge("max_rank_heartbeat_age", max_age)
                 # fail fast on peers that exited without posting a result.
                 # A rank that finished normally posts *before* exiting, so
                 # any exited-but-pending rank is dead — crashed ranks
@@ -369,7 +360,6 @@ def execute_numeric_distributed(
             pending.discard(rank)
             record_faults(fired, rank=rank)
             heartbeat_ages[rank] = 0.0  # reported = fresh by definition
-            set_live_gauge(f"{RANK_AGE_GAUGE}[{rank}]", 0.0)
             deadline.refresh()  # progress: `timeout` bounds each wait, not all
             if err is not None:
                 # fail fast: peers may be blocked waiting on the failed rank

@@ -75,7 +75,6 @@ from typing import Callable, Iterable
 
 from ..obs import emit_event, get_registry, traced
 from ..obs.live import BEAT_STRIDE, run_finished, run_started
-from ..obs.profile import hot_region
 from ..perfmodel.kernels import conversion_time, kernel_time
 from ..precision.formats import Precision, bytes_per_element
 from .platform import Platform
@@ -623,88 +622,87 @@ def _drive(
     # a lazy stream does not know its length; simulate_cholesky
     # pre-announces cholesky_task_count(nt) via announce_total
     beat = run_started(None if streamed else len(graph), phase)  # None unless a live plane is up
-    with hot_region("sim.ready_heap_loop"):
-        while True:
-            if not exhausted and (live < lookahead or (picks is None and not heap)):
-                # One window fill — or, while a full window is blocked, one
-                # more task.  The whole fill is host-seeded before any of its
-                # ready tasks is keyed, so a residency-aware policy scores
-                # roots alike whether they arrive in one emission or a stream.
-                limit = max(lookahead, live + 1)
-                first = len(in_count)
-                while live < limit:
-                    task = next(emit, None)
-                    if task is None:
-                        exhausted = True
-                        break
-                    tid = graph.add(task) if streamed else task.tid
-                    seed_host(task)
-                    pending = 0
-                    ready_t = 0.0
-                    for p in preds(tid):
-                        if in_count[p] < 0:
-                            if task_end[p] > ready_t:
-                                ready_t = task_end[p]
-                        else:
-                            pending += 1
-                    in_count.append(pending)
-                    task_ready.append(ready_t)
-                    task_start.append(0.0)
-                    task_end.append(0.0)
-                    live += 1
-                if live > peak_live:
-                    peak_live = live
-                # Heap entries are (*policy.key, tid): the tid makes every
-                # policy deterministic.  Only tasks whose predecessors have all
-                # executed enter the heap, so any pop order is a valid schedule.
-                if key_of is not None:
-                    for tid in range(first, len(in_count)):
-                        if in_count[tid] == 0:
-                            heappush(heap, (*key_of(tasks[tid], task_ready[tid], sched_state), tid))
-                continue
-            if picks is None:
-                if not heap:
+    while True:
+        if not exhausted and (live < lookahead or (picks is None and not heap)):
+            # One window fill — or, while a full window is blocked, one
+            # more task.  The whole fill is host-seeded before any of its
+            # ready tasks is keyed, so a residency-aware policy scores
+            # roots alike whether they arrive in one emission or a stream.
+            limit = max(lookahead, live + 1)
+            first = len(in_count)
+            while live < limit:
+                task = next(emit, None)
+                if task is None:
+                    exhausted = True
                     break
-                tid = heappop(heap)[-1]
-            else:
-                tid = next(picks, None)
-                if tid is None:
-                    break
-                tid = int(tid)
-                if not 0 <= tid < len(in_count) or in_count[tid] < 0:
-                    raise ValueError(
-                        f"replay order invalid at position {done}: task {tid} "
-                        f"{'already executed' if 0 <= tid < len(in_count) else 'out of range'}"
-                    )
-                if in_count[tid]:
-                    blocker = next(p for p in preds(tid) if in_count[p] >= 0)
-                    raise ValueError(
-                        f"replay order violates precedence: task {tid} scheduled "
-                        f"before its predecessor {blocker}"
-                    )
-            commit(tid)
-            start, end = exec_task(tasks[tid], task_ready[tid])
-            task_start[tid] = start
-            task_end[tid] = end
-            in_count[tid] = -1
-            edge = head[tid]
-            while edge >= 0:
-                succ = dst[edge]
-                edge = nxt[edge]
-                left = in_count[succ] - 1
-                in_count[succ] = left
-                if end > task_ready[succ]:
-                    task_ready[succ] = end
-                if left == 0 and key_of is not None:
-                    heappush(heap, (*key_of(tasks[succ], task_ready[succ], sched_state), succ))
-            if streamed:
-                graph.retire(tid)
-            live -= 1
-            done += 1
-            if not done % BEAT_STRIDE:
-                publish_counts()
-                if beat is not None:
-                    beat(done, live)
+                tid = graph.add(task) if streamed else task.tid
+                seed_host(task)
+                pending = 0
+                ready_t = 0.0
+                for p in preds(tid):
+                    if in_count[p] < 0:
+                        if task_end[p] > ready_t:
+                            ready_t = task_end[p]
+                    else:
+                        pending += 1
+                in_count.append(pending)
+                task_ready.append(ready_t)
+                task_start.append(0.0)
+                task_end.append(0.0)
+                live += 1
+            if live > peak_live:
+                peak_live = live
+            # Heap entries are (*policy.key, tid): the tid makes every
+            # policy deterministic.  Only tasks whose predecessors have all
+            # executed enter the heap, so any pop order is a valid schedule.
+            if key_of is not None:
+                for tid in range(first, len(in_count)):
+                    if in_count[tid] == 0:
+                        heappush(heap, (*key_of(tasks[tid], task_ready[tid], sched_state), tid))
+            continue
+        if picks is None:
+            if not heap:
+                break
+            tid = heappop(heap)[-1]
+        else:
+            tid = next(picks, None)
+            if tid is None:
+                break
+            tid = int(tid)
+            if not 0 <= tid < len(in_count) or in_count[tid] < 0:
+                raise ValueError(
+                    f"replay order invalid at position {done}: task {tid} "
+                    f"{'already executed' if 0 <= tid < len(in_count) else 'out of range'}"
+                )
+            if in_count[tid]:
+                blocker = next(p for p in preds(tid) if in_count[p] >= 0)
+                raise ValueError(
+                    f"replay order violates precedence: task {tid} scheduled "
+                    f"before its predecessor {blocker}"
+                )
+        commit(tid)
+        start, end = exec_task(tasks[tid], task_ready[tid])
+        task_start[tid] = start
+        task_end[tid] = end
+        in_count[tid] = -1
+        edge = head[tid]
+        while edge >= 0:
+            succ = dst[edge]
+            edge = nxt[edge]
+            left = in_count[succ] - 1
+            in_count[succ] = left
+            if end > task_ready[succ]:
+                task_ready[succ] = end
+            if left == 0 and key_of is not None:
+                heappush(heap, (*key_of(tasks[succ], task_ready[succ], sched_state), succ))
+        if streamed:
+            graph.retire(tid)
+        live -= 1
+        done += 1
+        if not done % BEAT_STRIDE:
+            publish_counts()
+            if beat is not None:
+                beat(done, live)
 
     if live:
         if picks is not None:

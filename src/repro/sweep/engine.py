@@ -41,7 +41,6 @@ from typing import Iterable, Sequence
 from ..faults import FaultPlan, RetryPolicy, run_batch
 from ..obs import build_manifest, emit_event, get_registry, span, write_json
 from ..obs.live import campaign, campaign_progress
-from ..obs.profile import hot_region
 from ..runtime.tracing import LINKS
 from .grid import CACHE_SCHEMA, RunSpec, SweepGrid
 
@@ -353,8 +352,8 @@ def _store_cached(cache_dir: Path, spec: RunSpec, key: str, result: dict) -> Non
 class _ProgressTracker:
     """Periodic ``completed/total`` campaign progress.
 
-    Three sinks per update: the live plane (every completion — the
-    snapshot bus and ``/progress`` see point-granular state), a
+    Three sinks per update: the live plane (every completion —
+    ``/progress`` sees point-granular state), a
     ``sweep.progress`` obs-event, and a stderr line — the latter two
     rate-limited to one per ``every`` seconds (``every=0`` logs every
     completion, ``every=None`` silences them; the live plane always
@@ -441,7 +440,7 @@ def run_sweep(
     reporting (a stderr line plus a ``sweep.progress`` event, with
     cache-hit/retry/failure counts); ``0`` reports every completion,
     ``None`` disables the lines.  Completions also land on the live
-    plane's snapshot bus point-by-point when one is installed
+    plane point-by-point when one is installed
     (``--live-port``), so ``repro watch`` tracks a campaign exactly like
     a single run.
     """
@@ -491,17 +490,16 @@ def run_sweep(
         attempts_spent: dict[int, int] = {}
         unique = sorted(owner.values())
         if unique:
-            with hot_region("sweep.dispatch"):
-                outputs = run_batch(
-                    execute_spec,
-                    [specs[i].to_dict() for i in unique],
-                    [(keys[i], specs[i].label) for i in unique],
-                    op="sweep.point",
-                    workers=workers,
-                    retry_policy=retry_policy,
-                    fault_plan=fault_plan,
-                    on_done=progress.point_done,
-                )
+            outputs = run_batch(
+                execute_spec,
+                [specs[i].to_dict() for i in unique],
+                [(keys[i], specs[i].label) for i in unique],
+                op="sweep.point",
+                workers=workers,
+                retry_policy=retry_policy,
+                fault_plan=fault_plan,
+                on_done=progress.point_done,
+            )
             for i, env in zip(unique, outputs):
                 attempts_spent[i] = env["attempts"]
                 if env["ok"]:

@@ -136,6 +136,22 @@ class TestSimulateFlagCoherence:
         assert "host memory capacity must be non-negative, got -1000000000.0 bytes" in captured.err
         assert "makespan" not in captured.out
 
+    @pytest.mark.parametrize("verb", ["simulate", "sweep"])
+    def test_port_file_without_port_is_a_usage_error(self, verb, tmp_path, capsys):
+        """A poller waits on ``--live-port-file``: without ``--live-port``
+        no plane runs and the file would never appear."""
+        port_file = tmp_path / "port"
+        argv = [verb, "--n", "1024", "--nb", "128", "--live-port-file", str(port_file)]
+        if verb == "sweep":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--live-port-file" in captured.err and "--live-port " in captured.err
+        assert "makespan" not in captured.out and "cache:" not in captured.out
+        assert not port_file.exists()
+
     def test_zero_host_memory_holds_nothing(self, tmp_path):
         """``--host-memory-gb 0`` is a host tier with no room, not an
         unbounded one: the same run as a one-byte host."""
@@ -205,7 +221,7 @@ class TestParserSurface:
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 78
+                   for sp in self._subparsers().values()) == 72
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against
@@ -213,7 +229,10 @@ class TestParserSurface:
         ``simulate``'s entry was re-dumped minus its trace-as-CSV output
         flag, the one flag deleted since: nothing read that format, and
         again when ``--schedule-out``'s help lost ".npz": JSON is the one
-        schedule format)."""
+        schedule format; ``simulate`` and ``sweep`` were re-dumped minus
+        the six entries of the deleted watchdog flags — its alert rules,
+        its snapshot-bus interval and its two synthetic-stall flags: the
+        live plane only reports)."""
         import json
         from pathlib import Path
 

@@ -56,7 +56,7 @@ class TestSimulatorMetrics:
         obs.reset_metrics()
         reg = obs.get_registry()
         seen = []
-        with live_plane(interval=30.0) as plane:
+        with live_plane() as plane:
             begin = plane.progress.begin
 
             def spying_begin(total, phase):

@@ -1,15 +1,16 @@
-"""The live telemetry plane: progress, snapshot bus, server, watchdog.
+"""The live telemetry plane: progress, snapshots, the scrape server.
 
 Covers the Prometheus exposition conformance lint, the in-flight
-progress state with fake clocks, alert-rule parsing and watchdog
-edge/grace/abort semantics, the scrape server's endpoints over real
-HTTP, immediate flushing of alert-severity events, ``repro watch``, and — the acceptance test — a real
-subprocess whose synthetic stall raises a ``live.stall`` alert while
-``/metrics`` and ``/progress`` stay conformant and monotone.
+progress state with fake clocks, on-demand counter rates, the scrape
+server's endpoints over real HTTP, immediate flushing of alert-severity
+events, ``repro watch``, and — the acceptance test — a real
+``repro simulate --stream`` subprocess whose ``/healthz``, ``/progress``
+and ``/metrics`` stay conformant and monotone until it exits cleanly.
 """
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import subprocess
@@ -21,13 +22,10 @@ from pathlib import Path
 import pytest
 
 from repro.obs import MetricsRegistry, lint_prometheus_text, to_prometheus_text
-from repro.obs.alerts import AlertRule, Watchdog, WatchdogAbort, parse_alert_arg
 from repro.obs.events import EventLog
 from repro.obs.live import (
-    BEAT_STRIDE,
     LivePlane,
     LiveProgress,
-    SnapshotBus,
     live_plane,
     render_progress_line,
     run_started,
@@ -160,160 +158,41 @@ class TestLiveProgress:
         assert snap["done"] == 12 and snap["complete"]
         assert snap["gauges"]["sweep_cache_hits"] == 4
 
-    def test_abort_raises_from_next_beat(self):
-        p = LiveProgress(clock=FakeClock())
-        beat = p.begin(100, "x")
-        p.request_abort("stalled")
-        with pytest.raises(WatchdogAbort, match="stalled"):
-            beat(1, 0)
 
-    def test_synthetic_stall_sleeps_once(self):
-        p = LiveProgress()
-        p.configure_stall(10, 0.05)
-        beat = p.begin(100, "x")
-        t0 = time.monotonic()
-        beat(10, 0)
-        stalled = time.monotonic() - t0
-        t0 = time.monotonic()
-        beat(20, 0)
-        second = time.monotonic() - t0
-        assert stalled >= 0.05 and second < 0.05
+# -- on-demand counter rates -------------------------------------------------
 
-
-# -- SnapshotBus -------------------------------------------------------------
-
-class TestSnapshotBus:
+class TestLivePlaneSnapshot:
     def test_counter_rates_are_monotonic_deltas(self):
         clock = FakeClock()
         reg = MetricsRegistry()
         c = reg.counter("sim.evictions", "e")
-        p = LiveProgress(clock=clock)
-        bus = SnapshotBus(p, registry=reg, interval=1.0, clock=clock)
-        bus.capture()  # establish the baseline totals
+        plane = LivePlane(registry=reg, clock=clock)
+        assert plane.snapshot()["counter_rates"] == {}  # the baseline totals
         c.inc(30)
         clock.advance(2.0)
-        snap = bus.capture()
+        snap = plane.snapshot()
         assert snap["counter_rates"]["sim.evictions"] == pytest.approx(15.0)
         assert snap["counter_totals"]["sim.evictions"] == 30.0
         c.inc(10)
         clock.advance(1.0)
-        assert bus.capture()["counter_rates"]["sim.evictions"] == pytest.approx(10.0)
+        assert plane.snapshot()["counter_rates"]["sim.evictions"] == pytest.approx(10.0)
 
-    def test_subscribers_see_every_capture_and_errors_are_contained(self):
+    def test_too_soon_poll_carries_the_last_rates(self):
         clock = FakeClock()
-        p = LiveProgress(clock=clock)
-        bus = SnapshotBus(p, registry=MetricsRegistry(), interval=1.0, clock=clock)
-        seen = []
-        bus.subscribe(lambda s: seen.append(s["done"]))
-        bus.subscribe(lambda s: 1 / 0)  # must not break the bus
-        bus.capture()
+        reg = MetricsRegistry()
+        c = reg.counter("sim.spills", "s")
+        plane = LivePlane(registry=reg, clock=clock)
+        plane.snapshot()
+        c.inc(20)
         clock.advance(1.0)
-        bus.capture()
-        assert seen == [0, 0]
-        assert len(bus.history) == 2
-
-    def test_background_thread_captures(self):
-        p = LiveProgress()
-        bus = SnapshotBus(p, registry=MetricsRegistry(), interval=0.02)
-        bus.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while not bus.history and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            bus.stop()
-        assert bus.history
-
-
-# -- alert rules + watchdog --------------------------------------------------
-
-class TestParseAlertArg:
-    def test_forms(self):
-        stall = parse_alert_arg("stall=10")
-        assert stall.kind == "stall" and stall.max_age_seconds == 10.0
-        rank = parse_alert_arg("rank-silent=5:abort")
-        assert rank.kind == "rank-silent" and rank.abort
-        floor = parse_alert_arg("tasks_per_second<1000")
-        assert floor.kind == "metric" and floor.threshold.direction == "higher"
-        ceil = parse_alert_arg("host_pressure>0.9")
-        assert ceil.threshold.direction == "lower" and ceil.bound == 0.9
-
-    def test_round_trip_dict(self):
-        rule = parse_alert_arg("tasks_per_second<1000:abort")
-        assert AlertRule.from_dict(rule.to_dict()) == rule
-
-    @pytest.mark.parametrize("bad", ["", "stall=abc", "<5", "justaname", "x<"])
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_alert_arg(bad)
-
-
-def _snap(**kw) -> dict:
-    base = {"phase": "sim.test", "done": 100, "total": 1000,
-            "elapsed_seconds": 60.0, "heartbeat_age_seconds": 0.0,
-            "complete": False, "gauges": {}, "counter_rates": {}}
-    base.update(kw)
-    return base
-
-
-class TestWatchdog:
-    def test_stall_fires_on_rising_edge_only(self):
-        w = Watchdog([AlertRule(name="stall", kind="stall", max_age_seconds=5.0)])
-        assert w.observe(_snap(heartbeat_age_seconds=1.0)) == []
-        assert w.observe(_snap(heartbeat_age_seconds=9.0)) == ["stall"]
-        assert w.observe(_snap(heartbeat_age_seconds=12.0)) == ["stall"]
-        assert len(w.fired) == 1  # one incident, one event
-        assert w.observe(_snap(heartbeat_age_seconds=0.1)) == []
-        assert w.observe(_snap(heartbeat_age_seconds=8.0)) == ["stall"]
-        assert len(w.fired) == 2  # re-armed after clearing
-
-    def test_idle_phase_never_stalls(self):
-        w = Watchdog([AlertRule(name="stall", kind="stall", max_age_seconds=1.0)])
-        assert w.observe(_snap(phase="idle", heartbeat_age_seconds=99.0)) == []
-
-    def test_metric_floor_with_grace(self):
-        rule = parse_alert_arg("tasks_per_second<1000")
-        w = Watchdog([rule])
-        early = _snap(tasks_per_second=10.0, elapsed_seconds=0.5)
-        assert w.observe(early) == []  # inside the grace window
-        late = _snap(tasks_per_second=10.0, elapsed_seconds=30.0)
-        assert w.observe(late) == ["tasks_per_second"]
-        healthy = _snap(tasks_per_second=5000.0, elapsed_seconds=31.0)
-        assert w.observe(healthy) == []
-
-    def test_metric_ceiling_reads_gauges_and_rates(self):
-        w = Watchdog([parse_alert_arg("host_pressure>0.9"),
-                      parse_alert_arg("sim.evictions>100")])
-        snap = _snap(gauges={"host_pressure": 0.95},
-                     counter_rates={"sim.evictions": 500.0})
-        assert w.observe(snap) == ["host_pressure", "sim.evictions"]
-
-    def test_rank_silent_scans_per_rank_gauges(self):
-        w = Watchdog([parse_alert_arg("rank-silent=5")])
-        snap = _snap(gauges={"rank_heartbeat_age[0]": 0.4,
-                             "rank_heartbeat_age[2]": 7.5})
-        assert w.observe(snap) == ["rank-silent"]
-        assert "2" in w.fired[0]["detail"]
-
-    def test_complete_clears_everything(self):
-        w = Watchdog([AlertRule(name="stall", kind="stall", max_age_seconds=1.0)])
-        assert w.observe(_snap(heartbeat_age_seconds=9.0)) == ["stall"]
-        assert w.observe(_snap(complete=True, heartbeat_age_seconds=9.0)) == []
-
-    def test_abort_rule_calls_hook(self):
-        reasons = []
-        rule = AlertRule(name="stall", kind="stall", max_age_seconds=1.0, abort=True)
-        w = Watchdog([rule], abort_hook=reasons.append)
-        w.observe(_snap(heartbeat_age_seconds=5.0))
-        assert reasons and "stall" in reasons[0]
-
-    def test_fired_counter_lands_in_registry(self):
-        from repro.obs import get_registry
-
-        before = get_registry().counter("live.alerts").value(rule="stall")
-        w = Watchdog([AlertRule(name="stall", kind="stall", max_age_seconds=1.0)])
-        w.observe(_snap(heartbeat_age_seconds=5.0))
-        assert get_registry().counter("live.alerts").value(rule="stall") == before + 1
+        assert plane.snapshot()["counter_rates"]["sim.spills"] == pytest.approx(20.0)
+        c.inc(500)
+        clock.advance(0.01)  # no fresh delta over a tiny dt
+        snap = plane.snapshot()
+        assert snap["counter_rates"]["sim.spills"] == pytest.approx(20.0)
+        assert snap["counter_totals"]["sim.spills"] == 520.0
+        clock.advance(0.99)  # measured from the last rate, not the carry
+        assert plane.snapshot()["counter_rates"]["sim.spills"] == pytest.approx(500.0)
 
 
 # -- EventLog alert flush ----------------------------------------------------
@@ -349,8 +228,7 @@ def _get(url: str):
 
 class TestLivePlaneServer:
     def test_endpoints_round_trip(self):
-        with live_plane(port=0, interval=30.0, rules=[parse_alert_arg("stall=60")],
-                        run_id="srv") as plane:
+        with live_plane(port=0, run_id="srv") as plane:
             beat = run_started(1000, "sim.test")
             beat(400, 3)
             ctype, body = _get(plane.url + "/progress")
@@ -358,17 +236,17 @@ class TestLivePlaneServer:
             snap = json.loads(body)
             assert snap["schema"] == "repro.obs.live/1"
             assert snap["done"] == 400 and snap["run_id"] == "srv"
-            assert snap["alerts"] == []
             ctype, body = _get(plane.url + "/metrics")
             assert "version=0.0.4" in ctype
             assert lint_prometheus_text(body) == []
             assert "live_tasks_done 400" in body
             _, body = _get(plane.url + "/healthz")
             health = json.loads(body)
-            assert health["status"] == "ok" and health["n_rules"] == 1
+            assert health["status"] == "ok" and health["run_id"] == "srv"
+            assert health["uptime_seconds"] >= 0.0
 
     def test_unknown_route_404(self):
-        with live_plane(port=0, interval=30.0) as plane:
+        with live_plane(port=0) as plane:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(plane.url + "/nope")
             assert err.value.code == 404
@@ -376,24 +254,13 @@ class TestLivePlaneServer:
     def test_metrics_includes_registry_and_live_blocks(self):
         reg = MetricsRegistry()
         reg.counter("sim.tasks", "t").inc(7)
-        plane = LivePlane(interval=30.0, registry=reg, run_id="x")
+        plane = LivePlane(registry=reg, run_id="x")
         beat = plane.progress.begin(10, "p")
         beat(5, 1)
         text = plane.metrics_text()
         assert lint_prometheus_text(text) == []
         assert "sim_tasks_total 7" in text
         assert "live_tasks_done 5" in text
-
-    def test_watchdog_rides_snapshot_requests(self):
-        clock = FakeClock()
-        plane = LivePlane(interval=30.0, rules=[parse_alert_arg("stall=5")],
-                          registry=MetricsRegistry(), clock=clock)
-        beat = plane.progress.begin(100, "p")
-        beat(1, 0)
-        clock.advance(10.0)
-        snap = plane.snapshot()
-        assert snap["alerts"] == ["stall"]
-        assert plane.health()["status"] == "alerting"
 
 
 # -- rendering ---------------------------------------------------------------
@@ -404,15 +271,15 @@ class TestRenderProgressLine:
             "phase": "sim.stream", "done": 5000, "total": 147000,
             "fraction": 5000 / 147000, "tasks_per_second": 90000.0,
             "eta_seconds": 1.6, "heartbeat_age_seconds": 0.01,
-            "alerts": [], "complete": False,
+            "complete": False,
         })
         assert "[sim.stream]" in line and "5,000/147,000" in line
         assert "90,000 tasks/s" in line and "eta 2s" in line
 
-    def test_alerts_and_completion(self):
+    def test_completion(self):
         line = render_progress_line({"phase": "p", "done": 1, "total": 1,
-                                     "alerts": ["stall"], "complete": True})
-        assert "ALERTS: stall" in line and "done" in line
+                                     "complete": True})
+        assert "1/1" in line and "done ✓" in line
 
 
 # -- CLI: repro watch --------------------------------------------------------
@@ -421,7 +288,7 @@ class TestWatchCommand:
     def test_watch_once_against_live_plane(self, capsys):
         from repro.cli import main
 
-        with live_plane(port=0, interval=30.0, run_id="w") as plane:
+        with live_plane(port=0, run_id="w") as plane:
             beat = run_started(100, "sim.test")
             beat(42, 1)
             assert main(["watch", plane.url, "--once"]) == 0
@@ -434,7 +301,7 @@ class TestWatchCommand:
     def test_watch_port_file_and_unreachable(self, tmp_path, capsys):
         from repro.cli import main
 
-        with live_plane(port=0, interval=30.0) as plane:
+        with live_plane(port=0) as plane:
             port_file = tmp_path / "port"
             port_file.write_text(f"{plane.port}\n")
             assert main(["watch", str(port_file), "--once"]) == 0
@@ -442,28 +309,26 @@ class TestWatchCommand:
         assert main(["watch", "127.0.0.1:1", "--once"]) == 1
 
 
-# -- the acceptance test: a stalled subprocess raises live.stall -------------
+# -- the acceptance test: endpoints of a real streamed run ------------------
 
 @pytest.mark.slow
-class TestStalledSubprocess:
-    def test_stall_alert_and_conformant_endpoints(self, tmp_path):
+class TestLiveSubprocess:
+    def test_conformant_endpoints_and_clean_exit(self, tmp_path):
+        """A ``repro simulate --stream`` run of ~88k tasks (a few seconds)
+        is polled while it runs: ``/healthz`` names the run, ``/progress``
+        never goes backwards, ``/metrics`` is lint-clean, and the run
+        exits 0."""
         port_file = tmp_path / "port"
-        events = tmp_path / "events.jsonl"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "simulate",
-             "--n", str(64 * 256), "--nb", "256",
+            [sys.executable, "-m", "repro", "simulate", "--stream",
+             "--n", str(80 * 256), "--nb", "256",
              "--live-port", "0", "--live-port-file", str(port_file),
-             "--live-interval", "0.1",
-             "--alert", "stall=0.5",
-             "--live-stall-after", str(BEAT_STRIDE),
-             "--live-stall-seconds", "3",
-             "--events-out", str(events),
-             "--run-id", "stalltest"],
+             "--run-id", "livetest"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             cwd=str(Path(__file__).resolve().parent.parent),
         )
         try:
-            deadline = time.monotonic() + 30.0
+            deadline = time.monotonic() + 120.0
             while not port_file.exists() and time.monotonic() < deadline:
                 if proc.poll() is not None:
                     break
@@ -474,35 +339,32 @@ class TestStalledSubprocess:
             base = f"http://127.0.0.1:{port_file.read_text().strip()}"
 
             _, body = _get(base + "/healthz")
-            assert json.loads(body)["run_id"] == "stalltest"
+            health = json.loads(body)
+            assert health["status"] == "ok" and health["run_id"] == "livetest"
 
-            last_done = -1
-            alerted = False
+            polls = []
             metrics_ok = False
             while time.monotonic() < deadline and proc.poll() is None:
                 try:
                     _, body = _get(base + "/progress")
-                except OSError:
-                    break  # run finished between polls
-                snap = json.loads(body)
-                assert snap["done"] >= last_done, "progress went backwards"
-                last_done = snap["done"]
-                if snap.get("alerts"):
-                    alerted = True
-                    _, mtext = _get(base + "/metrics")
-                    assert lint_prometheus_text(mtext) == []
-                    assert "live_alerts_active 1" in mtext
-                    metrics_ok = True
+                    snap = json.loads(body)
+                    if not metrics_ok and snap["done"] > 0:
+                        _, mtext = _get(base + "/metrics")
+                        assert lint_prometheus_text(mtext) == []
+                        assert "live_tasks_done" in mtext
+                        metrics_ok = True
+                except (OSError, http.client.HTTPException):
+                    # the run finished between polls (or mid-response:
+                    # the process exits under a daemon handler thread)
                     break
-                time.sleep(0.1)
-            proc.wait(timeout=60)
-            assert alerted, "watchdog never reported the synthetic stall"
-            assert metrics_ok
-            records = [json.loads(line)
-                       for line in events.read_text().splitlines() if line]
-            stalls = [r for r in records if r["type"] == "live.stall"]
-            assert stalls and stalls[0]["severity"] == "alert"
-            assert stalls[0]["attrs"]["rule"] == "stall"
+                assert not polls or snap["done"] >= polls[-1], "progress went backwards"
+                polls.append(snap["done"])
+                time.sleep(0.05)
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert "makespan" in out
+            assert metrics_ok, f"no mid-run /metrics poll (polls: {polls})"
+            assert len(set(polls)) >= 2, f"progress never moved (polls: {polls})"
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -1,4 +1,4 @@
-"""Tests for the sampling wall-clock profiler and hot-region hooks."""
+"""Tests for the sampling wall-clock profiler."""
 
 import json
 import time
@@ -6,11 +6,9 @@ import time
 import pytest
 
 from repro.obs.profile import (
-    _NULL_REGION,
     PROFILE_SCHEMA,
     SamplingProfiler,
     active_profiler,
-    hot_region,
     write_profile,
 )
 
@@ -24,25 +22,7 @@ def _spin(seconds: float) -> int:
     return total
 
 
-class TestHotRegion:
-    def test_null_region_when_inactive(self):
-        assert active_profiler() is None
-        assert hot_region("anything") is _NULL_REGION
-        assert hot_region("other") is _NULL_REGION  # shared singleton
-        with hot_region("noop"):
-            pass  # no profiler, no effect
-
-    def test_regions_recorded_while_active(self):
-        with SamplingProfiler(0.01) as prof:
-            assert active_profiler() is prof
-            for _ in range(3):
-                with hot_region("test.region"):
-                    _spin(0.002)
-        assert active_profiler() is None
-        calls, seconds = prof.regions["test.region"]
-        assert calls == 3
-        assert seconds > 0.0
-
+class TestActiveProfiler:
     def test_nested_profilers_restore_previous(self):
         outer = SamplingProfiler(0.05).start()
         try:
@@ -90,45 +70,23 @@ class TestSamplingProfiler:
 
     def test_report_document(self, tmp_path):
         with SamplingProfiler(0.002) as prof:
-            with hot_region("r1"):
-                _spin(0.02)
+            _spin(0.02)
         doc = prof.report(top=5, extra={"tasks_per_second": 1234.5})
         assert doc["schema"] == PROFILE_SCHEMA
         assert doc["n_samples"] == prof.n_samples
         assert doc["tasks_per_second"] == 1234.5
         assert len(doc["top_frames"]) <= 5
-        regions = {r["name"]: r for r in doc["hot_regions"]}
-        assert regions["r1"]["calls"] == 1
-        assert 0.0 <= regions["r1"]["fraction"] <= 1.0
         path = write_profile(tmp_path / "prof.json", doc)
         loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["schema"] == PROFILE_SCHEMA
 
-    def test_render_includes_overhead_and_regions(self):
+    def test_render_includes_overhead(self):
         with SamplingProfiler(0.002) as prof:
-            with hot_region("r.render"):
-                _spin(0.02)
+            _spin(0.02)
         text = prof.render(top=3)
         assert "measured overhead" in text
-        assert "r.render" in text
 
     def test_render_with_zero_samples(self):
         prof = SamplingProfiler(10.0).start()
         prof.stop()
         assert "0 samples" in prof.render()
-
-
-class TestSimulatorIntegration:
-    def test_simulator_hot_regions_fire(self):
-        from repro.core import simulate_cholesky, uniform_map
-        from repro.perfmodel import GPU_BY_NAME, NodeSpec
-        from repro.precision import Precision
-        from repro.runtime import Platform
-
-        node = NodeSpec("t", GPU_BY_NAME["V100"], 1, 256e9, 25e9, 1.5e-6)
-        platform = Platform(node=node, n_nodes=1)
-        with SamplingProfiler(0.005) as prof:
-            simulate_cholesky(2048, 256, uniform_map(8, Precision.FP64), platform)
-        assert "sim.ready_heap_loop" in prof.regions
-        assert "dag.build" in prof.regions
-        assert prof.regions["sim.ready_heap_loop"][1] > 0.0

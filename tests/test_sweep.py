@@ -254,7 +254,7 @@ class TestSweepProgress:
         from repro.obs import event_log
         from repro.obs.live import LivePlane
 
-        plane = LivePlane(interval=30.0)
+        plane = LivePlane()
         from repro.obs.live import install_plane
 
         events_path = tmp_path / "events.jsonl"
