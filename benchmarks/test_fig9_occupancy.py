@@ -9,7 +9,6 @@ peek through.
 import numpy as np
 
 from repro.bench import ascii_series, fig9_occupancy_rows, write_csv
-from repro.perfmodel.occupancy import OccupancySample
 
 
 def _mean(series):

@@ -7,8 +7,9 @@ around it:
 1. the PTG (parameterized task graph) unrolls into the task DAG;
 2. the DAG executes numerically — sequentially, on host threads, and
    across OS processes with wire-quantised payloads — all bit-identical;
-3. the same DAG is priced on a simulated V100 and the trace rendered as
-   an ASCII Gantt chart plus a Chrome/Perfetto JSON file.
+3. the same DAG is priced on a simulated 4×V100 node, its trace analysed
+   (data-motion ledger, critical path, per-engine utilization) and
+   written as a Chrome/Perfetto JSON file.
 
 Run:  python examples/runtime_tour.py
 """
@@ -18,15 +19,15 @@ import json
 import numpy as np
 
 from repro.core import build_cholesky_dag, build_precision_map
+from repro.obs import write_perfetto_trace
+from repro.obs.analysis import analyze_trace, render_analysis
 from repro.perfmodel import V100
 from repro.runtime import (
     Platform,
-    ascii_gantt,
     execute_numeric,
     execute_numeric_distributed,
     execute_numeric_parallel,
     simulate,
-    to_chrome_trace,
 )
 from repro.tiles import ProcessGrid, TiledSymmetricMatrix, tile_norms
 
@@ -62,15 +63,10 @@ def main() -> None:
           f"{report.stats.link_bytes('h2d') / 1e3:.0f} kB host→device, "
           f"{report.stats.n_conversions} conversions")
     print()
-    print(ascii_gantt(report.trace.events, report.makespan, width=80))
+    print(render_analysis(analyze_trace(report.trace.events, report.stats.to_dict())))
 
-    path = "results/runtime_tour_trace.json"
-    import os
-
-    os.makedirs("results", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(to_chrome_trace(report.trace.events))
-    n_events = len(json.load(open(path))["traceEvents"])
+    path = write_perfetto_trace(report.trace.events, "results/runtime_tour_trace.json")
+    n_events = len(json.loads(path.read_text())["traceEvents"])
     print(f"\nChrome/Perfetto trace with {n_events} events written to {path}")
 
 

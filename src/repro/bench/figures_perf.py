@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.config import ConversionStrategy
 from ..core.precision_map import (
     FIXED_CONFIGS,
@@ -27,10 +29,10 @@ from ..core.precision_map import (
     uniform_map,
 )
 from ..core.solver import simulate_cholesky
+from ..obs.analysis import utilization_timeline
 from ..perfmodel.analytic import analytic_cholesky
 from ..perfmodel.energy import EnergyReport, energy_report
 from ..perfmodel.gpus import GPU_BY_NAME, GUYOT_NODE, SUMMIT_NODE
-from ..perfmodel.occupancy import mean_occupancy, occupancy_trace
 from ..precision.formats import Precision
 from ..runtime.platform import Platform
 from .apps import APPLICATIONS, app_kernel_map
@@ -152,9 +154,10 @@ def fig9_occupancy_rows(
     for label in FIXED_CONFIGS:
         kmap = fixed_config_map(nt, label)
         rep = simulate_cholesky(n, nb, kmap, platform, strategy=ConversionStrategy.AUTO)
-        rank_events = rep.trace.events_of_rank(0)
-        samples = occupancy_trace(rank_events, rep.makespan, n_windows=n_windows)
-        out[label] = [(s.time, s.occupancy) for s in samples]
+        occupancy = utilization_timeline(rep.trace.events_of_rank(0),
+                                         makespan=rep.makespan, n_buckets=n_windows)
+        starts = np.linspace(0.0, rep.makespan, n_windows + 1)[:-1].tolist()
+        out[label] = list(zip(starts, occupancy["compute"]))
     return out
 
 

@@ -21,7 +21,7 @@ Commands
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
 ``--trace-out`` (Perfetto JSON with counter tracks), ``--metrics-out``
-(metrics + manifest + trace summary), ``--events-out`` (JSONL) and
+(metrics + manifest + run stats), ``--events-out`` (JSONL) and
 ``--profile-out`` (sampling profiler; prints the hottest frames);
 ``mle`` takes ``--events-out`` for per-iteration records.  The family is
 declared once, in :func:`_add_capture_flags`.
@@ -64,7 +64,7 @@ _CAPTURE_HELP = {
     },
     "simulate": {
         "events": "write a structured JSONL event log",
-        "metrics": "write metrics + run manifest + trace summary as JSON",
+        "metrics": "write metrics + run manifest + run stats as JSON",
         "profile": "run under the sampling profiler, print the hottest "
                    "frames and write the repro.obs.profile/1 document "
                    "(see docs/OBSERVABILITY.md)",
@@ -379,7 +379,7 @@ def _gc_cost():
         gc.callbacks.remove(hook)
 
 
-def _write_capture(args, profiler, *, command, stats, n_tasks, trace=None) -> None:
+def _write_capture(args, profiler, *, command, stats, n_tasks) -> None:
     """The ``--profile-out`` / ``--metrics-out`` tail of :func:`_capture`:
     hottest frames + profile document, then the run summary."""
     from . import obs
@@ -398,8 +398,7 @@ def _write_capture(args, profiler, *, command, stats, n_tasks, trace=None) -> No
               f"({doc['n_samples']} samples, {rate:,.0f} tasks/s, "
               f"overhead {doc['overhead_fraction'] * 100.0:.2f}%)")
     if args.metrics_out:
-        obs.write_run_summary(args.metrics_out, stats=stats, trace=trace,
-                              manifest=manifest)
+        obs.write_run_summary(args.metrics_out, stats=stats, manifest=manifest)
         print(f"  metrics → {args.metrics_out}")
 
 
@@ -508,15 +507,11 @@ def _cmd_simulate(args) -> int:
               f"(policy {schedule.policy}, bit-identical)")
 
     if args.trace_out:
-        # fault and failure obs events (if captured) ride along as instants
-        obs_events = obs.read_events(args.events_out) if args.events_out else None
-        obs.write_perfetto_trace(rep.trace.events, args.trace_out, counters=True,
-                                 obs_events=obs_events,
+        obs.write_perfetto_trace(rep.trace.events, args.trace_out,
                                  metadata={"policy": rep.policy})
         print(f"  trace   → {args.trace_out}")
     _write_capture(args, profiler, command="simulate", stats=d,
-                   n_tasks=d["n_tasks"],
-                   trace=rep.trace if record_events else None)
+                   n_tasks=d["n_tasks"])
     return 0
 
 
@@ -614,6 +609,9 @@ def _cmd_analyze(args) -> int:
     from .obs import write_json
     from .obs.analysis import analyze_path, render_analysis
 
+    if args.buckets < 1:
+        print("analyze: --buckets must be positive", file=sys.stderr)
+        return 2
     try:
         doc = analyze_path(args.path, n_buckets=args.buckets)
     except ValueError as exc:

@@ -59,6 +59,7 @@ from ._runtime import (
 from .events import EventLog, iter_events, read_events
 from .exporters import (
     lint_prometheus_text,
+    load_trace_events,
     run_summary,
     to_prometheus_text,
     write_json,
@@ -89,6 +90,7 @@ __all__ = [
     "lint_prometheus_text",
     "live",
     "live_plane",
+    "load_trace_events",
     "profile",
     "regress",
     "run_finished",

@@ -13,9 +13,10 @@ claims:
   compute/transfer events), per-engine slack, and bucketed utilization
   timelines, so occupancy/bottleneck claims are queryable instead of
   eyeballed from Perfetto;
-* :mod:`~repro.obs.analysis.report` — loaders (Perfetto trace JSON,
-  run-summary JSON, run directories) and the text/JSON rendering behind
-  ``repro analyze``.
+* :mod:`~repro.obs.analysis.report` — loaders (run-summary JSON, event
+  logs, run directories; the Perfetto trace is read by
+  :func:`repro.obs.exporters.load_trace_events`) and the text/JSON
+  rendering behind ``repro analyze``.
 
 The regression sentinel that *gates* the perf trajectory lives beside
 this package in :mod:`repro.obs.regress` (``repro compare``).
@@ -28,7 +29,7 @@ from .critical_path import (
     utilization_timeline,
 )
 from .ledger import ConversionRow, DataMotionLedger, LedgerRow, build_ledger
-from .report import analyze_path, analyze_trace, load_trace_events, render_analysis
+from .report import analyze_path, analyze_trace, render_analysis
 
 __all__ = [
     "ConversionRow",
@@ -40,7 +41,6 @@ __all__ = [
     "build_ledger",
     "critical_path",
     "engine_slack",
-    "load_trace_events",
     "render_analysis",
     "utilization_timeline",
 ]

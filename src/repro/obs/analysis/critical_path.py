@@ -12,9 +12,10 @@ per-engine/per-kind composition says *what* the run was bound by
 (compute vs copies vs NIC), which is the queryable form of the paper's
 Figs. 8–9 occupancy arguments.
 
-Also here: per-(rank, engine) slack over the makespan and bucketed
-utilization timelines (busy fraction per engine per time bucket), the
-numeric backing for "occupancy moves as precision drops" claims.
+Also here: per-(rank, engine) slack over the makespan and windowed
+utilization timelines (busy fraction per engine per time window) — the
+Fig. 9 occupancy and the numeric backing for "occupancy moves as
+precision drops" claims.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "CriticalPathResult",
@@ -147,44 +150,68 @@ def engine_slack(events: Sequence, makespan: float | None = None) -> dict[tuple[
     return {key: max(0.0, makespan - b) for key, b in sorted(busy.items())}
 
 
+def _merged_intervals(spans: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The union of busy intervals, as disjoint intervals sorted by start."""
+    merged: list[tuple[float, float]] = []
+    for t0, t1 in sorted(spans):
+        if merged and t0 <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], t1))
+        else:
+            merged.append((t0, t1))
+    return merged
+
+
+def _window_fractions(merged: list[tuple[float, float]], edges: list[float]) -> list[float]:
+    """Busy fraction ``min(1, busy / width)`` of each window between ``edges``."""
+    fractions: list[float] = []
+    idx = 0
+    for w0, w1 in zip(edges[:-1], edges[1:]):
+        busy = 0.0
+        # advance past intervals that end before this window
+        while idx < len(merged) and merged[idx][1] <= w0:
+            idx += 1
+        j = idx
+        while j < len(merged) and merged[j][0] < w1:
+            busy += max(0.0, min(merged[j][1], w1) - max(merged[j][0], w0))
+            j += 1
+        fractions.append(min(1.0, busy / (w1 - w0)))
+    return fractions
+
+
 def utilization_timeline(
     events: Sequence,
     *,
     makespan: float | None = None,
     n_buckets: int = 20,
 ) -> dict[str, list[float]]:
-    """Busy fraction per engine per time bucket over [0, makespan].
+    """Busy fraction per engine in each of ``n_buckets`` equal windows of
+    [0, makespan]: the one windowed occupancy reader.  Fig. 9's GPU
+    occupancy is its ``compute`` row for rank 0's events; ``repro
+    analyze`` prints every engine.
 
-    Each engine's busy time is averaged over the ranks that have that
-    engine, so a fully-busy engine reads 1.0 regardless of rank count.
+    Busy intervals are merged per (rank, engine), so overlapping events
+    count once; each rank's window reads ``min(1, busy / width)``, and
+    an engine's row is the mean over the ranks that have that engine,
+    so a fully-busy engine reads 1.0 at any rank count.
     """
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be positive, got {n_buckets}")
     evs = list(events)
-    if not evs or n_buckets <= 0:
+    if not evs:
         return {}
     if makespan is None:
         makespan = max(e.t_end for e in evs)
     if makespan <= 0.0:
         return {}
-    dt = makespan / n_buckets
-    ranks_per_engine: dict[str, set[int]] = {}
-    busy: dict[str, list[float]] = {}
+    spans: dict[str, dict[int, list[tuple[float, float]]]] = {}
     for ev in evs:
-        ranks_per_engine.setdefault(ev.engine, set()).add(ev.rank)
-        buckets = busy.setdefault(ev.engine, [0.0] * n_buckets)
-        lo = max(0.0, ev.t_start)
-        hi = min(makespan, ev.t_end)
-        if hi <= lo:
-            continue
-        first = min(n_buckets - 1, int(lo / dt))
-        last = min(n_buckets - 1, int((hi - 1e-18) / dt))
-        for b in range(first, last + 1):
-            overlap = min(hi, (b + 1) * dt) - max(lo, b * dt)
-            if overlap > 0.0:
-                buckets[b] += overlap
-    return {
-        engine: [
-            min(1.0, seconds / (dt * len(ranks_per_engine[engine])))
-            for seconds in buckets
-        ]
-        for engine, buckets in sorted(busy.items())
-    }
+        rank_spans = spans.setdefault(ev.engine, {}).setdefault(ev.rank, [])
+        if ev.t_end > ev.t_start:
+            rank_spans.append((float(ev.t_start), float(ev.t_end)))
+    edges = np.linspace(0.0, makespan, n_buckets + 1).tolist()
+    timeline: dict[str, list[float]] = {}
+    for engine, by_rank in sorted(spans.items()):
+        per_rank = [_window_fractions(_merged_intervals(rank_spans), edges)
+                    for _rank, rank_spans in sorted(by_rank.items())]
+        timeline[engine] = [sum(window) / len(per_rank) for window in zip(*per_rank)]
+    return timeline

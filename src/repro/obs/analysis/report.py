@@ -2,9 +2,9 @@
 
 ``repro analyze <path>`` accepts:
 
-* a Perfetto/Chrome trace JSON written by ``--trace-out`` (the slices
-  are parsed back into :class:`~repro.runtime.tracing.TraceEvent`-shaped
-  records, CONVERT site tags included);
+* a Perfetto/Chrome trace JSON written by ``--trace-out`` (read back by
+  :func:`repro.obs.exporters.load_trace_events`, CONVERT site tags
+  included);
 * a run-summary JSON written by ``--metrics-out`` (the run header from
   its manifest; stats counters only — the ledger loses per-rank detail
   but keeps per-link per-precision totals);
@@ -30,44 +30,11 @@ from pathlib import Path
 from typing import Sequence
 
 from ..events import iter_events
-from ..exporters import run_stats
+from ..exporters import load_trace_events, run_stats
 from .critical_path import critical_path, engine_slack, utilization_timeline
-from .ledger import build_ledger, ledger_table, parse_precision
+from .ledger import build_ledger, ledger_table
 
-__all__ = ["analyze_path", "analyze_trace", "load_trace_events", "render_analysis"]
-
-
-def load_trace_events(path: str | Path) -> list:
-    """Parse a Perfetto trace JSON back into :class:`TraceEvent` records.
-
-    Inverse of :func:`repro.obs.write_perfetto_trace` for the slice
-    events (counters/metadata/instants are derived, so they are simply
-    skipped on read).
-    """
-    from ...runtime.tracing import TraceEvent
-
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    slices = [e for e in doc.get("traceEvents", []) if e.get("ph") == "X"]
-    events = []
-    for sl in slices:
-        args = sl.get("args") or {}
-        t_start = float(sl["ts"]) / 1e6
-        events.append(
-            TraceEvent(
-                rank=int(sl.get("pid", 0)),
-                engine=str(sl.get("cat", "")),
-                kind=str(sl.get("name", "")),
-                t_start=t_start,
-                t_end=t_start + float(sl.get("dur", 0.0)) / 1e6,
-                precision=parse_precision(args.get("precision")),
-                bytes=int(args.get("bytes", 0)),
-                flops=float(args.get("flops", 0.0)),
-                site=args.get("site") or None,
-                src_precision=parse_precision(args.get("src_precision")),
-                dst_precision=parse_precision(args.get("dst_precision")),
-            )
-        )
-    return events
+__all__ = ["analyze_path", "analyze_trace", "render_analysis"]
 
 
 def _read_event_log(path: Path) -> tuple[dict, dict]:

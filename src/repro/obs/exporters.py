@@ -2,9 +2,11 @@
 
 These sit on top of the simulator's :class:`~repro.runtime.tracing.TraceEvent`
 stream and the metrics registry, and are what ``repro simulate
---trace-out/--metrics-out`` and the live ``/metrics`` endpoint call into.  Runtime
-imports happen inside the functions so ``repro.obs`` stays a leaf
-package every layer may import without cycles.
+--trace-out/--metrics-out`` and the live ``/metrics`` endpoint call into.
+The Perfetto trace format (the stand-in for PaRSEC's instrumentation
+traces, the paper's ref [9]) is written and read back here, and nowhere
+else.  Runtime imports happen inside the functions so ``repro.obs``
+stays a leaf package every layer may import without cycles.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "lint_prometheus_text",
+    "load_trace_events",
     "to_prometheus_text",
     "run_stats",
     "run_summary",
@@ -23,37 +26,159 @@ __all__ = [
     "write_run_summary",
 ]
 
+# -- Perfetto trace: the one writer and its reader ---------------------------
+
+def _engine_tids() -> dict[str, int]:
+    """One Perfetto thread row per engine: compute, then every link."""
+    from ..runtime.tracing import LINKS
+
+    return {engine: tid for tid, engine in enumerate(("compute", *LINKS))}
+
+
+def _counter_events(events: Sequence) -> list[dict]:
+    """Perfetto counter tracks per rank, sampled at every change point:
+
+    * ``h2d inflight bytes`` / ``d2h inflight bytes`` — bytes currently
+      on the wire of each copy engine;
+    * ``nic bytes (cum)`` — cumulative bytes injected by each node's NIC;
+    * ``conversions (cum)`` — running count of CONVERT compute events.
+
+    There is no memory-pool track: the event stream does not carry
+    residency (a GPU-produced tile is written back without ever being
+    loaded, and a clean drop leaves no event).
+    """
+    deltas: list[tuple[float, int, str, float]] = []  # (ts_us, rank, track, delta)
+    for ev in events:
+        if ev.engine == "nic":
+            deltas.append((ev.t_end * 1e6, ev.rank, "nic bytes (cum)", ev.bytes))
+        elif ev.engine in ("h2d", "d2h"):
+            track = f"{ev.engine} inflight bytes"
+            deltas.append((ev.t_start * 1e6, ev.rank, track, ev.bytes))
+            deltas.append((ev.t_end * 1e6, ev.rank, track, -ev.bytes))
+        elif ev.engine == "compute" and ev.kind == "CONVERT":
+            deltas.append((ev.t_end * 1e6, ev.rank, "conversions (cum)", 1))
+    running: dict[tuple[int, str], float] = {}
+    out: list[dict] = []
+    for ts, rank, track, delta in sorted(deltas, key=lambda d: (d[0], d[1], d[2])):
+        value = running.get((rank, track), 0.0) + delta
+        running[(rank, track)] = value
+        out.append({"name": track, "ph": "C", "ts": ts, "pid": rank,
+                    "args": {"value": value}})
+    return out
+
+
+def _metadata_events(events: Sequence, tids: Mapping[str, int]) -> list[dict]:
+    """Process/thread naming so Perfetto shows "rank N" / engine rows."""
+    out: list[dict] = []
+    for rank in sorted({ev.rank for ev in events}):
+        out.append({"name": "process_name", "ph": "M", "pid": rank,
+                    "args": {"name": f"rank {rank}"}})
+        out.append({"name": "process_sort_index", "ph": "M", "pid": rank,
+                    "args": {"sort_index": rank}})
+    for rank, engine in sorted({(ev.rank, ev.engine) for ev in events}):
+        tid = tids[engine]
+        out.append({"name": "thread_name", "ph": "M", "pid": rank, "tid": tid,
+                    "args": {"name": engine}})
+        out.append({"name": "thread_sort_index", "ph": "M", "pid": rank, "tid": tid,
+                    "args": {"sort_index": tid}})
+    return out
+
+
 def write_perfetto_trace(
     events: Sequence,
     path: str | Path,
     *,
-    counters: bool = True,
-    obs_events: Sequence[Mapping] | None = None,
     metadata: Mapping[str, object] | None = None,
 ) -> Path:
-    """Write a Perfetto/Chrome trace JSON with metadata + counter tracks.
+    """Write the trace as Chrome/Perfetto trace-event JSON.
 
-    ``obs_events`` (records from :func:`repro.obs.read_events`) renders
-    fault and failure telemetry as instant markers alongside the slices;
-    ``metadata`` (e.g. the scheduling policy) lands in the trace's
-    top-level ``"metadata"`` object.
+    One slice (``ph == "X"``) per event, sorted by timestamp (stable
+    output for diffing), one thread row per (rank, engine), then the
+    counter tracks of :func:`_counter_events` and the process/thread
+    metadata that labels every row.  ``metadata`` (e.g. the scheduling
+    policy) lands as the top-level ``"metadata"`` object, which Perfetto
+    surfaces under Info & stats.  :func:`load_trace_events` reads it back.
     """
-    from ..runtime.gantt import to_chrome_trace
-
+    tids = _engine_tids()
+    ordered = sorted(events, key=lambda e: (e.t_start, e.rank, tids[e.engine]))
+    out = []
+    for ev in ordered:
+        args = {
+            "precision": ev.precision.name if ev.precision is not None else "",
+            "bytes": ev.bytes,
+            "flops": ev.flops,
+        }
+        if ev.site is not None:
+            args["site"] = ev.site
+            args["src_precision"] = (
+                ev.src_precision.name if ev.src_precision is not None else ""
+            )
+            args["dst_precision"] = (
+                ev.dst_precision.name if ev.dst_precision is not None else ""
+            )
+        out.append(
+            {
+                "name": ev.kind,
+                "cat": ev.engine,
+                "ph": "X",
+                "ts": ev.t_start * 1e6,  # microseconds
+                "dur": max(ev.t_end - ev.t_start, 0.0) * 1e6,
+                "pid": ev.rank,
+                "tid": tids[ev.engine],
+                "args": args,
+            }
+        )
+    out.extend(_counter_events(ordered))
+    out.extend(_metadata_events(ordered, tids))
+    doc: dict[str, object] = {"traceEvents": out, "displayTimeUnit": "ms"}
+    if metadata:
+        doc["metadata"] = dict(metadata)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        to_chrome_trace(events, counters=counters, obs_events=obs_events,
-                        metadata=metadata),
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
+
+def load_trace_events(path: str | Path) -> list:
+    """Parse a :func:`write_perfetto_trace` file back into
+    :class:`~repro.runtime.tracing.TraceEvent` records.
+
+    Only the slices are read: counters and metadata are derived from
+    them, so they are skipped.
+    """
+    from ..runtime.tracing import TraceEvent
+    from .analysis.ledger import parse_precision
+
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    events = []
+    for sl in doc.get("traceEvents", []):
+        if sl.get("ph") != "X":
+            continue
+        args = sl.get("args") or {}
+        t_start = float(sl["ts"]) / 1e6
+        events.append(
+            TraceEvent(
+                rank=int(sl.get("pid", 0)),
+                engine=str(sl.get("cat", "")),
+                kind=str(sl.get("name", "")),
+                t_start=t_start,
+                t_end=t_start + float(sl.get("dur", 0.0)) / 1e6,
+                precision=parse_precision(args.get("precision")),
+                bytes=int(args.get("bytes", 0)),
+                flops=float(args.get("flops", 0.0)),
+                site=args.get("site") or None,
+                src_precision=parse_precision(args.get("src_precision")),
+                dst_precision=parse_precision(args.get("dst_precision")),
+            )
+        )
+    return events
+
+
+# -- run summaries -----------------------------------------------------------
 
 def run_summary(
     *,
     stats=None,
-    trace=None,
     manifest: Mapping | None = None,
     registry=None,
 ) -> dict:
@@ -71,8 +196,6 @@ def run_summary(
         doc["manifest"] = dict(manifest)
     if stats is not None:
         doc["stats"] = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-    if trace is not None:
-        doc["trace"] = trace.summary() if hasattr(trace, "summary") else dict(trace)
     doc["metrics"] = registry.to_dict()
     return doc
 

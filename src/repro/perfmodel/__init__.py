@@ -5,8 +5,9 @@ Guyot A100s, Haxane's H100) with analytical models anchored to the
 numbers the paper itself publishes: Table I peaks, Table II transfer and
 GEMM times, and the Fig. 1 sustained-GEMM curves.  The discrete-event
 runtime (:mod:`repro.runtime`) prices every task and transfer through
-these models, and the energy/occupancy modules post-process the resulting
-timelines into the paper's Fig. 9/10 observables.
+these models, and the energy module post-processes the resulting
+timelines into the paper's Fig. 10 observables (Fig. 9's occupancy is
+:func:`repro.obs.analysis.utilization_timeline`).
 """
 
 from .calibration import CalibrationReport, verify_table2
@@ -32,11 +33,6 @@ from .kernels import (
     kernel_flops_rect,
     kernel_time,
 )
-from .occupancy import (
-    OccupancySample,
-    mean_occupancy,
-    occupancy_trace,
-)
 from .transfers import h2d_time, tile_bytes
 
 __all__ = [
@@ -54,7 +50,6 @@ __all__ = [
     "GPUSpec",
     "KernelKind",
     "NodeSpec",
-    "OccupancySample",
     "PowerSample",
     "conversion_time",
     "energy_report",
@@ -63,8 +58,6 @@ __all__ = [
     "kernel_flops",
     "kernel_flops_rect",
     "kernel_time",
-    "mean_occupancy",
-    "occupancy_trace",
     "power_trace",
     "tile_bytes",
     "verify_table2",

@@ -10,8 +10,10 @@ power per second *and* finishes sooner — the two effects that produce the
 paper's energy savings.
 
 The model consumes duck-typed trace events carrying ``t_start``,
-``t_end``, ``engine`` (``"compute"`` / ``"h2d"`` / ``"d2h"`` / ``"nic"``)
-and, for compute events, ``precision``.
+``t_end``, ``engine`` (``"compute"`` or a link) and, for compute events,
+``precision``.  It is the one timeline reader in this package: Fig. 9's
+occupancy of the same timeline is
+:func:`repro.obs.analysis.utilization_timeline`.
 """
 
 from __future__ import annotations

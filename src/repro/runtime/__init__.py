@@ -2,7 +2,6 @@
 
 from .distributed import DistributedReport, execute_numeric_distributed
 from .executor import execute_numeric
-from .gantt import ascii_gantt, to_chrome_trace
 from .parallel_executor import execute_numeric_parallel
 from .platform import Platform
 from .policies import (
@@ -38,12 +37,10 @@ __all__ = [
     "TileRef",
     "Trace",
     "TraceEvent",
-    "ascii_gantt",
     "execute_numeric",
     "execute_numeric_distributed",
     "execute_numeric_parallel",
     "simulate",
     "simulate_replay",
     "simulate_stream",
-    "to_chrome_trace",
 ]

@@ -2,8 +2,9 @@
 
 A :class:`TraceEvent` is one busy interval of one engine of one rank —
 compute (kernel or conversion) or a transfer over one of the
-:data:`LINKS`.  The energy, occupancy, analysis, and reporting layers
-all consume this single schema.  ``CONVERT`` events additionally carry
+:data:`LINKS`.  The energy model, the Perfetto writer and the analysis
+layer (ledger, critical path, windowed occupancy) all consume this
+single schema.  ``CONVERT`` events additionally carry
 their conversion *site* (``"stc"`` for the one-off sender-side pass,
 ``"ttc"`` for receiver-side passes) and the source→destination
 precisions, so conversion time can be attributed per strategy (Section VI).
@@ -150,28 +151,3 @@ class Trace:
             for e in self.events
         )
         return hashlib.sha256(repr(tuples).encode()).hexdigest()
-
-    def busy_seconds(self, engine: str, rank: int | None = None) -> float:
-        return sum(
-            e.duration
-            for e in self.events
-            if e.engine == engine and (rank is None or e.rank == rank)
-        )
-
-    def summary(self) -> dict:
-        """Serialisable digest of the trace (feeds JSON export/report)."""
-        by_engine: dict[str, float] = {}
-        by_kind: dict[str, int] = {}
-        for ev in self.events:
-            by_engine[ev.engine] = by_engine.get(ev.engine, 0.0) + max(0.0, ev.duration)
-            by_kind[ev.kind] = by_kind.get(ev.kind, 0) + 1
-        makespan = self.stats.makespan
-        if makespan <= 0.0 and self.events:
-            makespan = max(e.t_end for e in self.events)
-        return {
-            "n_events": len(self.events),
-            "n_ranks": len({e.rank for e in self.events}),
-            "makespan_seconds": makespan,
-            "busy_seconds_by_engine": dict(sorted(by_engine.items())),
-            "events_by_kind": dict(sorted(by_kind.items())),
-        }

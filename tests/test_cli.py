@@ -193,6 +193,20 @@ class TestSimulateFlagCoherence:
         assert "bit-identical" in capsys.readouterr().out
 
 
+class TestAnalyzeFlags:
+    @pytest.mark.parametrize("buckets", ["0", "-3"])
+    def test_non_positive_buckets_is_a_usage_error(self, buckets, tmp_path, capsys):
+        """A utilization timeline needs at least one window: ``--buckets
+        0`` used to exit 0 and silently print no utilization section."""
+        assert main(["simulate", "--n", "1024", "--nb", "128",
+                     "--trace-out", str(tmp_path / "trace.json")]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path), "--buckets", buckets]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "analyze: --buckets must be positive"
+        assert "critical path" not in captured.out
+
+
 class TestParserSurface:
     """Pins the CLI surface: the verb set and the verb×flag count, and
     that declaring the telemetry-output flags once changed none of them."""
@@ -232,7 +246,8 @@ class TestParserSurface:
         schedule format; ``simulate`` and ``sweep`` were re-dumped minus
         the six entries of the deleted watchdog flags — its alert rules,
         its snapshot-bus interval and its two synthetic-stall flags: the
-        live plane only reports)."""
+        live plane only reports; ``simulate``'s ``--metrics-out`` help
+        lost "trace summary" when the summary's ``trace`` section went)."""
         import json
         from pathlib import Path
 

@@ -27,7 +27,8 @@ from repro.geostats import (
     krige,
     log_likelihood,
 )
-from repro.perfmodel import V100, energy_report, occupancy_trace
+from repro.obs.analysis import utilization_timeline
+from repro.perfmodel import V100, energy_report
 from repro.perfmodel.analytic import analytic_cholesky
 from repro.precision import Precision
 from repro.runtime import Platform, execute_numeric, simulate
@@ -96,8 +97,8 @@ class TestTraceConsumers:
         er = energy_report(V100, events, rep.makespan, total_flops=rep.stats.total_flops)
         assert er.total_joules > 0
         assert er.gflops_per_watt > 0
-        occ = occupancy_trace(events, rep.makespan, n_windows=20)
-        assert 0.0 < np.mean([s.occupancy for s in occ]) <= 1.0
+        occ = utilization_timeline(events, makespan=rep.makespan, n_buckets=20)
+        assert 0.0 < np.mean(occ["compute"]) <= 1.0
 
     def test_energy_ordering_fp64_vs_mp(self):
         nt, nb = 12, 2048

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import two_precision_map, uniform_map
+from repro.core import fixed_config_map, two_precision_map, uniform_map
 from repro.core.solver import simulate_cholesky
 from repro.obs.analysis import (
     analyze_path,
@@ -15,7 +15,6 @@ from repro.obs.analysis import (
     build_ledger,
     critical_path,
     engine_slack,
-    load_trace_events,
     render_analysis,
     utilization_timeline,
 )
@@ -262,12 +261,22 @@ class TestSlackAndUtilization:
         assert engine_slack([]) == {}
         assert utilization_timeline([]) == {}
 
+    def test_overlapping_events_count_once_per_rank(self):
+        events = [
+            TraceEvent(0, "compute", "A", 0.0, 3.0),
+            TraceEvent(0, "compute", "B", 1.0, 2.0),  # inside A
+            TraceEvent(1, "compute", "C", 0.0, 1.0),
+        ]
+        util = utilization_timeline(events, makespan=4.0, n_buckets=2)
+        # rank 0 reads [1, 0.5], rank 1 [0.5, 0]: the mean of the two ranks
+        assert util["compute"] == [0.75, 0.25]
+
 
 class TestAnalyzeAndCLI:
     def test_perfetto_round_trip_reconciles(self, sim_report, tmp_path):
         path = tmp_path / "trace.json"
-        obs.write_perfetto_trace(sim_report.trace.events, path, counters=True)
-        events = load_trace_events(path)
+        obs.write_perfetto_trace(sim_report.trace.events, path)
+        events = obs.load_trace_events(path)
         assert len(events) == len(sim_report.trace.events)
         assert build_ledger(events).reconcile(sim_report.stats) == []
         sites = {e.site for e in events if e.kind == "CONVERT"}
@@ -291,6 +300,40 @@ class TestAnalyzeAndCLI:
         assert doc["reconciliation"]["checked"]
         assert doc["reconciliation"]["mismatches"] == []
         assert doc["source"]["trace"].endswith("trace.json")
+
+    def test_run_dir_analyzes_like_the_run_itself(self, tmp_path):
+        """Written by the Perfetto writer and the run summary, then read
+        back from disk, an out-of-core run (two V100s cut to 64 MB over
+        a 64 MB host: evictions, host evictions and disk spills) gives
+        the analysis of its in-memory events and stats."""
+        import dataclasses
+
+        gpu = dataclasses.replace(V100, memory_bytes=64e6)
+        platform = Platform(NodeSpec("tight", gpu, 2, 64e6, 25e9, 1.5e-6), n_nodes=1)
+        rep = simulate_cholesky(8192, 1024, fixed_config_map(8, "FP64/FP16_32"),
+                                platform, record_events=True)
+        assert (rep.stats.n_evictions, rep.stats.n_spills) == (269, 122)
+        obs.write_perfetto_trace(rep.trace.events, tmp_path / "trace.json",
+                                 metadata={"policy": rep.policy})
+        obs.write_run_summary(tmp_path / "summary.json", stats=rep.stats)
+        from_disk = analyze_path(tmp_path)
+        in_memory = analyze_trace(rep.trace.events, rep.stats.to_dict())
+        assert from_disk["reconciliation"] == {"checked": True, "mismatches": []}
+        assert from_disk["ledger"] == in_memory["ledger"]
+        assert from_disk["slack_seconds"] == in_memory["slack_seconds"]
+        # the same chain; its event times crossed a microsecond round trip
+        disk_cp, mem_cp = dict(from_disk["critical_path"]), dict(in_memory["critical_path"])
+        disk_chain, mem_chain = disk_cp.pop("events"), mem_cp.pop("events")
+        assert disk_cp == mem_cp
+        assert len(disk_chain) == len(mem_chain)
+        for got, want in zip(disk_chain, mem_chain):
+            assert {k: got[k] for k in ("rank", "engine", "kind")} == \
+                {k: want[k] for k in ("rank", "engine", "kind")}
+            assert got["t_start"] == pytest.approx(want["t_start"], abs=1e-12)
+            assert got["t_end"] == pytest.approx(want["t_end"], abs=1e-12)
+        assert from_disk["utilization"].keys() == in_memory["utilization"].keys()
+        for engine, fractions in in_memory["utilization"].items():
+            assert from_disk["utilization"][engine] == pytest.approx(fractions, abs=1e-12)
 
     def test_analyze_path_rejects_empty_dir(self, tmp_path):
         with pytest.raises(ValueError, match="nothing analyzable"):

@@ -1,13 +1,14 @@
-"""Unit tests for the energy and occupancy post-processing."""
+"""Unit tests for the energy and occupancy post-processing (occupancy
+is :func:`repro.obs.analysis.utilization_timeline`)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.obs.analysis import utilization_timeline
 from repro.perfmodel.energy import energy_report, power_trace
 from repro.perfmodel.gpus import V100
-from repro.perfmodel.occupancy import mean_occupancy, occupancy_trace
 from repro.precision import Precision
 
 
@@ -18,6 +19,7 @@ class Ev:
     engine: str = "compute"
     precision: Precision = Precision.FP64
     flops: float = 0.0
+    rank: int = 0
 
 
 class TestEnergy:
@@ -132,18 +134,21 @@ class TestPowerTraceRegressions:
         assert float(np.trapezoid(w, t)) == pytest.approx(rep.total_joules, rel=1e-6)
 
 
-def _busy(evs, makespan, **kw):
+def _occupancy(evs, makespan, n_windows, engine="compute"):
+    return utilization_timeline(evs, makespan=makespan, n_buckets=n_windows)[engine]
+
+
+def _busy(evs, makespan, engine="compute"):
     """Whole-run busy fraction: the occupancy of one window."""
-    (sample,) = occupancy_trace(evs, makespan, n_windows=1, **kw)
-    return sample.occupancy
+    (fraction,) = _occupancy(evs, makespan, 1, engine)
+    return fraction
 
 
 class TestOccupancy:
     def test_full_busy(self):
         evs = [Ev(0.0, 10.0)]
         assert _busy(evs, 10.0) == pytest.approx(1.0)
-        trace = occupancy_trace(evs, 10.0, n_windows=10)
-        assert mean_occupancy(trace) == pytest.approx(1.0)
+        assert np.mean(_occupancy(evs, 10.0, 10)) == pytest.approx(1.0)
 
     def test_half_busy(self):
         evs = [Ev(0.0, 5.0)]
@@ -155,19 +160,16 @@ class TestOccupancy:
 
     def test_engine_filter(self):
         evs = [Ev(0.0, 10.0, "h2d")]
-        assert _busy(evs, 10.0, engine="compute") == 0.0
+        assert "compute" not in utilization_timeline(evs, makespan=10.0, n_buckets=1)
         assert _busy(evs, 10.0, engine="h2d") == pytest.approx(1.0)
 
     def test_windowed_trace(self):
         evs = [Ev(0.0, 2.5)]
-        trace = occupancy_trace(evs, 10.0, n_windows=4)
-        assert [round(s.occupancy, 6) for s in trace] == [1.0, 0.0, 0.0, 0.0]
+        assert [round(f, 6) for f in _occupancy(evs, 10.0, 4)] == [1.0, 0.0, 0.0, 0.0]
 
     def test_partial_window(self):
         evs = [Ev(1.25, 2.5)]
-        trace = occupancy_trace(evs, 10.0, n_windows=4)
-        assert trace[0].occupancy == pytest.approx(0.5)
+        assert _occupancy(evs, 10.0, 4)[0] == pytest.approx(0.5)
 
     def test_empty(self):
-        assert occupancy_trace([], 0.0) == []
-        assert mean_occupancy([]) == 0.0
+        assert utilization_timeline([], makespan=0.0) == {}

@@ -1,4 +1,4 @@
-"""Tests for trace export (Gantt/Chrome) and the threaded executor."""
+"""Tests for trace export (Perfetto) and the threaded executor."""
 
 import json
 
@@ -7,11 +7,11 @@ import pytest
 
 from repro.core import build_cholesky_dag, build_precision_map, two_precision_map
 from repro.core.solver import simulate_cholesky
+from repro.obs import write_perfetto_trace
 from repro.obs.analysis import utilization_timeline
 from repro.perfmodel import V100
 from repro.precision import Precision
 from repro.runtime import Platform, execute_numeric
-from repro.runtime.gantt import ascii_gantt, to_chrome_trace
 from repro.runtime.parallel_executor import execute_numeric_parallel
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
@@ -25,19 +25,9 @@ def sim_report():
 
 
 class TestGantt:
-    def test_ascii_gantt_structure(self, sim_report):
-        out = ascii_gantt(sim_report.trace.events, sim_report.makespan, width=60)
-        lines = out.splitlines()
-        assert any("compute" in l for l in lines)
-        assert any("h2d" in l for l in lines)
-        assert "G" in out  # GEMMs visible
-        assert "legend" not in out.lower() or True
-
-    def test_empty_trace(self):
-        assert "empty" in ascii_gantt([])
-
-    def test_chrome_trace_valid_json(self, sim_report):
-        payload = json.loads(to_chrome_trace(sim_report.trace.events))
+    def test_chrome_trace_valid_json(self, sim_report, tmp_path):
+        path = write_perfetto_trace(sim_report.trace.events, tmp_path / "t.json")
+        payload = json.loads(path.read_text())
         events = payload["traceEvents"]
         slices = [e for e in events if e["ph"] == "X"]
         assert len(slices) == len(sim_report.trace.events)

@@ -15,11 +15,11 @@ import pytest
 
 from repro.core.precision_map import two_precision_map
 from repro.core.solver import replay_cholesky, simulate_cholesky
+from repro.obs import write_perfetto_trace
 from repro.obs.analysis import build_ledger
 from repro.perfmodel.gpus import NodeSpec, V100
 from repro.precision import Precision
 from repro.runtime import POLICY_NAMES, Platform, StaticSchedule
-from repro.runtime.gantt import to_chrome_trace
 from repro.runtime.simulator import simulate_replay
 
 NB = 128
@@ -81,10 +81,10 @@ class TestDiskTier:
         assert "disk_write" in engines
         assert "disk_read" in engines
 
-    def test_perfetto_gives_every_engine_its_own_row(self):
+    def test_perfetto_gives_every_engine_its_own_row(self, tmp_path):
         """Both disk engines used to share tid 4: one row, two names."""
         rep = _run("panel-first")
-        doc = json.loads(to_chrome_trace(rep.trace.events))
+        doc = json.loads(write_perfetto_trace(rep.trace.events, tmp_path / "t.json").read_text())
         names: dict[tuple[int, int], set[str]] = {}
         for ev in doc["traceEvents"]:
             if ev["ph"] == "M" and ev["name"] == "thread_name":

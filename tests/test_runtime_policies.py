@@ -32,7 +32,6 @@ from repro.runtime import (
     TaskGraph,
     TaskInput,
     simulate,
-    to_chrome_trace,
 )
 from repro.runtime.policies import resolve_policy
 
@@ -220,29 +219,36 @@ class TestCustomPolicy:
 
 
 class TestTraceMetadata:
-    def test_policy_lands_in_chrome_trace(self):
+    def test_policy_lands_in_chrome_trace(self, tmp_path):
         import json
 
+        from repro.obs import write_perfetto_trace
+
         rep = _ref_report("critical-path")
-        doc = json.loads(to_chrome_trace(rep.trace.events,
-                                         metadata={"policy": rep.policy}))
+        path = write_perfetto_trace(rep.trace.events, tmp_path / "t.json",
+                                    metadata={"policy": rep.policy})
+        doc = json.loads(path.read_text())
         assert doc["metadata"] == {"policy": "critical-path"}
         assert doc["traceEvents"]
 
     def test_perfetto_writer_passthrough(self, tmp_path):
         import json
 
-        from repro.obs import write_perfetto_trace
+        from repro.obs import load_trace_events, write_perfetto_trace
 
         rep = _ref_report("fifo")
         path = write_perfetto_trace(rep.trace.events, tmp_path / "t.json",
                                     metadata={"policy": rep.policy})
         doc = json.loads(path.read_text())
         assert doc["metadata"]["policy"] == "fifo"
+        # the metadata rides beside the slices, not in place of any
+        assert len(load_trace_events(path)) == len(rep.trace.events)
 
-    def test_no_metadata_key_without_metadata(self):
+    def test_no_metadata_key_without_metadata(self, tmp_path):
         import json
 
+        from repro.obs import write_perfetto_trace
+
         rep = _ref_report(None)
-        doc = json.loads(to_chrome_trace(rep.trace.events))
+        doc = json.loads(write_perfetto_trace(rep.trace.events, tmp_path / "t.json").read_text())
         assert "metadata" not in doc
