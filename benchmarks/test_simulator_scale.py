@@ -27,6 +27,7 @@ import pytest
 
 from repro.core import (
     cholesky_task_count,
+    default_stream_lookahead,
     simulate_cholesky,
     two_precision_map,
 )
@@ -111,6 +112,8 @@ class TestStreamingMemory:
         assert stm["makespan_seconds"] == mat["makespan_seconds"]
         assert stm["n_tasks"] == mat["n_tasks"] == cholesky_task_count(96)
         assert stm["peak_live_tasks"] < mat["peak_live_tasks"]
+        # swept refills top the window up to exactly its lookahead (9,600)
+        assert stm["peak_live_tasks"] == default_stream_lookahead(96)
         assert stm["peak_rss_bytes"] < mat["peak_rss_bytes"], (
             f"streaming RSS {stm['peak_rss_bytes'] / 1e6:.0f} MB not below "
             f"materializing {mat['peak_rss_bytes'] / 1e6:.0f} MB"

@@ -185,6 +185,7 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
     """
     nt = rules.nt
     edges = rules._edges
+    sizes = set(edges)
     kernel, storage, payload = rules._kernel, rules._storage, rules._payload
     rests, sender_conv, owner = rules._rests, rules._sender_conv, rules._owner
     POTRF, TRSM, SYRK, GEMM = KernelKind.POTRF, KernelKind.TRSM, KernelKind.SYRK, KernelKind.GEMM
@@ -241,16 +242,20 @@ def _emit_kmajor(rules: _CholeskyDataflow) -> Iterator[Task]:
             )
             writer[m][m], ref[m][m] = tid, out
             tid += 1
+        # a GEMM's flops per (em, en) of this iteration (edges take at most two values)
+        gemm_flops = {em: {en: kernel_flops_rect(GEMM, em, en, ek) for en in sizes}
+                      for em in sizes}
         for m in range(k + 2, nt):
             em = edges[m]
             a = panel[m]
             row_writer, row_ref, row_rests, row_arrives = writer[m], ref[m], rests[m], arrives[m]
+            row_flops = gemm_flops[em]
             for nn in range(k + 1, m):
                 c_in = row_arrives[nn]
                 out = (m, nn, k + 1)
                 yield Task(
                     tid, GEMM, (m, nn, k), owner[m][nn], kernel[m][nn],
-                    kernel_flops_rect(GEMM, em, edges[nn], ek), out, row_rests[nn],
+                    row_flops[edges[nn]], out, row_rests[nn],
                     [a, panel[nn],
                      TaskInput(row_writer[nn], row_ref[nn], c_in, c_in, em * edges[nn], "inout")],
                     None,

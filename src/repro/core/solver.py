@@ -171,8 +171,14 @@ def simulate_cholesky(
     :func:`default_stream_lookahead`) instead of being held as a graph,
     so peak memory is O(NT²) instead of O(NT³).  It chooses lazy versus
     held task objects, never a numbering.  Restricted to frontier-local
-    policies (panel-first, fifo, ooc-static).
+    policies (panel-first, fifo, ooc-static).  A ``lookahead`` without
+    ``stream=True`` is a ``ValueError``: the held graph has no window.
     """
+    if lookahead is not None and not stream:
+        raise ValueError(
+            f"lookahead={lookahead} is the emission window of stream=True; "
+            "the held graph (stream=False) has none"
+        )
     if stream:
         nt = kernel_map.nt
         # the stream itself doesn't know its length; tell the live plane

@@ -47,9 +47,9 @@ is only its two sources:
   :class:`~repro.runtime.task.TaskGraph` (one emission of the whole
   task list, unbounded window, nothing retired), or a lazy task iterator
   (:func:`repro.core.dag_cholesky.stream_cholesky_tasks`) appended into
-  a frontier graph under a bounded emission window, each task retired
-  once it has executed, so peak memory follows the window instead of
-  the DAG;
+  a frontier graph under a bounded emission window that refills in
+  sweeps, each task retired after it has executed, so peak memory
+  follows the window instead of the DAG;
 * the **order source** — the policy-keyed ready heap, or a recorded
   task-id sequence (the degenerate policy: no heap, no key calls),
   checked against the same in-degree bookkeeping the heap path keeps.
@@ -79,7 +79,7 @@ from ..perfmodel.kernels import conversion_time, kernel_time
 from ..precision.formats import Precision, bytes_per_element
 from .platform import Platform
 from .policies import SchedState, SchedulePolicy, resolve_policy
-from .task import Task, TaskGraph
+from .task import Task, TaskGraph, TaskInput
 from .tracing import RunStats, Trace, TraceEvent
 from ..core.conversion import needs_conversion
 
@@ -87,6 +87,10 @@ __all__ = ["SimReport", "simulate", "simulate_stream", "simulate_replay"]
 
 # payload keys: (i, j, version, payload_precision)
 _Key = tuple[int, int, int, Precision]
+
+#: tasks a bounded emission window drains before it is topped back up to
+#: its ``lookahead`` (at most an eighth of the window; under 8, per task)
+REFILL_SWEEP = 512
 
 
 @dataclass
@@ -131,6 +135,13 @@ class _Lru:
         self.bytes = 0
 
 
+def _working_set(inputs: list[TaskInput], out_key: _Key) -> set[_Key]:
+    """The payload keys a task reads plus the one it writes."""
+    protect = {inp.tile + (inp.payload_precision,) for inp in inputs}
+    protect.add(out_key)
+    return protect
+
+
 def _build_engine(
     platform: Platform,
     nb: int,
@@ -142,8 +153,9 @@ def _build_engine(
 
     Returns ``(seed_host, exec_task, sched_state)``:
 
-    * ``seed_host(task)`` registers the task's producer-less inputs as
-      version-0 tiles resident in its node's host memory at t=0;
+    * ``seed_host(rank, inp)`` registers one producer-less input of a
+      task on ``rank`` as a version-0 tile resident in its node's host
+      memory at t=0;
     * ``exec_task(task, ready_t) -> (start, end)`` stages the task's
       inputs through the hierarchy, charges conversions and the kernel,
       materialises the output (plus the STC payload copy), and runs
@@ -156,7 +168,8 @@ def _build_engine(
     transfer is charged through ``move``, the one writer of link bytes.
 
     ``exec_task`` derives each input's payload key once, serves a GPU-cache
-    hit inline and sheds a tier only once it is over its limit.
+    hit inline, builds the protected working set only on a miss or before
+    shedding, and sheds a tier only once it is over its limit.
     """
     gpu = platform.gpu
     n_ranks = platform.n_ranks
@@ -196,6 +209,8 @@ def _build_engine(
     node_of = [platform.node_of(rank) for rank in range(n_ranks)].__getitem__
     gpus_per_node = platform.node.gpus_per_node
     bpe = {p: bytes_per_element(p) for p in Precision}.__getitem__
+    #: bytes of one full nb² tile, per precision
+    tile_bytes = {p: nb * nb * bytes_per_element(p) for p in Precision}
 
     bytes_moved = stats.bytes_moved
     flops_by_precision = stats.flops_by_precision
@@ -384,26 +399,21 @@ def _build_engine(
 
     _no_protect: set[_Key] = set()
 
-    def seed_host(task: Task) -> None:
-        """Seed the task's version-0 inputs at its owner's node.
+    def seed_host(rank: int, inp: TaskInput) -> None:
+        """Seed one producer-less input of a task on ``rank`` at its node.
 
-        The generated matrix starts on the node's disk tier (free at
-        t=0) with a warm host copy; when the host tier cannot hold the
-        whole matrix the LRU sheds the overflow immediately — for free,
-        since the disk already has those tiles — and first touch pays
-        the disk read instead.
+        The input is a version-0 tile: the generated matrix starts on the
+        node's disk tier (free at t=0) with a warm host copy; when the
+        host tier cannot hold the whole matrix the LRU sheds the overflow
+        immediately — for free, since the disk already has those tiles —
+        and first touch pays the disk read instead.
         """
-        rank = task.rank
-        if not 0 <= rank < n_ranks:  # the node_of table would wrap or overrun
-            raise ValueError(f"rank {rank} outside platform of {n_ranks} ranks")
-        for inp in task.inputs:
-            if inp.producer is None:
-                key: _Key = inp.tile + (inp.payload_precision,)
-                node = node_of(rank)
-                if key not in host_ready[node]:
-                    disk_ready[node].setdefault(key, 0.0)
-                    _host_insert(node, key, inp.elements * bpe(key[3]), 0.0, _no_protect)
-                origin_rank.setdefault(key, rank)
+        key: _Key = inp.tile + (inp.payload_precision,)
+        node = node_of(rank)
+        if key not in host_ready[node]:
+            disk_ready[node].setdefault(key, 0.0)
+            _host_insert(node, key, inp.elements * bpe(key[3]), 0.0, _no_protect)
+        origin_rank.setdefault(key, rank)
 
     def exec_task(task: Task, ready_t: float) -> tuple[float, float]:
         """Run one ready task; returns its (start, end) compute interval."""
@@ -411,10 +421,10 @@ def _build_engine(
         inputs = task.inputs
         task_prec = task.precision
         out = task.output
-        # (i, j, version, payload precision): a TileRef is a tuple
-        keys: list[_Key] = [inp.tile + (inp.payload_precision,) for inp in inputs]
         out_key: _Key = out + (task.output_precision,)
-        protect = {*keys, out_key}
+        #: the task's working set, which no eviction may shed: built on
+        #: the first miss (or before shedding), so an all-hit task never does
+        protect = None
         cache = caches[rank]
         entries = cache.entries
         ready = gpu_ready[rank]
@@ -423,15 +433,20 @@ def _build_engine(
         # (site, src, dst, seconds) per conversion pass charged to this task
         conversions: list[tuple[str, Precision, Precision, float]] = []
         conv_seconds = 0.0
-        for inp, key in zip(inputs, keys):
-            if key in entries:
+        for inp in inputs:
+            # (i, j, version, payload precision): a TileRef is a tuple
+            payload = inp.payload_precision
+            key: _Key = inp.tile + (payload,)
+            t = ready.get(key)  # the GPU LRU's key set
+            if t is not None:
                 entries.move_to_end(key)
-                t = ready[key]
             else:
-                t = _load(rank, key, inp.elements * bpe(key[3]), protect)
+                if protect is None:
+                    protect = _working_set(inputs, out_key)
+                t = _load(rank, key, inp.elements * bpe(payload), protect)
             if t > arrival:
                 arrival = t
-            memo = (key[3], task_prec, inp.role, inp.elements)
+            memo = (payload, task_prec, inp.role, inp.elements)
             ttc = ttc_pass.get(memo)
             if ttc is None:
                 ttc = ttc_pass[memo] = _ttc(*memo)
@@ -489,7 +504,7 @@ def _build_engine(
         # output materialises on this GPU (a key written again moves to
         # the MRU end)
         ready[out_key] = end
-        nbytes = nb * nb * bpe(task.output_precision)
+        nbytes = tile_bytes[task.output_precision]
         cache.bytes += nbytes - entries.pop(out_key, 0)
         entries[out_key] = nbytes
         cache.dirty.add(out_key)
@@ -499,12 +514,12 @@ def _build_engine(
         if sender is not None:
             pay_key: _Key = out + (sender[1],)
             ready[pay_key] = end
-            nbytes = nb * nb * bpe(sender[1])
+            nbytes = tile_bytes[sender[1]]
             cache.bytes += nbytes - entries.pop(pay_key, 0)
             entries[pay_key] = nbytes
             origin_rank[pay_key] = rank
         if cache.bytes > cache.capacity:
-            _evict_gpu(rank, protect)
+            _evict_gpu(rank, protect if protect is not None else _working_set(inputs, out_key))
         return start, end
 
     sched_state = SchedState(
@@ -570,7 +585,11 @@ def _drive(
     ``source=None`` takes ``graph`` as finalized: its whole task list is
     one emission and nothing is retired.  Otherwise ``source`` is a lazy
     iterator appended into the empty frontier ``graph`` until
-    ``lookahead`` tasks are live, each retired once it has executed.
+    ``lookahead`` tasks are live, each retired after it has executed.
+    The window refills in sweeps: once it has drained by ``sweep`` tasks
+    (``REFILL_SWEEP``, at most ``lookahead // 8``, at least 1) it is
+    topped back up to ``lookahead``, so ``peak_live_tasks`` is still the
+    window.
 
     ``key_of`` (a policy's ``key``) orders a ready heap; ``order`` is
     instead a recorded tid sequence, checked against ``in_count`` — a
@@ -599,11 +618,12 @@ def _drive(
 
     streamed = source is not None
     emit = iter(source if streamed else graph.tasks)
-    # the lists below grow (add) and shrink (retire) in place under a
-    # streamed source, so these references stay current
+    add = graph.add
+    # the lists below grow in place (add) under a streamed source, so
+    # these references stay current
     head, dst, nxt = graph.forward_star()
-    preds = graph.predecessors
     tasks = graph.tasks
+    n_ranks = platform.n_ranks
     in_count: list[int] = []
     task_end: list[float] = []
     task_start: list[float] = []
@@ -614,6 +634,14 @@ def _drive(
     picks = None if order is None else iter(order)
     commit_order: list[int] = []
     commit = commit_order.append
+    # A streamed task is retired (dropped from ``tasks``; its successors
+    # were walked when it executed) as a later task arrives, not as it
+    # executes: frees keep pace with allocations, so a swept refill adds
+    # no young GC collections.
+    executed: list[int] = []
+    # a bounded window refills once it has drained by one sweep
+    sweep = 1 if lookahead == float("inf") else max(1, min(REFILL_SWEEP, int(lookahead) // 8))
+    refill_at = lookahead - sweep
 
     live = 0
     peak_live = 0
@@ -623,32 +651,44 @@ def _drive(
     # pre-announces cholesky_task_count(nt) via announce_total
     beat = run_started(None if streamed else len(graph), phase)  # None unless a live plane is up
     while True:
-        if not exhausted and (live < lookahead or (picks is None and not heap)):
-            # One window fill — or, while a full window is blocked, one
-            # more task.  The whole fill is host-seeded before any of its
-            # ready tasks is keyed, so a residency-aware policy scores
-            # roots alike whether they arrive in one emission or a stream.
+        if not exhausted and (live <= refill_at or (picks is None and not heap)):
+            # One window fill up to ``lookahead`` — or, while a full window
+            # is blocked, one more task.  The whole fill is host-seeded
+            # before any of its ready tasks is keyed, so a residency-aware
+            # policy scores roots alike whether they arrive in one emission
+            # or a stream.  Each arriving task's inputs are walked once.
             limit = max(lookahead, live + 1)
-            first = len(in_count)
+            arrived_ready: list[int] = []
             while live < limit:
                 task = next(emit, None)
                 if task is None:
                     exhausted = True
                     break
-                tid = graph.add(task) if streamed else task.tid
-                seed_host(task)
-                pending = 0
+                if executed:
+                    tasks[executed.pop()] = None  # one executed task per arrival
+                tid = add(task) if streamed else task.tid
+                rank = task.rank
+                if not 0 <= rank < n_ranks:  # the engine's per-rank tables would wrap
+                    raise ValueError(f"rank {rank} outside platform of {n_ranks} ranks")
+                # unexecuted predecessors, deduped like the graph's edges
+                waiting: list[int] = []
                 ready_t = 0.0
-                for p in preds(tid):
-                    if in_count[p] < 0:
-                        if task_end[p] > ready_t:
-                            ready_t = task_end[p]
-                    else:
-                        pending += 1
-                in_count.append(pending)
+                for inp in task.inputs:
+                    p = inp.producer
+                    if p is None:
+                        seed_host(rank, inp)
+                    elif in_count[p] < 0:
+                        end = task_end[p]
+                        if end > ready_t:
+                            ready_t = end
+                    elif p not in waiting:
+                        waiting.append(p)
+                in_count.append(len(waiting))
                 task_ready.append(ready_t)
                 task_start.append(0.0)
                 task_end.append(0.0)
+                if not waiting:
+                    arrived_ready.append(tid)
                 live += 1
             if live > peak_live:
                 peak_live = live
@@ -656,9 +696,8 @@ def _drive(
             # policy deterministic.  Only tasks whose predecessors have all
             # executed enter the heap, so any pop order is a valid schedule.
             if key_of is not None:
-                for tid in range(first, len(in_count)):
-                    if in_count[tid] == 0:
-                        heappush(heap, (*key_of(tasks[tid], task_ready[tid], sched_state), tid))
+                for tid in arrived_ready:
+                    heappush(heap, (*key_of(tasks[tid], task_ready[tid], sched_state), tid))
             continue
         if picks is None:
             if not heap:
@@ -675,7 +714,7 @@ def _drive(
                     f"{'already executed' if 0 <= tid < len(in_count) else 'out of range'}"
                 )
             if in_count[tid]:
-                blocker = next(p for p in preds(tid) if in_count[p] >= 0)
+                blocker = next(p for p in graph.predecessors(tid) if in_count[p] >= 0)
                 raise ValueError(
                     f"replay order violates precedence: task {tid} scheduled "
                     f"before its predecessor {blocker}"
@@ -696,7 +735,7 @@ def _drive(
             if left == 0 and key_of is not None:
                 heappush(heap, (*key_of(tasks[succ], task_ready[succ], sched_state), succ))
         if streamed:
-            graph.retire(tid)
+            executed.append(tid)
         live -= 1
         done += 1
         if not done % BEAT_STRIDE:
@@ -770,11 +809,17 @@ def simulate_stream(
     :func:`repro.core.dag_cholesky.stream_cholesky_tasks` produces.
     Tasks are pulled into a :class:`TaskGraph` frontier until
     ``lookahead`` of them are live (emitted but unexecuted), scheduled
-    exactly like :func:`simulate`, and retired as soon as they execute,
-    so peak memory tracks the window rather than the task count.  When
-    the heap drains while the window is still blocked, emission widens
-    past ``lookahead`` until a ready task appears (the window is a soft
-    target, never a correctness constraint).
+    exactly like :func:`simulate`, and retired once they have executed
+    (one per arriving task), so peak memory tracks the window rather
+    than the task count: ``peak_live_tasks`` is ``min(lookahead,
+    n_tasks)`` for a stream that never blocks.  The window refills in
+    sweeps — topped back up to ``lookahead`` once it has drained by
+    ``REFILL_SWEEP`` tasks (at most ``lookahead // 8``; per task below
+    8) — and each arriving task's inputs are walked once (rank check,
+    host seeding, pending predecessors).  When the heap drains while the
+    window is still blocked, emission widens past ``lookahead`` until a
+    ready task appears (the window is a soft target, never a correctness
+    constraint).
 
     Every pop order is a valid schedule; it matches the materialised
     path exactly when each task is emitted before it becomes ready,

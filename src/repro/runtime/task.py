@@ -48,9 +48,9 @@ class TaskInput(NamedTuple):
     role: str = "in"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
-    """One node of the DAG."""
+    """One node of the DAG (slotted: no per-task ``__dict__``)."""
 
     tid: int
     kind: str
@@ -81,9 +81,9 @@ class TaskGraph:
     graph built so far while more tasks are still being emitted.
     :meth:`finalize` seals the graph against further ``add``;
     :meth:`retire` drops a task's heavy payload once a consumer loop is
-    done with it.  ``add``/``retire`` is the frontier API the streaming
-    simulator consumes: live memory stays proportional to the emission
-    window, not the DAG.
+    done with it.  ``add`` plus dropping executed tasks from ``tasks``
+    is the frontier the streaming simulator keeps: live memory stays
+    proportional to the emission window, not the DAG.
 
     Dependency edges are deduped (two reads of one producer are one
     edge), so ``in_count`` bookkeeping counts *tasks*, not payloads.  A
@@ -110,21 +110,25 @@ class TaskGraph:
         if self._sealed:
             raise RuntimeError("graph already finalized")
         tid = task.tid
-        if tid != len(self.tasks):
-            raise ValueError(f"task ids must be dense: got {tid}, expected {len(self.tasks)}")
-        for inp in task.inputs:
+        tasks = self.tasks
+        if tid != len(tasks):
+            raise ValueError(f"task ids must be dense: got {tid}, expected {len(tasks)}")
+        inputs = task.inputs
+        for inp in inputs:  # validate all before touching the graph
             p = inp.producer
             if p is not None and not 0 <= p < tid:
                 raise ValueError(f"task {tid} references unknown or later producer {p}")
-        self.tasks.append(task)
-        self._head.append(-1)
-        self._tail.append(-1)
+        tasks.append(task)
         head, tail, dst, nxt = self._head, self._tail, self._dst, self._next
-        for inp in task.inputs:
+        head.append(-1)
+        tail.append(-1)
+        for inp in inputs:
             p = inp.producer
-            if p is None or (tail[p] >= 0 and dst[tail[p]] == tid):
-                continue  # a host tile, or a repeated producer: one edge
+            if p is None:
+                continue  # a host tile
             last = tail[p]
+            if last >= 0 and dst[last] == tid:
+                continue  # a repeated producer: one edge
             edge = tail[p] = len(dst)
             dst.append(tid)
             nxt.append(-1)

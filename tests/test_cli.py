@@ -123,6 +123,13 @@ class TestSimulateFlagCoherence:
                      "--policy", "critical-path"]) == 2
         assert "critical-path" in capsys.readouterr().err
 
+    def test_lookahead_without_stream_is_rejected(self, capsys):
+        assert main(["simulate", "--n", "4096", "--nb", "512", "--config", "FP64",
+                     "--lookahead", "16"]) == 2
+        captured = capsys.readouterr()
+        assert "lookahead=16" in captured.err and "stream=True" in captured.err
+        assert "makespan" not in captured.out
+
     def test_stream_with_event_export_warns(self, tmp_path, capsys):
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
                      "--trace-out", str(tmp_path / "trace.json")]) == 0

@@ -240,6 +240,16 @@ class TestStreamingSimulation:
         # the window is a soft target (it widens when the heap drains),
         # but it must stay far below the full task list
         assert rep.peak_live_tasks <= n // 2
+        # a window refills in sweeps of up to an eighth of itself (per task
+        # under 8) yet tops up to exactly ``lookahead``: a topological
+        # stream never blocks, so the first fill reaches the window
+        from repro.core import cholesky_task_count
+
+        n_tasks = cholesky_task_count(30)  # 4,960: larger than every window below
+        for lookahead in (1, 7, 8, 9, 4096):
+            rep = _run(nt=30, stream=True, lookahead=lookahead, record_events=False)
+            assert rep.stats.n_tasks == n_tasks
+            assert rep.peak_live_tasks == min(lookahead, n_tasks)
 
     def test_materialized_report_counts_all_tasks_live(self):
         rep = _run(nt=6)
@@ -249,6 +259,26 @@ class TestStreamingSimulation:
     def test_full_graph_policies_rejected(self, policy):
         with pytest.raises(ValueError, match="full graph"):
             _run(nt=6, stream=True, policy=policy)
+
+    def test_lookahead_without_stream_rejected(self):
+        """The held graph has no emission window: a lookahead for it is an
+        error naming both arguments, not a silently ignored setting."""
+        with pytest.raises(ValueError, match=r"lookahead=16 .*stream=True"):
+            _run(nt=6, lookahead=16)
+
+    def test_rank_outside_platform_rejected(self):
+        """Held and streamed runs check each arriving task's rank against
+        the platform before the engine's per-rank tables are indexed."""
+        from repro.core import build_cholesky_dag
+        from repro.runtime.simulator import simulate, simulate_stream
+
+        graph = build_cholesky_dag(4 * NB, NB, uniform_map(4, Precision.FP64)).graph
+        graph.tasks[3].rank = 5
+        plat = _platform()
+        with pytest.raises(ValueError, match="rank 5 outside platform of 1 ranks"):
+            simulate(graph, plat, NB)
+        with pytest.raises(ValueError, match="rank 5 outside platform of 1 ranks"):
+            simulate_stream(iter(graph.tasks), plat, NB)
 
     def test_stream_never_materializes_task_list(self):
         """The streaming path must retire tasks as they finish: the

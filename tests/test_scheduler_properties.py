@@ -246,6 +246,8 @@ class TestOneSchedulingLoop:
         held = simulate_cholesky(n, NB, kmap, platform, policy=policy)
         streamed = simulate_cholesky(n, NB, kmap, platform, policy=policy, stream=True)
         assert streamed.peak_live_tasks < held.peak_live_tasks
+        # the window refills in sweeps yet tops up to exactly its lookahead
+        assert streamed.peak_live_tasks == default_stream_lookahead(nt)
         assert streamed.commit_order == held.commit_order
         for run in (held, streamed):
             schedule = StaticSchedule.from_report(run, nb=NB, n=n, platform=platform)
