@@ -28,6 +28,18 @@ not once per receiving kernel: each broadcast payload of a panel is an
 panel's updates do.  Between kernels a tile stays at the dtype it rests
 in (float64 for FP64 storage, float32 below): ``get``/``set`` and their
 float64 round trip are the generation-phase cast only.
+
+An iteration's pure-FP16 trailing updates are issued as stacks of
+equal-shape tiles, up to :data:`FP16_STACK_BYTES` of ``C`` per
+``tk.gemm`` call.  At nb = 64 an fp16 rounding costs its per-call
+overhead, not its element work, so the three roundings of an update
+(two accumulator chunks and the result) are paid once per stack instead
+of once per tile; each tile still gets the bits it gets on its own.
+Every other format is updated one tile at a time: stacking FP16_32 or
+FP32 updates gained nothing end to end, and FP64 ones at nb = 128 ran
+slower.
+The task executors update one tile per task, which makes them the
+per-tile check of the stacks.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..precision.emulate import Operand, as_input, quantize  # noqa: F401
-from ..precision.formats import Precision
+from ..precision.formats import Precision, get_storage_precision
 from ..tiles import kernels as tk
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .config import ConversionStrategy
@@ -48,7 +60,14 @@ from .precision_map import KernelPrecisionMap, uniform_map
 
 # ``quantize`` is not used here; it stays a name of this module because
 # perfbench's kernel profile stopwatches it on every module of the numeric path
-__all__ = ["CholeskyResult", "mp_cholesky", "logdet_from_factor", "solve_with_factor"]
+__all__ = [
+    "CholeskyResult",
+    "FP16_STACK_BYTES",
+    "mp_cholesky",
+    "kernel_counts",
+    "logdet_from_factor",
+    "solve_with_factor",
+]
 
 
 @dataclass
@@ -88,6 +107,10 @@ def mp_cholesky(
         raise ValueError(f"kernel map is {kernel_map.nt}×{kernel_map.nt}, matrix has NT={nt}")
     if comm_map is None:
         comm_map = build_comm_precision_map(kernel_map)
+    kernel = _lower_precisions(kernel_map.codes)
+    payload = _lower_precisions(
+        comm_map.storage_codes if strategy == ConversionStrategy.TTC else comm_map.comm_codes
+    )
 
     # generation-phase cast (Section V): every tile rests at the storage
     # precision implied by its kernel precision before the factorization
@@ -95,43 +118,97 @@ def mp_cholesky(
     # a tile is read and replaced at that dtype; no kernel writes into one
     work = mat if overwrite else TiledSymmetricMatrix(n=mat.n, nb=mat.nb)
     for i, j in work.lower_indices():
-        work.set(i, j, mat.get(i, j), precision=kernel_map.storage(i, j))
+        work.set(i, j, mat.get(i, j), precision=get_storage_precision(kernel[i][j]))
     tiles = work.tiles
-    counts: Counter[tuple[str, Precision]] = Counter()
 
     for k in range(nt):
         tiles[k, k] = l_kk = np.tril(tk.potrf(tiles[k, k]))
         work.storage_precision[k, k] = Precision.FP64
-        counts["POTRF", Precision.FP64] += 1
 
         if k == nt - 1:
             break
 
         # POTRF broadcast payload
-        diag_payload = Operand(as_input(l_kk, comm_map.payload(k, k, strategy)))
+        diag_payload = Operand(as_input(l_kk, payload[k][k]))
 
         # panel solves, and their broadcast payloads
         payloads: dict[int, Operand] = {}
         for m in range(k + 1, nt):
-            prec = kernel_map.kernel(m, k)
-            tiles[m, k] = solved = tk.trsm(diag_payload, tiles[m, k], precision=prec)
-            counts["TRSM", tk.trsm_execution_precision(prec)] += 1
-            payloads[m] = Operand(as_input(solved, comm_map.payload(m, k, strategy)))
+            tiles[m, k] = solved = tk.trsm(diag_payload, tiles[m, k], precision=kernel[m][k])
+            payloads[m] = Operand(as_input(solved, payload[m][k]))
 
         # diagonal updates
         for m in range(k + 1, nt):
-            updated = tk.syrk(payloads[m], tiles[m, m], precision=comm_map.payload(m, k, strategy))
+            updated = tk.syrk(payloads[m], tiles[m, m], precision=payload[m][k])
             tiles[m, m] = updated.astype(tiles[m, m].dtype, copy=False)
-            counts["SYRK", Precision.FP64] += 1
 
-        # trailing updates
+        # trailing updates: pure FP16 ones in stacks of equal-shape tiles, the rest one by one
+        stacks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for m in range(k + 2, nt):
+            row = kernel[m]
             for n in range(k + 1, m):
-                prec = kernel_map.kernel(m, n)
-                tiles[m, n] = tk.gemm(payloads[m], payloads[n], tiles[m, n], precision=prec)
-                counts["GEMM", prec] += 1
+                prec = row[n]
+                if prec is not Precision.FP16:
+                    tiles[m, n] = tk.gemm(payloads[m], payloads[n], tiles[m, n], precision=prec)
+                    continue
+                shape = tiles[m, n].shape
+                stack = stacks.setdefault(shape, [])
+                stack.append((m, n))
+                if len(stack) * 4 * shape[0] * shape[1] >= FP16_STACK_BYTES:
+                    _fp16_update(tiles, payloads, stack)
+                    stack.clear()
+        for stack in stacks.values():
+            if stack:
+                _fp16_update(tiles, payloads, stack)
 
-    return CholeskyResult(work, kernel_map, comm_map, strategy, kernel_counts=dict(counts))
+    return CholeskyResult(work, kernel_map, comm_map, strategy, kernel_counts=kernel_counts(kernel_map))
+
+
+#: float32 bytes of ``C`` per stacked pure-FP16 update: 16 tiles at nb = 64,
+#: where a stack rounds ~2.4× cheaper per tile than one tile alone (~1.2× at
+#: 128 tiles); one tile from nb = 256 up
+FP16_STACK_BYTES = 256 * 1024
+
+#: ``Precision`` by code
+_PRECISION = tuple(sorted(Precision))
+
+
+def _lower_precisions(codes: np.ndarray) -> list[list[Precision]]:
+    """Row ``i`` of the result: the precisions of codes ``(i, 0..i)``."""
+    return [[_PRECISION[c] for c in row[: i + 1]] for i, row in enumerate(codes.tolist())]
+
+
+def _fp16_update(tiles: dict, payloads: dict[int, Operand], stack: list[tuple[int, int]]) -> None:
+    """The pure-FP16 updates of the tiles ``stack`` names, as one stacked ``tk.gemm``."""
+    updated = tk.gemm(
+        [payloads[m] for m, _n in stack],
+        [payloads[n] for _m, n in stack],
+        [tiles[t] for t in stack],
+        precision=Precision.FP16,
+    )
+    for t, tile in zip(stack, updated):
+        tiles[t] = tile
+
+
+def kernel_counts(kernel_map: KernelPrecisionMap) -> dict[tuple[str, Precision], int]:
+    """Kernel calls per (kind, precision) of one factorization under ``kernel_map``.
+
+    In closed form: a POTRF per diagonal tile, a TRSM and a SYRK per
+    off-diagonal tile, and tile ``(m, n)`` takes one GEMM per ``k < n``.
+    A stacked update counts one call per tile.
+    """
+    nt = kernel_map.nt
+    il, jl = np.tril_indices(nt, -1)
+    codes = kernel_map.codes[il, jl]
+    counts: Counter[tuple[str, Precision]] = Counter({("POTRF", Precision.FP64): nt})
+    for code, n in zip(*np.unique(codes, return_counts=True)):
+        counts["TRSM", tk.trsm_execution_precision(_PRECISION[code])] += int(n)
+    if nt > 1:
+        counts["SYRK", Precision.FP64] = nt * (nt - 1) // 2
+    for code, n in enumerate(np.bincount(codes, weights=jl).tolist()):
+        if n:
+            counts["GEMM", _PRECISION[code]] = int(n)
+    return dict(counts)
 
 
 def logdet_from_factor(factor: TiledSymmetricMatrix) -> float:

@@ -32,6 +32,15 @@ format and reused by the rest.  The inout tile of a chain of FP16 GEMMs
 carries the same knowledge itself: the kernel returns it as an
 :class:`OnFp16Grid`, which :func:`as_input` hands to the next fp16-input
 kernel as it is, so the tile is rounded at its first FP16 update only.
+FP16 and FP16_32 multiply the same fp16-grid inputs, so an ``Operand``
+makes that form once for both.
+
+The same rule, paid per call rather than per tile: a 64² rounding costs
+its call overhead more than its element work, so the factorization hands
+the pure-FP16 updates of an iteration to the kernel as stacks of tiles
+(:func:`repro.precision.gemm.multiply_accumulate` takes a leading stack
+axis) and rounds each stack's accumulator, result and unflagged ``C``
+tiles in one pass each.  FP16 alone: no other format rounds per update.
 
 Why :func:`round_to_fp16` exists
 --------------------------------
@@ -193,13 +202,20 @@ class Operand:
     a form the first time a format asks for it and hands the same array
     to every later consumer, so treat the forms as read-only.  Two
     threads asking at once may both convert; they store equal arrays.
+    ``finite`` holds the formats whose form a reader has found finite, so
+    a check of it is made once too.
     """
 
-    __slots__ = ("data", "_forms")
+    __slots__ = ("data", "_forms", "finite")
 
     def __init__(self, data: np.ndarray) -> None:
         self.data = np.asarray(data)
         self._forms: dict[Precision, np.ndarray] = {}
+        self.finite: set[Precision] = set()
+
+
+#: FP16_32 multiplies the inputs FP16 does: an Operand makes that form once for both
+_SAME_FORM = {Precision.FP16_32: Precision.FP16}
 
 
 def as_input(x: np.ndarray | Operand, precision: Precision) -> np.ndarray:
@@ -212,6 +228,7 @@ def as_input(x: np.ndarray | Operand, precision: Precision) -> np.ndarray:
     """
     if not isinstance(x, Operand):
         return _input_form(x, precision)
+    precision = _SAME_FORM.get(precision, precision)
     form = x._forms.get(precision)
     if form is None:
         form = x._forms[precision] = _input_form(x.data, precision)

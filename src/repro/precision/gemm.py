@@ -73,17 +73,20 @@ def multiply_accumulate(
 
     ``a`` (m, k) and ``b`` (k, n) are what
     :func:`~repro.precision.emulate.as_input` returns for ``precision``;
-    ``c`` (m, n) is read at whatever dtype it rests in.  The update of a
-    ``c`` is returned at the accumulator's width, float64 for FP64 and
-    float32 for the rest; without one the product has left the
-    accumulator, and is scaled and returned in float64.
+    ``c`` (m, n) is read at whatever dtype it rests in.  All three may
+    carry one leading stack axis, ``(s, m, k)`` and so on: a stack is
+    updated tile by tile with the bits each tile gets on its own, and one
+    tile is a stack of none.  The update of a ``c`` is returned at the
+    accumulator's width, float64 for FP64 and float32 for the rest;
+    without one the product has left the accumulator, and is scaled and
+    returned in float64.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if not 2 <= a.ndim <= 3 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"incompatible GEMM shapes {a.shape} x {b.shape}")
     if c is None and beta != 0.0:
         raise ValueError("beta != 0 requires c")
-    if c is not None and np.shape(c) != (a.shape[0], b.shape[1]):
-        raise ValueError(f"c has shape {np.shape(c)}, expected {(a.shape[0], b.shape[1])}")
+    if c is not None and np.shape(c) != a.shape[:-1] + b.shape[-1:]:
+        raise ValueError(f"c has shape {np.shape(c)}, expected {a.shape[:-1] + b.shape[-1:]}")
     fp16 = precision == Precision.FP16
     # invalid, fp16-grid inputs only: a payload saturated to ±inf (inf·0, or a
     # sum meeting an infinity of the other sign) is a NaN the factorization
@@ -94,17 +97,23 @@ def multiply_accumulate(
             # chunk of the inner dimension: half-precision accumulation
             # error growth and saturation (products of fp16-grid values are
             # exact in float32).  It starts from +0: a product of zeros is +0
-            prod = a[:, :fp16_chunk] @ b[:fp16_chunk, :]
+            prod = a[..., :fp16_chunk] @ b[..., :fp16_chunk, :]
             prod += 0.0
-            for start in range(fp16_chunk, a.shape[1], fp16_chunk):
+            for start in range(fp16_chunk, a.shape[-1], fp16_chunk):
                 prod = round_to_fp16(prod)
-                prod += a[:, start : start + fp16_chunk] @ b[start : start + fp16_chunk, :]
+                prod += a[..., start : start + fp16_chunk] @ b[..., start : start + fp16_chunk, :]
             prod = round_to_fp16(prod)
         else:
             prod = a @ b
         if c is None:
             return alpha * prod.astype(np.float64, copy=False)
-        c = as_input(c, precision) if fp16 else np.asarray(c, dtype=prod.dtype)
+        if not fp16:
+            c = np.asarray(c, dtype=prod.dtype)
+            if alpha == -1.0 and beta == 1.0:
+                # the trailing update: ``c − p`` rounds exactly as ``(−p) + c``, in one pass
+                return np.subtract(c, prod, out=prod)
+        else:
+            c = as_input(c, precision)
         out = _scaled(alpha, prod, fp16, out=prod)
         out += _scaled(beta, c, fp16)
         return round_to_fp16(out).view(OnFp16Grid) if fp16 else out

@@ -24,10 +24,12 @@ the inout tile of a chain of FP16 ``gemm`` updates at the first only.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 from scipy.linalg import lapack
 
-from ..precision.emulate import Operand, as_input, quantize
+from ..precision.emulate import OnFp16Grid, Operand, as_input, quantize, round_to_fp16
 from ..precision.formats import Precision
 from ..precision.gemm import multiply_accumulate
 
@@ -72,6 +74,22 @@ def potrf(c_kk: np.ndarray) -> np.ndarray:
 _TRTRS = {Precision.FP64: lapack.dtrtrs, Precision.FP32: lapack.strtrs}
 
 
+def _finite_input(x: np.ndarray | Operand, precision: Precision) -> np.ndarray:
+    """``as_input(x, precision)``, or NumPy's "infs or NaNs" ValueError.
+
+    An :class:`~repro.precision.emulate.Operand`'s form is checked by its
+    first reader only; one found non-finite is checked, and refused,
+    again by every later reader.
+    """
+    form = as_input(x, precision)
+    if not isinstance(x, Operand):
+        return np.asarray_chkfinite(form)
+    if precision not in x.finite:
+        form = np.asarray_chkfinite(form)
+        x.finite.add(precision)
+    return form
+
+
 def trsm(
     l_kk: np.ndarray | Operand, c_mk: np.ndarray, precision: Precision = Precision.FP64
 ) -> np.ndarray:
@@ -79,12 +97,13 @@ def trsm(
 
     Runs in FP64 or FP32 depending on :func:`trsm_execution_precision`.
     ``L X^T = C^T`` as ``scipy.linalg.solve_triangular`` poses it to
-    LAPACK — finiteness checked, a row-major ``L`` handed over as its
-    upper-triangular transpose — without that wrapper's per-call cost.
+    LAPACK — finiteness checked (an ``Operand``'s form by its first
+    reader), a row-major ``L`` handed over as its upper-triangular
+    transpose — without that wrapper's per-call cost.
     """
     exec_prec = trsm_execution_precision(precision)
-    lower = np.asarray_chkfinite(as_input(l_kk, exec_prec))
-    ct = np.asarray_chkfinite(as_input(c_mk, exec_prec)).T
+    lower = _finite_input(l_kk, exec_prec)
+    ct = _finite_input(c_mk, exec_prec).T
     if lower.flags.f_contiguous:
         xt, info = _TRTRS[exec_prec](lower, ct, lower=True)
     else:
@@ -118,11 +137,32 @@ def syrk(
 
 
 def gemm(
-    c_mk: np.ndarray | Operand,
-    c_nk: np.ndarray | Operand,
-    c_mn: np.ndarray,
+    c_mk: np.ndarray | Operand | Sequence[np.ndarray | Operand],
+    c_nk: np.ndarray | Operand | Sequence[np.ndarray | Operand],
+    c_mn: np.ndarray | Sequence[np.ndarray],
     precision: Precision = Precision.FP64,
 ) -> np.ndarray:
-    """Trailing update ``C_mn ← C_mn − C_mk · C_nk^T`` in ``precision``."""
-    a, bt = as_input(c_mk, precision), as_input(c_nk, precision).T
-    return multiply_accumulate(a, bt, c_mn, precision=precision, alpha=-1.0, beta=1.0)
+    """Trailing update ``C_mn ← C_mn − C_mk · C_nk^T`` in ``precision``.
+
+    On one tile, or on a stack: ``c_mn`` a sequence of equal-shape tiles
+    and ``c_mk``/``c_nk`` the sequences of their operands, updated in one
+    :func:`~repro.precision.gemm.multiply_accumulate` call and returned as
+    one array with a leading stack axis.  Each tile of a stack gets the
+    bits it gets on its own; a ``C`` that arrives as an
+    :class:`~repro.precision.emulate.OnFp16Grid` is not rounded again.
+    """
+    if isinstance(c_mn, np.ndarray):
+        a, bt = as_input(c_mk, precision), as_input(c_nk, precision).T
+        return multiply_accumulate(a, bt, c_mn, precision=precision, alpha=-1.0, beta=1.0)
+    a = np.array([as_input(x, precision) for x in c_mk])
+    bt = np.array([as_input(x, precision) for x in c_nk]).transpose(0, 2, 1)
+    c = np.array(c_mn)
+    if precision == Precision.FP16:
+        # C's input form, made here for the whole stack in one rounding
+        rough = [i for i, tile in enumerate(c_mn) if not isinstance(tile, OnFp16Grid)]
+        if len(rough) == len(c):
+            c = round_to_fp16(c)
+        elif rough:
+            c[rough] = round_to_fp16(c[rough])
+        c = c.astype(np.float32, copy=False).view(OnFp16Grid)
+    return multiply_accumulate(a, bt, c, precision=precision, alpha=-1.0, beta=1.0)

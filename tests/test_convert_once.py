@@ -138,12 +138,19 @@ class TestPerfbenchPatchPoints:
         mat, kmap = weak_sqexp
         seen: dict[tuple[str, Precision], int] = {}
 
-        def counted(fn, key_of):
+        depths = []
+
+        def counted(fn, key_of, depth_of=lambda *args, **kwargs: 1):
             def wrapper(*args, **kwargs):
                 key = key_of(*args, **kwargs)
-                seen[key] = seen.get(key, 0) + 1
+                seen[key] = seen.get(key, 0) + depth_of(*args, **kwargs)
                 return fn(*args, **kwargs)
             return wrapper
+
+        def gemm_depth(a, b, c, precision=Precision.FP64):
+            # tile updates, not calls: a stacked GEMM (``c`` a sequence of tiles) counts its depth
+            depths.append(1 if isinstance(c, np.ndarray) else len(c))
+            return depths[-1]
 
         # perfbench's own key functions: positional operands, ``precision=`` keyword
         monkeypatch.setattr(tk, "potrf", counted(tk.potrf, lambda c: ("POTRF", Precision.FP64)))
@@ -153,7 +160,7 @@ class TestPerfbenchPatchPoints:
         monkeypatch.setattr(tk, "syrk", counted(
             tk.syrk, lambda a, c, precision=Precision.FP64: ("SYRK", Precision.FP64)))
         monkeypatch.setattr(tk, "gemm", counted(
-            tk.gemm, lambda a, b, c, precision=Precision.FP64: ("GEMM", precision)))
+            tk.gemm, lambda a, b, c, precision=Precision.FP64: ("GEMM", precision), gemm_depth))
         accesses = {"get": 0, "set": 0}
         for name in accesses:
             real = getattr(TiledSymmetricMatrix, name)
@@ -166,6 +173,7 @@ class TestPerfbenchPatchPoints:
 
         res = mp_cholesky(mat, kmap)
         assert seen == res.kernel_counts
+        assert max(depths) > 1  # the FP16 updates went through the attribute as stacks
         assert {Precision.FP16, Precision.FP16_32, Precision.FP32} <= {p for kind, p in seen if kind == "GEMM"}
         # tiles stay at their rest dtype between kernels: the float64 accessors are
         # the generation-phase cast only (perfbench ``pop``s both, so each is called)

@@ -19,7 +19,7 @@ from repro.geostats.generator import SyntheticField
 from repro.geostats.likelihood import log_likelihood
 from repro.geostats.mle import fit_mle
 from repro.precision import Precision
-from repro.precision.emulate import OnFp16Grid, as_input, round_to_fp16
+from repro.precision.emulate import OnFp16Grid, Operand, as_input, round_to_fp16
 from repro.runtime.executor import execute_numeric
 from repro.tiles import kernels as tk
 from repro.tiles.norms import tile_norms
@@ -112,36 +112,44 @@ def fp16_chain(rng):
 
 
 class _GemmLog:
-    """Each ``tk.gemm`` call: precision, whether ``C`` came flagged, what came
-    back, and how many ``round_to_fp16`` calls it made."""
+    """Each ``tk.gemm`` call, one tile or a stack: its precision, which ``C``
+    tiles came flagged, the tiles that came back, and the element count of
+    every ``round_to_fp16`` call it made."""
 
     def __init__(self, monkeypatch):
-        self.calls, self.roundings = [], 0
+        self.calls, self.rounded = [], []
         real_round, real_gemm = repro.precision.emulate.round_to_fp16, tk.gemm
 
         def counting_round(x):
-            self.roundings += 1
+            self.rounded.append(x.size)
             return real_round(x)
 
         def logged_gemm(a, b, c, precision=Precision.FP64):
-            before = self.roundings
-            as_input(a, precision), as_input(b, precision)  # panel conversions are not the GEMM's
-            made = self.roundings - before
+            stacked = not isinstance(c, np.ndarray)
+            for x in (a, b) if not stacked else (*a, *b):
+                as_input(x, precision)  # panel conversions are not the GEMM's
+            before = len(self.rounded)
             out = real_gemm(a, b, c, precision=precision)
-            self.calls.append((precision, isinstance(c, OnFp16Grid), out, self.roundings - before - made))
+            flagged = [isinstance(t, OnFp16Grid) for t in (c if stacked else [c])]
+            self.calls.append((precision, flagged, list(out) if stacked else [out], self.rounded[before:]))
             return out
 
-        monkeypatch.setattr(repro.precision.emulate, "round_to_fp16", counting_round)
-        monkeypatch.setattr(repro.precision.gemm, "round_to_fp16", counting_round)
+        for module in (repro.precision.emulate, repro.precision.gemm, tk):
+            monkeypatch.setattr(module, "round_to_fp16", counting_round)
         monkeypatch.setattr(tk, "gemm", logged_gemm)
+
+    @property
+    def updates(self):
+        """``(precision, C came flagged, updated tile)`` per tile: a stacked call counts its depth."""
+        return [(p, f, out) for p, flags, outs, _r in self.calls for f, out in zip(flags, outs)]
 
 
 class TestRoundedOnce:
     def test_fp16_results_are_flagged_and_on_the_grid(self, weak_sqexp_cov, monkeypatch):
         log = _GemmLog(monkeypatch)
         mp_cholesky(weak_sqexp_cov, _adaptive_map(weak_sqexp_cov, 1e-4))
-        assert {p for p, *_ in log.calls} >= {Precision.FP16, Precision.FP16_32, Precision.FP32}
-        for precision, _flagged_in, out, _n in log.calls:
+        assert {p for p, *_ in log.updates} >= {Precision.FP16, Precision.FP16_32, Precision.FP32}
+        for precision, _flagged_in, out in log.updates:
             assert isinstance(out, OnFp16Grid) == (precision == Precision.FP16)
             assert out.dtype == (np.float64 if precision == Precision.FP64 else np.float32)
             if precision == Precision.FP16:
@@ -156,14 +164,17 @@ class TestRoundedOnce:
         log = _GemmLog(monkeypatch)
         run(mat, kmap)
         nt = mat.nt
-        assert len(log.calls) == nt * (nt - 1) * (nt - 2) // 6
+        assert len(log.updates) == nt * (nt - 1) * (nt - 2) // 6
         # tile (m, n) takes n updates; all but its first find it on the grid already
         first = (nt - 1) * (nt - 2) // 2
-        assert sum(flagged for _p, flagged, _out, _n in log.calls) == len(log.calls) - first > 0
-        chunks = 2  # nb = 64 over the 32-wide accumulator chunk
-        for _p, flagged, _out, n_roundings in log.calls:
-            # one per chunk and the update's own; C's only when it arrives unflagged
-            assert n_roundings == chunks + 1 + (not flagged) <= 4 - flagged
+        assert sum(flagged for _p, flagged, _out in log.updates) == len(log.updates) - first > 0
+        chunks, size = 2, mat.nb * mat.nb  # nb = 64 over the 32-wide accumulator chunk
+        for _p, flagged, _outs, rounded in log.calls:
+            # one whole-stack rounding per chunk and the update's own; C's only where it
+            # arrives unflagged, and only those tiles of it
+            rough = flagged.count(False)
+            want = [len(flagged) * size] * (chunks + 1) + ([rough * size] if rough else [])
+            assert sorted(rounded) == sorted(want)
 
     def test_one_get_and_one_set_per_tile(self, weak_sqexp_cov, monkeypatch):
         kmap = _adaptive_map(weak_sqexp_cov, 1e-4)
@@ -224,6 +235,48 @@ class TestTrsmWithoutTheWrapper:
             cholesky_numeric_oracle.trsm(lower, c, precision=Precision.FP32)
         with pytest.raises(error, match=str(want.value)):
             tk.trsm(lower, c, precision=Precision.FP32)
+
+    @pytest.mark.parametrize("operand", ["L", "C"])
+    def test_a_non_finite_form_is_refused_by_every_reader(self, rng, operand):
+        """A form found non-finite is not remembered as checked: the first
+        reader of it and a later reader of the cached form both raise the
+        ValueError ``log_likelihood`` reports as ``non_finite``."""
+        lower = np.linalg.cholesky(random_spd(8, rng))
+        c = rng.standard_normal((8, 8))
+        (lower if operand == "L" else c)[5, 2] = np.nan
+        l_op, c_op = Operand(lower), Operand(c)
+        for _reader in range(2):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                tk.trsm(l_op, c_op, precision=Precision.FP32)
+        assert l_op.finite == (set() if operand == "L" else {Precision.FP32}) and not c_op.finite
+
+    def test_a_finite_form_is_checked_by_its_first_reader_only(self, rng, monkeypatch):
+        l_op = Operand(np.linalg.cholesky(random_spd(8, rng)))
+        checked, real = [], np.asarray_chkfinite
+        monkeypatch.setattr(np, "asarray_chkfinite", lambda x: checked.append(x.shape) or real(x))
+        for m in (3, 4, 5):
+            tk.trsm(l_op, rng.standard_normal((m, 8)), precision=Precision.FP32)
+        assert checked == [(8, 8), (3, 8), (4, 8), (5, 8)]  # the panel's L once, each plain C
+        assert l_op.finite == {Precision.FP32}
+
+    def test_a_non_finite_diagonal_factor_is_a_non_finite_probe(self, monkeypatch):
+        """A NaN in a broadcast L_kk: the panel's first TRSM refuses it, and the
+        likelihood reports the reason, warning-free."""
+        ds = SyntheticField.sqexp_2d(200, 1.0, 0.03, seed=1, nugget=0.01).sample()
+        real_potrf, calls = tk.potrf, []
+
+        def poisoned(c_kk):
+            lower = real_potrf(c_kk)
+            calls.append(1)
+            if len(calls) == 2:
+                lower[-1, 0] = np.nan
+            return lower
+
+        monkeypatch.setattr(tk, "potrf", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = log_likelihood(ds, ds.theta_true, MPConfig(accuracy=1e-4, tile_size=32))
+        assert (ev.value, ev.reason, len(calls)) == (-np.inf, "non_finite", 2)
 
 
 class _WideVariance(SquaredExponential):

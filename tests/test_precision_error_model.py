@@ -8,8 +8,9 @@ the *rounded* inputs (64-bit significand: products of float32 values are
 exact in it, and it sums k ≤ 2^10 of them to 2^-54 relative), within the
 forward-error bound of the format's accumulator, and ``mp_cholesky``
 against the matrix it factors, within the backward error the
-tile-selection rule of arXiv 2003.05324 budgets for.  The constants are
-stated here, not fitted per case:
+tile-selection rule of arXiv 2003.05324 budgets for, and ``tk.trsm``
+against the system it solves.  The constants are stated here, not fitted
+per case:
 
 * an accumulator of unit roundoff ``u`` summing ``k`` products in any
   order: ``|fl(Σ aᵢbᵢ) − Σ aᵢbᵢ| ≤ γ_k Σ|aᵢbᵢ|``, ``γ_k = ku/(1 − ku) ≤
@@ -21,7 +22,12 @@ stated here, not fitted per case:
   (``C_FP16`` = 1.05), and a rounding that lands below fp16's normal range
   (2^-14) errs by at most half the subnormal spacing, 2^-25, instead;
 * ``‖LLᵀ − A‖_F ≤ c·NT·u_req·‖A‖_F`` with ``c`` = 1 on the weak-sqexp
-  fixture (measured 0.003–0.05).
+  fixture (measured 0.003–0.05);
+* a triangular solve ``X·Lᵀ = C`` with ``L`` n×n, at its execution
+  precision's unit roundoff ``u``: ``|C − X̂·Lᵀ| ≤ γ_{n+1}·|X̂|·|Lᵀ|``
+  entrywise — substitution's ``γ_n`` (Higham, Thm 8.5) and one more
+  rounding, the reciprocal of the diagonal the kernel multiplies by
+  (measured: up to 1.5u at n = 1, under n·u from n = 2).
 """
 
 import math
@@ -35,8 +41,9 @@ from repro.core.cholesky import mp_cholesky
 from repro.core.config import ConversionStrategy, MPConfig
 from repro.core.precision_map import build_precision_map
 from repro.precision import FORMAT_INFO, Precision
-from repro.precision.emulate import as_input
+from repro.precision.emulate import Operand, as_input
 from repro.precision.gemm import multiply_accumulate
+from repro.tiles import kernels as tk
 from repro.tiles.norms import tile_norms
 
 # a RuntimeWarning from anywhere is a failure here, not only from inside repro
@@ -114,3 +121,28 @@ def test_mp_cholesky_backward_error(weak_sqexp_cov, u_req, strategy):
     assert residual <= C_BACKWARD * weak_sqexp_cov.nt * u_req
     if u_req == 1e-9:
         assert residual > 1e-13  # the reduced-precision tiles are in it: this is not the FP64 factor
+
+
+@pytest.mark.parametrize("precision", [Precision.FP64, Precision.FP32])
+@settings(max_examples=60)
+@given(m=st.integers(1, 40), n=st.integers(1, 64), boost=st.floats(1e-4, 1.0),
+       graded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_trsm_backward_error(precision, m, n, boost, graded, seed):
+    """``tk.trsm`` (FP64, and the FP32 every FP16-class panel tile runs at) on the
+    inputs as rounded to its execution precision, against the ``np.longdouble``
+    residual; ``L`` from an SPD matrix of condition up to ~10⁴n, rows of ``C``
+    O(1) or graded over six decades."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    lower = np.linalg.cholesky(a @ a.T + boost * n * np.eye(n))
+    c = rng.standard_normal((m, n))
+    if graded:
+        c *= 10.0 ** rng.uniform(-3, 3, (m, 1))
+    x = tk.trsm(Operand(lower), c, precision=precision)
+    assert x.dtype == (np.float64 if precision == Precision.FP64 else np.float32)
+    wide = np.longdouble
+    l_in, c_in, x_w = (as_input(lower, precision).astype(wide), as_input(c, precision).astype(wide),
+                       x.astype(wide))
+    residual = np.abs(c_in - x_w @ l_in.T)
+    bound = C_GAMMA * (n + 1) * FORMAT_INFO[precision].unit_roundoff * (np.abs(x_w) @ np.abs(l_in).T)
+    assert np.all(residual <= bound), float(np.max(residual / bound))
