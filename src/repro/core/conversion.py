@@ -31,6 +31,7 @@ SYRK may consume the payload at that precision without additional loss.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,30 +262,24 @@ def _emit_comm_decision(cmap: CommPrecisionMap) -> None:
 
     The "why" per tile is the comparison Algorithm 2 ends on — STC
     exactly when the communication precision sits strictly below the
-    storage precision.  Per-tile detail only for NT ≤ 32.
+    storage precision.  ``map`` hashes the comm codes; the ``comm``
+    column (lower triangle in ``np.tril_indices`` order) rides only on
+    the first event of each ``map`` in the log.  Storage, and so the
+    STC/TTC choice, follows from the kernel map's column.
     """
-    if get_event_log() is None:  # keep the planning hot path free
+    log = get_event_log()
+    if log is None:  # keep the planning hot path free
         return
     n_stc, n_total = cmap.stc_counts()
+    key = hashlib.blake2b(cmap.comm_codes.tobytes(), digest_size=8).hexdigest()
     attrs: dict[str, object] = {
         "nt": cmap.nt,
         "n_broadcasts": n_total,
         "n_stc": n_stc,
         "n_ttc": n_total - n_stc,
         "stc_fraction": cmap.stc_fraction(),
+        "map": key,
     }
-    if cmap.nt <= 32:
-        last = cmap.nt - 1
-        attrs["tiles"] = [
-            {
-                "tile": [i, j],
-                "storage": cmap.storage(i, j).name,
-                "comm": cmap.comm(i, j).name,
-                # POTRF(NT-1) issues no broadcast, so no conversion choice
-                "choice": ("none" if i == j == last
-                           else "stc" if cmap.is_stc(i, j) else "ttc"),
-            }
-            for i in range(cmap.nt)
-            for j in range(i + 1)
-        ]
+    if log.first_time(("comm_map.built", key)):
+        attrs["comm"] = cmap.comm_codes[np.tril_indices(cmap.nt)].tolist()
     emit_event("comm_map.built", attrs)

@@ -20,6 +20,7 @@ in Fig. 7.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -175,21 +176,17 @@ def build_precision_map(
         raise ValueError("tile_norms must be a square NT×NT array")
     formats = validate_adaptive_set(formats)  # widest → narrowest
     nt = tile_norms.shape[0]
+    bounds = {prec.name: accuracy / rule_epsilon(prec) for prec in formats}
+    codes = np.full((nt, nt), int(Precision.FP64), dtype=np.int8)
     global_norm = global_norm_from_tile_norms(tile_norms)
-    if global_norm <= 0.0:
-        codes = np.full((nt, nt), int(Precision.FP64), dtype=np.int8)
-        return KernelPrecisionMap(nt=nt, codes=codes)
-    rel = tile_norms * nt / global_norm
-    # probe from narrowest to widest; the first qualifying format wins
-    codes = np.full((nt, nt), -1, dtype=np.int8)
-    bounds: dict[str, float] = {}
-    for prec in sorted(formats):
-        bound = accuracy / rule_epsilon(prec)
-        bounds[prec.name] = bound
-        qualify = rel <= bound
-        codes[(codes == -1) & qualify] = int(prec)
-    codes[codes == -1] = int(Precision.FP64)
-    np.fill_diagonal(codes, int(Precision.FP64))
+    if global_norm > 0.0:
+        rel = tile_norms * nt / global_norm
+        # probe from widest to narrowest; the narrowest qualifying format wins
+        for prec in formats:
+            codes[rel <= bounds[prec.name]] = int(prec)
+        np.fill_diagonal(codes, int(Precision.FP64))
+    else:  # an all-zero matrix has no norm shares to rank: all FP64
+        rel = np.zeros((nt, nt))
     kmap = KernelPrecisionMap(nt=nt, codes=codes)
     _emit_map_decision(kmap, accuracy, bounds, rel)
     return kmap
@@ -204,29 +201,27 @@ def _emit_map_decision(
     """Structured decision log: which tile got which precision and why.
 
     The "why" is the Higham–Mary rule itself: a tile's relative norm
-    share against each format's ``u_req/u_low`` bound.  Per-tile detail
-    is only attached for small maps (NT ≤ 32) — at Fig. 7 scale the
-    summary fractions carry the same information at 1/NT² the size.
+    share against each format's ``u_req/u_low`` bound.  ``map`` hashes
+    the codes and the bounds; the per-tile columns (``kernel`` codes and
+    ``rel_norm``, lower triangle in ``np.tril_indices`` order) ride only
+    on the first event of each ``map`` in the log — equal codes under
+    equal bounds put every tile in the same bound interval.
     """
-    if get_event_log() is None:  # keep the planning hot path free
+    log = get_event_log()
+    if log is None:  # keep the planning hot path free
         return
+    key = hashlib.blake2b(kmap.codes.tobytes() + repr(bounds).encode(), digest_size=8).hexdigest()
     attrs: dict[str, object] = {
         "nt": kmap.nt,
         "accuracy": accuracy,
         "rule_bounds": bounds,
         "fractions": {p.name: f for p, f in sorted(kmap.tile_fractions().items(), reverse=True)},
+        "map": key,
     }
-    if kmap.nt <= 32:
-        attrs["tiles"] = [
-            {
-                "tile": [i, j],
-                "kernel": kmap.kernel(i, j).name,
-                "storage": kmap.storage(i, j).name,
-                "rel_norm": float(rel[i, j]),
-            }
-            for i in range(kmap.nt)
-            for j in range(i + 1)
-        ]
+    if log.first_time(("precision_map.built", key)):
+        tril = np.tril_indices(kmap.nt)
+        attrs["kernel"] = kmap.codes[tril].tolist()
+        attrs["rel_norm"] = rel[tril].tolist()
     emit_event("precision_map.built", attrs)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..locations import morton_order, pairwise_distances
+from ..locations import _to_grid, morton_order, pairwise_distances
 
 __all__ = [
     "ORDERINGS",
@@ -39,18 +39,6 @@ HILBERT_BITS = 16
 ORDERINGS = ("morton", "random", "hilbert")
 
 _ONE = np.uint64(1)
-
-
-def _to_grid(locations: np.ndarray, bits: int) -> np.ndarray:
-    """Scale float coordinates onto the 2^bits integer grid (per axis)."""
-    locs = np.asarray(locations, dtype=np.float64)
-    if locs.ndim != 2:
-        raise ValueError("locations must be (n, dim)")
-    lo = locs.min(axis=0)
-    hi = locs.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    scale = (1 << bits) - 1
-    return np.clip(((locs - lo) / span * scale).astype(np.uint64), 0, scale)
 
 
 def hilbert_encode(grid: np.ndarray, bits: int = HILBERT_BITS) -> np.ndarray:

@@ -40,17 +40,23 @@ def _spread_bits(x: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def morton_order(locations: np.ndarray) -> np.ndarray:
-    """Indices sorting locations along a Z-order curve."""
+def _to_grid(locations: np.ndarray, bits: int) -> np.ndarray:
+    """Scale float coordinates onto the 2^bits integer grid (per axis);
+    the one quantiser of the Morton and Hilbert orderings."""
     locs = np.asarray(locations, dtype=np.float64)
     if locs.ndim != 2:
         raise ValueError("locations must be (n, dim)")
-    n, dim = locs.shape
     lo = locs.min(axis=0)
     hi = locs.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    scale = (1 << _MORTON_BITS) - 1
-    grid = np.clip(((locs - lo) / span * scale).astype(np.uint64), 0, scale)
+    scale = (1 << bits) - 1
+    return np.clip(((locs - lo) / span * scale).astype(np.uint64), 0, scale)
+
+
+def morton_order(locations: np.ndarray) -> np.ndarray:
+    """Indices sorting locations along a Z-order curve."""
+    grid = _to_grid(locations, _MORTON_BITS)
+    n, dim = grid.shape
     code = np.zeros(n, dtype=np.uint64)
     for d in range(dim):
         code |= _spread_bits(grid[:, d], dim) << np.uint64(d)

@@ -75,6 +75,7 @@ class EventLog:
         self._t0 = time.monotonic()
         self._seq = 0
         self._closed = False
+        self._keys: set[object] = set()
 
     @property
     def n_events(self) -> int:
@@ -113,6 +114,15 @@ class EventLog:
             self._fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
             if severity == "alert":
                 self._fh.flush()
+
+    def first_time(self, key: object) -> bool:
+        """True on the first call with ``key`` in this log, False after:
+        a payload keyed by content rides on its key's first event only."""
+        with self._lock:
+            if key in self._keys:
+                return False
+            self._keys.add(key)
+            return True
 
     def flush(self) -> None:
         with self._lock:

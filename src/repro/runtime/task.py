@@ -79,11 +79,10 @@ class TaskGraph:
     before consumers, and wire the dependency edges as each task
     arrives — so :meth:`successors` / :meth:`predecessors` work on the
     graph built so far while more tasks are still being emitted.
-    :meth:`finalize` seals the graph against further ``add``;
-    :meth:`retire` drops a task's heavy payload once a consumer loop is
-    done with it.  ``add`` plus dropping executed tasks from ``tasks``
-    is the frontier the streaming simulator keeps: live memory stays
-    proportional to the emission window, not the DAG.
+    :meth:`finalize` seals the graph against further ``add``.  ``add``
+    plus dropping executed tasks from ``tasks`` is the frontier the
+    streaming simulator keeps: live memory stays proportional to the
+    emission window, not the DAG.
 
     Dependency edges are deduped (two reads of one producer are one
     edge), so ``in_count`` bookkeeping counts *tasks*, not payloads.  A
@@ -98,7 +97,6 @@ class TaskGraph:
         #: edge its consumer and the producer's next edge (-1: none)
         self._head, self._tail, self._dst, self._next = [], [], [], []
         self._sealed = False
-        self.n_retired = 0
 
     # -- construction ----------------------------------------------------
     def add(self, task: Task) -> int:
@@ -141,18 +139,6 @@ class TaskGraph:
     def new_task(self, **kwargs) -> Task:
         """Create, add, and return a task with the next id."""
         return self.tasks[self.add(Task(tid=len(self.tasks), **kwargs))]
-
-    def retire(self, tid: int) -> None:
-        """Release a consumed task (streaming graphs): drop the :class:`Task`
-        — its predecessors go with it — and empty its successor list.
-
-        Whole-graph accessors (``total_flops``, iteration, …) are
-        off-limits after the first retire: a consumer calls this once it
-        has folded the task into its own state.
-        """
-        self.tasks[tid] = None
-        self._head[tid] = self._tail[tid] = -1
-        self.n_retired += 1
 
     def finalize(self) -> None:
         """Seal the graph: no further :meth:`add`."""

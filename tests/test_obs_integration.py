@@ -9,6 +9,7 @@ from repro import obs
 from repro.cli import main
 from repro.geostats import SyntheticField, fit_mle
 from repro.geostats.optimizer import maximize_bounded, nelder_mead_bounded
+from repro.precision import Precision
 
 
 @pytest.fixture(autouse=True)
@@ -217,10 +218,88 @@ class TestMLEEvents:
         assert attrs["nt"] == 3
         assert attrs["accuracy"] == 1e-4
         assert "FP64" in attrs["fractions"]
-        tiles = {tuple(t["tile"]): t for t in attrs["tiles"]}
-        assert tiles[(0, 0)]["kernel"] == "FP64"
-        assert tiles[(2, 0)]["kernel"] != "FP64"
-        assert "rel_norm" in tiles[(1, 0)]
+        il, jl = np.tril_indices(3)
+        tiles = {(i, j): (Precision(k), r) for i, j, k, r
+                 in zip(il, jl, attrs["kernel"], attrs["rel_norm"])}
+        assert tiles[(0, 0)][0] == Precision.FP64
+        assert tiles[(2, 0)][0] != Precision.FP64
+        assert tiles[(1, 0)][1] > 0.0
+
+    def test_plan_columns_once_per_map_at_nt_40(self, tmp_path):
+        """Past the old NT ≤ 32 cut-off the plan is still logged, as
+        lower-triangle columns on the first event of each ``map``."""
+        from repro.core import build_comm_precision_map, build_precision_map
+        from repro.precision import get_storage_precision
+
+        nt = 40
+        i, j = np.indices((nt, nt))
+        norms = 10.0 ** -(np.abs(i - j) * 0.5)  # decays off the diagonal
+        tril = np.tril_indices(nt)
+
+        def plan(path, accuracy=1e-6):
+            with obs.event_log(path):
+                kmap = build_precision_map(norms, accuracy)
+                cmap = build_comm_precision_map(kmap)
+            k_ev, c_ev = (e["attrs"] for e in obs.read_events(path)
+                          if e["type"] in ("precision_map.built", "comm_map.built"))
+            return kmap, cmap, k_ev, c_ev
+
+        kmap, cmap, k_ev, c_ev = plan(tmp_path / "a.jsonl")
+        assert "tiles" not in k_ev and "tiles" not in c_ev
+        kernel, comm = np.array(k_ev["kernel"]), np.array(c_ev["comm"])
+        assert len(kernel) == len(comm) == len(k_ev["rel_norm"]) == nt * (nt + 1) // 2
+        assert np.array_equal(kernel, kmap.codes[tril])
+        assert np.array_equal(comm, cmap.comm_codes[tril])
+        assert len(set(kernel)) > 2  # a mixed map, not a trivial one
+        # STC exactly when comm < storage; POTRF(NT-1) issues no broadcast
+        storage = np.array([get_storage_precision(Precision(int(k))) for k in kernel])
+        last = (tril[0] == nt - 1) & (tril[1] == nt - 1)
+        assert int(np.count_nonzero((comm < storage) & ~last)) == c_ev["n_stc"] > 0
+        assert len(comm) - 1 == c_ev["n_broadcasts"]
+
+        # the same plan again in the same log: the key, no columns
+        path = tmp_path / "b.jsonl"
+        with obs.event_log(path):
+            for _ in range(2):
+                build_comm_precision_map(build_precision_map(norms, 1e-6))
+        again = [e["attrs"] for e in obs.read_events(path)]
+        assert [a["map"] for a in again] == [k_ev["map"], c_ev["map"]] * 2
+        assert ["kernel" in a or "comm" in a for a in again] == [True, True, False, False]
+
+        # a fresh log starts empty: the columns come back
+        assert "kernel" in plan(tmp_path / "c.jsonl")[2]
+
+        # the same codes under other bounds are another key
+        kmap2, _, k_ev2, c_ev2 = plan(tmp_path / "d.jsonl", accuracy=1.01e-6)
+        assert np.array_equal(kmap2.codes, kmap.codes)
+        assert k_ev2["map"] != k_ev["map"] and "kernel" in k_ev2
+        assert c_ev2["map"] == c_ev["map"]
+
+    def test_zero_norm_fallback_is_logged(self, tmp_path):
+        from repro.core import build_comm_precision_map, build_precision_map
+
+        with obs.event_log(tmp_path / "zero.jsonl"):
+            kmap = build_precision_map(np.zeros((3, 3)), 1e-4)
+            build_comm_precision_map(kmap)
+        events = obs.read_events(tmp_path / "zero.jsonl")
+        assert [e["type"] for e in events] == ["precision_map.built", "comm_map.built"]
+        attrs = events[0]["attrs"]
+        assert attrs["kernel"] == [int(Precision.FP64)] * 6
+        assert attrs["rel_norm"] == [0.0] * 6
+
+    def test_fit_logs_each_distinct_plan_once(self, tmp_path):
+        field = SyntheticField.matern_2d(n=64, variance=1.0, range_=0.1,
+                                         smoothness=0.5, seed=3)
+        with obs.event_log(tmp_path / "fit.jsonl"):
+            res = fit_mle(field.sample(), accuracy=1e-9, tile_size=16, max_evals=30,
+                          restarts=0)
+        events = obs.read_events(tmp_path / "fit.jsonl")
+        for kind, column in (("precision_map.built", "kernel"), ("comm_map.built", "comm")):
+            plans = [e["attrs"] for e in events if e["type"] == kind]
+            assert len(plans) == res.n_evals
+            keys = {a["map"] for a in plans}
+            assert len(keys) > 1
+            assert sum(column in a for a in plans) == len(keys)
 
 
 class TestCliTelemetry:

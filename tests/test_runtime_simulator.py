@@ -281,10 +281,9 @@ class TestStreamingSimulation:
             simulate_stream(iter(graph.tasks), plat, NB)
 
     def test_stream_never_materializes_task_list(self):
-        """The streaming path must retire tasks as they finish: the
-        graph it builds internally keeps no more Task objects live than
-        the emission window at any point (checked via peak_live_tasks
-        and the retire counter reaching n)."""
+        """The streaming path must retire tasks as they finish: every
+        task runs, yet the peak number of live tasks stays under half
+        the graph."""
         from repro.core import stream_cholesky_tasks
         from repro.core.precision_map import two_precision_map
         from repro.runtime.simulator import simulate_stream

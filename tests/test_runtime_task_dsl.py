@@ -133,7 +133,7 @@ class TestFinalizeDedupe:
 
 
 class TestAppendFrontier:
-    """``add``/``retire``: the graph is an append-only frontier while it grows."""
+    """``add``: the graph is an append-only frontier while it grows."""
 
     def test_adjacency_usable_mid_stream(self):
         g = TaskGraph()
@@ -161,18 +161,6 @@ class TestAppendFrontier:
         g.finalize()
         g.finalize()  # idempotent
         assert g.successors(0) == [1] and g.predecessors(1) == [0]
-
-    def test_retire_drops_payload_keeps_preds(self):
-        g = TaskGraph()
-        g.add(_task(0))
-        g.add(_task(1, inputs=[_inp(0)]))
-        g.retire(0)
-        assert g.tasks[0] is None
-        assert g.n_retired == 1
-        assert g.successors(0) == []
-        assert g.predecessors(1) == [0]  # successors still need ready bookkeeping
-        g.add(_task(2, inputs=[_inp(0), _inp(1)]))  # a late reader of a retired task
-        assert g.successors(0) == [2] and g.successors(1) == [2]
 
 
 class TestStreamedUnroll:
