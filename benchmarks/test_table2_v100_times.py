@@ -1,35 +1,28 @@
 """Table II: time to move a tile to one Summit V100 and run a GEMM on it.
 
 The transfer/kernel time model regenerates the paper's measurements; the
-assertions pin each cell to within 10 % of the published value — these
-numbers are the primary calibration anchors of the simulator.
+assertions pin each cell to within 15 % of the published value, which
+``perfmodel.calibration`` keeps as ``TABLE2_MS`` — these numbers are the
+primary calibration anchors of the simulator.
 """
 
 import pytest
 
 from repro.bench import format_table, table2_rows, write_csv
-
-_SIZES = (2048, 4096, 6144, 8192, 10240)
-
-#: the paper's Table II, milliseconds
-_PAPER = {
-    "Move one tile/matrix in FP64": (0.67, 2.68, 6.04, 10.74, 16.78),
-    "Move one tile/matrix in FP32": (0.34, 1.34, 3.02, 5.37, 8.39),
-    "Move one tile/matrix in FP16": (0.17, 0.67, 1.51, 2.68, 4.19),
-    "Execute GEMM in FP64": (2.2, 17.62, 59.47, 140.96, 275.32),
-    "Execute GEMM in FP32": (1.09, 8.75, 29.54, 70.03, 136.78),
-    "Execute GEMM in FP16": (0.14, 1.1, 3.71, 8.8, 17.18),
-}
+from repro.perfmodel.calibration import TABLE2_MS, TABLE2_SIZES
 
 
 def test_table2_v100_times(benchmark):
-    rows = benchmark(table2_rows, _SIZES)
+    rows = benchmark(table2_rows, TABLE2_SIZES)
     print()
-    print(format_table(["operation", *map(str, _SIZES)], rows, title="Table II (ms, V100)"))
-    write_csv("table2_v100_times", ["operation", *map(str, _SIZES)], rows)
-    for row in rows:
+    print(format_table(["operation", *map(str, TABLE2_SIZES)], rows, title="Table II (ms, V100)"))
+    write_csv("table2_v100_times", ["operation", *map(str, TABLE2_SIZES)], rows)
+    # one row per (kind, precision) cell of the paper's table, in its order
+    for row, ((kind, prec), paper) in zip(rows, TABLE2_MS.items(), strict=True):
         label, *values = row
-        for got, want, n in zip(values, _PAPER[label], _SIZES):
+        assert label.startswith("Move" if kind == "move" else "Execute GEMM")
+        assert label.endswith(f" in {prec.name}")
+        for got, want, n in zip(values, paper, TABLE2_SIZES):
             assert got == pytest.approx(want, rel=0.15), (
                 f"{label} @ {n}: modeled {got:.3f} ms vs paper {want} ms"
             )

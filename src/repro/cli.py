@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     from .core import FIXED_CONFIGS, ConversionStrategy
     from .perfmodel import GPU_BY_NAME
     from .runtime.policies import POLICY_NAMES
-    from .sweep.grid import KERNEL_CONFIGS
+    from .sweep.grid import KERNEL_CONFIGS, ORDERINGS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -154,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "emission lazily instead of holding the DAG — same "
                         "task ids, same makespan bit for bit, O(NT²) live "
                         "memory (frontier-local policies only)")
-    p.add_argument("--lookahead", type=int, default=None,
-                   help="emission window for --stream "
-                        "(default: max(4096, nt^2 + 4*nt))")
     p.add_argument("--schedule-out", default=None, metavar="PATH",
                    help="export the committed task order as a replayable "
                         "static schedule (JSON)")
@@ -182,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gpu", action="append", default=None,
                    choices=list(GPU_BY_NAME),
                    help="GPU model axis; repeatable (default: V100)")
-    p.add_argument("--gpus", type=int, action="append", default=None,
+    p.add_argument("--gpus", type=int, action="append", default=None, dest="gpus_per_node",
                    help="GPUs-per-node axis; repeatable (default: 1)")
-    p.add_argument("--nodes", type=int, action="append", default=None,
+    p.add_argument("--nodes", type=int, action="append", default=None, dest="n_nodes",
                    help="node-count axis; repeatable (default: 1)")
     p.add_argument("--app", action="append", default=None,
                    choices=["2d-sqexp", "2d-matern", "3d-sqexp"],
@@ -197,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(POLICY_NAMES),
                    help="scheduling-policy axis; repeatable (default: panel-first)")
     p.add_argument("--ordering", action="append", default=None,
-                   choices=["morton", "random", "hilbert"],
+                   choices=list(ORDERINGS),
                    help="spatial-ordering axis for adaptive configs; "
                         "repeatable (default: morton; see docs/DATAPLANE.md)")
     p.add_argument("--workers", type=int, default=1,
@@ -449,8 +446,7 @@ def _cmd_simulate(args) -> int:
                 rep = simulate_cholesky(args.n, args.nb, kmap, platform,
                                         strategy=strategy,
                                         record_events=record_events,
-                                        policy=args.policy,
-                                        stream=args.stream, lookahead=args.lookahead)
+                                        policy=args.policy, stream=args.stream)
         except ValueError as exc:
             # flags that do not fit together: a full-graph policy with
             # --stream, a schedule from another n/nb/platform, or a
@@ -564,26 +560,14 @@ def _peak_rss_bytes() -> int:
 def _cmd_sweep(args) -> int:
     from .faults import FaultPlan, RetryPolicy
     from .sweep import SweepGrid, run_sweep
+    from .sweep.grid import AXES
 
     retry_policy = (RetryPolicy(max_retries=args.max_retries)
                     if args.max_retries > 0 else None)
     fault_plan = FaultPlan.load(args.fault_plan) if args.fault_plan else None
 
-    grid = SweepGrid.from_axes(
-        n=args.n or [4096],
-        nb=args.nb or [512],
-        config=args.config or ["FP64"],
-        strategy=args.strategy or ["auto"],
-        gpu=args.gpu or ["V100"],
-        gpus_per_node=args.gpus or [1],
-        n_nodes=args.nodes or [1],
-        app=args.app or ["2d-matern"],
-        accuracy=args.accuracy or [None],
-        seed=args.seed or [0],
-        policy=args.policy or ["panel-first"],
-        ordering=args.ordering or ["morton"],
-        name=args.name,
-    )
+    # each axis flag's dest is its RunSpec field; one never passed is None
+    grid = SweepGrid.from_axes(name=args.name, **{axis: getattr(args, axis) for axis in AXES})
     with _capture(args) as profiler:
         result = run_sweep(
             grid, workers=args.workers, cache_dir=args.cache_dir, force=args.force,

@@ -17,11 +17,12 @@ Per iteration ``k`` (Algorithm 1):
   the received payloads.
 
 The conversion strategy enters as *payload quantisation*: under TTC a
-tile travels at its storage precision; under STC/AUTO it travels at the
-Algorithm 2 communication precision.  Receivers re-quantise to their
-kernel's input format, so STC and TTC are numerically near-identical (the
-paper's "no unnecessary accuracy loss" invariant) while moving different
-byte volumes — the property the tests assert and the simulator prices.
+tile travels at its storage precision; under AUTO it travels at the
+Algorithm 2 communication precision (STC wherever that is below
+storage).  Receivers re-quantise to their kernel's input format, so STC
+and TTC are numerically near-identical (the paper's "no unnecessary
+accuracy loss" invariant) while moving different byte volumes — the
+property the tests assert and the simulator prices.
 That receiver-side rounding is made once per payload and input format,
 not once per receiving kernel: each broadcast payload of a panel is an
 :class:`~repro.precision.emulate.Operand`, which lives as long as the
@@ -56,7 +57,7 @@ from ..tiles import kernels as tk
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .config import ConversionStrategy
 from .conversion import CommPrecisionMap, build_comm_precision_map
-from .precision_map import KernelPrecisionMap, uniform_map
+from .precision_map import KernelPrecisionMap, precision_rows, uniform_map
 
 # ``quantize`` is not used here; it stays a name of this module because
 # perfbench's kernel profile stopwatches it on every module of the numeric path
@@ -107,10 +108,8 @@ def mp_cholesky(
         raise ValueError(f"kernel map is {kernel_map.nt}×{kernel_map.nt}, matrix has NT={nt}")
     if comm_map is None:
         comm_map = build_comm_precision_map(kernel_map)
-    kernel = _lower_precisions(kernel_map.codes)
-    payload = _lower_precisions(
-        comm_map.storage_codes if strategy == ConversionStrategy.TTC else comm_map.comm_codes
-    )
+    kernel = precision_rows(kernel_map.codes)
+    payload = precision_rows(comm_map.payload_codes(strategy))
 
     # generation-phase cast (Section V): every tile rests at the storage
     # precision implied by its kernel precision before the factorization
@@ -169,15 +168,6 @@ def mp_cholesky(
 #: 128 tiles); one tile from nb = 256 up
 FP16_STACK_BYTES = 256 * 1024
 
-#: ``Precision`` by code
-_PRECISION = tuple(sorted(Precision))
-
-
-def _lower_precisions(codes: np.ndarray) -> list[list[Precision]]:
-    """Row ``i`` of the result: the precisions of codes ``(i, 0..i)``."""
-    return [[_PRECISION[c] for c in row[: i + 1]] for i, row in enumerate(codes.tolist())]
-
-
 def _fp16_update(tiles: dict, payloads: dict[int, Operand], stack: list[tuple[int, int]]) -> None:
     """The pure-FP16 updates of the tiles ``stack`` names, as one stacked ``tk.gemm``."""
     updated = tk.gemm(
@@ -202,12 +192,12 @@ def kernel_counts(kernel_map: KernelPrecisionMap) -> dict[tuple[str, Precision],
     codes = kernel_map.codes[il, jl]
     counts: Counter[tuple[str, Precision]] = Counter({("POTRF", Precision.FP64): nt})
     for code, n in zip(*np.unique(codes, return_counts=True)):
-        counts["TRSM", tk.trsm_execution_precision(_PRECISION[code])] += int(n)
+        counts["TRSM", tk.trsm_execution_precision(Precision(int(code)))] += int(n)
     if nt > 1:
         counts["SYRK", Precision.FP64] = nt * (nt - 1) // 2
     for code, n in enumerate(np.bincount(codes, weights=jl).tolist()):
         if n:
-            counts["GEMM", _PRECISION[code]] = int(n)
+            counts["GEMM", Precision(code)] = int(n)
     return dict(counts)
 
 

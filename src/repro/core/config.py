@@ -18,17 +18,16 @@ class ConversionStrategy(enum.Enum):
       in the precision it generates (storage precision); every consuming
       task converts locally.  The baseline of [18], [38] and the lower
       bound of Fig. 8.
-    * ``STC`` — sender/source task conversion: the sender down-casts once
-      to the highest precision any successor needs, shrinking every
-      transfer.  The upper bound of Fig. 8 (applicable to all
-      communications only in the extreme two-precision configurations).
     * ``AUTO`` — the paper's automated strategy: per-communication choice,
-      STC whenever all successors operate at lower precision than the
-      sender's storage, TTC otherwise (Algorithm 2).
+      sender/source task conversion (STC: the sender down-casts once to
+      the highest precision any successor needs, shrinking every
+      transfer) whenever all successors operate at lower precision than
+      the sender's storage, TTC otherwise (Algorithm 2).  On the extreme
+      two-precision maps every communication qualifies, so ``AUTO`` is
+      all-STC there: the upper bound of Fig. 8.
     """
 
     TTC = "ttc"
-    STC = "stc"
     AUTO = "auto"
 
 

@@ -132,11 +132,16 @@ class CommPrecisionMap:
         """True when the task on tile (i, j) applies sender-side conversion."""
         return self.comm(i, j) < self.storage(i, j)
 
+    def payload_codes(self, strategy: ConversionStrategy) -> np.ndarray:
+        """Codes of the precision each tile's broadcast travels in: its
+        storage under TTC, its communication precision under ``AUTO``."""
+        return self.storage_codes if strategy == ConversionStrategy.TTC else self.comm_codes
+
     def payload(self, i: int, j: int, strategy: ConversionStrategy) -> Precision:
         """Precision in which tile (i, j)'s broadcast actually travels."""
-        if strategy == ConversionStrategy.TTC:
-            return self.storage(i, j)
-        return self.comm(i, j)
+        if j > i:
+            raise IndexError("communication precision is defined on the lower triangle")
+        return Precision(int(self.payload_codes(strategy)[i, j]))
 
     # -- statistics -------------------------------------------------------
     def _broadcast_mask(self) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from ..tiles.distribution import ProcessGrid
 from ..tiles.kernels import trsm_execution_precision
 from .config import ConversionStrategy
 from .conversion import CommPrecisionMap, build_comm_precision_map, payload_encoding
-from .precision_map import KernelPrecisionMap
+from .precision_map import KernelPrecisionMap, precision_rows
 
 __all__ = [
     "CholeskyDag",
@@ -60,9 +60,6 @@ _KIND_RANK = {
     KernelKind.SYRK: 2,
     KernelKind.GEMM: 3,
 }
-
-#: code → Precision, indexable by the int8 codes of the precision maps
-_PRECISIONS = tuple(sorted(Precision))
 
 
 @dataclass
@@ -110,19 +107,12 @@ class _CholeskyDataflow:
         #: edge length of tile row/col ``t`` (the last tile may be ragged)
         self._edges = [min(n, (t + 1) * nb) - t * nb for t in range(nt)]
 
-        def table(codes) -> list[list[Precision]]:
-            return [[_PRECISIONS[c] for c in row] for row in codes.tolist()]
-
         #: kernel precision of tile (i, j); mirrored, like the kernel map
-        self._kernel = table(self.kernel_map.codes)
+        self._kernel = precision_rows(self.kernel_map.codes)
         #: storage precision of tile (i, j); mirrored
-        self._storage = table(self.comm_map.storage_codes)
+        self._storage = precision_rows(self.comm_map.storage_codes)
         #: precision tile (i, j)'s broadcast travels in (lower triangle)
-        self._payload = (
-            self._storage
-            if self.strategy == ConversionStrategy.TTC
-            else table(self.comm_map.comm_codes)
-        )
+        self._payload = precision_rows(self.comm_map.payload_codes(self.strategy))
         #: STC conversion done by the task writing tile (i, j), else None:
         #: one shared tuple per (storage, payload) pair, not one per tile
         conv = {(s, p): (s, p) for s in Precision for p in Precision

@@ -56,6 +56,17 @@ FIXED_CONFIGS: dict[str, Precision] = {
 }
 
 
+#: ``Precision`` by code, indexable by a map's int8 codes
+_PRECISIONS = tuple(sorted(Precision))
+
+
+def precision_rows(codes: np.ndarray) -> list[list[Precision]]:
+    """An NT×NT code array as nested lists: ``rows[i][j]`` is the
+    ``Precision`` of code ``(i, j)``.  Built once before a tile loop, which
+    then indexes plain lists."""
+    return [[_PRECISIONS[c] for c in row] for row in codes.tolist()]
+
+
 @dataclass
 class KernelPrecisionMap:
     """Per-tile kernel precision of an NT×NT tiled symmetric matrix."""

@@ -151,11 +151,9 @@ def simulate_cholesky(
     platform: Platform,
     *,
     strategy: ConversionStrategy = ConversionStrategy.AUTO,
-    enforce_memory: bool = True,
     record_events: bool = True,
     policy: str | None = None,
     stream: bool = False,
-    lookahead: int | None = None,
 ) -> SimReport:
     """Symbolic (time-only) mixed-precision Cholesky on a platform.
 
@@ -167,18 +165,13 @@ def simulate_cholesky(
     ``stream=True`` is million-task mode: the same k-major emission
     (same task ids) is consumed lazily through
     :func:`repro.runtime.simulator.simulate_stream` with an emission
-    window of ``lookahead`` tasks (default
-    :func:`default_stream_lookahead`) instead of being held as a graph,
-    so peak memory is O(NT²) instead of O(NT³).  It chooses lazy versus
-    held task objects, never a numbering.  Restricted to frontier-local
-    policies (panel-first, fifo, ooc-static).  A ``lookahead`` without
-    ``stream=True`` is a ``ValueError``: the held graph has no window.
+    window of :func:`default_stream_lookahead` tasks instead of being
+    held as a graph, so peak memory is O(NT²) instead of O(NT³).  It
+    chooses lazy versus held task objects, never a numbering.
+    Restricted to frontier-local policies (panel-first, fifo,
+    ooc-static).  A smaller window is a
+    :func:`~repro.runtime.simulator.simulate_stream` argument.
     """
-    if lookahead is not None and not stream:
-        raise ValueError(
-            f"lookahead={lookahead} is the emission window of stream=True; "
-            "the held graph (stream=False) has none"
-        )
     if stream:
         nt = kernel_map.nt
         # the stream itself doesn't know its length; tell the live plane
@@ -190,8 +183,7 @@ def simulate_cholesky(
             source,
             platform,
             nb,
-            lookahead=lookahead if lookahead is not None else default_stream_lookahead(nt),
-            enforce_memory=enforce_memory,
+            lookahead=default_stream_lookahead(nt),
             record_events=record_events,
             policy=policy,
         )
@@ -206,7 +198,6 @@ def simulate_cholesky(
         dag.graph,
         platform,
         nb,
-        enforce_memory=enforce_memory,
         record_events=record_events,
         policy=policy,
     )
@@ -220,7 +211,6 @@ def replay_cholesky(
     schedule: StaticSchedule,
     *,
     strategy: ConversionStrategy = ConversionStrategy.AUTO,
-    enforce_memory: bool = True,
     record_events: bool = True,
 ) -> SimReport:
     """Re-execute an exported :class:`StaticSchedule` with no scheduler.
@@ -244,7 +234,6 @@ def replay_cholesky(
         platform,
         nb,
         schedule.order,
-        enforce_memory=enforce_memory,
         record_events=record_events,
         source_policy=schedule.policy,
     )

@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..core.cholesky import logdet_from_factor, mp_cholesky, solve_with_factor
 from ..core.config import MPConfig
 from ..core.conversion import build_comm_precision_map
 from ..core.precision_map import KernelPrecisionMap, build_precision_map
 from ..obs import get_registry, span, traced
-from ..tiles.kernels import NotPositiveDefiniteError
 from ..tiles.norms import tile_norms
 from .generator import Dataset, build_tiled_covariance
 
@@ -42,7 +43,9 @@ class LikelihoodEval:
     kernel_map: KernelPrecisionMap | None = None
     #: why ``value`` is ``-inf``, by the site that returned it: ``cov_build``
     #: (Σ(θ) could not be assembled), ``not_positive_definite`` (the
-    #: mixed-precision factorization broke down), ``non_finite`` (a panel
+    #: mixed-precision factorization broke down: a diagonal tile lost
+    #: positive definiteness, or its factor is singular where a TRSM
+    #: reads it, e.g. underflowed to 0 in FP32), ``non_finite`` (a panel
     #: tile held an inf/NaN before it), ``logdet`` (not finite) or
     #: ``quadratic`` (zᵀΣ⁻¹z not finite or negative); ``None`` when feasible
     reason: str | None = None
@@ -90,7 +93,9 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
         with span("core.mp_cholesky"):
             result = mp_cholesky(cov, kmap, strategy=config.strategy, comm_map=cmap,
                                  overwrite=True)
-    except NotPositiveDefiniteError:
+    except np.linalg.LinAlgError:
+        # a POTRF breakdown (NotPositiveDefiniteError), or a TRSM against a
+        # diagonal factor singular at its execution precision
         return None, kmap, "not_positive_definite"
     except ValueError as exc:
         # TRSM's finiteness check meets an inf/NaN panel tile before any POTRF does

@@ -19,8 +19,9 @@ pop that evicts it: the GPU (``_evict_gpu``) writes a dirty or host-less
 entry back through the d2h engine and drops a clean one the host or disk
 holds; the host (``_host_insert``) spills an origin's only copy through
 the disk engine and drops the rest.  A 0-byte tier holds only the running
-task's working set.  This is what makes larger-than-memory matrices
-stream, and what amplifies the byte savings of STC payloads.
+task's working set; a ``math.inf`` one never evicts.  This is what makes
+larger-than-memory matrices stream, and what amplifies the byte savings
+of STC payloads.
 
 Datatype conversions are charged where the strategy puts them: once on
 the sender's compute stream for STC payloads, and on every consuming
@@ -145,7 +146,6 @@ def _working_set(inputs: list[TaskInput], out_key: _Key) -> set[_Key]:
 def _build_engine(
     platform: Platform,
     nb: int,
-    enforce_memory: bool,
     record: Callable[[TraceEvent], None] | None,
     stats: RunStats,
 ):
@@ -184,8 +184,6 @@ def _build_engine(
     for tier, capacity in (("GPU", gpu_capacity), ("host", host_capacity)):
         if capacity < 0:
             raise ValueError(f"{tier} memory capacity must be non-negative, got {capacity} bytes")
-    if not enforce_memory:
-        gpu_capacity = host_capacity = float("inf")
     caches = [_Lru(gpu_capacity) for _ in range(n_ranks)]
     #: when each payload on a GPU is ready: the same key set as its LRU
     gpu_ready: list[dict[_Key, float]] = [dict() for _ in range(n_ranks)]
@@ -573,7 +571,6 @@ def _drive(
     *,
     phase: str,
     policy_name: str,
-    enforce_memory: bool,
     record_events: bool,
     source: Iterable[Task] | None = None,
     lookahead: float = float("inf"),
@@ -600,7 +597,7 @@ def _drive(
     trace = Trace()
     stats = trace.stats
     seed_host, exec_task, sched_state = _build_engine(
-        platform, nb, enforce_memory, trace.record if record_events else None, stats
+        platform, nb, trace.record if record_events else None, stats
     )
     evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
     conversions_metric = registry.counter("sim.conversions", "datatype conversion passes")
@@ -760,7 +757,6 @@ def simulate(
     platform: Platform,
     nb: int,
     *,
-    enforce_memory: bool = True,
     record_events: bool = True,
     policy: str | SchedulePolicy | None = None,
 ) -> SimReport:
@@ -787,7 +783,7 @@ def simulate(
     sched.prepare(graph, platform, nb)
     return _drive(
         graph, platform, nb, key_of=sched.key, phase="sim.materialized", policy_name=sched.name,
-        enforce_memory=enforce_memory, record_events=record_events,
+        record_events=record_events,
     )
 
 
@@ -798,7 +794,6 @@ def simulate_stream(
     nb: int,
     *,
     lookahead: int = 100_000,
-    enforce_memory: bool = True,
     record_events: bool = True,
     policy: str | SchedulePolicy | None = None,
 ) -> SimReport:
@@ -857,8 +852,7 @@ def simulate_stream(
     sched.prepare(frontier, platform, nb)
     return _drive(
         frontier, platform, nb, source=source, lookahead=lookahead, key_of=sched.key,
-        phase="sim.stream", policy_name=sched.name,
-        enforce_memory=enforce_memory, record_events=record_events,
+        phase="sim.stream", policy_name=sched.name, record_events=record_events,
     )
 
 
@@ -869,7 +863,6 @@ def simulate_replay(
     nb: int,
     order: "Iterable[int]",
     *,
-    enforce_memory: bool = True,
     record_events: bool = True,
     source_policy: str = "panel-first",
 ) -> SimReport:
@@ -891,6 +884,5 @@ def simulate_replay(
     """
     return _drive(
         graph, platform, nb, order=order, phase="sim.replay",
-        policy_name=f"replay:{source_policy}",
-        enforce_memory=enforce_memory, record_events=record_events,
+        policy_name=f"replay:{source_policy}", record_events=record_events,
     )

@@ -115,7 +115,6 @@ def execute_spec(spec_dict: dict) -> dict:
     report = simulate_cholesky(
         spec.n, spec.nb, kmap, platform,
         strategy=strategy,
-        enforce_memory=spec.enforce_memory,
         record_events=False,
         policy=spec.policy,
     )

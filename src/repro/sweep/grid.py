@@ -20,20 +20,24 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Mapping
 
+from ..core.config import ConversionStrategy
 from ..core.precision_map import FIXED_CONFIGS
 
-__all__ = ["RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
+__all__ = ["AXES", "RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
 
 #: schema version folded into every cache key — bump when the result
 #: JSON layout or the simulation semantics change incompatibly
 #: (3: per-precision d2h/nic byte splits + conversion-site attribution;
 #:  4: scheduling policy becomes a spec field and sweep axis;
 #:  5: spatial ordering becomes a spec field and sweep axis, adaptive
-#:     results gain ordering/precision-map structure metrics)
-CACHE_SCHEMA = 5
+#:     results gain ordering/precision-map structure metrics;
+#:  6: the spec drops its unbounded-memory switch and the strategy value
+#:     that priced the same run as "auto")
+CACHE_SCHEMA = 6
 
 #: supported kernel-precision configurations; "adaptive" builds the map
 #: from sampled tile norms of the named application at ``accuracy``
@@ -67,7 +71,6 @@ class RunSpec:
     seed: int = 0
     policy: str = "panel-first"
     ordering: str = "morton"
-    enforce_memory: bool = True
 
     def __post_init__(self) -> None:
         from ..runtime.policies import POLICY_NAMES
@@ -76,8 +79,9 @@ class RunSpec:
             raise ValueError(f"n and nb must be positive, got n={self.n}, nb={self.nb}")
         if self.config not in KERNEL_CONFIGS:
             raise ValueError(f"unknown config {self.config!r}; expected one of {KERNEL_CONFIGS}")
-        if self.strategy not in ("auto", "stc", "ttc"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        strategies = tuple(s.value for s in ConversionStrategy)
+        if self.strategy not in strategies:
+            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {strategies}")
         if self.gpus_per_node < 1 or self.n_nodes < 1:
             raise ValueError("gpus_per_node and n_nodes must be positive")
         if self.policy not in POLICY_NAMES:
@@ -121,14 +125,18 @@ class RunSpec:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+#: the sweep axes: :class:`RunSpec`'s fields, in field order
+AXES = tuple(f.name for f in fields(RunSpec))
+
+
 @dataclass(frozen=True)
 class SweepGrid:
-    """A cartesian grid of :class:`RunSpec` points.
+    """A cartesian grid of :class:`RunSpec` points: one tuple of values per
+    :data:`AXES` name.
 
     Axes with a single value may be given as scalars; expansion order is
-    the documented field order (n, nb, config, strategy, gpu,
-    gpus_per_node, n_nodes, app, accuracy, seed, policy, ordering),
-    which keeps run numbering deterministic.
+    :data:`AXES` (``RunSpec``'s field order), which keeps run numbering
+    deterministic.
     """
 
     n: tuple[int, ...] = (4096,)
@@ -143,70 +151,35 @@ class SweepGrid:
     seed: tuple[int, ...] = (0,)
     policy: tuple[str, ...] = ("panel-first",)
     ordering: tuple[str, ...] = ("morton",)
-    enforce_memory: bool = True
     name: str = "sweep"
 
     @classmethod
     def from_axes(cls, **axes) -> "SweepGrid":
-        """Build a grid, lifting scalar axis values to 1-tuples."""
+        """Build a grid, lifting scalar axis values to 1-tuples; an axis
+        given as ``None`` (a repeatable flag never passed) keeps its default."""
         norm: dict[str, object] = {}
         for key, value in axes.items():
-            if key in ("enforce_memory", "name"):
+            if key == "name":
                 norm[key] = value
             elif isinstance(value, (list, tuple)):
                 norm[key] = tuple(value)
-            else:
+            elif value is not None:
                 norm[key] = (value,)
         return cls(**norm)
 
+    def _axes(self) -> list[tuple]:
+        return [getattr(self, axis) for axis in AXES]
+
     def axes_dict(self) -> dict:
         """The grid's axes as plain JSON-ready values (for manifests)."""
-        return {
-            "n": list(self.n),
-            "nb": list(self.nb),
-            "config": list(self.config),
-            "strategy": list(self.strategy),
-            "gpu": list(self.gpu),
-            "gpus_per_node": list(self.gpus_per_node),
-            "n_nodes": list(self.n_nodes),
-            "app": list(self.app),
-            "accuracy": list(self.accuracy),
-            "seed": list(self.seed),
-            "policy": list(self.policy),
-            "ordering": list(self.ordering),
-            "enforce_memory": self.enforce_memory,
-        }
+        return {axis: list(values) for axis, values in zip(AXES, self._axes())}
 
     def __len__(self) -> int:
-        size = 1
-        for axis in (self.n, self.nb, self.config, self.strategy, self.gpu,
-                     self.gpus_per_node, self.n_nodes, self.app, self.accuracy,
-                     self.seed, self.policy, self.ordering):
-            size *= len(axis)
-        return size
+        return math.prod(map(len, self._axes()))
 
     def expand(self) -> list[RunSpec]:
         return list(iter(self))
 
     def __iter__(self) -> Iterator[RunSpec]:
-        for (n, nb, config, strategy, gpu, gpn, nodes, app, accuracy, seed,
-             policy, ordering) in itertools.product(
-                self.n, self.nb, self.config, self.strategy, self.gpu,
-                self.gpus_per_node, self.n_nodes, self.app, self.accuracy,
-                self.seed, self.policy, self.ordering,
-        ):
-            yield RunSpec(
-                n=n,
-                nb=nb,
-                config=config,
-                strategy=strategy,
-                gpu=gpu,
-                gpus_per_node=gpn,
-                n_nodes=nodes,
-                app=app,
-                accuracy=accuracy,
-                seed=seed,
-                policy=policy,
-                ordering=ordering,
-                enforce_memory=self.enforce_memory,
-            )
+        for values in itertools.product(*self._axes()):
+            yield RunSpec(**dict(zip(AXES, values)))

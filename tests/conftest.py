@@ -8,6 +8,8 @@ Also registers the hypothesis example-count profiles: tests that omit
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import settings
 from repro.geostats.covariance import Matern
 from repro.geostats.generator import SyntheticField, build_tiled_covariance
 from repro.geostats.locations import generate_locations
+from repro.runtime.platform import Platform
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
 settings.register_profile("quick", max_examples=15, deadline=None)
@@ -64,3 +67,18 @@ def weak_sqexp_cov() -> TiledSymmetricMatrix:
 @pytest.fixture
 def small_field() -> SyntheticField:
     return SyntheticField.matern_2d(n=144, variance=1.0, range_=0.1, smoothness=0.5, seed=3)
+
+
+@pytest.fixture(scope="session")
+def unbounded():
+    """``unbounded(platform)``: the same platform with GPU and host memories
+    of ``math.inf`` bytes, tiers that never evict — the simulator's
+    unbounded-memory model."""
+
+    def lift(platform: Platform) -> Platform:
+        node = platform.node
+        gpu = dataclasses.replace(node.gpu, memory_bytes=math.inf)
+        node = dataclasses.replace(node, gpu=gpu, host_memory_bytes=math.inf)
+        return dataclasses.replace(platform, node=node)
+
+    return lift

@@ -58,7 +58,7 @@ class TestSimbench:
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["simulate"])
-        assert args.stream is False and args.lookahead is None
+        assert args.stream is False
         assert args.gpus == 1 and args.nodes == 1
 
     @pytest.mark.parametrize("mode", ["materialize", "stream"])
@@ -122,13 +122,6 @@ class TestSimulateFlagCoherence:
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
                      "--policy", "critical-path"]) == 2
         assert "critical-path" in capsys.readouterr().err
-
-    def test_lookahead_without_stream_is_rejected(self, capsys):
-        assert main(["simulate", "--n", "4096", "--nb", "512", "--config", "FP64",
-                     "--lookahead", "16"]) == 2
-        captured = capsys.readouterr()
-        assert "lookahead=16" in captured.err and "stream=True" in captured.err
-        assert "makespan" not in captured.out
 
     def test_stream_with_event_export_warns(self, tmp_path, capsys):
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
@@ -242,7 +235,7 @@ class TestParserSurface:
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 72
+                   for sp in self._subparsers().values()) == 71
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against
@@ -254,7 +247,11 @@ class TestParserSurface:
         the six entries of the deleted watchdog flags — its alert rules,
         its snapshot-bus interval and its two synthetic-stall flags: the
         live plane only reports; ``simulate``'s ``--metrics-out`` help
-        lost "trace summary" when the summary's ``trace`` section went)."""
+        lost "trace summary" when the summary's ``trace`` section went;
+        ``simulate`` lost ``--lookahead`` (the window is always the default)
+        and both verbs' ``--strategy`` the ``stc`` choice, which priced the
+        same run as ``auto``; ``sweep``'s ``--gpus`` / ``--nodes`` store
+        under their ``RunSpec`` field names)."""
         import json
         from pathlib import Path
 
@@ -275,7 +272,7 @@ class TestParserSurface:
 
     def test_stream_and_replay_are_parameters_of_simulate(self):
         sim = self._verbs()["simulate"]
-        assert {"--policy", "--replay", "--stream", "--lookahead"} <= set(sim)
+        assert {"--policy", "--replay", "--stream"} <= set(sim)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is a /proc field")

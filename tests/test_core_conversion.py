@@ -108,8 +108,10 @@ class TestExtremeConfigurations:
     def test_payload_strategy_switch(self):
         cmap = build_comm_precision_map(two_precision_map(8, Precision.FP16))
         assert cmap.payload(4, 2, ConversionStrategy.TTC) == Precision.FP32
-        assert cmap.payload(4, 2, ConversionStrategy.STC) == Precision.FP16
         assert cmap.payload(4, 2, ConversionStrategy.AUTO) == Precision.FP16
+        # the per-tile reads and the whole-map codes are one rule
+        assert cmap.payload_codes(ConversionStrategy.TTC) is cmap.storage_codes
+        assert cmap.payload_codes(ConversionStrategy.AUTO) is cmap.comm_codes
 
 
 class TestAlgorithmInvariants:

@@ -37,9 +37,9 @@ class TestMPConfig:
         cfg2 = cfg.with_accuracy(1e-8)
         assert cfg2.accuracy == 1e-8 and cfg2.tile_size == 128
         # every other field rides along, and the new value is validated
-        stc = MPConfig(strategy=ConversionStrategy.STC, formats=(Precision.FP64, Precision.FP16))
-        assert stc.with_accuracy(1e-3) == MPConfig(
-            accuracy=1e-3, strategy=ConversionStrategy.STC, formats=(Precision.FP64, Precision.FP16))
+        ttc = MPConfig(strategy=ConversionStrategy.TTC, formats=(Precision.FP64, Precision.FP16))
+        assert ttc.with_accuracy(1e-3) == MPConfig(
+            accuracy=1e-3, strategy=ConversionStrategy.TTC, formats=(Precision.FP64, Precision.FP16))
         with pytest.raises(ValueError):
             cfg.with_accuracy(0.0)
 

@@ -85,11 +85,18 @@ def exact_motion(
     return dict(h2d), sites
 
 
-def assert_identity(n: int, nb: int, kmap: KernelPrecisionMap, strategy: ConversionStrategy) -> None:
+@pytest.fixture(scope="module")
+def one_gpu(unbounded) -> Platform:
+    """One V100 with unbounded GPU and host memories."""
+    return unbounded(Platform.of_gpus(V100, 1, 1))
+
+
+def assert_identity(
+    platform: Platform, n: int, nb: int, kmap: KernelPrecisionMap, strategy: ConversionStrategy
+) -> None:
     h2d, sites = exact_motion(n, nb, kmap, strategy)
     stats = simulate_cholesky(
-        n, nb, kmap, Platform.of_gpus(V100, 1, 1),
-        strategy=strategy, enforce_memory=False, record_events=False,
+        n, nb, kmap, platform, strategy=strategy, record_events=False,
     ).stats
     moved = {p: v for (link, p), v in stats.bytes_moved.items() if link == "h2d"}
     assert moved == h2d
@@ -117,17 +124,17 @@ def _cases(draw):
 
 @given(_cases())
 @settings(max_examples=60, deadline=None)
-def test_random_maps(case):
-    assert_identity(*case)
+def test_random_maps(one_gpu, case):
+    assert_identity(one_gpu, *case)
 
 
 @pytest.mark.parametrize("strategy", list(ConversionStrategy), ids=lambda s: s.value)
-def test_band_precision_map(strategy):
+def test_band_precision_map(one_gpu, strategy):
     nt, nb = 11, 32
     kmap = band_precision_map(
         nt, [(1, FP64), (3, Precision.FP32), (6, Precision.FP16_32), (nt, FP16)]
     )
-    assert_identity(nt * nb - 5, nb, kmap, strategy)
+    assert_identity(one_gpu, nt * nb - 5, nb, kmap, strategy)
 
 
 @pytest.fixture(scope="module")
@@ -146,5 +153,5 @@ def hilbert_reference_map() -> KernelPrecisionMap:
 
 
 @pytest.mark.parametrize("strategy", list(ConversionStrategy), ids=lambda s: s.value)
-def test_hilbert_reference(hilbert_reference_map, strategy):
-    assert_identity(1024, 64, hilbert_reference_map, strategy)
+def test_hilbert_reference(one_gpu, hilbert_reference_map, strategy):
+    assert_identity(one_gpu, 1024, 64, hilbert_reference_map, strategy)

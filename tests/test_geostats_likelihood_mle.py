@@ -127,6 +127,21 @@ class TestLikelihood:
         with pytest.raises(ValueError, match="some other defect"):
             log_likelihood(ds, (1.0, 0.03), cfg)
 
+    @pytest.mark.parametrize("variance", [1e-90, 1e-100])
+    def test_singular_diagonal_factor_is_an_infeasible_probe(self, variance):
+        """A variance so small that the FP32 cast of a factored diagonal tile
+        underflows to 0: the TRSM reading it meets a singular matrix, which is
+        a breakdown of the factorization, not an exception."""
+        from repro import obs
+        from repro.geostats.covariance import SquaredExponential
+
+        ds = SyntheticField(SquaredExponential(dim=2), (1.0, 0.1), 400, 0, 0.0).sample()
+        counter = obs.get_registry().counter("mle.infeasible")
+        before = counter.value(reason="not_positive_definite")
+        ev = log_likelihood(ds, (variance, 0.1), MPConfig(accuracy=1e-4, tile_size=50))
+        assert (ev.value, ev.reason) == (-math.inf, "not_positive_definite")
+        assert counter.value(reason="not_positive_definite") == before + 1
+
     @pytest.mark.parametrize(
         "accuracy, reason",
         [(1e-2, "not_positive_definite"), (1e-4, "non_finite")],

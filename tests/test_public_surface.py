@@ -61,19 +61,44 @@ def test_docs_name_only_verbs_the_parser_has(path):
         assert set(listed.split(",")) == verbs
 
 
+def _verb_options():
+    """verb -> {option string: its argparse action}."""
+    return {verb: {opt: action for action in sp._actions for opt in action.option_strings}
+            for verb, sp in _subparsers().items()}
+
+
+def _command_lines(path):
+    """``(verb, rest of the line)`` of every ``repro <verb> …`` command line
+    (backslash continuations joined; an inline span ends at its backtick)."""
+    text = re.sub(r"\\\n\s*", " ", path.read_text(encoding="utf-8"))
+    return re.findall(r"(?:python -m repro|\brepro) ([a-z][a-z-]*)([^`\n]*)", text)
+
+
 @pytest.mark.parametrize("path", _doc_files(), ids=lambda p: p.name)
 def test_docs_give_a_verb_only_flags_it_has(path):
-    """Every ``--flag`` on a ``repro <verb> …`` command line (backslash
-    continuations joined; an inline span ends at its backtick) is one of
-    that verb's options."""
-    flags = {verb: {opt for action in sp._actions for opt in action.option_strings}
-             for verb, sp in _subparsers().items()}
-    text = re.sub(r"\\\n\s*", " ", path.read_text(encoding="utf-8"))
+    """Every ``--flag`` on a ``repro <verb> …`` command line is one of that
+    verb's options."""
+    options = _verb_options()
     dead = []
-    for verb, rest in re.findall(r"(?:python -m repro|\brepro) ([a-z][a-z-]*)([^`\n]*)", text):
-        if verb in flags:  # a dead verb is the test above's finding
+    for verb, rest in _command_lines(path):
+        if verb in options:  # a dead verb is the test above's finding
             dead += [(verb, flag) for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", rest)
-                     if flag not in flags[verb]]
+                     if flag not in options[verb]]
+    assert dead == []
+
+
+@pytest.mark.parametrize("path", _doc_files(), ids=lambda p: p.name)
+def test_docs_give_a_flag_only_values_it_takes(path):
+    """A value given to a flag with ``choices`` (``--strategy auto``) on a
+    ``repro <verb> …`` command line is one of those choices (``…`` is a
+    placeholder, not a value)."""
+    options = _verb_options()
+    dead = []
+    for verb, rest in _command_lines(path):
+        for flag, value in re.findall(r"(?<![\w-])(--[a-z][a-z-]*)[ =]([^\s…-]\S*)", rest):
+            action = options.get(verb, {}).get(flag)
+            if action is not None and action.choices and value not in action.choices:
+                dead.append((verb, flag, value))
     assert dead == []
 
 
@@ -84,3 +109,12 @@ def test_the_flag_check_sees_a_dead_flag(tmp_path):
                    "and `repro compare a b --fail-on-regress` but `--format prom` alone is prose\n")
     with pytest.raises(AssertionError, match="--metrics"):
         test_docs_give_a_verb_only_flags_it_has(doc)
+
+
+def test_the_value_check_sees_a_dead_choice(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("```\nPYTHONPATH=src python -m repro sweep --n 1024 \\\n"
+                   "    --config FP64 --strategy stc --strategy ttc\n```\n"
+                   "and `repro simulate --policy fifo` but `--strategy both` alone is prose\n")
+    with pytest.raises(AssertionError, match="'stc'"):
+        test_docs_give_a_flag_only_values_it_takes(doc)

@@ -92,12 +92,11 @@ class TestSimulatorRobustness:
         rep = simulate_cholesky(3 * 512, 512, uniform_map(3, Precision.FP64), plat)
         assert rep.stats.n_tasks == 3 + 3 + 3 + 1
 
-    def test_zero_memory_gpu_unbounded_mode(self):
-        """enforce_memory=False must work even for huge matrices."""
-        plat = Platform.single_gpu(V100)
+    def test_zero_memory_gpu_unbounded_mode(self, unbounded):
+        """Unbounded memories must work even for huge matrices."""
+        plat = unbounded(Platform.single_gpu(V100))
         rep = simulate_cholesky(
-            16 * 2048, 2048, uniform_map(16, Precision.FP64), plat,
-            enforce_memory=False, record_events=False,
+            16 * 2048, 2048, uniform_map(16, Precision.FP64), plat, record_events=False,
         )
         assert rep.stats.n_evictions == 0
 

@@ -130,16 +130,16 @@ class TestBasics:
         assert [(e.rank, e.precision, e.bytes) for e in writebacks(rep)] == [(0, FP64, 8)]
         assert min(e.t_start for e in writebacks(rep)) > stages[0].t_end
 
-    def test_zero_capacity_holds_only_the_working_set(self):
+    def test_zero_capacity_holds_only_the_working_set(self, unbounded):
         """0 bytes is a GPU that keeps a task's working set until the next
         pass sheds it — not an unbounded one."""
         reads = (("a", "b"), ("a", "b"), ("c",), ("a",))
         rep = run(chain(*reads), 0)
         assert loads(rep) == ["a", "b", "c", "a"]
         assert rep.stats.n_evictions == 3
-        unbounded = simulate(chain(*reads), platform(0), NB, enforce_memory=False)
-        assert loads(unbounded) == ["a", "b", "c"]
-        assert unbounded.stats.n_evictions == 0
+        endless = simulate(chain(*reads), unbounded(platform(0)), NB)
+        assert loads(endless) == ["a", "b", "c"]
+        assert endless.stats.n_evictions == 0
 
     def test_within_capacity_is_noop(self):
         rep = run(chain("a", "b", "a", "b"), room(2))

@@ -25,11 +25,23 @@ def _platform(n_gpus=1, n_nodes=1, gpu=V100, host_memory=256e9):
     return Platform(node=node, n_nodes=n_nodes)
 
 
+def _kmap(nt, prec):
+    return uniform_map(nt, prec) if prec == Precision.FP64 else two_precision_map(nt, prec)
+
+
 def _run(nt=6, prec=Precision.FP64, platform=None, strategy=ConversionStrategy.AUTO,
          nb=NB, **kw):
     platform = platform or _platform()
-    kmap = uniform_map(nt, prec) if prec == Precision.FP64 else two_precision_map(nt, prec)
-    return simulate_cholesky(nt * nb, nb, kmap, platform, strategy=strategy, **kw)
+    return simulate_cholesky(nt * nb, nb, _kmap(nt, prec), platform, strategy=strategy, **kw)
+
+
+def _stream(nt, lookahead, prec=Precision.FP64, **kw):
+    """A streamed run on one GPU under an emission window of ``lookahead``."""
+    from repro.core import stream_cholesky_tasks
+    from repro.runtime.simulator import simulate_stream
+
+    source = stream_cholesky_tasks(nt * NB, NB, _kmap(nt, prec))
+    return simulate_stream(source, _platform(), NB, lookahead=lookahead, **kw)
 
 
 class TestBasics:
@@ -139,8 +151,9 @@ class TestMemoryPressure:
         # reloads inflate h2d beyond the matrix size
         assert rep.stats.link_bytes("h2d") > 36 * NB * NB * 8
 
-    def test_enforce_memory_off(self):
-        rep = _run(nt=8, enforce_memory=False)
+    def test_enforce_memory_off(self, unbounded):
+        """Memory is not enforced on a platform whose tiers are unbounded."""
+        rep = _run(nt=8, platform=unbounded(_platform()))
         assert rep.stats.n_evictions == 0
 
     def test_every_eviction_counted_free_drops_not_charged(self):
@@ -228,13 +241,13 @@ class TestStreamingSimulation:
         schedule may differ (fewer ready choices) but stays feasible."""
         nt = 12
         expected = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) // 6
-        rep = _run(nt=nt, prec=Precision.FP16, stream=True, lookahead=32)
+        rep = _stream(nt, 32, prec=Precision.FP16)
         assert rep.stats.n_tasks == expected
         assert rep.makespan > 0.0
         assert rep.peak_live_tasks < expected
 
     def test_peak_live_tasks_bounded_by_window(self):
-        rep = _run(nt=16, stream=True, lookahead=256)
+        rep = _stream(16, 256)
         n = rep.stats.n_tasks
         assert 0 < rep.peak_live_tasks < n
         # the window is a soft target (it widens when the heap drains),
@@ -247,7 +260,7 @@ class TestStreamingSimulation:
 
         n_tasks = cholesky_task_count(30)  # 4,960: larger than every window below
         for lookahead in (1, 7, 8, 9, 4096):
-            rep = _run(nt=30, stream=True, lookahead=lookahead, record_events=False)
+            rep = _stream(30, lookahead, record_events=False)
             assert rep.stats.n_tasks == n_tasks
             assert rep.peak_live_tasks == min(lookahead, n_tasks)
 
@@ -259,12 +272,6 @@ class TestStreamingSimulation:
     def test_full_graph_policies_rejected(self, policy):
         with pytest.raises(ValueError, match="full graph"):
             _run(nt=6, stream=True, policy=policy)
-
-    def test_lookahead_without_stream_rejected(self):
-        """The held graph has no emission window: a lookahead for it is an
-        error naming both arguments, not a silently ignored setting."""
-        with pytest.raises(ValueError, match=r"lookahead=16 .*stream=True"):
-            _run(nt=6, lookahead=16)
 
     def test_rank_outside_platform_rejected(self):
         """Held and streamed runs check each arriving task's rank against

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.sweep import KERNEL_CONFIGS, RunSpec, SweepGrid, execute_spec, run_sweep
+from repro.sweep.grid import AXES
 
 TINY = dict(n=1024, nb=256)  # nt=4 — fast enough for unit tests
 
@@ -39,9 +40,10 @@ class TestRunSpec:
     def test_cache_key_and_result_pinned_across_refactors(self):
         # literals computed before the one-builder refactor of
         # execute_spec: a cache written then must still hit, and hold
-        # the numbers a fresh run produces
+        # the numbers a fresh run produces (the key was re-taken when
+        # CACHE_SCHEMA went 5 -> 6; the results are the same literals)
         spec = RunSpec(n=2048, nb=256, config="FP64/FP16_32")
-        assert spec.cache_key() == "911e1962141b0f67"
+        assert spec.cache_key() == "a2c0073d2fc0bb57"
         result = execute_spec(spec.to_dict())
         assert result["makespan_seconds"] == 0.0011489401721384125
         assert (result["n_tasks"], result["n_conversions"]) == (120, 63)
@@ -61,10 +63,11 @@ class TestRunSpec:
             RunSpec(**TINY, accuracy=1e-4),
             RunSpec(**TINY, seed=7),
             RunSpec(**TINY, policy="critical-path"),
-            RunSpec(**TINY, enforce_memory=False),
+            RunSpec(**TINY, ordering="hilbert"),
         ]
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
+        assert len(variants) == len(AXES)  # one variant per field
 
 
 class TestSweepGrid:
@@ -83,6 +86,12 @@ class TestSweepGrid:
         assert [s.n for s in specs[:4]] == [1024] * 4
         assert [s.seed for s in specs[:2]] == [0, 1]
         assert specs[0].config == specs[1].config == "FP64"
+
+    def test_axes_are_the_spec_fields(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(SweepGrid)] == [*AXES, "name"]
+        assert list(SweepGrid().axes_dict()) == list(AXES)
 
     def test_all_configs_known(self):
         for config in KERNEL_CONFIGS:
@@ -191,6 +200,17 @@ class TestSweepCli:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "cache: 2/2 hits (100.0%)" in out
+
+    def test_axis_flags_fill_the_grid(self, tmp_path, capsys):
+        """Each axis flag lands on its RunSpec field; one never passed keeps
+        SweepGrid's default."""
+        assert main(["sweep", "--n", "1024", "--nb", "256", "--gpus", "2", "--nodes", "2",
+                     "--strategy", "ttc", "--cache-dir", str(tmp_path / "cache"),
+                     "--bench-out", str(tmp_path), "--name", "axes"]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "BENCH_axes.json").read_text())
+        assert doc["axes"] == {**SweepGrid().axes_dict(), "n": [1024], "nb": [256],
+                               "gpus_per_node": [2], "n_nodes": [2], "strategy": ["ttc"]}
 
 
 class TestPolicyAxis:
