@@ -16,7 +16,7 @@ and TTC.  Paper shapes asserted:
 import pytest
 
 from conftest import full_mode
-from repro.bench import fig8_rows, format_table, write_csv
+from repro.bench import default_sizes, format_table, strategy_rows, strategy_specs, write_csv
 from repro.perfmodel import GPU_BY_NAME
 from repro.precision import Precision
 
@@ -24,49 +24,47 @@ _HEADERS = ["config", "gpu", "n", "strategy", "Tflop/s", "seconds", "H2D GB", "c
 
 
 @pytest.mark.parametrize("gpu_name", ["V100", "A100", "H100"])
-def test_fig8_stc_ttc(once, gpu_name):
-    sizes = None if full_mode() else ((16384, 32768, 61440) if gpu_name == "V100"
-                                      else (16384, 32768, 73728))
-    points = once(fig8_rows, gpu_name, sizes)
-    rows = [p.row() for p in points]
+def test_fig8_stc_ttc(once, sweep, gpu_name):
+    sizes = default_sizes(gpu_name) if full_mode() else (
+        (16384, 32768, 61440) if gpu_name == "V100" else (16384, 32768, 73728))
+    rows = strategy_rows(once(sweep, strategy_specs(gpu_name, sizes), f"fig8-{gpu_name}"))
     print()
     print(format_table(_HEADERS, rows, title=f"Fig. 8 — {gpu_name}, one GPU"))
     write_csv(f"fig8_{gpu_name.lower()}", _HEADERS, rows)
 
     gpu = GPU_BY_NAME[gpu_name]
-    largest = max(p.n for p in points)
-    at = {(p.label, p.strategy): p for p in points if p.n == largest}
+    # (config, strategy, n) -> (Tflop/s, H2D GB)
+    pts = {(r[0], r[3], r[2]): (r[4], r[6]) for r in rows}
+    largest = max(sizes)
+    at = {(c, st): tf for (c, st, n), (tf, _) in pts.items() if n == largest}
 
     # STC never loses to TTC, anywhere
-    for p_stc in points:
-        if p_stc.strategy != "STC" or p_stc.label not in ("FP64/FP16_32", "FP64/FP16"):
+    for (label, strategy, n), (tflops, h2d) in pts.items():
+        if strategy != "TTC":
             continue
-        p_ttc = next(
-            q for q in points
-            if q.label == p_stc.label and q.n == p_stc.n and q.strategy == "TTC"
-        )
-        assert p_stc.tflops >= p_ttc.tflops * 0.999
+        stc_tflops, stc_h2d = pts[(label, "STC", n)]
+        assert stc_tflops >= tflops * 0.999
         # STC never moves more payload bytes; the small slack covers extra
         # eviction traffic from the transient dual-precision copy at the
         # producer when the GPU is memory-tight
-        assert p_stc.h2d_gb <= p_ttc.h2d_gb * 1.05
+        assert stc_h2d <= h2d * 1.05
 
     # STC/TTC speedup band at the largest size
     for label in ("FP64/FP16_32", "FP64/FP16"):
-        ratio = at[(label, "STC")].tflops / at[(label, "TTC")].tflops
+        ratio = at[(label, "STC")] / at[(label, "TTC")]
         assert 1.02 <= ratio <= 1.8, f"{gpu_name} {label}: STC/TTC {ratio:.2f}"
 
     # FP64 efficiency vs theoretical peak
     fp64 = at[("FP64", "STC")]
-    eff = fp64.tflops / (gpu.peak(Precision.FP64) / 1e12)
+    eff = fp64 / (gpu.peak(Precision.FP64) / 1e12)
     if gpu_name == "H100":
         assert 0.35 <= eff <= 0.85, f"H100 FP64 efficiency {eff:.2f}"
     else:
         assert 0.6 <= eff <= 1.0, f"{gpu_name} FP64 efficiency {eff:.2f}"
 
     # big win of FP64/FP16 over FP64
-    speedup = at[("FP64/FP16", "STC")].tflops / fp64.tflops
+    speedup = at[("FP64/FP16", "STC")] / fp64
     assert speedup > 3.0, f"{gpu_name} FP64/FP16 vs FP64 speedup {speedup:.1f}"
     # FP32 sits between FP64 and the FP16-class configs
-    assert at[("FP32", "STC")].tflops > fp64.tflops
-    assert at[("FP64/FP16", "STC")].tflops > at[("FP64/FP16_32", "STC")].tflops * 0.95
+    assert at[("FP32", "STC")] > fp64
+    assert at[("FP64/FP16", "STC")] > at[("FP64/FP16_32", "STC")] * 0.95

@@ -7,25 +7,28 @@ weak/strong scaling and the mixed-precision effect on 384 GPUs), and the
 design-choice ablations DESIGN.md lists (tile size, band-vs-norm
 assignment, scheduler priority).
 
-Every driver prices DAGs through the calibrated simulator (event-level
-for single-node runs, the analytic panel model for cluster scale) and
-returns plain rows for the pytest-benchmark wrappers.
+Figs. 8 and 11 and the tile-size and scheduler ablations are sweep
+points: ``*_SPECS`` / :func:`strategy_specs` name their
+:class:`~repro.sweep.RunSpec` lists and ``*_rows`` format the
+:class:`~repro.sweep.SweepResult` of :func:`repro.sweep.run_sweep`.
+Priced here instead: Figs. 9 and 10, which read the event trace a sweep
+point does not keep, and Fig. 12 and the band-vs-norm ablation, which
+run the analytic panel model
+(:func:`~repro.perfmodel.analytic.analytic_cholesky`), not the engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..core.config import ConversionStrategy
 from ..core.precision_map import (
     FIXED_CONFIGS,
     KernelPrecisionMap,
     band_precision_map,
     fixed_config_map,
-    two_precision_map,
     uniform_map,
 )
 from ..core.solver import simulate_cholesky
@@ -35,62 +38,50 @@ from ..perfmodel.energy import EnergyReport, energy_report
 from ..perfmodel.gpus import GPU_BY_NAME, GUYOT_NODE, SUMMIT_NODE
 from ..precision.formats import Precision
 from ..runtime.platform import Platform
+from ..sweep import RunSpec, SweepResult
 from .apps import APPLICATIONS, app_kernel_map
 
 __all__ = [
-    "PerfPoint",
-    "fig8_configs",
-    "fig8_rows",
+    "FIG8_SERIES",
+    "MACHINES",
+    "default_sizes",
+    "strategy_specs",
+    "strategy_rows",
     "fig9_occupancy_rows",
     "fig10_energy_rows",
-    "fig11_rows",
     "fig12_weak_rows",
     "fig12_strong_rows",
     "fig12_mp_rows",
-    "ablation_tile_size_rows",
+    "TILE_SIZE_SPECS",
+    "tile_size_rows",
     "ablation_band_vs_norm_rows",
-    "ablation_scheduler_rows",
+    "SCHEDULER_SCHEMES",
+    "SCHEDULER_SPECS",
+    "scheduler_rows",
 ]
 
 NB = 2048
 
+#: the six series of Figs. 8 and 11, in row order: (config, strategy);
+#: ``auto`` is all-STC on these extreme two-precision maps
+FIG8_SERIES = (
+    ("FP64", "auto"),
+    ("FP32", "auto"),
+    ("FP64/FP16_32", "auto"),
+    ("FP64/FP16_32", "ttc"),
+    ("FP64/FP16", "auto"),
+    ("FP64/FP16", "ttc"),
+)
 
-@dataclass(frozen=True)
-class PerfPoint:
-    """One simulated data point of a performance figure."""
-
-    label: str
-    gpu: str
-    n: int
-    strategy: str
-    tflops: float
-    seconds: float
-    h2d_gb: float
-    conversions: int
-
-    def row(self) -> list:
-        return [
-            self.label,
-            self.gpu,
-            self.n,
-            self.strategy,
-            self.tflops,
-            self.seconds,
-            self.h2d_gb,
-            self.conversions,
-        ]
-
-
-def fig8_configs() -> list[tuple[str, ConversionStrategy]]:
-    """The Fig. 8 series: pure precisions plus STC/TTC extreme pairs."""
-    return [
-        ("FP64", ConversionStrategy.AUTO),
-        ("FP32", ConversionStrategy.AUTO),
-        ("FP64/FP16_32", ConversionStrategy.AUTO),  # all-STC in the extreme map
-        ("FP64/FP16_32", ConversionStrategy.TTC),
-        ("FP64/FP16", ConversionStrategy.AUTO),
-        ("FP64/FP16", ConversionStrategy.TTC),
-    ]
+#: the machines of Figs. 8 and 11 as RunSpec platform fields: one GPU of
+#: each model, and the Summit (6 × V100) and Guyot (8 × A100, 2,063 GB
+#: host) nodes
+MACHINES = {
+    **{name: {"gpu": name} for name in GPU_BY_NAME},
+    **{name: {"gpu": node.gpu.name, "gpus_per_node": node.gpus_per_node,
+              "host_memory_gb": node.host_memory_bytes / 1e9}
+       for name, node in (("summit", SUMMIT_NODE), ("guyot", GUYOT_NODE))},
+}
 
 
 def default_sizes(gpu_name: str) -> tuple[int, ...]:
@@ -100,43 +91,30 @@ def default_sizes(gpu_name: str) -> tuple[int, ...]:
     return (16384, 32768, 61440, 73728)
 
 
-def _strategy_rows(
-    platform: Platform, gpu_label: str, sizes: tuple[int, ...], nb: int
-) -> list[PerfPoint]:
-    """The Fig. 8 / Fig. 11 loop: every :func:`fig8_configs` series at
-    every size, priced on ``platform``."""
-    out: list[PerfPoint] = []
-    for n in sizes:
-        nt = -(-n // nb)
-        for label, strategy in fig8_configs():
-            kmap = fixed_config_map(nt, label)
-            rep = simulate_cholesky(
-                n, nb, kmap, platform, strategy=strategy, record_events=False
-            )
-            out.append(
-                PerfPoint(
-                    label=label,
-                    gpu=gpu_label,
-                    n=n,
-                    strategy="STC" if strategy == ConversionStrategy.AUTO else "TTC",
-                    tflops=rep.stats.tflops,
-                    seconds=rep.makespan,
-                    h2d_gb=rep.stats.to_dict()["h2d_bytes"] / 1e9,
-                    conversions=rep.stats.n_conversions,
-                )
-            )
-    return out
+def strategy_specs(machine: str, sizes: Sequence[int]) -> list[RunSpec]:
+    """Figs. 8 and 11: every :data:`FIG8_SERIES` point at every size on
+    one :data:`MACHINES` entry."""
+    return [RunSpec(n=n, nb=NB, config=config, strategy=strategy, **MACHINES[machine])
+            for n in sizes for config, strategy in FIG8_SERIES]
 
 
-def fig8_rows(
-    gpu_name: str,
-    sizes: tuple[int, ...] | None = None,
-    *,
-    nb: int = NB,
-) -> list[PerfPoint]:
-    """Fig. 8: STC vs TTC across precision configs on one GPU."""
-    platform = Platform.single_gpu(GPU_BY_NAME[gpu_name])
-    return _strategy_rows(platform, gpu_name, sizes or default_sizes(gpu_name), nb)
+def _points(result: SweepResult) -> list[tuple[RunSpec, dict]]:
+    """``(spec, result)`` of every point in spec order; a failed point raises."""
+    for run in result.runs:
+        if run.failed:
+            raise RuntimeError(f"sweep point {run.spec.label} failed: {run.result['error']}")
+    return [(run.spec, run.result) for run in result.runs]
+
+
+def strategy_rows(result: SweepResult) -> list[list]:
+    """Fig. 8 / Fig. 11 rows: ``[config, GPU, n, STC|TTC, Tflop/s, seconds,
+    H2D GB, conversions]``; the GPU is ``V100`` alone, ``A100x8`` on a node."""
+    return [
+        [s.config, s.gpu if s.gpus_per_node == 1 else f"{s.gpu}x{s.gpus_per_node}", s.n,
+         "STC" if s.strategy == "auto" else "TTC", r["tflops"], r["makespan_seconds"],
+         r["h2d_bytes"] / 1e9, r["n_conversions"]]
+        for s, r in _points(result)
+    ]
 
 
 def fig9_occupancy_rows(
@@ -153,7 +131,7 @@ def fig9_occupancy_rows(
     out: dict[str, list[tuple[float, float]]] = {}
     for label in FIXED_CONFIGS:
         kmap = fixed_config_map(nt, label)
-        rep = simulate_cholesky(n, nb, kmap, platform, strategy=ConversionStrategy.AUTO)
+        rep = simulate_cholesky(n, nb, kmap, platform)
         occupancy = utilization_timeline(rep.trace.events_of_rank(0),
                                          makespan=rep.makespan, n_buckets=n_windows)
         starts = np.linspace(0.0, rep.makespan, n_windows + 1)[:-1].tolist()
@@ -188,7 +166,7 @@ def fig10_energy_rows(
         )
     out = []
     for label, kmap in runs:
-        rep = simulate_cholesky(n, nb, kmap, platform, strategy=ConversionStrategy.AUTO)
+        rep = simulate_cholesky(n, nb, kmap, platform)
         report = energy_report(
             gpu,
             rep.trace.events_of_rank(0),
@@ -197,18 +175,6 @@ def fig10_energy_rows(
         )
         out.append((label, report))
     return out
-
-
-def fig11_rows(
-    node_name: str,
-    sizes: tuple[int, ...] = (32768, 61440, 90112),
-    *,
-    nb: int = NB,
-) -> list[PerfPoint]:
-    """Fig. 11: single-node multi-GPU STC vs TTC (Summit 6×V100, Guyot 8×A100)."""
-    node = {"summit": SUMMIT_NODE, "guyot": GUYOT_NODE}[node_name]
-    return _strategy_rows(Platform(node=node, n_nodes=1),
-                          f"{node.gpu.name}x{node.gpus_per_node}", sizes, nb)
 
 
 def fig12_weak_rows(
@@ -284,22 +250,14 @@ def fig12_mp_rows(
 # -- ablations ---------------------------------------------------------------
 
 
-def ablation_tile_size_rows(
-    tile_sizes: tuple[int, ...] = (512, 1024, 2048, 4096),
-    *,
-    n: int = 49152,
-    gpu_name: str = "V100",
-) -> list[list]:
-    """Tile-size sensitivity (the paper fixes nb = 2048 empirically)."""
-    gpu = GPU_BY_NAME[gpu_name]
-    platform = Platform.single_gpu(gpu)
-    rows = []
-    for nb in tile_sizes:
-        nt = -(-n // nb)
-        kmap = two_precision_map(nt, Precision.FP16)
-        rep = simulate_cholesky(n, nb, kmap, platform, record_events=False)
-        rows.append([nb, nt, rep.stats.tflops, rep.makespan])
-    return rows
+#: tile-size sensitivity on one V100 (the paper fixes nb = 2048 empirically)
+TILE_SIZE_SPECS = tuple(RunSpec(n=49152, nb=nb, config="FP64/FP16", gpu="V100")
+                        for nb in (512, 1024, 2048, 4096))
+
+
+def tile_size_rows(result: SweepResult) -> list[list]:
+    """Rows: ``[nb, NT, Tflop/s, seconds]``."""
+    return [[s.nb, s.nt, r["tflops"], r["makespan_seconds"]] for s, r in _points(result)]
 
 
 def ablation_band_vs_norm_rows(
@@ -343,16 +301,19 @@ def ablation_band_vs_norm_rows(
     return rows
 
 
-def ablation_scheduler_rows(
-    *,
-    n: int = 32768,
-    nb: int = NB,
-) -> list[list]:
-    """Cholesky panel priority vs FIFO dispatch in the simulator."""
-    platform = Platform(node=SUMMIT_NODE, n_nodes=1)
-    kmap = two_precision_map(-(-n // nb), Precision.FP16)
-    rows = []
-    for scheme, policy in (("panel-priority", "panel-first"), ("fifo", "fifo")):
-        rep = simulate_cholesky(n, nb, kmap, platform, record_events=False, policy=policy)
-        rows.append([scheme, rep.stats.tflops, rep.makespan])
-    return rows
+#: the scheduler ablation's policies and their row labels
+SCHEDULER_SCHEMES = {"panel-first": "panel-priority", "fifo": "fifo"}
+
+#: Cholesky panel priority vs FIFO dispatch on one Summit node.  The two
+#: commit the same order on a k-major Cholesky DAG: both take the
+#: earliest-ready task first, among equal-ready ones panel-first orders
+#: by ``(priority, tid)`` and FIFO by ``tid``, and the priority
+#: ``4k + kind`` never decreases with the task id.
+SCHEDULER_SPECS = tuple(RunSpec(n=32768, nb=NB, config="FP64/FP16", policy=policy,
+                                **MACHINES["summit"]) for policy in SCHEDULER_SCHEMES)
+
+
+def scheduler_rows(result: SweepResult) -> list[list]:
+    """Rows: ``[scheme, Tflop/s, seconds]``."""
+    return [[SCHEDULER_SCHEMES[s.policy], r["tflops"], r["makespan_seconds"]]
+            for s, r in _points(result)]

@@ -100,6 +100,7 @@ def _add_capture_flags(p: argparse.ArgumentParser, *, trace: bool, profile: bool
 def build_parser() -> argparse.ArgumentParser:
     from .core import FIXED_CONFIGS, ConversionStrategy
     from .perfmodel import GPU_BY_NAME
+    from .runtime.platform import DEFAULT_HOST_MEMORY_GB
     from .runtime.policies import POLICY_NAMES
     from .sweep.grid import KERNEL_CONFIGS, ORDERINGS
 
@@ -141,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default="FP64/FP16", choices=list(FIXED_CONFIGS))
     p.add_argument("--strategy", default="auto",
                    choices=[s.value for s in ConversionStrategy])
-    p.add_argument("--host-memory-gb", type=float, default=256.0,
+    p.add_argument("--host-memory-gb", type=float, default=DEFAULT_HOST_MEMORY_GB,
                    help="host DRAM capacity per node in GB; tiles evicted "
                         "beyond this spill to the simulated disk tier — "
                         "shrink it to surface eviction/spill traffic "
-                        "(default: 256)")
+                        f"(default: {DEFAULT_HOST_MEMORY_GB:g})")
     p.add_argument("--policy", default="panel-first", choices=list(POLICY_NAMES),
                    help="scheduling policy for the ready heap "
                         "(default: panel-first; see docs/SCHEDULING.md)")
@@ -183,6 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="GPUs-per-node axis; repeatable (default: 1)")
     p.add_argument("--nodes", type=int, action="append", default=None, dest="n_nodes",
                    help="node-count axis; repeatable (default: 1)")
+    p.add_argument("--host-memory-gb", type=float, action="append", default=None,
+                   help="host DRAM per node axis in GB, as simulate's; "
+                        f"repeatable (default: {DEFAULT_HOST_MEMORY_GB:g})")
     p.add_argument("--app", action="append", default=None,
                    choices=["2d-sqexp", "2d-matern", "3d-sqexp"],
                    help="application axis for adaptive configs (default: 2d-matern)")
@@ -568,6 +572,11 @@ def _cmd_sweep(args) -> int:
 
     # each axis flag's dest is its RunSpec field; one never passed is None
     grid = SweepGrid.from_axes(name=args.name, **{axis: getattr(args, axis) for axis in AXES})
+    try:
+        grid.expand()  # every point is valid before the first one runs
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     with _capture(args) as profiler:
         result = run_sweep(
             grid, workers=args.workers, cache_dir=args.cache_dir, force=args.force,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import platform as _platform
 import subprocess
 import sys
@@ -44,8 +45,13 @@ def _jsonable_config(config: object) -> object:
 
 
 def git_revision(root: str | Path | None = None) -> str | None:
-    """HEAD revision of the repository containing this package (or ``root``)."""
-    cwd = Path(root) if root is not None else Path(__file__).resolve().parent
+    """HEAD revision of the repository containing this package (or
+    ``root``), asked of git once per process and directory."""
+    return _git_revision((Path(root) if root is not None else Path(__file__).parent).resolve())
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision(cwd: Path) -> str | None:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from ..perfmodel.gpus import GPUSpec, NodeSpec
 from ..tiles.distribution import ProcessGrid
 
-__all__ = ["Platform"]
+__all__ = ["DEFAULT_HOST_MEMORY_GB", "Platform"]
+
+#: host DRAM per node (GB) of a node built from a run description
+DEFAULT_HOST_MEMORY_GB = 256.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class Platform:
         gpus_per_node: int = 1,
         n_nodes: int = 1,
         *,
-        host_memory: float = 256e9,
+        host_memory: float = DEFAULT_HOST_MEMORY_GB * 1e9,
     ) -> "Platform":
         """``n_nodes`` generic nodes of ``gpus_per_node`` GPUs of one model.
 
@@ -81,5 +84,5 @@ class Platform:
 
     @classmethod
     def single_gpu(cls, gpu: GPUSpec) -> "Platform":
-        """One node with one GPU of the given model (Fig. 8/9/10 setups)."""
+        """One node with one GPU of the given model (Fig. 9/10 setups)."""
         return cls.of_gpus(gpu)

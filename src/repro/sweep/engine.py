@@ -81,7 +81,8 @@ def execute_spec(spec_dict: dict) -> dict:
     from ..runtime import Platform
 
     spec = RunSpec.from_dict(spec_dict)
-    platform = Platform.of_gpus(GPU_BY_NAME[spec.gpu], spec.gpus_per_node, spec.n_nodes)
+    platform = Platform.of_gpus(GPU_BY_NAME[spec.gpu], spec.gpus_per_node, spec.n_nodes,
+                                host_memory=spec.host_memory_gb * 1e9)
 
     t0 = time.perf_counter()
     ordering_score: float | None = None
@@ -159,11 +160,10 @@ class SweepRun:
 
     def row(self) -> tuple:
         """One row of the aggregated results table."""
-        plat = f"{self.spec.n_nodes}x{self.spec.gpus_per_node}x{self.spec.gpu}"
         cfg = self.spec.config if self.spec.config != "adaptive" else f"adaptive({self.spec.app})"
         if self.spec.ordering != "morton":
             cfg += f" ord={self.spec.ordering}"
-        head = (cfg, self.spec.strategy, self.spec.policy, self.spec.n, self.spec.nb, plat)
+        head = (cfg, self.spec.strategy, self.spec.policy, self.spec.n, self.spec.nb, self.spec.platform)
         if self.failed:
             return head + ("-", "-", "-", "-", "-", "miss", "yes")
         return head + (

@@ -5,7 +5,7 @@ across matrix sizes (Fig. 8), weak/strong scaling grids (Fig. 12),
 precision-configuration panels (Figs. 1, 7) — yet a single simulator
 invocation prices exactly one point.  A :class:`SweepGrid` names the
 axes once (sizes, tile sizes, precision configs, conversion strategies,
-platforms, seeds) and expands them into the cartesian list of
+platforms, host memory, seeds) and expands them into the cartesian list of
 :class:`RunSpec` points the campaign engine executes.
 
 Every :class:`RunSpec` carries a deterministic cache key: the SHA-256
@@ -26,6 +26,7 @@ from typing import Iterator, Mapping
 
 from ..core.config import ConversionStrategy
 from ..core.precision_map import FIXED_CONFIGS
+from ..runtime.platform import DEFAULT_HOST_MEMORY_GB
 
 __all__ = ["AXES", "RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
 
@@ -36,8 +37,9 @@ __all__ = ["AXES", "RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
 #:  5: spatial ordering becomes a spec field and sweep axis, adaptive
 #:     results gain ordering/precision-map structure metrics;
 #:  6: the spec drops its unbounded-memory switch and the strategy value
-#:     that priced the same run as "auto")
-CACHE_SCHEMA = 6
+#:     that priced the same run as "auto";
+#:  7: host memory per node becomes a spec field and sweep axis)
+CACHE_SCHEMA = 7
 
 #: supported kernel-precision configurations; "adaptive" builds the map
 #: from sampled tile norms of the named application at ``accuracy``
@@ -56,7 +58,8 @@ class RunSpec:
     configurations of Fig. 8 or ``"adaptive"``, in which case ``app``
     names the application whose sampled tile norms feed the Higham–Mary
     rule and ``accuracy`` (optional) overrides the application's
-    ``u_req`` threshold.
+    ``u_req`` threshold.  ``host_memory_gb`` is the host DRAM of each
+    node (Guyot's 2,063 GB in Fig. 11; tiles beyond it spill to disk).
     """
 
     n: int
@@ -66,6 +69,7 @@ class RunSpec:
     gpu: str = "V100"
     gpus_per_node: int = 1
     n_nodes: int = 1
+    host_memory_gb: float = DEFAULT_HOST_MEMORY_GB
     app: str = "2d-matern"
     accuracy: float | None = None
     seed: int = 0
@@ -84,6 +88,8 @@ class RunSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {strategies}")
         if self.gpus_per_node < 1 or self.n_nodes < 1:
             raise ValueError("gpus_per_node and n_nodes must be positive")
+        if not self.host_memory_gb > 0:
+            raise ValueError(f"host_memory_gb must be positive, got {self.host_memory_gb}")
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
         if self.ordering not in ORDERINGS:
@@ -96,10 +102,17 @@ class RunSpec:
         return -(-self.n // self.nb)
 
     @property
-    def label(self) -> str:
+    def platform(self) -> str:
+        """``nodes x GPUs x model``, plus the host size when not the default."""
         plat = f"{self.n_nodes}x{self.gpus_per_node}x{self.gpu}"
+        if self.host_memory_gb != DEFAULT_HOST_MEMORY_GB:
+            plat += f" host={self.host_memory_gb:g}GB"
+        return plat
+
+    @property
+    def label(self) -> str:
         cfg = self.config if self.config != "adaptive" else f"adaptive({self.app})"
-        base = f"{cfg}/{self.strategy} n={self.n} nb={self.nb} {plat}"
+        base = f"{cfg}/{self.strategy} n={self.n} nb={self.nb} {self.platform}"
         if self.policy != "panel-first":
             base += f" [{self.policy}]"
         if self.ordering != "morton":
@@ -146,6 +159,7 @@ class SweepGrid:
     gpu: tuple[str, ...] = ("V100",)
     gpus_per_node: tuple[int, ...] = (1,)
     n_nodes: tuple[int, ...] = (1,)
+    host_memory_gb: tuple[float, ...] = (DEFAULT_HOST_MEMORY_GB,)
     app: tuple[str, ...] = ("2d-matern",)
     accuracy: tuple[float | None, ...] = (None,)
     seed: tuple[int, ...] = (0,)

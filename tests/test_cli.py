@@ -235,7 +235,7 @@ class TestParserSurface:
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 71
+                   for sp in self._subparsers().values()) == 72
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against
@@ -251,7 +251,8 @@ class TestParserSurface:
         ``simulate`` lost ``--lookahead`` (the window is always the default)
         and both verbs' ``--strategy`` the ``stc`` choice, which priced the
         same run as ``auto``; ``sweep``'s ``--gpus`` / ``--nodes`` store
-        under their ``RunSpec`` field names)."""
+        under their ``RunSpec`` field names; ``sweep`` gained the
+        ``--host-memory-gb`` axis, ``simulate``'s flag of that name)."""
         import json
         from pathlib import Path
 

@@ -48,6 +48,29 @@ class TestManifest:
         # this repo is a git checkout, so the revision must resolve
         assert isinstance(m["git_revision"], str) and len(m["git_revision"]) == 40
 
+    def test_git_is_asked_once_per_process(self, monkeypatch):
+        """A campaign stores one manifest per point; ``git rev-parse`` runs
+        once per resolved root, not once per manifest."""
+        import subprocess
+
+        from repro.obs import manifest
+
+        calls = []
+
+        def fake_run(*args, **kwargs):
+            calls.append(kwargs["cwd"])
+            return subprocess.CompletedProcess(args, 0, stdout="a" * 40 + "\n")
+
+        manifest._git_revision.cache_clear()
+        monkeypatch.setattr(manifest.subprocess, "run", fake_run)
+        try:
+            first = obs.build_manifest(command="sweep.run", seed=0)
+            second = obs.build_manifest(command="sweep.run", seed=1)
+        finally:
+            manifest._git_revision.cache_clear()  # later tests ask the real git
+        assert first["git_revision"] == second["git_revision"] == "a" * 40
+        assert len(calls) == 1
+
     def test_config_normalisation(self):
         from repro.core.config import MPConfig
 

@@ -22,6 +22,11 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(n=1024, nb=256, n_nodes=0)
 
+    @pytest.mark.parametrize("host_memory_gb", [0.0, -1.0, float("nan")])
+    def test_host_memory_must_be_positive(self, host_memory_gb):
+        with pytest.raises(ValueError, match="host_memory_gb"):
+            RunSpec(**TINY, host_memory_gb=host_memory_gb)
+
     def test_nt_ceil_division(self):
         assert RunSpec(n=1024, nb=256).nt == 4
         assert RunSpec(n=1025, nb=256).nt == 5
@@ -41,9 +46,10 @@ class TestRunSpec:
         # literals computed before the one-builder refactor of
         # execute_spec: a cache written then must still hit, and hold
         # the numbers a fresh run produces (the key was re-taken when
-        # CACHE_SCHEMA went 5 -> 6; the results are the same literals)
+        # CACHE_SCHEMA went 5 -> 6 and 6 -> 7; the results are the same
+        # literals)
         spec = RunSpec(n=2048, nb=256, config="FP64/FP16_32")
-        assert spec.cache_key() == "a2c0073d2fc0bb57"
+        assert spec.cache_key() == "88637f2258f26702"
         result = execute_spec(spec.to_dict())
         assert result["makespan_seconds"] == 0.0011489401721384125
         assert (result["n_tasks"], result["n_conversions"]) == (120, 63)
@@ -59,6 +65,7 @@ class TestRunSpec:
             RunSpec(**TINY, gpu="A100"),
             RunSpec(**TINY, gpus_per_node=2),
             RunSpec(**TINY, n_nodes=2),
+            RunSpec(**TINY, host_memory_gb=2063.0),
             RunSpec(**TINY, app="3d-exponential"),
             RunSpec(**TINY, accuracy=1e-4),
             RunSpec(**TINY, seed=7),
@@ -112,6 +119,23 @@ class TestExecuteSpec:
         )
         assert result["n_tasks"] == 20
         assert "FP64" in result["tile_fractions"]
+
+    def test_host_memory_reaches_the_platform(self):
+        """A starved host spills, and prices what ``of_gpus`` prices."""
+        from repro.core import fixed_config_map, simulate_cholesky
+        from repro.perfmodel import V100
+        from repro.runtime import Platform
+
+        spec = RunSpec(n=8192, nb=1024, host_memory_gb=0.1)
+        assert "host=0.1GB" in spec.label
+        result = execute_spec(spec.to_dict())
+        rep = simulate_cholesky(8192, 1024, fixed_config_map(8, "FP64"),
+                                Platform.of_gpus(V100, host_memory=0.1e9),
+                                record_events=False)
+        assert result["makespan_seconds"] == rep.makespan
+        assert result["n_host_evictions"] == rep.stats.n_host_evictions > 0
+        roomy = execute_spec(RunSpec(n=8192, nb=1024).to_dict())
+        assert roomy["n_host_evictions"] == 0
 
     def test_picklable_payload(self):
         import pickle
@@ -211,6 +235,22 @@ class TestSweepCli:
         doc = json.loads((tmp_path / "BENCH_axes.json").read_text())
         assert doc["axes"] == {**SweepGrid().axes_dict(), "n": [1024], "nb": [256],
                                "gpus_per_node": [2], "n_nodes": [2], "strategy": ["ttc"]}
+
+
+    def test_host_memory_axis(self, tmp_path, capsys):
+        """``--host-memory-gb`` is a repeatable axis, as simulate's flag;
+        a value the spec rejects is a usage error before any point runs."""
+        base = ["sweep", "--n", "8192", "--nb", "1024", "--cache-dir", str(tmp_path / "cache")]
+        assert main([*base, "--host-memory-gb", "0.1", "--host-memory-gb", "256",
+                     "--bench-out", str(tmp_path), "--name", "host"]) == 0
+        assert "1x1xV100 host=0.1GB" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "BENCH_host.json").read_text())
+        assert doc["axes"]["host_memory_gb"] == [0.1, 256.0]
+        evictions = [r["metrics"]["n_host_evictions"] for r in doc["runs"]]
+        assert evictions[0] > 0 and evictions[1] == 0
+
+        assert main([*base, "--host-memory-gb", "0"]) == 2
+        assert "host_memory_gb must be positive" in capsys.readouterr().err
 
 
 class TestPolicyAxis:
