@@ -110,6 +110,7 @@ class TestStreamingMemory:
         mat = _simulate_subprocess("materialize", tmp_path)
         stm = _simulate_subprocess("stream", tmp_path)
         assert stm["makespan_seconds"] == mat["makespan_seconds"]
+        assert stm["joules"] == mat["joules"]
         assert stm["n_tasks"] == mat["n_tasks"] == cholesky_task_count(96)
         assert stm["peak_live_tasks"] < mat["peak_live_tasks"]
         # swept refills top the window up to exactly its lookahead (9,600)

@@ -1,19 +1,19 @@
 """Experiment drivers for the performance/energy/scaling studies.
 
 Covers Fig. 8 (STC vs TTC on one V100/A100/H100), Fig. 9 (H100
-occupancy), Fig. 10 (power/energy, FP64 vs the mixed-precision
+occupancy), Fig. 10 (energy and Gflops/W, FP64 vs the mixed-precision
 applications), Fig. 11 (single-node multi-GPU), Fig. 12 (Summit
 weak/strong scaling and the mixed-precision effect on 384 GPUs), and the
 design-choice ablations DESIGN.md lists (tile size, band-vs-norm
 assignment, scheduler priority).
 
-Figs. 8 and 11 and the tile-size and scheduler ablations are sweep
-points: ``*_SPECS`` / :func:`strategy_specs` name their
-:class:`~repro.sweep.RunSpec` lists and ``*_rows`` format the
+Figs. 8, 10 and 11 and the tile-size and scheduler ablations are sweep
+points: ``*_SPECS`` / :func:`strategy_specs` / :func:`fig10_specs` name
+their :class:`~repro.sweep.RunSpec` lists and ``*_rows`` format the
 :class:`~repro.sweep.SweepResult` of :func:`repro.sweep.run_sweep`.
-Priced here instead: Figs. 9 and 10, which read the event trace a sweep
-point does not keep, and Fig. 12 and the band-vs-norm ablation, which
-run the analytic panel model
+Priced here instead: Fig. 9, which reads the event trace a sweep point
+does not keep, and Fig. 12 and the band-vs-norm ablation, which run the
+analytic panel model
 (:func:`~repro.perfmodel.analytic.analytic_cholesky`), not the engine.
 """
 
@@ -26,7 +26,6 @@ import numpy as np
 
 from ..core.precision_map import (
     FIXED_CONFIGS,
-    KernelPrecisionMap,
     band_precision_map,
     fixed_config_map,
     uniform_map,
@@ -34,7 +33,6 @@ from ..core.precision_map import (
 from ..core.solver import simulate_cholesky
 from ..obs.analysis import utilization_timeline
 from ..perfmodel.analytic import analytic_cholesky
-from ..perfmodel.energy import EnergyReport, energy_report
 from ..perfmodel.gpus import GPU_BY_NAME, GUYOT_NODE, SUMMIT_NODE
 from ..precision.formats import Precision
 from ..runtime.platform import Platform
@@ -48,7 +46,8 @@ __all__ = [
     "strategy_specs",
     "strategy_rows",
     "fig9_occupancy_rows",
-    "fig10_energy_rows",
+    "fig10_specs",
+    "fig10_rows",
     "fig12_weak_rows",
     "fig12_strong_rows",
     "fig12_mp_rows",
@@ -139,42 +138,27 @@ def fig9_occupancy_rows(
     return out
 
 
-def fig10_energy_rows(
-    gpu_name: str,
-    *,
-    n: int | None = None,
-    nb: int = NB,
-    samples_per_tile: int = 32,
-) -> list[tuple[str, EnergyReport]]:
-    """Fig. 10: energy of FP64 vs the MP approach for the three apps.
+def fig10_specs(gpu_name: str, n: int) -> list[RunSpec]:
+    """Fig. 10: FP64 and the adaptive map of the three applications on one GPU.
 
-    Matrix sizes follow the paper: 61,440 on V100 (largest FP64 fit),
-    122,880 on A100/H100 (Haxane host-memory limit).
+    The paper's sizes are 61,440 on V100 (its largest FP64 fit) and
+    122,880 on A100/H100.  Every point runs on the default 256 GB host,
+    not Haxane's 63 GB host (``HAXANE_NODE``), on which the runs at
+    122,880 would spill more to disk.  The FP64 point is Fig. 8's FP64
+    point at the same size.
     """
-    gpu = GPU_BY_NAME[gpu_name]
-    platform = Platform.single_gpu(gpu)
-    if n is None:
-        n = 61440 if gpu_name == "V100" else 122880
-    nt = -(-n // nb)
-    runs: list[tuple[str, KernelPrecisionMap]] = [("FP64", uniform_map(nt, Precision.FP64))]
-    for key in ("2d-sqexp", "2d-matern", "3d-sqexp"):
-        runs.append(
-            (
-                APPLICATIONS[key].label,
-                app_kernel_map(APPLICATIONS[key], n, nb, samples_per_tile=samples_per_tile),
-            )
-        )
-    out = []
-    for label, kmap in runs:
-        rep = simulate_cholesky(n, nb, kmap, platform)
-        report = energy_report(
-            gpu,
-            rep.trace.events_of_rank(0),
-            rep.makespan,
-            total_flops=rep.stats.total_flops,
-        )
-        out.append((label, report))
-    return out
+    return [RunSpec(n=n, nb=NB, config="FP64", gpu=gpu_name),
+            *(RunSpec(n=n, nb=NB, config="adaptive", app=app, gpu=gpu_name)
+              for app in ("2d-sqexp", "2d-matern", "3d-sqexp"))]
+
+
+def fig10_rows(result: SweepResult) -> list[list]:
+    """Rows: ``[config, seconds, kJ, Gflops/W, average W]``."""
+    return [
+        ["FP64" if s.config == "FP64" else APPLICATIONS[s.app].label, r["makespan_seconds"],
+         r["joules"] / 1e3, r["gflops_per_watt"], r["joules"] / r["makespan_seconds"]]
+        for s, r in _points(result)
+    ]
 
 
 def fig12_weak_rows(

@@ -463,6 +463,7 @@ def _cmd_simulate(args) -> int:
     # live-overhead gate read them out of the run summary's stats
     d = rep.stats.to_dict()
     d.update(
+        joules=rep.joules,
         wall_seconds=wall,
         tasks_per_second=d["n_tasks"] / wall if wall > 0.0 else 0.0,
         peak_rss_bytes=_peak_rss_bytes(),
@@ -474,6 +475,7 @@ def _cmd_simulate(args) -> int:
           f"policy {rep.policy}):")
     print(f"  makespan   {d['makespan_seconds']:.4f} s")
     print(f"  throughput {d['tflops']:.1f} Tflop/s")
+    print(f"  energy     {rep.joules / 1e3:.2f} kJ  {rep.gflops_per_watt:.1f} Gflops/W")
     print(f"  h2d        {d['h2d_bytes'] / 1e9:.2f} GB")
     print(f"  d2h        {d['d2h_bytes'] / 1e9:.2f} GB  nic {d['nic_bytes'] / 1e9:.2f} GB")
     print(f"  conversions {d['n_conversions']} "

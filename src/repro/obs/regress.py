@@ -68,6 +68,7 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
     "gflops": Threshold(0.02, "higher"),
     "best_tflops": Threshold(0.02, "higher"),
     "total_sim_makespan_seconds": Threshold(0.02, "lower"),
+    "joules": Threshold(0.02, "lower"),
     # every ``RunStats`` link total (``repro.runtime.tracing.LINKS``; spelled
     # out because ``repro.obs`` loads before ``repro.runtime``) and the
     # out-of-core counters: any increase in data motion regresses

@@ -1,4 +1,4 @@
-"""Hardware specifications of the evaluated GPUs, nodes, and clusters.
+"""Hardware specifications of the evaluated GPUs and nodes.
 
 Table I of the paper lists theoretical peak performance per precision for
 the three Nvidia generations it evaluates (V100 NVLink on Summit, A100 SXM
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from ..precision.formats import Precision
 
-__all__ = ["GPUSpec", "NodeSpec", "ClusterSpec", "V100", "A100", "H100", "SUMMIT_NODE", "GUYOT_NODE", "HAXANE_NODE", "SUMMIT", "GPU_BY_NAME"]
+__all__ = ["GPUSpec", "NodeSpec", "V100", "A100", "H100", "SUMMIT_NODE", "GUYOT_NODE", "HAXANE_NODE", "GPU_BY_NAME"]
 
 _TFLOP = 1e12
 
@@ -266,18 +266,3 @@ HAXANE_NODE = NodeSpec(
     nic_bandwidth=25e9,
     nic_latency=1.5e-6,
 )
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A homogeneous cluster of :class:`NodeSpec` nodes."""
-
-    name: str
-    node: NodeSpec
-    max_nodes: int
-
-    def gpus(self, nodes: int) -> int:
-        return nodes * self.node.gpus_per_node
-
-
-SUMMIT = ClusterSpec(name="summit", node=SUMMIT_NODE, max_nodes=4356)

@@ -76,6 +76,7 @@ from typing import Callable, Iterable
 
 from ..obs import emit_event, get_registry, traced
 from ..obs.live import BEAT_STRIDE, run_finished, run_started
+from ..perfmodel.energy import joules
 from ..perfmodel.kernels import conversion_time, kernel_time
 from ..precision.formats import Precision, bytes_per_element
 from .platform import Platform
@@ -113,10 +114,23 @@ class SimReport:
     #: engines — the input to :func:`simulate_replay` and
     #: :class:`repro.runtime.schedule.StaticSchedule`
     commit_order: list[int] = field(default_factory=list)
+    #: busy compute seconds summed over ranks per task precision: each
+    #: task's ``end − start``, its conversions included
+    compute_seconds: dict[Precision, float] = field(default_factory=dict)
+    #: busy h2d + d2h copy-engine seconds summed over ranks
+    copy_seconds: float = 0.0
+    #: energy of every GPU over the makespan
+    #: (:func:`repro.perfmodel.energy.joules` of the two counters above)
+    joules: float = 0.0
 
     @property
     def gflops(self) -> float:
         return self.stats.gflops
+
+    @property
+    def gflops_per_watt(self) -> float:
+        """Total Gflop over total joules (Fig. 10)."""
+        return self.stats.total_flops / 1e9 / self.joules if self.joules > 0.0 else 0.0
 
 
 class _Lru:
@@ -151,7 +165,7 @@ def _build_engine(
 ):
     """The per-run machine model the scheduling loop (:func:`_drive`) runs on.
 
-    Returns ``(seed_host, exec_task, sched_state)``:
+    Returns ``(seed_host, exec_task, sched_state, energy)``:
 
     * ``seed_host(rank, inp)`` registers one producer-less input of a
       task on ``rank`` as a version-0 tile resident in its node's host
@@ -161,7 +175,9 @@ def _build_engine(
       materialises the output (plus the STC payload copy), and runs
       evictions — the exact operation sequence of the historical inline
       loop, so panel-first stays regression-pinned bit-identical;
-    * ``sched_state`` exposes live GPU/host residency to policies.
+    * ``sched_state`` exposes live GPU/host residency to policies;
+    * ``energy(makespan)`` returns the run's busy-second counters and
+      their joules as the :class:`SimReport` fields of those names.
 
     ``record`` is ``None`` when nobody reads the trace: a
     :class:`TraceEvent` is constructed only for a recording run.  Every
@@ -214,6 +230,9 @@ def _build_engine(
     flops_by_precision = stats.flops_by_precision
     conversions_by_site = stats.conversions_by_site
     conversion_seconds_by_site = stats.conversion_seconds_by_site
+    compute_seconds = dict.fromkeys(Precision, 0.0)
+    #: added at the three h2d / d2h sites, not in ``move``, which every link shares
+    copy_seconds = 0.0
 
     # Exact memos of pure perfmodel lookups: gpu and nb are fixed per run,
     # so each entry is the very float the perfmodel returns.  Every task
@@ -298,6 +317,7 @@ def _build_engine(
         host insert: a key the host sheds at once must still see it.
         Protected keys are skipped and reinstated, oldest first.
         """
+        nonlocal copy_seconds
         cache = caches[rank]
         entries = cache.entries
         dirty = cache.dirty
@@ -322,6 +342,7 @@ def _build_engine(
             start = free if free >= t else t
             end = start + link_lat + nbytes / link_bw
             d2h_free[rank] = end
+            copy_seconds += end - start
             move("d2h", rank, "EVICT", start, end, key[3], nbytes)
             _host_insert(node, key, nbytes, end, protect)
             del ready[key]
@@ -337,6 +358,7 @@ def _build_engine(
         from the origin GPU, else a disk read) and sent on by NIC from
         another node.  ``key`` is protected: no host insert sheds it.
         """
+        nonlocal copy_seconds
         node = node_of(rank)
         t_host = host_ready[node].get(key)
         if t_host is not None:
@@ -354,6 +376,7 @@ def _build_engine(
                     start = free if free >= data_t else data_t
                     end = start + link_lat + nbytes / link_bw
                     d2h_free[src_rank] = end
+                    copy_seconds += end - start
                     move("d2h", src_rank, "STAGE", start, end, key[3], nbytes)
                 else:
                     disk_t = disk_ready[src_node].get(key)
@@ -386,6 +409,7 @@ def _build_engine(
         start = free if free >= t_host else t_host
         end = start + link_lat + nbytes / link_bw
         h2d_free[rank] = end
+        copy_seconds += end - start
         gpu_ready[rank][key] = end
         cache = caches[rank]
         cache.entries[key] = nbytes
@@ -466,6 +490,7 @@ def _build_engine(
             exec_t = kernel_seconds[task.kind, task_prec] = kernel_time(gpu, task.kind, nb, task_prec)
         end = start + exec_t + conv_seconds
         compute_free[rank] = end
+        compute_seconds[task_prec] += end - start
 
         conv_t = start
         for site, src, dst, seconds in conversions:
@@ -524,7 +549,13 @@ def _build_engine(
         resident=lambda rank, key: key in gpu_ready[rank],
         host_resident=lambda node, key: key in host_ready[node],
     )
-    return seed_host, exec_task, sched_state
+
+    def energy(makespan: float) -> dict:
+        busy = {p: t for p, t in compute_seconds.items() if t}
+        return dict(compute_seconds=busy, copy_seconds=copy_seconds,
+                    joules=joules(gpu, makespan, busy, copy_seconds, n_gpus=n_ranks))
+
+    return seed_host, exec_task, sched_state, energy
 
 
 #: the ``RunStats.to_dict()`` counters a ``sim.complete`` event carries
@@ -535,6 +566,7 @@ _COMPLETE_KEYS = (
 
 
 def _finish(
+    energy: Callable[[float], dict],
     policy_name: str,
     trace: Trace,
     task_end: list[float],
@@ -561,6 +593,7 @@ def _finish(
         policy=policy_name,
         peak_live_tasks=peak_live,
         commit_order=commit_order,
+        **energy(makespan),
     )
 
 
@@ -596,7 +629,7 @@ def _drive(
     registry = get_registry()
     trace = Trace()
     stats = trace.stats
-    seed_host, exec_task, sched_state = _build_engine(
+    seed_host, exec_task, sched_state, energy = _build_engine(
         platform, nb, trace.record if record_events else None, stats
     )
     evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
@@ -748,7 +781,7 @@ def _drive(
             "(emission order is not topological?)"
         )
     publish_counts()
-    return _finish(policy_name, trace, task_end, task_start, peak_live, commit_order)
+    return _finish(energy, policy_name, trace, task_end, task_start, peak_live, commit_order)
 
 
 @traced("sim.run")

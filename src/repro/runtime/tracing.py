@@ -2,9 +2,9 @@
 
 A :class:`TraceEvent` is one busy interval of one engine of one rank —
 compute (kernel or conversion) or a transfer over one of the
-:data:`LINKS`.  The energy model, the Perfetto writer and the analysis
-layer (ledger, critical path, windowed occupancy) all consume this
-single schema.  ``CONVERT`` events additionally carry
+:data:`LINKS`.  The Perfetto writer and the analysis layer (ledger,
+critical path, windowed occupancy) consume this single schema.
+``CONVERT`` events additionally carry
 their conversion *site* (``"stc"`` for the one-off sender-side pass,
 ``"ttc"`` for receiver-side passes) and the source→destination
 precisions, so conversion time can be attributed per strategy (Section VI).

@@ -66,9 +66,10 @@ def _count_fp64(kmap) -> int:
 def execute_spec(spec_dict: dict) -> dict:
     """Price one sweep point; module-level so worker processes can pickle it.
 
-    Returns a JSON-ready result dict: the simulator's counters plus the
-    planning statistics (STC fraction, tile fractions) and the wall-time
-    split between planning and simulation.
+    Returns a JSON-ready result dict: the simulator's counters, the run's
+    ``joules`` and ``gflops_per_watt`` (Fig. 10), the planning statistics
+    (STC fraction, tile fractions) and the wall-time split between
+    planning and simulation.
     """
     from ..core import (
         ConversionStrategy,
@@ -125,6 +126,8 @@ def execute_spec(spec_dict: dict) -> dict:
     result.update(
         nt=spec.nt,
         policy=report.policy,
+        joules=report.joules,
+        gflops_per_watt=report.gflops_per_watt,
         stc_fraction=cmap.stc_fraction(),
         tile_fractions={p.name: f for p, f in sorted(kmap.tile_fractions().items(), reverse=True)},
         plan_seconds=plan_seconds,
@@ -247,6 +250,7 @@ class SweepResult:
                 **{f"total_{link}_bytes": sum(r.result.get(f"{link}_bytes", 0) for r in ok)
                    for link in LINKS},
                 "total_conversions": sum(r.result.get("n_conversions", 0) for r in ok),
+                "total_joules": sum(r.result.get("joules", 0.0) for r in ok),
             },
             "runs": [
                 {

@@ -38,8 +38,9 @@ __all__ = ["AXES", "RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
 #:     results gain ordering/precision-map structure metrics;
 #:  6: the spec drops its unbounded-memory switch and the strategy value
 #:     that priced the same run as "auto";
-#:  7: host memory per node becomes a spec field and sweep axis)
-CACHE_SCHEMA = 7
+#:  7: host memory per node becomes a spec field and sweep axis;
+#:  8: results gain the run's joules and Gflops/W)
+CACHE_SCHEMA = 8
 
 #: supported kernel-precision configurations; "adaptive" builds the map
 #: from sampled tile norms of the named application at ``accuracy``

@@ -2,7 +2,7 @@
 
 The benchmark files exercise these drivers at figure scale; these tests
 pin their contracts at toy scale so regressions surface in seconds.
-Figs. 8 and 11 and the tile-size and scheduler ablations are sweep
+Figs. 8, 10 and 11 and the tile-size and scheduler ablations are sweep
 points: their specs run through ``run_sweep`` on a ``tmp_path`` cache.
 """
 
@@ -16,6 +16,8 @@ from repro.bench.figures_perf import (
     SCHEDULER_SPECS,
     TILE_SIZE_SPECS,
     default_sizes,
+    fig10_rows,
+    fig10_specs,
     fig12_strong_rows,
     fig12_weak_rows,
     scheduler_rows,
@@ -23,6 +25,7 @@ from repro.bench.figures_perf import (
     strategy_specs,
     tile_size_rows,
 )
+from repro.bench.apps import APPLICATIONS, app_kernel_map
 from repro.core import ConversionStrategy, fixed_config_map, simulate_cholesky
 from repro.perfmodel import GPU_BY_NAME, GUYOT_NODE, SUMMIT_NODE
 from repro.precision import Precision
@@ -66,6 +69,15 @@ class TestHelpers:
         assert {(s.gpu, s.gpus_per_node, s.host_memory_gb) for s in specs} == {
             ("A100", 8, 2063.0)}
 
+    def test_fig10_fp64_point_is_fig8s(self):
+        """One bench session prices Fig. 10's FP64 point once: it is
+        Fig. 8's FP64 point, so its cache key is the same."""
+        specs = fig10_specs("H100", 73728)
+        assert [(s.config, s.app) for s in specs[1:]] == [
+            ("adaptive", app) for app in ("2d-sqexp", "2d-matern", "3d-sqexp")]
+        assert {(s.gpu, s.n, s.ordering, s.seed) for s in specs} == {("H100", 73728, "morton", 0)}
+        assert specs[0].cache_key() in {s.cache_key() for s in strategy_specs("H100", (73728,))}
+
 
 class TestSmallRuns:
     def test_fig8_rows_small(self, tmp_path):
@@ -95,6 +107,22 @@ class TestSmallRuns:
                                rep.stats.link_bytes("h2d") / 1e9, rep.stats.n_conversions]
         gpus = platform.node.gpus_per_node
         assert rows[0][1] == (machine if gpus == 1 else f"{platform.gpu.name}x{gpus}")
+
+    def test_fig10_rows_equal_direct_pricing(self, tmp_path):
+        """A Fig. 10 point prices what ``simulate_cholesky`` prices on the
+        application's sampled map, with no trace: seconds, kJ, Gflops/W
+        and average watts bit for bit."""
+        n, nb = 8192, 2048
+        platform = Platform.single_gpu(GPU_BY_NAME["V100"])
+        rows = fig10_rows(_sweep(fig10_specs("V100", n), tmp_path))
+        assert [r[0] for r in rows] == ["FP64", "2D-sqexp", "2D-Matern", "3D-sqexp"]
+        maps = [fixed_config_map(n // nb, "FP64")] + [
+            app_kernel_map(APPLICATIONS[app], n, nb, samples_per_tile=32)
+            for app in ("2d-sqexp", "2d-matern", "3d-sqexp")]
+        for row, kmap in zip(rows, maps):
+            rep = simulate_cholesky(n, nb, kmap, platform, record_events=False)
+            assert row[1:] == [rep.makespan, rep.joules / 1e3, rep.gflops_per_watt,
+                               rep.joules / rep.makespan]
 
     def test_a_failed_point_raises(self, tmp_path):
         result = _sweep(strategy_specs("V100", (8192,)), tmp_path)

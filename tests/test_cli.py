@@ -81,7 +81,7 @@ class TestSimbench:
         stats = doc["stats"]
         assert stats["n_tasks"] == 8 + 8 * 7 + 8 * 7 * 6 // 6
         assert stats["tasks_per_second"] > 0
-        for key in ("makespan_seconds", "tflops", "h2d_bytes", "wall_seconds",
+        for key in ("makespan_seconds", "joules", "tflops", "h2d_bytes", "wall_seconds",
                     "peak_rss_bytes", "peak_live_tasks"):
             assert key in stats
 
@@ -96,8 +96,8 @@ class TestSimbench:
                          *(["--stream"] if mode == "stream" else []),
                          "--metrics-out", str(out)]) == 0
             docs[mode] = json.loads(out.read_text(encoding="utf-8"))["stats"]
-        assert (docs["stream"]["makespan_seconds"]
-                == docs["materialize"]["makespan_seconds"])
+        for key in ("makespan_seconds", "joules"):
+            assert docs["stream"][key] == docs["materialize"][key]
         # at nt=10 the default window (floor 4096) spans the whole DAG,
         # so live counts merely must not exceed the materialised count;
         # the strict < comparison runs at nt=96 in benchmarks/

@@ -130,6 +130,12 @@ class TestCompare:
         for metric in [f"{link}_bytes" for link in LINKS] + ["n_spills", "n_host_evictions"]:
             assert DEFAULT_THRESHOLDS[metric] == Threshold(0.0, "lower")
 
+    def test_joules_gate_like_makespan(self):
+        base = _stats_doc(joules=1_000.0)
+        assert compare_docs(base, {**base, "joules": 1_015.0}).regressions == []
+        report = compare_docs(base, {**base, "joules": 1_030.0})
+        assert [d.metric for d in report.regressions] == ["joules"]
+
     def test_zero_baseline_increase_is_infinite_regression(self):
         report = compare_docs(_stats_doc(), _stats_doc(nic_bytes=100))
         (delta,) = report.regressions

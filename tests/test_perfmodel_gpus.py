@@ -1,4 +1,4 @@
-"""Unit tests for the GPU/node/cluster specifications."""
+"""Unit tests for the GPU and node specifications."""
 
 import pytest
 
@@ -8,10 +8,8 @@ from repro.perfmodel.gpus import (
     GUYOT_NODE,
     H100,
     HAXANE_NODE,
-    SUMMIT,
     SUMMIT_NODE,
     V100,
-    ClusterSpec,
 )
 from repro.precision import Precision
 
@@ -83,9 +81,3 @@ class TestNodes:
         assert GUYOT_NODE.gpus_per_node == 8 and GUYOT_NODE.gpu is A100
         assert HAXANE_NODE.gpus_per_node == 1 and HAXANE_NODE.gpu is H100
         assert HAXANE_NODE.host_memory_bytes == 63e9  # the paper's limiting factor
-
-    def test_cluster(self):
-        assert SUMMIT.gpus(64) == 384
-        assert SUMMIT.max_nodes == 4356
-        small = ClusterSpec("test", SUMMIT_NODE, 2)
-        assert small.gpus(2) == 12

@@ -46,10 +46,10 @@ class TestRunSpec:
         # literals computed before the one-builder refactor of
         # execute_spec: a cache written then must still hit, and hold
         # the numbers a fresh run produces (the key was re-taken when
-        # CACHE_SCHEMA went 5 -> 6 and 6 -> 7; the results are the same
-        # literals)
+        # CACHE_SCHEMA went 5 -> 6, 6 -> 7 and 7 -> 8; the results are
+        # the same literals)
         spec = RunSpec(n=2048, nb=256, config="FP64/FP16_32")
-        assert spec.cache_key() == "88637f2258f26702"
+        assert spec.cache_key() == "91495f407efc4bde"
         result = execute_spec(spec.to_dict())
         assert result["makespan_seconds"] == 0.0011489401721384125
         assert (result["n_tasks"], result["n_conversions"]) == (120, 63)
@@ -205,6 +205,11 @@ class TestRunSweep:
         assert doc["axes"]["config"] == ["FP64", "FP64/FP16"]
         assert doc["aggregates"]["best_tflops"] > 0
         assert len(doc["runs"]) == 4
+        # every point reports its energy; the aggregates sum it
+        joules = [run["metrics"]["joules"] for run in doc["runs"]]
+        assert all(j > 0 for j in joules)
+        assert all(run["metrics"]["gflops_per_watt"] > 0 for run in doc["runs"])
+        assert doc["aggregates"]["total_joules"] == sum(joules)
 
 
 class TestSweepCli:
