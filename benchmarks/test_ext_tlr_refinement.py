@@ -46,8 +46,8 @@ def test_ext_tlr_sweep(once):
         for tol in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
             tlr = TLRSymmetricMatrix.from_tiled(mat, tol)
             res = tlr_cholesky(tlr)
-            l = np.tril(res.factor.to_dense())
-            rel = np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+            L = np.tril(res.factor.to_dense())
+            rel = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
             rows.append([tol, tlr.compression_ratio(), tlr.mean_rank(), rel,
                          res.flop_savings])
         return rows
@@ -83,8 +83,8 @@ def test_ext_mixed_precision_tlr(once):
         mixed = tlr_cholesky(tlr, kernel_map=kmap)
         out = []
         for name, res in (("TLR", plain), ("MP+TLR", mixed)):
-            l = np.tril(res.factor.to_dense())
-            out.append([name, np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense),
+            L = np.tril(res.factor.to_dense())
+            out.append([name, np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense),
                         res.max_rank])
         return out
 

@@ -10,8 +10,6 @@ saturating later — the paper's "near-theoretical peak performance is
 achieved for each precision" observation.
 """
 
-import numpy as np
-
 from repro.bench import (
     fig1_accuracy_rows,
     fig1_performance_rows,

@@ -15,10 +15,8 @@ Default scale: 2 representative panels, 5 replicas of 256 locations
 all six panels.
 """
 
-import numpy as np
-
 from conftest import full_mode
-from repro.bench import FIG5_CONFIGS, format_table, run_fig5_config, write_csv
+from repro.bench import FIG5_CONFIGS, run_fig5_config, write_csv
 
 # Default panels use the paper's *strong*-correlation presets: at the
 # reproduction's n=256 the weak preset (β = 0.03 ≈ half the grid spacing)
@@ -55,7 +53,7 @@ def test_fig5_mc_2d(once):
         labels = study.accuracy_labels()
         assert "exact" in labels
         exact_bias = study.median_bias("exact")
-        tight = [l for l in labels if l != "exact"][-1]  # tightest non-exact level
+        tight = [lab for lab in labels if lab != "exact"][-1]  # tightest non-exact level
         tight_bias = study.median_bias(tight)
         for param, b in tight_bias.items():
             # tightest accuracy reproduces the exact estimator up to MC noise

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.precision_map import KernelPrecisionMap, build_precision_map
 from ..geostats.covariance import CovarianceModel, Matern, SquaredExponential
 from ..geostats.locations import generate_locations
-from ..precision.formats import ADAPTIVE_FORMATS, Precision
+from ..precision.formats import ADAPTIVE_FORMATS
 from ..tiles.norms import sampled_tile_norms
 
 __all__ = ["AppConfig", "APPLICATIONS", "app_kernel_map", "get_app"]

@@ -20,9 +20,9 @@ from ..core.precision_map import KernelPrecisionMap, build_precision_map
 from ..geostats.covariance import Matern
 from ..geostats.generator import build_tiled_covariance
 from ..geostats.locations import generate_locations
-from ..perfmodel.gpus import GPU_BY_NAME, GPUSpec, V100
+from ..perfmodel.gpus import GPU_BY_NAME, V100
 from ..perfmodel.kernels import gemm_time
-from ..perfmodel.transfers import h2d_time, tile_bytes
+from ..perfmodel.transfers import h2d_time
 from ..precision.formats import Precision
 from ..precision.gemm import gemm_relative_error
 from ..tiles.norms import tile_norms

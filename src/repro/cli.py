@@ -5,10 +5,9 @@ Commands
 ``mle``       fit a synthetic dataset at one or more accuracy levels
 ``maps``      print the kernel/communication precision maps for an app
 ``simulate``  price a mixed-precision Cholesky on a simulated platform —
-              the one symbolic-run verb: the scheduling policy heap,
-              ``--replay`` of an exported schedule and ``--stream``
-              (lazy million-task emission) are three parameters of it;
-              always records host wall time, tasks/sec and peak RSS
+              the one symbolic-run verb: the scheduling policy heap and
+              ``--stream`` (lazy million-task emission) are parameters
+              of it; always records host wall time, tasks/sec and peak RSS
 ``sweep``     fan a grid of configurations across a process pool (cached);
               its ``--policy`` axis is the per-policy comparison
 ``info``      show the encoded GPU specifications (Table I)
@@ -155,14 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "emission lazily instead of holding the DAG — same "
                         "task ids, same makespan bit for bit, O(NT²) live "
                         "memory (frontier-local policies only)")
-    p.add_argument("--schedule-out", default=None, metavar="PATH",
-                   help="export the committed task order as a replayable "
-                        "static schedule (JSON)")
-    p.add_argument("--replay", default=None, metavar="PATH",
-                   help="replay a schedule exported with --schedule-out "
-                        "(by a run with or without --stream) instead of "
-                        "running a policy (bit-identical, no ready-heap "
-                        "work; not combinable with --stream)")
     _add_capture_flags(p, trace=True, profile=True)
     _add_live_flags(p)
 
@@ -405,55 +396,31 @@ def _write_capture(args, profiler, *, command, stats, n_tasks) -> None:
 
 def _cmd_simulate(args) -> int:
     from . import obs
-    from .core import (
-        ConversionStrategy,
-        fixed_config_map,
-        replay_cholesky,
-        simulate_cholesky,
-    )
+    from .core import ConversionStrategy, fixed_config_map, simulate_cholesky
     from .perfmodel import GPU_BY_NAME
-    from .runtime import Platform, StaticSchedule
+    from .runtime import Platform
 
-    if args.replay and args.stream:
-        print("simulate: --replay walks a recorded order over the held task "
-              "graph; it cannot be combined with --stream (a schedule "
-              "exported from a --stream run replays without it)", file=sys.stderr)
-        return 2
     platform = Platform.of_gpus(GPU_BY_NAME[args.gpu], args.gpus, args.nodes,
                                 host_memory=args.host_memory_gb * 1e9)
     kmap = fixed_config_map(-(-args.n // args.nb), args.config)
     strategy = ConversionStrategy(args.strategy)
-    # events are needed whenever a trace export was requested; a
-    # schedule export wants them too so the trace hash rides along for
-    # replay verification
-    record_events = bool(args.trace_out or args.schedule_out)
+    record_events = bool(args.trace_out)
     if args.stream and record_events:
         # the O(window) live-memory bound covers Task objects only; a
         # recorded Trace still accumulates O(n_tasks) events
-        print("simulate: warning: --trace-out/--schedule-out void the "
+        print("simulate: warning: --trace-out events void the "
               "O(window) memory bound of --stream — the event trace "
               "grows with every task (see docs/SCHEDULING.md)", file=sys.stderr)
-    try:
-        schedule = StaticSchedule.load(args.replay) if args.replay else None
-    except (OSError, ValueError, KeyError) as exc:
-        # exit 1 means "replay diverged"; an unreadable file is a usage error
-        print(f"simulate: cannot read schedule {args.replay}: {exc}", file=sys.stderr)
-        return 2
     with _capture(args) as profiler, _gc_cost() as gc_cost:
         t0 = time.perf_counter()
         try:
-            if schedule is not None:
-                rep = replay_cholesky(args.n, args.nb, kmap, platform,
-                                      schedule, strategy=strategy,
-                                      record_events=record_events)
-            else:
-                rep = simulate_cholesky(args.n, args.nb, kmap, platform,
-                                        strategy=strategy,
-                                        record_events=record_events,
-                                        policy=args.policy, stream=args.stream)
+            rep = simulate_cholesky(args.n, args.nb, kmap, platform,
+                                    strategy=strategy,
+                                    record_events=record_events,
+                                    policy=args.policy, stream=args.stream)
         except ValueError as exc:
             # flags that do not fit together: a full-graph policy with
-            # --stream, a schedule from another n/nb/platform, or a
+            # --stream, a host tier too small for one task, or a
             # negative --host-memory-gb
             print(f"simulate: {exc}", file=sys.stderr)
             return 2
@@ -490,23 +457,6 @@ def _cmd_simulate(args) -> int:
           f"peak rss {d['peak_rss_bytes'] / 1e6:,.0f} MB  "
           f"gc {d['gc_seconds']:.3f} s ({'/'.join(map(str, d['gc_collections']))} "
           "gen-0/1/2 collections)")
-
-    if args.schedule_out:
-        StaticSchedule.from_report(rep, nb=args.nb, n=args.n, platform=platform).save(args.schedule_out)
-        print(f"  schedule → {args.schedule_out} ({rep.stats.n_tasks} tasks)")
-    if schedule is not None:
-        mismatch = []
-        if schedule.makespan and abs(schedule.makespan - rep.makespan) > 0.0:
-            mismatch.append("makespan")
-        if (schedule.trace_hash and record_events
-                and schedule.trace_hash != rep.trace.content_hash()):
-            mismatch.append("trace hash")
-        if mismatch:
-            print(f"simulate: replay diverged from exported schedule "
-                  f"({', '.join(mismatch)})", file=sys.stderr)
-            return 1
-        print(f"  replay of {args.replay} verified "
-              f"(policy {schedule.policy}, bit-identical)")
 
     if args.trace_out:
         obs.write_perfetto_trace(rep.trace.events, args.trace_out,

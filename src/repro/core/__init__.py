@@ -25,7 +25,6 @@ from .solver import (
     FactorizationPlan,
     MPCholeskySolver,
     default_stream_lookahead,
-    replay_cholesky,
     simulate_cholesky,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "refine_solve",
     "default_stream_lookahead",
     "fixed_config_map",
-    "replay_cholesky",
     "simulate_cholesky",
     "stream_cholesky_tasks",
     "solve_with_factor",

@@ -17,8 +17,7 @@ from ..obs.live import announce_total
 from ..perfmodel.gpus import GPUSpec
 from ..runtime.executor import execute_numeric
 from ..runtime.platform import Platform
-from ..runtime.schedule import StaticSchedule
-from ..runtime.simulator import SimReport, simulate, simulate_replay, simulate_stream
+from ..runtime.simulator import SimReport, simulate, simulate_stream
 from ..tiles.norms import tile_norms
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .cholesky import CholeskyResult, logdet_from_factor, mp_cholesky, solve_with_factor
@@ -31,7 +30,6 @@ __all__ = [
     "FactorizationPlan",
     "MPCholeskySolver",
     "default_stream_lookahead",
-    "replay_cholesky",
     "simulate_cholesky",
 ]
 
@@ -200,40 +198,4 @@ def simulate_cholesky(
         nb,
         record_events=record_events,
         policy=policy,
-    )
-
-
-def replay_cholesky(
-    n: int,
-    nb: int,
-    kernel_map: KernelPrecisionMap,
-    platform: Platform,
-    schedule: StaticSchedule,
-    *,
-    strategy: ConversionStrategy = ConversionStrategy.AUTO,
-    record_events: bool = True,
-) -> SimReport:
-    """Re-execute an exported :class:`StaticSchedule` with no scheduler.
-
-    Rebuilds the Cholesky DAG, validates the schedule's fingerprint
-    against it, and runs
-    :func:`repro.runtime.simulator.simulate_replay` — bit-identical to
-    the run that produced the schedule, without any ready-heap or
-    policy-key work.
-    """
-    dag = build_cholesky_dag(
-        n,
-        nb,
-        kernel_map,
-        strategy=strategy,
-        grid=platform.process_grid(),
-    )
-    schedule.validate_against(len(dag.graph), platform)
-    return simulate_replay(
-        dag.graph,
-        platform,
-        nb,
-        schedule.order,
-        record_events=record_events,
-        source_policy=schedule.policy,
     )

@@ -149,7 +149,6 @@ def analytic_cholesky(
         sub = codes[k + 1 : nt, k + 1 : nt]
         tri = np.tril(np.ones_like(sub, dtype=bool), k=-1)
         gemm_codes = sub[tri]
-        n_gemm = gemm_codes.size
         for code in np.unique(gemm_codes):
             prec = Precision(int(code))
             count = int(np.sum(gemm_codes == code))

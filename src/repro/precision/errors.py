@@ -25,12 +25,22 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
 
+def _scaled_norm(a: np.ndarray) -> float:
+    """Frobenius norm of ``a / max|a|`` times ``max|a|``: the sum of
+    squares neither underflows nor overflows, and doubling ``a`` exactly
+    doubles the result."""
+    scale = float(np.max(np.abs(a), initial=0.0))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(a / scale))
+
+
 def relative_frobenius_error(approx: np.ndarray, exact: np.ndarray) -> float:
     """``‖approx − exact‖_F / ‖exact‖_F`` (0 when both are zero)."""
     exact = np.asarray(exact, dtype=np.float64)
     approx = np.asarray(approx, dtype=np.float64)
-    denom = float(np.linalg.norm(exact))
-    num = float(np.linalg.norm(approx - exact))
+    denom = _scaled_norm(exact)
+    num = _scaled_norm(approx - exact)
     if denom == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / denom

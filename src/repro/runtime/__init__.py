@@ -13,7 +13,6 @@ from .policies import (
     PanelFirstPolicy,
     SchedulePolicy,
 )
-from .schedule import StaticSchedule
 from .simulator import SimReport, simulate, simulate_replay, simulate_stream
 from .task import Task, TaskGraph, TaskInput, TileRef
 from .tracing import RunStats, Trace, TraceEvent
@@ -30,7 +29,6 @@ __all__ = [
     "SchedulePolicy",
     "RunStats",
     "SimReport",
-    "StaticSchedule",
     "Task",
     "TaskGraph",
     "TaskInput",

@@ -70,8 +70,6 @@ class Platform:
         (:mod:`repro.perfmodel.gpus`).  ``host_memory`` (bytes per node)
         shrinks the host tier for out-of-core studies.
         """
-        # "cli" is part of the platform fingerprint of every schedule
-        # `repro simulate --schedule-out` has exported; keep it replayable
         node = NodeSpec(
             name="cli",
             gpu=gpu,

@@ -63,8 +63,8 @@ only name their sources:
   bit-identical for panel-first);
 * :func:`simulate_stream` — lazy stream × policy heap, million-task
   mode (see ``docs/SCHEDULING.md``);
-* :func:`simulate_replay` — finalized graph × recorded order, the
-  exported static schedules of :mod:`repro.runtime.schedule`.
+* :func:`simulate_replay` — finalized graph × recorded order: an
+  earlier run's ``commit_order``, replayed in the same process.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class SimReport:
     #: path; the emission-window high-water mark for simulate_stream)
     peak_live_tasks: int = 0
     #: task ids in the order the scheduler committed them to their
-    #: engines — the input to :func:`simulate_replay` and
-    #: :class:`repro.runtime.schedule.StaticSchedule`
+    #: engines — the input to :func:`simulate_replay`
     commit_order: list[int] = field(default_factory=list)
     #: busy compute seconds summed over ranks per task precision: each
     #: task's ``end − start``, its conversions included
@@ -902,8 +901,7 @@ def simulate_replay(
     """Execute a previously committed task order — no heap, no policy keys.
 
     ``order`` is the ``commit_order`` of an earlier :func:`simulate` /
-    :func:`simulate_stream` run over the *same* graph and platform
-    (usually via :class:`repro.runtime.schedule.StaticSchedule`).  The
+    :func:`simulate_stream` run over the *same* graph and platform.  The
     engine state (caches, link timelines, conversions) evolves purely
     from the execution sequence, so replaying the committed order
     reproduces the original run bit-identically — same makespan, same
@@ -912,7 +910,7 @@ def simulate_replay(
 
     The order is validated as it executes: every task id must appear
     exactly once and only after all its predecessors, else
-    ``ValueError`` — a schedule exported from a different graph shape
+    ``ValueError`` — an order recorded on a different graph shape
     fails fast instead of producing a silently wrong account.
     """
     return _drive(

@@ -27,10 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from ..core.precision_map import KernelPrecisionMap
-from ..precision.emulate import quantize
 from ..precision.formats import Precision
 from ..tiles.kernels import NotPositiveDefiniteError
-from .compression import LowRankTile, add_lowrank, recompress
+from .compression import LowRankTile, add_lowrank
 from .tlrmatrix import TLRSymmetricMatrix
 
 __all__ = ["TLRCholeskyResult", "tlr_cholesky"]

@@ -22,7 +22,7 @@ class TestReporting:
         out = format_table(["a", "bbbb"], [[1, 2.5], [300, 0.001]], title="T")
         lines = out.splitlines()
         assert lines[0] == "T"
-        assert len({len(l) for l in lines[1:]}) == 1  # uniform width
+        assert len({len(line) for line in lines[1:]}) == 1  # uniform width
 
     def test_float_formatting(self):
         out = format_table(["x"], [[1.23456789e-7], [0.0], [123456.0]])

@@ -106,18 +106,6 @@ class TestSimbench:
 
 
 class TestSimulateFlagCoherence:
-    def test_replay_with_stream_is_rejected(self, tmp_path, capsys):
-        sched = tmp_path / "sched.json"
-        assert main(["simulate", "--n", "1024", "--nb", "128",
-                     "--schedule-out", str(sched)]) == 0
-        capsys.readouterr()
-        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
-                     "--replay", str(sched)]) == 2
-        captured = capsys.readouterr()
-        assert "--replay" in captured.err and "--stream" in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "makespan" not in captured.out
-
     def test_stream_with_full_graph_policy_is_rejected(self, capsys):
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
                      "--policy", "critical-path"]) == 2
@@ -168,30 +156,6 @@ class TestSimulateFlagCoherence:
         assert stats[0] == stats[1]
         assert stats[0]["n_host_evictions"] == 71
 
-    @pytest.mark.parametrize("content", [None, "not json\n", "[1, 2]\n"],
-                             ids=["missing", "non-json", "non-object"])
-    def test_unreadable_replay_file_is_a_usage_error(self, content, tmp_path, capsys):
-        """Exit 1 means "replay diverged" (CI greps for it); a schedule
-        that cannot be read is exit 2 with one line, not a traceback."""
-        sched = tmp_path / "sched.json"
-        if content is not None:
-            sched.write_text(content, encoding="utf-8")
-        assert main(["simulate", "--n", "1024", "--nb", "128",
-                     "--replay", str(sched)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"simulate: cannot read schedule {sched}")
-        assert len(captured.err.strip().splitlines()) == 1
-        assert "makespan" not in captured.out
-
-    def test_streamed_schedule_replays_bit_identically(self, tmp_path, capsys):
-        sched = tmp_path / "sched.json"
-        assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
-                     "--schedule-out", str(sched)]) == 0
-        assert main(["simulate", "--n", "1024", "--nb", "128",
-                     "--replay", str(sched),
-                     "--trace-out", str(tmp_path / "trace.json")]) == 0
-        assert "bit-identical" in capsys.readouterr().out
-
 
 class TestAnalyzeFlags:
     @pytest.mark.parametrize("buckets", ["0", "-3"])
@@ -235,15 +199,15 @@ class TestParserSurface:
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 72
+                   for sp in self._subparsers().values()) == 70
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against
         the dump taken before ``_add_capture_flags`` existed (order apart;
         ``simulate``'s entry was re-dumped minus its trace-as-CSV output
         flag, the one flag deleted since: nothing read that format, and
-        again when ``--schedule-out``'s help lost ".npz": JSON is the one
-        schedule format; ``simulate`` and ``sweep`` were re-dumped minus
+        again when its schedule-export flag's help lost ".npz";
+        ``simulate`` and ``sweep`` were re-dumped minus
         the six entries of the deleted watchdog flags — its alert rules,
         its snapshot-bus interval and its two synthetic-stall flags: the
         live plane only reports; ``simulate``'s ``--metrics-out`` help
@@ -252,7 +216,10 @@ class TestParserSurface:
         and both verbs' ``--strategy`` the ``stc`` choice, which priced the
         same run as ``auto``; ``sweep``'s ``--gpus`` / ``--nodes`` store
         under their ``RunSpec`` field names; ``sweep`` gained the
-        ``--host-memory-gb`` axis, ``simulate``'s flag of that name)."""
+        ``--host-memory-gb`` axis, ``simulate``'s flag of that name;
+        ``simulate`` lost its schedule-export and schedule-replay flags:
+        only each other read the file, and a run's ``commit_order``
+        replays through ``simulate_replay`` in the process that ran it)."""
         import json
         from pathlib import Path
 
@@ -271,9 +238,9 @@ class TestParserSurface:
             ), key=lambda d: d["dest"])
             assert now == expected, verb
 
-    def test_stream_and_replay_are_parameters_of_simulate(self):
+    def test_stream_and_policy_are_parameters_of_simulate(self):
         sim = self._verbs()["simulate"]
-        assert {"--policy", "--replay", "--stream"} <= set(sim)
+        assert {"--policy", "--stream"} <= set(sim)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is a /proc field")

@@ -155,7 +155,7 @@ class TestPerfbenchPatchPoints:
         # perfbench's own key functions: positional operands, ``precision=`` keyword
         monkeypatch.setattr(tk, "potrf", counted(tk.potrf, lambda c: ("POTRF", Precision.FP64)))
         monkeypatch.setattr(tk, "trsm", counted(
-            tk.trsm, lambda l, c, precision=Precision.FP64:
+            tk.trsm, lambda l_kk, c, precision=Precision.FP64:
             ("TRSM", tk.trsm_execution_precision(precision))))
         monkeypatch.setattr(tk, "syrk", counted(
             tk.syrk, lambda a, c, precision=Precision.FP64: ("SYRK", Precision.FP64)))

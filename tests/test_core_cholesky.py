@@ -20,25 +20,25 @@ from tests.conftest import random_spd
 class TestFP64Reference:
     def test_matches_numpy(self, tiled_96, spd_96):
         res = mp_cholesky(tiled_96)
-        l = res.factor.lower_dense()
-        assert np.allclose(l, np.linalg.cholesky(spd_96), atol=1e-10)
+        L = res.factor.lower_dense()
+        assert np.allclose(L, np.linalg.cholesky(spd_96), atol=1e-10)
 
     def test_reconstruction(self, tiled_96, spd_96):
-        l = mp_cholesky(tiled_96).factor.lower_dense()
-        rel = np.linalg.norm(l @ l.T - spd_96) / np.linalg.norm(spd_96)
+        L = mp_cholesky(tiled_96).factor.lower_dense()
+        rel = np.linalg.norm(L @ L.T - spd_96) / np.linalg.norm(spd_96)
         assert rel < 1e-14
 
     def test_ragged_tiles(self, rng):
         spd = random_spd(52, rng)
         mat = TiledSymmetricMatrix.from_dense(spd, 16)
-        l = mp_cholesky(mat).factor.lower_dense()
-        assert np.allclose(l @ l.T, spd)
+        L = mp_cholesky(mat).factor.lower_dense()
+        assert np.allclose(L @ L.T, spd)
 
     def test_single_tile(self, rng):
         spd = random_spd(16, rng)
         mat = TiledSymmetricMatrix.from_dense(spd, 16)
-        l = mp_cholesky(mat).factor.lower_dense()
-        assert np.allclose(l, np.linalg.cholesky(spd))
+        L = mp_cholesky(mat).factor.lower_dense()
+        assert np.allclose(L, np.linalg.cholesky(spd))
 
     def test_input_not_modified_by_default(self, tiled_96):
         before = tiled_96.to_dense()
@@ -66,8 +66,8 @@ class TestMixedPrecision:
         errors = {}
         for acc in (1e-2, 1e-6, 1e-12):
             kmap = build_precision_map(norms, acc)
-            l = mp_cholesky(mat, kmap).factor.lower_dense()
-            errors[acc] = np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+            L = mp_cholesky(mat, kmap).factor.lower_dense()
+            errors[acc] = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert errors[1e-12] < errors[1e-6] < errors[1e-2]
         assert errors[1e-2] < 1e-1
 
@@ -77,8 +77,8 @@ class TestMixedPrecision:
         mat = TiledSymmetricMatrix.from_dense(dense, 20)
         acc = 1e-4
         kmap = build_precision_map(tile_norms(mat), acc)
-        l = mp_cholesky(mat, kmap).factor.lower_dense()
-        rel = np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+        L = mp_cholesky(mat, kmap).factor.lower_dense()
+        rel = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert rel < acc * mat.nt * 10  # rule bound with slack for growth
 
     @pytest.mark.parametrize("strategy", [ConversionStrategy.AUTO, ConversionStrategy.TTC])
@@ -150,7 +150,7 @@ def test_property_mp_factor_residual_bounded(nt, seed, accuracy):
     mat = TiledSymmetricMatrix.from_dense(spd, nb)
     kmap = build_precision_map(tile_norms(mat), accuracy)
     res = mp_cholesky(mat, kmap)
-    l = res.factor.lower_dense()
-    rel = np.linalg.norm(l @ l.T - spd) / np.linalg.norm(spd)
+    L = res.factor.lower_dense()
+    rel = np.linalg.norm(L @ L.T - spd) / np.linalg.norm(spd)
     assert rel < max(accuracy * nt * 20, 1e-13)
-    assert np.all(np.diag(l) > 0)
+    assert np.all(np.diag(L) > 0)

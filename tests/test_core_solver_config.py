@@ -67,8 +67,8 @@ class TestSolver:
         plan = solver.plan(mat)
         assert "STC" in plan.summary()
         result = solver.factorize(mat, plan)
-        l = result.factor.lower_dense()
-        rel = np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+        L = result.factor.lower_dense()
+        rel = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert rel < 1e-2
         # logdet/solve helpers
         rhs = np.ones(160)

@@ -6,7 +6,6 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.geostats.generator import SyntheticField
 from repro.geostats.montecarlo import (
-    BoxStats,
     MonteCarloStudy,
     ReplicaEstimate,
     run_monte_carlo,

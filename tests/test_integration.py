@@ -32,7 +32,7 @@ from repro.perfmodel import V100
 from repro.perfmodel.analytic import analytic_cholesky
 from repro.precision import Precision
 from repro.runtime import Platform, execute_numeric, simulate
-from repro.tiles import TiledSymmetricMatrix, tile_norms
+from repro.tiles import tile_norms
 
 
 class TestFullMLEPipeline:
@@ -71,8 +71,8 @@ class TestNumericVsSimulated:
         platform = Platform.single_gpu(V100)
         report = simulate(dag.graph, platform, 16)
         # numeric result valid
-        l = factor.lower_dense()
-        rel = np.linalg.norm(l @ l.T - tiled_96.to_dense()) / np.linalg.norm(
+        L = factor.lower_dense()
+        rel = np.linalg.norm(L @ L.T - tiled_96.to_dense()) / np.linalg.norm(
             tiled_96.to_dense()
         )
         assert rel < 1e-4

@@ -1,14 +1,12 @@
 """Cross-cutting hypothesis property tests on system-level invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     ConversionStrategy,
     build_cholesky_dag,
-    build_comm_precision_map,
     build_precision_map,
     simulate_cholesky,
     two_precision_map,

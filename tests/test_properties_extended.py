@@ -1,7 +1,6 @@
 """Second round of hypothesis property tests across subsystems."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

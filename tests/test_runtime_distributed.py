@@ -62,8 +62,8 @@ class TestDistributedExecutor:
         mat = _mat(rng)
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         out = execute_numeric_distributed(dag.graph, mat, 1)
-        l = out.lower_dense()
-        assert np.allclose(l @ l.T, mat.to_dense())
+        L = out.lower_dense()
+        assert np.allclose(L @ L.T, mat.to_dense())
 
     def test_rank_count_validated(self, rng):
         mat = _mat(rng)

@@ -94,8 +94,8 @@ class TestParallelExecutor:
 
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         out = execute_numeric_parallel(dag.graph, mat, n_threads=3)
-        l = out.lower_dense()
-        assert np.allclose(l @ l.T, mat.to_dense())
+        L = out.lower_dense()
+        assert np.allclose(L @ L.T, mat.to_dense())
 
     def test_error_propagates(self, rng):
         mat = self._mat(rng)

@@ -1,5 +1,5 @@
 """Out-of-core scheduling: bounded host memory, the disk spill tier, the
-``ooc-static`` policy, and exported/replayed static schedules.
+``ooc-static`` policy, and replays of a run's commit order.
 
 The capacity-constrained platform used throughout shrinks the V100 to a
 dozen tiles of device memory and the host to a few dozen, so evictions
@@ -14,12 +14,13 @@ import json
 import pytest
 
 from repro.core.precision_map import two_precision_map
-from repro.core.solver import replay_cholesky, simulate_cholesky
+from repro.core.dag_cholesky import build_cholesky_dag
+from repro.core.solver import simulate_cholesky
 from repro.obs import write_perfetto_trace
 from repro.obs.analysis import build_ledger
 from repro.perfmodel.gpus import NodeSpec, V100
 from repro.precision import Precision
-from repro.runtime import POLICY_NAMES, Platform, StaticSchedule
+from repro.runtime import POLICY_NAMES, Platform
 from repro.runtime.simulator import simulate_replay
 
 NB = 128
@@ -167,41 +168,23 @@ class TestOocStaticPolicy:
         assert build_ledger(rep.trace.events, stats=rep.stats).reconcile(rep.stats) == []
 
 
-class TestStaticSchedule:
-    def test_from_report_and_roundtrip(self, tmp_path):
-        rep = _run("ooc-static")
-        sched = StaticSchedule.from_report(rep, nb=NB, n=2048,
-                                           platform=_tight_platform())
-        assert sched.policy == "ooc-static"
-        assert len(sched.order) == rep.stats.n_tasks
-        assert sched.makespan == rep.makespan
-        path = tmp_path / "sched.json"
-        sched.save(path)
-        assert StaticSchedule.load(path) == sched
-
-    def test_validate_against_rejects_mismatch(self):
-        rep = _run("panel-first")
+class TestReplayBitIdentity:
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_replay_matches_live_run(self, policy):
+        """Replaying a run's commit order on the held graph reproduces the
+        live run bit for bit — makespan, full stats, and trace hash —
+        without any ready-heap or policy-key work."""
         platform = _tight_platform()
-        sched = StaticSchedule.from_report(rep, nb=NB, n=2048, platform=platform)
-        with pytest.raises(ValueError, match="task"):
-            sched.validate_against(len(sched.order) + 1, platform)
-        other = _tight_platform(n_gpus=2)
-        with pytest.raises(ValueError, match="platform"):
-            sched.validate_against(len(sched.order), other)
-
-    def test_from_dict_schema_guard(self):
-        rep = _run("panel-first")
-        sched = StaticSchedule.from_report(rep, nb=NB, n=2048)
-        doc = sched.to_dict()
-        assert doc["schema"] == "repro.schedule/2" and "layout" not in doc
-        # /1 orders used one of two task numberings: rejected, not reinterpreted
-        for schema in ("bogus/9", "repro.schedule/1"):
-            with pytest.raises(ValueError, match="unsupported schedule schema"):
-                StaticSchedule.from_dict({**doc, "schema": schema, "layout": "materialize"})
+        live = _run(policy, platform=platform)
+        graph = build_cholesky_dag(2048, NB, two_precision_map(16, Precision.FP16_32),
+                                   grid=platform.process_grid()).graph
+        replay = simulate_replay(graph, platform, NB, live.commit_order, source_policy=policy)
+        assert replay.makespan == live.makespan
+        assert replay.stats.to_dict() == live.stats.to_dict()
+        assert replay.trace.content_hash() == live.trace.content_hash()
+        assert replay.policy == f"replay:{policy}"
 
     def test_replay_rejects_invalid_orders(self):
-        from repro.core.dag_cholesky import build_cholesky_dag
-
         platform = _tight_platform()
         kmap = two_precision_map(4, Precision.FP16_32)
         dag = build_cholesky_dag(4 * NB, NB, kmap, grid=platform.process_grid())
@@ -213,34 +196,3 @@ class TestStaticSchedule:
             simulate_replay(dag.graph, platform, NB, [good[0]] + good)
         with pytest.raises(ValueError):  # truncated order
             simulate_replay(dag.graph, platform, NB, good[:-1])
-
-
-class TestReplayBitIdentity:
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_replay_matches_live_run(self, policy):
-        """Replaying an exported schedule reproduces the live run bit
-        for bit — makespan, full stats, and trace hash — without any
-        ready-heap or policy-key work."""
-        platform = _tight_platform()
-        live = _run(policy, platform=platform)
-        sched = StaticSchedule.from_report(live, nb=NB, n=2048, platform=platform)
-        replay = replay_cholesky(
-            2048, NB, two_precision_map(16, Precision.FP16_32), platform, sched,
-        )
-        assert replay.makespan == live.makespan
-        assert replay.stats.to_dict() == live.stats.to_dict()
-        assert replay.trace.content_hash() == live.trace.content_hash()
-        assert replay.policy == f"replay:{policy}"
-
-    @pytest.mark.parametrize("policy", ["panel-first", "ooc-static"])
-    def test_replay_survives_file_roundtrip(self, policy, tmp_path):
-        platform = _tight_platform()
-        live = _run(policy, platform=platform)
-        path = tmp_path / "sched.json"
-        StaticSchedule.from_report(live, nb=NB, n=2048, platform=platform).save(path)
-        replay = replay_cholesky(
-            2048, NB, two_precision_map(16, Precision.FP16_32), platform,
-            StaticSchedule.load(path),
-        )
-        assert replay.makespan == live.makespan
-        assert replay.trace.content_hash() == live.trace.content_hash()

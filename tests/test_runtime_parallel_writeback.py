@@ -15,7 +15,7 @@ from repro.precision import Precision
 from repro.precision.emulate import quantize
 from repro.runtime.executor import execute_numeric
 from repro.runtime.parallel_executor import execute_numeric_parallel
-from repro.runtime.task import Task, TaskGraph, TaskInput
+from repro.runtime.task import TaskGraph, TaskInput
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
 NB = 16

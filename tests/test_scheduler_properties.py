@@ -185,7 +185,7 @@ class TestPolicyInvariants:
     @given(data=random_dags())
     @settings(deadline=None)
     def test_topological_order_is_valid(self, policy, data):
-        """The committed order (what a static schedule exports) is a
+        """The committed order (what ``simulate_replay`` walks) is a
         topological order of the graph."""
         graph, n_ranks = data
         order = simulate(graph, _platform(n_ranks), NB, policy=policy).commit_order
@@ -226,17 +226,16 @@ class TestOneSchedulingLoop:
 
     def test_cholesky_one_tid_space(self, policy, tight):
         """Held and streamed Cholesky runs commit the same tids in the
-        same order (the default window is smaller than this DAG), and a
-        schedule exported from either replays on the held graph with the
-        same makespan and trace hash."""
+        same order (the default window is smaller than this DAG), and the
+        commit order of either replays on the held graph with the same
+        makespan and trace hash."""
         from repro.core import (
+            build_cholesky_dag,
             cholesky_task_count,
             default_stream_lookahead,
-            replay_cholesky,
             simulate_cholesky,
             two_precision_map,
         )
-        from repro.runtime import StaticSchedule
 
         nt = 30
         n = nt * NB - 9  # ragged last tile
@@ -249,12 +248,12 @@ class TestOneSchedulingLoop:
         # the window refills in sweeps yet tops up to exactly its lookahead
         assert streamed.peak_live_tasks == default_stream_lookahead(nt)
         assert streamed.commit_order == held.commit_order
+        graph = build_cholesky_dag(n, NB, kmap, grid=platform.process_grid()).graph
         for run in (held, streamed):
-            schedule = StaticSchedule.from_report(run, nb=NB, n=n, platform=platform)
-            replayed = replay_cholesky(n, NB, kmap, platform, schedule)
+            replayed = simulate_replay(graph, platform, NB, run.commit_order)
             assert replayed.makespan == held.makespan
             assert replayed.trace.content_hash() == held.trace.content_hash()
-            assert schedule.trace_hash == held.trace.content_hash()
+            assert run.trace.content_hash() == held.trace.content_hash()
 
 
 @pytest.mark.slow

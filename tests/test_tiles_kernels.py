@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from repro.precision import Precision
 from repro.tiles.kernels import (
@@ -19,9 +18,9 @@ from tests.conftest import random_spd
 class TestPotrf:
     def test_factorizes(self, rng):
         c = random_spd(16, rng)
-        l = potrf(c)
-        assert np.allclose(l @ l.T, c)
-        assert np.allclose(l, np.tril(l))
+        L = potrf(c)
+        assert np.allclose(L @ L.T, c)
+        assert np.allclose(L, np.tril(L))
 
     def test_raises_on_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -46,23 +45,23 @@ class TestTrsmExecutionPrecision:
 
 class TestTrsm:
     def test_fp64_exact(self, rng):
-        l = np.tril(random_spd(12, rng))
-        l = np.linalg.cholesky(l @ l.T + 12 * np.eye(12))
+        L = np.tril(random_spd(12, rng))
+        L = np.linalg.cholesky(L @ L.T + 12 * np.eye(12))
         c = rng.standard_normal((12, 12))
-        out = trsm(l, c, precision=Precision.FP64)
-        assert np.allclose(out @ l.T, c)
+        out = trsm(L, c, precision=Precision.FP64)
+        assert np.allclose(out @ L.T, c)
 
     def test_fp32_close(self, rng):
-        l = np.linalg.cholesky(random_spd(12, rng))
+        L = np.linalg.cholesky(random_spd(12, rng))
         c = rng.standard_normal((12, 12))
-        out64 = trsm(l, c, precision=Precision.FP64)
-        out16 = trsm(l, c, precision=Precision.FP16)  # runs in FP32
+        out64 = trsm(L, c, precision=Precision.FP64)
+        out16 = trsm(L, c, precision=Precision.FP16)  # runs in FP32
         rel = np.linalg.norm(out16 - out64) / np.linalg.norm(out64)
         assert 0.0 < rel < 1e-4
 
     def test_output_contiguous(self, rng):
-        l = np.linalg.cholesky(random_spd(8, rng))
-        out = trsm(l, rng.standard_normal((8, 8)))
+        L = np.linalg.cholesky(random_spd(8, rng))
+        out = trsm(L, rng.standard_normal((8, 8)))
         assert out.flags["C_CONTIGUOUS"]
 
 

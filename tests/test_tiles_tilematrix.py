@@ -58,7 +58,9 @@ class TestStoragePrecision:
         assert tiled_96.tiles[(2, 1)].dtype == np.float64
 
     def test_kernel_precision_casts_storage(self, spd_96):
-        kmap = lambda i, j: Precision.FP64 if i == j else Precision.FP16
+        def kmap(i, j):
+            return Precision.FP64 if i == j else Precision.FP16
+
         mat = TiledSymmetricMatrix.from_dense(spd_96, 16, kernel_precision=kmap)
         assert mat.tiles[(0, 0)].dtype == np.float64
         assert mat.tiles[(1, 0)].dtype == np.float32  # FP16 kernels rest in FP32

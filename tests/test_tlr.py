@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.precision_map import build_precision_map
-from repro.precision import Precision
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 from repro.tlr import (
@@ -134,8 +133,8 @@ class TestTLRCholesky:
         for tol in (1e-9, 1e-4):
             tlr = TLRSymmetricMatrix.from_tiled(mat, tol)
             res = tlr_cholesky(tlr)
-            l = np.tril(res.factor.to_dense())
-            errs[tol] = np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+            L = np.tril(res.factor.to_dense())
+            errs[tol] = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert errs[1e-9] < 1e-7
         assert errs[1e-9] < errs[1e-4] < 1e-2
 
@@ -143,8 +142,8 @@ class TestTLRCholesky:
         mat, dense = matern_mat
         tlr = TLRSymmetricMatrix.from_tiled(mat, 1e-12)
         res = tlr_cholesky(tlr)
-        l = np.tril(res.factor.to_dense())
-        assert np.allclose(l, np.linalg.cholesky(dense), atol=1e-6)
+        L = np.tril(res.factor.to_dense())
+        assert np.allclose(L, np.linalg.cholesky(dense), atol=1e-6)
 
     def test_logdet(self, matern_mat):
         mat, dense = matern_mat
@@ -165,8 +164,8 @@ class TestTLRCholesky:
         kmap = build_precision_map(tile_norms(mat), 1e-4)
         tlr = TLRSymmetricMatrix.from_tiled(mat, 1e-8)
         res = tlr_cholesky(tlr, kernel_map=kmap)
-        l = np.tril(res.factor.to_dense())
-        rel = np.linalg.norm(l @ l.T - dense) / np.linalg.norm(dense)
+        L = np.tril(res.factor.to_dense())
+        rel = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert rel < 1e-2  # dominated by the 1e-4 precision budget
         # and strictly worse than the unquantised TLR factorization
         res_full = tlr_cholesky(tlr)
