@@ -26,7 +26,6 @@ import numpy as np
 from ..core.precision_map import KernelPrecisionMap, build_precision_map
 from ..geostats.covariance import CovarianceModel, Matern, SquaredExponential
 from ..geostats.locations import generate_locations
-from ..precision.formats import ADAPTIVE_FORMATS
 from ..tiles.norms import sampled_tile_norms
 
 __all__ = ["AppConfig", "APPLICATIONS", "app_kernel_map", "get_app"]
@@ -72,7 +71,6 @@ def app_kernel_map(
     nb: int,
     *,
     samples_per_tile: int = 64,
-    formats=ADAPTIVE_FORMATS,
     seed: int = 0,
     locations: np.ndarray | None = None,
     ordering: str | None = "morton",
@@ -104,4 +102,4 @@ def app_kernel_map(
     oracle = app.model.entry_oracle(locs, app.theta)
     rng = np.random.default_rng(seed + 1)
     norms = sampled_tile_norms(n, nb, oracle, samples_per_tile=samples_per_tile, rng=rng)
-    return build_precision_map(norms, app.accuracy, formats)
+    return build_precision_map(norms, app.accuracy)

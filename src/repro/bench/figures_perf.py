@@ -143,9 +143,8 @@ def fig10_specs(gpu_name: str, n: int) -> list[RunSpec]:
 
     The paper's sizes are 61,440 on V100 (its largest FP64 fit) and
     122,880 on A100/H100.  Every point runs on the default 256 GB host,
-    not Haxane's 63 GB host (``HAXANE_NODE``), on which the runs at
-    122,880 would spill more to disk.  The FP64 point is Fig. 8's FP64
-    point at the same size.
+    not Haxane's 63 GB host, on which the runs at 122,880 would spill
+    more to disk.  The FP64 point is Fig. 8's FP64 point at the same size.
     """
     return [RunSpec(n=n, nb=NB, config="FP64", gpu=gpu_name),
             *(RunSpec(n=n, nb=NB, config="adaptive", app=app, gpu=gpu_name)

@@ -61,9 +61,9 @@ def write_csv(name: str, headers: Sequence[str], rows: Iterable[Sequence]) -> st
     return path
 
 
-def ascii_series(xs: Sequence[float], ys: Sequence[float], *, width: int = 60, height: int = 12,
-                 label: str = "") -> str:
-    """Tiny ASCII line plot for quick visual inspection of a series."""
+def ascii_series(xs: Sequence[float], ys: Sequence[float], *, label: str = "") -> str:
+    """Tiny 60×12 ASCII line plot for quick visual inspection of a series."""
+    width, height = 60, 12
     if not xs or not ys or len(xs) != len(ys):
         return "(empty series)"
     lo, hi = min(ys), max(ys)

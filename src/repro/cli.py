@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("baseline",
                    help="baseline BENCH_*.json or run-summary JSON")
-    p.add_argument("candidates", nargs="*",
-                   help="candidate document(s) compared against the baseline")
+    p.add_argument("candidate", nargs="?",
+                   help="candidate document compared against the baseline")
     p.add_argument("--threshold", action="append", default=None,
                    metavar="METRIC=REL[:DIRECTION]",
                    help="override a relative threshold, e.g. tflops=0.10 or "
@@ -576,41 +576,29 @@ def _cmd_compare(args) -> int:
     from .obs import write_json
     from .obs.regress import compare_files, parse_threshold_args
 
-    for path in [args.baseline, *args.candidates]:
-        if not Path(path).exists():
+    for path in (args.baseline, args.candidate):
+        if path is not None and not Path(path).exists():
             print(f"compare: no such file: {path}", file=sys.stderr)
             return 2
     try:
         thresholds = parse_threshold_args(args.threshold)
-        if not args.candidates:
+        if args.candidate is None:
             raise ValueError("need at least one candidate document")
-        reports = []
-        for candidate in args.candidates:
-            try:
-                reports.append(compare_files(args.baseline, candidate,
-                                             thresholds=thresholds))
-            except ValueError as exc:
-                raise ValueError(f"{candidate}: {exc}") from None
+        report = compare_files(args.baseline, args.candidate, thresholds=thresholds)
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 2
-    for report in reports:
-        print(report.table(all_metrics=args.all_metrics))
-        if report.missing_in_candidate:
-            print(f"  scopes missing in candidate: {', '.join(report.missing_in_candidate)}")
-        if report.added_in_candidate:
-            print(f"  scopes added in candidate: {', '.join(report.added_in_candidate)}")
-        print()
+    print(report.table(all_metrics=args.all_metrics))
+    if report.missing_in_candidate:
+        print(f"  scopes missing in candidate: {', '.join(report.missing_in_candidate)}")
+    if report.added_in_candidate:
+        print(f"  scopes added in candidate: {', '.join(report.added_in_candidate)}")
+    print()
     if args.report_out:
-        # one report as is, several under ``…regress/1+multi``
-        payload = (reports[0].to_dict() if len(reports) == 1
-                   else {"schema": "repro.obs.regress/1+multi",
-                         "reports": [r.to_dict() for r in reports]})
-        write_json(args.report_out, payload)
+        write_json(args.report_out, report.to_dict())
         print(f"  verdict → {args.report_out}")
-    n_regressions = sum(r.n_regressions for r in reports)
-    if args.fail_on_regress and n_regressions:
-        print(f"compare: {n_regressions} regression(s) beyond threshold",
+    if args.fail_on_regress and report.n_regressions:
+        print(f"compare: {report.n_regressions} regression(s) beyond threshold",
               file=sys.stderr)
         return 1
     return 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -64,24 +63,7 @@ class MPConfig:
             raise ValueError("tile_size must be positive")
         object.__setattr__(self, "formats", validate_adaptive_set(self.formats))
 
-    def with_accuracy(self, accuracy: float) -> "MPConfig":
-        return dataclasses.replace(self, accuracy=accuracy)
-
     @classmethod
     def fp64_only(cls, tile_size: int = 2048) -> "MPConfig":
         """The full-FP64 baseline configuration."""
         return cls(accuracy=1e-15, formats=(Precision.FP64,), tile_size=tile_size)
-
-    @classmethod
-    def two_precision(
-        cls,
-        low: Precision,
-        tile_size: int = 2048,
-        strategy: ConversionStrategy = ConversionStrategy.AUTO,
-    ) -> "MPConfig":
-        """Fig. 8's extreme configurations: FP64 diagonal, ``low`` elsewhere.
-
-        Returned config carries the format pair; the extreme kernel map
-        itself is built by :func:`repro.core.precision_map.two_precision_map`.
-        """
-        return cls(accuracy=1e-9, formats=(Precision.FP64, low), tile_size=tile_size, strategy=strategy)

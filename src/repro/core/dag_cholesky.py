@@ -286,7 +286,6 @@ def stream_cholesky_tasks(
     *,
     strategy: ConversionStrategy = ConversionStrategy.AUTO,
     grid: ProcessGrid | None = None,
-    comm_map: CommPrecisionMap | None = None,
 ) -> Iterator[Task]:
     """Lazily emit the Cholesky tasks in k-major (topological) order.
 
@@ -297,4 +296,4 @@ def stream_cholesky_tasks(
     (``cholesky_task_count(nt) ≈ nt³/6`` tasks) never materialises the
     DAG.
     """
-    return _emit_kmajor(_CholeskyDataflow(n, nb, kernel_map, strategy, grid, comm_map))
+    return _emit_kmajor(_CholeskyDataflow(n, nb, kernel_map, strategy, grid, None))

@@ -92,13 +92,9 @@ class KernelPrecisionMap:
         return self.kernel(i, j)
 
     # -- statistics -------------------------------------------------------
-    def tile_fractions(self, *, lower_only: bool = True) -> dict[Precision, float]:
-        """Fraction of tiles per precision (the Fig. 7 percentages)."""
-        if lower_only:
-            idx = np.tril_indices(self.nt)
-            vals = self.codes[idx]
-        else:
-            vals = self.codes.ravel()
+    def tile_fractions(self) -> dict[Precision, float]:
+        """Fraction of lower-triangle tiles per precision (the Fig. 7 percentages)."""
+        vals = self.codes[np.tril_indices(self.nt)]
         total = vals.size
         out: dict[Precision, float] = {}
         for prec in Precision:
@@ -130,27 +126,6 @@ class KernelPrecisionMap:
         if i.size == 0:
             return 0
         return int(np.max(np.abs(i - j))) + 1
-
-    def flop_weighted_fractions(self) -> dict[Precision, float]:
-        """Fraction of trailing-update GEMM flops per precision.
-
-        Each tile (i, j), j < i, receives j GEMM updates (iterations
-        k = 0..j-1), so weighting by j approximates the share of the
-        factorization's flops executed at each precision — the quantity
-        that actually drives performance and energy.
-        """
-        il, jl = np.tril_indices(self.nt, k=-1)
-        keep = jl > 0  # column j receives j GEMM updates; j = 0 receives none
-        codes = self.codes[il[keep], jl[keep]].astype(np.int64)
-        w = jl[keep].astype(np.float64)
-        total = float(w.sum())
-        if total == 0.0:
-            return {Precision.FP64: 1.0}
-        sums = np.bincount(codes, weights=w, minlength=len(Precision))
-        return {
-            Precision(int(c)): float(sums[c]) / total
-            for c in sorted(np.nonzero(sums)[0], reverse=True)
-        }
 
     def render(self) -> str:
         """ASCII heatmap of the kernel map (Fig. 2a / Fig. 7 style)."""

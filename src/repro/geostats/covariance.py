@@ -10,15 +10,15 @@ Two families, exactly as the paper defines them:
   ``θ = (σ², β, ν)``; ν=0.5 gives the rough exponential kernel, ν=1 a
   smoother field.
 
-Each model knows its parameter names, bounds (the paper constrains all
-parameters to [0.01, 2]), and paper-calibrated "weak/strong correlation"
-presets (β = 0.03 / 0.3; ν = 0.5 rough, 1.0 smooth).
+Each model knows its parameter names and bounds (the paper constrains
+all parameters to [0.01, 2]).  The paper's weak/strong correlation is
+β = 0.03 / 0.3, its rough/smooth Matérn ν = 0.5 / 1.
 
 ``Matern.correlation`` pays for a Bessel function only where ν demands
 one.  With s = h/β it dispatches on the value of ν it is handed:
-ν = ½ (preset "rough") → σ²e^{−s}, 3⁄2 → σ²(1+s)e^{−s},
-5⁄2 → σ²(1+s+s²⁄3)e^{−s}, all through ``np.exp``; ν = 1 (preset
-"smooth") → σ²·s·K₁(s) through ``scipy.special``'s ``k1``; every other
+ν = ½ (rough) → σ²e^{−s}, 3⁄2 → σ²(1+s)e^{−s},
+5⁄2 → σ²(1+s+s²⁄3)e^{−s}, all through ``np.exp``; ν = 1 (smooth)
+→ σ²·s·K₁(s) through ``scipy.special``'s ``k1``; every other
 ν → the general form above as σ²·exp(r(log s) − s), where r, the log of
 the kernel scaled by e^s, is O(log s), analytic in log s and read from
 one table of ``kve`` per call (:func:`_matern_general`): a fit that
@@ -144,16 +144,6 @@ class SquaredExponential(CovarianceModel):
         h = np.asarray(h, dtype=np.float64)
         return sigma2 * np.exp(-(h * h) / beta)
 
-    @staticmethod
-    def weak(dim: int = 2) -> tuple["SquaredExponential", tuple[float, float]]:
-        """Paper's weak-correlation preset: θ = (1, 0.03)."""
-        return SquaredExponential(dim=dim), (1.0, 0.03)
-
-    @staticmethod
-    def strong(dim: int = 2) -> tuple["SquaredExponential", tuple[float, float]]:
-        """Paper's strong-correlation preset: θ = (1, 0.3)."""
-        return SquaredExponential(dim=dim), (1.0, 0.3)
-
 
 @dataclass(frozen=True)
 class Matern(CovarianceModel):
@@ -194,15 +184,6 @@ class Matern(CovarianceModel):
         dead = ~live
         s[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
         return s
-
-    @staticmethod
-    def preset(
-        correlation: str = "weak", smoothness: str = "rough"
-    ) -> tuple["Matern", tuple[float, float, float]]:
-        """Paper presets: β ∈ {0.03 weak, 0.3 strong}; ν ∈ {0.5 rough, 1 smooth}."""
-        beta = {"weak": 0.03, "strong": 0.3}[correlation]
-        nu = {"rough": 0.5, "smooth": 1.0}[smoothness]
-        return Matern(dim=2), (1.0, beta, nu)
 
 
 #: the general-ν table: nodes at t = log s = k·_STEP, read in blocks of _BLOCK entries;

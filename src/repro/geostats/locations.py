@@ -68,13 +68,12 @@ def generate_locations(
     dim: int = 2,
     *,
     seed: int | np.random.Generator | None = None,
-    jitter: float = 0.4,
     sort: bool = True,
 ) -> np.ndarray:
     """Generate ``n`` irregular locations in the unit square/cube.
 
     Points sit on a perturbed regular grid: grid pitch ``1/m`` with each
-    coordinate jittered by ``±jitter/m`` (ExaGeoStat uses a comparable
+    coordinate jittered by ``±0.4/m`` (ExaGeoStat uses a comparable
     scheme), clipped to [0, 1].  With ``sort=True`` (default) the points
     are returned in Morton order.
     """
@@ -92,7 +91,7 @@ def generate_locations(
         idx = rng.choice(pts.shape[0], size=n, replace=False)
         pts = pts[idx]
     pts = (pts + 0.5) / m
-    pts += rng.uniform(-jitter / m, jitter / m, size=pts.shape)
+    pts += rng.uniform(-0.4 / m, 0.4 / m, size=pts.shape)
     np.clip(pts, 0.0, 1.0, out=pts)
     if sort:
         pts = pts[morton_order(pts)]

@@ -93,19 +93,15 @@ def theoretical_variogram(
     return gamma
 
 
-def fit_variogram(
-    dataset: Dataset,
-    *,
-    n_bins: int = 15,
-    max_evals: int = 1500,
-) -> tuple[np.ndarray, EmpiricalVariogram]:
-    """Weighted least-squares variogram fit (Cressie's weights N(h)/γ̂²).
+def fit_variogram(dataset: Dataset) -> tuple[np.ndarray, EmpiricalVariogram]:
+    """Weighted least-squares variogram fit (Cressie's weights N(h)/γ̂²)
+    over 15 distance bins, at most 1500 evaluations per simplex run.
 
     Returns ``(theta_hat, empirical)``.  Far cheaper than MLE — a useful
     initial guess for :func:`repro.geostats.mle.fit_mle` and a classical
     baseline for the estimation study.
     """
-    emp = empirical_variogram(dataset, n_bins=n_bins)
+    emp = empirical_variogram(dataset, n_bins=15)
     model = dataset.model
     nugget = dataset.nugget
 
@@ -119,5 +115,5 @@ def fit_variogram(
 
     bounds = model.bounds()
     x0 = tuple(0.5 * (lo + hi) for lo, hi in bounds)
-    res = nelder_mead_bounded(loss, x0, bounds, xtol=1e-8, max_evals=max_evals, restarts=2)
+    res = nelder_mead_bounded(loss, x0, bounds, xtol=1e-8, max_evals=1500, restarts=2)
     return res.x, emp

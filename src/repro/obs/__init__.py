@@ -66,7 +66,7 @@ from .exporters import (
     write_perfetto_trace,
     write_run_summary,
 )
-from .manifest import build_manifest, git_revision, write_manifest
+from .manifest import build_manifest, git_revision
 from .metrics import Counter, Gauge, Metric, MetricsRegistry
 from .spans import Span, span, traced
 
@@ -116,7 +116,6 @@ __all__ = [
     "to_prometheus_text",
     "traced",
     "write_json",
-    "write_manifest",
     "write_perfetto_trace",
     "write_run_summary",
 ]

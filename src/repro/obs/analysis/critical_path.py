@@ -73,12 +73,12 @@ class CriticalPathResult:
         }
 
 
-def critical_path(events: Sequence, *, tol: float | None = None) -> CriticalPathResult:
+def critical_path(events: Sequence) -> CriticalPathResult:
     """Recover the critical path from a trace's busy intervals.
 
-    ``tol`` absorbs float association noise when matching an event's
-    start against candidate predecessors' ends; it defaults to
-    ``1e-9 × max(makespan, 1)``.  Zero-duration events are legal chain
+    A tolerance of ``1e-9 × max(makespan, 1)`` absorbs float association
+    noise when matching an event's start against candidate predecessors'
+    ends.  Zero-duration events are legal chain
     members (each event is visited at most once, so the walk always
     terminates).
     """
@@ -86,8 +86,7 @@ def critical_path(events: Sequence, *, tol: float | None = None) -> CriticalPath
     if not evs:
         return CriticalPathResult()
     makespan = max(e.t_end for e in evs)
-    if tol is None:
-        tol = 1e-9 * max(makespan, 1.0)
+    tol = 1e-9 * max(makespan, 1.0)
 
     order = sorted(range(len(evs)), key=lambda i: evs[i].t_end)
     ends = [evs[i].t_end for i in order]

@@ -204,13 +204,10 @@ def run_stats(doc: Mapping) -> Mapping | None:
     """The RunStats dict a document holds, ``None`` when it holds none.
 
     The one reader of the layout :func:`run_summary` writes: its
-    ``stats`` section, else the document itself when it is a bare
-    ``RunStats.to_dict()``.
+    ``stats`` section.
     """
     stats = doc.get("stats")
-    if isinstance(stats, Mapping) and "makespan_seconds" in stats:
-        return stats
-    return doc if "makespan_seconds" in doc else None
+    return stats if isinstance(stats, Mapping) and "makespan_seconds" in stats else None
 
 
 def write_json(path: str | Path, doc: Mapping) -> Path:

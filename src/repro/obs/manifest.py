@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Mapping
 
-__all__ = ["build_manifest", "git_revision", "write_manifest"]
+__all__ = ["build_manifest", "git_revision"]
 
 _SCHEMA_VERSION = 1
 
@@ -44,10 +44,10 @@ def _jsonable_config(config: object) -> object:
     return repr(config)
 
 
-def git_revision(root: str | Path | None = None) -> str | None:
-    """HEAD revision of the repository containing this package (or
-    ``root``), asked of git once per process and directory."""
-    return _git_revision((Path(root) if root is not None else Path(__file__).parent).resolve())
+def git_revision() -> str | None:
+    """HEAD revision of the repository containing this package, asked of
+    git once per process."""
+    return _git_revision(Path(__file__).parent.resolve())
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,7 +102,6 @@ def build_manifest(
     config: object = None,
     seed: int | None = None,
     policy: str | None = None,
-    extra: Mapping[str, object] | None = None,
 ) -> dict:
     """Build the manifest dict for one run.
 
@@ -121,7 +120,7 @@ def build_manifest(
         maybe = getattr(config, "policy")
         if isinstance(maybe, str):
             policy = maybe
-    manifest: dict[str, object] = {
+    return {
         "schema_version": _SCHEMA_VERSION,
         "run_id": run_id,
         "command": command,
@@ -137,13 +136,4 @@ def build_manifest(
             "python_implementation": _platform.python_implementation(),
         },
     }
-    if extra:
-        manifest["extra"] = _jsonable_config(dict(extra))
-    return manifest
 
-
-def write_manifest(path: str | Path, manifest: Mapping[str, object]) -> Path:
-    """Serialise a manifest to pretty, key-sorted JSON."""
-    from .exporters import write_json
-
-    return write_json(path, manifest)

@@ -8,8 +8,8 @@ verdict, so "did this PR regress the trajectory?" is a command
 diff eyeballed by a reviewer.
 
 Inputs may be ``repro.bench/1`` documents (compared per cached run key
-*and* at the aggregate level), ``repro.obs.run_summary/1`` documents, or
-bare ``RunStats.to_dict()`` files.  Only deterministic simulator metrics
+*and* at the aggregate level) or ``repro.obs.run_summary/1`` documents
+(what ``--metrics-out`` writes).  Only deterministic simulator metrics
 are compared by default — wall-clock numbers (``plan_seconds``,
 ``wall_seconds``, …) are machine noise and excluded unless explicitly
 thresholded.
@@ -224,8 +224,7 @@ def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
       sorted ``k=v`` fields of the run's spec when available, else its
       cache key) plus an ``aggregate`` scope;
     * ``repro.obs.run_summary/1`` — one ``run`` scope from the embedded
-      stats section;
-    * a bare stats dict (has ``makespan_seconds``) — one ``run`` scope.
+      stats section.
     """
     schema = doc.get("schema", "")
     if schema == "repro.bench/1" or "runs" in doc and "aggregates" in doc:
@@ -250,8 +249,7 @@ def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
     stats = run_stats(doc)
     if stats is None:
         raise ValueError(
-            "unsupported document: expected repro.bench/1, repro.obs.run_summary/1, "
-            "or a RunStats dict"
+            "unsupported document: expected repro.bench/1 or repro.obs.run_summary/1"
         )
     return {"run": _numeric_metrics(stats)}
 

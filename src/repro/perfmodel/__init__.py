@@ -17,7 +17,6 @@ from .gpus import (
     GPU_BY_NAME,
     GUYOT_NODE,
     H100,
-    HAXANE_NODE,
     SUMMIT_NODE,
     V100,
     GPUSpec,
@@ -38,7 +37,6 @@ __all__ = [
     "GPU_BY_NAME",
     "GUYOT_NODE",
     "H100",
-    "HAXANE_NODE",
     "SUMMIT_NODE",
     "V100",
     "CalibrationReport",

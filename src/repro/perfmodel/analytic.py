@@ -11,7 +11,8 @@ for each iteration k with trailing width w = NT−k−1:
 
 * ``t_compute`` — the per-rank share of the iteration's TRSM/SYRK/GEMM
   flops, each priced at its precision's sustained rate, plus the
-  receiver-side conversion passes the strategy implies;
+  receiver-side conversion passes the automated (``AUTO``) strategy
+  implies;
 * ``t_h2d``     — the per-rank host→device payload traffic (each panel
   tile lands on the P+Q−2 remote ranks that consume it, plus its own);
 * ``t_net``     — the aggregate broadcast volume over the node NICs with
@@ -71,8 +72,6 @@ def analytic_cholesky(
     nb: int,
     kernel_map: KernelPrecisionMap,
     platform: Platform,
-    *,
-    strategy: ConversionStrategy = ConversionStrategy.AUTO,
 ) -> AnalyticReport:
     """Estimate the mixed-precision Cholesky makespan on ``platform``."""
     nt = kernel_map.nt
@@ -134,6 +133,8 @@ def analytic_cholesky(
             acc_lat += t_lat
             continue
 
+        # panel column k travels at its median tile's payload precision
+        pay = _column_payload(cmap, k, nt)
         # --- compute share of this iteration -----------------------------
         t_work = 0.0
         # TRSMs of column k (exec floor FP32)
@@ -154,7 +155,6 @@ def analytic_cholesky(
             count = int(np.sum(gemm_codes == code))
             t_work += count * tk(KernelKind.GEMM, prec)
             # receiver conversions: two panel payloads + the C accumulator
-            pay = _column_payload(cmap, k, nt, strategy)
             n_conv = 2 * int(needs_conversion(pay, prec, "in"))
             n_conv += int(needs_conversion(cmap.storage(k + 1, k + 1), prec, "inout"))
             t_work += count * n_conv * conversion_time(gpu, elements, pay, prec)
@@ -162,7 +162,6 @@ def analytic_cholesky(
         t_compute = t_work / ranks
 
         # --- communication ------------------------------------------------
-        pay = _column_payload(cmap, k, nt, strategy)
         pay_bytes = elements * bytes_per_element(pay)
         # every panel tile must reach its P+Q−2 remote consumer ranks
         h2d_bytes = w * (remote_consumers + 1) * pay_bytes
@@ -196,9 +195,7 @@ def analytic_cholesky(
     )
 
 
-def _column_payload(
-    cmap, k: int, nt: int, strategy: ConversionStrategy
-) -> Precision:
+def _column_payload(cmap, k: int, nt: int) -> Precision:
     """Representative payload precision of panel column k (its median tile)."""
     mid = min(nt - 1, k + 1 + (nt - k - 1) // 2)
-    return cmap.payload(mid, k, strategy)
+    return cmap.payload(mid, k, ConversionStrategy.AUTO)

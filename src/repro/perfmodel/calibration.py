@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..precision.formats import Precision
-from .gpus import GPUSpec, V100
+from .gpus import V100
 from .kernels import gemm_time
 from .transfers import h2d_time
 
@@ -42,17 +42,17 @@ class CalibrationReport:
         return self.max_rel_error < 0.15
 
 
-def verify_table2(gpu: GPUSpec = V100) -> CalibrationReport:
-    """Compare the shipped model against the paper's Table II."""
+def verify_table2() -> CalibrationReport:
+    """Compare the shipped V100 model against the paper's Table II."""
     worst = ("", "", 0)
     errs = []
     max_err = 0.0
     for (kind, prec), refs in TABLE2_MS.items():
         for n, ref in zip(TABLE2_SIZES, refs):
             if kind == "move":
-                got = h2d_time(gpu, n, prec) * 1e3
+                got = h2d_time(V100, n, prec) * 1e3
             else:
-                got = gemm_time(gpu, n, prec) * 1e3
+                got = gemm_time(V100, n, prec) * 1e3
             rel = abs(got - ref) / ref
             errs.append(rel)
             if rel > max_err:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from ..precision.formats import Precision
 
-__all__ = ["GPUSpec", "NodeSpec", "V100", "A100", "H100", "SUMMIT_NODE", "GUYOT_NODE", "HAXANE_NODE", "GPU_BY_NAME"]
+__all__ = ["GPUSpec", "NodeSpec", "V100", "A100", "H100", "SUMMIT_NODE", "GUYOT_NODE", "GPU_BY_NAME"]
 
 _TFLOP = 1e12
 
@@ -235,10 +235,6 @@ class NodeSpec:
     disk_bandwidth: float = 2e9  # NVMe spill tier, bytes/s per direction
     disk_latency: float = 100e-6  # per-transfer latency, seconds
 
-    @property
-    def total_gpu_memory(self) -> float:
-        return self.gpu.memory_bytes * self.gpus_per_node
-
 
 SUMMIT_NODE = NodeSpec(
     name="summit-node",
@@ -254,15 +250,6 @@ GUYOT_NODE = NodeSpec(
     gpu=A100,
     gpus_per_node=8,
     host_memory_bytes=2063e9,
-    nic_bandwidth=25e9,
-    nic_latency=1.5e-6,
-)
-
-HAXANE_NODE = NodeSpec(
-    name="haxane",
-    gpu=H100,
-    gpus_per_node=1,
-    host_memory_bytes=63e9,
     nic_bandwidth=25e9,
     nic_latency=1.5e-6,
 )

@@ -34,7 +34,7 @@ from .formats import (
     rule_epsilon,
     validate_adaptive_set,
 )
-from .gemm import gemm_relative_error, mixed_gemm, mixed_syrk, multiply_accumulate
+from .gemm import gemm_relative_error, mixed_gemm, multiply_accumulate
 
 __all__ = [
     "ADAPTIVE_FORMATS",
@@ -50,7 +50,6 @@ __all__ = [
     "get_storage_precision",
     "max_abs_error",
     "mixed_gemm",
-    "mixed_syrk",
     "multiply_accumulate",
     "quantize",
     "quantize_batch",

@@ -86,20 +86,9 @@ class FormatInfo:
     input_bits: int
     #: significand bits (incl. implicit bit) of the *accumulation* format
     accum_bits: int
-    #: exponent bits of the input format (overflow behaviour of FP16)
-    input_exponent_bits: int
     #: NumPy dtype that most closely matches the storage of a tile held
     #: at rest in this precision (FP16_32/TF32 tiles rest in FP32).
     rest_dtype: np.dtype
-
-    @property
-    def dynamic_range_max(self) -> float:
-        """Largest finite value representable by the input format."""
-        if self.input_exponent_bits == 5:  # IEEE half
-            return 65504.0
-        if self.input_exponent_bits == 8 and self.input_bits <= 24:
-            return float(np.finfo(np.float32).max)
-        return float(np.finfo(np.float64).max)
 
 
 FORMAT_INFO: dict[Precision, FormatInfo] = {
@@ -110,7 +99,6 @@ FORMAT_INFO: dict[Precision, FormatInfo] = {
         storage_bytes=8,
         input_bits=53,
         accum_bits=53,
-        input_exponent_bits=11,
         rest_dtype=np.dtype(np.float64),
     ),
     Precision.FP32: FormatInfo(
@@ -120,7 +108,6 @@ FORMAT_INFO: dict[Precision, FormatInfo] = {
         storage_bytes=4,
         input_bits=24,
         accum_bits=24,
-        input_exponent_bits=8,
         rest_dtype=np.dtype(np.float32),
     ),
     Precision.TF32: FormatInfo(
@@ -130,7 +117,6 @@ FORMAT_INFO: dict[Precision, FormatInfo] = {
         storage_bytes=4,
         input_bits=11,
         accum_bits=24,
-        input_exponent_bits=8,
         rest_dtype=np.dtype(np.float32),
     ),
     Precision.FP16_32: FormatInfo(
@@ -140,7 +126,6 @@ FORMAT_INFO: dict[Precision, FormatInfo] = {
         storage_bytes=2,
         input_bits=11,
         accum_bits=24,
-        input_exponent_bits=5,
         rest_dtype=np.dtype(np.float32),
     ),
     Precision.BF16_32: FormatInfo(
@@ -150,7 +135,6 @@ FORMAT_INFO: dict[Precision, FormatInfo] = {
         storage_bytes=2,
         input_bits=8,
         accum_bits=24,
-        input_exponent_bits=8,
         rest_dtype=np.dtype(np.float32),
     ),
     Precision.FP16: FormatInfo(
@@ -160,7 +144,6 @@ FORMAT_INFO: dict[Precision, FormatInfo] = {
         storage_bytes=2,
         input_bits=11,
         accum_bits=11,
-        input_exponent_bits=5,
         rest_dtype=np.dtype(np.float16),
     ),
 }

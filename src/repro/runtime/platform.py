@@ -45,10 +45,6 @@ class Platform:
             raise ValueError(f"rank {rank} outside platform of {self.n_ranks} ranks")
         return rank // self.node.gpus_per_node
 
-    def local_gpu(self, rank: int) -> int:
-        """GPU index of ``rank`` within its node."""
-        return rank % self.node.gpus_per_node
-
     def process_grid(self) -> ProcessGrid:
         """The squarest P×Q grid over all ranks (Section VII-A)."""
         return ProcessGrid.squarest(self.n_ranks)

@@ -319,7 +319,7 @@ def resolve_policy(policy: "str | SchedulePolicy | None") -> SchedulePolicy:
         ) from None
 
 
-# re-exported convenience: the cost model a graph-level lower bound uses
+# the oracle tests/test_scheduler_properties.py holds every policy's makespan to
 def graph_cost_lower_bound(graph: "TaskGraph", platform: "Platform", nb: int) -> float:
     """Critical-path lower bound on any schedule's makespan.
 

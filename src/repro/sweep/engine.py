@@ -268,9 +268,9 @@ class SweepResult:
     def summary_stats(self) -> dict:
         """Campaign-level counters in run-summary form.
 
-        A flat numeric dict (``makespan_seconds`` key included so
-        :func:`repro.obs.regress.load_metric_scopes` recognizes it) for
-        embedding into ``--metrics-out`` summaries, making a campaign
+        A flat numeric dict for the ``stats`` section of ``--metrics-out``
+        summaries (``makespan_seconds`` key included so
+        :func:`repro.obs.exporters.run_stats` finds it), making a campaign
         diffable by ``repro compare`` just like a single run.
         """
         bench = self.to_bench_json()

@@ -1,6 +1,6 @@
 """Tiled matrix storage, distribution, norms, and numeric tile kernels."""
 
-from .distribution import ProcessGrid, lower_triangle_tiles, squarest_grid
+from .distribution import ProcessGrid, squarest_grid
 from .kernels import (
     NotPositiveDefiniteError,
     gemm,
@@ -18,7 +18,6 @@ __all__ = [
     "TiledSymmetricMatrix",
     "gemm",
     "global_norm_from_tile_norms",
-    "lower_triangle_tiles",
     "potrf",
     "sampled_tile_norms",
     "squarest_grid",

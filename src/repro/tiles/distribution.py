@@ -3,18 +3,17 @@
 The paper distributes tiles over a ``P × Q`` process grid chosen "as
 square as possible" with ``P ≤ Q``.  Tile (i, j) lives on grid position
 ``(i mod P, j mod Q)``; inside a node, tiles are served round-robin to the
-node's GPUs.  This module provides the grid arithmetic plus helpers the
-scheduler and the analytic scaling model both use (per-rank tile counts,
-load-balance statistics for a symmetric lower-triangular tile set).
+node's GPUs.  This module is the grid arithmetic alone: the DAG builder
+places each task on :meth:`ProcessGrid.owner`'s rank, and the analytic
+scaling model reads the grid's ``P`` and ``Q``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
-__all__ = ["ProcessGrid", "squarest_grid", "lower_triangle_tiles"]
+__all__ = ["ProcessGrid", "squarest_grid"]
 
 
 def squarest_grid(p: int) -> tuple[int, int]:
@@ -27,13 +26,6 @@ def squarest_grid(p: int) -> tuple[int, int]:
             best = (cand, p // cand)
             break
     return best
-
-
-def lower_triangle_tiles(nt: int) -> Iterator[tuple[int, int]]:
-    """Yield the (row, col) indices of the lower-triangular tile set."""
-    for i in range(nt):
-        for j in range(i + 1):
-            yield (i, j)
 
 
 @dataclass(frozen=True)
@@ -60,37 +52,6 @@ class ProcessGrid:
     def size(self) -> int:
         return self.p * self.q
 
-    def coords(self, rank: int) -> tuple[int, int]:
-        """Grid coordinates of a rank."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside grid of size {self.size}")
-        return divmod(rank, self.q)
-
     def owner(self, i: int, j: int) -> int:
         """Rank owning tile (i, j) under 2D block-cyclic distribution."""
         return (i % self.p) * self.q + (j % self.q)
-
-    def tiles_owned(self, rank: int, nt: int, *, lower_only: bool = True) -> list[tuple[int, int]]:
-        """Tiles of an ``nt × nt`` tiled matrix owned by ``rank``."""
-        tiles = lower_triangle_tiles(nt) if lower_only else (
-            (i, j) for i in range(nt) for j in range(nt)
-        )
-        return [(i, j) for i, j in tiles if self.owner(i, j) == rank]
-
-    def tile_counts(self, nt: int, *, lower_only: bool = True) -> list[int]:
-        """Number of tiles owned by each rank."""
-        counts = [0] * self.size
-        tiles = lower_triangle_tiles(nt) if lower_only else (
-            (i, j) for i in range(nt) for j in range(nt)
-        )
-        for i, j in tiles:
-            counts[self.owner(i, j)] += 1
-        return counts
-
-    def load_imbalance(self, nt: int) -> float:
-        """max/mean tile-count ratio over ranks (1.0 = perfect balance)."""
-        counts = self.tile_counts(nt)
-        mean = sum(counts) / len(counts)
-        if mean == 0:
-            return 1.0
-        return max(counts) / mean

@@ -63,7 +63,6 @@ def tlr_cholesky(
     mat: TLRSymmetricMatrix,
     *,
     kernel_map: KernelPrecisionMap | None = None,
-    max_rank: int | None = None,
 ) -> TLRCholeskyResult:
     """Factor a TLR symmetric positive definite matrix in place (copy).
 
@@ -142,7 +141,7 @@ def tlr_cholesky(
                 w = a.u @ core  # (nb, r_n)
                 update = LowRankTile(-w, b.u)
                 c = work.lowrank[(m, n)]
-                work.lowrank[(m, n)] = add_lowrank(c, update, tol, max_rank=max_rank)
+                work.lowrank[(m, n)] = add_lowrank(c, update, tol)
                 peak_rank = max(peak_rank, work.lowrank[(m, n)].rank)
                 r_sum = c.rank + update.rank
                 nb_m = a.shape[0]

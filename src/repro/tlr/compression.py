@@ -88,7 +88,7 @@ def compress(tile: np.ndarray, tol: float, *, max_rank: int | None = None) -> Lo
     return LowRankTile(u[:, :r] * s[:r], vt[:r, :].T)
 
 
-def recompress(lr: LowRankTile, tol: float, *, max_rank: int | None = None) -> LowRankTile:
+def recompress(lr: LowRankTile, tol: float) -> LowRankTile:
     """Round a low-rank representation back to numerical rank.
 
     The standard QR+SVD rounding: orthonormalise both factors, truncate
@@ -105,16 +105,12 @@ def recompress(lr: LowRankTile, tol: float, *, max_rank: int | None = None) -> L
         m, n = lr.shape
         return LowRankTile(np.zeros((m, 1)), np.zeros((n, 1)))
     r = max(1, int(np.sum(s > tol * s[0])))
-    if max_rank is not None:
-        r = min(r, max_rank)
     return LowRankTile(qu @ (uc[:, :r] * s[:r]), qv @ vtc[:r, :].T)
 
 
-def add_lowrank(
-    a: LowRankTile, b: LowRankTile, tol: float, *, max_rank: int | None = None
-) -> LowRankTile:
+def add_lowrank(a: LowRankTile, b: LowRankTile, tol: float) -> LowRankTile:
     """``a + b`` in low-rank form with rounding (rank-truncated sum)."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     stacked = LowRankTile(np.hstack([a.u, b.u]), np.hstack([a.v, b.v]))
-    return recompress(stacked, tol, max_rank=max_rank)
+    return recompress(stacked, tol)

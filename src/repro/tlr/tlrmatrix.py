@@ -32,20 +32,14 @@ class TLRSymmetricMatrix:
         return -(-self.n // self.nb)
 
     @classmethod
-    def from_tiled(
-        cls,
-        mat: TiledSymmetricMatrix,
-        tol: float,
-        *,
-        max_rank: int | None = None,
-    ) -> "TLRSymmetricMatrix":
+    def from_tiled(cls, mat: TiledSymmetricMatrix, tol: float) -> "TLRSymmetricMatrix":
         """Compress a tiled dense matrix into TLR format."""
         out = cls(n=mat.n, nb=mat.nb, tol=tol)
         for i, j in mat.lower_indices():
             if i == j:
                 out.diag[i] = mat.get(i, i).copy()
             else:
-                out.lowrank[(i, j)] = compress(mat.get(i, j), tol, max_rank=max_rank)
+                out.lowrank[(i, j)] = compress(mat.get(i, j), tol)
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -91,15 +85,3 @@ class TLRSymmetricMatrix:
         if not self.lowrank:
             return 0.0
         return float(np.mean([lr.rank for lr in self.lowrank.values()]))
-
-    def rank_map(self) -> np.ndarray:
-        """NT×NT array of tile ranks (diag marked as full rank)."""
-        nt = self.nt
-        out = np.zeros((nt, nt), dtype=int)
-        for t in range(nt):
-            lo, hi = tile_index_range(self.n, self.nb, t)
-            out[t, t] = hi - lo
-        for (i, j), lr in self.lowrank.items():
-            out[i, j] = lr.rank
-            out[j, i] = lr.rank
-        return out

@@ -124,13 +124,6 @@ class TestMapHelpers:
     def test_fractions_sum_to_one(self, rng):
         kmap = build_precision_map(_norms(9, rng), 1e-4)
         assert sum(kmap.tile_fractions().values()) == pytest.approx(1.0)
-        assert sum(kmap.flop_weighted_fractions().values()) == pytest.approx(1.0)
-
-    def test_flop_weighting_favors_offdiagonal(self):
-        kmap = two_precision_map(20, Precision.FP16)
-        tile_fr = kmap.tile_fractions()
-        flop_fr = kmap.flop_weighted_fractions()
-        assert flop_fr[Precision.FP16] > tile_fr[Precision.FP16]
 
     def test_render_contains_legend(self, rng):
         out = build_precision_map(_norms(4, rng), 1e-4).render()

@@ -32,17 +32,6 @@ class TestMPConfig:
         with pytest.raises(ValueError):
             MPConfig(formats=(Precision.FP32,))
 
-    def test_with_accuracy(self):
-        cfg = MPConfig(accuracy=1e-4, tile_size=128)
-        cfg2 = cfg.with_accuracy(1e-8)
-        assert cfg2.accuracy == 1e-8 and cfg2.tile_size == 128
-        # every other field rides along, and the new value is validated
-        ttc = MPConfig(strategy=ConversionStrategy.TTC, formats=(Precision.FP64, Precision.FP16))
-        assert ttc.with_accuracy(1e-3) == MPConfig(
-            accuracy=1e-3, strategy=ConversionStrategy.TTC, formats=(Precision.FP64, Precision.FP16))
-        with pytest.raises(ValueError):
-            cfg.with_accuracy(0.0)
-
     def test_no_dead_knobs(self):
         """Every field reaches the factorization; ``fp16_chunk`` never did."""
         assert {f.name for f in dataclasses.fields(MPConfig)} == {
@@ -51,10 +40,6 @@ class TestMPConfig:
     def test_fp64_only(self):
         cfg = MPConfig.fp64_only()
         assert cfg.formats == (Precision.FP64,)
-
-    def test_two_precision(self):
-        cfg = MPConfig.two_precision(Precision.FP16)
-        assert Precision.FP16 in cfg.formats and Precision.FP64 in cfg.formats
 
 
 class TestSolver:

@@ -20,11 +20,6 @@ class TestSquaredExponential:
         model = SquaredExponential(dim=2)
         assert model.correlation(np.array([0.0]), np.array([1.7, 0.3]))[0] == 1.7
 
-    def test_presets(self):
-        _, weak = SquaredExponential.weak()
-        _, strong = SquaredExponential.strong()
-        assert weak == (1.0, 0.03) and strong == (1.0, 0.3)
-
     def test_cov_matrix_spd_with_jitter(self):
         model = SquaredExponential(dim=2)
         locs = generate_locations(50, 2, seed=0)
@@ -91,12 +86,6 @@ class TestMatern:
         cov = model.cov_matrix(locs, (1.0, 0.1, 0.5))
         w = np.linalg.eigvalsh(cov)
         assert w[0] > 0
-
-    def test_presets(self):
-        _, t = Matern.preset("weak", "rough")
-        assert t == (1.0, 0.03, 0.5)
-        _, t = Matern.preset("strong", "smooth")
-        assert t == (1.0, 0.3, 1.0)
 
 
 class TestValidation:

@@ -82,7 +82,7 @@ class TestManifest:
 
     def test_write_manifest_round_trip(self, tmp_path):
         m = obs.build_manifest(run_id="x", seed=0)
-        path = obs.write_manifest(tmp_path / "manifest.json", m)
+        path = obs.write_json(tmp_path / "manifest.json", m)
         assert json.loads(path.read_text()) == m
 
 

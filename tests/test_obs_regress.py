@@ -14,7 +14,7 @@ from repro.obs.regress import (
 )
 
 
-def _stats_doc(**overrides) -> dict:
+def _stats(**overrides) -> dict:
     doc = {
         "makespan_seconds": 1.0,
         "tflops": 20.0,
@@ -28,6 +28,11 @@ def _stats_doc(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+def _stats_doc(**overrides) -> dict:
+    """The run summary ``--metrics-out`` writes, around ``_stats(**overrides)``."""
+    return {"schema": "repro.obs.run_summary/1", "stats": _stats(**overrides)}
 
 
 def _bench_doc(makespan=1.0, tflops=20.0, failed=False) -> dict:
@@ -70,13 +75,14 @@ class TestLoadScopes:
         assert list(scopes) == ["aggregate"]
 
     def test_run_summary_doc(self):
-        doc = {"schema": "repro.obs.run_summary/1", "stats": _stats_doc()}
-        scopes = load_metric_scopes(doc)
+        scopes = load_metric_scopes(_stats_doc())
         assert scopes["run"]["makespan_seconds"] == 1.0
         assert "plan_seconds" not in scopes["run"]
 
     def test_bare_stats_doc(self):
-        assert load_metric_scopes(_stats_doc())["run"]["tflops"] == 20.0
+        """A bare ``RunStats.to_dict()`` is not a document the sentinel reads."""
+        with pytest.raises(ValueError, match="unsupported document"):
+            load_metric_scopes(_stats())
 
     def test_unsupported_doc_raises(self):
         with pytest.raises(ValueError, match="unsupported document"):
@@ -119,9 +125,8 @@ class TestCompare:
         assert [d.metric for d in report.improvements] == ["h2d_bytes"]
 
     def test_out_of_core_traffic_gates(self):
-        base = _stats_doc(disk_write_bytes=4_096, disk_read_bytes=0, n_spills=1,
-                          n_host_evictions=2)
-        report = compare_docs(base, {**base, "disk_write_bytes": 8_192})
+        base = dict(disk_write_bytes=4_096, disk_read_bytes=0, n_spills=1, n_host_evictions=2)
+        report = compare_docs(_stats_doc(**base), _stats_doc(**{**base, "disk_write_bytes": 8_192}))
         assert [d.metric for d in report.regressions] == ["disk_write_bytes"]
 
     def test_every_link_total_gates(self):
@@ -132,8 +137,8 @@ class TestCompare:
 
     def test_joules_gate_like_makespan(self):
         base = _stats_doc(joules=1_000.0)
-        assert compare_docs(base, {**base, "joules": 1_015.0}).regressions == []
-        report = compare_docs(base, {**base, "joules": 1_030.0})
+        assert compare_docs(base, _stats_doc(joules=1_015.0)).regressions == []
+        report = compare_docs(base, _stats_doc(joules=1_030.0))
         assert [d.metric for d in report.regressions] == ["joules"]
 
     def test_zero_baseline_increase_is_infinite_regression(self):
@@ -285,19 +290,16 @@ class TestCompareFilesAndCLI:
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_cli_multiple_candidates(self, tmp_path):
+    def test_cli_multiple_candidates(self, tmp_path, capsys):
+        """``compare`` judges one candidate; a second is a usage error."""
         from repro.cli import main
 
         base = self._write(tmp_path / "base.json", _stats_doc())
-        good = self._write(tmp_path / "good.json", _stats_doc())
-        bad = self._write(tmp_path / "bad.json", _stats_doc(tflops=1.0))
-        report_out = tmp_path / "verdict.json"
-        rc = main(["compare", base, good, bad, "--fail-on-regress",
-                   "--report-out", str(report_out)])
-        assert rc == 1
-        doc = json.loads(report_out.read_text())
-        assert doc["schema"] == "repro.obs.regress/1+multi"
-        assert [r["verdict"] for r in doc["reports"]] == ["ok", "regressed"]
+        cand = self._write(tmp_path / "cand.json", _stats_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", base, cand, cand])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweepSummaryStats:
@@ -315,5 +317,7 @@ class TestSweepSummaryStats:
         assert stats["makespan_seconds"] == 1.0
         assert stats["total_h2d_bytes"] == 10
         assert stats["n_runs"] == 1 and stats["n_failed"] == 0
-        # two identical campaigns diff clean through the sentinel
-        assert compare_docs(stats, stats).verdict == "ok"
+        # two identical campaigns diff clean through the sentinel, as the
+        # stats section of the run summary ``sweep --metrics-out`` writes
+        doc = {"schema": "repro.obs.run_summary/1", "stats": stats}
+        assert compare_docs(doc, doc).verdict == "ok"

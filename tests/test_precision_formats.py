@@ -1,6 +1,5 @@
 """Unit tests for the precision format lattice."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,12 +79,6 @@ class TestFormatInfo:
         assert bytes_per_element(Precision.FP16) == 2
         assert bytes_per_element(Precision.FP16_32) == 2  # inputs travel as halves
         assert bytes_per_element(Precision.BF16_32) == 2
-
-    def test_fp16_dynamic_range(self):
-        assert FORMAT_INFO[Precision.FP16].dynamic_range_max == 65504.0
-        assert FORMAT_INFO[Precision.BF16_32].dynamic_range_max == pytest.approx(
-            float(np.finfo(np.float32).max)
-        )
 
 
 class TestStoragePrecision:

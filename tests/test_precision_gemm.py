@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.precision.emulate import Operand, as_input, truncate_mantissa
 from repro.precision.errors import relative_frobenius_error
 from repro.precision.formats import FORMAT_INFO, Precision
-from repro.precision.gemm import gemm_relative_error, mixed_gemm, mixed_syrk, multiply_accumulate
+from repro.precision.gemm import gemm_relative_error, mixed_gemm, multiply_accumulate
 from repro.tiles import kernels as tk
 
 
@@ -78,21 +78,6 @@ class TestErrorScaling:
         out1 = mixed_gemm(a, a, precision=Precision.FP16_32, fp16_chunk=8)
         out2 = mixed_gemm(a, a, precision=Precision.FP16_32, fp16_chunk=64)
         assert np.array_equal(out1, out2)  # chunking only affects pure FP16
-
-
-class TestSyrk:
-    def test_matches_gemm(self, rng):
-        a = rng.standard_normal((16, 16))
-        c = rng.standard_normal((16, 16))
-        out = mixed_syrk(a, c, precision=Precision.FP64)
-        assert np.allclose(out, c - a @ a.T)
-
-    def test_fp64_syrk_symmetric_on_symmetric_c(self, rng):
-        a = rng.standard_normal((12, 12))
-        c0 = rng.standard_normal((12, 12))
-        c = c0 + c0.T
-        out = mixed_syrk(a, c, precision=Precision.FP64)
-        assert np.allclose(out, out.T)
 
 
 @given(

