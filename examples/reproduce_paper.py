@@ -20,11 +20,10 @@ from repro.bench import (
     format_table,
     strategy_rows,
     strategy_specs,
-    table2_rows,
 )
-from repro.core import two_precision_map, uniform_map
+from repro.core import uniform_map
 from repro.geostats import SyntheticField, fit_mle
-from repro.perfmodel import SUMMIT_NODE, V100, verify_table2
+from repro.perfmodel import SUMMIT_NODE, verify_table2
 from repro.perfmodel.analytic import analytic_cholesky
 from repro.precision import Precision, gemm_relative_error
 from repro.runtime import Platform

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special
 
 from .locations import TileDistances, cross_distances
 
@@ -177,6 +176,8 @@ class Matern(CovarianceModel):
         # limit is 0, and overflows to inf as s → 0⁺ (and at h = 0), where
         # it is σ²: the product is formed (in place, in s) only where K₁ is
         # positive and finite, and inf·0 never is.
+        import scipy.special
+
         k = scipy.special.k1(s)
         live = (k > 0.0) & np.isfinite(k)
         np.multiply(s, sigma2, out=s, where=live)
@@ -206,6 +207,8 @@ def _log_scaled_matern(nu: float, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     O(log s) in size and analytic in t; 0 in the limit s → 0⁺, and exactly
     0 where ``kve`` overflows on the way there.
     """
+    import scipy.special
+
     k = scipy.special.kve(nu, s)
     r = np.log(k) + nu * t - (math.lgamma(nu) + (nu - 1.0) * math.log(2.0))
     r[np.isinf(k)] = 0.0

@@ -33,7 +33,6 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterator, Mapping
 
 from ._runtime import get_registry
@@ -228,6 +227,8 @@ class LiveProgress:
 # -- scrape server -----------------------------------------------------------
 
 def _make_handler(plane: "LivePlane") -> type:
+    from http.server import BaseHTTPRequestHandler
+
     class _LiveHandler(BaseHTTPRequestHandler):
         server_version = "repro-live/1"
 
@@ -274,6 +275,8 @@ class LiveServer:
 
     def __init__(self, plane: "LivePlane", *, port: int = 0,
                  host: str = "127.0.0.1") -> None:
+        from http.server import ThreadingHTTPServer
+
         self._httpd = ThreadingHTTPServer((host, port), _make_handler(plane))
         self._httpd.daemon_threads = True
         self.host = host

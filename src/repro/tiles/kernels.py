@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ..precision.emulate import OnFp16Grid, Operand, as_input, quantize, round_to_fp16
 from ..precision.formats import Precision
@@ -70,8 +69,9 @@ def potrf(c_kk: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-#: the LAPACK routine ``scipy.linalg.solve_triangular`` resolves to, per execution precision
-_TRTRS = {Precision.FP64: lapack.dtrtrs, Precision.FP32: lapack.strtrs}
+#: the LAPACK routine ``scipy.linalg.solve_triangular`` resolves to, per execution
+#: precision; filled by the first :func:`trsm`, so a process that runs none never loads SciPy
+_TRTRS: dict = {}
 
 
 def _finite_input(x: np.ndarray | Operand, precision: Precision) -> np.ndarray:
@@ -101,6 +101,10 @@ def trsm(
     reader), a row-major ``L`` handed over as its upper-triangular
     transpose — without that wrapper's per-call cost.
     """
+    if not _TRTRS:
+        from scipy.linalg import lapack
+
+        _TRTRS.update({Precision.FP64: lapack.dtrtrs, Precision.FP32: lapack.strtrs})
     exec_prec = trsm_execution_precision(precision)
     lower = _finite_input(l_kk, exec_prec)
     ct = _finite_input(c_mk, exec_prec).T

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..core.precision_map import KernelPrecisionMap
 from ..precision.formats import Precision
@@ -70,6 +69,8 @@ def tlr_cholesky(
     the low-rank factors tile-by-tile — the mixed-precision + TLR
     combination of the paper's future work.
     """
+    import scipy.linalg
+
     nt = mat.nt
     if kernel_map is not None and kernel_map.nt != nt:
         raise ValueError("kernel map NT mismatch")

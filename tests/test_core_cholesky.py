@@ -154,3 +154,57 @@ def test_property_mp_factor_residual_bounded(nt, seed, accuracy):
     rel = np.linalg.norm(L @ L.T - spd) / np.linalg.norm(spd)
     assert rel < max(accuracy * nt * 20, 1e-13)
     assert np.all(np.diag(L) > 0)
+
+
+class TestSolveAgainstMpmath:
+    """``solve_with_factor`` against a 40-digit solve with the same factor.
+
+    Each of its two triangular solves ``T x̂ = b`` (n×n, float64's unit
+    roundoff u = 2^-53) is backward stable entrywise: ``|b − T x̂| ≤
+    γ_n·|T|·|x̂|`` with ``γ_n = nu/(1 − nu)`` (Higham, *Accuracy and
+    Stability*, Thm 8.5; it holds for any order of each row's sum, so a
+    blocked TRSM keeps it).  Composed, ``(L + ΔL₁)(Lᵀ + ΔL₂) x̂ = b``: the
+    solution's residual against ``LLᵀ`` is at most ``(2γ_n + γ_n²)·|L|·|Lᵀ|·|x̂|``
+    and its distance to the exact solution at most ``|(LLᵀ)⁻¹|`` times
+    that.  Residuals, the exact solution and the inverse are formed at 40
+    digits, where every float64 entry is exact and a sum of 40 terms errs
+    by about 10^-39 relative; the constants are these, not fitted.
+    """
+
+    N, NB = 40, 8
+
+    def test_each_solve_and_the_solution(self, rng, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        import scipy.linalg
+
+        a = random_spd(self.N, rng, cond_boost=1e-3)
+        factor = mp_cholesky(TiledSymmetricMatrix.from_dense(a, self.NB)).factor
+        b = rng.standard_normal(self.N)
+        solves = []
+        solve_triangular = scipy.linalg.solve_triangular
+
+        def recorded(t, rhs, **kwargs):
+            x = solve_triangular(t, rhs, **kwargs)
+            solves.append((np.array(t), np.array(rhs), x))
+            return x
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", recorded)
+        x = solve_with_factor(factor, b)
+        assert len(solves) == 2 and np.array_equal(solves[1][2], x)
+
+        u = 2.0**-53
+        gamma = self.N * u / (1 - self.N * u)
+
+        def mp(m):
+            return mpmath.matrix(np.atleast_2d(m.T).T.tolist())
+
+        with mpmath.workdps(40):
+            for t, rhs, xt in solves:
+                residual = mp(rhs) - mp(t) * mp(xt)
+                bound = mp(np.abs(t)) * mp(np.abs(xt))
+                assert all(abs(residual[i]) <= gamma * bound[i] for i in range(self.N))
+            lower, abs_lower = mp(factor.lower_dense()), mp(np.abs(factor.lower_dense()))
+            exact = mpmath.lu_solve(lower * lower.T, mp(b))
+            residual_bound = (2 * gamma + gamma**2) * abs_lower * abs_lower.T * mp(np.abs(x))
+            bound = mpmath.inverse(lower * lower.T).apply(abs) * residual_bound
+            assert all(abs(mpmath.mpf(x[i]) - exact[i]) <= bound[i] for i in range(self.N))

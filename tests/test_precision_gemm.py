@@ -1,5 +1,8 @@
 """Unit and property tests for the emulated mixed-precision GEMM."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,3 +261,88 @@ def test_unasked_for_invalid_is_an_error():
     """pyproject's filter: a RuntimeWarning raised inside repro.precision fails the suite."""
     with pytest.raises(RuntimeWarning, match="invalid"):
         mixed_gemm(np.array([[np.inf]]), np.array([[0.0]]), precision=Precision.FP32)
+
+
+# -- the pure-FP16 accumulator against exact rational arithmetic -----------------
+
+
+def fraction_to_fp16(x):
+    """``x`` (a ``Fraction``) rounded to nearest-even on the binary16 grid: ±inf past 65504."""
+    if x == 0 or math.isinf(x):  # an overflowed running sum stays ±inf
+        return x
+    m = abs(x)
+    e = m.numerator.bit_length() - m.denominator.bit_length()
+    if Fraction(2) ** e > m:
+        e -= 1
+    ulp = Fraction(2) ** (max(e, -14) - 10)  # 11 significant bits; subnormal spacing 2^-24
+    q, r = divmod(m, ulp)
+    if r > ulp / 2 or (r == ulp / 2 and q % 2):
+        q += 1
+    v = q * ulp
+    if v > 65504:
+        return math.copysign(math.inf, x)
+    return v if x > 0 else -v
+
+
+def fraction_replay(a, b, chunk=32):
+    """The fp16 accumulator in exact arithmetic: each chunk's products summed
+    exactly, the running sum rounded to fp16 after every chunk."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = Fraction(0)
+            for start in range(0, a.shape[1], chunk):
+                part = sum(Fraction(float(x)) * Fraction(float(y))
+                           for x, y in zip(a[i, start:start + chunk], b[start:start + chunk, j]))
+                acc = fraction_to_fp16(acc + part)
+            out[i, j] = acc
+    return out
+
+
+class TestFp16ChunkAgainstExactSums:
+    """``multiply_accumulate``'s pure-FP16 path is a half-precision running
+    sum rounded once per 32-wide chunk.  Entries are multiples of 1/8 below
+    2 in magnitude, so a product is a multiple of 1/64 and a chunk's partial
+    sums stay below 2^13 of those units: every float32 add inside a chunk
+    is exact, whatever order the BLAS sums in, and the result is fixed by
+    the fp16 roundings alone."""
+
+    @staticmethod
+    def _operands(rng, m, k, n):
+        a = (rng.integers(-15, 16, size=(m, k)) / 8.0).astype(np.float32)
+        b = (rng.integers(-15, 16, size=(k, n)) / 8.0).astype(np.float32)
+        # nine entries of same-sign products of at least 1: their running sums
+        # pass 32 (2^11 units of 1/64) within a chunk, so every later rounding cuts
+        a[:3] = rng.integers(8, 16, size=(3, k)) / 8.0
+        b[:, :3] = rng.integers(8, 16, size=(k, 3)) / 8.0
+        return a, b
+
+    @pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 65])
+    def test_matches_the_replay(self, rng, k):
+        a, b = self._operands(rng, 5, k, 6)
+        got = multiply_accumulate(a, b, precision=Precision.FP16)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fraction_replay(a, b))
+
+    def test_the_chunk_roundings_are_seen(self, rng):
+        """At k = 65 a replay that rounds once at the end, or every 16
+        products, differs: the test above checks where the roundings fall."""
+        a, b = self._operands(rng, 5, 65, 6)
+        for chunk in (16, 65):
+            assert not np.array_equal(fraction_replay(a, b), fraction_replay(a, b, chunk=chunk))
+
+    def test_saturates_past_65504(self):
+        """Row 0 · column 1 is 33 · 255² = 2,145,825: the running sum passes
+        the largest fp16 value in the first chunk and stays +inf.  Against a
+        column of ones, 65,504 + 8 rounds back to 65,504 and 65,504 + 16 (the
+        midpoint to 65,536) rounds to even, which is +inf."""
+        a = np.zeros((3, 33), dtype=np.float32)
+        a[0] = 255.0
+        a[1:, 0] = 65504.0
+        a[1:, 32] = (8.0, 16.0)
+        b = np.ones((33, 2), dtype=np.float32)
+        b[:, 1] = 255.0
+        got = multiply_accumulate(a, b, precision=Precision.FP16)
+        want = fraction_replay(a, b)
+        assert want[0, 1] == want[2, 0] == math.inf and want[1, 0] == 65504.0
+        assert np.array_equal(got, want)
