@@ -17,16 +17,14 @@ from repro.core import (
     build_precision_map,
     mp_cholesky,
     refine_solve,
-    simulate_cholesky,
     two_precision_map,
     uniform_map,
 )
 from repro.geostats.covariance import Matern
 from repro.geostats.generator import build_tiled_covariance
 from repro.geostats.locations import generate_locations
-from repro.perfmodel import V100
 from repro.precision import Precision
-from repro.runtime import Platform
+from repro.sweep import RunSpec, price_run
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 from repro.tlr import TLRSymmetricMatrix, tlr_cholesky
@@ -113,11 +111,8 @@ def test_ext_iterative_refinement(once):
         ref16 = refine_solve(mat, res16, b, tol=1e-12, max_iterations=60)
         rows.append(["FP64/FP16 + IR", ref16.iterations, ref16.final_residual])
         # simulated factorization times at paper scale for the energy claim
-        platform = Platform.single_gpu(V100)
-        t64 = simulate_cholesky(49152, 2048, uniform_map(24, Precision.FP64),
-                                platform, record_events=False).makespan
-        t16 = simulate_cholesky(49152, 2048, two_precision_map(24, Precision.FP16),
-                                platform, record_events=False).makespan
+        t64, t16 = (price_run(RunSpec(n=49152, nb=2048, config=config))[0].makespan
+                    for config in ("FP64", "FP64/FP16"))
         return rows, t64, t16, ref16.converged
 
     (rows, t64, t16, converged) = once(run)

@@ -13,20 +13,16 @@ Two guarantees the scheduling subsystem ships with (see
 
 from __future__ import annotations
 
-from repro.core import simulate_cholesky, two_precision_map
-from repro.perfmodel import GPU_BY_NAME, NodeSpec
-from repro.precision import Precision
-from repro.runtime import POLICY_NAMES, Platform
+from repro.runtime import POLICY_NAMES
+from repro.sweep import RunSpec, price_run
 
 N, NB = 2048, 128  # 16×16 tiles
 PINNED_PANEL_FIRST_MAKESPAN = 0.0034016082320134913
 
 
 def _simulate(policy: str, gpus_per_node: int = 1):
-    node = NodeSpec("bench", GPU_BY_NAME["V100"], gpus_per_node, 256e9, 25e9, 1.5e-6)
-    platform = Platform(node=node, n_nodes=1)
-    kmap = two_precision_map(-(-N // NB), Precision.FP16_32)
-    return simulate_cholesky(N, NB, kmap, platform, policy=policy)
+    spec = RunSpec(n=N, nb=NB, config="FP64/FP16_32", policy=policy, gpus_per_node=gpus_per_node)
+    return price_run(spec)[0]
 
 
 def test_critical_path_beats_fifo_single_gpu():

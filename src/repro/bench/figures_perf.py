@@ -11,10 +11,11 @@ Figs. 8, 10 and 11 and the tile-size and scheduler ablations are sweep
 points: ``*_SPECS`` / :func:`strategy_specs` / :func:`fig10_specs` name
 their :class:`~repro.sweep.RunSpec` lists and ``*_rows`` format the
 :class:`~repro.sweep.SweepResult` of :func:`repro.sweep.run_sweep`.
-Priced here instead: Fig. 9, which reads the event trace a sweep point
-does not keep, and Fig. 12 and the band-vs-norm ablation, which run the
-analytic panel model
-(:func:`~repro.perfmodel.analytic.analytic_cholesky`), not the engine.
+Fig. 9 reads the event trace a sweep point does not keep: it prices its
+points through :func:`repro.sweep.price_run` with ``record_events=True``.
+Fig. 12 and the band-vs-norm ablation still call the analytic panel model
+(:func:`~repro.perfmodel.analytic.analytic_cholesky`): neither Fig. 12c's
+``samples_per_tile=24`` maps nor the fraction-matched band map is a ``RunSpec``.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ import numpy as np
 from ..core.precision_map import (
     FIXED_CONFIGS,
     band_precision_map,
-    fixed_config_map,
+    two_precision_map,
     uniform_map,
 )
-from ..core.solver import simulate_cholesky
 from ..obs.analysis import utilization_timeline
 from ..perfmodel.analytic import analytic_cholesky
 from ..perfmodel.gpus import GPU_BY_NAME, GUYOT_NODE, SUMMIT_NODE
 from ..precision.formats import Precision
 from ..runtime.platform import Platform
-from ..sweep import RunSpec, SweepResult
+from ..sweep import RunSpec, SweepResult, price_run
 from .apps import APPLICATIONS, app_kernel_map
 
 __all__ = [
@@ -124,13 +124,9 @@ def fig9_occupancy_rows(
     n_windows: int = 60,
 ) -> dict[str, list[tuple[float, float]]]:
     """Fig. 9: windowed GPU occupancy per configuration on one H100."""
-    gpu = GPU_BY_NAME[gpu_name]
-    platform = Platform.single_gpu(gpu)
-    nt = -(-n // nb)
     out: dict[str, list[tuple[float, float]]] = {}
     for label in FIXED_CONFIGS:
-        kmap = fixed_config_map(nt, label)
-        rep = simulate_cholesky(n, nb, kmap, platform)
+        rep, _ = price_run(RunSpec(n=n, nb=nb, config=label, gpu=gpu_name), record_events=True)
         occupancy = utilization_timeline(rep.trace.events_of_rank(0),
                                          makespan=rep.makespan, n_buckets=n_windows)
         starts = np.linspace(0.0, rep.makespan, n_windows + 1)[:-1].tolist()
@@ -178,7 +174,7 @@ def fig12_weak_rows(
         n = nt * nb
         platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
         for label in ("FP64", "FP64/FP16"):
-            kmap = fixed_config_map(nt, label)
+            kmap = two_precision_map(nt, FIXED_CONFIGS[label])
             rep = analytic_cholesky(n, nb, kmap, platform)
             rows.append([nodes, gpus, n, label, rep.tflops, rep.tflops / gpus])
     return rows
@@ -196,7 +192,7 @@ def fig12_strong_rows(
     for nodes in node_counts:
         platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
         for label in ("FP64", "FP64/FP16"):
-            kmap = fixed_config_map(nt, label)
+            kmap = two_precision_map(nt, FIXED_CONFIGS[label])
             rep = analytic_cholesky(n, nb, kmap, platform)
             rows.append([nodes, nodes * 6, label, rep.seconds, rep.tflops])
     return rows

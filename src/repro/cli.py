@@ -5,9 +5,9 @@ Commands
 ``mle``       fit a synthetic dataset at one or more accuracy levels
 ``maps``      print the kernel/communication precision maps for an app
 ``simulate``  price a mixed-precision Cholesky on a simulated platform —
-              the one symbolic-run verb: the scheduling policy heap and
-              ``--stream`` (lazy million-task emission) are parameters
-              of it; always records host wall time, tasks/sec and peak RSS
+              the one symbolic-run verb: its flags are one ``RunSpec``,
+              priced as a sweep point is (:func:`repro.sweep.price_run`);
+              always records host wall time, tasks/sec and peak RSS
 ``sweep``     fan a grid of configurations across a process pool (cached);
               its ``--policy`` axis is the per-policy comparison
 ``info``      show the encoded GPU specifications (Table I)
@@ -131,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the application's u_req")
 
     p = sub.add_parser("simulate", help="price a factorization on simulated hardware")
-    # the run description every performance experiment of the paper
-    # varies: GPU model × GPUs × nodes × n × nb × fixed config × strategy
+    # the RunSpec every performance experiment of the paper varies, each
+    # dest its field: GPU model × GPUs × nodes × n × nb × config × strategy
     p.add_argument("--gpu", default="V100", choices=list(GPU_BY_NAME))
-    p.add_argument("--gpus", type=int, default=1, help="GPUs per node")
-    p.add_argument("--nodes", type=int, default=1)
+    p.add_argument("--gpus", type=int, default=1, dest="gpus_per_node", help="GPUs per node")
+    p.add_argument("--nodes", type=int, default=1, dest="n_nodes")
     p.add_argument("--n", type=int, default=32768)
     p.add_argument("--nb", type=int, default=2048)
     p.add_argument("--config", default="FP64/FP16", choices=list(FIXED_CONFIGS))
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("baseline",
                    help="baseline BENCH_*.json or run-summary JSON")
-    p.add_argument("candidate", nargs="?",
+    p.add_argument("candidate",
                    help="candidate document compared against the baseline")
     p.add_argument("--threshold", action="append", default=None,
                    metavar="METRIC=REL[:DIRECTION]",
@@ -396,14 +396,9 @@ def _write_capture(args, profiler, *, command, stats, n_tasks) -> None:
 
 def _cmd_simulate(args) -> int:
     from . import obs
-    from .core import ConversionStrategy, fixed_config_map, simulate_cholesky
-    from .perfmodel import GPU_BY_NAME
-    from .runtime import Platform
+    from .sweep import RunSpec, price_run
+    from .sweep.grid import AXES
 
-    platform = Platform.of_gpus(GPU_BY_NAME[args.gpu], args.gpus, args.nodes,
-                                host_memory=args.host_memory_gb * 1e9)
-    kmap = fixed_config_map(-(-args.n // args.nb), args.config)
-    strategy = ConversionStrategy(args.strategy)
     record_events = bool(args.trace_out)
     if args.stream and record_events:
         # the O(window) live-memory bound covers Task objects only; a
@@ -411,38 +406,34 @@ def _cmd_simulate(args) -> int:
         print("simulate: warning: --trace-out events void the "
               "O(window) memory bound of --stream — the event trace "
               "grows with every task (see docs/SCHEDULING.md)", file=sys.stderr)
-    with _capture(args) as profiler, _gc_cost() as gc_cost:
-        t0 = time.perf_counter()
-        try:
-            rep = simulate_cholesky(args.n, args.nb, kmap, platform,
-                                    strategy=strategy,
-                                    record_events=record_events,
-                                    policy=args.policy, stream=args.stream)
-        except ValueError as exc:
-            # flags that do not fit together: a full-graph policy with
-            # --stream, a host tier too small for one task, or a
-            # negative --host-memory-gb
-            print(f"simulate: {exc}", file=sys.stderr)
-            return 2
-        wall = time.perf_counter() - t0
+    try:
+        spec = RunSpec(**{axis: getattr(args, axis) for axis in AXES if hasattr(args, axis)})
+        with _capture(args) as profiler, _gc_cost() as gc_cost:
+            rep, d = price_run(spec, record_events=record_events, stream=args.stream)
+    except ValueError as exc:
+        # flags that do not fit together: a non-positive size or platform,
+        # a negative host, a full-graph policy with --stream, a host tier
+        # too small for one task
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
 
     # host numbers that cost nothing to take: the bench floors and the
     # live-overhead gate read them out of the run summary's stats
-    d = rep.stats.to_dict()
+    del d["plan_seconds"]
+    wall = d.pop("sim_seconds")
     d.update(
-        joules=rep.joules,
         wall_seconds=wall,
         tasks_per_second=d["n_tasks"] / wall if wall > 0.0 else 0.0,
         peak_rss_bytes=_peak_rss_bytes(),
         peak_live_tasks=rep.peak_live_tasks,
         **gc_cost,
     )
-    print(f"{args.config} on {args.nodes}x{args.gpus}x{args.gpu} "
-          f"(n={args.n}, nb={args.nb}, {args.strategy.upper()}, "
-          f"policy {rep.policy}):")
+    print(f"{spec.config} on {spec.n_nodes}x{spec.gpus_per_node}x{spec.gpu} "
+          f"(n={spec.n}, nb={spec.nb}, {spec.strategy.upper()}, "
+          f"policy {d['policy']}):")
     print(f"  makespan   {d['makespan_seconds']:.4f} s")
     print(f"  throughput {d['tflops']:.1f} Tflop/s")
-    print(f"  energy     {rep.joules / 1e3:.2f} kJ  {rep.gflops_per_watt:.1f} Gflops/W")
+    print(f"  energy     {d['joules'] / 1e3:.2f} kJ  {d['gflops_per_watt']:.1f} Gflops/W")
     print(f"  h2d        {d['h2d_bytes'] / 1e9:.2f} GB")
     print(f"  d2h        {d['d2h_bytes'] / 1e9:.2f} GB  nic {d['nic_bytes'] / 1e9:.2f} GB")
     print(f"  conversions {d['n_conversions']} "
@@ -453,7 +444,7 @@ def _cmd_simulate(args) -> int:
               f"disk r/w {d['disk_read_bytes'] / 1e9:.2f}/"
               f"{d['disk_write_bytes'] / 1e9:.2f} GB")
     print(f"  host       {wall:.2f} s wall  {d['tasks_per_second']:,.0f} tasks/s  "
-          f"peak live {rep.peak_live_tasks} tasks  "
+          f"peak live {d['peak_live_tasks']} tasks  "
           f"peak rss {d['peak_rss_bytes'] / 1e6:,.0f} MB  "
           f"gc {d['gc_seconds']:.3f} s ({'/'.join(map(str, d['gc_collections']))} "
           "gen-0/1/2 collections)")
@@ -577,13 +568,11 @@ def _cmd_compare(args) -> int:
     from .obs.regress import compare_files, parse_threshold_args
 
     for path in (args.baseline, args.candidate):
-        if path is not None and not Path(path).exists():
+        if not Path(path).exists():
             print(f"compare: no such file: {path}", file=sys.stderr)
             return 2
     try:
         thresholds = parse_threshold_args(args.threshold)
-        if args.candidate is None:
-            raise ValueError("need at least one candidate document")
         report = compare_files(args.baseline, args.candidate, thresholds=thresholds)
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ import enum
 import functools
 import platform as _platform
 import subprocess
-import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -67,22 +66,22 @@ def _git_revision(cwd: Path) -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
+@functools.lru_cache(maxsize=None)
+def _installed_version(pkg: str) -> str | None:
+    """``pkg``'s version from its installed metadata, without importing it."""
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version(pkg)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def _package_versions() -> dict[str, str | None]:
-    versions: dict[str, str | None] = {
-        "python": _platform.python_version(),
-    }
     from .. import __version__ as repro_version
 
-    versions["repro"] = repro_version
-    for pkg in ("numpy", "scipy"):
-        mod = sys.modules.get(pkg)
-        if mod is None:
-            try:
-                mod = __import__(pkg)
-            except ImportError:
-                mod = None
-        versions[pkg] = getattr(mod, "__version__", None) if mod is not None else None
-    return versions
+    return {"python": _platform.python_version(), "repro": repro_version,
+            "numpy": _installed_version("numpy"), "scipy": _installed_version("scipy")}
 
 
 def _cache_schema() -> int | None:

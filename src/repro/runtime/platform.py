@@ -60,9 +60,9 @@ class Platform:
     ) -> "Platform":
         """``n_nodes`` generic nodes of ``gpus_per_node`` GPUs of one model.
 
-        The one route from a run description (CLI flags, a sweep point, a
-        figure driver) to a platform: every such node gets the same
-        25 GB/s, 1.5 µs injection NIC as the paper's named machines
+        The platform of every ``RunSpec`` :func:`repro.sweep.price_run`
+        prices (``repro simulate``, a sweep point, Fig. 9): each node gets
+        the same 25 GB/s, 1.5 µs injection NIC as the paper's named machines
         (:mod:`repro.perfmodel.gpus`).  ``host_memory`` (bytes per node)
         shrinks the host tier for out-of-core studies.
         """

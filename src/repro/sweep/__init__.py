@@ -9,7 +9,7 @@ obs manifests/metrics, and aggregated output as a results table plus a
 ``docs/SWEEPS.md`` and the ``repro sweep`` CLI subcommand.
 """
 
-from .engine import SweepResult, SweepRun, execute_spec, run_sweep
+from .engine import SweepResult, SweepRun, execute_spec, price_run, run_sweep
 from .grid import KERNEL_CONFIGS, RunSpec, SweepGrid
 
 __all__ = [
@@ -19,5 +19,6 @@ __all__ = [
     "SweepResult",
     "SweepRun",
     "execute_spec",
+    "price_run",
     "run_sweep",
 ]

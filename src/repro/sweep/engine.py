@@ -41,10 +41,11 @@ from typing import Iterable, Sequence
 from ..faults import FaultPlan, RetryPolicy, run_batch
 from ..obs import build_manifest, emit_event, get_registry, span, write_json
 from ..obs.live import campaign, campaign_progress
+from ..runtime.simulator import SimReport
 from ..runtime.tracing import LINKS
 from .grid import CACHE_SCHEMA, RunSpec, SweepGrid
 
-__all__ = ["SweepRun", "SweepResult", "run_sweep", "execute_spec"]
+__all__ = ["SweepRun", "SweepResult", "run_sweep", "execute_spec", "price_run"]
 
 #: columns of the aggregated results table (and the BENCH run metrics)
 TABLE_COLUMNS = (
@@ -63,13 +64,15 @@ def _count_fp64(kmap) -> int:
     return int(np.sum(kmap.codes[il, jl] == int(Precision.FP64)))
 
 
-def execute_spec(spec_dict: dict) -> dict:
-    """Price one sweep point; module-level so worker processes can pickle it.
+def price_run(spec: RunSpec, *, record_events: bool = False,
+              stream: bool = False) -> tuple[SimReport, dict]:
+    """Price one run description: the one place a :class:`RunSpec` becomes a
+    simulated run, ``record_events`` / ``stream`` passed to ``simulate_cholesky``.
 
-    Returns a JSON-ready result dict: the simulator's counters, the run's
-    ``joules`` and ``gflops_per_watt`` (Fig. 10), the planning statistics
-    (STC fraction, tile fractions) and the wall-time split between
-    planning and simulation.
+    Returns the :class:`SimReport` and the JSON-ready result dict a sweep
+    point stores: the simulator's counters, the run's ``joules`` and
+    ``gflops_per_watt`` (Fig. 10), the planning statistics (STC fraction,
+    tile fractions) and the wall-time split between planning and simulation.
     """
     from ..core import (
         ConversionStrategy,
@@ -81,7 +84,6 @@ def execute_spec(spec_dict: dict) -> dict:
     from ..precision import Precision
     from ..runtime import Platform
 
-    spec = RunSpec.from_dict(spec_dict)
     platform = Platform.of_gpus(GPU_BY_NAME[spec.gpu], spec.gpus_per_node, spec.n_nodes,
                                 host_memory=spec.host_memory_gb * 1e9)
 
@@ -117,8 +119,9 @@ def execute_spec(spec_dict: dict) -> dict:
     report = simulate_cholesky(
         spec.n, spec.nb, kmap, platform,
         strategy=strategy,
-        record_events=False,
+        record_events=record_events,
         policy=spec.policy,
+        stream=stream,
     )
     sim_seconds = time.perf_counter() - t1
 
@@ -138,7 +141,12 @@ def execute_spec(spec_dict: dict) -> dict:
         n_fp64_tiles=_count_fp64(kmap),
         fp64_band_width=kmap.fp64_band_width(),
     )
-    return result
+    return report, result
+
+
+def execute_spec(spec_dict: dict) -> dict:
+    """Price one sweep point; module-level so worker processes can pickle it."""
+    return price_run(RunSpec.from_dict(spec_dict))[1]
 
 
 @dataclass(frozen=True)

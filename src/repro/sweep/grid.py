@@ -60,7 +60,8 @@ class RunSpec:
     names the application whose sampled tile norms feed the Higham–Mary
     rule and ``accuracy`` (optional) overrides the application's
     ``u_req`` threshold.  ``host_memory_gb`` is the host DRAM of each
-    node (Guyot's 2,063 GB in Fig. 11; tiles beyond it spill to disk).
+    node (Guyot's 2,063 GB in Fig. 11; tiles beyond it spill to disk; 0
+    is a host with no room, priced as a one-byte host).
     """
 
     n: int
@@ -89,8 +90,8 @@ class RunSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {strategies}")
         if self.gpus_per_node < 1 or self.n_nodes < 1:
             raise ValueError("gpus_per_node and n_nodes must be positive")
-        if not self.host_memory_gb > 0:
-            raise ValueError(f"host_memory_gb must be positive, got {self.host_memory_gb}")
+        if not self.host_memory_gb >= 0:
+            raise ValueError(f"host_memory_gb must be non-negative, got {self.host_memory_gb}")
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}")
         if self.ordering not in ORDERINGS:

@@ -59,7 +59,7 @@ class TestSimbench:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.stream is False
-        assert args.gpus == 1 and args.nodes == 1
+        assert args.gpus_per_node == 1 and args.n_nodes == 1
 
     @pytest.mark.parametrize("mode", ["materialize", "stream"])
     def test_simbench_runs_and_writes_gateable_doc(self, mode, tmp_path, capsys):
@@ -105,6 +105,40 @@ class TestSimbench:
                 <= docs["materialize"]["peak_live_tasks"])
 
 
+class TestSimulateIsASweepPoint:
+    """``simulate``'s flags are one ``RunSpec``, priced the way a sweep
+    point is: its stats hold ``execute_spec``'s result for that spec, key
+    for key, the two wall-clock timings aside."""
+
+    @pytest.mark.parametrize("flags,fields", [
+        *((["--policy", policy], {"policy": policy})
+          for policy in ("panel-first", "fifo", "critical-path", "comm-aware-eft", "ooc-static")),
+        (["--strategy", "ttc", "--config", "FP32"], {"strategy": "ttc", "config": "FP32"}),
+        (["--gpu", "A100", "--gpus", "2", "--nodes", "3"],
+         {"gpu": "A100", "gpus_per_node": 2, "n_nodes": 3}),
+        (["--stream", "--gpu", "H100"], {"gpu": "H100"}),
+        (["--config", "FP64", "--host-memory-gb", "0.01", "--policy", "ooc-static"],
+         {"config": "FP64", "host_memory_gb": 0.01, "policy": "ooc-static"}),
+    ], ids=["panel-first", "fifo", "critical-path", "comm-aware-eft", "ooc-static", "ttc",
+            "multi-node", "stream", "out-of-core"])
+    def test_stats_are_the_sweep_result(self, flags, fields, tmp_path):
+        import json
+
+        from repro.sweep import RunSpec, execute_spec
+
+        out = tmp_path / "metrics.json"
+        assert main(["simulate", "--n", "4096", "--nb", "512", *flags,
+                     "--metrics-out", str(out)]) == 0
+        stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
+        want = execute_spec(RunSpec(**{"n": 4096, "nb": 512, "config": "FP64/FP16",
+                                       **fields}).to_dict())
+        for key in ("plan_seconds", "sim_seconds"):
+            del want[key]
+        assert {key: stats.get(key) for key in want} == want
+        if "host_memory_gb" in fields:
+            assert want["n_host_evictions"] > 0
+
+
 class TestSimulateFlagCoherence:
     def test_stream_with_full_graph_policy_is_rejected(self, capsys):
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream",
@@ -118,10 +152,20 @@ class TestSimulateFlagCoherence:
         assert main(["simulate", "--n", "1024", "--nb", "128", "--stream"]) == 0
         assert "warning" not in capsys.readouterr().err
 
-    def test_negative_host_memory_is_a_usage_error(self, capsys):
-        assert main(["simulate", "--n", "1024", "--nb", "128", "--host-memory-gb", "-1"]) == 2
+    @pytest.mark.parametrize("flags,message", [
+        (["--host-memory-gb", "-1"], "host_memory_gb must be non-negative, got -1.0"),
+        (["--nb", "0"], "n and nb must be positive, got n=1024, nb=0"),
+        (["--n", "0"], "n and nb must be positive, got n=0, nb=128"),
+        (["--nodes", "0"], "gpus_per_node and n_nodes must be positive"),
+        (["--gpus", "0"], "gpus_per_node and n_nodes must be positive"),
+    ], ids=["host-memory-gb=-1", "nb=0", "n=0", "nodes=0", "gpus=0"])
+    def test_negative_host_memory_is_a_usage_error(self, flags, message, capsys):
+        """Every invalid run description is rejected once, by ``RunSpec``,
+        before anything is priced: exit 2 and its message, no traceback."""
+        argv = ["simulate", "--n", "1024", "--nb", "128", *flags]
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "host memory capacity must be non-negative, got -1000000000.0 bytes" in captured.err
+        assert captured.err.strip() == f"simulate: {message}"
         assert "makespan" not in captured.out
 
     @pytest.mark.parametrize("verb", ["simulate", "sweep"])
@@ -219,7 +263,9 @@ class TestParserSurface:
         ``--host-memory-gb`` axis, ``simulate``'s flag of that name;
         ``simulate`` lost its schedule-export and schedule-replay flags:
         only each other read the file, and a run's ``commit_order``
-        replays through ``simulate_replay`` in the process that ran it)."""
+        replays through ``simulate_replay`` in the process that ran it;
+        ``simulate``'s ``--gpus`` / ``--nodes`` store under their
+        ``RunSpec`` field names too, so its flags build a ``RunSpec``)."""
         import json
         from pathlib import Path
 

@@ -3,6 +3,8 @@ argument errors."""
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -59,6 +61,9 @@ class TestCompareVerb:
     def test_compare_without_candidates_errors(self, tmp_path, capsys):
         doc = _write(tmp_path / "base.json",
                      {"stats": {"makespan_seconds": 1.0, "tflops": 10.0}})
-        assert main(["compare", doc]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", doc])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.strip() == "compare: need at least one candidate document"
+        assert err.startswith("usage: repro compare")
+        assert err.strip().endswith("error: the following arguments are required: candidate")

@@ -3,12 +3,15 @@
 SciPy is loaded where a kernel first needs it (the LAPACK ``?trtrs``
 handles at the first TRSM, ``scipy.special`` at a Matérn ν that needs a
 Bessel function, ``scipy.linalg`` at a solve) and ``http.server`` where a
-live plane serves, so a symbolic run loads none of them.  The kernels
-that do need them must still work from a cold start.
+live plane serves, so a symbolic run loads none of them, nor the
+top-level ``scipy`` package: a run manifest reads SciPy's version from
+the installed metadata.  The kernels that do need them must still work
+from a cold start.
 """
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -17,7 +20,7 @@ import textwrap
 
 import pytest
 
-HEAVY = ("scipy.linalg", "scipy.special", "http.server", "ssl")
+HEAVY = ("scipy", "scipy.linalg", "scipy.special", "http.server", "ssl")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SIMULATE = """
@@ -59,6 +62,27 @@ def test_cli_simulate_loads_none():
         assert main(["simulate", "--n", "4096", "--nb", "512"]) in (0, None)
         """
     assert _run(code)["loaded"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4096", "--nb", "512", "--metrics-out", "{out}/metrics.json"],
+    ["sweep", "--n", "1024", "--nb", "256", "--config", "FP64", "--cache-dir", "{out}",
+     "--progress-every", "-1"],
+], ids=["simulate", "sweep"])
+def test_manifest_names_scipy_without_loading_it(argv, tmp_path):
+    """``simulate --metrics-out`` and a sweep point each write a manifest."""
+    code = f"""
+        import json
+        from pathlib import Path
+        from repro.cli import main
+
+        assert main({[a.format(out=tmp_path) for a in argv]!r}) == 0
+        result = [json.loads(p.read_text())["manifest"]["versions"]["scipy"]
+                  for p in Path({str(tmp_path)!r}).glob("*.json")]
+        """
+    out = _run(code)
+    assert out["loaded"] == []
+    assert out["result"] == [importlib.metadata.version("scipy")]
 
 
 def test_sqexp_likelihood_loads_no_special_function():

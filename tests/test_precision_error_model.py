@@ -47,10 +47,11 @@ from repro.tiles import kernels as tk
 from repro.tiles.norms import tile_norms
 
 # a RuntimeWarning from anywhere is a failure here, not only from inside repro
-pytestmark = [
-    pytest.mark.filterwarnings("error"),
-    pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double"),
-]
+pytestmark = pytest.mark.filterwarnings("error")
+
+#: on the tests whose oracle is ``np.longdouble`` arithmetic
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                                       reason="needs an extended-precision long double")
 
 CHUNK = 32
 C_GAMMA = 1.01
@@ -75,6 +76,7 @@ def _bound(precision: Precision, k: int, magnitude: np.ndarray, with_c: bool) ->
     return C_GAMMA * (k + with_c) * FORMAT_INFO[precision].unit_roundoff * magnitude
 
 
+@needs_long_double
 @pytest.mark.parametrize("precision", list(Precision))
 @settings(max_examples=60)
 @given(m=st.integers(1, 20), k=st.integers(1, 130), n=st.integers(1, 20),
@@ -100,6 +102,7 @@ def test_multiply_accumulate_forward_error(precision, m, k, n, data, with_c, see
         float(np.max(error / np.maximum(_bound(precision, k, magnitude, with_c), np.finfo(wide).tiny))))
 
 
+@needs_long_double
 def test_the_fp16_bound_is_not_slack_by_orders():
     """The bound is the model's, not a loose envelope: O(1) data comes within 10× of it."""
     rng = np.random.default_rng(7)
@@ -123,6 +126,7 @@ def test_mp_cholesky_backward_error(weak_sqexp_cov, u_req, strategy):
         assert residual > 1e-13  # the reduced-precision tiles are in it: this is not the FP64 factor
 
 
+@needs_long_double
 @pytest.mark.parametrize("precision", [Precision.FP64, Precision.FP32])
 @settings(max_examples=60)
 @given(m=st.integers(1, 40), n=st.integers(1, 64), boost=st.floats(1e-4, 1.0),

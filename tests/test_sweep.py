@@ -22,10 +22,14 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(n=1024, nb=256, n_nodes=0)
 
-    @pytest.mark.parametrize("host_memory_gb", [0.0, -1.0, float("nan")])
-    def test_host_memory_must_be_positive(self, host_memory_gb):
-        with pytest.raises(ValueError, match="host_memory_gb"):
+    @pytest.mark.parametrize("host_memory_gb", [-1.0, float("nan")])
+    def test_host_memory_must_be_non_negative(self, host_memory_gb):
+        with pytest.raises(ValueError, match="host_memory_gb must be non-negative"):
             RunSpec(**TINY, host_memory_gb=host_memory_gb)
+
+    def test_zero_host_memory_is_a_host_with_no_room(self):
+        """The engine's rule: a 0-byte host prices as a one-byte host."""
+        assert RunSpec(**TINY, host_memory_gb=0.0).platform == "1x1xV100 host=0GB"
 
     def test_nt_ceil_division(self):
         assert RunSpec(n=1024, nb=256).nt == 4
@@ -254,8 +258,8 @@ class TestSweepCli:
         evictions = [r["metrics"]["n_host_evictions"] for r in doc["runs"]]
         assert evictions[0] > 0 and evictions[1] == 0
 
-        assert main([*base, "--host-memory-gb", "0"]) == 2
-        assert "host_memory_gb must be positive" in capsys.readouterr().err
+        assert main([*base, "--host-memory-gb", "-1"]) == 2
+        assert "host_memory_gb must be non-negative" in capsys.readouterr().err
 
 
 class TestPolicyAxis:
