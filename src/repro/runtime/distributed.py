@@ -18,6 +18,11 @@ see sender-quantised payloads — exactly the sequential executor's
 semantics — the result is bit-identical to
 :func:`repro.runtime.executor.execute_numeric` (asserted in tests).
 
+Each rank keeps the sequential executor's store over its own tasks'
+reads: a received payload moves from the stash into it, and a version
+lives until its last local reader (peak O(live tiles), not O(NT³/6)
+versions).  The rank's result is the latest version of each tile it touched.
+
 Prefers the ``fork`` start method (workers inherit the graph and the
 input matrix for free) and falls back to ``forkserver``/``spawn`` on
 platforms without ``fork`` — every payload crossing the process boundary
@@ -151,6 +156,7 @@ def _rank_main(
         values = _seed_version0(graph, mat, rank)
         plan = _consumer_plan(graph)
         inbox = inboxes[rank]
+        # payloads that arrived before their reader; each moves to the store
         stash: dict[tuple[int, int, int, int], np.ndarray] = {}
         n_sent = 0  # outbound payload counter for message faults
         if heartbeats is not None:
@@ -163,7 +169,7 @@ def _rank_main(
                 # not the sum of all of them
                 i, j, v, p, data = inbox.get(timeout=timeout)
                 stash[(i, j, v, p)] = data
-            return stash[key]
+            return stash.pop(key)
 
         for tid in graph.topological_order():
             task = graph.tasks[tid]
@@ -177,12 +183,11 @@ def _rank_main(
                 key3 = inp.tile
                 if key3 in values:
                     continue
-                if inp.producer is None:
-                    raise KeyError(f"rank {rank}: missing host tile {key3}")
-                payload = recv((*key3, int(inp.payload_precision)))
-                values[key3] = payload
+                if inp.producer is None or graph.tasks[inp.producer].rank == rank:
+                    raise KeyError(f"rank {rank}: missing tile {key3}")
+                values[key3] = recv((*key3, int(inp.payload_precision)))
             out_key, result = _execute_task(task, values)
-            values[out_key] = result
+            values.commit(task, out_key, result)
             if heartbeats is not None:
                 heartbeats[rank] = time.time()
             # ship to remote consumers at each edge's wire precision
@@ -195,15 +200,8 @@ def _rank_main(
                     time.sleep(fault.delay_s)
                 inboxes[dest].put((*out_key, int(prec), quantize(result, prec)))
 
-        # report final version of every tile this rank owns
-        finals: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-        for task in graph:
-            if task.rank != rank:
-                continue
-            i, j, v = task.output
-            if (i, j) not in finals or v > finals[(i, j)][0]:
-                finals[(i, j)] = (v, values[task.output])
-        results.put((rank, {k: v[1] for k, v in finals.items()}, None, injector.fired))
+        # received payloads are gone: the store holds this rank's finals only
+        results.put((rank, values.finals(), None, injector.fired))
     except BaseException as exc:  # surface worker failures to the parent
         results.put((rank, {}, repr(exc), injector.fired))
 

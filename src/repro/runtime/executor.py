@@ -7,6 +7,11 @@ exists so tests can assert that the DAG the PTG unrolls is the same
 algorithm as the sequential reference (:func:`repro.core.cholesky.mp_cholesky`)
 — same dataflow, bit-identical results.
 
+Memory rule, shared by all three executors through one store
+(:class:`_Values`): a tile version lives until its last reader has run,
+then it is dropped unless it is its tile's latest version, the output.
+The peak is O(live tiles), not the O(NT³/6) versions a factorization makes.
+
 Input-ordering convention of the Cholesky PTG (relied upon here):
 
 * ``POTRF(k)``         reads ``[C(k,k) inout]``
@@ -29,17 +34,45 @@ __all__ = ["execute_numeric"]
 
 
 class _Values(dict):
-    """``(i, j, version) → tile`` for every tile version produced so far.
+    """The live tile versions of one execution, ``(i, j, version) → tile``.
 
     ``panels`` holds the broadcast payloads made of them, ``(i, j,
     version, payload precision) → Operand``: a POTRF/TRSM result is
     quantised once per precision it travels at and converted once per
-    input format that reads it, not once per consuming task.
+    input format that reads it, not once per consuming task.  ``reads``
+    lists each pending task's keys of either kind, ``readers`` counts the
+    reads still to come of each key, and ``latest`` maps each tile ``(i,
+    j)`` to its newest version here.  :meth:`commit` drops a key after its
+    last read unless it is a latest version; a dropped key is never read
+    again (a read raises ``KeyError``).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.panels: dict[tuple[int, int, int, object], Operand] = {}
+        self.reads: dict[int, list[tuple]] = {}
+        self.readers: dict[tuple, int] = {}
+        self.latest: dict[tuple[int, int], int] = {}
+
+    def commit(self, task: Task, key: tuple[int, int, int], tile: np.ndarray) -> None:
+        """Store ``task``'s output ``tile`` under ``key`` and release its reads."""
+        self[key] = tile
+        self.latest[key[:2]] = key[2]
+        readers = self.readers
+        for ref in self.reads.pop(task.tid):
+            n = readers[ref] - 1
+            if n:
+                readers[ref] = n
+                continue
+            del readers[ref]
+            if len(ref) == 4:
+                self.panels.pop(ref, None)
+            elif self.latest.get(ref[:2]) != ref[2]:
+                del self[ref]
+
+    def finals(self) -> dict[tuple[int, int], np.ndarray]:
+        """The latest version of every lower tile: the execution's output."""
+        return {(i, j): self[(i, j, v)] for (i, j), v in self.latest.items() if j <= i}
 
 
 def _payload(values: _Values, inp) -> np.ndarray:
@@ -64,21 +97,30 @@ def _panel(values: _Values, inp) -> Operand:
 def _seed_version0(
     graph: TaskGraph, mat: TiledSymmetricMatrix, rank: int | None = None
 ) -> _Values:
-    """Version-0 tiles of ``mat`` the graph reads, at their storage precision.
+    """The store for running ``graph``: the version-0 tiles of ``mat`` its
+    tasks read, at their storage precision, and a count of every read.
 
     The generation-phase cast of Section V: each tile is rounded once to
     the precision it rests in and held at that dtype.  ``rank`` restricts
     the scan to that rank's tasks (the distributed executor's per-rank
-    seeding).
+    store).
     """
     values = _Values()
+    readers = values.readers
     for task in graph:
         if rank is not None and task.rank != rank:
             continue
-        for inp in task.inputs:
+        # the input tiles, then the broadcast payloads (all inputs but the inout tile)
+        inputs = task.inputs
+        refs = values.reads[task.tid] = [inp.tile for inp in inputs] + [
+            inp.tile + (inp.payload_precision,) for inp in inputs[:-1]]
+        for ref in refs:
+            readers[ref] = readers.get(ref, 0) + 1
+        for inp in inputs:
             key = inp.tile
             if inp.producer is None and key not in values:
                 values[key] = as_input(mat.get(key[0], key[1]), inp.storage_precision)
+                values.latest[key[:2]] = key[2]
     return values
 
 
@@ -110,15 +152,9 @@ def _execute_task(task: Task, values: _Values) -> tuple[tuple[int, int, int], np
     return task.output, as_input(result, task.output_precision)
 
 
-def _collect_finals(values: dict, out: TiledSymmetricMatrix) -> TiledSymmetricMatrix:
-    """Write the final version of every lower tile in ``values`` into ``out``."""
-    final: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-    for (i, j, v), data in values.items():
-        if j > i:
-            continue
-        if (i, j) not in final or v > final[(i, j)][0]:
-            final[(i, j)] = (v, data)
-    for (i, j), (_v, data) in final.items():
+def _collect_finals(values: _Values, out: TiledSymmetricMatrix) -> TiledSymmetricMatrix:
+    """Write the latest version of every lower tile in ``values`` into ``out``."""
+    for (i, j), data in values.finals().items():
         out.set(i, j, data, precision=out.precision_of(i, j))
     return out
 
@@ -138,6 +174,6 @@ def execute_numeric(graph: TaskGraph, mat: TiledSymmetricMatrix) -> TiledSymmetr
             task = graph.tasks[tid]
             with _task_span(task):
                 key, result = _execute_task(task, values)
-            values[key] = result
+            values.commit(task, key, result)
 
     return _collect_finals(values, out)

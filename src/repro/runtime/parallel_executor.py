@@ -12,6 +12,10 @@ the ready task with the lowest ``(priority, tid)`` — panel tasks of
 earlier iterations first.  Results are bit-identical to the sequential
 executor because every task consumes exactly the payloads its inputs
 name; execution order cannot change the arithmetic (asserted by tests).
+
+The threads share the sequential executor's store, under the pool's one
+lock: a tile version lives until its last reader has run, so the peak is
+O(live tiles), not the O(NT³/6) versions a factorization makes.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def execute_numeric_parallel(
                 done.set()
             return
         with lock:
-            values[key] = result
+            values.commit(task, key, result)
             remaining -= 1
             for succ in succs[tid]:
                 in_count[succ] -= 1

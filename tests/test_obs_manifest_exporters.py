@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,12 @@ def _trace_events(events, tmp_path):
     return json.loads(path.read_text())["traceEvents"]
 
 
+def _in_git_checkout() -> bool:
+    """Whether the installed package sits in a git work tree, judged by a
+    ``.git`` entry above it rather than by asking git."""
+    return any((d / ".git").exists() for d in Path(obs.__file__).resolve().parents)
+
+
 class TestManifest:
     def test_deterministic_under_fixed_inputs(self):
         a = obs.build_manifest(run_id="r", command="simulate",
@@ -45,8 +53,30 @@ class TestManifest:
         assert m["versions"]["numpy"]
         assert m["versions"]["repro"]
         assert m["platform"]["system"]
-        # this repo is a git checkout, so the revision must resolve
-        assert isinstance(m["git_revision"], str) and len(m["git_revision"]) == 40
+        # a checkout's revision resolves; an export of the tree has none
+        if _in_git_checkout():
+            assert re.fullmatch(r"[0-9a-f]{40}", m["git_revision"])
+        else:
+            assert m["git_revision"] is None
+
+    @pytest.mark.parametrize("failure", ["no git", "not a repository"])
+    def test_revision_is_none_outside_a_checkout(self, monkeypatch, failure):
+        import subprocess
+
+        from repro.obs import manifest
+
+        def fake_run(args, **kwargs):
+            if failure == "no git":
+                raise FileNotFoundError("git")
+            return subprocess.CompletedProcess(args, 128, stdout="", stderr="fatal")
+
+        manifest._git_revision.cache_clear()
+        monkeypatch.setattr(manifest.subprocess, "run", fake_run)
+        try:
+            m = obs.build_manifest(command="mle", seed=3)
+        finally:
+            manifest._git_revision.cache_clear()  # later tests ask the real git
+        assert m["git_revision"] is None
 
     def test_git_is_asked_once_per_process(self, monkeypatch):
         """A campaign stores one manifest per point; ``git rev-parse`` runs

@@ -1,9 +1,11 @@
 """Regression: parallel executor write-back on partially-covered graphs.
 
-``execute_numeric_parallel``'s final write-back loop walks the ``values``
-dict, which holds quantized version-0 seeds for every tile a task merely
-*reads*; those seeds are written back into the output matrix.  On a
-graph where some matrix tiles are touched by no task (and some only as
+Both executors write back the latest version of every tile their value
+store holds.  A version lives there until its last reader has run, unless
+it is its tile's latest (peak O(live tiles), not O(NT³/6) versions), so a
+tile a task merely *reads* keeps its quantized version-0 seed as its
+latest version, and that seed is written back into the output matrix.  On
+a graph where some matrix tiles are touched by no task (and some only as
 read-only inputs) this must not diverge from the sequential executor's
 handling — same tiles written, same quantisation, bit-identical result.
 """
