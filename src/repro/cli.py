@@ -16,7 +16,6 @@ Commands
               attribution, critical path, utilization
 ``compare``   regression sentinel: diff BENCH/run-summary documents with
               per-metric thresholds; ``--fail-on-regress`` gates CI
-``watch``     poll a live run's ``/progress`` endpoint (``--live-port``)
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
 ``--trace-out`` (Perfetto JSON with counter tracks), ``--metrics-out``
@@ -45,7 +44,7 @@ __all__ = ["main", "build_parser"]
 def _add_live_flags(p: argparse.ArgumentParser) -> None:
     """The live-telemetry-plane flags shared by long-running verbs."""
     p.add_argument("--live-port", type=int, default=None, metavar="PORT",
-                   help="serve /metrics, /progress, /healthz on "
+                   help="serve /metrics and /healthz on "
                         "127.0.0.1:PORT while the run is in flight "
                         "(0 = ephemeral port; see docs/OBSERVABILITY.md)")
     p.add_argument("--live-port-file", default=None, metavar="PATH",
@@ -248,24 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="encoded GPU specifications")
 
-    p = sub.add_parser(
-        "watch",
-        help="poll a live run's /progress endpoint and render its progress",
-    )
-    p.add_argument("url", metavar="URL",
-                   help="the run's live endpoint: http://127.0.0.1:PORT, a "
-                        "bare PORT, or a --live-port-file path")
-    p.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
-                   help="poll interval (default: 1.0)")
-    p.add_argument("--once", action="store_true",
-                   help="print a single snapshot and exit")
-    p.add_argument("--json", action="store_true",
-                   help="print raw JSON snapshots instead of progress lines")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="give up after SECONDS without a reachable endpoint "
-                        "(default: keep trying until the run completes)")
-    p.add_argument("--json-out", default=None, metavar="PATH",
-                   help="append every polled snapshot to PATH as JSONL")
     return parser
 
 
@@ -606,95 +587,6 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-def _watch_base_url(target: str) -> str:
-    """Normalise a watch target: URL, ``host:port``, bare port, or a
-    ``--live-port-file`` path all resolve to ``http://host:port``."""
-    target = target.strip()
-    if target.isdigit():
-        return f"http://127.0.0.1:{target}"
-    if "://" not in target:
-        path = Path(target)
-        if path.exists():
-            port = path.read_text(encoding="utf-8").strip()
-            return f"http://127.0.0.1:{port}"
-        target = f"http://{target}"
-    return target.rstrip("/")
-
-
-def _cmd_watch(args) -> int:
-    import json
-    import urllib.error
-    import urllib.request
-
-    from .obs.live import render_progress_line
-
-    url = _watch_base_url(args.url)
-    if not url.endswith("/progress"):
-        url += "/progress"
-
-    out_fh = open(args.json_out, "a", encoding="utf-8") if args.json_out else None
-    tty = sys.stdout.isatty() and not args.json
-    deadline = (time.monotonic() + args.timeout) if args.timeout else None
-    seen_ok = False
-    last_len = 0
-
-    def endline() -> None:
-        if tty and last_len:
-            print()
-
-    try:
-        while True:
-            snap = None
-            try:
-                with urllib.request.urlopen(url, timeout=10) as resp:
-                    snap = json.loads(resp.read())
-            except (urllib.error.URLError, OSError, ValueError, json.JSONDecodeError):
-                snap = None
-            if snap is not None:
-                seen_ok = True
-                if args.timeout:
-                    deadline = time.monotonic() + args.timeout
-                if out_fh is not None:
-                    out_fh.write(json.dumps(snap, sort_keys=True) + "\n")
-                    out_fh.flush()
-                if args.json:
-                    print(json.dumps(snap, sort_keys=True))
-                else:
-                    line = render_progress_line(snap)
-                    if tty and not args.once:
-                        pad = max(0, last_len - len(line))
-                        last_len = len(line)
-                        print("\r" + line + " " * pad, end="", flush=True)
-                    else:
-                        print(line)
-                if args.once:
-                    return 0
-                if snap.get("complete"):
-                    endline()
-                    return 0
-            else:
-                if args.once:
-                    print(f"watch: endpoint unreachable: {url}", file=sys.stderr)
-                    return 1
-                if seen_ok:
-                    # the run's process went away: treat as run over
-                    endline()
-                    print(f"watch: {url} gone — run ended", file=sys.stderr)
-                    return 0
-            if deadline is not None and time.monotonic() > deadline:
-                endline()
-                print(f"watch: no response from {url} within "
-                      f"{args.timeout:g} s", file=sys.stderr)
-                return 1
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        endline()
-        return 0
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -705,7 +597,6 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
         "analyze": _cmd_analyze,
         "compare": _cmd_compare,
-        "watch": _cmd_watch,
     }[args.command]
     return handler(args)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.live import announce_total
 from ..perfmodel.gpus import GPUSpec
 from ..runtime.executor import execute_numeric
 from ..runtime.platform import Platform
@@ -23,7 +22,7 @@ from ..tiles.tilematrix import TiledSymmetricMatrix
 from .cholesky import CholeskyResult, logdet_from_factor, mp_cholesky, solve_with_factor
 from .config import ConversionStrategy, MPConfig
 from .conversion import CommPrecisionMap, build_comm_precision_map
-from .dag_cholesky import CholeskyDag, build_cholesky_dag, stream_cholesky_tasks, cholesky_task_count
+from .dag_cholesky import CholeskyDag, build_cholesky_dag, stream_cholesky_tasks
 from .precision_map import KernelPrecisionMap, build_precision_map
 
 __all__ = [
@@ -172,8 +171,6 @@ def simulate_cholesky(
     """
     if stream:
         nt = kernel_map.nt
-        # the stream itself doesn't know its length; tell the live plane
-        announce_total(cholesky_task_count(nt))
         source = stream_cholesky_tasks(
             n, nb, kernel_map, strategy=strategy, grid=platform.process_grid()
         )

@@ -25,25 +25,16 @@ reproduction measures itself.  Four pieces, shared by every layer:
   compare``), wired into CI as a perf-trajectory gate;
 * **profiler** (:mod:`repro.obs.profile`) — sampling wall-clock
   profiler (``--profile-out``);
-* **live plane** (:mod:`repro.obs.live`) — in-flight progress
-  snapshots and the ``/metrics`` + ``/progress`` + ``/healthz`` scrape
-  endpoints (``--live-port``, ``repro watch``); it only reports.
+* **live plane** (:mod:`repro.obs.live`) — the ``/metrics`` +
+  ``/healthz`` scrape server of a running process (``--live-port``);
+  it only reports.
 
 See ``docs/OBSERVABILITY.md`` for the capture-analyze-compare workflow.
 """
 
 from . import analysis, live, profile, regress
 from .analysis import analyze_path, analyze_trace, build_ledger, critical_path
-from .live import (
-    LivePlane,
-    announce_total,
-    campaign,
-    campaign_progress,
-    get_plane,
-    live_plane,
-    run_finished,
-    run_started,
-)
+from .live import LivePlane, get_plane, live_plane
 from .profile import SamplingProfiler, active_profiler, write_profile
 from .regress import compare_docs, compare_files
 
@@ -79,10 +70,7 @@ __all__ = [
     "analysis",
     "analyze_path",
     "analyze_trace",
-    "announce_total",
     "build_ledger",
-    "campaign",
-    "campaign_progress",
     "compare_docs",
     "compare_files",
     "critical_path",
@@ -93,8 +81,6 @@ __all__ = [
     "load_trace_events",
     "profile",
     "regress",
-    "run_finished",
-    "run_started",
     "write_profile",
     "Gauge",
     "Metric",

@@ -19,7 +19,8 @@ semantics — the result is bit-identical to
 :func:`repro.runtime.executor.execute_numeric` (asserted in tests).
 
 Each rank keeps the sequential executor's store over its own tasks'
-reads: a received payload moves from the stash into it, and a version
+reads: a received payload moves from the stash into it under its
+message key ``(i, j, version, payload precision)``, and a version
 lives until its last local reader (peak O(live tiles), not O(NT³/6)
 versions).  The rank's result is the latest version of each tile it touched.
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from ..faults import FaultInjector, FaultPlan, pick_mp_context, record_faults
 from ..obs import emit_event, get_registry
-from ..precision.emulate import quantize
+from ..precision.emulate import Operand, as_input, quantize
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .executor import _execute_task, _seed_version0
@@ -178,14 +179,15 @@ def _rank_main(
             kill = injector.kill_at(rank, tid)
             if kill is not None:
                 _die(kill)
-            # gather remote inputs
+            # a remote input is a broadcast panel (a tile's writers share its
+            # rank), stored under its message key (i, j, v, payload precision)
+            # so two precisions of one version never share a payload
             for inp in task.inputs:
-                key3 = inp.tile
-                if key3 in values:
-                    continue
                 if inp.producer is None or graph.tasks[inp.producer].rank == rank:
-                    raise KeyError(f"rank {rank}: missing tile {key3}")
-                values[key3] = recv((*key3, int(inp.payload_precision)))
+                    continue
+                key = inp.tile + (inp.payload_precision,)
+                if key not in values.panels:
+                    values.panels[key] = Operand(as_input(recv(key), inp.payload_precision))
             out_key, result = _execute_task(task, values)
             values.commit(task, out_key, result)
             if heartbeats is not None:

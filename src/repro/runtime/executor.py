@@ -68,7 +68,8 @@ class _Values(dict):
             if len(ref) == 4:
                 self.panels.pop(ref, None)
             elif self.latest.get(ref[:2]) != ref[2]:
-                del self[ref]
+                # absent on a rank that received this version as panels only
+                self.pop(ref, None)
 
     def finals(self) -> dict[tuple[int, int], np.ndarray]:
         """The latest version of every lower tile: the execution's output."""

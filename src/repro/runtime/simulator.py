@@ -75,7 +75,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..obs import emit_event, get_registry, traced
-from ..obs.live import BEAT_STRIDE, run_finished, run_started
 from ..perfmodel.energy import joules
 from ..perfmodel.kernels import conversion_time, kernel_time
 from ..precision.formats import Precision, bytes_per_element
@@ -93,6 +92,10 @@ _Key = tuple[int, int, int, Precision]
 #: tasks a bounded emission window drains before it is topped back up to
 #: its ``lookahead`` (at most an eighth of the window; under 8, per task)
 REFILL_SWEEP = 512
+
+#: executed tasks between two publications of the ``sim.evictions`` /
+#: ``sim.conversions`` registry counters, so a mid-run scrape sees them rise
+PUBLISH_STRIDE = 256
 
 
 @dataclass
@@ -582,7 +585,6 @@ def _finish(
         "sim.complete",
         {key: doc[key] for key in _COMPLETE_KEYS} | {"policy": policy_name},
     )
-    run_finished(stats.n_tasks)
     return SimReport(
         makespan=makespan,
         stats=stats,
@@ -601,7 +603,6 @@ def _drive(
     platform: Platform,
     nb: int,
     *,
-    phase: str,
     policy_name: str,
     record_events: bool,
     source: Iterable[Task] | None = None,
@@ -676,9 +677,6 @@ def _drive(
     peak_live = 0
     exhausted = False
     done = 0
-    # a lazy stream does not know its length; simulate_cholesky
-    # pre-announces cholesky_task_count(nt) via announce_total
-    beat = run_started(None if streamed else len(graph), phase)  # None unless a live plane is up
     while True:
         if not exhausted and (live <= refill_at or (picks is None and not heap)):
             # One window fill up to ``lookahead`` — or, while a full window
@@ -767,10 +765,8 @@ def _drive(
             executed.append(tid)
         live -= 1
         done += 1
-        if not done % BEAT_STRIDE:
+        if not done % PUBLISH_STRIDE:
             publish_counts()
-            if beat is not None:
-                beat(done, live)
 
     if live:
         if picks is not None:
@@ -808,13 +804,13 @@ def simulate(
     motion but never which payloads a task consumes.
 
     Telemetry: runs inside a ``sim.run`` span; the eviction/conversion
-    counters tick every ``BEAT_STRIDE`` executed tasks, and a
+    counters tick every ``PUBLISH_STRIDE`` executed tasks, and a
     ``sim.complete`` event carries the run's totals.
     """
     sched = resolve_policy(policy)
     sched.prepare(graph, platform, nb)
     return _drive(
-        graph, platform, nb, key_of=sched.key, phase="sim.materialized", policy_name=sched.name,
+        graph, platform, nb, key_of=sched.key, policy_name=sched.name,
         record_events=record_events,
     )
 
@@ -884,7 +880,7 @@ def simulate_stream(
     sched.prepare(frontier, platform, nb)
     return _drive(
         frontier, platform, nb, source=source, lookahead=lookahead, key_of=sched.key,
-        phase="sim.stream", policy_name=sched.name, record_events=record_events,
+        policy_name=sched.name, record_events=record_events,
     )
 
 
@@ -914,6 +910,6 @@ def simulate_replay(
     fails fast instead of producing a silently wrong account.
     """
     return _drive(
-        graph, platform, nb, order=order, phase="sim.replay",
+        graph, platform, nb, order=order,
         policy_name=f"replay:{source_policy}", record_events=record_events,
     )

@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 
 from ..faults import FaultPlan, RetryPolicy, run_batch
 from ..obs import build_manifest, emit_event, get_registry, span, write_json
-from ..obs.live import campaign, campaign_progress
 from ..runtime.simulator import SimReport
 from ..runtime.tracing import LINKS
 from .grid import CACHE_SCHEMA, RunSpec, SweepGrid
@@ -363,12 +362,10 @@ def _store_cached(cache_dir: Path, spec: RunSpec, key: str, result: dict) -> Non
 class _ProgressTracker:
     """Periodic ``completed/total`` campaign progress.
 
-    Three sinks per update: the live plane (every completion —
-    ``/progress`` sees point-granular state), a
-    ``sweep.progress`` obs-event, and a stderr line — the latter two
-    rate-limited to one per ``every`` seconds (``every=0`` logs every
-    completion, ``every=None`` silences them; the live plane always
-    updates).  A campaign that runs for minutes is no longer silent.
+    Two sinks per update, a ``sweep.progress`` obs-event and a stderr
+    line, rate-limited to one per ``every`` seconds (``every=0`` logs
+    every completion, ``every=None`` silences them).  A campaign that
+    runs for minutes is no longer silent.
     """
 
     def __init__(self, total: int, *, hits: int = 0,
@@ -394,12 +391,6 @@ class _ProgressTracker:
         self.report()
 
     def report(self, *, force: bool = False) -> None:
-        campaign_progress(
-            self.completed,
-            sweep_cache_hits=self.hits,
-            sweep_retries=self.retries,
-            sweep_failed=self.failed,
-        )
         if self.every is None:
             return
         now = time.monotonic()
@@ -450,10 +441,7 @@ def run_sweep(
     ``progress_seconds`` rate-limits ``completed/total`` progress
     reporting (a stderr line plus a ``sweep.progress`` event, with
     cache-hit/retry/failure counts); ``0`` reports every completion,
-    ``None`` disables the lines.  Completions also land on the live
-    plane point-by-point when one is installed
-    (``--live-port``), so ``repro watch`` tracks a campaign exactly like
-    a single run.
+    ``None`` disables the lines.
     """
     if isinstance(grid, SweepGrid):
         specs = grid.expand()
@@ -476,8 +464,7 @@ def run_sweep(
     keys = [spec.cache_key() for spec in specs]
     results: dict[int, tuple[dict, bool]] = {}
 
-    with span("sweep.campaign", sweep=sweep_name, n_runs=len(specs), workers=workers), \
-            campaign(f"sweep:{sweep_name}", len(specs)):
+    with span("sweep.campaign", sweep=sweep_name, n_runs=len(specs), workers=workers):
         # 1. serve everything the cache already holds; dedupe the rest so
         #    each unique key runs exactly once even inside one grid
         owner: dict[str, int] = {}  # key -> index that executes it

@@ -237,13 +237,13 @@ class TestParserSurface:
 
     def test_verb_set(self):
         assert set(self._verbs()) == {
-            "mle", "maps", "simulate", "sweep", "info", "analyze", "compare", "watch",
+            "mle", "maps", "simulate", "sweep", "info", "analyze", "compare",
         }
 
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 70
+                   for sp in self._subparsers().values()) == 64
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against
@@ -265,7 +265,9 @@ class TestParserSurface:
         only each other read the file, and a run's ``commit_order``
         replays through ``simulate_replay`` in the process that ran it;
         ``simulate``'s ``--gpus`` / ``--nodes`` store under their
-        ``RunSpec`` field names too, so its flags build a ``RunSpec``)."""
+        ``RunSpec`` field names too, so its flags build a ``RunSpec``;
+        both verbs' ``--live-port`` help lost ``/progress`` when the live
+        plane became a ``/metrics`` + ``/healthz`` scrape server)."""
         import json
         from pathlib import Path
 

@@ -6,11 +6,14 @@ Bessel function, ``scipy.linalg`` at a solve) and ``http.server`` where a
 live plane serves, so a symbolic run loads none of them, nor the
 top-level ``scipy`` package: a run manifest reads SciPy's version from
 the installed metadata.  The kernels that do need them must still work
-from a cold start.
+from a cold start.  The engine layers (``repro.runtime``, ``repro.core``,
+``repro.sweep``) do not import the live plane at all: it is a CLI
+concern, checked on their source.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.metadata
 import json
 import os
@@ -22,6 +25,7 @@ import pytest
 
 HEAVY = ("scipy", "scipy.linalg", "scipy.special", "http.server", "ssl")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENGINE = ("runtime", "core", "sweep")
 
 SIMULATE = """
 from repro.core import two_precision_map
@@ -150,3 +154,41 @@ def test_a_serving_plane_loads_http_server():
         """
     out = _run(code)
     assert out["result"] == [True, True] and "http.server" in out["loaded"]
+
+
+def _imported_modules(path: str, package: str) -> set[str]:
+    """Every module ``path`` (a module of ``package``) imports, relative
+    imports resolved, ``from a import b`` counted as ``a`` and ``a.b``."""
+    names = set()
+    for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + [node.module] if node.module else base)
+            names |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return names
+
+
+def _engine_imports_of(module: str) -> list[str]:
+    """The engine modules whose source imports ``module``."""
+    found = []
+    for layer in ENGINE:
+        for root, _dirs, files in os.walk(os.path.join(SRC, "repro", layer)):
+            package = "repro." + os.path.relpath(root, os.path.join(SRC, "repro")).replace(os.sep, ".")
+            for name in files:
+                path = os.path.join(root, name)
+                if name.endswith(".py") and module in _imported_modules(path, package):
+                    found.append(os.path.relpath(path, SRC))
+    return found
+
+
+def test_engine_layers_do_not_import_the_live_plane():
+    assert _engine_imports_of("repro.obs.live") == []
+
+
+def test_the_import_scan_sees_relative_imports():
+    """The scan resolves what the engine does import from ``repro.obs``."""
+    assert "repro/runtime/simulator.py" in _engine_imports_of("repro.obs.emit_event")
+    assert "repro/core/solver.py" in _engine_imports_of("repro.runtime.simulator")

@@ -38,49 +38,56 @@ class TestSimulatorMetrics:
                  if e["type"] == "span"]
         assert spans.count("sim.run") == 1
 
-    def test_counters_tick_per_beat_stride_and_match_stats(self, monkeypatch):
+    def test_counters_tick_per_publish_stride_and_match_stats(self, monkeypatch):
         """``sim.evictions`` / ``sim.conversions`` move every
-        ``BEAT_STRIDE`` executed tasks — a live plane sees them rise
-        mid-run — and land on the ``RunStats`` totals at the finish."""
+        ``PUBLISH_STRIDE`` executed tasks — a mid-run scrape sees them
+        rise — and land on the ``RunStats`` totals at the finish."""
         from dataclasses import replace
 
         from repro.core import two_precision_map
         from repro.core.solver import simulate_cholesky
-        from repro.obs.live import BEAT_STRIDE, live_plane
         from repro.perfmodel.gpus import V100
         from repro.precision import Precision
-        from repro.runtime import Platform
+        from repro.runtime import Platform, simulator
+        from repro.runtime.simulator import PUBLISH_STRIDE
+        from repro.runtime.tracing import Trace
 
         nt, nb = 16, 128
         platform = Platform.of_gpus(replace(V100, memory_bytes=12 * nb * nb * 8),
                                     host_memory=32 * nb * nb * 8)
         obs.reset_metrics()
         reg = obs.get_registry()
-        seen = []
-        with live_plane() as plane:
-            begin = plane.progress.begin
+        runs = []  # the RunStats of each simulated run, counting executed tasks
 
-            def spying_begin(total, phase):
-                beat = begin(total, phase)
+        def recording_trace():
+            trace = Trace()
+            runs.append(trace.stats)
+            return trace
 
-                def spy(done, live):
-                    seen.append((done, reg.counter("sim.evictions").value(),
-                                 reg.counter("sim.conversions").value()))
-                    beat(done, live)
+        seen = []  # (tasks executed, counter, its value) at every tick
+        inc = obs.Counter.inc
 
-                return spy
+        def spying_inc(counter, amount=1.0, **labels):
+            inc(counter, amount, **labels)
+            if counter.name in ("sim.evictions", "sim.conversions"):
+                seen.append((runs[-1].n_tasks, counter.name, counter.value()))
 
-            monkeypatch.setattr(plane.progress, "begin", spying_begin)
-            rep = simulate_cholesky(nt * nb, nb, two_precision_map(nt, Precision.FP16_32),
-                                    platform, record_events=False)
-        assert rep.stats.n_tasks > 2 * BEAT_STRIDE
-        assert [done for done, _, _ in seen] == list(
-            range(BEAT_STRIDE, rep.stats.n_tasks + 1, BEAT_STRIDE))
-        # before run_finished: already non-zero, not yet the total
-        assert 0 < seen[0][1] < rep.stats.n_evictions
-        assert 0 < seen[0][2] < rep.stats.n_conversions
-        assert reg.counter("sim.evictions").value() == rep.stats.n_evictions
-        assert reg.counter("sim.conversions").value() == rep.stats.n_conversions
+        monkeypatch.setattr(simulator, "Trace", recording_trace)
+        monkeypatch.setattr(obs.Counter, "inc", spying_inc)
+        rep = simulate_cholesky(nt * nb, nb, two_precision_map(nt, Precision.FP16_32),
+                                platform, record_events=False)
+        n = rep.stats.n_tasks
+        assert n > 2 * PUBLISH_STRIDE
+        strides = list(range(PUBLISH_STRIDE, n + 1, PUBLISH_STRIDE))
+        totals = {"sim.evictions": rep.stats.n_evictions,
+                  "sim.conversions": rep.stats.n_conversions}
+        for name, total in totals.items():
+            ticks = [(done, value) for done, metric, value in seen if metric == name]
+            # one tick per stride (each moved), then the remainder at the finish
+            assert [done for done, _ in ticks] == strides + [n]
+            # mid-run: already non-zero, not yet the total
+            assert 0 < ticks[0][1] < total
+            assert ticks[-1][1] == reg.counter(name).value() == total
 
 
 class TestExecutorSpans:

@@ -1,11 +1,11 @@
-"""The live telemetry plane: progress, snapshots, the scrape server.
+"""The live scrape server: ``/metrics`` and ``/healthz``.
 
-Covers the Prometheus exposition conformance lint, the in-flight
-progress state with fake clocks, on-demand counter rates, the scrape
-server's endpoints over real HTTP, immediate flushing of alert-severity
-events, ``repro watch``, and — the acceptance test — a real
-``repro simulate --stream`` subprocess whose ``/healthz``, ``/progress``
-and ``/metrics`` stay conformant and monotone until it exits cleanly.
+Covers the Prometheus exposition conformance lint, the scrape server's
+endpoints over real HTTP, immediate flushing of alert-severity events,
+and — the acceptance test — a real ``repro simulate --stream``
+subprocess whose ``/healthz`` names the run and whose ``/metrics`` stays
+conformant, with a registry counter rising between polls, until it
+exits cleanly.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -23,24 +25,7 @@ import pytest
 
 from repro.obs import MetricsRegistry, lint_prometheus_text, to_prometheus_text
 from repro.obs.events import EventLog
-from repro.obs.live import (
-    LivePlane,
-    LiveProgress,
-    live_plane,
-    render_progress_line,
-    run_started,
-)
-
-
-class FakeClock:
-    def __init__(self, t: float = 0.0) -> None:
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
+from repro.obs.live import LivePlane, live_plane
 
 
 # -- Prometheus exposition conformance ---------------------------------------
@@ -98,103 +83,6 @@ class TestPrometheusConformance:
         )
 
 
-# -- LiveProgress ------------------------------------------------------------
-
-class TestLiveProgress:
-    def test_begin_beat_snapshot_rate_eta(self):
-        clock = FakeClock()
-        p = LiveProgress(run_id="r", clock=clock)
-        beat = p.begin(1000, "sim.test")
-        clock.advance(1.0)
-        beat(500, 7)
-        snap = p.snapshot()
-        assert snap["done"] == 500 and snap["total"] == 1000
-        assert snap["fraction"] == pytest.approx(0.5)
-        assert snap["tasks_per_second"] == pytest.approx(500.0)
-        assert snap["eta_seconds"] == pytest.approx(1.0)
-        assert snap["live_tasks"] == 7
-        assert snap["heartbeat_age_seconds"] == 0.0
-        assert not snap["complete"]
-
-    def test_heartbeat_age_grows_without_beats(self):
-        clock = FakeClock()
-        p = LiveProgress(clock=clock)
-        beat = p.begin(10, "x")
-        beat(1, 0)
-        clock.advance(4.5)
-        assert p.snapshot()["heartbeat_age_seconds"] == pytest.approx(4.5)
-
-    def test_announce_total_feeds_unknown_total_begin(self):
-        clock = FakeClock()
-        p = LiveProgress(clock=clock)
-        p.announce_total(4321)
-        p.begin(None, "sim.stream")
-        assert p.snapshot()["total"] == 4321
-
-    def test_finish_marks_complete_and_pins_done(self):
-        p = LiveProgress(clock=FakeClock())
-        p.begin(10, "x")
-        p.finish(10)
-        snap = p.snapshot()
-        assert snap["complete"] and snap["done"] == 10
-        assert snap["eta_seconds"] is None
-
-    def test_campaign_hold_shields_nested_runs(self):
-        clock = FakeClock()
-        p = LiveProgress(clock=clock)
-        p.hold("sweep:test", 20)
-        nested_beat = p.begin(99999, "sim.materialized")  # a sweep point
-        clock.advance(1.0)
-        nested_beat(5000, 3)  # refreshes the heartbeat only
-        p.finish(99999)  # nested finish is a no-op while held
-        snap = p.snapshot()
-        assert snap["phase"] == "sweep:test"
-        assert snap["total"] == 20 and snap["done"] == 0
-        assert snap["heartbeat_age_seconds"] == 0.0
-        assert not snap["complete"]
-        p.set_points(12, sweep_cache_hits=4)
-        p.release()
-        snap = p.snapshot()
-        assert snap["done"] == 12 and snap["complete"]
-        assert snap["gauges"]["sweep_cache_hits"] == 4
-
-
-# -- on-demand counter rates -------------------------------------------------
-
-class TestLivePlaneSnapshot:
-    def test_counter_rates_are_monotonic_deltas(self):
-        clock = FakeClock()
-        reg = MetricsRegistry()
-        c = reg.counter("sim.evictions", "e")
-        plane = LivePlane(registry=reg, clock=clock)
-        assert plane.snapshot()["counter_rates"] == {}  # the baseline totals
-        c.inc(30)
-        clock.advance(2.0)
-        snap = plane.snapshot()
-        assert snap["counter_rates"]["sim.evictions"] == pytest.approx(15.0)
-        assert snap["counter_totals"]["sim.evictions"] == 30.0
-        c.inc(10)
-        clock.advance(1.0)
-        assert plane.snapshot()["counter_rates"]["sim.evictions"] == pytest.approx(10.0)
-
-    def test_too_soon_poll_carries_the_last_rates(self):
-        clock = FakeClock()
-        reg = MetricsRegistry()
-        c = reg.counter("sim.spills", "s")
-        plane = LivePlane(registry=reg, clock=clock)
-        plane.snapshot()
-        c.inc(20)
-        clock.advance(1.0)
-        assert plane.snapshot()["counter_rates"]["sim.spills"] == pytest.approx(20.0)
-        c.inc(500)
-        clock.advance(0.01)  # no fresh delta over a tiny dt
-        snap = plane.snapshot()
-        assert snap["counter_rates"]["sim.spills"] == pytest.approx(20.0)
-        assert snap["counter_totals"]["sim.spills"] == 520.0
-        clock.advance(0.99)  # measured from the last rate, not the carry
-        assert plane.snapshot()["counter_rates"]["sim.spills"] == pytest.approx(500.0)
-
-
 # -- EventLog alert flush ----------------------------------------------------
 
 class TestAlertSeverityFlush:
@@ -228,18 +116,13 @@ def _get(url: str):
 
 class TestLivePlaneServer:
     def test_endpoints_round_trip(self):
-        with live_plane(port=0, run_id="srv") as plane:
-            beat = run_started(1000, "sim.test")
-            beat(400, 3)
-            ctype, body = _get(plane.url + "/progress")
-            assert ctype.startswith("application/json")
-            snap = json.loads(body)
-            assert snap["schema"] == "repro.obs.live/1"
-            assert snap["done"] == 400 and snap["run_id"] == "srv"
+        reg = MetricsRegistry()
+        reg.counter("sim.conversions", "c").inc(400)
+        with live_plane(port=0, run_id="srv", registry=reg) as plane:
             ctype, body = _get(plane.url + "/metrics")
             assert "version=0.0.4" in ctype
             assert lint_prometheus_text(body) == []
-            assert "live_tasks_done 400" in body
+            assert "sim_conversions_total 400" in body
             _, body = _get(plane.url + "/healthz")
             health = json.loads(body)
             assert health["status"] == "ok" and health["run_id"] == "srv"
@@ -247,77 +130,32 @@ class TestLivePlaneServer:
 
     def test_unknown_route_404(self):
         with live_plane(port=0) as plane:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _get(plane.url + "/nope")
-            assert err.value.code == 404
+            for route in ("/nope", "/progress"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(plane.url + route)
+                assert err.value.code == 404
 
-    def test_metrics_includes_registry_and_live_blocks(self):
+    def test_metrics_is_the_registry_exposition(self):
         reg = MetricsRegistry()
         reg.counter("sim.tasks", "t").inc(7)
-        plane = LivePlane(registry=reg, run_id="x")
-        beat = plane.progress.begin(10, "p")
-        beat(5, 1)
-        text = plane.metrics_text()
+        text = LivePlane(registry=reg, run_id="x").metrics_text()
+        assert text == to_prometheus_text(reg)
         assert lint_prometheus_text(text) == []
         assert "sim_tasks_total 7" in text
-        assert "live_tasks_done 5" in text
-
-
-# -- rendering ---------------------------------------------------------------
-
-class TestRenderProgressLine:
-    def test_full_line(self):
-        line = render_progress_line({
-            "phase": "sim.stream", "done": 5000, "total": 147000,
-            "fraction": 5000 / 147000, "tasks_per_second": 90000.0,
-            "eta_seconds": 1.6, "heartbeat_age_seconds": 0.01,
-            "complete": False,
-        })
-        assert "[sim.stream]" in line and "5,000/147,000" in line
-        assert "90,000 tasks/s" in line and "eta 2s" in line
-
-    def test_completion(self):
-        line = render_progress_line({"phase": "p", "done": 1, "total": 1,
-                                     "complete": True})
-        assert "1/1" in line and "done ✓" in line
-
-
-# -- CLI: repro watch --------------------------------------------------------
-
-class TestWatchCommand:
-    def test_watch_once_against_live_plane(self, capsys):
-        from repro.cli import main
-
-        with live_plane(port=0, run_id="w") as plane:
-            beat = run_started(100, "sim.test")
-            beat(42, 1)
-            assert main(["watch", plane.url, "--once"]) == 0
-            out = capsys.readouterr().out
-            assert "42/100" in out
-            assert main(["watch", str(plane.port), "--once", "--json"]) == 0
-            snap = json.loads(capsys.readouterr().out)
-            assert snap["done"] == 42
-
-    def test_watch_port_file_and_unreachable(self, tmp_path, capsys):
-        from repro.cli import main
-
-        with live_plane(port=0) as plane:
-            port_file = tmp_path / "port"
-            port_file.write_text(f"{plane.port}\n")
-            assert main(["watch", str(port_file), "--once"]) == 0
-        capsys.readouterr()
-        assert main(["watch", "127.0.0.1:1", "--once"]) == 1
 
 
 # -- the acceptance test: endpoints of a real streamed run ------------------
+
+_CONVERSIONS = re.compile(r"^sim_conversions_total (\S+)$", re.MULTILINE)
+
 
 @pytest.mark.slow
 class TestLiveSubprocess:
     def test_conformant_endpoints_and_clean_exit(self, tmp_path):
         """A ``repro simulate --stream`` run of ~88k tasks (a few seconds)
-        is polled while it runs: ``/healthz`` names the run, ``/progress``
-        never goes backwards, ``/metrics`` is lint-clean, and the run
-        exits 0."""
+        is scraped while it runs: ``/healthz`` names the run, every
+        mid-run ``/metrics`` is lint-clean, ``sim.conversions`` never goes
+        backwards and rises between polls, and the run exits 0."""
         port_file = tmp_path / "port"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "simulate", "--stream",
@@ -343,28 +181,24 @@ class TestLiveSubprocess:
             assert health["status"] == "ok" and health["run_id"] == "livetest"
 
             polls = []
-            metrics_ok = False
             while time.monotonic() < deadline and proc.poll() is None:
                 try:
-                    _, body = _get(base + "/progress")
-                    snap = json.loads(body)
-                    if not metrics_ok and snap["done"] > 0:
-                        _, mtext = _get(base + "/metrics")
-                        assert lint_prometheus_text(mtext) == []
-                        assert "live_tasks_done" in mtext
-                        metrics_ok = True
+                    _, mtext = _get(base + "/metrics")
                 except (OSError, http.client.HTTPException):
                     # the run finished between polls (or mid-response:
                     # the process exits under a daemon handler thread)
                     break
-                assert not polls or snap["done"] >= polls[-1], "progress went backwards"
-                polls.append(snap["done"])
+                assert lint_prometheus_text(mtext) == []
+                found = _CONVERSIONS.findall(mtext)
+                value = float(found[0]) if found else 0.0
+                assert not polls or value >= polls[-1], "a counter went backwards"
+                polls.append(value)
                 time.sleep(0.05)
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             assert "makespan" in out
-            assert metrics_ok, f"no mid-run /metrics poll (polls: {polls})"
-            assert len(set(polls)) >= 2, f"progress never moved (polls: {polls})"
+            assert len(polls) >= 2, f"fewer than two mid-run polls: {polls}"
+            assert len(set(polls)) >= 2, f"sim.conversions never rose (polls: {polls})"
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -21,7 +21,7 @@ from repro.core.precision_map import build_precision_map
 from repro.geostats import SyntheticField
 from repro.geostats.generator import build_tiled_covariance
 from repro.precision import Precision
-from repro.precision.emulate import quantize
+from repro.precision.emulate import Operand, as_input, quantize
 from repro.runtime.distributed import execute_numeric_distributed
 from repro.runtime.executor import _execute_task, _seed_version0, execute_numeric
 from repro.runtime.parallel_executor import execute_numeric_parallel
@@ -29,7 +29,7 @@ from repro.runtime.task import TaskGraph
 from repro.tiles.distribution import ProcessGrid
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
-from tests.test_runtime_parallel_writeback import partial_graph
+from tests.test_runtime_parallel_writeback import NB, _inp, partial_graph
 
 
 def _adaptive(nt: int, nb: int, grid: ProcessGrid | None = None):
@@ -150,8 +150,11 @@ class TestDistributedRankStore:
         assert stash
         for task in mine:
             for inp in task.inputs:
-                if inp.tile not in store:
-                    store[inp.tile] = stash.pop(inp.tile + (int(inp.payload_precision),))
+                if inp.producer is None or graph.tasks[inp.producer].rank == rank:
+                    continue
+                key = inp.tile + (inp.payload_precision,)
+                if key not in store.panels:
+                    store.panels[key] = Operand(as_input(stash.pop(key), inp.payload_precision))
             key, result = _execute_task(task, store)
             assert np.array_equal(result, everything[key])
             store.commit(task, key, result)
@@ -160,6 +163,39 @@ class TestDistributedRankStore:
         assert store.panels == {} and store.readers == {} and store.reads == {}
         for (i, j), data in store.finals().items():
             assert np.array_equal(data, everything[(i, j, store.latest[(i, j)])])
+
+    def test_one_version_read_at_two_precisions(self, spd_96):
+        """Rank 1 reads ``L(0,0)`` from rank 0 at FP16 in ``TRSM(1,0)`` and
+        at FP32 in ``TRSM(2,0)``: each reader gets its own payload."""
+        graph = _two_payload_graph()
+        mat = TiledSymmetricMatrix.from_dense(spd_96[:48, :48], 16)
+        ref = execute_numeric(graph, mat)
+        out = execute_numeric_distributed(graph, mat, 2)
+        for i in range(3):
+            assert np.array_equal(out.get(i, 0), ref.get(i, 0)), (i, 0)
+        assert np.array_equal(out.to_dense(), ref.to_dense())
+
+
+def _two_payload_graph() -> TaskGraph:
+    """POTRF(0) on rank 0, then two TRSMs on rank 1 that read its output
+    at two payload precisions, FP16 first."""
+    g = TaskGraph()
+    g.new_task(
+        kind="POTRF", params=(0,), rank=0, precision=Precision.FP64,
+        flops=float(NB**3) / 3, output=(0, 0, 1), output_precision=Precision.FP64,
+        inputs=[_inp(None, 0, 0, 0, Precision.FP64, Precision.FP64, "inout")],
+    )
+    for m, payload in ((1, Precision.FP16), (2, Precision.FP32)):
+        g.new_task(
+            kind="TRSM", params=(m, 0), rank=1, precision=Precision.FP32,
+            flops=float(NB**3), output=(m, 0, 1), output_precision=Precision.FP32,
+            inputs=[
+                _inp(0, 0, 0, 1, payload, Precision.FP64),
+                _inp(None, m, 0, 0, Precision.FP32, Precision.FP32, "inout"),
+            ],
+        )
+    g.finalize()
+    return g
 
 
 def _gemm_on_rank_1(graph: TaskGraph) -> TaskGraph:
