@@ -1,7 +1,8 @@
 """The live scrape server: ``/metrics`` and ``/healthz``.
 
 Covers the Prometheus exposition conformance lint, the scrape server's
-endpoints over real HTTP, immediate flushing of alert-severity events,
+endpoints over real HTTP, the process-global plane's install and
+restore, immediate flushing of alert-severity events,
 and — the acceptance test — a real ``repro simulate --stream``
 subprocess whose ``/healthz`` names the run and whose ``/metrics`` stays
 conformant, with a registry counter rising between polls, until it
@@ -16,6 +17,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -24,8 +26,9 @@ from pathlib import Path
 import pytest
 
 from repro.obs import MetricsRegistry, lint_prometheus_text, to_prometheus_text
+from repro.obs._runtime import get_registry
 from repro.obs.events import EventLog
-from repro.obs.live import LivePlane, live_plane
+from repro.obs.live import LivePlane, get_plane, install_plane, live_plane
 
 
 # -- Prometheus exposition conformance ---------------------------------------
@@ -142,6 +145,103 @@ class TestLivePlaneServer:
         assert text == to_prometheus_text(reg)
         assert lint_prometheus_text(text) == []
         assert "sim_tasks_total 7" in text
+
+    def test_scrape_reads_the_registry_at_request_time(self):
+        reg = MetricsRegistry()
+        tasks = reg.counter("sim.tasks", "t")
+        tasks.inc(3)
+        with live_plane(port=0, registry=reg) as plane:
+            _, first = _get(plane.url + "/metrics")
+            tasks.inc(4)
+            _, second = _get(plane.url + "/metrics")
+        assert "sim_tasks_total 3" in first
+        assert "sim_tasks_total 7" in second
+
+    def test_route_matching_ignores_query_and_trailing_slash(self):
+        reg = MetricsRegistry()
+        reg.gauge("g", "help").set(2.0)
+        with live_plane(port=0, run_id="routes", registry=reg) as plane:
+            for route in ("/metrics/", "/metrics?debug=1"):
+                ctype, body = _get(plane.url + route)
+                assert "version=0.0.4" in ctype and body == to_prometheus_text(reg)
+            for route in ("/", "/healthz/", "/healthz?x=y"):
+                ctype, body = _get(plane.url + route)
+                assert ctype == "application/json"
+                assert json.loads(body)["run_id"] == "routes"
+
+    def test_unknown_route_body_names_the_route(self):
+        with live_plane(port=0) as plane:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(plane.url + "/nope?q=1")
+            assert json.loads(err.value.read().decode("utf-8")) == {
+                "error": "no route /nope"}
+
+    def test_uptime_grows_between_polls(self):
+        with live_plane(port=0) as plane:
+            first = json.loads(_get(plane.url + "/healthz")[1])["uptime_seconds"]
+            time.sleep(0.02)
+            second = json.loads(_get(plane.url + "/healthz")[1])["uptime_seconds"]
+        assert 0.0 <= first < second
+
+    def test_start_is_idempotent_and_stop_closes_the_port(self):
+        def servers():
+            return [t for t in threading.enumerate() if t.name == "repro-live-http"]
+
+        before = len(servers())
+        plane = LivePlane(port=0, registry=MetricsRegistry())
+        plane.start()
+        plane.start()
+        assert len(servers()) == before + 1
+        url = plane.url
+        assert json.loads(_get(url + "/healthz")[1])["status"] == "ok"
+        plane.stop()
+        plane.stop()
+        assert len(servers()) == before
+        with pytest.raises(OSError):
+            _get(url + "/healthz")
+
+
+# -- the process-global plane ------------------------------------------------
+
+class TestProcessPlane:
+    def test_portless_plane_serves_nothing(self):
+        plane = LivePlane(run_id="quiet")
+        assert plane.port is None and plane.url is None
+        assert plane.registry is get_registry()
+        plane.start()
+        plane.stop()
+        assert plane.health()["run_id"] == "quiet"
+
+    def test_install_plane_returns_the_previous(self):
+        first, second = LivePlane(), LivePlane()
+        outer = install_plane(first)
+        try:
+            assert get_plane() is first
+            assert install_plane(second) is first
+            assert get_plane() is second
+        finally:
+            assert install_plane(outer) is second
+        assert get_plane() is outer
+
+    def test_nested_live_planes_restore_in_order(self):
+        outer = get_plane()
+        with live_plane(run_id="a") as a:
+            assert get_plane() is a
+            with live_plane(run_id="b") as b:
+                assert get_plane() is b
+            assert get_plane() is a
+        assert get_plane() is outer
+
+    def test_an_error_in_the_block_stops_the_server_and_restores(self):
+        outer = get_plane()
+        with pytest.raises(RuntimeError, match="boom"):
+            with live_plane(port=0) as plane:
+                url = plane.url
+                assert json.loads(_get(url + "/healthz")[1])["status"] == "ok"
+                raise RuntimeError("boom")
+        assert get_plane() is outer
+        with pytest.raises(OSError):
+            _get(url + "/healthz")
 
 
 # -- the acceptance test: endpoints of a real streamed run ------------------
