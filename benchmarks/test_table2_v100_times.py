@@ -2,14 +2,14 @@
 
 The transfer/kernel time model regenerates the paper's measurements; the
 assertions pin each cell to within 15 % of the published value, which
-``perfmodel.calibration`` keeps as ``TABLE2_MS`` — these numbers are the
-primary calibration anchors of the simulator.
+``bench.figures_micro`` keeps beside ``table2_rows`` as ``TABLE2_MS`` —
+these numbers are the primary calibration anchors of the simulator.
 """
 
 import pytest
 
 from repro.bench import format_table, table2_rows, write_csv
-from repro.perfmodel.calibration import TABLE2_MS, TABLE2_SIZES
+from repro.bench.figures_micro import TABLE2_MS, TABLE2_SIZES
 
 
 def test_table2_v100_times(benchmark):

@@ -9,8 +9,9 @@ and shows the precision maps the framework planned.
 Run:  python examples/quickstart.py
 """
 
-from repro import MPConfig, MPCholeskySolver
+from repro.core import build_comm_precision_map, build_precision_map
 from repro.geostats import SyntheticField, build_tiled_covariance, fit_mle
+from repro.tiles import tile_norms
 
 
 def main() -> None:
@@ -22,12 +23,14 @@ def main() -> None:
     print(f"synthetic dataset: n={dataset.n}, θ_true={field.theta}")
 
     # 2. what does the adaptive framework plan for this covariance?
-    solver = MPCholeskySolver(MPConfig(accuracy=1e-4, tile_size=50))
     cov = build_tiled_covariance(dataset.locations, dataset.model, field.theta, nb=50)
-    plan = solver.plan(cov)
+    kmap = build_precision_map(tile_norms(cov), 1e-4)  # Fig. 2: kernel precision per tile
+    cmap = build_comm_precision_map(kmap)               # Fig. 4: Algorithm 2's conversions
+    fractions = ", ".join(f"{p.name}: {f * 100:.1f}%"
+                          for p, f in sorted(kmap.tile_fractions().items(), reverse=True))
     print("\nprecision plan at u_req=1e-4:")
-    print(" ", plan.summary())
-    print(plan.kernel_map.render())
+    print(f"  tiles [{fractions}]; STC on {cmap.stc_fraction() * 100:.1f}% of communications")
+    print(kmap.render())
 
     # 3. fit the MLE at three accuracy levels
     for label, kwargs in [

@@ -20,10 +20,12 @@ from repro.bench import (
     format_table,
     strategy_rows,
     strategy_specs,
+    table2_rows,
 )
+from repro.bench.figures_micro import TABLE2_MS
 from repro.core import uniform_map
 from repro.geostats import SyntheticField, fit_mle
-from repro.perfmodel import SUMMIT_NODE, verify_table2
+from repro.perfmodel import SUMMIT_NODE
 from repro.perfmodel.analytic import analytic_cholesky
 from repro.precision import Precision, gemm_relative_error
 from repro.runtime import Platform
@@ -35,10 +37,12 @@ def main() -> None:
     rows = []
 
     # Table II calibration
-    rep = verify_table2()
+    worst = max(abs(got - want) / want
+                for row, paper in zip(table2_rows(), TABLE2_MS.values(), strict=True)
+                for got, want in zip(row[1:], paper, strict=True))
     rows.append(["Table II (V100 move/GEMM times)", "exact measurements",
-                 f"all 30 cells within {rep.max_rel_error * 100:.0f}%",
-                 "PASS" if rep.ok else "FAIL"])
+                 f"all 30 cells within {worst * 100:.0f}%",
+                 "PASS" if worst < 0.15 else "FAIL"])
 
     # Fig. 1 accuracy ordering
     errs = {p: gemm_relative_error(512, p) for p in

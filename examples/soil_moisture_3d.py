@@ -12,9 +12,14 @@ resource-intensive of its applications.
 Run:  python examples/soil_moisture_3d.py
 """
 
-from repro import MPConfig, MPCholeskySolver
+import numpy as np
+
+from repro.core import build_cholesky_dag, build_comm_precision_map, build_precision_map
 from repro.geostats import SyntheticField, build_tiled_covariance, fit_mle
+from repro.perfmodel import V100
 from repro.precision import Precision
+from repro.runtime import Platform, execute_numeric, simulate
+from repro.tiles import tile_norms
 
 
 def main() -> None:
@@ -25,21 +30,28 @@ def main() -> None:
     print(f"3D dataset: n={dataset.n} (8×8×8 jittered grid), θ_true={field.theta}")
 
     # plan at the paper's 3D accuracy and inspect the precision profile
-    config = MPConfig(accuracy=1e-8, tile_size=64)
-    solver = MPCholeskySolver(config)
     cov = build_tiled_covariance(
         dataset.locations, dataset.model, field.theta, nb=64, nugget=dataset.nugget
     )
-    plan = solver.plan(cov)
-    fr = plan.kernel_map.tile_fractions()
+    kmap = build_precision_map(tile_norms(cov), 1e-8)  # Fig. 2
+    cmap = build_comm_precision_map(kmap)               # Fig. 4
+    fr = kmap.tile_fractions()
     high = fr.get(Precision.FP64, 0.0) + fr.get(Precision.FP32, 0.0)
-    print(f"\nprecision plan at u_req=1e-8: {plan.summary()}")
+    fractions = ", ".join(f"{p.name}: {f * 100:.1f}%" for p, f in sorted(fr.items(), reverse=True))
+    print(f"\nprecision plan at u_req=1e-8: tiles [{fractions}]; "
+          f"STC on {cmap.stc_fraction() * 100:.1f}% of communications")
     print(f"high-precision (FP64+FP32) tile share: {high * 100:.1f}%")
-    print(plan.kernel_map.render())
+    print(kmap.render())
 
-    # factor once through the runtime to see the simulated cost profile
-    factor, report = solver.factorize_via_runtime(cov)
-    print(f"\nsimulated factorization: {report.makespan * 1e3:.2f} ms on one V100, "
+    # factor once through the task graph (Algorithm 1) and price the same
+    # graph on one simulated V100 to see the cost profile
+    dag = build_cholesky_dag(cov.n, cov.nb, kmap, comm_map=cmap)
+    factor = execute_numeric(dag.graph, cov)
+    report = simulate(dag.graph, Platform.single_gpu(V100), cov.nb)
+    L, sigma = factor.lower_dense(), cov.to_dense()
+    residual = np.linalg.norm(L @ L.T - sigma) / np.linalg.norm(sigma)
+    print(f"\nfactorization residual ‖LLᵀ − Σ‖/‖Σ‖: {residual:.1e}")
+    print(f"simulated factorization: {report.makespan * 1e3:.2f} ms on one V100, "
           f"{report.stats.n_tasks} tasks, "
           f"{report.stats.link_bytes('h2d') / 1e6:.1f} MB host→device")
 

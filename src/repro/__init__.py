@@ -28,9 +28,7 @@ Quickstart::
 from .core import (
     CholeskyResult,
     ConversionStrategy,
-    FactorizationPlan,
     KernelPrecisionMap,
-    MPCholeskySolver,
     MPConfig,
     build_precision_map,
     mp_cholesky,
@@ -44,9 +42,7 @@ __all__ = [
     "ADAPTIVE_FORMATS",
     "CholeskyResult",
     "ConversionStrategy",
-    "FactorizationPlan",
     "KernelPrecisionMap",
-    "MPCholeskySolver",
     "MPConfig",
     "Precision",
     "__version__",

@@ -28,6 +28,8 @@ from ..precision.gemm import gemm_relative_error
 from ..tiles.norms import tile_norms
 
 __all__ = [
+    "TABLE2_MS",
+    "TABLE2_SIZES",
     "table1_rows",
     "table2_rows",
     "fig1_accuracy_rows",
@@ -65,7 +67,21 @@ def table1_rows() -> list[list]:
     return rows
 
 
-def table2_rows(sizes: tuple[int, ...] = (2048, 4096, 6144, 8192, 10240)) -> list[list]:
+#: the paper's Table II (ms) per (kind, precision), one value per size of
+#: ``TABLE2_SIZES`` — the calibration anchors of the V100 model; its rows
+#: are :func:`table2_rows`' rows, in order
+TABLE2_MS = {
+    ("move", Precision.FP64): (0.67, 2.68, 6.04, 10.74, 16.78),
+    ("move", Precision.FP32): (0.34, 1.34, 3.02, 5.37, 8.39),
+    ("move", Precision.FP16): (0.17, 0.67, 1.51, 2.68, 4.19),
+    ("gemm", Precision.FP64): (2.2, 17.62, 59.47, 140.96, 275.32),
+    ("gemm", Precision.FP32): (1.09, 8.75, 29.54, 70.03, 136.78),
+    ("gemm", Precision.FP16): (0.14, 1.1, 3.71, 8.8, 17.18),
+}
+TABLE2_SIZES = (2048, 4096, 6144, 8192, 10240)
+
+
+def table2_rows(sizes: tuple[int, ...] = TABLE2_SIZES) -> list[list]:
     """Table II: V100 tile-move and GEMM times (ms) per precision."""
     rows = []
     for prec in (Precision.FP64, Precision.FP32, Precision.FP16):

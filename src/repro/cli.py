@@ -252,9 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mle(args) -> int:
     from . import obs
+    from .core import MPConfig
     from .geostats import SyntheticField, fit_mle
     from .geostats.covariance import Matern, SquaredExponential
 
+    levels = args.accuracy or [1e-9]
+    try:
+        for level in levels:
+            MPConfig(accuracy=level)
+    except ValueError as exc:
+        print(f"mle: {exc}", file=sys.stderr)
+        return 2
     nugget = args.nugget
     if args.model == "2d-matern":
         field = SyntheticField(Matern(dim=2), (1.0, 0.1, 0.5), args.n, args.seed,
@@ -267,7 +275,6 @@ def _cmd_mle(args) -> int:
                                args.seed, 0.01 if nugget is None else nugget)
     ds = field.sample()
     print(f"{field.model.name}: n={ds.n}, θ_true={field.theta}, nugget={field.nugget}")
-    levels = args.accuracy or [1e-9]
     runs = [("exact", dict(exact=True))] if args.exact else []
     runs += [(f"{a:.0e}", dict(accuracy=a)) for a in levels]
     with contextlib.ExitStack() as stack:
@@ -288,12 +295,17 @@ def _cmd_mle(args) -> int:
 
 def _cmd_maps(args) -> int:
     from .bench.apps import app_kernel_map, get_app
-    from .core import build_comm_precision_map
+    from .core import MPConfig, build_comm_precision_map
 
     app = get_app(args.app)
     if args.accuracy is not None:
         from dataclasses import replace
 
+        try:
+            MPConfig(accuracy=args.accuracy)
+        except ValueError as exc:
+            print(f"maps: {exc}", file=sys.stderr)
+            return 2
         app = replace(app, accuracy=args.accuracy)
     kmap = app_kernel_map(app, args.n, args.nb, samples_per_tile=32)
     cmap = build_comm_precision_map(kmap)

@@ -21,12 +21,7 @@ from .precision_map import (
     two_precision_map,
     uniform_map,
 )
-from .solver import (
-    FactorizationPlan,
-    MPCholeskySolver,
-    default_stream_lookahead,
-    simulate_cholesky,
-)
+from .solver import default_stream_lookahead, simulate_cholesky
 
 __all__ = [
     "CholeskyDag",
@@ -34,9 +29,7 @@ __all__ = [
     "CommPrecisionMap",
     "ConversionStrategy",
     "FIXED_CONFIGS",
-    "FactorizationPlan",
     "KernelPrecisionMap",
-    "MPCholeskySolver",
     "MPConfig",
     "RefinementResult",
     "accumulator_encoding",

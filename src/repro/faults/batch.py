@@ -82,14 +82,14 @@ def run_batch(
     workers: int = 1,
     retry_policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | Mapping | None = None,
-    on_done: Callable[[dict], None] | None = None,
+    on_done: Callable[[int, dict], None] | None = None,
 ) -> list[dict]:
     """Apply ``fn`` to every item; return one envelope per item, in item order.
 
     ``labels[i]`` are the identifiers ``fault_plan`` matches item ``i``
     against (:meth:`FaultInjector.point_fault`); ``op`` labels the retry
     counters.  ``workers > 1`` fans the items across a process pool, and
-    ``on_done(envelope)`` observes each completion as it happens.
+    ``on_done(i, envelope)`` observes item ``i``'s completion as it happens.
     """
     payloads = [(fn, item, tuple(lab), retry_policy, fault_plan, op)
                 for item, lab in zip(items, labels)]
@@ -98,7 +98,7 @@ def run_batch(
     def done(pos: int, env: dict) -> None:
         envelopes[pos] = env
         if on_done is not None:
-            on_done(env)
+            on_done(pos, env)
 
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(min(workers, len(payloads)),

@@ -8,7 +8,7 @@ from .covariance import (
     get_model,
 )
 from .generator import Dataset, SyntheticField, build_tiled_covariance
-from .io import load_dataset_csv, load_dataset_npz, save_dataset_csv, save_dataset_npz
+from .io import load_dataset_csv, save_dataset_csv
 from .likelihood import LikelihoodEval, log_likelihood
 from .locations import cross_distances, generate_locations, morton_order, pairwise_distances
 from .mle import MLEResult, default_tile_size, fit_mle
@@ -47,7 +47,6 @@ __all__ = [
     "get_model",
     "krige",
     "load_dataset_csv",
-    "load_dataset_npz",
     "log_likelihood",
     "maximize_bounded",
     "morton_order",
@@ -55,6 +54,5 @@ __all__ = [
     "pairwise_distances",
     "run_monte_carlo",
     "save_dataset_csv",
-    "save_dataset_npz",
     "theoretical_variogram",
 ]

@@ -3,7 +3,7 @@
 Hilbert/Morton/random orderings so tile blocks hold neighbouring
 locations, a locality score, and dataset reordering that moves
 measurements with their locations (docs/DATAPLANE.md).  Dataset files
-are :mod:`repro.geostats.io`'s CSV/NPZ.
+are :mod:`repro.geostats.io`'s CSV.
 """
 
 from .hilbert import (
@@ -12,7 +12,6 @@ from .hilbert import (
     hilbert_decode,
     hilbert_encode,
     hilbert_order,
-    nn_index_distance,
     order_indices,
     order_locations,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "hilbert_decode",
     "hilbert_encode",
     "hilbert_order",
-    "nn_index_distance",
     "order_indices",
     "order_locations",
     "permute_dataset",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..locations import _to_grid, morton_order, pairwise_distances
+from ..locations import _to_grid, morton_order
 
 __all__ = [
     "ORDERINGS",
@@ -27,7 +27,6 @@ __all__ = [
     "hilbert_decode",
     "hilbert_encode",
     "hilbert_order",
-    "nn_index_distance",
     "order_indices",
     "order_locations",
 ]
@@ -188,20 +187,3 @@ def check_spatial_order(locations: np.ndarray) -> float:
         return 0.0
     return float(step / baseline)
 
-
-def nn_index_distance(locations: np.ndarray) -> float:
-    """Mean |index gap| to each point's spatial nearest neighbour.
-
-    The locality figure of merit for the property battery: after a
-    space-filling sort, spatial neighbours sit at nearby indices, so the
-    mean gap is small; after a random shuffle it is O(n).  O(n²) —
-    intended for test-sized point sets.
-    """
-    locs = np.asarray(locations, dtype=np.float64)
-    n = locs.shape[0]
-    if n < 2:
-        return 0.0
-    d = pairwise_distances(locs)
-    np.fill_diagonal(d, np.inf)
-    nn = np.argmin(d, axis=1)
-    return float(np.mean(np.abs(np.arange(n) - nn)))

@@ -1,27 +1,21 @@
-"""Dataset and result persistence.
+"""Dataset persistence.
 
 ExaGeoStat reads/writes location+measurement files; downstream users of
 this reproduction need the same plumbing to run the MLE on their own
-data.  Formats:
-
-* **CSV** — ``x,y[,z],value`` (header optional), the common exchange
-  format for scattered spatial data;
-* **NPZ** — lossless round-trip of a :class:`Dataset` including model
-  identity, true parameters, and nugget.
+data.  The format is CSV, ``x,y[,z],value`` (header optional), the
+common exchange format for scattered spatial data.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import os
 
 import numpy as np
 
-from .covariance import MODEL_REGISTRY, get_model
+from .covariance import get_model
 from .generator import Dataset
 
-__all__ = ["save_dataset_csv", "load_dataset_csv", "save_dataset_npz", "load_dataset_npz"]
+__all__ = ["save_dataset_csv", "load_dataset_csv"]
 
 
 def save_dataset_csv(dataset: Dataset, path: str) -> str:
@@ -78,36 +72,3 @@ def load_dataset_csv(path: str, model_name: str, *, nugget: float = 0.0) -> Data
         )
     return Dataset(locations=data[:, :-1], z=data[:, -1], model=model, nugget=nugget)
 
-
-def save_dataset_npz(dataset: Dataset, path: str) -> str:
-    """Lossless round-trip including model identity and θ_true."""
-    key = next(k for k, factory in MODEL_REGISTRY.items()
-               if factory().name == dataset.model.name)
-    meta = {
-        "model": key,
-        "theta_true": list(dataset.theta_true) if dataset.theta_true else None,
-        "nugget": dataset.nugget,
-    }
-    np.savez(
-        path,
-        locations=dataset.locations,
-        z=dataset.z,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-    )
-    return path if path.endswith(".npz") else path + ".npz"
-
-
-def load_dataset_npz(path: str) -> Dataset:
-    """Inverse of :func:`save_dataset_npz`."""
-    if not os.path.exists(path) and os.path.exists(path + ".npz"):
-        path = path + ".npz"
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        theta = meta.get("theta_true")
-        return Dataset(
-            locations=data["locations"],
-            z=data["z"],
-            model=get_model(meta["model"]),
-            theta_true=tuple(theta) if theta else None,
-            nugget=float(meta.get("nugget", 0.0)),
-        )

@@ -10,7 +10,6 @@ paper's Fig. 10 observables; Fig. 9's occupancy is
 :func:`repro.obs.analysis.utilization_timeline`).
 """
 
-from .calibration import CalibrationReport, verify_table2
 from .energy import joules
 from .gpus import (
     A100,
@@ -39,7 +38,6 @@ __all__ = [
     "H100",
     "SUMMIT_NODE",
     "V100",
-    "CalibrationReport",
     "GPUSpec",
     "KernelKind",
     "NodeSpec",
@@ -51,5 +49,4 @@ __all__ = [
     "kernel_flops_rect",
     "kernel_time",
     "tile_bytes",
-    "verify_table2",
 ]

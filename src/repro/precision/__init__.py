@@ -18,12 +18,6 @@ from .emulate import (
     storage_dtype,
     truncate_mantissa,
 )
-from .errors import (
-    combine_frobenius,
-    frobenius,
-    max_abs_error,
-    relative_frobenius_error,
-)
 from .formats import (
     ADAPTIVE_FORMATS,
     FORMAT_INFO,
@@ -44,17 +38,13 @@ __all__ = [
     "Precision",
     "as_input",
     "bytes_per_element",
-    "combine_frobenius",
-    "frobenius",
     "gemm_relative_error",
     "get_storage_precision",
-    "max_abs_error",
     "mixed_gemm",
     "multiply_accumulate",
     "quantize",
     "quantize_batch",
     "quantize_tile",
-    "relative_frobenius_error",
     "round_to_fp16",
     "rule_epsilon",
     "storage_dtype",

@@ -318,16 +318,3 @@ def resolve_policy(policy: "str | SchedulePolicy | None") -> SchedulePolicy:
             f"unknown scheduling policy {policy!r}; expected one of {sorted(_POLICIES)}"
         ) from None
 
-
-# the oracle tests/test_scheduler_properties.py holds every policy's makespan to
-def graph_cost_lower_bound(graph: "TaskGraph", platform: "Platform", nb: int) -> float:
-    """Critical-path lower bound on any schedule's makespan.
-
-    The longest dependency chain under kernel-only perfmodel costs —
-    conversions and transfers only add time, so every simulated makespan
-    is ≥ this bound regardless of policy (property-tested).
-    """
-    gpu = platform.gpu
-    return graph.critical_path_length(
-        duration=lambda t: kernel_time(gpu, t.kind, nb, t.precision)
-    )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -473,6 +474,7 @@ def run_sweep(
             if cached is not None:
                 results[idx] = (cached, True)
                 hits_metric.inc()
+                runs_metric.inc()
             elif key not in owner:
                 owner[key] = idx
         progress = _ProgressTracker(
@@ -487,6 +489,18 @@ def run_sweep(
         produced: dict[str, dict] = {}
         attempts_spent: dict[int, int] = {}
         unique = sorted(owner.values())
+        # points per executed key: its owner and any deduplicated sharers
+        sharing = Counter(keys[i] for i in range(len(specs)) if i not in results)
+
+        def point_done(pos: int, env: dict) -> None:
+            # counters tick as points complete, so a mid-campaign scrape
+            # sees the campaign advance
+            runs_metric.inc(sharing[keys[unique[pos]]])
+            misses_metric.inc()
+            if not env["ok"]:
+                failed_metric.inc()
+            progress.point_done(env)
+
         if unique:
             outputs = run_batch(
                 execute_spec,
@@ -496,7 +510,7 @@ def run_sweep(
                 workers=workers,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
-                on_done=progress.point_done,
+                on_done=point_done,
             )
             for i, env in zip(unique, outputs):
                 attempts_spent[i] = env["attempts"]
@@ -508,12 +522,10 @@ def run_sweep(
                     # retries it instead of replaying the failure
                     result = {"failed": True, "error": env["error"],
                               "attempts": env["attempts"]}
-                    failed_metric.inc()
                     emit_event("sweep.point_failed",
                                {"key": keys[i], "label": specs[i].label,
                                 "attempts": env["attempts"], "error": env["error"]})
                 produced[keys[i]] = result
-                misses_metric.inc()
         for idx in range(len(specs)):
             if idx not in results:
                 # executed here (cached=False) or shared from the point
@@ -521,7 +533,6 @@ def run_sweep(
                 results[idx] = (produced[keys[idx]], owner[keys[idx]] != idx)
 
         progress.report(force=True)  # the final completed/total line
-        runs_metric.inc(len(specs))
         sweep_runs = [
             SweepRun(spec=specs[i], key=keys[i], result=results[i][0],
                      cached=results[i][1], attempts=attempts_spent.get(i, 0))

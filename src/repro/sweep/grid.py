@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Mapping
 
-from ..core.config import ConversionStrategy
+from ..core.config import ConversionStrategy, MPConfig
 from ..core.precision_map import FIXED_CONFIGS
 from ..runtime.platform import DEFAULT_HOST_MEMORY_GB
 
@@ -98,6 +98,12 @@ class RunSpec:
             raise ValueError(
                 f"unknown ordering {self.ordering!r}; expected one of {ORDERINGS}"
             )
+        if self.accuracy is not None:
+            MPConfig(accuracy=self.accuracy)  # raises outside (0, 1], NaN included
+        if self.config == "adaptive":
+            from ..bench.apps import get_app
+
+            get_app(self.app)  # the one config that reads it
 
     @property
     def nt(self) -> int:

@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..precision.errors import combine_frobenius
 from .tilematrix import TiledSymmetricMatrix, tile_index_range
 
 __all__ = [
@@ -41,11 +40,12 @@ def tile_norms(mat: TiledSymmetricMatrix) -> np.ndarray:
 def global_norm_from_tile_norms(norms: np.ndarray) -> float:
     """Global Frobenius norm from the full (mirrored) tile-norm array.
 
-    Off-diagonal tiles appear twice in the mirrored array, which is
-    exactly right: the symmetric matrix contains both (i, j) and (j, i)
-    blocks.
+    ``‖A‖_F² = Σ_ij ‖A_ij‖_F²``.  Off-diagonal tiles appear twice in the
+    mirrored array, which is exactly right: the symmetric matrix contains
+    both (i, j) and (j, i) blocks.
     """
-    return combine_frobenius(norms.ravel())
+    partials = np.asarray(norms.ravel(), dtype=np.float64)
+    return float(np.sqrt(np.sum(partials**2)))
 
 
 def sampled_tile_norms(

@@ -17,6 +17,14 @@ class TestMLEVariants:
         out = capsys.readouterr().out
         assert "nugget=0.01" in out
 
+    @pytest.mark.parametrize("accuracy", ["-1", "0", "nan"])
+    def test_out_of_range_accuracy_is_a_usage_error(self, accuracy, capsys):
+        assert main(["mle", "--n", "49", "--accuracy", "1e-4", "--accuracy", accuracy]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before the dataset is synthesised
+        assert err.startswith("mle: accuracy must be in (0, 1], got ")
+        assert err.count("\n") == 1
+
     def test_nugget_override(self, capsys):
         assert main(["mle", "--model", "3d-sqexp", "--n", "27",
                      "--nugget", "0.05"]) == 0
@@ -32,6 +40,15 @@ class TestMapsAccuracyOverride:
         loose = capsys.readouterr().out
         assert base != loose
         assert "u_req=0.1" in loose
+
+    @pytest.mark.parametrize("accuracy", ["-1", "0", "2", "nan"])
+    def test_out_of_range_override_is_a_usage_error(self, accuracy, capsys):
+        """Not a silent all-FP64 map."""
+        assert main(["maps", "--n", "8192", "--nb", "1024", "--accuracy", accuracy]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("maps: accuracy must be in (0, 1], got ")
+        assert err.count("\n") == 1
 
     def test_override_samples_the_map_once(self, monkeypatch, capsys):
         import repro.bench.apps as apps

@@ -1,17 +1,27 @@
-"""Unit tests for MPConfig, the solver facade, and the analytic model."""
+"""Unit tests for MPConfig, plan-then-factor by explicit calls, and the analytic model."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.core import (
+    build_cholesky_dag,
+    build_comm_precision_map,
+    build_precision_map,
+    logdet_from_factor,
+    mp_cholesky,
+    solve_with_factor,
+)
 from repro.core.config import ConversionStrategy, MPConfig
 from repro.core.precision_map import two_precision_map, uniform_map
-from repro.core.solver import MPCholeskySolver, simulate_cholesky
+from repro.core.solver import simulate_cholesky
 from repro.perfmodel.analytic import analytic_cholesky
 from repro.perfmodel.gpus import SUMMIT_NODE, V100
 from repro.precision import ADAPTIVE_FORMATS, Precision
+from repro.runtime import execute_numeric, simulate
 from repro.runtime.platform import Platform
+from repro.tiles import tile_norms
 
 
 class TestMPConfig:
@@ -42,31 +52,32 @@ class TestMPConfig:
         assert cfg.formats == (Precision.FP64,)
 
 
-class TestSolver:
+class TestPlanThenFactor:
     def test_plan_and_factorize(self, matern_cov_160):
         dense = matern_cov_160.to_dense() + 0.01 * np.eye(160)
         from repro.tiles.tilematrix import TiledSymmetricMatrix
 
         mat = TiledSymmetricMatrix.from_dense(dense, 20)
-        solver = MPCholeskySolver(MPConfig(accuracy=1e-4, tile_size=20))
-        plan = solver.plan(mat)
-        assert "STC" in plan.summary()
-        result = solver.factorize(mat, plan)
+        kmap = build_precision_map(tile_norms(mat), 1e-4)  # Fig. 2
+        cmap = build_comm_precision_map(kmap)               # Fig. 4
+        assert cmap.stc_fraction() > 0  # a mixed plan: some broadcasts convert at the sender
+        result = mp_cholesky(mat, kmap, comm_map=cmap)      # Algorithm 1
         L = result.factor.lower_dense()
         rel = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert rel < 1e-2
-        # logdet/solve helpers
         rhs = np.ones(160)
-        x = MPCholeskySolver.solve(result, rhs)
+        x = solve_with_factor(result.factor, rhs)
         assert np.linalg.norm(dense @ x - rhs) / np.linalg.norm(rhs) < 1e-2
-        assert np.isfinite(MPCholeskySolver.logdet(result))
+        assert np.isfinite(logdet_from_factor(result.factor))
 
-    def test_factorize_via_runtime(self, tiled_96):
-        solver = MPCholeskySolver(MPConfig(accuracy=1e-6, tile_size=16))
-        factor, report = solver.factorize_via_runtime(tiled_96)
+    def test_runtime_path_computes_the_same_factor(self, tiled_96):
+        kmap = build_precision_map(tile_norms(tiled_96), 1e-6)
+        cmap = build_comm_precision_map(kmap)
+        dag = build_cholesky_dag(tiled_96.n, tiled_96.nb, kmap, comm_map=cmap)
+        factor = execute_numeric(dag.graph, tiled_96)
+        report = simulate(dag.graph, Platform.single_gpu(V100), tiled_96.nb)
         assert report.makespan > 0
-        # runtime path computes the same factor as the sequential path
-        seq = solver.factorize(tiled_96)
+        seq = mp_cholesky(tiled_96, kmap, comm_map=cmap)
         assert np.array_equal(factor.lower_dense(), seq.factor.lower_dense())
 
 

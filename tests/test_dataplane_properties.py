@@ -18,9 +18,9 @@ from repro.geostats.dataplane import (
     hilbert_decode,
     hilbert_encode,
     hilbert_order,
-    nn_index_distance,
     order_locations,
 )
+from tests.locality_oracle import nn_index_distance
 
 
 def _points(n: int, dim: int, seed: int) -> np.ndarray:

@@ -11,12 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from repro import MPConfig, MPCholeskySolver
+from repro import MPConfig
 from repro.core import (
     ConversionStrategy,
     build_cholesky_dag,
     build_comm_precision_map,
     build_precision_map,
+    mp_cholesky,
     simulate_cholesky,
     two_precision_map,
 )
@@ -79,12 +80,18 @@ class TestNumericVsSimulated:
         # simulated cost covers every task
         assert report.stats.n_tasks == len(dag.graph)
 
-    def test_solver_facade_consistency(self, tiled_96):
-        solver = MPCholeskySolver(MPConfig(accuracy=1e-6, tile_size=16))
-        factor, report = solver.factorize_via_runtime(tiled_96)
-        seq = solver.factorize(tiled_96)
+    def test_config_drives_both_paths_alike(self, tiled_96):
+        """An ``MPConfig``'s accuracy, formats and strategy give the
+        sequential and the task-graph factorization the same factor."""
+        cfg = MPConfig(accuracy=1e-6, tile_size=16)
+        kmap = build_precision_map(tile_norms(tiled_96), cfg.accuracy, cfg.formats)
+        cmap = build_comm_precision_map(kmap)
+        dag = build_cholesky_dag(tiled_96.n, cfg.tile_size, kmap,
+                                 strategy=cfg.strategy, comm_map=cmap)
+        factor = execute_numeric(dag.graph, tiled_96)
+        seq = mp_cholesky(tiled_96, kmap, strategy=cfg.strategy, comm_map=cmap)
         assert np.array_equal(factor.lower_dense(), seq.factor.lower_dense())
-        assert report.makespan > 0
+        assert simulate(dag.graph, Platform.single_gpu(V100), cfg.tile_size).makespan > 0
 
 
 class TestTraceConsumers:

@@ -91,12 +91,20 @@ class TestSimulatorMetrics:
 
 
 class TestExecutorSpans:
-    def test_sequential_executor_emits_task_spans(self, tmp_path, tiled_96):
-        from repro.core import MPCholeskySolver, MPConfig
+    @staticmethod
+    def _graph(mat):
+        from repro.core import build_cholesky_dag, build_precision_map
+        from repro.tiles import tile_norms
 
-        solver = MPCholeskySolver(MPConfig(accuracy=1e-6, tile_size=16))
+        kmap = build_precision_map(tile_norms(mat), 1e-6)
+        return build_cholesky_dag(mat.n, mat.nb, kmap).graph
+
+    def test_sequential_executor_emits_task_spans(self, tmp_path, tiled_96):
+        from repro.runtime import execute_numeric
+
+        graph = self._graph(tiled_96)
         with obs.event_log(tmp_path / "run.jsonl"):
-            solver.factorize_via_runtime(tiled_96)
+            execute_numeric(graph, tiled_96)
         events = obs.read_events(tmp_path / "run.jsonl")
         tasks = [e for e in events if e["type"] == "span" and e["span"].endswith("/task")]
         assert tasks, "expected per-task spans"
@@ -105,14 +113,11 @@ class TestExecutorSpans:
         assert all(e["span"].startswith("executor.sequential/") for e in tasks)
 
     def test_parallel_executor_emits_task_spans(self, tmp_path, tiled_96):
-        from repro.core import MPCholeskySolver, MPConfig
         from repro.runtime.parallel_executor import execute_numeric_parallel
 
-        solver = MPCholeskySolver(MPConfig(accuracy=1e-6, tile_size=16))
-        plan = solver.plan(tiled_96)
-        dag = solver._dag(tiled_96.n, tiled_96.nb, plan, None)
+        graph = self._graph(tiled_96)
         with obs.event_log(tmp_path / "run.jsonl"):
-            execute_numeric_parallel(dag.graph, tiled_96, n_threads=2)
+            execute_numeric_parallel(graph, tiled_96, n_threads=2)
         events = obs.read_events(tmp_path / "run.jsonl")
         task_spans = [e for e in events if e["type"] == "span" and e["span"] == "task"]
         outer = [e for e in events if e["type"] == "span"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perfmodel.calibration import verify_table2
+from repro.bench.figures_micro import TABLE2_MS, TABLE2_SIZES, table2_rows
 from repro.perfmodel.gpus import A100, V100
 from repro.perfmodel.kernels import (
     KernelKind,
@@ -115,8 +115,26 @@ class TestConversion:
         assert tiny >= V100.conversion_launch
 
 
-class TestCalibration:
-    def test_shipped_model_passes_table2(self):
-        report = verify_table2()
-        assert report.ok, f"worst cell {report.worst_cell}: {report.max_rel_error:.3f}"
-        assert report.mean_rel_error < 0.08
+class TestTable2:
+    """The shipped V100 model against the paper's Table II, cell by cell."""
+
+    @staticmethod
+    def _rel_errors() -> dict:
+        errs = {}
+        for row, ((kind, prec), paper) in zip(table2_rows(), TABLE2_MS.items(), strict=True):
+            label, *values = row
+            assert label.startswith("Move" if kind == "move" else "Execute GEMM")
+            assert label.endswith(f" in {prec.name}")
+            for got, want, n in zip(values, paper, TABLE2_SIZES, strict=True):
+                errs[(kind, prec.name, n)] = abs(got - want) / want
+        return errs
+
+    def test_every_cell_strictly_within_15_percent(self):
+        errs = self._rel_errors()
+        assert len(errs) == 30
+        worst = max(errs, key=errs.get)
+        assert errs[worst] < 0.15, f"worst cell {worst}: {errs[worst]:.3f}"
+
+    def test_mean_error_below_8_percent(self):
+        errs = self._rel_errors()
+        assert sum(errs.values()) / len(errs) < 0.08

@@ -119,3 +119,62 @@ def test_the_value_check_sees_a_dead_choice(tmp_path):
                    "and `repro simulate --policy fifo` but `--strategy both` alone is prose\n")
     with pytest.raises(AssertionError, match="'stc'"):
         test_docs_give_a_flag_only_values_it_takes(doc)
+
+
+def _doc_spans():
+    """The backticked spans of the prose docs."""
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    return [span for doc in docs
+            for span in re.findall(r"`([^`\n]+)`", doc.read_text(encoding="utf-8"))]
+
+
+def _dead_dotted_paths(spans):
+    """Dotted ``repro.…`` paths that name no module or attribute."""
+    dead = []
+    for path in sorted({m for span in spans for m in re.findall(r"\brepro(?:\.\w+)+", span)}):
+        parts = path.split(".")
+        cut = len(parts)
+        while True:  # the longest importable prefix, then attributes
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                cut -= 1
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            dead.append(path)
+    return dead
+
+
+#: where a ``*.py`` path in the docs may be rooted
+_PY_BASES = ("", "src", "src/repro", "benchmarks", "tests", "examples")
+
+
+def _dead_py_paths(spans):
+    """``*.py`` paths (a ``::name`` suffix aside) that exist under no base."""
+    paths = {m for span in spans for m in re.findall(r"[\w./-]*\w\.py\b", span)}
+    return sorted(p for p in paths if not any((ROOT / base / p).exists() for base in _PY_BASES))
+
+
+def test_docs_name_only_dotted_paths_that_resolve():
+    spans = _doc_spans()
+    assert any(re.search(r"\brepro\.\w", span) for span in spans)
+    assert _dead_dotted_paths(spans) == []
+
+
+def test_docs_name_only_py_files_that_exist():
+    spans = _doc_spans()
+    assert any(span.endswith(".py") for span in spans)
+    assert _dead_py_paths(spans) == []
+
+
+def test_the_path_checks_see_a_dead_path():
+    spans = re.findall(r"`([^`\n]+)`",
+                       "`repro.perfmodel.calibration.verify_table2` and "
+                       "`perfmodel/calibration.py::verify_table2` beside "
+                       "`repro.core.mp_cholesky` and `core/cholesky.py::mp_cholesky`")
+    assert _dead_dotted_paths(spans) == ["repro.perfmodel.calibration.verify_table2"]
+    assert _dead_py_paths(spans) == ["perfmodel/calibration.py"]

@@ -45,8 +45,9 @@ from repro.runtime import (
     TaskInput,
     simulate,
 )
-from repro.runtime.policies import graph_cost_lower_bound, resolve_policy
+from repro.runtime.policies import resolve_policy
 from repro.runtime.simulator import simulate_replay, simulate_stream
+from tests.makespan_bound_oracle import graph_cost_lower_bound
 
 NB = 64
 KINDS = ("POTRF", "TRSM", "SYRK", "GEMM")

@@ -27,6 +27,22 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="host_memory_gb must be non-negative"):
             RunSpec(**TINY, host_memory_gb=host_memory_gb)
 
+    @pytest.mark.parametrize("accuracy", [-1.0, 0.0, 2.0, float("nan")])
+    def test_accuracy_follows_mpconfigs_rule(self, accuracy):
+        """An out-of-range u_req is rejected, not priced as all-FP64."""
+        with pytest.raises(ValueError, match=r"accuracy must be in \(0, 1\]"):
+            RunSpec(**TINY, config="adaptive", accuracy=accuracy)
+
+    def test_app_checked_where_adaptive_reads_it(self):
+        with pytest.raises(ValueError, match="unknown application 'bogus'"):
+            RunSpec(**TINY, config="adaptive", app="bogus")
+        RunSpec(**TINY, config="FP64", app="bogus")  # a fixed config never reads it
+
+    def test_valid_adaptive_key_unchanged_by_validation(self):
+        # taken before RunSpec checked accuracy and app: no schema bump
+        spec = RunSpec(**TINY, config="adaptive", accuracy=1e-6, seed=3)
+        assert spec.cache_key() == "ad4096df98af55c6"
+
     def test_zero_host_memory_is_a_host_with_no_room(self):
         """The engine's rule: a 0-byte host prices as a one-byte host."""
         assert RunSpec(**TINY, host_memory_gb=0.0).platform == "1x1xV100 host=0GB"
@@ -261,6 +277,14 @@ class TestSweepCli:
         assert main([*base, "--host-memory-gb", "-1"]) == 2
         assert "host_memory_gb must be non-negative" in capsys.readouterr().err
 
+    def test_out_of_range_accuracy_is_a_usage_error(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["sweep", "--n", "1024", "--nb", "256", "--config", "adaptive",
+                     "--accuracy", "-1", "--cache-dir", str(cache)]) == 2
+        err = capsys.readouterr().err
+        assert err == "sweep: accuracy must be in (0, 1], got -1.0\n"
+        assert not cache.exists() or not any(cache.iterdir())
+
 
 class TestPolicyAxis:
     def test_unknown_policy_rejected(self):
@@ -312,6 +336,40 @@ class TestSweepProgress:
         run_sweep(self.grid(), cache_dir=tmp_path, progress_seconds=0)
         err = capsys.readouterr().err
         assert any("4 cached" in ln for ln in err.splitlines())
+
+    @staticmethod
+    def _counters_at_completions(monkeypatch, specs, cache_dir):
+        """``(runs, misses)`` as a scrape reads them at each completion."""
+        from repro import obs
+        from repro.sweep import engine
+
+        obs.reset_metrics()
+        reg = obs.get_registry()
+        seen = []
+        done = engine._ProgressTracker.point_done
+
+        def spying(tracker, envelope):
+            seen.append((reg.counter("sweep.runs").value(),
+                         reg.counter("sweep.cache_misses").value()))
+            done(tracker, envelope)
+
+        monkeypatch.setattr(engine._ProgressTracker, "point_done", spying)
+        run_sweep(specs, cache_dir=cache_dir, progress_seconds=None)
+        return seen, (reg.counter("sweep.runs").value(),
+                      reg.counter("sweep.cache_misses").value())
+
+    def test_counters_tick_per_completed_point(self, tmp_path, monkeypatch):
+        seen, end = self._counters_at_completions(monkeypatch, self.grid(), tmp_path)
+        assert seen == [(1, 1), (2, 2), (3, 3), (4, 4)]
+        assert end == (4, 4)
+
+    def test_hits_tick_up_front_and_sharers_with_their_owner(self, tmp_path, monkeypatch):
+        a, b, hit = (RunSpec(**TINY, config=c) for c in ("FP64", "FP32", "FP64/FP16"))
+        run_sweep([hit], cache_dir=tmp_path, progress_seconds=None)
+        seen, end = self._counters_at_completions(monkeypatch, [hit, a, a, b], tmp_path)
+        # the hit before any completion; a's sharer with a; then b
+        assert seen == [(3, 1), (4, 2)]
+        assert end == (4, 2)
 
     def test_silent_when_disabled(self, tmp_path, capsys):
         run_sweep(self.grid(), cache_dir=tmp_path, progress_seconds=None)

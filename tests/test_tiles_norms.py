@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.precision.errors import frobenius
 from repro.tiles.norms import (
     global_norm_from_tile_norms,
     sampled_tile_norms,
@@ -19,7 +21,7 @@ class TestExactNorms:
         for i in range(6):
             for j in range(6):
                 block = spd_96[16 * i : 16 * (i + 1), 16 * j : 16 * (j + 1)]
-                assert norms[i, j] == pytest.approx(frobenius(block))
+                assert norms[i, j] == pytest.approx(np.linalg.norm(block))
 
     def test_mirrored(self, tiled_96):
         norms = tile_norms(tiled_96)
@@ -27,7 +29,17 @@ class TestExactNorms:
 
     def test_global_norm_consistency(self, tiled_96, spd_96):
         norms = tile_norms(tiled_96)
-        assert global_norm_from_tile_norms(norms) == pytest.approx(frobenius(spd_96))
+        assert global_norm_from_tile_norms(norms) == pytest.approx(np.linalg.norm(spd_96))
+
+
+@given(hnp.arrays(np.float64, (4, 6), elements=st.floats(-1e6, 1e6, allow_nan=False)))
+@settings(max_examples=50)
+def test_global_norm_combines_block_norms(a):
+    """``‖A‖_F² = Σ_ij ‖A_ij‖_F²`` over any blocking of ``A``."""
+    blocks = np.array([[np.linalg.norm(a[:2, :3]), np.linalg.norm(a[:2, 3:])],
+                       [np.linalg.norm(a[2:, :3]), np.linalg.norm(a[2:, 3:])]])
+    combined = global_norm_from_tile_norms(blocks)
+    assert abs(combined - float(np.linalg.norm(a))) <= 1e-9 * (1.0 + combined)
 
 
 class TestSampledNorms:
