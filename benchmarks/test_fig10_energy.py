@@ -12,7 +12,7 @@ counters under the activity-based power law. Paper shapes asserted:
   GPU (lower precision draws less per second).
 
 Known deviation: FP64's average power sits above the TDP on V100 and
-A100 (ROADMAP item 6(b)).
+A100 (the ROADMAP item "Energy: the FP64 calibration").
 """
 
 import pytest

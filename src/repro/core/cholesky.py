@@ -213,15 +213,35 @@ def logdet_from_factor(factor: TiledSymmetricMatrix) -> float:
 
 
 def solve_with_factor(factor: TiledSymmetricMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``Σ x = rhs`` given the Cholesky factor ``L`` (FP64 path).
+    """Solve ``Σ x = rhs`` given the tiled Cholesky factor ``L`` (FP64 path).
 
     The triangular solves are O(n²) — negligible next to the O(n³)
     factorization — so the paper (like ExaGeoStat) runs them in full
-    precision; we materialise the lower factor and use two dense solves.
+    precision, on the factor's own tiles: ``L y = rhs``, then ``Lᵀ x = y``.
+    ``rhs`` is a vector or an n×k block; no n×n array is formed.  A singular
+    diagonal tile raises :class:`numpy.linalg.LinAlgError`; a non-finite
+    factor entry is not checked for and reaches ``x``.
     """
-    import scipy.linalg
+    x = np.array(rhs, dtype=np.float64)  # solved in place, one tile row at a time
+    _substitute(factor, x, transpose=False)
+    _substitute(factor, x, transpose=True)
+    return x
 
-    rhs = np.asarray(rhs, dtype=np.float64)
-    lower = factor.lower_dense()
-    y = scipy.linalg.solve_triangular(lower, rhs, lower=True)
-    return scipy.linalg.solve_triangular(lower.T, y, lower=False)
+
+def _substitute(factor: TiledSymmetricMatrix, x: np.ndarray, *, transpose: bool) -> None:
+    """Overwrite ``x`` with ``L⁻¹x`` (tile rows top down) or ``L⁻ᵀx`` (bottom up):
+    each row block less its products with the solved ones (float32 tiles
+    widened exactly), then ``dtrtrs`` against the diagonal tile."""
+    from scipy.linalg.lapack import dtrtrs
+
+    tiles, nb, nt = factor.tiles, factor.nb, factor.nt
+    rows = [slice(t * nb, (t + 1) * nb) for t in range(nt)]
+    for i in reversed(range(nt)) if transpose else range(nt):
+        block = x[rows[i]]
+        for j in range(i + 1, nt) if transpose else range(i):
+            tile = tiles[j, i].T if transpose else tiles[i, j]
+            block -= tile.astype(np.float64, copy=False) @ x[rows[j]]
+        # as Lᵀ (upper), which a row-major tile — every factor's — is in LAPACK's order
+        x[rows[i]], info = dtrtrs(tiles[i, i].T, block, lower=0, trans=int(not transpose))
+        if info:
+            raise np.linalg.LinAlgError(f"singular factor: tile {i}, diagonal {info - 1}")

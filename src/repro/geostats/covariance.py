@@ -17,15 +17,15 @@ all parameters to [0.01, 2]).  The paper's weak/strong correlation is
 ``Matern.correlation`` pays for a Bessel function only where ν demands
 one.  With s = h/β it dispatches on the value of ν it is handed:
 ν = ½ (rough) → σ²e^{−s}, 3⁄2 → σ²(1+s)e^{−s},
-5⁄2 → σ²(1+s+s²⁄3)e^{−s}, all through ``np.exp``; ν = 1 (smooth)
-→ σ²·s·K₁(s) through ``scipy.special``'s ``k1``; every other
-ν → the general form above as σ²·exp(r(log s) − s), where r, the log of
-the kernel scaled by e^s, is O(log s), analytic in log s and read from
-one table of ``kve`` per call (:func:`_matern_general`): a fit that
-estimates ν pays a few hundred Bessel evaluations per θ, not one per
-pair of points.  Dense matrices (``cov_matrix``) and tiled ones
-(``generator.build_tiled_covariance``) both make one kernel call, over
-the packed lower-triangle distances of :class:`~.locations.TileDistances`.
+5⁄2 → σ²(1+s+s²⁄3)e^{−s}, all through ``np.exp``; every other ν,
+the smooth ν = 1 included, → the general form above as
+σ²·exp(r(log s) − s), where r, the log of the kernel scaled by e^s, is
+O(log s), analytic in log s and read from one table of ``kve`` per call
+(:func:`_matern_general`): a fit that estimates ν pays a few hundred
+Bessel evaluations per θ, not one per pair of points.  Dense matrices
+(``cov_matrix``) and tiled ones (``generator.build_tiled_covariance``)
+both make one kernel call, over the packed lower-triangle distances of
+:class:`~.locations.TileDistances`.
 """
 
 from __future__ import annotations
@@ -159,32 +159,18 @@ class Matern(CovarianceModel):
     def correlation(self, h: np.ndarray, theta: np.ndarray) -> np.ndarray:
         sigma2, beta, nu = theta
         h = np.asarray(h, dtype=np.float64)
-        if nu not in (0.5, 1.0, 1.5, 2.5):
+        if nu not in (0.5, 1.5, 2.5):
             return _matern_general(h, sigma2, beta, nu)
-        s = h / beta  # a fresh array, reused below
-        if nu != 1.0:
-            # closed forms: h = 0 gives σ²·1; e^{−s} is exactly 0 from s ≈ 745
-            # on, and the clamp keeps the polynomial beside it finite
-            np.minimum(s, 750.0, out=s)
-            out = np.exp(-s)
-            if nu == 1.5:
-                out *= 1.0 + s
-            elif nu == 2.5:
-                out *= 1.0 + s + s * s / 3.0
-            return np.multiply(out, sigma2, out=out)
-        # K₁ underflows to 0 for huge arguments, where the covariance's
-        # limit is 0, and overflows to inf as s → 0⁺ (and at h = 0), where
-        # it is σ²: the product is formed (in place, in s) only where K₁ is
-        # positive and finite, and inf·0 never is.
-        import scipy.special
-
-        k = scipy.special.k1(s)
-        live = (k > 0.0) & np.isfinite(k)
-        np.multiply(s, sigma2, out=s, where=live)
-        np.multiply(s, k, out=s, where=live)
-        dead = ~live
-        s[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
-        return s
+        # closed forms: h = 0 gives σ²·1; e^{−s} is exactly 0 from s ≈ 745
+        # on, and the clamp keeps the polynomial beside it finite
+        s = h / beta
+        np.minimum(s, 750.0, out=s)
+        out = np.exp(-s)
+        if nu == 1.5:
+            out *= 1.0 + s
+        elif nu == 2.5:
+            out *= 1.0 + s + s * s / 3.0
+        return np.multiply(out, sigma2, out=out)
 
 
 #: the general-ν table: nodes at t = log s = k·_STEP, read in blocks of _BLOCK entries;

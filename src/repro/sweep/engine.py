@@ -384,8 +384,8 @@ class _ProgressTracker:
     def completed(self) -> int:
         return self.hits + self.completed_misses
 
-    def point_done(self, envelope: dict) -> None:
-        self.completed_misses += 1
+    def point_done(self, envelope: dict, points: int = 1) -> None:
+        self.completed_misses += points  # an executed key's owner and sharers
         self.retries += max(0, int(envelope.get("attempts", 1)) - 1)
         if not envelope.get("ok", True):
             self.failed += 1
@@ -495,11 +495,12 @@ def run_sweep(
         def point_done(pos: int, env: dict) -> None:
             # counters tick as points complete, so a mid-campaign scrape
             # sees the campaign advance
-            runs_metric.inc(sharing[keys[unique[pos]]])
+            points = sharing[keys[unique[pos]]]
+            runs_metric.inc(points)
             misses_metric.inc()
             if not env["ok"]:
                 failed_metric.inc()
-            progress.point_done(env)
+            progress.point_done(env, points)
 
         if unique:
             outputs = run_batch(

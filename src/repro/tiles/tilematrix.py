@@ -163,14 +163,6 @@ class TiledSymmetricMatrix:
                 out[rj[0] : rj[1], ri[0] : ri[1]] = block.T
         return out
 
-    def lower_dense(self) -> np.ndarray:
-        """Materialise only the lower triangle (upper left at zero), in one pass."""
-        out = np.zeros((self.n, self.n), dtype=np.float64)
-        for i, j in self.lower_indices():
-            tile, r, c = self.tiles[(i, j)], i * self.nb, j * self.nb
-            out[r : r + tile.shape[0], c : c + tile.shape[1]] = np.tril(tile) if i == j else tile
-        return out
-
     def copy(self) -> "TiledSymmetricMatrix":
         clone = TiledSymmetricMatrix(n=self.n, nb=self.nb)
         clone.storage_precision = dict(self.storage_precision)

@@ -39,6 +39,11 @@ def random_spd(n: int, rng: np.random.Generator, *, cond_boost: float = 1.0) -> 
     return a @ a.T + cond_boost * n * np.eye(n)
 
 
+def lower_dense(mat: TiledSymmetricMatrix) -> np.ndarray:
+    """The lower triangle of a tiled matrix (a Cholesky factor) as one float64 array."""
+    return np.tril(mat.to_dense())
+
+
 @pytest.fixture
 def spd_96(rng) -> np.ndarray:
     return random_spd(96, rng)

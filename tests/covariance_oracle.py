@@ -7,10 +7,13 @@ kernel call per tile.  ``tests/test_geostats_covariance_build.py`` holds
 :func:`repro.geostats.generator.build_tiled_covariance` and
 :meth:`repro.geostats.covariance.Matern.correlation` to it — bit for bit
 where the arithmetic is unchanged, to 1e-14 relative at the ν that now
-take a closed form.
+take a closed form.  :class:`MaternK1` keeps the ``scipy.special.k1``
+route ν = 1 took before it joined the general-ν table.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -38,6 +41,32 @@ def matern_correlation_kv(h: np.ndarray, theta) -> np.ndarray:
     vals[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
     out[~zero] = vals
     return out
+
+
+def matern_correlation_k1(h: np.ndarray, theta) -> np.ndarray:
+    """σ²·s·K₁(s) through ``k1``, the Matérn kernel at ν = 1."""
+    sigma2, beta, _nu = theta
+    s = np.asarray(h, dtype=np.float64) / beta
+    k = scipy.special.k1(s)
+    # K₁ underflows to 0 for huge arguments, where the covariance's limit
+    # is 0, and overflows to inf as s → 0⁺ (and at h = 0), where it is σ²:
+    # the product is formed only where K₁ is positive and finite
+    live = (k > 0.0) & np.isfinite(k)
+    np.multiply(s, sigma2, out=s, where=live)
+    np.multiply(s, k, out=s, where=live)
+    dead = ~live
+    s[dead] = np.where(np.isinf(k[dead]), sigma2, 0.0)
+    return s
+
+
+@dataclass(frozen=True)
+class MaternK1(Matern):
+    """:class:`Matern` with ν = 1 through :func:`matern_correlation_k1`."""
+
+    def correlation(self, h: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        if theta[2] == 1.0:
+            return matern_correlation_k1(h, theta)
+        return super().correlation(h, theta)
 
 
 def correlation_oracle(model: CovarianceModel, h: np.ndarray, theta) -> np.ndarray:

@@ -64,21 +64,23 @@ class TestRefineSolve:
         assert res.converged
         assert np.array_equal(res.x, np.zeros(96))
 
-    def test_divergence_detected(self, rng):
-        """A factor far too inaccurate for the conditioning stops early."""
-        # build an ill-conditioned SPD matrix
+    def test_divergence_detected(self):
+        """A factor far too inaccurate for the conditioning stops early.
+
+        κ(Σ) = 10^4.8 against FP16 off-diagonal tiles: the factorization
+        succeeds, but each correction multiplies the residual by about ten,
+        so two consecutive growths end the iteration with the best iterate.
+        """
+        rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
-        w = np.logspace(0, -9, 64)
-        spd = (q * w) @ q.T
+        spd = (q * np.logspace(0, -4.8, 64)) @ q.T
         spd = (spd + spd.T) / 2
         mat = TiledSymmetricMatrix.from_dense(spd, 16)
-        try:
-            result = mp_cholesky(mat, two_precision_map(4, Precision.FP16))
-        except Exception:
-            pytest.skip("factorization itself failed — nothing to refine")
+        result = mp_cholesky(mat, two_precision_map(4, Precision.FP16))
         b = rng.standard_normal(64)
         res = refine_solve(mat, result, b, tol=1e-14, max_iterations=30)
-        # either it converges (lucky rounding) or it reports divergence
-        if not res.converged:
-            assert res.iterations <= 30
-            assert np.isfinite(res.final_residual)
+        assert not res.converged and res.iterations == 3
+        first, *grown = res.residual_norms
+        assert first < grown[0] < grown[1] and grown[1] > 10 * first
+        # the best iterate is the direct solve the refinement started from
+        assert np.array_equal(res.x, solve_with_factor(result.factor, b))

@@ -22,6 +22,7 @@ from repro.precision import ADAPTIVE_FORMATS, Precision
 from repro.runtime import execute_numeric, simulate
 from repro.runtime.platform import Platform
 from repro.tiles import tile_norms
+from tests.conftest import lower_dense
 
 
 class TestMPConfig:
@@ -62,7 +63,7 @@ class TestPlanThenFactor:
         cmap = build_comm_precision_map(kmap)               # Fig. 4
         assert cmap.stc_fraction() > 0  # a mixed plan: some broadcasts convert at the sender
         result = mp_cholesky(mat, kmap, comm_map=cmap)      # Algorithm 1
-        L = result.factor.lower_dense()
+        L = lower_dense(result.factor)
         rel = np.linalg.norm(L @ L.T - dense) / np.linalg.norm(dense)
         assert rel < 1e-2
         rhs = np.ones(160)
@@ -78,7 +79,7 @@ class TestPlanThenFactor:
         report = simulate(dag.graph, Platform.single_gpu(V100), tiled_96.nb)
         assert report.makespan > 0
         seq = mp_cholesky(tiled_96, kmap, comm_map=cmap)
-        assert np.array_equal(factor.lower_dense(), seq.factor.lower_dense())
+        assert np.array_equal(lower_dense(factor), lower_dense(seq.factor))
 
 
 class TestAnalyticModel:

@@ -127,6 +127,28 @@ class TestLikelihood:
         with pytest.raises(ValueError, match="some other defect"):
             log_likelihood(ds, (1.0, 0.03), cfg)
 
+    def test_non_finite_factor_entry_is_a_quadratic_reason(self, dataset, monkeypatch):
+        """The solve does not check the factor for finiteness: a NaN left in
+        an off-diagonal factor tile reaches zᵀΣ⁻¹z, and the quadratic form's
+        check names it — silently, not as a raised ``ValueError``."""
+        import warnings
+
+        from repro.geostats import likelihood
+
+        factorize = likelihood.mp_cholesky
+
+        def poisoned(*args, **kwargs):
+            result = factorize(*args, **kwargs)
+            result.factor.tiles[2, 1][0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(likelihood, "mp_cholesky", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = log_likelihood(dataset, (1.0, 0.1, 0.5), _exact_config())
+        assert (ev.value, ev.reason) == (-math.inf, "quadratic")
+        assert math.isfinite(ev.logdet) and math.isnan(ev.quadratic)
+
     @pytest.mark.parametrize("variance", [1e-90, 1e-100])
     def test_singular_diagonal_factor_is_an_infeasible_probe(self, variance):
         """A variance so small that the FP32 cast of a factored diagonal tile

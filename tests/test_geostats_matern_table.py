@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.geostats.covariance import Matern
 from repro.geostats.locations import TileDistances, cross_distances, generate_locations
+from tests.covariance_oracle import matern_correlation_k1
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -39,8 +40,9 @@ TABLE_VS_DIRECT = 1e-13
 ACROSS_THE_JUMP = 4e-13
 DIRECT_MAX = 8
 FIELD = TileDistances(generate_locations(400, 2, seed=0), 50).packed
-#: general ν next to each dispatch point, at the box's corners and well beyond it
-NAMED_NU = (0.01, 0.5 + 1e-7, 2.0, 2.5 - 1e-6, 2.5 + 1e-6, 5.0, 10.0)
+#: general ν next to each dispatch point, at the box's corners and well beyond it,
+#: and the paper's smooth ν = 1, which has no closed form of its own
+NAMED_NU = (0.01, 0.5 + 1e-7, 1.0, 2.0, 2.5 - 1e-6, 2.5 + 1e-6, 5.0, 10.0)
 
 
 def exact(h, theta):
@@ -80,7 +82,7 @@ distances = st.tuples(
     st.lists(st.integers(0, FIELD.size - 1), min_size=1, max_size=4),
 ).map(lambda parts: np.array([0.0, *parts[0], *FIELD[parts[1]]]))
 box = st.floats(0.01, 2.0)
-# integer orders cost mpmath 20–80 ms a value: NAMED_NU brings three, the draw none
+# integer orders cost mpmath 20–80 ms a value: NAMED_NU brings four, the draw none
 smoothness = st.one_of(st.floats(0.01, 2.0).filter(lambda nu: nu != round(nu)),
                        st.sampled_from(NAMED_NU))
 
@@ -143,6 +145,27 @@ class TestErrorBudget:
         # the same 100 entries ten times over are worth a table
         MODEL.correlation(np.tile(few, 10), theta)
         assert len(evaluated) == 1 and evaluated[0] < few.size * 10
+
+
+class TestSmoothNu:
+    """ν = 1 takes no branch of its own: the general-ν table reads it."""
+
+    def test_both_routes_within_budget_of_mpmath(self):
+        h = np.array([0.0, 1e-8, 0.5, 1.0, 2.0, 10.0, 100.0, 600.0])
+        theta = (1.0, 1.0, 1.0)
+        table, entries = via_table(h, theta), direct(h, theta)
+        assert table[0] == entries[0] == 1.0
+        assert_within_budget(table, h, theta)
+        assert_within_budget(entries, h, theta)
+
+    def test_next_to_k1_on_a_field(self):
+        # σ²·s·K₁(s) through ``scipy.special.k1``, the route ν = 1 used to take;
+        # β = 0.03 is the smooth field of the paper and of the FP64 Matérn benchmark
+        theta = np.array([1.0, 0.03, 1.0])
+        got, want = MODEL.correlation(FIELD, theta), matern_correlation_k1(FIELD, theta)
+        live = want >= 1e-290
+        assert np.all(np.abs(got - want)[live] <= 1e-14 * want[live])
+        assert np.all(got[~live] <= 1e-290)
 
 
 class TestShape:

@@ -34,6 +34,7 @@ from repro.perfmodel.analytic import analytic_cholesky
 from repro.precision import Precision
 from repro.runtime import Platform, execute_numeric, simulate
 from repro.tiles import tile_norms
+from tests.conftest import lower_dense
 
 
 class TestFullMLEPipeline:
@@ -72,7 +73,7 @@ class TestNumericVsSimulated:
         platform = Platform.single_gpu(V100)
         report = simulate(dag.graph, platform, 16)
         # numeric result valid
-        L = factor.lower_dense()
+        L = lower_dense(factor)
         rel = np.linalg.norm(L @ L.T - tiled_96.to_dense()) / np.linalg.norm(
             tiled_96.to_dense()
         )
@@ -90,7 +91,7 @@ class TestNumericVsSimulated:
                                  strategy=cfg.strategy, comm_map=cmap)
         factor = execute_numeric(dag.graph, tiled_96)
         seq = mp_cholesky(tiled_96, kmap, strategy=cfg.strategy, comm_map=cmap)
-        assert np.array_equal(factor.lower_dense(), seq.factor.lower_dense())
+        assert np.array_equal(lower_dense(factor), lower_dense(seq.factor))
         assert simulate(dag.graph, Platform.single_gpu(V100), cfg.tile_size).makespan > 0
 
 

@@ -1,4 +1,4 @@
-"""The emulated arithmetic against extended precision (ROADMAP oracle 2(a)).
+"""The emulated arithmetic against extended precision (ROADMAP aim 3: emulated arithmetic vs an FP64 oracle).
 
 Every other test of the numeric path compares the emulation with the
 emulation — bits against the cast chains it replaced, the factorization
@@ -46,6 +46,7 @@ from repro.precision.emulate import Operand, as_input
 from repro.precision.gemm import multiply_accumulate
 from repro.tiles import kernels as tk
 from repro.tiles.norms import tile_norms
+from tests.conftest import lower_dense
 
 # a RuntimeWarning from anywhere is a failure here, not only from inside repro
 pytestmark = pytest.mark.filterwarnings("error")
@@ -175,7 +176,7 @@ def test_the_fp16_bound_is_not_slack_by_orders():
 @pytest.mark.parametrize("u_req", [1e-2, 1e-4, 1e-9])
 def test_mp_cholesky_backward_error(weak_sqexp_cov, u_req, strategy):
     kmap = build_precision_map(tile_norms(weak_sqexp_cov), u_req, MPConfig().formats)
-    lower = mp_cholesky(weak_sqexp_cov, kmap, strategy=strategy).factor.lower_dense()
+    lower = lower_dense(mp_cholesky(weak_sqexp_cov, kmap, strategy=strategy).factor)
     a = weak_sqexp_cov.to_dense()
     residual = np.linalg.norm(lower @ lower.T - a) / np.linalg.norm(a)
     assert residual <= C_BACKWARD * weak_sqexp_cov.nt * u_req

@@ -17,6 +17,7 @@ from repro.precision import Precision, bytes_per_element
 from repro.runtime import Platform, execute_numeric
 from repro.tiles import TiledSymmetricMatrix
 from repro.tiles.norms import tile_norms
+from tests.conftest import lower_dense
 
 
 def _platform(n_gpus=1, n_nodes=1):
@@ -36,8 +37,8 @@ def test_dag_equals_sequential_for_random_spd(nt, seed, accuracy):
     a = rng.standard_normal((n, n))
     mat = TiledSymmetricMatrix.from_dense(a @ a.T + 2 * n * np.eye(n), nb)
     kmap = build_precision_map(tile_norms(mat), accuracy)
-    ref = mp_cholesky(mat, kmap).factor.lower_dense()
-    out = execute_numeric(build_cholesky_dag(n, nb, kmap).graph, mat).lower_dense()
+    ref = lower_dense(mp_cholesky(mat, kmap).factor)
+    out = lower_dense(execute_numeric(build_cholesky_dag(n, nb, kmap).graph, mat))
     assert np.array_equal(out, ref)
 
 

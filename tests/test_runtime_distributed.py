@@ -20,6 +20,7 @@ from repro.runtime.distributed import execute_numeric_distributed
 from repro.tiles import ProcessGrid
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
+from tests.conftest import lower_dense
 
 
 def _mat(rng, n=96, nb=16):
@@ -35,7 +36,7 @@ class TestDistributedExecutor:
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64), grid=g)
         seq = execute_numeric(dag.graph, mat)
         dist = execute_numeric_distributed(dag.graph, mat, g.size)
-        assert np.array_equal(dist.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     @pytest.mark.parametrize("strategy", [ConversionStrategy.AUTO, ConversionStrategy.TTC])
     def test_matches_sequential_mixed_precision(self, rng, strategy):
@@ -47,7 +48,7 @@ class TestDistributedExecutor:
         dag = build_cholesky_dag(96, 16, kmap, strategy=strategy, grid=g)
         seq = execute_numeric(dag.graph, mat)
         dist = execute_numeric_distributed(dag.graph, mat, g.size)
-        assert np.array_equal(dist.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     def test_adaptive_map(self, rng):
         mat = _mat(rng, n=120, nb=20)
@@ -56,13 +57,13 @@ class TestDistributedExecutor:
         dag = build_cholesky_dag(120, 20, kmap, grid=g)
         seq = execute_numeric(dag.graph, mat)
         dist = execute_numeric_distributed(dag.graph, mat, 3)
-        assert np.array_equal(dist.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     def test_single_rank_shortcut(self, rng):
         mat = _mat(rng)
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         out = execute_numeric_distributed(dag.graph, mat, 1)
-        L = out.lower_dense()
+        L = lower_dense(out)
         assert np.allclose(L @ L.T, mat.to_dense())
 
     def test_rank_count_validated(self, rng):
@@ -175,7 +176,7 @@ class TestDistributedFaults:
         assert report.degraded
         assert 1 in report.dead_ranks
         assert report.error is not None
-        assert np.array_equal(report.matrix.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(report.matrix), lower_dense(seq))
 
     def test_degrade_without_report_returns_matrix(self, rng):
         mat, g, dag = self.setup_case(rng)
@@ -189,7 +190,7 @@ class TestDistributedFaults:
             degrade=True,
         )
         assert isinstance(out, TiledSymmetricMatrix)
-        assert np.array_equal(out.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(out), lower_dense(seq))
 
     def test_delayed_message_still_bit_identical(self, rng):
         """delay_message perturbs timing only — results must not change."""
@@ -201,7 +202,7 @@ class TestDistributedFaults:
         dist = execute_numeric_distributed(
             dag.graph, mat, g.size, timeout=self.TIMEOUT, fault_plan=plan
         )
-        assert np.array_equal(dist.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     def test_healthy_run_report(self, rng):
         mat, g, dag = self.setup_case(rng)
@@ -259,7 +260,7 @@ class TestRankHeartbeats:
                 fault_plan=plan, silent_after=0.3, return_report=True,
             )
         assert report.error is None
-        assert np.array_equal(report.matrix.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(report.matrix), lower_dense(seq))
         records = [
             json.loads(line)
             for line in events_path.read_text().splitlines()

@@ -12,6 +12,7 @@ from repro.runtime.executor import execute_numeric
 from repro.tiles.distribution import ProcessGrid
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
+from tests.conftest import lower_dense
 
 
 class TestEquivalence:
@@ -22,9 +23,9 @@ class TestEquivalence:
     def test_extreme_maps(self, tiled_96, prec):
         kmap = (uniform_map(6, prec) if prec == Precision.FP64
                 else two_precision_map(6, prec))
-        ref = mp_cholesky(tiled_96, kmap).factor.lower_dense()
+        ref = lower_dense(mp_cholesky(tiled_96, kmap).factor)
         dag = build_cholesky_dag(96, 16, kmap)
-        out = execute_numeric(dag.graph, tiled_96).lower_dense()
+        out = lower_dense(execute_numeric(dag.graph, tiled_96))
         assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("strategy", [ConversionStrategy.AUTO, ConversionStrategy.TTC])
@@ -32,9 +33,9 @@ class TestEquivalence:
         dense = matern_cov_160.to_dense() + 0.01 * np.eye(160)
         mat = TiledSymmetricMatrix.from_dense(dense, 20)
         kmap = build_precision_map(tile_norms(mat), 1e-4)
-        ref = mp_cholesky(mat, kmap, strategy=strategy).factor.lower_dense()
+        ref = lower_dense(mp_cholesky(mat, kmap, strategy=strategy).factor)
         dag = build_cholesky_dag(160, 20, kmap, strategy=strategy)
-        out = execute_numeric(dag.graph, mat).lower_dense()
+        out = lower_dense(execute_numeric(dag.graph, mat))
         assert np.array_equal(out, ref)
 
     def test_grid_does_not_change_numerics(self, tiled_96):
@@ -44,7 +45,7 @@ class TestEquivalence:
         for grid in (ProcessGrid(2, 2), ProcessGrid(2, 3), ProcessGrid(1, 4)):
             dag = build_cholesky_dag(96, 16, kmap, grid=grid)
             out = execute_numeric(dag.graph, tiled_96)
-            assert np.array_equal(out.lower_dense(), base.lower_dense())
+            assert np.array_equal(lower_dense(out), lower_dense(base))
 
     def test_input_matrix_unmodified(self, tiled_96):
         before = tiled_96.to_dense()
@@ -57,9 +58,9 @@ class TestEquivalence:
         spd = a @ a.T + 52 * np.eye(52)
         mat = TiledSymmetricMatrix.from_dense(spd, 16)
         kmap = two_precision_map(mat.nt, Precision.FP16)
-        ref = mp_cholesky(mat, kmap).factor.lower_dense()
+        ref = lower_dense(mp_cholesky(mat, kmap).factor)
         dag = build_cholesky_dag(52, 16, kmap)
-        out = execute_numeric(dag.graph, mat).lower_dense()
+        out = lower_dense(execute_numeric(dag.graph, mat))
         assert np.array_equal(out, ref)
 
     def test_unknown_kind_rejected(self, tiled_96):
@@ -95,6 +96,6 @@ class TestTf32Map:
 
     def test_numeric_bit_identical(self, tiled_96):
         kmap = two_precision_map(6, Precision.TF32)
-        ref = mp_cholesky(tiled_96, kmap).factor.lower_dense()
-        out = execute_numeric(build_cholesky_dag(96, 16, kmap).graph, tiled_96).lower_dense()
+        ref = lower_dense(mp_cholesky(tiled_96, kmap).factor)
+        out = lower_dense(execute_numeric(build_cholesky_dag(96, 16, kmap).graph, tiled_96))
         assert np.array_equal(out, ref)

@@ -15,6 +15,7 @@ from repro.runtime import Platform, execute_numeric
 from repro.runtime.parallel_executor import execute_numeric_parallel
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
+from tests.conftest import lower_dense
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestParallelExecutor:
         dag = build_cholesky_dag(96, 16, kmap)
         seq = execute_numeric(dag.graph, mat)
         par = execute_numeric_parallel(dag.graph, mat, n_threads=threads)
-        assert np.array_equal(par.lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(par), lower_dense(seq))
 
     def test_many_threads_fast_switching(self, rng):
         """More threads than cores and a tiny switch interval: a lost
@@ -86,7 +87,7 @@ class TestParallelExecutor:
         finally:
             sys.setswitchinterval(old)
         assert not runner.is_alive() and len(out) == 1
-        assert np.array_equal(out[0].lower_dense(), seq.lower_dense())
+        assert np.array_equal(lower_dense(out[0]), lower_dense(seq))
 
     def test_fp64_correct(self, rng):
         mat = self._mat(rng)
@@ -94,7 +95,7 @@ class TestParallelExecutor:
 
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
         out = execute_numeric_parallel(dag.graph, mat, n_threads=3)
-        L = out.lower_dense()
+        L = lower_dense(out)
         assert np.allclose(L @ L.T, mat.to_dense())
 
     def test_error_propagates(self, rng):

@@ -47,6 +47,7 @@ from repro.runtime import (
 )
 from repro.runtime.policies import resolve_policy
 from repro.runtime.simulator import simulate_replay, simulate_stream
+from tests.conftest import lower_dense
 from tests.makespan_bound_oracle import graph_cost_lower_bound
 
 NB = 64
@@ -297,7 +298,7 @@ class TestNumericInvariance:
             graph.tasks[tid].priority = position
         for n_threads in (1, 4):
             par = execute_numeric_parallel(graph, tiled_96, n_threads=n_threads)
-            assert np.array_equal(par.lower_dense(), seq.lower_dense())
+            assert np.array_equal(lower_dense(par), lower_dense(seq))
 
     def test_simulated_flops_identical_across_policies(self):
         from repro.core import simulate_cholesky, two_precision_map

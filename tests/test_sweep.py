@@ -348,10 +348,10 @@ class TestSweepProgress:
         seen = []
         done = engine._ProgressTracker.point_done
 
-        def spying(tracker, envelope):
+        def spying(tracker, envelope, points=1):
             seen.append((reg.counter("sweep.runs").value(),
                          reg.counter("sweep.cache_misses").value()))
-            done(tracker, envelope)
+            done(tracker, envelope, points)
 
         monkeypatch.setattr(engine._ProgressTracker, "point_done", spying)
         run_sweep(specs, cache_dir=cache_dir, progress_seconds=None)
@@ -370,6 +370,14 @@ class TestSweepProgress:
         # the hit before any completion; a's sharer with a; then b
         assert seen == [(3, 1), (4, 2)]
         assert end == (4, 2)
+
+    def test_deduplicated_points_count_as_done(self, tmp_path, capsys):
+        a, b = (RunSpec(**TINY, config=c) for c in ("FP64", "FP32"))
+        result = run_sweep([a, a, b], cache_dir=tmp_path, progress_seconds=0)
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if "points" in ln]
+        assert result.n_runs == 3
+        # up front, a with its sharer, b, and the final line
+        assert [ln.split()[2] for ln in lines] == ["0/3", "2/3", "3/3", "3/3"], lines
 
     def test_silent_when_disabled(self, tmp_path, capsys):
         run_sweep(self.grid(), cache_dir=tmp_path, progress_seconds=None)

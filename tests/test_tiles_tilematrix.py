@@ -5,6 +5,7 @@ import pytest
 
 from repro.precision import Precision
 from repro.tiles.tilematrix import TiledSymmetricMatrix, tile_index_range
+from tests.conftest import lower_dense
 
 
 class TestTileIndexRange:
@@ -47,8 +48,12 @@ class TestRoundtrip:
         assert np.all(mat.get(1, 0) == 10.0)
         assert np.all(mat.get(0, 1) == 10.0)  # transposed mirror
 
-    def test_lower_dense_is_triangular(self, tiled_96):
-        low = tiled_96.lower_dense()
+    def test_lower_triangle_holds_the_tiles(self, tiled_96):
+        low = lower_dense(tiled_96)
+        for i, j in tiled_96.lower_indices():
+            block = low[i * 16 : (i + 1) * 16, j * 16 : (j + 1) * 16]
+            tile = tiled_96.get(i, j)
+            assert np.array_equal(block, np.tril(tile) if i == j else tile)
         assert np.array_equal(low, np.tril(low))
 
 
