@@ -89,7 +89,7 @@ class TestThroughputFloor:
 
 
 def _simulate_subprocess(mode: str, tmp_path, nt: int = 96) -> dict:
-    out = tmp_path / f"BENCH_simulate-{mode}.json"
+    out = tmp_path / f"simulate-{mode}.json"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -4,9 +4,7 @@ The precision-planning hot path (Algorithm 2's communication map) was
 rewritten from a Python triple loop into a NumPy suffix-max scan.  This
 harness pins the acceptance criterion — the vectorized builder must be
 at least 10× faster than the reference loop at NT = 256 — and records
-planning / simulation throughput for the perf trajectory
-(``results/sweep_planning.csv`` plus the ``BENCH_*.json`` files the
-sweep engine itself emits).
+planning / simulation throughput in ``results/sweep_planning.csv``.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ def test_band_map_planning_throughput(benchmark):
 
 def test_sweep_run_throughput(once):
     """End-to-end single-spec throughput: planning + simulation seconds as
-    reported by the sweep worker (feeds the BENCH_*.json trajectory)."""
+    reported by the sweep worker (summed in a campaign's totals)."""
     n = 16384 if full_mode() else 4096
     spec = RunSpec(n=n, nb=512, config="FP64/FP16_32", strategy="auto")
     result = once(execute_spec, spec.to_dict())

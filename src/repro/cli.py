@@ -69,7 +69,8 @@ _CAPTURE_HELP = {
     },
     "sweep": {
         "events": "write sweep.run/sweep.complete events to a JSONL log",
-        "metrics": "write metrics + campaign manifest as JSON",
+        "metrics": "write the campaign's run summary as JSON: manifest "
+                   "(with the expanded grid), totals, one entry per point",
         "profile": "run the sweep under the sampling profiler and write "
                    "the repro.obs.profile/1 document",
     },
@@ -203,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", default=None, metavar="PATH",
                    help="JSON fault plan to inject scripted failures "
                         "(repro.faults.FaultPlan; for resilience testing)")
-    p.add_argument("--name", default="sweep", help="campaign name (BENCH_<name>.json)")
-    p.add_argument("--bench-out", default=None, metavar="DIR",
-                   help="write BENCH_<name>.json under DIR")
+    p.add_argument("--name", default="sweep", help="campaign name")
     _add_capture_flags(p, trace=False, profile=True)
     p.add_argument("--progress-every", type=float, default=10.0, metavar="SECONDS",
                    help="seconds between completed/total progress lines "
@@ -228,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "compare",
-        help="regression sentinel: diff BENCH/run-summary documents",
+        help="regression sentinel: diff two run summaries",
     )
     p.add_argument("baseline",
-                   help="baseline BENCH_*.json or run-summary JSON")
+                   help="baseline run summary (--metrics-out JSON)")
     p.add_argument("candidate",
                    help="candidate document compared against the baseline")
     p.add_argument("--threshold", action="append", default=None,
@@ -364,9 +363,10 @@ def _gc_cost():
         gc.callbacks.remove(hook)
 
 
-def _write_capture(args, profiler, *, command, stats, n_tasks) -> None:
+def _write_capture(args, profiler, *, command, stats, n_tasks, runs=None) -> None:
     """The ``--profile-out`` / ``--metrics-out`` tail of :func:`_capture`:
-    hottest frames + profile document, then the run summary."""
+    hottest frames + profile document, then the run summary (with a
+    sweep's per-point ``runs``)."""
     from . import obs
 
     if profiler is None and not args.metrics_out:
@@ -383,7 +383,7 @@ def _write_capture(args, profiler, *, command, stats, n_tasks) -> None:
               f"({doc['n_samples']} samples, {rate:,.0f} tasks/s, "
               f"overhead {doc['overhead_fraction'] * 100.0:.2f}%)")
     if args.metrics_out:
-        obs.write_run_summary(args.metrics_out, stats=stats, manifest=manifest)
+        obs.write_run_summary(args.metrics_out, stats=stats, manifest=manifest, runs=runs)
         print(f"  metrics → {args.metrics_out}")
 
 
@@ -513,6 +513,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
+    vars(args).update(grid.axes_dict())  # the manifest records the expanded grid
     with _capture(args) as profiler:
         result = run_sweep(
             grid, workers=args.workers, cache_dir=args.cache_dir, force=args.force,
@@ -525,12 +526,9 @@ def _cmd_sweep(args) -> int:
           f"({result.cache_hit_fraction * 100:.1f}%), dir {args.cache_dir}")
     print(f"resilience: failed {result.n_failed}/{result.n_runs}, "
           f"retries {result.total_retries}")
-    if args.bench_out:
-        path = result.write_bench_json(args.bench_out)
-        print(f"  bench   → {path}")
     stats = result.summary_stats()
     _write_capture(args, profiler, command="sweep", stats=stats,
-                   n_tasks=stats["planned_tasks"])
+                   n_tasks=stats["planned_tasks"], runs=result.summary_runs())
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.cholesky import logdet_from_factor, mp_cholesky, solve_with_factor
 from ..core.config import MPConfig
 from ..core.conversion import build_comm_precision_map
-from ..core.precision_map import KernelPrecisionMap, build_precision_map
+from ..core.precision_map import build_precision_map
 from ..obs import get_registry, span, traced
 from ..tiles.norms import tile_norms
 from .generator import Dataset, build_tiled_covariance
@@ -40,7 +40,6 @@ class LikelihoodEval:
     logdet: float
     quadratic: float
     theta: tuple[float, ...]
-    kernel_map: KernelPrecisionMap | None = None
     #: why ``value`` is ``-inf``, by the site that returned it: ``cov_build``
     #: (Σ(θ) could not be assembled), ``not_positive_definite`` (the
     #: mixed-precision factorization broke down: a diagonal tile lost
@@ -61,19 +60,19 @@ def _count_infeasible(reason: str) -> None:
     ).inc(reason=reason)
 
 
-def _infeasible(reason: str, theta, logdet=math.nan, quad=math.nan, kmap=None) -> LikelihoodEval:
+def _infeasible(reason: str, theta, logdet=math.nan, quad=math.nan) -> LikelihoodEval:
     """The ``-inf`` evaluation of one failure site, counted by reason."""
     _count_infeasible(reason)
-    return LikelihoodEval(-math.inf, logdet, quad, theta, kernel_map=kmap, reason=reason)
+    return LikelihoodEval(-math.inf, logdet, quad, theta, reason=reason)
 
 
 def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
     """Assemble Σ(θ) from the dataset's kept distances, plan it, factor it.
 
     The one build → norms → kernel map → comm map → Algorithm 1 sequence
-    behind the likelihood and kriging.  Returns ``(factor, kernel map,
-    None)``, or ``(None, the kernel map if one was planned, reason)`` with
-    reason ``cov_build``, ``not_positive_definite`` or ``non_finite``.
+    behind the likelihood and kriging.  Returns ``(factor, None)``, or
+    ``(None, reason)`` with reason ``cov_build``, ``not_positive_definite``
+    or ``non_finite``.
     """
     nb = min(config.tile_size, dataset.n)
     try:
@@ -83,7 +82,7 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
                 nugget=dataset.nugget, distances=dataset.tile_distances(nb),
             )
     except (ValueError, FloatingPointError):
-        return None, None, "cov_build"
+        return None, "cov_build"
     with span("tiles.tile_norms"):
         norms = tile_norms(cov)
     with span("core.plan"):
@@ -96,13 +95,13 @@ def _factorize(dataset: Dataset, theta: tuple[float, ...], config: MPConfig):
     except np.linalg.LinAlgError:
         # a POTRF breakdown (NotPositiveDefiniteError), or a TRSM against a
         # diagonal factor singular at its execution precision
-        return None, kmap, "not_positive_definite"
+        return None, "not_positive_definite"
     except ValueError as exc:
         # TRSM's finiteness check meets an inf/NaN panel tile before any POTRF does
         if "infs or NaNs" not in str(exc):
             raise
-        return None, kmap, "non_finite"
-    return result.factor, kmap, None
+        return None, "non_finite"
+    return result.factor, None
 
 
 @traced("geostats.log_likelihood")
@@ -110,8 +109,6 @@ def log_likelihood(
     dataset: Dataset,
     theta: Sequence[float],
     config: MPConfig,
-    *,
-    keep_map: bool = False,
 ) -> LikelihoodEval:
     """Evaluate ℓ(θ) for ``dataset`` under the mixed-precision config.
 
@@ -121,26 +118,24 @@ def log_likelihood(
     """
     theta_t = tuple(float(t) for t in theta)
     n = dataset.n
-    factor, kmap, reason = _factorize(dataset, theta_t, config)
-    kept = kmap if keep_map else None
+    factor, reason = _factorize(dataset, theta_t, config)
     if reason is not None:
-        return _infeasible(reason, theta_t, kmap=kept)
+        return _infeasible(reason, theta_t)
 
     with span("core.solve"):
         logdet = logdet_from_factor(factor)
         if not math.isfinite(logdet):
-            return _infeasible("logdet", theta_t, logdet, kmap=kept)
+            return _infeasible("logdet", theta_t, logdet)
         x = solve_with_factor(factor, dataset.z)
     quad = float(dataset.z @ x)
     if not math.isfinite(quad) or quad < 0.0:
         # reduced-precision factors can, in principle, destroy positivity
         # of the quadratic form for near-singular θ; treat as infeasible
-        return _infeasible("quadratic", theta_t, logdet, quad, kmap=kept)
+        return _infeasible("quadratic", theta_t, logdet, quad)
     value = -0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad
     return LikelihoodEval(
         value=value,
         logdet=logdet,
         quadratic=quad,
         theta=theta_t,
-        kernel_map=kept,
     )

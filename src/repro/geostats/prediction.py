@@ -56,7 +56,7 @@ def krige(
     if new_locations.ndim != 2 or new_locations.shape[1] != model.dim:
         raise ValueError(f"new_locations must be (m, {model.dim})")
 
-    factor, _kmap, reason = _factorize(dataset, theta_t, config)
+    factor, reason = _factorize(dataset, theta_t, config)
     if reason is not None:  # a LinAlgError is a ValueError, which also fits a θ Σ cannot be built from
         raise NotPositiveDefiniteError(f"no factorization of Σ(θ) at θ = {theta_t}: {reason}")
 

@@ -21,8 +21,8 @@ reproduction measures itself.  Four pieces, shared by every layer:
   vs all-FP64), critical-path and occupancy analysis (``repro
   analyze``);
 * **regression sentinel** (:mod:`repro.obs.regress`) — thresholded
-  BENCH/run-summary diffing with a machine-readable verdict (``repro
-  compare``), wired into CI as a perf-trajectory gate;
+  run-summary diffing with a machine-readable verdict (``repro
+  compare``), wired into CI as the cold-vs-warm sweep gate;
 * **profiler** (:mod:`repro.obs.profile`) — sampling wall-clock
   profiler (``--profile-out``);
 * **live plane** (:mod:`repro.obs.live`) — the ``/metrics`` +

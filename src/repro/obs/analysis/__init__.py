@@ -1,8 +1,8 @@
 """repro.obs.analysis — turn captured traces into the paper's evidence.
 
-PR 1 (capture) and PR 2 (perf trajectory) record what happened; this
-subpackage *explains* it, the way Sections VII-D/E argue the paper's
-claims:
+The capture flags (``--trace-out``, ``--metrics-out``, ``--events-out``)
+record what happened; this subpackage *explains* it, the way Sections
+VII-D/E argue the paper's claims:
 
 * :mod:`~repro.obs.analysis.ledger` — the **data-motion ledger**: bytes
   per link (h2d/d2h/nic) per precision per rank, conversion passes
@@ -18,7 +18,7 @@ claims:
   :func:`repro.obs.exporters.load_trace_events`) and the text/JSON
   rendering behind ``repro analyze``.
 
-The regression sentinel that *gates* the perf trajectory lives beside
+The regression sentinel that *gates* two run summaries lives beside
 this package in :mod:`repro.obs.regress` (``repro compare``).
 """
 

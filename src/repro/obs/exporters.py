@@ -181,11 +181,15 @@ def run_summary(
     stats=None,
     manifest: Mapping | None = None,
     registry=None,
+    runs: Sequence[Mapping] | None = None,
 ) -> dict:
     """Assemble the JSON-summary document of one run.
 
     Any section may be omitted; ``registry`` defaults to the process
     registry so a bare ``run_summary()`` still captures live metrics.
+    A sweep campaign passes ``runs``, one entry per point (its ``key``,
+    ``cached``, ``failed``, ``attempts``, ``spec`` and ``metrics``), and
+    its totals as ``stats``.
     """
     if registry is None:
         from ._runtime import get_registry
@@ -196,6 +200,8 @@ def run_summary(
         doc["manifest"] = dict(manifest)
     if stats is not None:
         doc["stats"] = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
+    if runs is not None:
+        doc["runs"] = list(runs)
     doc["metrics"] = registry.to_dict()
     return doc
 

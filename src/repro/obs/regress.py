@@ -1,18 +1,16 @@
-"""The regression sentinel: diff BENCH/run-summary documents, gate CI.
+"""The regression sentinel: diff run summaries, gate CI.
 
-PR 2 made every campaign drop a ``BENCH_*.json`` perf-trajectory
-document; this module makes two such documents *comparable*: per-metric
-deltas with configurable relative thresholds and a machine-readable
-verdict, so "did this PR regress the trajectory?" is a command
+Two run summaries (what ``--metrics-out`` writes) are made *comparable*:
+per-metric deltas with configurable relative thresholds and a
+machine-readable verdict, so "did this PR regress?" is a command
 (``repro compare baseline candidate --fail-on-regress``) instead of a
 diff eyeballed by a reviewer.
 
-Inputs may be ``repro.bench/1`` documents (compared per cached run key
-*and* at the aggregate level) or ``repro.obs.run_summary/1`` documents
-(what ``--metrics-out`` writes).  Only deterministic simulator metrics
-are compared by default — wall-clock numbers (``plan_seconds``,
-``wall_seconds``, …) are machine noise and excluded unless explicitly
-thresholded.
+A summary is compared in a ``run`` scope (its ``stats``) and, for a
+sweep campaign, in one scope per point of its ``runs`` section.  Only
+deterministic simulator metrics are compared by default — wall-clock
+numbers (``plan_seconds``, ``wall_seconds``, …) are machine noise and
+excluded unless explicitly thresholded.
 
 A *regression* is a delta beyond the metric's relative threshold in its
 bad direction (makespan up, tflops down, bytes up…); an improvement
@@ -67,7 +65,6 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
     "tflops": Threshold(0.02, "higher"),
     "gflops": Threshold(0.02, "higher"),
     "best_tflops": Threshold(0.02, "higher"),
-    "total_sim_makespan_seconds": Threshold(0.02, "lower"),
     "joules": Threshold(0.02, "lower"),
     # every ``RunStats`` link total (``repro.runtime.tracing.LINKS``; spelled
     # out because ``repro.obs`` loads before ``repro.runtime``) and the
@@ -97,7 +94,7 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
 class MetricDelta:
     """One metric compared in one scope."""
 
-    scope: str  # "aggregate", a run label, or "run"
+    scope: str  # "run", or a sweep point's spec label
     metric: str
     baseline: float
     candidate: float
@@ -218,40 +215,25 @@ def _numeric_metrics(mapping: Mapping) -> dict[str, float]:
 
 
 def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
-    """``{scope: {metric: value}}`` from any supported document form.
+    """``{scope: {metric: value}}`` from a ``repro.obs.run_summary/1``.
 
-    * ``repro.bench/1`` — one scope per non-failed run (keyed by the
-      sorted ``k=v`` fields of the run's spec when available, else its
-      cache key) plus an ``aggregate`` scope;
-    * ``repro.obs.run_summary/1`` — one ``run`` scope from the embedded
-      stats section.
+    One ``run`` scope from the ``stats`` section, plus one scope per
+    non-failed entry of a sweep's ``runs`` section, keyed by the sorted
+    ``k=v`` fields of the point's spec.
     """
-    schema = doc.get("schema", "")
-    if schema == "repro.bench/1" or "runs" in doc and "aggregates" in doc:
-        scopes: dict[str, dict[str, float]] = {}
-        agg = _numeric_metrics(doc.get("aggregates") or {})
-        agg.update(_numeric_metrics(
-            {k: doc.get(k) for k in ("n_runs", "n_failed") if doc.get(k) is not None}
-        ))
-        if agg:
-            scopes["aggregate"] = agg
-        for run in doc.get("runs") or []:
-            if run.get("failed"):
-                continue
-            # every spec field identifies the point: runs that differ only
-            # in policy, ordering, seed, … are separate scopes
-            spec = run.get("spec") or {}
-            label = ",".join(f"{k}={spec[k]}" for k in sorted(spec)) or str(run.get("key", "?"))
-            metrics = _numeric_metrics(run.get("metrics") or {})
-            if metrics:
-                scopes[label] = metrics
-        return scopes
     stats = run_stats(doc)
     if stats is None:
-        raise ValueError(
-            "unsupported document: expected repro.bench/1 or repro.obs.run_summary/1"
-        )
-    return {"run": _numeric_metrics(stats)}
+        raise ValueError("unsupported document: expected repro.obs.run_summary/1")
+    scopes = {"run": _numeric_metrics(stats)}
+    for run in doc.get("runs") or []:
+        if run.get("failed"):
+            continue
+        # every spec field identifies the point: runs that differ only
+        # in policy, ordering, seed, … are separate scopes
+        spec = run["spec"]
+        label = ",".join(f"{k}={spec[k]}" for k in sorted(spec))
+        scopes[label] = _numeric_metrics(run["metrics"])
+    return scopes
 
 
 # -- comparison ------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``run_sweep`` prices every :class:`~repro.sweep.grid.RunSpec` of a grid
 — planning the precision maps, simulating the factorization, collecting
 the counters the paper reports — and aggregates the results into a
-table plus a ``BENCH_*.json`` document for the perf trajectory.
+table plus the campaign totals and per-point results that
+``repro sweep --metrics-out`` writes as one run summary.
 
 Two properties make large campaigns cheap:
 
@@ -47,7 +48,7 @@ from .grid import CACHE_SCHEMA, RunSpec, SweepGrid
 
 __all__ = ["SweepRun", "SweepResult", "run_sweep", "execute_spec", "price_run"]
 
-#: columns of the aggregated results table (and the BENCH run metrics)
+#: columns of the aggregated results table
 TABLE_COLUMNS = (
     "config", "strategy", "policy", "n", "nb", "platform",
     "makespan_s", "tflops", "h2d_gb", "nic_gb", "n_conversions", "cached", "failed",
@@ -194,7 +195,6 @@ class SweepResult:
 
     name: str
     runs: list[SweepRun] = field(default_factory=list)
-    axes: dict | None = None
     wall_seconds: float = 0.0
     workers: int = 1
 
@@ -231,71 +231,44 @@ class SweepResult:
                  f"{self.workers} worker(s), {self.wall_seconds:.2f} s wall")
         return format_table(TABLE_COLUMNS, [r.row() for r in self.runs], title=title)
 
-    def to_bench_json(self) -> dict:
-        """The ``BENCH_*.json`` document that feeds the perf trajectory."""
-        ok = [r for r in self.runs if not r.failed]
-        makespans = [r.result["makespan_seconds"] for r in ok]
-        tflops = [r.result["tflops"] for r in ok]
+    def summary_stats(self) -> dict:
+        """Campaign totals: the ``stats`` section of the campaign's run summary.
+
+        A flat numeric dict over the points that did not fail, with the
+        summed simulated makespan under ``makespan_seconds`` so
+        :func:`repro.obs.exporters.run_stats` finds it.
+        """
+        ok = [r.result for r in self.runs if not r.failed]
         return {
-            "schema": "repro.bench/1",
-            "cache_schema": CACHE_SCHEMA,
-            "name": self.name,
-            "axes": self.axes,
+            "best_tflops": max((m["tflops"] for m in ok), default=0.0),
+            "makespan_seconds": sum(m["makespan_seconds"] for m in ok),
+            "total_plan_seconds": sum(m.get("plan_seconds", 0.0) for m in ok),
+            "total_sim_seconds": sum(m.get("sim_seconds", 0.0) for m in ok),
+            "planned_tasks": sum(m.get("n_tasks", 0) for m in ok),
+            **{f"total_{link}_bytes": sum(m.get(f"{link}_bytes", 0) for m in ok)
+               for link in LINKS},
+            "total_conversions": sum(m.get("n_conversions", 0) for m in ok),
+            "total_joules": sum(m.get("joules", 0.0) for m in ok),
             "n_runs": self.n_runs,
-            "n_cache_hits": self.n_cache_hits,
-            "n_cache_misses": self.n_cache_misses,
             "n_failed": self.n_failed,
             "total_retries": self.total_retries,
             "cache_hit_fraction": self.cache_hit_fraction,
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-            "aggregates": {
-                "best_tflops": max(tflops, default=0.0),
-                "total_sim_makespan_seconds": sum(makespans),
-                "total_plan_seconds": sum(r.result.get("plan_seconds", 0.0) for r in ok),
-                "total_sim_seconds": sum(r.result.get("sim_seconds", 0.0) for r in ok),
-                "planned_tasks": sum(r.result.get("n_tasks", 0) for r in ok),
-                **{f"total_{link}_bytes": sum(r.result.get(f"{link}_bytes", 0) for r in ok)
-                   for link in LINKS},
-                "total_conversions": sum(r.result.get("n_conversions", 0) for r in ok),
-                "total_joules": sum(r.result.get("joules", 0.0) for r in ok),
-            },
-            "runs": [
-                {
-                    "key": r.key,
-                    "cached": r.cached,
-                    "failed": r.failed,
-                    "attempts": r.attempts,
-                    "spec": r.spec.to_dict(),
-                    "metrics": r.result,
-                }
-                for r in self.runs
-            ],
         }
 
-    def summary_stats(self) -> dict:
-        """Campaign-level counters in run-summary form.
-
-        A flat numeric dict for the ``stats`` section of ``--metrics-out``
-        summaries (``makespan_seconds`` key included so
-        :func:`repro.obs.exporters.run_stats` finds it), making a campaign
-        diffable by ``repro compare`` just like a single run.
-        """
-        bench = self.to_bench_json()
-        stats = dict(bench["aggregates"])
-        stats.update(
-            makespan_seconds=stats.pop("total_sim_makespan_seconds", 0.0),
-            n_runs=self.n_runs,
-            n_failed=self.n_failed,
-            total_retries=self.total_retries,
-            cache_hit_fraction=self.cache_hit_fraction,
-        )
-        return stats
-
-    def write_bench_json(self, out_dir: str | Path) -> Path:
-        """Write ``BENCH_<name>.json`` under ``out_dir``; returns the path."""
-        safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in self.name)
-        return write_json(Path(out_dir) / f"BENCH_{safe}.json", self.to_bench_json())
+    def summary_runs(self) -> list[dict]:
+        """The ``runs`` section of the campaign's run summary: one entry per
+        point, its spec and its result under ``metrics``."""
+        return [
+            {
+                "key": r.key,
+                "cached": r.cached,
+                "failed": r.failed,
+                "attempts": r.attempts,
+                "spec": r.spec.to_dict(),
+                "metrics": r.result,
+            }
+            for r in self.runs
+        ]
 
 
 def _cache_path(cache_dir: Path, key: str) -> Path:
@@ -446,11 +419,9 @@ def run_sweep(
     """
     if isinstance(grid, SweepGrid):
         specs = grid.expand()
-        axes = grid.axes_dict()
         sweep_name = name or grid.name
     else:
         specs = list(grid)
-        axes = None
         sweep_name = name or "sweep"
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -541,7 +512,7 @@ def run_sweep(
         ]
         wall = time.perf_counter() - t_start
         out = SweepResult(
-            name=sweep_name, runs=sweep_runs, axes=axes, wall_seconds=wall, workers=workers
+            name=sweep_name, runs=sweep_runs, wall_seconds=wall, workers=workers
         )
         for run in sweep_runs:
             emit_event(

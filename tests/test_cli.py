@@ -65,7 +65,7 @@ class TestSimbench:
     def test_simbench_runs_and_writes_gateable_doc(self, mode, tmp_path, capsys):
         import json
 
-        out = tmp_path / f"BENCH_simulate-{mode}.json"
+        out = tmp_path / f"simulate-{mode}.json"
         assert main(["simulate", "--n", str(8 * 128), "--nb", "128",
                      *(["--stream"] if mode == "stream" else []),
                      "--metrics-out", str(out)]) == 0
@@ -243,7 +243,7 @@ class TestParserSurface:
     def test_verb_flag_count(self):
         # every argument of every verb, positionals included
         assert sum(len([a for a in sp._actions if a.dest != "help"])
-                   for sp in self._subparsers().values()) == 64
+                   for sp in self._subparsers().values()) == 63
 
     def test_capture_flag_verbs_parse_as_before(self):
         """``mle``, ``simulate`` and ``sweep`` argument for argument against
@@ -267,7 +267,10 @@ class TestParserSurface:
         ``simulate``'s ``--gpus`` / ``--nodes`` store under their
         ``RunSpec`` field names too, so its flags build a ``RunSpec``;
         both verbs' ``--live-port`` help lost ``/progress`` when the live
-        plane became a ``/metrics`` + ``/healthz`` scrape server)."""
+        plane became a ``/metrics`` + ``/healthz`` scrape server;
+        ``sweep`` lost its second campaign document's flag when
+        ``--metrics-out`` became the campaign's one document, and its
+        ``--name`` / ``--metrics-out`` help changed with it)."""
         import json
         from pathlib import Path
 

@@ -82,5 +82,26 @@ class TestRefineSolve:
         assert not res.converged and res.iterations == 3
         first, *grown = res.residual_norms
         assert first < grown[0] < grown[1] and grown[1] > 10 * first
-        # the best iterate is the direct solve the refinement started from
+        # the best iterate is the direct solve the refinement started from,
+        # and the residual reported is that iterate's, not the last one's
         assert np.array_equal(res.x, solve_with_factor(result.factor, b))
+        assert res.final_residual == first == pytest.approx(3.41, abs=0.01)
+        assert res.final_residual == pytest.approx(
+            np.linalg.norm(b - spd @ res.x) / np.linalg.norm(b), rel=1e-9)
+
+    def test_no_dense_matrix_is_formed(self, rng):
+        import tracemalloc
+
+        n, nb = 384, 32
+        mat = TiledSymmetricMatrix.from_dense(random_spd(n, rng), nb)
+        result = mp_cholesky(mat, two_precision_map(n // nb, Precision.FP32))
+        b = rng.standard_normal(n)
+        refine_solve(mat, result, b)  # scipy's import is not the solve's memory
+        tracemalloc.start()
+        try:
+            res = refine_solve(mat, result, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations > 1
+        assert peak < n * n // 2, peak  # a dense n×n float64 is 16 times that

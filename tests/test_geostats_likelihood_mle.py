@@ -192,13 +192,6 @@ class TestLikelihood:
             ev = log_likelihood(ds, (1e39, 0.03), MPConfig(accuracy=1e-4, tile_size=32))
         assert (ev.value, ev.reason) == (-math.inf, "non_finite")
 
-    def test_keep_map(self, dataset):
-        ev = log_likelihood(
-            dataset, (1.0, 0.1, 0.5), MPConfig(accuracy=1e-4, tile_size=18), keep_map=True
-        )
-        assert ev.kernel_map is not None
-        assert ev.kernel_map.nt == 8
-
     def test_nugget_changes_value(self, dataset):
         from repro.geostats.generator import Dataset
 

@@ -74,7 +74,7 @@ class TestKrige:
         from repro.geostats.likelihood import _factorize
 
         train, locs, _z, theta = split_field  # ν = ½, a preset: closed form
-        factor, _kmap, reason = _factorize(train, tuple(theta), _config())
+        factor, reason = _factorize(train, tuple(theta), _config())
         assert reason is None
         cross = train.model.cross_cov(train.locations, locs, theta)
         prior = train.model.correlation(np.zeros(len(locs)), np.asarray(theta))

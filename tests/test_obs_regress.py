@@ -35,25 +35,26 @@ def _stats_doc(**overrides) -> dict:
     return {"schema": "repro.obs.run_summary/1", "stats": _stats(**overrides)}
 
 
-def _bench_doc(makespan=1.0, tflops=20.0, failed=False) -> dict:
+def _sweep_doc(makespan=1.0, tflops=20.0, failed=False) -> dict:
+    """A one-point campaign's run summary, as ``sweep --metrics-out`` writes it."""
     return {
-        "schema": "repro.bench/1",
-        "name": "t",
-        "n_runs": 1,
-        "n_failed": int(failed),
-        "aggregates": {
-            "best_tflops": tflops,
-            "total_sim_makespan_seconds": makespan,
+        "schema": "repro.obs.run_summary/1",
+        "stats": {
+            "best_tflops": 0.0 if failed else tflops,
+            "makespan_seconds": 0.0 if failed else makespan,
             "total_plan_seconds": 0.2,
+            "n_runs": 1,
+            "n_failed": int(failed),
         },
         "runs": [
             {
                 "key": "abc",
                 "cached": False,
                 "failed": failed,
+                "attempts": 1,
                 "spec": {"config": "FP64", "strategy": "auto", "n": 1024,
                          "nb": 256, "gpu": "V100"},
-                "metrics": ({} if failed
+                "metrics": ({"failed": True, "error": "boom", "attempts": 1} if failed
                             else {"makespan_seconds": makespan, "tflops": tflops}),
             }
         ],
@@ -61,18 +62,17 @@ def _bench_doc(makespan=1.0, tflops=20.0, failed=False) -> dict:
 
 
 class TestLoadScopes:
-    def test_bench_doc_scopes(self):
-        scopes = load_metric_scopes(_bench_doc())
-        assert "aggregate" in scopes
-        assert scopes["aggregate"]["best_tflops"] == 20.0
-        assert scopes["aggregate"]["n_failed"] == 0
-        assert "total_plan_seconds" not in scopes["aggregate"]  # noisy
+    def test_sweep_doc_scopes(self):
+        scopes = load_metric_scopes(_sweep_doc())
+        assert scopes["run"]["best_tflops"] == 20.0
+        assert scopes["run"]["n_failed"] == 0
+        assert "total_plan_seconds" not in scopes["run"]  # noisy
         label = "config=FP64,gpu=V100,n=1024,nb=256,strategy=auto"
         assert scopes[label]["makespan_seconds"] == 1.0
 
     def test_failed_runs_are_skipped(self):
-        scopes = load_metric_scopes(_bench_doc(failed=True))
-        assert list(scopes) == ["aggregate"]
+        scopes = load_metric_scopes(_sweep_doc(failed=True))
+        assert list(scopes) == ["run"]
 
     def test_run_summary_doc(self):
         scopes = load_metric_scopes(_stats_doc())
@@ -160,8 +160,8 @@ class TestCompare:
         assert "custom" not in {d.metric for d in report.deltas}
 
     def test_scope_drift_is_reported(self):
-        base = _bench_doc()
-        cand = _bench_doc()
+        base = _sweep_doc()
+        cand = _sweep_doc()
         cand["runs"][0]["spec"]["n"] = 2048
         report = compare_docs(base, cand)
         assert report.missing_in_candidate == ["config=FP64,gpu=V100,n=1024,nb=256,strategy=auto"]
@@ -174,11 +174,14 @@ class TestCompare:
 
         from repro.sweep import SweepGrid, run_sweep
 
+        from repro.obs import run_summary
+
         grid = SweepGrid.from_axes(n=1024, nb=256, config="FP64/FP16_32",
                                    policy=["panel-first", "fifo", "critical-path"])
-        base = run_sweep(grid, cache_dir=tmp_path, progress_seconds=None).to_bench_json()
+        result = run_sweep(grid, cache_dir=tmp_path, progress_seconds=None)
+        base = run_summary(stats=result.summary_stats(), runs=result.summary_runs())
         scopes = load_metric_scopes(base)
-        runs = [s for s in scopes if s != "aggregate"]
+        runs = [s for s in scopes if s != "run"]
         assert len(runs) == 3
         (fifo,) = [s for s in runs if "policy=fifo" in s]
 
@@ -304,6 +307,7 @@ class TestCompareFilesAndCLI:
 
 class TestSweepSummaryStats:
     def test_summary_stats_feed_the_sentinel(self):
+        from repro.obs import run_summary
         from repro.sweep.engine import SweepResult, SweepRun
         from repro.sweep.grid import RunSpec
 
@@ -318,6 +322,34 @@ class TestSweepSummaryStats:
         assert stats["total_h2d_bytes"] == 10
         assert stats["n_runs"] == 1 and stats["n_failed"] == 0
         # two identical campaigns diff clean through the sentinel, as the
-        # stats section of the run summary ``sweep --metrics-out`` writes
-        doc = {"schema": "repro.obs.run_summary/1", "stats": stats}
-        assert compare_docs(doc, doc).verdict == "ok"
+        # run summary ``sweep --metrics-out`` writes
+        doc = run_summary(stats=stats, runs=result.summary_runs())
+        report = compare_docs(doc, doc)
+        assert report.verdict == "ok"
+        label = ",".join(f"{k}={v}" for k, v in sorted(spec.to_dict().items()))
+        assert {d.scope for d in report.deltas} == {"run", label}
+
+    def test_cold_and_warm_campaigns_compare_point_by_point(self, tmp_path, capsys):
+        """``sweep --metrics-out`` run cold then warm: ``compare`` reads both
+        summaries point by point and finds nothing to flag."""
+        from repro.cli import main
+
+        argv = ["sweep", "--n", "1024", "--nb", "256", "--config", "FP64",
+                "--config", "FP64/FP16_32", "--cache-dir", str(tmp_path / "cache"),
+                "--progress-every", "-1"]
+        assert main([*argv, "--metrics-out", str(tmp_path / "cold.json")]) == 0
+        assert main([*argv, "--metrics-out", str(tmp_path / "warm.json")]) == 0
+        assert "cache: 2/2 hits (100.0%)" in capsys.readouterr().out
+        report_out = tmp_path / "verdict.json"
+        assert main(["compare", str(tmp_path / "cold.json"), str(tmp_path / "warm.json"),
+                     "--fail-on-regress", "--all-metrics",
+                     "--report-out", str(report_out)]) == 0
+        assert "verdict OK" in capsys.readouterr().out
+        report = json.loads(report_out.read_text())
+        scopes = {d["scope"] for d in report["deltas"]}
+        points = sorted(s for s in scopes if s != "run")
+        assert "run" in scopes and len(points) == 2
+        assert "config=FP64," in points[0] and "config=FP64/FP16_32," in points[1]
+        assert {d["metric"] for d in report["deltas"] if d["scope"] in points} >= {
+            "makespan_seconds", "tflops", "h2d_bytes"}
+        assert report["missing_in_candidate"] == report["added_in_candidate"] == []

@@ -213,64 +213,69 @@ class TestRunSweep:
         again = run_sweep([spec], cache_dir=tmp_path)
         assert again.n_cache_misses == 1
 
-    def test_table_and_bench_json(self, tmp_path):
+    def test_table_and_summary_sections(self, tmp_path):
         result = run_sweep(self.grid(name="unit"), cache_dir=tmp_path / "c", name="unit")
         table = result.table()
         assert "tflops" in table and "miss" in table
-        path = result.write_bench_json(tmp_path)
-        assert path.name == "BENCH_unit.json"
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.bench/1"
-        assert doc["n_runs"] == 4
-        assert doc["axes"]["config"] == ["FP64", "FP64/FP16"]
-        assert doc["aggregates"]["best_tflops"] > 0
-        assert len(doc["runs"]) == 4
-        # every point reports its energy; the aggregates sum it
-        joules = [run["metrics"]["joules"] for run in doc["runs"]]
+        stats, runs = result.summary_stats(), result.summary_runs()
+        assert stats["n_runs"] == 4
+        assert stats["best_tflops"] > 0
+        assert [run["spec"]["config"] for run in runs] == ["FP64", "FP64", "FP64/FP16", "FP64/FP16"]
+        # every point reports its energy; the totals sum it
+        joules = [run["metrics"]["joules"] for run in runs]
         assert all(j > 0 for j in joules)
-        assert all(run["metrics"]["gflops_per_watt"] > 0 for run in doc["runs"])
-        assert doc["aggregates"]["total_joules"] == sum(joules)
+        assert all(run["metrics"]["gflops_per_watt"] > 0 for run in runs)
+        assert stats["total_joules"] == sum(joules)
 
 
 class TestSweepCli:
     def test_sweep_command_hits_on_rerun(self, tmp_path, capsys):
+        summary = tmp_path / "cli-smoke.json"
         argv = [
             "sweep", "--n", "1024", "--nb", "256",
             "--config", "FP64", "--config", "FP64/FP16",
             "--cache-dir", str(tmp_path / "cache"),
-            "--bench-out", str(tmp_path),
+            "--metrics-out", str(summary),
             "--name", "cli-smoke",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "cache: 0/2 hits (0.0%)" in out
-        assert (tmp_path / "BENCH_cli-smoke.json").exists()
+        doc = json.loads(summary.read_text())
+        assert doc["schema"] == "repro.obs.run_summary/1"
+        assert [run["cached"] for run in doc["runs"]] == [False, False]
 
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "cache: 2/2 hits (100.0%)" in out
+        doc = json.loads(summary.read_text())
+        assert [run["cached"] for run in doc["runs"]] == [True, True]
+        assert doc["stats"]["cache_hit_fraction"] == 1.0
 
     def test_axis_flags_fill_the_grid(self, tmp_path, capsys):
         """Each axis flag lands on its RunSpec field; one never passed keeps
-        SweepGrid's default."""
+        SweepGrid's default, and the manifest records the expanded grid."""
+        summary = tmp_path / "axes.json"
         assert main(["sweep", "--n", "1024", "--nb", "256", "--gpus", "2", "--nodes", "2",
                      "--strategy", "ttc", "--cache-dir", str(tmp_path / "cache"),
-                     "--bench-out", str(tmp_path), "--name", "axes"]) == 0
+                     "--metrics-out", str(summary), "--name", "axes"]) == 0
         capsys.readouterr()
-        doc = json.loads((tmp_path / "BENCH_axes.json").read_text())
-        assert doc["axes"] == {**SweepGrid().axes_dict(), "n": [1024], "nb": [256],
-                               "gpus_per_node": [2], "n_nodes": [2], "strategy": ["ttc"]}
-
+        config = json.loads(summary.read_text())["manifest"]["config"]
+        expected = {**SweepGrid().axes_dict(), "n": [1024], "nb": [256],
+                    "gpus_per_node": [2], "n_nodes": [2], "strategy": ["ttc"]}
+        assert {axis: config[axis] for axis in AXES} == expected
+        assert config["name"] == "axes"
 
     def test_host_memory_axis(self, tmp_path, capsys):
         """``--host-memory-gb`` is a repeatable axis, as simulate's flag;
         a value the spec rejects is a usage error before any point runs."""
         base = ["sweep", "--n", "8192", "--nb", "1024", "--cache-dir", str(tmp_path / "cache")]
+        summary = tmp_path / "host.json"
         assert main([*base, "--host-memory-gb", "0.1", "--host-memory-gb", "256",
-                     "--bench-out", str(tmp_path), "--name", "host"]) == 0
+                     "--metrics-out", str(summary), "--name", "host"]) == 0
         assert "1x1xV100 host=0.1GB" in capsys.readouterr().out
-        doc = json.loads((tmp_path / "BENCH_host.json").read_text())
-        assert doc["axes"]["host_memory_gb"] == [0.1, 256.0]
+        doc = json.loads(summary.read_text())
+        assert doc["manifest"]["config"]["host_memory_gb"] == [0.1, 256.0]
         evictions = [r["metrics"]["n_host_evictions"] for r in doc["runs"]]
         assert evictions[0] > 0 and evictions[1] == 0
 

@@ -83,17 +83,19 @@ class TestSweepFaults:
         assert third.n_failed == 0
         assert list(tmp_path.glob("*.json"))  # success is cached now
 
-    def test_failed_row_and_bench_json(self, tmp_path):
+    def test_failed_row_and_run_summary(self, tmp_path):
+        from repro.obs import run_summary
+
         specs = _specs()[:2]
         result = run_sweep(specs, cache_dir=tmp_path,
                            fault_plan=_crash_plan(specs[1], times=None))
         table = result.table()
         assert "1 failed" in table
         assert "yes" in table
-        doc = result.to_bench_json()
-        assert doc["n_failed"] == 1
+        doc = run_summary(stats=result.summary_stats(), runs=result.summary_runs())
+        assert doc["stats"]["n_failed"] == 1
         assert doc["runs"][1]["failed"] is True
-        assert doc["aggregates"]["best_tflops"] > 0  # from the surviving point
+        assert doc["stats"]["best_tflops"] > 0  # from the surviving point
         json.dumps(doc)  # still serializable with failure payloads inside
 
     def test_parallel_workers_fault_isolation(self, tmp_path):
