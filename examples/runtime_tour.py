@@ -19,7 +19,7 @@ import json
 import numpy as np
 
 from repro.core import build_cholesky_dag, build_precision_map
-from repro.obs import write_perfetto_trace
+from repro.obs import run_summary, write_perfetto_trace
 from repro.obs.analysis import analyze_trace, render_analysis
 from repro.perfmodel import V100
 from repro.runtime import (
@@ -47,7 +47,7 @@ def main() -> None:
     # 2. three executors, one answer
     seq = np.tril(execute_numeric(ptg.graph, mat).to_dense())
     par = np.tril(execute_numeric_parallel(ptg.graph, mat, n_threads=4).to_dense())
-    dist = np.tril(execute_numeric_distributed(ptg.graph, mat, grid.size).to_dense())
+    dist = np.tril(execute_numeric_distributed(ptg.graph, mat, grid.size).matrix.to_dense())
     print(f"\nsequential == threaded: {np.array_equal(seq, par)}")
     print(f"sequential == distributed (4 processes): {np.array_equal(seq, dist)}")
     rel = np.linalg.norm(seq @ seq.T - mat.to_dense()) / np.linalg.norm(mat.to_dense())
@@ -63,7 +63,8 @@ def main() -> None:
           f"{report.stats.link_bytes('h2d') / 1e3:.0f} kB host→device, "
           f"{report.stats.n_conversions} conversions")
     print()
-    print(render_analysis(analyze_trace(report.trace.events, report.stats.to_dict())))
+    analysis = analyze_trace(report.trace.events, report.stats.to_dict())
+    print(render_analysis(run_summary(stats=report.stats, analysis=analysis)))
 
     path = write_perfetto_trace(report.trace.events, "results/runtime_tour_trace.json")
     n_events = len(json.loads(path.read_text())["traceEvents"])

@@ -14,8 +14,9 @@ Commands
 ``analyze``   read a captured run (trace, summary, event log or run dir):
               run header, event counts, data-motion ledger, conversion-site
               attribution, critical path, utilization
-``compare``   regression sentinel: diff BENCH/run-summary documents with
-              per-metric thresholds; ``--fail-on-regress`` gates CI
+``compare``   regression sentinel: diff two run summaries (the one layout
+              of every JSON document a verb writes) with per-metric
+              thresholds; ``--fail-on-regress`` gates CI
 
 Telemetry flags (see ``docs/OBSERVABILITY.md``): ``simulate`` takes
 ``--trace-out`` (Perfetto JSON with counter tracks), ``--metrics-out``
@@ -64,7 +65,7 @@ _CAPTURE_HELP = {
         "events": "write a structured JSONL event log",
         "metrics": "write metrics + run manifest + run stats as JSON",
         "profile": "run under the sampling profiler, print the hottest "
-                   "frames and write the repro.obs.profile/1 document "
+                   "frames and write the run summary with a profile section "
                    "(see docs/OBSERVABILITY.md)",
     },
     "sweep": {
@@ -72,7 +73,7 @@ _CAPTURE_HELP = {
         "metrics": "write the campaign's run summary as JSON: manifest "
                    "(with the expanded grid), totals, one entry per point",
         "profile": "run the sweep under the sampling profiler and write "
-                   "the repro.obs.profile/1 document",
+                   "the campaign's run summary with a profile section",
     },
 }
 
@@ -276,6 +277,7 @@ def _cmd_mle(args) -> int:
     print(f"{field.model.name}: n={ds.n}, θ_true={field.theta}, nugget={field.nugget}")
     runs = [("exact", dict(exact=True))] if args.exact else []
     runs += [(f"{a:.0e}", dict(accuracy=a)) for a in levels]
+    fits = []  # the run summary's runs section: one entry per fit
     with contextlib.ExitStack() as stack:
         if args.events_out:
             log = stack.enter_context(obs.event_log(args.events_out))
@@ -285,9 +287,14 @@ def _cmd_mle(args) -> int:
             theta = ", ".join(f"{v:.4f}" for v in res.theta_hat)
             print(f"  {label:>8}: θ̂ = ({theta})  loglik {res.loglik:.2f}  "
                   f"[{res.n_evals} evals]")
+            fits.append({"spec": {"label": label, "accuracy": kw.get("accuracy")},
+                         "metrics": {"loglik": res.loglik, "n_evals": res.n_evals,
+                                     "converged": res.converged,
+                                     "infeasible_evals": res.infeasible_evals,
+                                     **{f"theta_{i}": v for i, v in enumerate(res.theta_hat)}}})
     if args.metrics_out:
         manifest = obs.build_manifest(command="mle", config=vars(args), seed=args.seed)
-        obs.write_run_summary(args.metrics_out, manifest=manifest)
+        obs.write_run_summary(args.metrics_out, manifest=manifest, runs=fits)
         print(f"  metrics → {args.metrics_out}")
     return 0
 
@@ -365,25 +372,25 @@ def _gc_cost():
 
 def _write_capture(args, profiler, *, command, stats, n_tasks, runs=None) -> None:
     """The ``--profile-out`` / ``--metrics-out`` tail of :func:`_capture`:
-    hottest frames + profile document, then the run summary (with a
-    sweep's per-point ``runs``)."""
+    the run summary (with a sweep's per-point ``runs``), and the same
+    summary with the hottest frames as its ``profile`` section."""
     from . import obs
 
     if profiler is None and not args.metrics_out:
         return
-    manifest = obs.build_manifest(run_id=getattr(args, "run_id", None),
-                                  command=command, config=vars(args))
+    summary = dict(stats=stats, runs=runs, manifest=obs.build_manifest(
+        run_id=getattr(args, "run_id", None), command=command, config=vars(args)))
     if profiler is not None:
         rate = (n_tasks / profiler.wall_seconds
                 if profiler.wall_seconds > 0.0 else 0.0)
         print(profiler.render())
-        doc = profiler.report(extra={"tasks_per_second": rate, "manifest": manifest})
-        obs.write_profile(args.profile_out, doc)
+        profile = {**profiler.report(), "tasks_per_second": rate}
+        obs.write_run_summary(args.profile_out, **summary, profile=profile)
         print(f"  profile → {args.profile_out} "
-              f"({doc['n_samples']} samples, {rate:,.0f} tasks/s, "
-              f"overhead {doc['overhead_fraction'] * 100.0:.2f}%)")
+              f"({profile['n_samples']} samples, {rate:,.0f} tasks/s, "
+              f"overhead {profile['overhead_fraction'] * 100.0:.2f}%)")
     if args.metrics_out:
-        obs.write_run_summary(args.metrics_out, stats=stats, manifest=manifest, runs=runs)
+        obs.write_run_summary(args.metrics_out, **summary)
         print(f"  metrics → {args.metrics_out}")
 
 
@@ -544,10 +551,11 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
-    source = doc.get("source") or {}
-    print(f"== analysis ({source.get('trace') or source.get('path')}) ==")
+    analysis = doc["analysis"]
+    source = analysis["source"]
+    print(f"== analysis ({source['trace'] or source['path']}) ==")
     print(render_analysis(doc))
-    mismatches = (doc.get("reconciliation") or {}).get("mismatches") or []
+    mismatches = analysis["reconciliation"]["mismatches"]
     if args.json_out:
         write_json(args.json_out, doc)
         print(f"  analysis → {args.json_out}")
@@ -555,7 +563,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .obs import write_json
+    from . import obs
     from .obs.regress import compare_files, parse_threshold_args
 
     for path in (args.baseline, args.candidate):
@@ -575,7 +583,12 @@ def _cmd_compare(args) -> int:
         print(f"  scopes added in candidate: {', '.join(report.added_in_candidate)}")
     print()
     if args.report_out:
-        write_json(args.report_out, report.to_dict())
+        verdict = report.to_dict()
+        obs.write_run_summary(
+            args.report_out, regress=verdict,
+            manifest=obs.build_manifest(command="compare", config=vars(args)),
+            stats={k: verdict[k] for k in ("n_compared", "n_regressions", "n_improvements")},
+        )
         print(f"  verdict → {args.report_out}")
     if args.fail_on_regress and report.n_regressions:
         print(f"compare: {report.n_regressions} regression(s) beyond threshold",

@@ -14,8 +14,9 @@ reproduction measures itself.  Four pieces, shared by every layer:
   detach and the same call sites cost nothing;
 * **exporters + manifest** (:mod:`repro.obs.exporters`,
   :mod:`repro.obs.manifest`) — Perfetto traces with counter tracks,
-  JSON run summaries, and a deterministic per-run manifest (config,
-  seed, versions, git revision, platform);
+  the JSON run summary (the one layout of every document a verb
+  writes), and a deterministic per-run manifest (config, seed,
+  versions, git revision, platform);
 * **analysis** (:mod:`repro.obs.analysis`) — the data-motion ledger
   (bytes per link/precision, STC-vs-TTC conversion attribution, savings
   vs all-FP64), critical-path and occupancy analysis (``repro
@@ -35,7 +36,7 @@ See ``docs/OBSERVABILITY.md`` for the capture-analyze-compare workflow.
 from . import analysis, live, profile, regress
 from .analysis import analyze_path, analyze_trace, build_ledger, critical_path
 from .live import LivePlane, get_plane, live_plane
-from .profile import SamplingProfiler, active_profiler, write_profile
+from .profile import SamplingProfiler, active_profiler
 from .regress import compare_docs, compare_files
 
 from ._runtime import (
@@ -81,7 +82,6 @@ __all__ = [
     "load_trace_events",
     "profile",
     "regress",
-    "write_profile",
     "Gauge",
     "Metric",
     "MetricsRegistry",

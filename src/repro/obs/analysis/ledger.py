@@ -169,7 +169,6 @@ class DataMotionLedger:
     # -- serialisation ----------------------------------------------------
     def to_dict(self) -> dict:
         return {
-            "schema": "repro.obs.ledger/1",
             "source": self.source,
             "total_bytes": self.total_bytes,
             "total_saved_bytes_vs_fp64": self.total_saved_bytes,

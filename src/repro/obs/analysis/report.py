@@ -5,9 +5,9 @@
 * a Perfetto/Chrome trace JSON written by ``--trace-out`` (read back by
   :func:`repro.obs.exporters.load_trace_events`, CONVERT site tags
   included);
-* a run-summary JSON written by ``--metrics-out`` (the run header from
-  its manifest; stats counters only — the ledger loses per-rank detail
-  but keeps per-link per-precision totals);
+* a run summary (``repro.obs.run_summary/1``, what every verb writes:
+  the run header from its manifest; stats counters only — the ledger
+  loses per-rank detail but keeps per-link per-precision totals);
 * a JSONL event log written by ``--events-out`` (event counts by type,
   the last ``mle.iteration`` and, from its ``span`` events, the time by
   layer);
@@ -19,18 +19,19 @@
 The output is a text report (run header, event counts, time by layer,
 data-motion ledger, conversion-site table, critical path, per-engine
 slack, utilization timeline) plus a machine-readable document
-(``--json-out``).
+(``--json-out``): the run summary it read with an ``analysis`` section.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..events import iter_events
-from ..exporters import load_trace_events, run_stats
+from ..exporters import load_trace_events, read_run_summary, run_summary
 from .critical_path import critical_path, engine_slack, utilization_timeline
 from .ledger import build_ledger, ledger_table
 
@@ -83,12 +84,9 @@ def analyze_trace(
     *,
     n_buckets: int = 20,
 ) -> dict:
-    """Assemble the full analysis document from events and/or stats."""
+    """The ``analysis`` section of a run summary, from events and/or stats."""
     ledger = build_ledger(events=events, stats=stats)
-    doc: dict = {
-        "schema": "repro.obs.analysis/1",
-        "ledger": ledger.to_dict(),
-    }
+    doc: dict = {"ledger": ledger.to_dict()}
     if events and stats is not None:
         mismatches = ledger.reconcile(stats)
         doc["reconciliation"] = {"checked": True, "mismatches": mismatches}
@@ -104,8 +102,6 @@ def analyze_trace(
         doc["utilization"] = utilization_timeline(
             events, makespan=cp.makespan, n_buckets=n_buckets
         )
-    if stats is not None:
-        doc["stats"] = dict(stats)
     return doc
 
 
@@ -115,15 +111,17 @@ def _sparkline(fractions: Sequence[float]) -> str:
 
 
 def render_analysis(doc: dict) -> str:
-    """Human-readable rendering of an :func:`analyze_trace` document."""
+    """Human-readable rendering of a run summary's ``analysis`` section,
+    under the run header of its manifest."""
     lines: list[str] = []
-    run = doc.get("run")
-    if run:
+    manifest = doc.get("manifest")
+    if manifest:
         lines.append(
-            f"run {run.get('run_id') or '<unnamed>'}: command {run.get('command')}, "
-            f"seed {run.get('seed')}, git rev {run.get('git_revision')}"
+            f"run {manifest.get('run_id') or '<unnamed>'}: command {manifest.get('command')}, "
+            f"seed {manifest.get('seed')}, git rev {manifest.get('git_revision')}"
         )
-    log = doc.get("event_log")
+    analysis = doc["analysis"]
+    log = analysis.get("event_log")
     if log:
         lines.append(
             f"{log['n_events']} events in {log['path']}, run(s) {', '.join(log['run_ids'])}"
@@ -135,7 +133,7 @@ def render_analysis(doc: dict) -> str:
                 f"  last MLE iteration: k={last.get('k')} "
                 f"loglik={last.get('loglik'):.4f} theta={last.get('theta')}"
             )
-    layers = doc.get("layers")
+    layers = analysis.get("layers")
     if layers:
         lines.append("time by layer (self = total minus direct child spans):")
         lines.append(f"    {'span':<28} {'calls':>7} {'total s':>11} {'self s':>11}")
@@ -144,7 +142,7 @@ def render_analysis(doc: dict) -> str:
             f"{row['self_seconds']:>11.4f}"
             for name, row in layers.items()
         )
-    led = doc.get("ledger") or {}
+    led = analysis.get("ledger") or {}
     if led.get("rows") or led.get("conversions"):
         lines.append(ledger_table(led))
         saved = led.get("total_saved_bytes_vs_fp64", 0)
@@ -158,7 +156,7 @@ def render_analysis(doc: dict) -> str:
     else:
         lines.append("(no data-motion events)")
 
-    rec = doc.get("reconciliation") or {}
+    rec = analysis.get("reconciliation") or {}
     if rec.get("checked"):
         mism = rec.get("mismatches") or []
         if mism:
@@ -167,7 +165,7 @@ def render_analysis(doc: dict) -> str:
         else:
             lines.append("ledger reconciles exactly with RunStats counters ✓")
 
-    cp = doc.get("critical_path")
+    cp = analysis.get("critical_path")
     if cp:
         lines.append("")
         lines.append(
@@ -185,7 +183,7 @@ def render_analysis(doc: dict) -> str:
             if parts:
                 lines.append(f"  {title}: {parts}")
 
-    util = doc.get("utilization")
+    util = analysis.get("utilization")
     if util:
         lines.append("")
         lines.append("utilization over the makespan (one cell per bucket):")
@@ -193,7 +191,7 @@ def render_analysis(doc: dict) -> str:
             mean = sum(fractions) / len(fractions) if fractions else 0.0
             lines.append(f"  {engine:<8}|{_sparkline(fractions)}| mean {mean * 100:5.1f}%")
 
-    slack = doc.get("slack_seconds")
+    slack = analysis.get("slack_seconds")
     if slack:
         worst = sorted(slack.items(), key=lambda kv: kv[1])[:4]
         lines.append(
@@ -204,62 +202,55 @@ def render_analysis(doc: dict) -> str:
 
 
 def analyze_path(path: str | Path, *, n_buckets: int = 20) -> dict:
-    """Analyze a trace file, summary file, event log, or run directory.
+    """Analyze a trace file, run summary, event log, or run directory.
 
-    Returns the analysis document; raises ``ValueError`` when the path
-    holds nothing analyzable.
+    Returns the run summary it read (the first one, by name, in a
+    directory) with an ``analysis`` section added; raises ``ValueError``
+    when the path holds nothing analyzable.
     """
     path = Path(path)
+    if path.is_dir():
+        files = sorted([*path.glob("*.json"), *path.glob("*.jsonl")])
+    elif path.is_file():
+        files = [path]
+    else:
+        raise ValueError(f"no such file or directory: {path}")
     trace_file: Path | None = None
-    stats: dict | None = None
-    manifest: dict | None = None
+    summary_file: Path | None = None
     event_log: Path | None = None
-
-    def classify(file: Path) -> None:
-        nonlocal trace_file, stats, manifest, event_log
+    summary: Mapping = {}
+    for file in files:
         if file.suffix == ".jsonl":
             event_log = event_log or file
-            return
+            continue
         try:
             doc = json.loads(file.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
-            return
-        if not isinstance(doc, dict):
-            return
-        if "traceEvents" in doc:
+            continue
+        if isinstance(doc, dict) and "traceEvents" in doc:
             trace_file = trace_file or file
-            return
-        if stats is None:
-            stats = run_stats(doc)
-        if manifest is None and isinstance(doc.get("manifest"), dict):
-            manifest = doc["manifest"]
+        elif summary_file is None:
+            with contextlib.suppress(ValueError):  # not a run summary
+                summary, summary_file = read_run_summary(doc), file
 
-    if path.is_dir():
-        for file in sorted([*path.glob("*.json"), *path.glob("*.jsonl")]):
-            classify(file)
-    elif path.is_file():
-        classify(path)
-    else:
-        raise ValueError(f"no such file or directory: {path}")
-
-    if trace_file is None and stats is None and manifest is None and event_log is None:
+    if trace_file is None and summary_file is None and event_log is None:
         raise ValueError(
             f"nothing analyzable under {path}: expected a Perfetto trace JSON "
-            "(--trace-out), a run-summary JSON (--metrics-out) and/or a JSONL "
-            "event log (--events-out)"
+            "(--trace-out), a run summary (repro.obs.run_summary/1) and/or a "
+            "JSONL event log (--events-out)"
         )
     events = load_trace_events(trace_file) if trace_file is not None else None
-    doc = analyze_trace(events=events, stats=stats, n_buckets=n_buckets)
-    if manifest is not None:
-        doc["run"] = {key: manifest.get(key)
-                      for key in ("run_id", "command", "seed", "git_revision")}
+    stats = summary.get("stats")
+    analysis = analyze_trace(events=events, stats=stats, n_buckets=n_buckets)
     if event_log is not None:
-        doc["event_log"], layers = _read_event_log(event_log)
+        analysis["event_log"], layers = _read_event_log(event_log)
         if layers:
-            doc["layers"] = layers
-    doc["source"] = {
-        "trace": str(trace_file) if trace_file else None,
-        "stats": "embedded" if stats is not None else None,
+            analysis["layers"] = layers
+    analysis["source"] = {
         "path": str(path),
+        "trace": str(trace_file) if trace_file else None,
+        "summary": str(summary_file) if summary_file else None,
     }
-    return doc
+    return run_summary(manifest=summary.get("manifest"), stats=stats,
+                       metrics=summary.get("metrics", {}), runs=summary.get("runs"),
+                       analysis=analysis)

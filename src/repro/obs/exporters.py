@@ -17,10 +17,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 __all__ = [
+    "RUN_SUMMARY_SCHEMA",
+    "VERB_SECTIONS",
     "lint_prometheus_text",
     "load_trace_events",
+    "read_run_summary",
     "to_prometheus_text",
-    "run_stats",
     "run_summary",
     "write_perfetto_trace",
     "write_run_summary",
@@ -174,46 +176,64 @@ def load_trace_events(path: str | Path) -> list:
     return events
 
 
-# -- run summaries -----------------------------------------------------------
+# -- run summaries: every JSON document a verb writes -----------------------
+
+#: the tag of every JSON document a verb writes
+RUN_SUMMARY_SCHEMA = "repro.obs.run_summary/1"
+
+#: the section a verb adds to the run's own (``manifest``, ``stats``,
+#: ``metrics``, ``runs``) for what it alone computes: ``analyze
+#: --json-out``, ``compare --report-out``, ``--profile-out``
+VERB_SECTIONS = ("analysis", "regress", "profile")
+
 
 def run_summary(
     *,
-    stats=None,
     manifest: Mapping | None = None,
-    registry=None,
+    stats=None,
+    metrics=None,
     runs: Sequence[Mapping] | None = None,
+    **section: Mapping,
 ) -> dict:
-    """Assemble the JSON-summary document of one run.
+    """Assemble a run summary, the one document layout a verb writes.
 
-    Any section may be omitted; ``registry`` defaults to the process
-    registry so a bare ``run_summary()`` still captures live metrics.
-    A sweep campaign passes ``runs``, one entry per point (its ``key``,
-    ``cached``, ``failed``, ``attempts``, ``spec`` and ``metrics``), and
-    its totals as ``stats``.
+    Any section may be omitted.  ``metrics`` is a registry or its
+    ``to_dict()`` form and defaults to the process registry, so a bare
+    ``run_summary()`` still captures live metrics.  ``runs`` holds one
+    entry per point of a campaign or fit of an ``mle`` run, each with its
+    ``spec`` and its ``metrics``.  ``section`` is at most one of
+    :data:`VERB_SECTIONS`, keyed by its name.
     """
-    if registry is None:
+    if len(section) > 1 or not set(section) <= set(VERB_SECTIONS):
+        raise TypeError(f"a run summary takes one of {VERB_SECTIONS}, got {sorted(section)}")
+    if metrics is None:
         from ._runtime import get_registry
 
-        registry = get_registry()
-    doc: dict[str, object] = {"schema": "repro.obs.run_summary/1"}
+        metrics = get_registry()
+    doc: dict[str, object] = {"schema": RUN_SUMMARY_SCHEMA}
     if manifest is not None:
         doc["manifest"] = dict(manifest)
     if stats is not None:
         doc["stats"] = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
     if runs is not None:
         doc["runs"] = list(runs)
-    doc["metrics"] = registry.to_dict()
+    doc["metrics"] = metrics.to_dict() if hasattr(metrics, "to_dict") else dict(metrics)
+    doc.update(section)
     return doc
 
 
-def run_stats(doc: Mapping) -> Mapping | None:
-    """The RunStats dict a document holds, ``None`` when it holds none.
+def read_run_summary(doc) -> Mapping:
+    """A parsed JSON document, checked to be a run summary.
 
-    The one reader of the layout :func:`run_summary` writes: its
-    ``stats`` section.
+    The one reader of what :func:`run_summary` writes: ``repro analyze``
+    and ``repro compare`` both go through it.  Any other document raises
+    ``ValueError``.
     """
-    stats = doc.get("stats")
-    return stats if isinstance(stats, Mapping) and "makespan_seconds" in stats else None
+    schema = doc.get("schema") if isinstance(doc, Mapping) else None
+    if schema != RUN_SUMMARY_SCHEMA:
+        raise ValueError(
+            f"unsupported document: expected {RUN_SUMMARY_SCHEMA}, got {schema!r}")
+    return doc
 
 
 def write_json(path: str | Path, doc: Mapping) -> Path:

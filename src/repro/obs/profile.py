@@ -13,8 +13,8 @@ number, not a promise.  Named layers are timed by spans
 (:mod:`repro.obs.spans`), not here.
 
 ``repro simulate/sweep --profile-out`` wrap their normal work in the
-profiler and print the hottest frames.  The report document (schema
-``repro.obs.profile/1``) carries the run's ``tasks_per_second``.
+profiler, print the hottest frames and write the run summary with
+:meth:`SamplingProfiler.report` as its ``profile`` section.
 """
 
 from __future__ import annotations
@@ -23,16 +23,11 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Mapping
 
 __all__ = [
-    "PROFILE_SCHEMA",
     "SamplingProfiler",
     "active_profiler",
-    "write_profile",
 ]
-
-PROFILE_SCHEMA = "repro.obs.profile/1"
 
 #: (function, filename, firstlineno) — the identity of one frame
 FrameKey = tuple[str, str, int]
@@ -175,10 +170,9 @@ class SamplingProfiler:
             for (fn, filename, lineno), count in ranked
         ]
 
-    def report(self, *, top: int = 10, extra: Mapping[str, object] | None = None) -> dict:
-        """The machine-readable profile document (``repro.obs.profile/1``)."""
-        doc: dict[str, object] = {
-            "schema": PROFILE_SCHEMA,
+    def report(self, *, top: int = 10) -> dict:
+        """The ``profile`` section of a run summary."""
+        return {
             "interval_seconds": self.interval,
             "wall_seconds": self.wall_seconds,
             "n_samples": self.n_samples,
@@ -186,9 +180,6 @@ class SamplingProfiler:
             "overhead_fraction": self.overhead_fraction,
             "top_frames": self.top_frames(top),
         }
-        if extra:
-            doc.update({str(k): v for k, v in extra.items()})
-        return doc
 
     def render(self, *, top: int = 10) -> str:
         """Human-readable top-frame table plus the overhead line."""
@@ -219,9 +210,3 @@ def _short_path(path: str) -> str:
     parts = Path(path).parts
     return "/".join(parts[-3:]) if len(parts) > 3 else path
 
-
-def write_profile(path: str | Path, doc: Mapping[str, object]) -> Path:
-    """Serialise a profile document to pretty JSON."""
-    from .exporters import write_json
-
-    return write_json(path, doc)

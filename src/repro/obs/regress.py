@@ -6,11 +6,11 @@ machine-readable verdict, so "did this PR regress?" is a command
 (``repro compare baseline candidate --fail-on-regress``) instead of a
 diff eyeballed by a reviewer.
 
-A summary is compared in a ``run`` scope (its ``stats``) and, for a
-sweep campaign, in one scope per point of its ``runs`` section.  Only
-deterministic simulator metrics are compared by default — wall-clock
-numbers (``plan_seconds``, ``wall_seconds``, …) are machine noise and
-excluded unless explicitly thresholded.
+A summary is compared in a ``run`` scope (its ``stats``) and in one
+scope per entry of its ``runs`` section (a sweep's points, an ``mle``
+run's fits).  Only deterministic simulator metrics are compared by
+default — wall-clock numbers (``plan_seconds``, ``wall_seconds``, …)
+are machine noise and excluded unless explicitly thresholded.
 
 A *regression* is a delta beyond the metric's relative threshold in its
 bad direction (makespan up, tflops down, bytes up…); an improvement
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .exporters import run_stats
+from .exporters import read_run_summary
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -145,7 +145,6 @@ class RegressionReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "repro.obs.regress/1",
             "baseline": self.baseline,
             "candidate": self.candidate,
             "verdict": self.verdict,
@@ -217,14 +216,14 @@ def _numeric_metrics(mapping: Mapping) -> dict[str, float]:
 def load_metric_scopes(doc: Mapping) -> dict[str, dict[str, float]]:
     """``{scope: {metric: value}}`` from a ``repro.obs.run_summary/1``.
 
-    One ``run`` scope from the ``stats`` section, plus one scope per
-    non-failed entry of a sweep's ``runs`` section, keyed by the sorted
-    ``k=v`` fields of the point's spec.
+    A ``run`` scope from the ``stats`` section, plus one scope per
+    non-failed entry of the ``runs`` section (a sweep's points, an
+    ``mle`` run's fits), keyed by the sorted ``k=v`` fields of its spec.
     """
-    stats = run_stats(doc)
-    if stats is None:
-        raise ValueError("unsupported document: expected repro.obs.run_summary/1")
-    scopes = {"run": _numeric_metrics(stats)}
+    doc = read_run_summary(doc)
+    if "stats" not in doc and "runs" not in doc:
+        raise ValueError("the run summary holds neither a stats nor a runs section")
+    scopes = {"run": _numeric_metrics(doc["stats"])} if "stats" in doc else {}
     for run in doc.get("runs") or []:
         if run.get("failed"):
             continue
@@ -306,7 +305,7 @@ def compare_files(
     *,
     thresholds: Mapping[str, Threshold] | None = None,
 ) -> RegressionReport:
-    """Load two JSON documents from disk and compare them."""
+    """Load two run summaries from disk and compare them."""
     base_doc = json.loads(Path(baseline).read_text(encoding="utf-8"))
     cand_doc = json.loads(Path(candidate).read_text(encoding="utf-8"))
     return compare_docs(

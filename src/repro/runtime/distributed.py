@@ -5,8 +5,9 @@ GPU) with the automated conversion strategy deciding each payload's wire
 precision.  This module reproduces that execution model with real
 message passing: one OS process per rank, per-rank inbox queues, and
 payloads that travel **already quantised to the edge's communication
-precision** — the sender-side conversion of STC happens where the paper
-puts it, and receivers re-quantise to their kernel's needs.
+precision**, held as float32 below FP64 — the sender-side conversion of
+STC happens where the paper puts it, and receivers re-quantise to their
+kernel's needs.
 
 Ranks process the graph in one *global* topological order, task-id
 order: each rank executes the tasks it owns, blocks on its inbox for
@@ -45,7 +46,7 @@ import numpy as np
 
 from ..faults import FaultInjector, FaultPlan, pick_mp_context, record_faults
 from ..obs import emit_event, get_registry
-from ..precision.emulate import Operand, as_input, quantize
+from ..precision.emulate import Operand, as_input
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .executor import _execute_task, _seed_version0
@@ -200,7 +201,7 @@ def _rank_main(
                     if fault.kind == "drop_message":
                         continue  # the consumer will starve and time out
                     time.sleep(fault.delay_s)
-                inboxes[dest].put((*out_key, int(prec), quantize(result, prec)))
+                inboxes[dest].put((*out_key, int(prec), as_input(result, prec)))
 
         # received payloads are gone: the store holds this rank's finals only
         results.put((rank, values.finals(), None, injector.fired))
@@ -216,9 +217,8 @@ def execute_numeric_distributed(
     timeout: float = _DEFAULT_TIMEOUT,
     fault_plan: FaultPlan | dict | None = None,
     degrade: bool = False,
-    return_report: bool = False,
     silent_after: float | None = None,
-) -> TiledSymmetricMatrix | DistributedReport:
+) -> DistributedReport:
     """Execute the graph numerically across ``n_ranks`` processes.
 
     ``graph`` must have been built for a process grid with exactly
@@ -247,9 +247,9 @@ def execute_numeric_distributed(
     ``distributed.rank_deaths``.  ``degrade=True`` recovers from
     unrecoverable rank loss by re-executing sequentially via
     :func:`repro.runtime.executor.execute_numeric` (bit-identical to a
-    healthy distributed run) instead of raising; ``return_report=True``
-    returns a :class:`DistributedReport` carrying the matrix plus the
-    ``degraded`` flag, error, and dead ranks.
+    healthy distributed run) instead of raising.  The result is a
+    :class:`DistributedReport`: the matrix plus the ``degraded`` flag,
+    error, dead ranks and heartbeat ages.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be positive")
@@ -262,8 +262,7 @@ def execute_numeric_distributed(
     if n_ranks == 1:
         from .executor import execute_numeric
 
-        out = execute_numeric(graph, mat)
-        return DistributedReport(matrix=out) if return_report else out
+        return DistributedReport(matrix=execute_numeric(graph, mat))
 
     plan_dict = None
     if fault_plan is not None:
@@ -394,11 +393,8 @@ def execute_numeric_distributed(
 
         seq = execute_numeric(graph, mat)
         emit_event("distributed.degraded", {"error": error})
-        report = DistributedReport(
+        return DistributedReport(
             matrix=seq, degraded=True, error=error, dead_ranks=dead_ranks,
             heartbeat_ages=dict(heartbeat_ages),
         )
-        return report if return_report else report.matrix
-    if return_report:
-        return DistributedReport(matrix=out, heartbeat_ages=dict(heartbeat_ages))
-    return out
+    return DistributedReport(matrix=out, heartbeat_ages=dict(heartbeat_ages))

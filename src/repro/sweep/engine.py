@@ -207,10 +207,6 @@ class SweepResult:
         return sum(1 for r in self.runs if r.cached)
 
     @property
-    def n_cache_misses(self) -> int:
-        return self.n_runs - self.n_cache_hits
-
-    @property
     def cache_hit_fraction(self) -> float:
         return self.n_cache_hits / self.n_runs if self.runs else 0.0
 
@@ -235,8 +231,7 @@ class SweepResult:
         """Campaign totals: the ``stats`` section of the campaign's run summary.
 
         A flat numeric dict over the points that did not fail, with the
-        summed simulated makespan under ``makespan_seconds`` so
-        :func:`repro.obs.exporters.run_stats` finds it.
+        summed simulated makespan under ``makespan_seconds``.
         """
         ok = [r.result for r in self.runs if not r.failed]
         return {

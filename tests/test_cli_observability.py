@@ -15,7 +15,7 @@ def _write(path, doc):
 
 class TestProfileVerb:
     """``--profile-out`` on ``simulate`` and ``sweep``: the hottest-frames
-    table on stdout plus the ``repro.obs.profile/1`` document."""
+    table on stdout plus the run summary with a ``profile`` section."""
 
     def test_profile_prints_frames_and_rate(self, tmp_path, capsys):
         assert main(["simulate", "--n", str(8 * 256), "--nb", "256",
@@ -31,8 +31,10 @@ class TestProfileVerb:
                      "--policy", "critical-path",
                      "--profile-out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert doc["schema"] == "repro.obs.profile/1"
-        assert doc["tasks_per_second"] > 0
+        assert doc["schema"] == "repro.obs.run_summary/1"
+        assert doc["profile"]["tasks_per_second"] > 0
+        assert doc["profile"]["n_samples"] >= 0
+        assert doc["stats"]["n_tasks"] > 0  # the run's own summary rides along
         assert doc["manifest"]["policy"] == "critical-path"
         assert doc["manifest"]["config"]["n"] == 8 * 256
 
@@ -42,7 +44,8 @@ class TestProfileVerb:
                      "--profile-out", str(out_path)]) == 0
         assert "profile →" in capsys.readouterr().out
         doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert doc["schema"] == "repro.obs.profile/1"
+        assert doc["schema"] == "repro.obs.run_summary/1"
+        assert "profile" in doc
         assert doc["manifest"]["command"] == "simulate"
 
     def test_sweep_profile_out(self, tmp_path, capsys):
@@ -51,10 +54,11 @@ class TestProfileVerb:
                      "--cache-dir", str(tmp_path / "cache"),
                      "--profile-out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert doc["schema"] == "repro.obs.profile/1"
+        assert doc["schema"] == "repro.obs.run_summary/1"
         assert doc["manifest"]["command"] == "sweep"
+        assert len(doc["runs"]) == 1
         # the campaign's planned tasks over the profiled wall time
-        assert doc["tasks_per_second"] > 0
+        assert doc["profile"]["tasks_per_second"] > 0
 
 
 class TestCompareVerb:

@@ -99,7 +99,7 @@ class TestLedger:
 
     def test_to_dict_round_trips_totals(self, sim_report):
         doc = build_ledger(sim_report.trace.events).to_dict()
-        assert doc["schema"] == "repro.obs.ledger/1"
+        assert "schema" not in doc  # a section of the run summary's analysis
         assert doc["total_bytes"] == sum(r["bytes"] for r in doc["rows"])
         assert doc["total_saved_bytes_vs_fp64"] == sum(
             r["saved_bytes"] for r in doc["rows"]
@@ -282,14 +282,14 @@ class TestAnalyzeAndCLI:
         sites = {e.site for e in events if e.kind == "CONVERT"}
         assert sites == {"stc", "ttc"}
 
-    def test_analyze_trace_document(self, sim_report):
+    def test_analyze_trace_section(self, sim_report):
         doc = analyze_trace(sim_report.trace.events, sim_report.stats.to_dict())
-        assert doc["schema"] == "repro.obs.analysis/1"
+        assert "schema" not in doc and "stats" not in doc
         assert doc["reconciliation"] == {"checked": True, "mismatches": []}
         cp = doc["critical_path"]
         assert cp["length_seconds"] == pytest.approx(cp["makespan_seconds"], rel=1e-9)
         assert doc["utilization"] and doc["slack_seconds"]
-        text = render_analysis(doc)
+        text = render_analysis(obs.run_summary(stats=sim_report.stats, analysis=doc))
         assert "reconciles exactly" in text
         assert "critical path" in text
 
@@ -297,9 +297,12 @@ class TestAnalyzeAndCLI:
         obs.write_perfetto_trace(sim_report.trace.events, tmp_path / "trace.json")
         obs.write_run_summary(tmp_path / "summary.json", stats=sim_report.stats)
         doc = analyze_path(tmp_path)
-        assert doc["reconciliation"]["checked"]
-        assert doc["reconciliation"]["mismatches"] == []
-        assert doc["source"]["trace"].endswith("trace.json")
+        assert doc["stats"] == sim_report.stats.to_dict()
+        analysis = doc["analysis"]
+        assert analysis["reconciliation"]["checked"]
+        assert analysis["reconciliation"]["mismatches"] == []
+        assert analysis["source"]["trace"].endswith("trace.json")
+        assert analysis["source"]["summary"].endswith("summary.json")
 
     def test_run_dir_analyzes_like_the_run_itself(self, tmp_path):
         """Written by the Perfetto writer and the run summary, then read
@@ -316,7 +319,7 @@ class TestAnalyzeAndCLI:
         obs.write_perfetto_trace(rep.trace.events, tmp_path / "trace.json",
                                  metadata={"policy": rep.policy})
         obs.write_run_summary(tmp_path / "summary.json", stats=rep.stats)
-        from_disk = analyze_path(tmp_path)
+        from_disk = analyze_path(tmp_path)["analysis"]
         in_memory = analyze_trace(rep.trace.events, rep.stats.to_dict())
         assert from_disk["reconciliation"] == {"checked": True, "mismatches": []}
         assert from_disk["ledger"] == in_memory["ledger"]
@@ -349,7 +352,9 @@ class TestAnalyzeAndCLI:
         assert rc == 0
         assert "reconciles exactly" in capsys.readouterr().out
         doc = json.loads(out_json.read_text())
-        assert doc["schema"] == "repro.obs.analysis/1"
+        assert doc["schema"] == "repro.obs.run_summary/1"
+        assert doc["stats"] == json.loads((tmp_path / "summary.json").read_text())["stats"]
+        assert doc["analysis"]["reconciliation"] == {"checked": True, "mismatches": []}
 
     def test_cli_analyze_missing_path(self, tmp_path, capsys):
         from repro.cli import main

@@ -209,7 +209,7 @@ class TestMLEEvents:
         assert main(["analyze", str(tmp_path), "--json-out", str(out_json)]) == 0
         out = capsys.readouterr().out
         assert "time by layer" in out and "core.mp_cholesky" in out
-        layers = json.loads(out_json.read_text())["layers"]
+        layers = json.loads(out_json.read_text())["analysis"]["layers"]
         assert layers["geostats.log_likelihood"]["calls"] == res.n_evals
         roots = sum(e["attrs"]["duration_seconds"] for e in spans if "/" not in e["span"])
         self_total = sum(row["self_seconds"] for row in layers.values())
@@ -376,11 +376,14 @@ class TestCliTelemetry:
         out_json = tmp_path / "analysis.json"
         assert main(["analyze", str(tmp_path), "--json-out", str(out_json)]) == 0
         assert "command mle, seed 0" in capsys.readouterr().out
-        analysis = json.loads(out_json.read_text())
-        assert analysis["run"]["command"] == "mle"
+        doc = json.loads(out_json.read_text())
+        # the analysed run's whole manifest and its fits, then the analysis
+        assert doc["manifest"] == json.loads((tmp_path / "mle.json").read_text())["manifest"]
+        assert doc["manifest"]["command"] == "mle"
+        assert [run["spec"]["label"] for run in doc["runs"]] == ["1e-04"]
         n_iter = sum(e["type"] == "mle.iteration" for e in recs)
-        assert analysis["event_log"]["by_type"]["mle.iteration"] == n_iter
-        assert analysis["event_log"]["last_mle_iteration"]["k"] == n_iter
+        assert doc["analysis"]["event_log"]["by_type"]["mle.iteration"] == n_iter
+        assert doc["analysis"]["event_log"]["last_mle_iteration"]["k"] == n_iter
 
     def test_report_without_inputs_errors(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == 2

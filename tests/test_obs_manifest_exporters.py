@@ -193,6 +193,15 @@ class TestCsvAndSummary:
         assert doc["stats"]["n_tasks"] == sim_report.stats.n_tasks
         assert "metrics" in doc
 
+    def test_run_summary_takes_at_most_one_verb_section(self):
+        doc = obs.run_summary(metrics={}, regress={"verdict": "ok"})
+        assert doc == {"schema": "repro.obs.run_summary/1", "metrics": {},
+                       "regress": {"verdict": "ok"}}
+        with pytest.raises(TypeError, match="one of"):
+            obs.run_summary(analysis={}, profile={})
+        with pytest.raises(TypeError, match="one of"):
+            obs.run_summary(bench={})
+
     def test_stats_to_dict_is_json_ready(self, sim_report):
         d = sim_report.stats.to_dict()
         json.dumps(d)

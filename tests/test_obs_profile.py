@@ -5,12 +5,8 @@ import time
 
 import pytest
 
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    SamplingProfiler,
-    active_profiler,
-    write_profile,
-)
+from repro.obs import run_summary, write_json
+from repro.obs.profile import SamplingProfiler, active_profiler
 
 
 def _spin(seconds: float) -> int:
@@ -68,17 +64,17 @@ class TestSamplingProfiler:
         # interval stays well under the 5 % acceptance bar
         assert prof.overhead_fraction < 0.05
 
-    def test_report_document(self, tmp_path):
+    def test_report_is_the_profile_section(self, tmp_path):
         with SamplingProfiler(0.002) as prof:
             _spin(0.02)
-        doc = prof.report(top=5, extra={"tasks_per_second": 1234.5})
-        assert doc["schema"] == PROFILE_SCHEMA
-        assert doc["n_samples"] == prof.n_samples
-        assert doc["tasks_per_second"] == 1234.5
-        assert len(doc["top_frames"]) <= 5
-        path = write_profile(tmp_path / "prof.json", doc)
+        section = prof.report(top=5)
+        assert "schema" not in section
+        assert section["n_samples"] == prof.n_samples
+        assert len(section["top_frames"]) <= 5
+        path = write_json(tmp_path / "prof.json", run_summary(profile=section))
         loaded = json.loads(path.read_text(encoding="utf-8"))
-        assert loaded["schema"] == PROFILE_SCHEMA
+        assert loaded["schema"] == "repro.obs.run_summary/1"
+        assert loaded["profile"]["n_samples"] == prof.n_samples
 
     def test_render_includes_overhead(self):
         with SamplingProfiler(0.002) as prof:

@@ -85,8 +85,24 @@ class TestLoadScopes:
             load_metric_scopes(_stats())
 
     def test_unsupported_doc_raises(self):
-        with pytest.raises(ValueError, match="unsupported document"):
-            load_metric_scopes({"hello": "world"})
+        with pytest.raises(ValueError, match="unsupported document: expected "
+                                             "repro.obs.run_summary/1, got 'x/1'"):
+            load_metric_scopes({"schema": "x/1", "stats": _stats()})
+
+    def test_summary_without_stats_or_runs_says_so(self):
+        """A run summary of the right tag that holds nothing to compare
+        is named as such, not as an unsupported document."""
+        doc = {"schema": "repro.obs.run_summary/1", "manifest": {}, "metrics": {}}
+        with pytest.raises(ValueError, match="neither a stats nor a runs section"):
+            load_metric_scopes(doc)
+
+    def test_runs_only_summary(self):
+        """An ``mle`` summary has fits and no stats: one scope per fit."""
+        doc = {"schema": "repro.obs.run_summary/1",
+               "runs": [{"spec": {"label": "1e-04", "accuracy": 1e-4},
+                         "metrics": {"loglik": -12.5, "n_evals": 30, "converged": True}}]}
+        assert load_metric_scopes(doc) == {
+            "accuracy=0.0001,label=1e-04": {"loglik": -12.5, "n_evals": 30.0}}
 
 
 class TestCompare:
@@ -200,9 +216,9 @@ class TestCompare:
         ok = compare_docs(_stats_doc(), _stats_doc())
         assert "verdict OK" in ok.table()
 
-    def test_to_dict_schema(self):
+    def test_to_dict_is_the_regress_section(self):
         doc = compare_docs(_stats_doc(), _stats_doc(tflops=10.0)).to_dict()
-        assert doc["schema"] == "repro.obs.regress/1"
+        assert "schema" not in doc  # the report-out run summary carries the tag
         assert doc["verdict"] == "regressed"
         assert doc["n_regressions"] == 1
         json.dumps(doc)  # strictly serialisable
@@ -267,7 +283,11 @@ class TestCompareFilesAndCLI:
         captured = capsys.readouterr()
         assert "regression(s) beyond threshold" in captured.err
         doc = json.loads(report_out.read_text())
-        assert doc["verdict"] == "regressed"
+        assert doc["schema"] == "repro.obs.run_summary/1"
+        assert doc["manifest"]["command"] == "compare"
+        assert doc["regress"]["verdict"] == "regressed"
+        assert doc["stats"] == {"n_compared": doc["regress"]["n_compared"],
+                                "n_regressions": 1, "n_improvements": 0}
 
     def test_cli_regression_without_gate_exits_zero(self, tmp_path):
         from repro.cli import main
@@ -345,7 +365,7 @@ class TestSweepSummaryStats:
                      "--fail-on-regress", "--all-metrics",
                      "--report-out", str(report_out)]) == 0
         assert "verdict OK" in capsys.readouterr().out
-        report = json.loads(report_out.read_text())
+        report = json.loads(report_out.read_text())["regress"]
         scopes = {d["scope"] for d in report["deltas"]}
         points = sorted(s for s in scopes if s != "run")
         assert "run" in scopes and len(points) == 2

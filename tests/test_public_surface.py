@@ -31,7 +31,7 @@ def test_distributed_executor_keyword_options():
 
     params = inspect.signature(execute_numeric_distributed).parameters.values()
     assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == [
-        "timeout", "fault_plan", "degrade", "return_report", "silent_after",
+        "timeout", "fault_plan", "degrade", "silent_after",
     ]
     assert not any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params)
 

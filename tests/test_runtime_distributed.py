@@ -35,7 +35,7 @@ class TestDistributedExecutor:
         g = ProcessGrid(*grid)
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64), grid=g)
         seq = execute_numeric(dag.graph, mat)
-        dist = execute_numeric_distributed(dag.graph, mat, g.size)
+        dist = execute_numeric_distributed(dag.graph, mat, g.size).matrix
         assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     @pytest.mark.parametrize("strategy", [ConversionStrategy.AUTO, ConversionStrategy.TTC])
@@ -47,7 +47,7 @@ class TestDistributedExecutor:
         kmap = two_precision_map(6, Precision.FP16)
         dag = build_cholesky_dag(96, 16, kmap, strategy=strategy, grid=g)
         seq = execute_numeric(dag.graph, mat)
-        dist = execute_numeric_distributed(dag.graph, mat, g.size)
+        dist = execute_numeric_distributed(dag.graph, mat, g.size).matrix
         assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     def test_adaptive_map(self, rng):
@@ -56,13 +56,13 @@ class TestDistributedExecutor:
         kmap = build_precision_map(tile_norms(mat), 1e-4)
         dag = build_cholesky_dag(120, 20, kmap, grid=g)
         seq = execute_numeric(dag.graph, mat)
-        dist = execute_numeric_distributed(dag.graph, mat, 3)
+        dist = execute_numeric_distributed(dag.graph, mat, 3).matrix
         assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     def test_single_rank_shortcut(self, rng):
         mat = _mat(rng)
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        out = execute_numeric_distributed(dag.graph, mat, 1)
+        out = execute_numeric_distributed(dag.graph, mat, 1).matrix
         L = lower_dense(out)
         assert np.allclose(L @ L.T, mat.to_dense())
 
@@ -82,6 +82,50 @@ class TestDistributedExecutor:
         dag.graph.tasks[0].kind = "BROKEN"
         with pytest.raises(RuntimeError, match="rank"):
             execute_numeric_distributed(dag.graph, mat, 2)
+
+
+class TestWirePayloads:
+    @pytest.mark.parametrize("strategy", [ConversionStrategy.AUTO, ConversionStrategy.TTC])
+    def test_payloads_below_fp64_travel_as_float32(self, rng, strategy):
+        """Every payload a rank puts on a peer's inbox is float32 below
+        FP64 — half the pickled bytes of float64 — and float64 at FP64.
+        Both ranks run on threads over plain queues, and their finals
+        assemble the sequential executor's factor bit for bit."""
+        import queue
+        import threading
+
+        from repro.runtime.distributed import _rank_main
+
+        sent: list[tuple[Precision, np.dtype]] = []
+
+        class Inbox(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                sent.append((Precision(item[3]), item[4].dtype))
+                super().put(item, *args, **kwargs)
+
+        mat = _mat(rng)
+        g = ProcessGrid(2, 1)
+        dag = build_cholesky_dag(96, 16, two_precision_map(6, Precision.FP16),
+                                 strategy=strategy, grid=g)
+        inboxes, results = [Inbox(), Inbox()], queue.Queue()
+        threads = [threading.Thread(target=_rank_main,
+                                    args=(r, dag.graph, mat, inboxes, results, 30.0))
+                   for r in range(g.size)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        out = mat.copy()
+        for _ in range(g.size):
+            _rank, finals, err, _fired = results.get_nowait()
+            assert err is None
+            for (i, j), data in finals.items():
+                out.set(i, j, data, precision=out.precision_of(i, j))
+        assert any(p != Precision.FP64 for p, _ in sent)
+        for precision, dtype in sent:
+            assert dtype == (np.float64 if precision == Precision.FP64 else np.float32)
+        seq = execute_numeric(dag.graph, mat)
+        assert np.array_equal(lower_dense(out), lower_dense(seq))
 
 
 def _rank_task(graph, rank: int) -> int:
@@ -170,7 +214,7 @@ class TestDistributedFaults:
         )
         report = execute_numeric_distributed(
             dag.graph, mat, g.size, timeout=self.TIMEOUT, fault_plan=plan,
-            degrade=True, return_report=True,
+            degrade=True,
         )
         assert isinstance(report, DistributedReport)
         assert report.degraded
@@ -178,19 +222,19 @@ class TestDistributedFaults:
         assert report.error is not None
         assert np.array_equal(lower_dense(report.matrix), lower_dense(seq))
 
-    def test_degrade_without_report_returns_matrix(self, rng):
+    def test_degrade_recovers_a_rank_that_raised(self, rng):
         mat, g, dag = self.setup_case(rng)
         seq = execute_numeric(dag.graph, mat)
         plan = FaultPlan(
             (FaultSpec("kill_rank", rank=1, task=_rank_task(dag.graph, 1),
                        mode="exception"),)
         )
-        out = execute_numeric_distributed(
+        report = execute_numeric_distributed(
             dag.graph, mat, g.size, timeout=self.TIMEOUT, fault_plan=plan,
             degrade=True,
         )
-        assert isinstance(out, TiledSymmetricMatrix)
-        assert np.array_equal(lower_dense(out), lower_dense(seq))
+        assert report.degraded and report.dead_ranks == (1,)
+        assert np.array_equal(lower_dense(report.matrix), lower_dense(seq))
 
     def test_delayed_message_still_bit_identical(self, rng):
         """delay_message perturbs timing only — results must not change."""
@@ -201,13 +245,13 @@ class TestDistributedFaults:
         )
         dist = execute_numeric_distributed(
             dag.graph, mat, g.size, timeout=self.TIMEOUT, fault_plan=plan
-        )
+        ).matrix
         assert np.array_equal(lower_dense(dist), lower_dense(seq))
 
     def test_healthy_run_report(self, rng):
         mat, g, dag = self.setup_case(rng)
         report = execute_numeric_distributed(
-            dag.graph, mat, g.size, timeout=self.TIMEOUT, return_report=True
+            dag.graph, mat, g.size, timeout=self.TIMEOUT
         )
         assert isinstance(report, DistributedReport)
         assert not report.degraded
@@ -217,7 +261,7 @@ class TestDistributedFaults:
     def test_single_rank_report(self, rng):
         mat = _mat(rng)
         dag = build_cholesky_dag(96, 16, uniform_map(6, Precision.FP64))
-        report = execute_numeric_distributed(dag.graph, mat, 1, return_report=True)
+        report = execute_numeric_distributed(dag.graph, mat, 1)
         assert isinstance(report, DistributedReport)
         assert not report.degraded
 
@@ -236,7 +280,7 @@ class TestRankHeartbeats:
     def test_healthy_report_carries_fresh_ages(self, rng):
         mat, g, dag = self.setup_case(rng)
         report = execute_numeric_distributed(
-            dag.graph, mat, g.size, timeout=self.TIMEOUT, return_report=True
+            dag.graph, mat, g.size, timeout=self.TIMEOUT
         )
         # every rank reported, so every recorded age was reset to fresh
         assert all(age == 0.0 for age in report.heartbeat_ages.values())
@@ -257,7 +301,7 @@ class TestRankHeartbeats:
         with event_log(events_path, run_id="hb"):
             report = execute_numeric_distributed(
                 dag.graph, mat, g.size, timeout=self.TIMEOUT,
-                fault_plan=plan, silent_after=0.3, return_report=True,
+                fault_plan=plan, silent_after=0.3,
             )
         assert report.error is None
         assert np.array_equal(lower_dense(report.matrix), lower_dense(seq))

@@ -170,7 +170,7 @@ class TestDistributedRankStore:
         graph = _two_payload_graph()
         mat = TiledSymmetricMatrix.from_dense(spd_96[:48, :48], 16)
         ref = execute_numeric(graph, mat)
-        out = execute_numeric_distributed(graph, mat, 2)
+        out = execute_numeric_distributed(graph, mat, 2).matrix
         for i in range(3):
             assert np.array_equal(out.get(i, 0), ref.get(i, 0)), (i, 0)
         assert np.array_equal(out.to_dense(), ref.to_dense())
@@ -217,7 +217,7 @@ class TestPartialGraphs:
     @pytest.mark.parametrize("execute", [
         lambda g, m: execute_numeric(g, m),
         lambda g, m: execute_numeric_parallel(g, m, n_threads=2),
-        lambda g, m: execute_numeric_distributed(_gemm_on_rank_1(g), m, 2),
+        lambda g, m: execute_numeric_distributed(_gemm_on_rank_1(g), m, 2).matrix,
     ], ids=["sequential", "threaded", "distributed"])
     def test_write_back(self, spd_96, execute):
         mat = TiledSymmetricMatrix.from_dense(spd_96[:48, :48], 16)

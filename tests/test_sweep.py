@@ -173,7 +173,7 @@ class TestRunSweep:
     def test_miss_then_hit(self, tmp_path):
         first = run_sweep(self.grid(), cache_dir=tmp_path)
         assert first.n_runs == 4
-        assert first.n_cache_hits == 0 and first.n_cache_misses == 4
+        assert first.n_cache_hits == 0 and first.n_runs - first.n_cache_hits == 4
         second = run_sweep(self.grid(), cache_dir=tmp_path)
         assert second.n_cache_hits == 4 and second.cache_hit_fraction == 1.0
         for a, b in zip(first.runs, second.runs):
@@ -189,7 +189,7 @@ class TestRunSweep:
         spec = RunSpec(**TINY)
         result = run_sweep([spec, spec, spec], cache_dir=tmp_path)
         assert result.n_runs == 3
-        assert result.n_cache_misses == 1  # one execution, two shared
+        assert result.n_runs - result.n_cache_hits == 1  # one execution, two shared
         assert result.runs[1].result == result.runs[0].result
 
     def test_parallel_matches_sequential(self, tmp_path):
@@ -211,7 +211,7 @@ class TestRunSweep:
         run_sweep([spec], cache_dir=tmp_path)
         (tmp_path / f"{spec.cache_key()}.json").write_text("{not json")
         again = run_sweep([spec], cache_dir=tmp_path)
-        assert again.n_cache_misses == 1
+        assert again.n_runs - again.n_cache_hits == 1
 
     def test_table_and_summary_sections(self, tmp_path):
         result = run_sweep(self.grid(name="unit"), cache_dir=tmp_path / "c", name="unit")

@@ -157,7 +157,7 @@ class TestCacheQuarantine:
         path.write_text(json.dumps([1, 2, 3]))
         result = run_sweep([spec], cache_dir=tmp_path)
         assert result.n_failed == 0
-        assert result.n_cache_misses == 1
+        assert result.n_runs - result.n_cache_hits == 1
         assert path.with_suffix(".json.corrupt").exists()
 
     def test_binary_garbage_is_miss(self, tmp_path):
