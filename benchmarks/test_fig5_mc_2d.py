@@ -32,8 +32,7 @@ def _panel_keys():
 
 def test_fig5_mc_2d(once):
     def run_all():
-        return {key: run_fig5_config(key, n=256, replicas=5, tile_size=32, max_evals=120)
-                for key in _panel_keys()}
+        return {key: run_fig5_config(key) for key in _panel_keys()}
 
     studies = once(run_all)
     print()

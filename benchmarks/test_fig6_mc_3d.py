@@ -16,10 +16,7 @@ def _panel_keys():
 
 def test_fig6_mc_3d(once):
     def run_all():
-        return {
-            key: run_fig6_config(key, n=343, replicas=4, tile_size=49, max_evals=120)
-            for key in _panel_keys()
-        }
+        return {key: run_fig6_config(key) for key in _panel_keys()}
 
     studies = once(run_all)
     print()

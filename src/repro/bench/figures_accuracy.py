@@ -4,9 +4,9 @@ Figs. 5/6 are Monte Carlo parameter-estimation studies over the paper's
 weak/strong × rough/smooth configurations; Fig. 7 is the kernel-precision
 heatmap of the three applications at full scale (sampled-norm pipeline).
 
-The Monte Carlo defaults are scaled down from the paper's 100 replicas ×
-40,000 locations to keep the harness runnable on one CPU; every knob is
-exposed so a larger machine can push toward paper scale.
+The Monte Carlo panels run at a fixed reproduction scale, far below the
+paper's 100 replicas × 40,000 locations, so the harness finishes on one
+CPU.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ class MCConfig:
     accuracies: tuple
     nugget: float = 0.0
 
-    def field(self, n: int, seed: int = 0) -> SyntheticField:
+    def field(self, n: int) -> SyntheticField:
         if self.model_kind == "sqexp":
             model = SquaredExponential(dim=self.dim)
         else:
             model = Matern(dim=self.dim)
-        return SyntheticField(model, self.theta, n, seed=seed, nugget=self.nugget)
+        return SyntheticField(model, self.theta, n, nugget=self.nugget)
 
 
 #: Fig. 5 panels: 2D-sqexp weak/strong; 2D-Matérn weak/strong × rough/smooth.
@@ -84,48 +84,24 @@ FIG6_CONFIGS: dict[str, MCConfig] = {
 }
 
 
-def run_fig5_config(
-    key: str,
-    *,
-    n: int = 256,
-    replicas: int = 8,
-    tile_size: int = 32,
-    max_evals: int = 150,
-    seed: int = 0,
-) -> MonteCarloStudy:
-    """Run one Fig. 5 panel at reproduction scale."""
-    cfg = FIG5_CONFIGS[key]
-    field = cfg.field(n, seed=seed)
-    return run_monte_carlo(
-        field, cfg.accuracies, replicas=replicas, tile_size=tile_size, max_evals=max_evals
-    )
+def _run_panel(cfg: MCConfig, n: int, replicas: int, tile_size: int) -> MonteCarloStudy:
+    return run_monte_carlo(cfg.field(n), cfg.accuracies, replicas=replicas,
+                           tile_size=tile_size, max_evals=120)
 
 
-def run_fig6_config(
-    key: str,
-    *,
-    n: int = 343,
-    replicas: int = 8,
-    tile_size: int = 49,
-    max_evals: int = 150,
-    seed: int = 0,
-) -> MonteCarloStudy:
-    """Run one Fig. 6 panel (3D locations) at reproduction scale."""
-    cfg = FIG6_CONFIGS[key]
-    field = cfg.field(n, seed=seed)
-    return run_monte_carlo(
-        field, cfg.accuracies, replicas=replicas, tile_size=tile_size, max_evals=max_evals
-    )
+def run_fig5_config(key: str) -> MonteCarloStudy:
+    """Run one Fig. 5 panel: 5 replicas of 256 locations in 32-wide tiles."""
+    return _run_panel(FIG5_CONFIGS[key], 256, 5, 32)
 
 
-def fig7_fraction_rows(
-    n: int = 409600,
-    nb: int = 2048,
-    *,
-    samples_per_tile: int = 32,
-    seed: int = 0,
-) -> list[list]:
-    """Fig. 7: per-application tile fractions at the paper's matrix size.
+def run_fig6_config(key: str) -> MonteCarloStudy:
+    """Run one Fig. 6 panel: 4 replicas of 343 (7³) locations in 49-wide tiles."""
+    return _run_panel(FIG6_CONFIGS[key], 343, 4, 49)
+
+
+def fig7_fraction_rows() -> list[list]:
+    """Fig. 7: per-application tile fractions at the paper's matrix size,
+    409,600 in 2048-wide tiles, from 32 sampled entries per tile.
 
     Returns rows ``[app, FP64 %, FP32 %, FP16_32 %, FP16 %]``.
     """
@@ -133,9 +109,7 @@ def fig7_fraction_rows(
 
     rows = []
     for key in ("2d-sqexp", "2d-matern", "3d-sqexp"):
-        kmap = app_kernel_map(
-            APPLICATIONS[key], n, nb, samples_per_tile=samples_per_tile, seed=seed
-        )
+        kmap = app_kernel_map(APPLICATIONS[key], 409600, 2048, samples_per_tile=32)
         fr = kmap.tile_fractions()
         rows.append(
             [

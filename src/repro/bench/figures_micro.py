@@ -96,15 +96,11 @@ def table2_rows(sizes: tuple[int, ...] = TABLE2_SIZES) -> list[list]:
     return rows
 
 
-def fig1_accuracy_rows(
-    sizes: tuple[int, ...] = (256, 512, 1024, 2048),
-    *,
-    seed: int = 0,
-) -> list[list]:
+def fig1_accuracy_rows() -> list[list]:
     """Fig. 1 (top): emulated GEMM accuracy vs FP64 per format and size."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rows = []
-    for n in sizes:
+    for n in (256, 512, 1024, 2048):
         row = [n]
         for prec in _FIG1_FORMATS:
             row.append(gemm_relative_error(n, prec, rng=rng))
@@ -138,33 +134,28 @@ class ExampleMaps:
     nt: int
 
 
-def example_precision_maps(
-    nt: int = 8,
-    nb: int = 32,
-    *,
-    accuracy: float = 1e-4,
-    seed: int = 0,
-) -> ExampleMaps:
+def example_precision_maps() -> ExampleMaps:
     """Build the small demonstration maps of Figs. 2 and 4.
 
     A Matérn covariance over Morton-ordered locations gives the
     diagonal-heavy decay pattern the figures illustrate; range 0.1 at
-    u_req = 1e-4 produces all four adaptive formats at NT = 8 like the
-    paper's example.
+    u_req = 1e-4 produces all four adaptive formats at NT = 8 (32-wide
+    tiles) like the paper's example.
     """
-    n = nt * nb
-    locs = generate_locations(n, 2, seed=seed)
+    nt, nb = 8, 32
+    locs = generate_locations(nt * nb, 2, seed=0)
     model = Matern(dim=2)
     cov = build_tiled_covariance(locs, model, (1.0, 0.1, 0.5), nb)
-    kmap = build_precision_map(tile_norms(cov), accuracy)
+    kmap = build_precision_map(tile_norms(cov), 1e-4)
     cmap = build_comm_precision_map(kmap)
     return ExampleMaps(kernel_map=kmap, comm_map=cmap, nt=nt)
 
 
-def fig3_dag_summary(nt: int = 4, nb: int = 32) -> dict:
-    """Fig. 3: task counts and dependency pattern of the first iterations."""
+def fig3_dag_summary(nt: int = 4) -> dict:
+    """Fig. 3: task counts and dependency pattern of the first iterations
+    (32-wide tiles; the pattern depends on NT alone)."""
     kmap = build_precision_map(np.ones((nt, nt)), 1e-9)
-    dag = build_cholesky_dag(nt * nb, nb, kmap, strategy=ConversionStrategy.AUTO)
+    dag = build_cholesky_dag(nt * 32, 32, kmap, strategy=ConversionStrategy.AUTO)
     graph = dag.graph
     per_iteration: dict[int, dict[str, int]] = {}
     for task in graph:

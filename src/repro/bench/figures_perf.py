@@ -116,17 +116,12 @@ def strategy_rows(result: SweepResult) -> list[list]:
     ]
 
 
-def fig9_occupancy_rows(
-    *,
-    gpu_name: str = "H100",
-    n: int = 73728,
-    nb: int = NB,
-    n_windows: int = 60,
-) -> dict[str, list[tuple[float, float]]]:
-    """Fig. 9: windowed GPU occupancy per configuration on one H100."""
+def fig9_occupancy_rows() -> dict[str, list[tuple[float, float]]]:
+    """Fig. 9: GPU occupancy in 60 windows per configuration on one H100 at n = 73,728."""
+    n_windows = 60
     out: dict[str, list[tuple[float, float]]] = {}
     for label in FIXED_CONFIGS:
-        rep, _ = price_run(RunSpec(n=n, nb=nb, config=label, gpu=gpu_name), record_events=True)
+        rep, _ = price_run(RunSpec(n=73728, nb=NB, config=label, gpu="H100"), record_events=True)
         occupancy = utilization_timeline(rep.trace.events_of_rank(0),
                                          makespan=rep.makespan, n_buckets=n_windows)
         starts = np.linspace(0.0, rep.makespan, n_windows + 1)[:-1].tolist()
@@ -159,7 +154,6 @@ def fig10_rows(result: SweepResult) -> list[list]:
 def fig12_weak_rows(
     node_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
     *,
-    nb: int = NB,
     base_nt_per_gpu: float = 14.0,
 ) -> list[list]:
     """Fig. 12a: weak scaling on Summit (memory per GPU held constant).
@@ -171,11 +165,11 @@ def fig12_weak_rows(
     for nodes in node_counts:
         gpus = nodes * SUMMIT_NODE.gpus_per_node
         nt = max(4, int(base_nt_per_gpu * math.sqrt(gpus)))
-        n = nt * nb
+        n = nt * NB
         platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
         for label in ("FP64", "FP64/FP16"):
             kmap = two_precision_map(nt, FIXED_CONFIGS[label])
-            rep = analytic_cholesky(n, nb, kmap, platform)
+            rep = analytic_cholesky(n, NB, kmap, platform)
             rows.append([nodes, gpus, n, label, rep.tflops, rep.tflops / gpus])
     return rows
 
@@ -184,44 +178,36 @@ def fig12_strong_rows(
     node_counts: tuple[int, ...] = (4, 8, 16, 32, 64),
     *,
     n: int = 798720,
-    nb: int = NB,
 ) -> list[list]:
     """Fig. 12b: strong scaling at the paper's fixed matrix size 798,720."""
-    nt = -(-n // nb)
+    nt = -(-n // NB)
     rows = []
     for nodes in node_counts:
         platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
         for label in ("FP64", "FP64/FP16"):
             kmap = two_precision_map(nt, FIXED_CONFIGS[label])
-            rep = analytic_cholesky(n, nb, kmap, platform)
+            rep = analytic_cholesky(n, NB, kmap, platform)
             rows.append([nodes, nodes * 6, label, rep.seconds, rep.tflops])
     return rows
 
 
-def fig12_mp_rows(
-    sizes: tuple[int, ...] = (262144, 524288, 798720),
-    *,
-    nodes: int = 64,
-    nb: int = NB,
-    samples_per_tile: int = 24,
-) -> list[list]:
-    """Fig. 12c: MP effect on 64 Summit nodes (384 GPUs) vs FP64/FP32.
+def fig12_mp_rows(sizes: tuple[int, ...]) -> list[list]:
+    """Fig. 12c: MP effect on 64 Summit nodes (384 GPUs) vs FP64/FP32, the
+    application maps from 24 sampled entries per tile.
 
     Rows: ``[n, config, Tflop/s, speedup over FP64]``.
     """
-    platform = Platform(node=SUMMIT_NODE, n_nodes=nodes)
+    platform = Platform(node=SUMMIT_NODE, n_nodes=64)
     rows = []
     for n in sizes:
-        nt = -(-n // nb)
-        base = analytic_cholesky(n, nb, uniform_map(nt, Precision.FP64), platform)
+        nt = -(-n // NB)
+        base = analytic_cholesky(n, NB, uniform_map(nt, Precision.FP64), platform)
         rows.append([n, "FP64", base.tflops, 1.0])
-        fp32 = analytic_cholesky(n, nb, uniform_map(nt, Precision.FP32), platform)
+        fp32 = analytic_cholesky(n, NB, uniform_map(nt, Precision.FP32), platform)
         rows.append([n, "FP32", fp32.tflops, base.seconds / fp32.seconds])
         for key in ("2d-sqexp", "2d-matern", "3d-sqexp"):
-            kmap = app_kernel_map(
-                APPLICATIONS[key], n, nb, samples_per_tile=samples_per_tile
-            )
-            rep = analytic_cholesky(n, nb, kmap, platform)
+            kmap = app_kernel_map(APPLICATIONS[key], n, NB, samples_per_tile=24)
+            rep = analytic_cholesky(n, NB, kmap, platform)
             rows.append([n, APPLICATIONS[key].label, rep.tflops, base.seconds / rep.seconds])
     return rows
 
@@ -239,22 +225,17 @@ def tile_size_rows(result: SweepResult) -> list[list]:
     return [[s.nb, s.nt, r["tflops"], r["makespan_seconds"]] for s, r in _points(result)]
 
 
-def ablation_band_vs_norm_rows(
-    *,
-    n: int = 409600,
-    nb: int = NB,
-    app_key: str = "2d-sqexp",
-    samples_per_tile: int = 32,
-) -> list[list]:
-    """Norm-rule assignment vs the band-based related work ([12], [13]).
+def ablation_band_vs_norm_rows() -> list[list]:
+    """Norm-rule assignment vs the band-based related work ([12], [13]),
+    for 2D-sqexp at n = 409,600 (32 sampled entries per tile) on 4 Summit nodes.
 
     The band map is matched to use the *same overall tile fractions* as
     the norm map, so the comparison isolates placement, not budget.
     Rows: ``[scheme, FP64 %, FP16-class %, Tflop/s]``.
     """
-    app = APPLICATIONS[app_key]
-    nt = -(-n // nb)
-    kmap = app_kernel_map(app, n, nb, samples_per_tile=samples_per_tile)
+    n = 409600
+    nt = -(-n // NB)
+    kmap = app_kernel_map(APPLICATIONS["2d-sqexp"], n, NB, samples_per_tile=32)
     fr = kmap.tile_fractions()
     # translate fractions into band widths with the same budget
     n_low = fr.get(Precision.FP16, 0.0) + fr.get(Precision.FP16_32, 0.0)
@@ -267,7 +248,7 @@ def ablation_band_vs_norm_rows(
     platform = Platform(node=SUMMIT_NODE, n_nodes=4)
     rows = []
     for scheme, m in (("norm-rule", kmap), ("band", bmap)):
-        rep = analytic_cholesky(n, nb, m, platform)
+        rep = analytic_cholesky(n, NB, m, platform)
         f = m.tile_fractions()
         rows.append(
             [

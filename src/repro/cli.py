@@ -98,11 +98,14 @@ def _add_capture_flags(p: argparse.ArgumentParser, *, trace: bool, profile: bool
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench.apps import APPLICATIONS
     from .core import FIXED_CONFIGS, ConversionStrategy
+    from .geostats.covariance import MODEL_REGISTRY
+    from .geostats.dataplane.hilbert import ORDERINGS
     from .perfmodel import GPU_BY_NAME
     from .runtime.platform import DEFAULT_HOST_MEMORY_GB
     from .runtime.policies import POLICY_NAMES
-    from .sweep.grid import KERNEL_CONFIGS, ORDERINGS
+    from .sweep.grid import KERNEL_CONFIGS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -112,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mle", help="fit a synthetic dataset")
-    p.add_argument("--model", default="2d-matern",
-                   choices=["2d-matern", "2d-sqexp", "3d-sqexp"])
+    p.add_argument("--model", default="2d-matern", choices=sorted(MODEL_REGISTRY))
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--accuracy", type=float, action="append", default=None,
                    help="u_req level(s); repeatable (default: 1e-9)")
@@ -124,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_capture_flags(p, trace=False, profile=False)
 
     p = sub.add_parser("maps", help="print precision maps for an application")
-    p.add_argument("--app", default="2d-matern",
-                   choices=["2d-sqexp", "2d-matern", "3d-sqexp"])
+    p.add_argument("--app", default="2d-matern", choices=list(APPLICATIONS))
     p.add_argument("--n", type=int, default=16384)
     p.add_argument("--nb", type=int, default=2048)
     p.add_argument("--accuracy", type=float, default=None,
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="host DRAM per node axis in GB, as simulate's; "
                         f"repeatable (default: {DEFAULT_HOST_MEMORY_GB:g})")
     p.add_argument("--app", action="append", default=None,
-                   choices=["2d-sqexp", "2d-matern", "3d-sqexp"],
+                   choices=list(APPLICATIONS),
                    help="application axis for adaptive configs (default: 2d-matern)")
     p.add_argument("--accuracy", type=float, action="append", default=None,
                    help="u_req axis for adaptive configs; repeatable")

@@ -34,7 +34,8 @@ __all__ = [
 #: grid resolution per axis (matches ``locations._MORTON_BITS``)
 HILBERT_BITS = 16
 
-#: orderings understood by :func:`order_indices` (and the sweep axis)
+#: orderings understood by :func:`order_indices`: the spatial orderings a
+#: sweep's ``--ordering`` axis applies before the precision map is sampled
 ORDERINGS = ("morton", "random", "hilbert")
 
 _ONE = np.uint64(1)

@@ -188,15 +188,11 @@ def build_tiled_covariance(
     theta: Sequence[float],
     nb: int,
     *,
-    kernel_precision=None,
     nugget: float = 0.0,
     distances: TileDistances | None = None,
 ) -> TiledSymmetricMatrix:
-    """Assemble Σ(θ) into tiled mixed-precision storage.
-
-    ``kernel_precision`` — optional ``(i, j) → Precision`` callable (the
-    Fig. 2a map); when given, each tile is cast to its storage precision
-    at generation time exactly as Section V describes.
+    """Assemble Σ(θ) into tiled FP64 storage (the factorization casts each
+    tile to its storage precision, Section V's generation phase).
 
     ``distances`` — the ``TileDistances`` of ``locations`` at ``nb`` when
     the caller already holds them (``Dataset.tile_distances``); the same
@@ -209,6 +205,4 @@ def build_tiled_covariance(
         raise ValueError(f"distances are for (n, nb) = {distances.n, distances.nb}, not {len(locations), nb}")
     values = model.correlation(distances.packed, theta_v)
     tiles = dict(distances.unpack(values, values[-1] + max(nugget, 0.0)))
-    return TiledSymmetricMatrix.from_tile_function(
-        distances.n, nb, lambda i, j: tiles[i, j], kernel_precision=kernel_precision
-    )
+    return TiledSymmetricMatrix.from_tile_function(distances.n, nb, lambda i, j: tiles[i, j])

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.config import ConversionStrategy, MPConfig
 from ..obs import emit_event, span
-from ..precision.formats import ADAPTIVE_FORMATS, Precision
+from ..precision.formats import Precision
 from .generator import Dataset
 from .likelihood import log_likelihood
 from .optimizer import OptimizeResult, maximize_bounded
@@ -62,7 +62,6 @@ def fit_mle(
     accuracy: float = 1e-9,
     exact: bool = False,
     tile_size: int | None = None,
-    formats: tuple[Precision, ...] = ADAPTIVE_FORMATS,
     strategy: ConversionStrategy = ConversionStrategy.AUTO,
     x0: tuple[float, ...] | None = None,
     xtol: float = 1e-9,
@@ -88,7 +87,7 @@ def fit_mle(
                           strategy=strategy)
         label = "exact"
     else:
-        config = MPConfig(accuracy=accuracy, formats=formats, tile_size=nb, strategy=strategy)
+        config = MPConfig(accuracy=accuracy, tile_size=nb, strategy=strategy)
         label = f"{accuracy:.0e}"
 
     bounds = model.bounds()

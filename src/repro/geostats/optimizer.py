@@ -15,7 +15,7 @@ DESIGN.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ class OptimizeResult:
     n_iters: int
     converged: bool
     message: str = ""
-    history: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
 
 def _project(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -49,7 +48,6 @@ def nelder_mead_bounded(
     ftol: float = 1e-9,
     max_evals: int = 2000,
     initial_step: float = 0.25,
-    keep_history: bool = False,
     restarts: int = 0,
     on_iteration: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> OptimizeResult:
@@ -70,7 +68,7 @@ def nelder_mead_bounded(
     if restarts > 0:
         res = nelder_mead_bounded(
             f, x0, bounds, xtol=xtol, ftol=ftol, max_evals=max_evals,
-            initial_step=initial_step, keep_history=keep_history, restarts=0,
+            initial_step=initial_step, restarts=0,
             on_iteration=on_iteration,
         )
         total = res.n_evals
@@ -78,14 +76,12 @@ def nelder_mead_bounded(
         for _ in range(restarts):
             again = nelder_mead_bounded(
                 f, tuple(res.x), bounds, xtol=xtol, ftol=ftol, max_evals=max_evals,
-                initial_step=step, keep_history=keep_history, restarts=0,
+                initial_step=step, restarts=0,
                 on_iteration=on_iteration,
             )
             total += again.n_evals
             improved = again.fun < res.fun - ftol * (1.0 + abs(res.fun))
             if again.fun <= res.fun:
-                res.history = res.history + again.history
-                again.history = res.history
                 res = again
             if not improved:
                 break
@@ -108,7 +104,6 @@ def nelder_mead_bounded(
     sigma = 1.0 - 1.0 / ndim
 
     n_evals = 0
-    history: list[tuple[np.ndarray, float]] = []
 
     def feval(x: np.ndarray) -> float:
         nonlocal n_evals
@@ -116,8 +111,6 @@ def nelder_mead_bounded(
         val = float(f(x))
         if math.isnan(val):
             val = math.inf
-        if keep_history:
-            history.append((x.copy(), val))
         return val
 
     # initial simplex: x0 plus steps along each axis, folded back into the box
@@ -191,7 +184,6 @@ def nelder_mead_bounded(
         n_iters=n_iters,
         converged=converged,
         message=message,
-        history=history,
     )
 
 
@@ -216,5 +208,4 @@ def maximize_bounded(
         kwargs["on_iteration"] = on_iteration_neg
     res = nelder_mead_bounded(lambda x: -f(x), x0, bounds, **kwargs)
     res.fun = -res.fun
-    res.history = [(x, -v) for x, v in res.history]
     return res

@@ -87,6 +87,14 @@ DEFAULT_THRESHOLDS: dict[str, Threshold] = {
     "tasks_per_second": Threshold(0.30, "higher"),
     "peak_rss_bytes": Threshold(0.25, "lower"),
     "peak_live_tasks": Threshold(0.10, "lower"),
+    # an ``mle`` run's fits: the likelihood reached (a tolerance far above
+    # a last-bit drift), whether the simplex converged (0/1), and the
+    # evaluations spent and found infeasible; ``theta_*`` have no better
+    # direction and never gate
+    "loglik": Threshold(1e-6, "higher"),
+    "converged": Threshold(0.0, "higher"),
+    "n_evals": Threshold(0.10, "lower"),
+    "infeasible_evals": Threshold(0.0, "lower"),
 }
 
 
@@ -207,9 +215,8 @@ def _numeric_metrics(mapping: Mapping) -> dict[str, float]:
     for key, value in mapping.items():
         if key in _NOISY:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        out[key] = float(value)
+        if isinstance(value, (int, float)):  # a bool (``converged``) is 0 or 1
+            out[key] = float(value)
     return out
 
 

@@ -1,23 +1,25 @@
 """Emulated mixed-precision GEMM (Section IV's benchmark kernel).
 
-``mixed_gemm`` computes ``C = alpha * A @ B + beta * C`` under one of the
-six precision formats of the paper's GEMM study.  It is two steps:
+The program runs two forms of one product under one of the six precision
+formats of the paper's GEMM study: the trailing update ``C − A @ B`` of
+Algorithm 1 (the tile kernels' GEMM) and the plain product ``A @ B``
+widened to float64 (:func:`mixed_gemm`, Fig. 1).  Both are two steps:
 *prepare* — each of ``A`` and ``B`` is taken through
 :func:`~repro.precision.emulate.as_input` (rounded to the format's input
 grid, narrowed to the dtype the product multiplies in) — and
 *multiply-accumulate* (:func:`multiply_accumulate`) — the product is
-accumulated at the format's accumulator width and combined with ``C``.
-The tile kernels call the second step with operands whose prepared form
-is shared between all the GEMMs reading one panel payload (the
-convert-once rule, see :mod:`repro.precision.emulate`); ``mixed_gemm``
-with raw arrays runs the very same code and widens the result to
-float64, so callers can measure accuracy against the FP64 reference
-(Fig. 1, top row).
+accumulated at the format's accumulator width and, in the update,
+subtracted from ``C``.  The tile kernels call the second step with
+operands whose prepared form is shared between all the GEMMs reading one
+panel payload (the convert-once rule, see :mod:`repro.precision.emulate`);
+``mixed_gemm`` with raw arrays runs the very same code and widens the
+product to float64, so callers can measure accuracy against the FP64
+reference (Fig. 1, top row).
 
 Nothing is wider than the format, inside the kernel or on the way out
-of it: an FP32-class product, its ``alpha``/``beta`` scaling, ``C`` and
-the result stay float32, and the pure-FP16 accumulator and result are
-float32 arrays whose values sit on the fp16 grid (the result says so:
+of it: an FP32-class product, ``C`` and the update stay float32, and the
+pure-FP16 accumulator and update are float32 arrays whose values sit on
+the fp16 grid (the update says so:
 :class:`~repro.precision.emulate.OnFp16Grid`).
 
 For the pure-FP16 format, accumulation happens in half precision.  We
@@ -26,9 +28,9 @@ dimension into chunks.  Each fp16×fp16 product is exact in float32; the
 products of one chunk are summed by a float32 matmul, which rounds each
 of its adds to float32 (a wider intermediate, as tensor cores keep inside
 the block FMA, but not an exact one); and the running sum is re-rounded
-to fp16 after every chunk.  The chunk width (default 32) mirrors the
-effective block size after which V100-era tensor cores round the
-accumulator.
+to fp16 after every chunk.  The chunk width (:data:`_FP16_CHUNK`, 32)
+mirrors the effective block size after which V100-era tensor cores round
+the accumulator.
 """
 
 from __future__ import annotations
@@ -46,32 +48,14 @@ __all__ = ["mixed_gemm", "multiply_accumulate", "gemm_relative_error", "quantize
 _FP16_CHUNK = 32
 
 
-def _scaled(scalar: float, x: np.ndarray, fp16: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """``scalar * x`` at ``x``'s width, into ``out`` if given; by 1 it is ``x`` itself.
-
-    For the pure-FP16 format (``x`` on the fp16 grid) it is NumPy's half
-    multiply ``float16(scalar) * x``: the product of two fp16 values is
-    exact in float32, so one rounding of it is the half multiply bit for
-    bit, and by −1 it is already on the grid and the rounding is skipped.
-    """
-    scalar = np.float32(np.float16(scalar)) if fp16 else x.dtype.type(scalar)
-    if scalar == 1.0:
-        return x
-    y = np.multiply(x, scalar, out=out)
-    return round_to_fp16(y) if fp16 and scalar != -1.0 else y
-
-
 def multiply_accumulate(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray | None = None,
     *,
     precision: Precision = Precision.FP64,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    fp16_chunk: int = _FP16_CHUNK,
 ) -> np.ndarray:
-    """``alpha * a @ b + beta * c`` for operands already in input form.
+    """``c − a @ b``, or ``a @ b`` without ``c``, for operands already in input form.
 
     ``a`` (m, k) and ``b`` (k, n) are what
     :func:`~repro.precision.emulate.as_input` returns for ``precision``;
@@ -80,13 +64,11 @@ def multiply_accumulate(
     updated tile by tile with the bits each tile gets on its own, and one
     tile is a stack of none.  The update of a ``c`` is returned at the
     accumulator's width, float64 for FP64 and float32 for the rest;
-    without one the product has left the accumulator, and is scaled and
-    returned in float64.
+    without one the product has left the accumulator, and is returned in
+    float64.
     """
     if not 2 <= a.ndim <= 3 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"incompatible GEMM shapes {a.shape} x {b.shape}")
-    if c is None and beta != 0.0:
-        raise ValueError("beta != 0 requires c")
     if c is not None and np.shape(c) != a.shape[:-1] + b.shape[-1:]:
         raise ValueError(f"c has shape {np.shape(c)}, expected {a.shape[:-1] + b.shape[-1:]}")
     fp16 = precision == Precision.FP16
@@ -99,54 +81,36 @@ def multiply_accumulate(
             # chunk of the inner dimension: half-precision accumulation
             # error growth and saturation (products of fp16-grid values are
             # exact in float32).  It starts from +0: a product of zeros is +0
-            prod = a[..., :fp16_chunk] @ b[..., :fp16_chunk, :]
+            chunk = _FP16_CHUNK
+            prod = a[..., :chunk] @ b[..., :chunk, :]
             prod += 0.0
-            for start in range(fp16_chunk, a.shape[-1], fp16_chunk):
+            for start in range(chunk, a.shape[-1], chunk):
                 prod = round_to_fp16(prod)
-                prod += a[..., start : start + fp16_chunk] @ b[..., start : start + fp16_chunk, :]
+                prod += a[..., start : start + chunk] @ b[..., start : start + chunk, :]
             prod = round_to_fp16(prod)
         else:
             prod = a @ b
         if c is None:
-            return alpha * prod.astype(np.float64, copy=False)
-        if not fp16:
-            c = np.asarray(c, dtype=prod.dtype)
-            if alpha == -1.0 and beta == 1.0:
-                # the trailing update: ``c − p`` rounds exactly as ``(−p) + c``, in one pass
-                return np.subtract(c, prod, out=prod)
-        else:
-            c = as_input(c, precision)
-        out = _scaled(alpha, prod, fp16, out=prod)
-        out += _scaled(beta, c, fp16)
+            return prod.astype(np.float64, copy=False)
+        # the update at the accumulator's width; FP16 rounds the float32
+        # difference back to the fp16 grid
+        c = as_input(c, precision) if fp16 else np.asarray(c, dtype=prod.dtype)
+        out = np.subtract(c, prod, out=prod)
         return round_to_fp16(out).view(OnFp16Grid) if fp16 else out
 
 
 def mixed_gemm(
     a: np.ndarray | Operand,
     b: np.ndarray | Operand,
-    c: np.ndarray | None = None,
     *,
     precision: Precision = Precision.FP64,
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    fp16_chunk: int = _FP16_CHUNK,
 ) -> np.ndarray:
-    """Emulated ``alpha * a @ b + beta * c`` in the given precision format.
+    """Emulated ``a @ b`` in the given precision format.
 
-    Parameters mirror BLAS xGEMM.  ``a`` is (m, k), ``b`` is (k, n) and the
-    optional ``c`` is (m, n).  The result is float64 carrying the rounding
-    error of the emulated format.
+    ``a`` is (m, k) and ``b`` is (k, n).  The result is float64 carrying
+    the rounding error of the emulated format.
     """
-    out = multiply_accumulate(
-        as_input(a, precision),
-        as_input(b, precision),
-        c,
-        precision=precision,
-        alpha=alpha,
-        beta=beta,
-        fp16_chunk=fp16_chunk,
-    )
-    return np.asarray(out, dtype=np.float64)
+    return multiply_accumulate(as_input(a, precision), as_input(b, precision), precision=precision)
 
 
 def gemm_relative_error(

@@ -28,7 +28,7 @@ from ..core.config import ConversionStrategy, MPConfig
 from ..core.precision_map import FIXED_CONFIGS
 from ..runtime.platform import DEFAULT_HOST_MEMORY_GB
 
-__all__ = ["AXES", "RunSpec", "SweepGrid", "KERNEL_CONFIGS", "ORDERINGS"]
+__all__ = ["AXES", "RunSpec", "SweepGrid", "KERNEL_CONFIGS"]
 
 #: schema version folded into every cache key — bump when the result
 #: JSON layout or the simulation semantics change incompatibly
@@ -45,10 +45,6 @@ CACHE_SCHEMA = 8
 #: supported kernel-precision configurations; "adaptive" builds the map
 #: from sampled tile norms of the named application at ``accuracy``
 KERNEL_CONFIGS = (*FIXED_CONFIGS, "adaptive")
-
-#: spatial orderings applied to the application's locations before the
-#: precision map is sampled (see repro.geostats.dataplane)
-ORDERINGS = ("morton", "random", "hilbert")
 
 
 @dataclass(frozen=True)
@@ -79,6 +75,7 @@ class RunSpec:
     ordering: str = "morton"
 
     def __post_init__(self) -> None:
+        from ..geostats.dataplane.hilbert import ORDERINGS
         from ..runtime.policies import POLICY_NAMES
 
         if self.n <= 0 or self.nb <= 0:

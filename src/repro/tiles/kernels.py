@@ -157,7 +157,7 @@ def gemm(
     """
     if isinstance(c_mn, np.ndarray):
         a, bt = as_input(c_mk, precision), as_input(c_nk, precision).T
-        return multiply_accumulate(a, bt, c_mn, precision=precision, alpha=-1.0, beta=1.0)
+        return multiply_accumulate(a, bt, c_mn, precision=precision)
     a = np.array([as_input(x, precision) for x in c_mk])
     bt = np.array([as_input(x, precision) for x in c_nk]).transpose(0, 2, 1)
     c = np.array(c_mn)
@@ -169,4 +169,4 @@ def gemm(
         elif rough:
             c[rough] = round_to_fp16(c[rough])
         c = c.astype(np.float32, copy=False).view(OnFp16Grid)
-    return multiply_accumulate(a, bt, c, precision=precision, alpha=-1.0, beta=1.0)
+    return multiply_accumulate(a, bt, c, precision=precision)

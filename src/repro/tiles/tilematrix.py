@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..precision.emulate import quantize_tile
-from ..precision.formats import Precision, get_storage_precision
+from ..precision.formats import Precision
 
 __all__ = ["TiledSymmetricMatrix", "tile_index_range"]
 
@@ -111,43 +111,27 @@ class TiledSymmetricMatrix:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def from_dense(
-        cls,
-        a: np.ndarray,
-        nb: int,
-        *,
-        kernel_precision: Callable[[int, int], Precision] | None = None,
-    ) -> "TiledSymmetricMatrix":
-        """Tile a dense symmetric matrix.
-
-        When ``kernel_precision`` is given (the Fig. 2a map as a callable),
-        each tile is stored at ``get_storage_precision(kernel_precision)``,
-        reproducing the generation-phase casting of Section V.
-        """
+    def from_dense(cls, a: np.ndarray, nb: int) -> "TiledSymmetricMatrix":
+        """Tile a dense symmetric matrix, every tile stored in FP64."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
         return cls.from_tile_function(
-            a.shape[0], nb, lambda i, j: a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb],
-            kernel_precision=kernel_precision,
+            a.shape[0], nb, lambda i, j: a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb]
         )
 
     @classmethod
     def from_tile_function(
-        cls,
-        n: int,
-        nb: int,
-        fill: Callable[[int, int], np.ndarray],
-        *,
-        kernel_precision: Callable[[int, int], Precision] | None = None,
+        cls, n: int, nb: int, fill: Callable[[int, int], np.ndarray]
     ) -> "TiledSymmetricMatrix":
-        """Build tile-by-tile without ever forming the dense matrix."""
+        """Build tile-by-tile, in FP64, without ever forming the dense matrix.
+
+        The generation-phase cast of Section V is the factorization's: it
+        stores each tile at its kernel map's storage precision on entry.
+        """
         mat = cls(n=n, nb=nb)
         for i, j in mat.lower_indices():
-            prec = Precision.FP64
-            if kernel_precision is not None:
-                prec = get_storage_precision(kernel_precision(i, j))
-            mat.set(i, j, fill(i, j), precision=prec)
+            mat.set(i, j, fill(i, j), precision=Precision.FP64)
         return mat
 
     # -- conversions ------------------------------------------------------

@@ -6,8 +6,8 @@ stayed at their rest dtype — every tile pulled out of
 around each kernel, payloads made by ``quantize`` — moved here verbatim,
 over the kernel bodies of that commit: the triangular solve through
 ``scipy.linalg.solve_triangular``, the trailing update through
-``mixed_gemm`` (float64 out, its bits pinned by the cast chains of
-``tests/test_precision_gemm.py``), a ``C`` tile that never says which
+``multiply_accumulate`` widened to float64 (its bits pinned by the cast
+chains of ``tests/test_precision_gemm.py``), a ``C`` tile that never says which
 grid it is on and so is rounded at every FP16 update.
 :func:`repro.core.cholesky.mp_cholesky` is tested equal to it on the raw
 bits (``tests/test_core_cholesky_rest_dtype.py``) and benchmarked against
@@ -25,7 +25,7 @@ from repro.core.conversion import CommPrecisionMap, build_comm_precision_map
 from repro.core.precision_map import KernelPrecisionMap, uniform_map
 from repro.precision import Precision
 from repro.precision.emulate import Operand, as_input, quantize
-from repro.precision.gemm import mixed_gemm
+from repro.precision.gemm import multiply_accumulate
 from repro.tiles.kernels import NotPositiveDefiniteError, trsm_execution_precision
 from repro.tiles.tilematrix import TiledSymmetricMatrix
 
@@ -53,9 +53,9 @@ def syrk(c_mk, c_mm: np.ndarray, precision: Precision = Precision.FP64) -> np.nd
 
 
 def gemm(c_mk, c_nk, c_mn: np.ndarray, precision: Precision = Precision.FP64) -> np.ndarray:
-    return mixed_gemm(
-        c_mk, as_input(c_nk, precision).T, c_mn, precision=precision, alpha=-1.0, beta=1.0
-    )
+    out = multiply_accumulate(as_input(c_mk, precision), as_input(c_nk, precision).T, c_mn,
+                              precision=precision)
+    return np.asarray(out, dtype=np.float64)
 
 
 def mp_cholesky_oracle(

@@ -76,7 +76,7 @@ def correlation_oracle(model: CovarianceModel, h: np.ndarray, theta) -> np.ndarr
 
 
 def build_tiled_covariance_oracle(
-    locations, model, theta, nb, *, kernel_precision=None, nugget=0.0
+    locations, model, theta, nb, *, nugget=0.0
 ) -> TiledSymmetricMatrix:
     """Σ(θ) one tile, one distance block and one kernel call at a time."""
     locs = np.asarray(locations, dtype=np.float64)
@@ -94,7 +94,7 @@ def build_tiled_covariance_oracle(
             tile = tile + nugget * np.eye(tile.shape[0])
         return tile
 
-    return TiledSymmetricMatrix.from_tile_function(n, nb, fill, kernel_precision=kernel_precision)
+    return TiledSymmetricMatrix.from_tile_function(n, nb, fill)
 
 
 def cov_matrix_oracle(model: CovarianceModel, locations, theta) -> np.ndarray:

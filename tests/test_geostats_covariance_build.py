@@ -34,7 +34,6 @@ from repro.geostats.locations import (
     pairwise_distances,
 )
 from repro.geostats.prediction import krige
-from repro.precision import Precision
 from repro.tiles.norms import tile_norms
 from tests.covariance_oracle import (
     build_tiled_covariance_oracle,
@@ -126,16 +125,10 @@ class TestBitIdentity:
         )
 
     @pytest.mark.parametrize("model, theta", UNCHANGED[::2], ids=lambda v: getattr(v, "name", str(v)))
-    def test_storage_precision_map_and_float32_locations(self, model, theta):
+    def test_float32_locations(self, model, theta):
         locs = generate_locations(150, model.dim, seed=5).astype(np.float32)
-
-        def kernel_precision(i, j):
-            return (Precision.FP64, Precision.FP32, Precision.FP16)[min(i - j, 2)]
-
-        new = build_tiled_covariance(locs, model, theta, 32, kernel_precision=kernel_precision)
-        _same_tiles(new, build_tiled_covariance_oracle(
-            locs, model, theta, 32, kernel_precision=kernel_precision), rtol=_rtol(model, theta))
-        assert (new.tiles[(0, 0)].dtype, new.tiles[(4, 0)].dtype) == (np.float64, np.float32)
+        _same_tiles(build_tiled_covariance(locs, model, theta, 32),
+                    build_tiled_covariance_oracle(locs, model, theta, 32), rtol=_rtol(model, theta))
 
     @pytest.mark.parametrize("model, theta", UNCHANGED, ids=lambda v: getattr(v, "name", str(v)))
     def test_dense_matrix_is_the_tiled_one_and_the_oracle(self, model, theta):

@@ -6,7 +6,6 @@ import pytest
 from repro.geostats.covariance import Matern
 from repro.geostats.generator import Dataset, SyntheticField, build_tiled_covariance
 from repro.geostats.locations import generate_locations
-from repro.precision import Precision
 
 
 class TestDataset:
@@ -77,13 +76,3 @@ class TestBuildTiledCovariance:
         lifted = build_tiled_covariance(locs, model, (1.0, 0.1, 0.5), 10, nugget=0.25)
         diff = lifted.to_dense() - plain.to_dense()
         assert np.allclose(diff, 0.25 * np.eye(40), atol=1e-7)
-
-    def test_kernel_precision_storage(self):
-        locs = generate_locations(40, 2, seed=0)
-        model = Matern(dim=2)
-        tiled = build_tiled_covariance(
-            locs, model, (1.0, 0.05, 0.5), 10,
-            kernel_precision=lambda i, j: Precision.FP64 if i == j else Precision.FP16,
-        )
-        assert tiled.tiles[(0, 0)].dtype == np.float64
-        assert tiled.tiles[(2, 0)].dtype == np.float32

@@ -104,13 +104,6 @@ class TestBudgetsAndValidation:
         with pytest.raises(ValueError, match="bounds"):
             nelder_mead_bounded(lambda x: 0.0, (0.5, 0.5), [(0.0, 1.0)])
 
-    def test_history(self):
-        res = nelder_mead_bounded(
-            lambda x: float(np.sum(x**2)), (1.0,), [(0.0, 2.0)],
-            keep_history=True, max_evals=50,
-        )
-        assert len(res.history) == res.n_evals
-
 
 class TestMaximize:
     def test_negates(self):

@@ -97,12 +97,13 @@ class TestLoadScopes:
             load_metric_scopes(doc)
 
     def test_runs_only_summary(self):
-        """An ``mle`` summary has fits and no stats: one scope per fit."""
+        """An ``mle`` summary has fits and no stats: one scope per fit, a
+        bool read as 0/1."""
         doc = {"schema": "repro.obs.run_summary/1",
                "runs": [{"spec": {"label": "1e-04", "accuracy": 1e-4},
                          "metrics": {"loglik": -12.5, "n_evals": 30, "converged": True}}]}
         assert load_metric_scopes(doc) == {
-            "accuracy=0.0001,label=1e-04": {"loglik": -12.5, "n_evals": 30.0}}
+            "accuracy=0.0001,label=1e-04": {"loglik": -12.5, "n_evals": 30.0, "converged": 1.0}}
 
 
 class TestCompare:

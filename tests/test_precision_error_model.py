@@ -151,7 +151,7 @@ def test_multiply_accumulate_forward_error(precision, m, k, n, data, with_c, see
     if with_c:
         # the trailing update, C at the dtype it rests in and (FP16) on the grid the kernel reads it on
         c = DATA[data](rng, (m, n)).astype(a.dtype)
-        got = multiply_accumulate(a, b, c, precision=precision, alpha=-1.0, beta=1.0)
+        got = multiply_accumulate(a, b, c, precision=precision)
         c_read = as_input(c, precision) if precision == Precision.FP16 else c
         error = np.abs(_dd_minus(c_read, exact) - got)
         magnitude = magnitude + np.abs(c_read)

@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.precision.gemm
 from repro.precision.emulate import Operand, as_input, truncate_mantissa
 from repro.precision.formats import FORMAT_INFO, Precision
 from repro.precision.gemm import gemm_relative_error, mixed_gemm, multiply_accumulate
 from repro.tiles import kernels as tk
+
+
+def update(a, b, c, *, precision):
+    """The trailing update ``c − a @ b`` on raw operands, widened to float64."""
+    out = multiply_accumulate(as_input(a, precision), as_input(b, precision), c, precision=precision)
+    return np.asarray(out, dtype=np.float64)
 
 
 class TestMixedGemmBasics:
@@ -24,20 +31,14 @@ class TestMixedGemmBasics:
         with pytest.raises(ValueError, match="incompatible"):
             mixed_gemm(a, b)
 
-    def test_beta_requires_c(self, rng):
-        a = rng.standard_normal((4, 4))
-        with pytest.raises(ValueError, match="beta"):
-            mixed_gemm(a, a, beta=1.0)
-
     def test_c_shape_checked(self, rng):
         a = rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="shape"):
-            mixed_gemm(a, a, rng.standard_normal((3, 3)), beta=1.0)
+            multiply_accumulate(a, a, rng.standard_normal((3, 3)))
 
-    def test_alpha_beta_fp64(self, rng):
+    def test_update_fp64(self, rng):
         a, b, c = (rng.standard_normal((8, 8)) for _ in range(3))
-        out = mixed_gemm(a, b, c, precision=Precision.FP64, alpha=-1.0, beta=1.0)
-        assert np.allclose(out, c - a @ b)
+        assert np.array_equal(update(a, b, c, precision=Precision.FP64), c - a @ b)
 
     @pytest.mark.parametrize("prec", list(Precision))
     def test_returns_float64(self, prec, rng):
@@ -75,10 +76,12 @@ class TestErrorScaling:
         e_large = gemm_relative_error(512, Precision.FP16)
         assert e_large > e_small
 
-    def test_fp32_accumulated_formats_insensitive_to_chunk(self, rng):
+    def test_fp32_accumulated_formats_insensitive_to_chunk(self, rng, monkeypatch):
         a = rng.standard_normal((64, 64))
-        out1 = mixed_gemm(a, a, precision=Precision.FP16_32, fp16_chunk=8)
-        out2 = mixed_gemm(a, a, precision=Precision.FP16_32, fp16_chunk=64)
+        monkeypatch.setattr(repro.precision.gemm, "_FP16_CHUNK", 8)
+        out1 = mixed_gemm(a, a, precision=Precision.FP16_32)
+        monkeypatch.setattr(repro.precision.gemm, "_FP16_CHUNK", 64)
+        out2 = mixed_gemm(a, a, precision=Precision.FP16_32)
         assert np.array_equal(out1, out2)  # chunking only affects pure FP16
 
 
@@ -136,9 +139,10 @@ def oracle_accumulate_fp16(a, b, chunk):
     return acc.astype(np.float64)
 
 
-def oracle_mixed_gemm(a, b, c=None, *, precision, alpha=1.0, beta=0.0, fp16_chunk=32):
-    """Every operand re-quantised per call, every stage widened to float64
-    and narrowed again: nine ``→ float16`` casts for one FP16 update."""
+def oracle_mixed_gemm(a, b, c=None, *, precision, fp16_chunk=32):
+    """``a @ b``, or the update ``(−a @ b) + c`` as BLAS xGEMM's α = −1,
+    β = 1 computes it: every operand re-quantised per call, every stage
+    widened to float64 and narrowed again."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if precision == Precision.FP64:
@@ -154,19 +158,16 @@ def oracle_mixed_gemm(a, b, c=None, *, precision, alpha=1.0, beta=0.0, fp16_chun
         bq = oracle_quantize(b, precision).astype(np.float16)
         prod = oracle_accumulate_fp16(aq, bq, fp16_chunk)
     if c is None:
-        return alpha * prod
+        return prod
     c = np.asarray(c, dtype=np.float64)
     if precision == Precision.FP16:
         with np.errstate(over="ignore"):
             return (
-                (np.float16(alpha) * prod.astype(np.float16)).astype(np.float32)
-                + (np.float16(beta) * c.astype(np.float16)).astype(np.float32)
+                (-prod.astype(np.float16)).astype(np.float32) + c.astype(np.float16).astype(np.float32)
             ).astype(np.float16).astype(np.float64)
     if precision == Precision.FP64:
-        return alpha * prod + beta * c
-    return (
-        np.float32(alpha) * prod.astype(np.float32) + np.float32(beta) * c.astype(np.float32)
-    ).astype(np.float64)
+        return -prod + c
+    return (-prod.astype(np.float32) + c.astype(np.float32)).astype(np.float64)
 
 
 def _same_bits(got, want):
@@ -192,42 +193,38 @@ class TestReplacementIsExact:
     def test_product_only(self, prec, data, rng):
         for m, k, n in SHAPES:
             a, b = DATA[data](rng, (m, k)), DATA[data](rng, (k, n))
-            for alpha in (1.0, -1.0, 0.37):
-                assert _same_bits(mixed_gemm(a, b, precision=prec, alpha=alpha),
-                                  oracle_mixed_gemm(a, b, precision=prec, alpha=alpha)), (m, k, n, alpha)
+            assert _same_bits(mixed_gemm(a, b, precision=prec),
+                              oracle_mixed_gemm(a, b, precision=prec)), (m, k, n)
 
     def test_update_with_c(self, prec, data, rng):
+        """``c − p`` rounds as BLAS's ``(−p) + c`` does, signed zeros included."""
         for m, k, n in SHAPES:
             a, b, c = DATA[data](rng, (m, k)), DATA[data](rng, (k, n)), DATA[data](rng, (m, n))
-            for alpha, beta in ((-1.0, 1.0), (1.0, -1.0), (0.37, -2.5), (3.0, 0.0), (1e-3, 1.0)):
-                assert _same_bits(
-                    mixed_gemm(a, b, c, precision=prec, alpha=alpha, beta=beta),
-                    oracle_mixed_gemm(a, b, c, precision=prec, alpha=alpha, beta=beta),
-                ), (m, k, n, alpha, beta)
+            assert _same_bits(update(a, b, c, precision=prec),
+                              oracle_mixed_gemm(a, b, c, precision=prec)), (m, k, n)
 
-    def test_chunk_width_and_layouts(self, prec, data, rng):
+    def test_chunk_width_and_layouts(self, prec, data, rng, monkeypatch):
         a, b, c = DATA[data](rng, (24, 50)), DATA[data](rng, (40, 50)), DATA[data](rng, (24, 40))
         for chunk in (8, 32, 64):
+            monkeypatch.setattr(repro.precision.gemm, "_FP16_CHUNK", chunk)
             # b as the transposed view the trailing update passes, c from a Fortran-ordered tile
-            got = mixed_gemm(a, b.T, np.asfortranarray(c), precision=prec, alpha=-1.0, beta=1.0,
-                             fp16_chunk=chunk)
-            want = oracle_mixed_gemm(a, b.T, np.asfortranarray(c), precision=prec, alpha=-1.0,
-                                     beta=1.0, fp16_chunk=chunk)
+            got = update(a, b.T, np.asfortranarray(c), precision=prec)
+            want = oracle_mixed_gemm(a, b.T, np.asfortranarray(c), precision=prec, fp16_chunk=chunk)
             assert _same_bits(got, want), chunk
 
     def test_c_at_its_rest_dtype(self, prec, data, rng):
         """A float32 ``c`` (an FP32-stored tile) gives what its float64 widening gives."""
         a, b = DATA[data](rng, (20, 20)), DATA[data](rng, (20, 20))
         c32 = DATA[data](rng, (20, 20)).astype(np.float32)
-        assert _same_bits(mixed_gemm(a, b, c32, precision=prec, alpha=-1.0, beta=1.0),
-                          oracle_mixed_gemm(a, b, c32, precision=prec, alpha=-1.0, beta=1.0))
+        assert _same_bits(update(a, b, c32, precision=prec),
+                          oracle_mixed_gemm(a, b, c32, precision=prec))
 
     def test_saturation(self, prec, data, rng):
         a, b = DATA[data](rng, (8, 40)) * 300.0, DATA[data](rng, (40, 8)) * 300.0
         c = DATA[data](rng, (8, 8)) * 7e4
         with np.errstate(invalid="ignore"):  # inf − inf where the fp16 accumulator overflowed
-            got = mixed_gemm(a, b, c, precision=prec, alpha=-1.0, beta=1.0)
-            want = oracle_mixed_gemm(a, b, c, precision=prec, alpha=-1.0, beta=1.0)
+            got = update(a, b, c, precision=prec)
+            want = oracle_mixed_gemm(a, b, c, precision=prec)
         assert _same_bits(got, want)
 
 
@@ -244,12 +241,11 @@ class TestPreparedOperands:
 
     def test_cached_and_raw_calls_are_one_code_path(self, prec, rng):
         a, b, c = (rng.standard_normal((16, 16)) * 1e-4 for _ in range(3))
-        raw = mixed_gemm(a, b.T, c, precision=prec, alpha=-1.0, beta=1.0)
-        ops = mixed_gemm(Operand(a), Operand(b.T), c, precision=prec, alpha=-1.0, beta=1.0)
-        prepared = multiply_accumulate(as_input(a, prec), as_input(b, prec).T, c,
-                                       precision=prec, alpha=-1.0, beta=1.0)
+        raw = update(a, b.T, c, precision=prec)
+        ops = update(Operand(a), Operand(b.T), c, precision=prec)
+        prepared = multiply_accumulate(as_input(a, prec), as_input(b, prec).T, c, precision=prec)
         kernel = tk.gemm(Operand(a), Operand(b), c, precision=prec)
-        # the kernels return at the accumulator's width; ``mixed_gemm`` widens that to float64
+        # the kernels return at the accumulator's width; ``update`` widens that to float64
         width = np.float64 if prec == Precision.FP64 else np.float32
         assert prepared.dtype == kernel.dtype == width
         assert _same_bits(raw, ops)

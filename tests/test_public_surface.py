@@ -1,6 +1,6 @@
 """The public surface names only what exists: ``__all__`` lists, the
-distributed executor's keyword options, and the verbs and flags the docs
-spell."""
+distributed executor's keyword options and the numeric path's options, and
+the verbs and flags the docs spell."""
 
 import argparse
 import importlib
@@ -34,6 +34,38 @@ def test_distributed_executor_keyword_options():
         "timeout", "fault_plan", "degrade", "silent_after",
     ]
     assert not any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params)
+
+
+def _options(fn):
+    """The parameters a caller may leave out, in order."""
+    params = inspect.signature(fn).parameters.values()
+    assert not any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params)
+    return [p.name for p in params if p.default is not p.empty]
+
+
+#: the options of the numeric path, each set by a caller outside the tests
+NUMERIC_PATH_OPTIONS = {
+    "repro.precision.gemm:multiply_accumulate": ["c", "precision"],
+    "repro.precision.gemm:mixed_gemm": ["precision"],
+    "repro.geostats.generator:build_tiled_covariance": ["nugget", "distances"],
+    "repro.tiles.tilematrix:TiledSymmetricMatrix.from_dense": [],
+    "repro.tiles.tilematrix:TiledSymmetricMatrix.from_tile_function": [],
+    "repro.geostats.optimizer:nelder_mead_bounded":
+        ["xtol", "ftol", "max_evals", "initial_step", "restarts", "on_iteration"],
+    "repro.geostats.mle:fit_mle":
+        ["accuracy", "exact", "tile_size", "strategy", "x0", "xtol", "max_evals", "restarts"],
+}
+
+
+@pytest.mark.parametrize("path", list(NUMERIC_PATH_OPTIONS), ids=lambda p: p.partition(":")[2])
+def test_numeric_path_options(path):
+    """The GEMM has no α/β or chunk width, the constructors no precision
+    cast, the optimizer no history and ``fit_mle`` no format set."""
+    module, _, name = path.partition(":")
+    fn = importlib.import_module(module)
+    for attr in name.split("."):
+        fn = getattr(fn, attr)
+    assert _options(fn) == NUMERIC_PATH_OPTIONS[path]
 
 
 def _doc_files():

@@ -64,6 +64,25 @@ def test_mle_summary_holds_one_scope_per_fit(documents):
     assert set(fit["metrics"]) == {"loglik", "n_evals", "converged", "infeasible_evals",
                                    "theta_0", "theta_1"}
     assert list(load_metric_scopes(doc)) == ["accuracy=0.0001,label=1e-04"]
+    report = compare_files(documents["mle"], documents["mle"])
+    assert {d.metric for d in report.deltas} == {"loglik", "converged", "n_evals",
+                                                 "infeasible_evals"}
+
+
+@pytest.mark.parametrize("worsen", [
+    lambda fit: fit.update(loglik=fit["loglik"] - 1.0),
+    lambda fit: fit.update(converged=False),
+], ids=["lower-loglik", "stopped-converging"])
+def test_a_worse_fit_fails_the_gate(documents, tmp_path, worsen, capsys):
+    doc = json.loads(documents["mle"].read_text(encoding="utf-8"))
+    fit = doc["runs"][0]["metrics"]
+    fit["converged"] = True
+    base, cand = tmp_path / "base.json", tmp_path / "cand.json"
+    base.write_text(json.dumps(doc), encoding="utf-8")
+    worsen(fit)
+    cand.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["compare", str(base), str(cand), "--fail-on-regress"]) == 1
+    assert "1 regression(s)" in capsys.readouterr().out
 
 
 def test_analysis_carries_the_summary_it_read(documents):

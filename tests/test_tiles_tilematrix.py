@@ -62,15 +62,6 @@ class TestStoragePrecision:
         assert tiled_96.precision_of(2, 1) == Precision.FP64
         assert tiled_96.tiles[(2, 1)].dtype == np.float64
 
-    def test_kernel_precision_casts_storage(self, spd_96):
-        def kmap(i, j):
-            return Precision.FP64 if i == j else Precision.FP16
-
-        mat = TiledSymmetricMatrix.from_dense(spd_96, 16, kernel_precision=kmap)
-        assert mat.tiles[(0, 0)].dtype == np.float64
-        assert mat.tiles[(1, 0)].dtype == np.float32  # FP16 kernels rest in FP32
-        assert mat.precision_of(1, 0) == Precision.FP32
-
     def test_set_records_precision(self, tiled_96, rng):
         tile = rng.standard_normal(tiled_96.tile_shape(2, 0))
         tiled_96.set(2, 0, tile, precision=Precision.FP32)
@@ -81,9 +72,10 @@ class TestStoragePrecision:
 
     def test_storage_bytes_shrink(self, spd_96):
         full = TiledSymmetricMatrix.from_dense(spd_96, 16)
-        mixed = TiledSymmetricMatrix.from_dense(
-            spd_96, 16, kernel_precision=lambda i, j: Precision.FP64 if i == j else Precision.FP32
-        )
+        mixed = full.copy()
+        for i, j in mixed.lower_indices():
+            if i != j:
+                mixed.set(i, j, mixed.get(i, j), precision=Precision.FP32)
         assert mixed.storage_bytes() < full.storage_bytes()
 
 
