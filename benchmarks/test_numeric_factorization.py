@@ -12,6 +12,11 @@ The mechanism behind part of that gap has a gate of its own: the pure-FP16
 updates of the first iteration, as ``mp_cholesky`` stacks them, must run
 at least 1.5× faster than the same updates one ``tk.gemm`` per tile, with
 equal bits.
+
+And the task runtime must not cost much more than the loop it unrolls:
+``execute_numeric`` on the same matrix's task graph must finish within
+1.3× of ``mp_cholesky`` (1.5× before the executors stacked their FP16
+updates and stopped copying the input), returning the same factor.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ import numpy as np
 from repro.core.cholesky import mp_cholesky
 from repro.core.config import MPConfig
 from repro.core.conversion import build_comm_precision_map
+from repro.core.dag_cholesky import build_cholesky_dag
 from repro.core.precision_map import build_precision_map
 from repro.geostats.generator import SyntheticField, build_tiled_covariance
 from repro.precision import Precision
 from repro.precision.emulate import OnFp16Grid
+from repro.runtime.executor import execute_numeric
 from repro.tiles import kernels as tk
 from repro.tiles.norms import tile_norms
 
@@ -35,6 +42,7 @@ from tests.cholesky_numeric_oracle import mp_cholesky_oracle
 N, NB = 1024, 64
 SPEEDUP_FLOOR = 1.3
 STACK_FLOOR = 1.5
+EXECUTOR_CEILING = 1.3
 PAIRS = 5
 
 
@@ -125,4 +133,33 @@ def test_fp16_stack_beats_per_tile(benchmark, monkeypatch):
           f"{1e3 * best[per_tile]:.2f} ms  stacked {1e3 * best[stacked]:.2f} ms  speedup {speedup:.2f}x")
     assert speedup >= STACK_FLOOR, (
         f"stacked FP16 updates only {speedup:.2f}x faster than one call per tile (need ≥ {STACK_FLOOR}x)"
+    )
+
+
+def test_executor_near_mp_cholesky(benchmark):
+    """Acceptance: ``execute_numeric`` on the DAG ≤ 1.3× ``mp_cholesky``,
+    equal factor, dtypes and bytes."""
+    mat, kmap, cmap = _mle_adaptive()
+    graph = build_cholesky_dag(mat.n, mat.nb, kmap, comm_map=cmap).graph
+
+    def loop():
+        return mp_cholesky(mat, kmap, comm_map=cmap).factor
+
+    def runtime():
+        return execute_numeric(graph, mat)
+
+    loop(), runtime()  # warm-up
+    best, out = _best_of_pairs(runtime, loop, 2 * PAIRS)
+    benchmark(runtime)
+
+    got, want = out[runtime], out[loop]
+    assert got.storage_precision == want.storage_precision
+    for t in want.lower_indices():
+        assert got.tiles[t].dtype == want.tiles[t].dtype
+        assert got.tiles[t].tobytes() == want.tiles[t].tobytes(), t
+    ratio = best[runtime] / best[loop]
+    print(f"\n{len(graph)} tasks: mp_cholesky {1e3 * best[loop]:.1f} ms  execute_numeric "
+          f"{1e3 * best[runtime]:.1f} ms  ratio {ratio:.2f}x")
+    assert ratio <= EXECUTOR_CEILING, (
+        f"execute_numeric takes {ratio:.2f}x mp_cholesky's time (need ≤ {EXECUTOR_CEILING}x)"
     )

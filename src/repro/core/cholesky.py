@@ -31,16 +31,11 @@ in (float64 for FP64 storage, float32 below): ``get``/``set`` and their
 float64 round trip are the generation-phase cast only.
 
 An iteration's pure-FP16 trailing updates are issued as stacks of
-equal-shape tiles, up to :data:`FP16_STACK_BYTES` of ``C`` per
-``tk.gemm`` call.  At nb = 64 an fp16 rounding costs its per-call
-overhead, not its element work, so the three roundings of an update
-(two accumulator chunks and the result) are paid once per stack instead
-of once per tile; each tile still gets the bits it gets on its own.
-Every other format is updated one tile at a time: stacking FP16_32 or
-FP32 updates gained nothing end to end, and FP64 ones at nb = 128 ran
-slower.
-The task executors update one tile per task, which makes them the
-per-tile check of the stacks.
+equal-shape tiles through :class:`repro.tiles.kernels.Fp16Stacks`, the
+rule the task executors share: up to ``FP16_STACK_BYTES`` of ``C`` per
+``tk.gemm`` call, each tile with the bits it gets on its own.  The
+per-tile check of the stacks is the float64-round-trip loop
+``tests/cholesky_numeric_oracle.py``, which updates one tile per call.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ from .precision_map import KernelPrecisionMap, precision_rows, uniform_map
 # perfbench's kernel profile stopwatches it on every module of the numeric path
 __all__ = [
     "CholeskyResult",
-    "FP16_STACK_BYTES",
     "mp_cholesky",
     "kernel_counts",
     "logdet_from_factor",
@@ -119,6 +113,7 @@ def mp_cholesky(
     for i, j in work.lower_indices():
         work.set(i, j, mat.get(i, j), precision=get_storage_precision(kernel[i][j]))
     tiles = work.tiles
+    stacks = tk.Fp16Stacks()
 
     for k in range(nt):
         tiles[k, k] = l_kk = np.tril(tk.potrf(tiles[k, k]))
@@ -142,7 +137,6 @@ def mp_cholesky(
             tiles[m, m] = updated.astype(tiles[m, m].dtype, copy=False)
 
         # trailing updates: pure FP16 ones in stacks of equal-shape tiles, the rest one by one
-        stacks: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for m in range(k + 2, nt):
             row = kernel[m]
             for n in range(k + 1, m):
@@ -150,23 +144,14 @@ def mp_cholesky(
                 if prec is not Precision.FP16:
                     tiles[m, n] = tk.gemm(payloads[m], payloads[n], tiles[m, n], precision=prec)
                     continue
-                shape = tiles[m, n].shape
-                stack = stacks.setdefault(shape, [])
-                stack.append((m, n))
-                if len(stack) * 4 * shape[0] * shape[1] >= FP16_STACK_BYTES:
-                    _fp16_update(tiles, payloads, stack)
-                    stack.clear()
-        for stack in stacks.values():
-            if stack:
-                _fp16_update(tiles, payloads, stack)
+                full = stacks.add(tiles[m, n].shape, (m, n))
+                if full:
+                    _fp16_update(tiles, payloads, full)
+        for stack in stacks.drain():
+            _fp16_update(tiles, payloads, stack)
 
     return CholeskyResult(work, kernel_map, comm_map, strategy, kernel_counts=kernel_counts(kernel_map))
 
-
-#: float32 bytes of ``C`` per stacked pure-FP16 update: 16 tiles at nb = 64,
-#: where a stack rounds ~2.4× cheaper per tile than one tile alone (~1.2× at
-#: 128 tiles); one tile from nb = 256 up
-FP16_STACK_BYTES = 256 * 1024
 
 def _fp16_update(tiles: dict, payloads: dict[int, Operand], stack: list[tuple[int, int]]) -> None:
     """The pure-FP16 updates of the tiles ``stack`` names, as one stacked ``tk.gemm``."""

@@ -5,9 +5,10 @@ GPU) with the automated conversion strategy deciding each payload's wire
 precision.  This module reproduces that execution model with real
 message passing: one OS process per rank, per-rank inbox queues, and
 payloads that travel **already quantised to the edge's communication
-precision**, held as float32 below FP64 — the sender-side conversion of
-STC happens where the paper puts it, and receivers re-quantise to their
-kernel's needs.
+precision**, in its wire words (:func:`_encode`: float16 for FP16 and
+FP16_32, float64 for FP64, float32 for the rest) — the sender-side
+conversion of STC happens where the paper puts it, and receivers widen
+exactly and re-quantise to their kernel's needs.
 
 Ranks process the graph in one *global* topological order, task-id
 order: each rank executes the tasks it owns, blocks on its inbox for
@@ -20,10 +21,12 @@ semantics — the result is bit-identical to
 :func:`repro.runtime.executor.execute_numeric` (asserted in tests).
 
 Each rank keeps the sequential executor's store over its own tasks'
-reads: a received payload moves from the stash into it under its
-message key ``(i, j, version, payload precision)``, and a version
-lives until its last local reader (peak O(live tiles), not O(NT³/6)
-versions).  The rank's result is the latest version of each tile it touched.
+reads: a received payload moves from the stash into it as its
+version's payload at that precision (its message key is ``(i, j,
+version, payload precision)``), and a version lives until its last
+local reader (peak O(live tiles), not O(NT³/6)
+versions).  The rank's result is the latest version of each tile it
+touched; the parent assembles them as the in-process executors do.
 
 Prefers the ``fork`` start method (workers inherit the graph and the
 input matrix for free) and falls back to ``forkserver``/``spawn`` on
@@ -49,7 +52,7 @@ from ..obs import emit_event, get_registry
 from ..precision.emulate import Operand, as_input
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
-from .executor import _execute_task, _seed_version0
+from .executor import _assemble, _execute_tasks, _seed_version0
 from .task import TaskGraph
 
 __all__ = [
@@ -108,6 +111,25 @@ class DistributedReport:
     error: str | None = None
     dead_ranks: tuple[int, ...] = ()
     heartbeat_ages: dict[int, float] = field(default_factory=dict)
+
+
+#: payload precisions that cross the pipe as float16 words: their values are
+#: on the fp16 grid, so the narrowing and the receiver's widening are exact
+_F16_WIRE = (Precision.FP16, Precision.FP16_32)
+
+
+def _encode(tile: np.ndarray, precision: Precision) -> np.ndarray:
+    """``tile`` as it crosses the pipe at ``precision``: quantised, in the
+    words the model charges — float16 for FP16 and FP16_32, float64 for
+    FP64, float32 for FP32 and TF32.  BF16_32 travels in float32 words
+    too (NumPy has no bfloat16), twice the 2 B per element it is charged."""
+    payload = as_input(tile, precision)
+    return payload.astype(np.float16) if precision in _F16_WIRE else payload
+
+
+def _decode(payload: np.ndarray) -> np.ndarray:
+    """A received payload at the width the kernels read it in: float16 words widened, exactly."""
+    return payload.astype(np.float32) if payload.dtype == np.float16 else payload
 
 
 def _consumer_plan(graph: TaskGraph) -> dict[int, list[tuple[int, Precision]]]:
@@ -181,15 +203,17 @@ def _rank_main(
             if kill is not None:
                 _die(kill)
             # a remote input is a broadcast panel (a tile's writers share its
-            # rank), stored under its message key (i, j, v, payload precision)
-            # so two precisions of one version never share a payload
+            # rank), stored under its version and payload precision, the
+            # message key (i, j, v, payload precision): two precisions of one
+            # version never share a payload
             for inp in task.inputs:
                 if inp.producer is None or graph.tasks[inp.producer].rank == rank:
                     continue
-                key = inp.tile + (inp.payload_precision,)
-                if key not in values.panels:
-                    values.panels[key] = Operand(as_input(recv(key), inp.payload_precision))
-            out_key, result = _execute_task(task, values)
+                forms = values.panels.setdefault(inp.tile, {})
+                if inp.payload_precision not in forms:
+                    payload = _decode(recv(inp.tile + (inp.payload_precision,)))
+                    forms[inp.payload_precision] = Operand(as_input(payload, inp.payload_precision))
+            ((out_key, result),) = _execute_tasks([task], values)
             values.commit(task, out_key, result)
             if heartbeats is not None:
                 heartbeats[rank] = time.time()
@@ -201,7 +225,7 @@ def _rank_main(
                     if fault.kind == "drop_message":
                         continue  # the consumer will starve and time out
                     time.sleep(fault.delay_s)
-                inboxes[dest].put((*out_key, int(prec), as_input(result, prec)))
+                inboxes[dest].put((*out_key, int(prec), _encode(result, prec)))
 
         # received payloads are gone: the store holds this rank's finals only
         results.put((rank, values.finals(), None, injector.fired))
@@ -284,7 +308,7 @@ def execute_numeric_distributed(
     ]
     for p in procs:
         p.start()
-    out = mat.copy()
+    finals: dict[tuple[int, int], np.ndarray] = {}
     error: str | None = None
     dead_ranks: tuple[int, ...] = ()
     pending = set(range(n_ranks))
@@ -296,7 +320,7 @@ def execute_numeric_distributed(
     try:
         while pending and error is None:
             try:
-                rank, finals, err, fired = results.get(timeout=0.2)
+                rank, rank_finals, err, fired = results.get(timeout=0.2)
             except queue_mod.Empty:
                 # hung-rank visibility: a rank can be alive yet silent
                 # (deadlocked wait, delayed message) — dead-peer scans
@@ -365,8 +389,7 @@ def execute_numeric_distributed(
                 error = f"rank {rank}: {err}"
                 dead_ranks = (rank,)
                 break
-            for (i, j), data in finals.items():
-                out.set(i, j, data, precision=out.precision_of(i, j))
+            finals.update(rank_finals)
     finally:
         for p in procs:
             if error is not None and p.is_alive():
@@ -397,4 +420,5 @@ def execute_numeric_distributed(
             matrix=seq, degraded=True, error=error, dead_ranks=dead_ranks,
             heartbeat_ages=dict(heartbeat_ages),
         )
-    return DistributedReport(matrix=out, heartbeat_ages=dict(heartbeat_ages))
+    return DistributedReport(matrix=_assemble(graph, mat, finals),
+                             heartbeat_ages=dict(heartbeat_ages))

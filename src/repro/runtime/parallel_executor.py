@@ -9,9 +9,12 @@ independent tiles genuinely overlap.
 Scheduling is a thread-pool over the dependency frontier: a task becomes
 runnable when its last predecessor completes, and a free thread takes
 the ready task with the lowest ``(priority, tid)`` — panel tasks of
-earlier iterations first.  Results are bit-identical to the sequential
-executor because every task consumes exactly the payloads its inputs
-name; execution order cannot change the arithmetic (asserted by tests).
+earlier iterations first.  A thread that takes a pure-FP16 GEMM also
+takes the ready ones on tiles of its shape, up to the stacking rule's
+depth, and runs them as one stack.  Results are bit-identical to the
+sequential executor because every task consumes exactly the payloads its
+inputs name; execution order and stacking cannot change the arithmetic
+(asserted by tests).
 
 The threads share the sequential executor's store, under the pool's one
 lock: a tile version lives until its last reader has run, so the peak is
@@ -25,9 +28,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import traced
+from ..tiles.kernels import Fp16Stacks
 from ..tiles.tilematrix import TiledSymmetricMatrix
-from .executor import _collect_finals, _execute_task, _seed_version0, _task_span
-from .task import TaskGraph
+from .executor import _assemble, _execute_tasks, _seed_version0, _stack_shape, _task_span
+from .task import Task, TaskGraph
 
 __all__ = ["execute_numeric_parallel"]
 
@@ -45,9 +49,7 @@ def execute_numeric_parallel(
     """
     if n_threads < 1:
         raise ValueError("n_threads must be positive")
-    out = mat.copy()
-
-    values = _seed_version0(graph, out)
+    values = _seed_version0(graph, mat)
 
     tasks = graph.tasks
     # read once, before the pool: walking the edges under the lock serialises it
@@ -60,40 +62,53 @@ def execute_numeric_parallel(
     done = threading.Event()
     errors: list[BaseException] = []
 
-    def run_one(tid: int) -> None:
+    def take() -> list[Task]:
+        """The next ready task, and the ready FP16 GEMMs it stacks with (under the lock)."""
+        batch = [tasks[heapq.heappop(ready)[1]]]
+        shape = _stack_shape(batch[0], values)
+        if shape is not None:
+            mates = [e for e in ready if _stack_shape(tasks[e[1]], values) == shape]
+            mates = set(mates[: Fp16Stacks.depth(shape) - 1])
+            if mates:
+                ready[:] = [e for e in ready if e not in mates]
+                heapq.heapify(ready)
+                batch += [tasks[t] for _priority, t in mates]
+        return batch
+
+    def run(batch: list[Task]) -> None:
         nonlocal remaining
-        task = tasks[tid]
         try:
-            with _task_span(task):
-                key, result = _execute_task(task, values)
+            with _task_span(batch):
+                results = _execute_tasks(batch, values)
         except BaseException as exc:  # propagate through the pool
             with lock:
                 errors.append(exc)
                 done.set()
             return
         with lock:
-            values.commit(task, key, result)
-            remaining -= 1
-            for succ in succs[tid]:
-                in_count[succ] -= 1
-                if in_count[succ] == 0:
-                    heapq.heappush(ready, (tasks[succ].priority, succ))
+            for task, (key, tile) in zip(batch, results):
+                values.commit(task, key, tile)
+                for succ in succs[task.tid]:
+                    in_count[succ] -= 1
+                    if in_count[succ] == 0:
+                        heapq.heappush(ready, (tasks[succ].priority, succ))
+            remaining -= len(batch)
             if remaining == 0:
                 done.set()
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        # simple work loop: each worker pops the highest-priority ready
+        # simple work loop: each worker takes the highest-priority ready
         # task; exits when the graph is drained or an error surfaces
         def worker() -> None:
             while not done.is_set():
                 with lock:
                     if errors or remaining == 0:
                         return
-                    task_id = heapq.heappop(ready)[1] if ready else None
-                if task_id is None:
+                    batch = take() if ready else None
+                if batch is None:
                     done.wait(timeout=0.001)
                     continue
-                run_one(task_id)
+                run(batch)
 
         futures = [pool.submit(worker) for _ in range(n_threads)]
         for f in futures:
@@ -104,4 +119,4 @@ def execute_numeric_parallel(
     if remaining:
         raise RuntimeError(f"parallel execution stalled with {remaining} tasks left")
 
-    return _collect_finals(values, out)
+    return _assemble(graph, mat, values.finals())

@@ -1,12 +1,14 @@
 """A stacked trailing update is the same tiles updated one by one.
 
-``mp_cholesky`` issues an iteration's pure-FP16 GEMMs as stacks of
-equal-shape tiles (``tk.gemm`` on sequences); the task executors update
-one tile per task.  Here the stacked call is compared with per-tile calls
-on the raw bytes, dtype and ``OnFp16Grid`` flag of every tile, over the
-values that take ``round_to_fp16`` off its fast path, and the stacked
-factorization with the per-tile executor and the float64-round-trip
-oracle on whole factors.
+``mp_cholesky`` and the task executors issue independent pure-FP16 GEMMs
+as stacks of equal-shape tiles (``tk.gemm`` on sequences, by the rule of
+``tk.Fp16Stacks``).  Here the stacked call is compared with per-tile
+calls on the raw bytes, dtype and ``OnFp16Grid`` flag of every tile, over
+the values that take ``round_to_fp16`` off its fast path; the stacked
+factorization and executor with the float64-round-trip oracle, which
+updates one tile per call, on whole factors; and the executors' stacks
+with the same graph run one task at a time, on hand-built graphs where a
+stack must be flushed before a task reads what it writes.
 """
 
 import warnings
@@ -24,7 +26,10 @@ from repro.core.precision_map import build_precision_map, two_precision_map
 from repro.geostats.generator import SyntheticField, build_tiled_covariance
 from repro.precision import Precision
 from repro.precision.emulate import OnFp16Grid, Operand, round_to_fp16
-from repro.runtime.executor import execute_numeric
+from repro.runtime import executor, parallel_executor
+from repro.runtime.executor import _assemble, _execute_task, _seed_version0, execute_numeric
+from repro.runtime.parallel_executor import execute_numeric_parallel
+from repro.runtime.task import TaskGraph, TaskInput
 from repro.tiles import kernels as tk
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
@@ -102,7 +107,7 @@ def _raw(factor):
 
 
 def _three_ways(mat, kmap):
-    """``mp_cholesky`` (stacked), ``execute_numeric`` (per tile) and the oracle loop."""
+    """``mp_cholesky`` and ``execute_numeric`` (both stacked) and the oracle loop (per tile)."""
     cmap = build_comm_precision_map(kmap)
     res = mp_cholesky(mat, kmap, comm_map=cmap)
     graph = build_cholesky_dag(mat.n, mat.nb, kmap, comm_map=cmap).graph
@@ -129,3 +134,127 @@ def test_ragged_map_of_fp16_tiles_three_ways(weak_sqexp_cov, nb):
     mat = TiledSymmetricMatrix.from_dense(weak_sqexp_cov.to_dense(), nb)
     assert mat.n % nb
     _three_ways(mat, two_precision_map(mat.nt, Precision.FP16))
+
+
+# -- the executors' stacks: flushed before a read, equal to one task at a time --------
+
+
+def _per_task(graph, mat):
+    """``graph`` run one task per kernel call, in task order: the unstacked reference."""
+    store = _seed_version0(graph, mat)
+    for task in graph:
+        store.commit(task, *_execute_task(task, store))
+    return _assemble(graph, mat, store.finals())
+
+
+def _batches(monkeypatch):
+    """The task ids of every batch the executors run, in the order they run."""
+    seen, real = [], executor._execute_tasks
+
+    def record(tasks, values):
+        seen.append([task.tid for task in tasks])
+        return real(tasks, values)
+
+    monkeypatch.setattr(executor, "_execute_tasks", record)
+    monkeypatch.setattr(parallel_executor, "_execute_tasks", record)
+    return seen
+
+
+def _input(producer, tile, payload, storage=Precision.FP32, role="in"):
+    return TaskInput(producer, tile, payload, storage, 0, role)
+
+
+def _fp16_gemm(graph, m, n, inout):
+    """A pure-FP16 update of tile ``(m, n)`` by the version-0 tiles ``(m, 0)``
+    and ``(n, 0)``; ``inout`` is the version it reads and its producer."""
+    version, producer = inout
+    panels = [_input(None, (t, 0, 0), Precision.FP16) for t in (m, n)]
+    if producer is None:
+        c = _input(None, (m, n, version), Precision.FP32, role="inout")
+    else:
+        c = _input(producer, (m, n, version), Precision.FP16, Precision.FP16, "inout")
+    return graph.new_task(kind="GEMM", params=(m, n, version), rank=0, precision=Precision.FP16,
+                          flops=0.0, output=(m, n, version + 1), output_precision=Precision.FP16,
+                          inputs=[*panels, c]).tid
+
+
+def _two_updates_of_one_tile() -> TaskGraph:
+    """Two updates of (2, 1) with one of (3, 1) between them: the second
+    reads the first's output, so the open stack must run before it."""
+    g = TaskGraph()
+    first = _fp16_gemm(g, 2, 1, (0, None))
+    _fp16_gemm(g, 3, 1, (0, None))
+    _fp16_gemm(g, 2, 1, (1, first))
+    g.finalize()
+    return g
+
+
+def _trsm_reads_a_stacked_tile() -> TaskGraph:
+    """Updates of (2, 1) and (3, 1), a POTRF of (1, 1) that reads neither,
+    then a TRSM of (2, 1) by its factor: the TRSM reads a tile the open
+    stack writes."""
+    g = TaskGraph()
+    update = _fp16_gemm(g, 2, 1, (0, None))
+    _fp16_gemm(g, 3, 1, (0, None))
+    potrf = g.new_task(kind="POTRF", params=(1,), rank=0, precision=Precision.FP64, flops=0.0,
+                       output=(1, 1, 1), output_precision=Precision.FP64,
+                       inputs=[_input(None, (1, 1, 0), Precision.FP64, Precision.FP64, "inout")]).tid
+    g.new_task(kind="TRSM", params=(2, 1), rank=0, precision=Precision.FP32, flops=0.0,
+               output=(2, 1, 2), output_precision=Precision.FP32,
+               inputs=[_input(potrf, (1, 1, 1), Precision.FP32, Precision.FP64),
+                       _input(update, (2, 1, 1), Precision.FP16, Precision.FP16, "inout")])
+    g.finalize()
+    return g
+
+
+@pytest.mark.parametrize("graph, batches", [
+    (_two_updates_of_one_tile(), [[0, 1], [2]]),
+    (_trsm_reads_a_stacked_tile(), [[2], [0, 1], [3]]),
+], ids=["two-updates-of-one-tile", "trsm-reads-a-stacked-tile"])
+def test_a_read_of_a_stacked_tile_flushes_the_stack(spd_96, monkeypatch, graph, batches):
+    """The sequential executor runs the open stack before the task that reads
+    what it writes, and returns what one task at a time returns, bit for bit;
+    so does the pool at every thread count."""
+    mat = TiledSymmetricMatrix.from_dense(spd_96[:64, :64], 16)
+    want = _raw(_per_task(graph, mat))
+    seen = _batches(monkeypatch)
+    assert _raw(execute_numeric(graph, mat)) == want
+    assert seen == batches
+    for n_threads in (1, 2, 4):
+        assert _raw(execute_numeric_parallel(graph, mat, n_threads=n_threads)) == want, n_threads
+
+
+@pytest.mark.parametrize("nb", [32, 24])
+def test_ragged_last_row_stacks_by_shape(weak_sqexp_cov, monkeypatch, nb):
+    """n % nb ≠ 0, every off-diagonal tile FP16: each executor's stacks hold
+    tiles of one shape, the short last row among them, and every executor
+    returns what one task at a time returns."""
+    mat = TiledSymmetricMatrix.from_dense(weak_sqexp_cov.to_dense(), nb)
+    graph = build_cholesky_dag(mat.n, mat.nb, two_precision_map(mat.nt, Precision.FP16)).graph
+    want = _raw(_per_task(graph, mat))
+    seen = _batches(monkeypatch)
+    runs = [("sequential", lambda: execute_numeric(graph, mat))] + [
+        (f"{t} threads", lambda t=t: execute_numeric_parallel(graph, mat, n_threads=t)) for t in (1, 2, 4)]
+    for label, run in runs:
+        seen.clear()
+        assert _raw(run()) == want, label
+        stacks = [[mat.tile_shape(*graph.tasks[t].output[:2]) for t in b] for b in seen if len(b) > 1]
+        assert all(len(set(shapes)) == 1 for shapes in stacks), label
+        assert any(shapes[0][0] < nb for shapes in stacks), label
+        assert sum(map(len, seen)) == len(graph), label
+
+
+def test_executors_return_the_factor_at_rest():
+    """``mle_adaptive``'s matrix: the executors return ``mp_cholesky``'s
+    factor — its storage-precision map and its bytes (FP32 off the
+    diagonal), not one at the input's FP64."""
+    ds = SyntheticField.sqexp_2d(1024, 1.0, 0.03, seed=0, nugget=0.01).sample()
+    mat = build_tiled_covariance(ds.locations, ds.model, ds.theta_true, 64, nugget=ds.nugget)
+    kmap = build_precision_map(tile_norms(mat), 1e-4, MPConfig().formats)
+    cmap = build_comm_precision_map(kmap)
+    factor = mp_cholesky(mat, kmap, comm_map=cmap).factor
+    graph = build_cholesky_dag(mat.n, mat.nb, kmap, comm_map=cmap).graph
+    for out in (execute_numeric(graph, mat), execute_numeric_parallel(graph, mat, n_threads=2)):
+        assert out.storage_precision == factor.storage_precision
+        assert out.storage_bytes() == factor.storage_bytes() < mat.storage_bytes()
+        assert _raw(out) == _raw(factor)

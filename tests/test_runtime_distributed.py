@@ -58,6 +58,7 @@ class TestDistributedExecutor:
         seq = execute_numeric(dag.graph, mat)
         dist = execute_numeric_distributed(dag.graph, mat, 3).matrix
         assert np.array_equal(lower_dense(dist), lower_dense(seq))
+        assert dist.storage_precision == seq.storage_precision  # the factor at rest, assembled alike
 
     def test_single_rank_shortcut(self, rng):
         mat = _mat(rng)
@@ -84,48 +85,81 @@ class TestDistributedExecutor:
             execute_numeric_distributed(dag.graph, mat, 2)
 
 
+#: bytes per element of each payload precision's wire words (``distributed._encode``)
+WORD_BYTES = {Precision.FP64: 8, Precision.FP32: 4, Precision.TF32: 4, Precision.BF16_32: 4,
+              Precision.FP16_32: 2, Precision.FP16: 2}
+
+
 class TestWirePayloads:
-    @pytest.mark.parametrize("strategy", [ConversionStrategy.AUTO, ConversionStrategy.TTC])
-    def test_payloads_below_fp64_travel_as_float32(self, rng, strategy):
-        """Every payload a rank puts on a peer's inbox is float32 below
-        FP64 — half the pickled bytes of float64 — and float64 at FP64.
-        Both ranks run on threads over plain queues, and their finals
-        assemble the sequential executor's factor bit for bit."""
+    @pytest.mark.parametrize("case", [
+        ("fp64", (1, 2), ConversionStrategy.AUTO, 96, 16),
+        ("fp64", (2, 2), ConversionStrategy.AUTO, 96, 16),
+        ("fp64", (2, 3), ConversionStrategy.AUTO, 96, 16),
+        ("fp16", (2, 2), ConversionStrategy.AUTO, 96, 16),
+        ("fp16", (2, 2), ConversionStrategy.TTC, 96, 16),
+        ("adaptive", (1, 3), ConversionStrategy.AUTO, 120, 20),
+    ], ids=["fp64-1x2", "fp64-2x2", "fp64-2x3", "fp16-auto-2x2", "fp16-ttc-2x2", "adaptive-1x3"])
+    def test_pickled_payload_bytes_per_precision(self, rng, case):
+        """The distributed cases above, their ranks on threads over plain
+        queues: every payload a rank puts on a peer's inbox pickles to its
+        wire words — 2 B per element at FP16 and FP16_32, 4 at FP32, 8 at
+        FP64 — plus a fixed header, per precision over the sends
+        ``_consumer_plan`` lists; and the finals assemble the sequential
+        executor's factor bit for bit."""
+        import pickle
         import queue
         import threading
+        from collections import Counter
 
-        from repro.runtime.distributed import _rank_main
+        from repro.runtime.distributed import _consumer_plan, _rank_main
+        from repro.runtime.executor import _assemble
 
-        sent: list[tuple[Precision, np.dtype]] = []
+        pickled: Counter[Precision] = Counter()
+        words: Counter[Precision] = Counter()
+        messages: Counter[Precision] = Counter()
 
         class Inbox(queue.Queue):
             def put(self, item, *args, **kwargs):
-                sent.append((Precision(item[3]), item[4].dtype))
+                precision, payload = Precision(item[3]), item[4]
+                pickled[precision] += len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                words[precision] += payload.nbytes
+                messages[precision] += 1
                 super().put(item, *args, **kwargs)
 
-        mat = _mat(rng)
-        g = ProcessGrid(2, 1)
-        dag = build_cholesky_dag(96, 16, two_precision_map(6, Precision.FP16),
-                                 strategy=strategy, grid=g)
-        inboxes, results = [Inbox(), Inbox()], queue.Queue()
+        name, grid, strategy, n, nb = case
+        mat = _mat(rng, n=n, nb=nb)
+        kmap = {"fp64": lambda: uniform_map(n // nb, Precision.FP64),
+                "fp16": lambda: two_precision_map(n // nb, Precision.FP16),
+                "adaptive": lambda: build_precision_map(tile_norms(mat), 1e-4)}[name]()
+        g = ProcessGrid(*grid)
+        graph = build_cholesky_dag(n, nb, kmap, strategy=strategy, grid=g).graph
+        inboxes, results = [Inbox() for _ in range(g.size)], queue.Queue()
         threads = [threading.Thread(target=_rank_main,
-                                    args=(r, dag.graph, mat, inboxes, results, 30.0))
+                                    args=(r, graph, mat, inboxes, results, 30.0))
                    for r in range(g.size)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        out = mat.copy()
+        finals = {}
         for _ in range(g.size):
-            _rank, finals, err, _fired = results.get_nowait()
+            _rank, rank_finals, err, _fired = results.get_nowait()
             assert err is None
-            for (i, j), data in finals.items():
-                out.set(i, j, data, precision=out.precision_of(i, j))
-        assert any(p != Precision.FP64 for p, _ in sent)
-        for precision, dtype in sent:
-            assert dtype == (np.float64 if precision == Precision.FP64 else np.float32)
-        seq = execute_numeric(dag.graph, mat)
-        assert np.array_equal(lower_dense(out), lower_dense(seq))
+            finals.update(rank_finals)
+
+        elements: Counter[Precision] = Counter()
+        for tid, sends in _consumer_plan(graph).items():
+            i, j, _v = graph.tasks[tid].output
+            for _dest, precision in sends:
+                elements[precision] += np.prod(mat.tile_shape(i, j))
+        assert set(words) == set(elements) and sum(messages.values()) > 0
+        for precision, count in elements.items():
+            assert words[precision] == WORD_BYTES[precision] * count, precision
+            assert 0 < pickled[precision] - words[precision] <= 200 * messages[precision]
+        if name == "fp16":  # STC sends the FP16 tiles' panels as halves; TTC at their FP32 storage
+            assert (Precision.FP16 in words) == (strategy == ConversionStrategy.AUTO)
+        seq = execute_numeric(graph, mat)
+        assert np.array_equal(lower_dense(_assemble(graph, mat, finals)), lower_dense(seq))
 
 
 def _rank_task(graph, rank: int) -> int:

@@ -115,7 +115,7 @@ class TestReleaseKeepsTheBits:
         for task in graph:
             store.commit(task, *_execute_task(task, store))
         assert set(store) == _final_versions(graph)
-        assert store.panels == {} and store.readers == {} and store.reads == {}
+        assert store.panels == {} and store.readers == {}
 
     def test_a_freed_key_raises(self, nt16):
         mat, _kmap, graph, _seq = nt16
@@ -152,15 +152,16 @@ class TestDistributedRankStore:
             for inp in task.inputs:
                 if inp.producer is None or graph.tasks[inp.producer].rank == rank:
                     continue
-                key = inp.tile + (inp.payload_precision,)
-                if key not in store.panels:
-                    store.panels[key] = Operand(as_input(stash.pop(key), inp.payload_precision))
+                forms = store.panels.setdefault(inp.tile, {})
+                if inp.payload_precision not in forms:
+                    payload = stash.pop(inp.tile + (inp.payload_precision,))
+                    forms[inp.payload_precision] = Operand(as_input(payload, inp.payload_precision))
             key, result = _execute_task(task, store)
             assert np.array_equal(result, everything[key])
             store.commit(task, key, result)
         assert stash == {}
         assert set(store) == _final_versions(mine)
-        assert store.panels == {} and store.readers == {} and store.reads == {}
+        assert store.panels == {} and store.readers == {}
         for (i, j), data in store.finals().items():
             assert np.array_equal(data, everything[(i, j, store.latest[(i, j)])])
 
