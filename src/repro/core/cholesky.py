@@ -161,8 +161,10 @@ def _fp16_update(tiles: dict, payloads: dict[int, Operand], stack: list[tuple[in
         [tiles[t] for t in stack],
         precision=Precision.FP16,
     )
+    # each tile its own array (an ``OnFp16Grid`` still): a view would hold
+    # the whole stack until its last tile is replaced
     for t, tile in zip(stack, updated):
-        tiles[t] = tile
+        tiles[t] = tile.copy()
 
 
 def kernel_counts(kernel_map: KernelPrecisionMap) -> dict[tuple[str, Precision], int]:

@@ -22,8 +22,9 @@ semantics — the result is bit-identical to
 
 Each rank keeps the sequential executor's store over its own tasks'
 reads: a received payload moves from the stash into it as its
-version's payload at that precision (its message key is ``(i, j,
-version, payload precision)``), and a version lives until its last
+version's payload at that precision (its message key is the payload's
+int :func:`~repro.runtime.task.payload_key`, the ``inp.key`` its reader
+looks for), and a version lives until its last
 local reader (peak O(live tiles), not O(NT³/6)
 versions).  The rank's result is the latest version of each tile it
 touched; the parent assembles them as the in-process executors do.
@@ -53,7 +54,7 @@ from ..precision.emulate import Operand, as_input
 from ..precision.formats import Precision
 from ..tiles.tilematrix import TiledSymmetricMatrix
 from .executor import _assemble, _execute_tasks, _seed_version0
-from .task import TaskGraph
+from .task import TaskGraph, payload_key
 
 __all__ = [
     "DistributedReport",
@@ -181,18 +182,18 @@ def _rank_main(
         plan = _consumer_plan(graph)
         inbox = inboxes[rank]
         # payloads that arrived before their reader; each moves to the store
-        stash: dict[tuple[int, int, int, int], np.ndarray] = {}
+        stash: dict[int, np.ndarray] = {}
         n_sent = 0  # outbound payload counter for message faults
         if heartbeats is not None:
             # wall clock: shared across processes, unlike monotonic
             heartbeats[rank] = time.time()
 
-        def recv(key: tuple[int, int, int, int]) -> np.ndarray:
+        def recv(key: int) -> np.ndarray:
             while key not in stash:
                 # per-wait deadline: `timeout` bounds each blocking read,
                 # not the sum of all of them
-                i, j, v, p, data = inbox.get(timeout=timeout)
-                stash[(i, j, v, p)] = data
+                sent, data = inbox.get(timeout=timeout)
+                stash[sent] = data
             return stash.pop(key)
 
         for tid in graph.topological_order():
@@ -203,15 +204,15 @@ def _rank_main(
             if kill is not None:
                 _die(kill)
             # a remote input is a broadcast panel (a tile's writers share its
-            # rank), stored under its version and payload precision, the
-            # message key (i, j, v, payload precision): two precisions of one
+            # rank), stored under its version and payload precision; the
+            # message key is the payload's key, so two precisions of one
             # version never share a payload
             for inp in task.inputs:
                 if inp.producer is None or graph.tasks[inp.producer].rank == rank:
                     continue
                 forms = values.panels.setdefault(inp.tile, {})
                 if inp.payload_precision not in forms:
-                    payload = _decode(recv(inp.tile + (inp.payload_precision,)))
+                    payload = _decode(recv(inp.key))
                     forms[inp.payload_precision] = Operand(as_input(payload, inp.payload_precision))
             ((out_key, result),) = _execute_tasks([task], values)
             values.commit(task, out_key, result)
@@ -225,7 +226,7 @@ def _rank_main(
                     if fault.kind == "drop_message":
                         continue  # the consumer will starve and time out
                     time.sleep(fault.delay_s)
-                inboxes[dest].put((*out_key, int(prec), _encode(result, prec)))
+                inboxes[dest].put((payload_key(out_key, prec), _encode(result, prec)))
 
         # received payloads are gone: the store holds this rank's finals only
         results.put((rank, values.finals(), None, injector.fired))

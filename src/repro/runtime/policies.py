@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..perfmodel.kernels import conversion_time, kernel_time
-from ..precision.formats import bytes_per_element
+from ..precision.formats import Precision, bytes_per_element
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .platform import Platform
@@ -76,13 +76,14 @@ class SchedState:
 
     The residency-aware policies (``comm-aware-eft``, ``ooc-static``)
     read it; the simulator passes its live state to every ``key`` call.
-    ``resident(rank, key)`` answers whether a payload key already sits
-    in ``rank``'s GPU cache; ``host_resident(node, key)`` whether the
-    node's host memory holds it.
+    ``resident(rank, key)`` answers whether a payload already sits in
+    ``rank``'s GPU cache; ``host_resident(node, key)`` whether the node's
+    host memory holds it.  ``key`` is the payload's int
+    :func:`~repro.runtime.task.payload_key`: an input's ``inp.key``.
     """
 
-    resident: Callable[[int, tuple], bool]
-    host_resident: Callable[[int, tuple], bool]
+    resident: Callable[[int, int], bool]
+    host_resident: Callable[[int, int], bool]
 
 
 class SchedulePolicy:
@@ -232,7 +233,7 @@ class CommAwareEftPolicy(SchedulePolicy):
         nic_bw = platform.node.nic_bandwidth
         node = platform.node_of(task.rank)
         for inp in task.inputs:
-            key = inp.tile + (inp.payload_precision,)
+            key = inp.key
             if state.resident(task.rank, key):
                 continue
             nbytes = inp.elements * bytes_per_element(inp.payload_precision)
@@ -272,26 +273,30 @@ class OocStaticPolicy(SchedulePolicy):
     MISS_WEIGHT = 4.0
 
     def __init__(self) -> None:
-        self._platform: "Platform | None" = None
+        self._gpus_per_node = 1
 
     def prepare(self, graph: "TaskGraph", platform: "Platform", nb: int) -> None:
-        self._platform = platform
+        self._gpus_per_node = platform.node.gpus_per_node
 
     def key(self, task: "Task", ready_t: float, state: SchedState) -> tuple[float, float]:
         rank = task.rank
-        node = self._platform.node_of(rank)
+        node = rank // self._gpus_per_node  # Platform.node_of, on a rank the engine checked
+        resident, host_resident = state.resident, state.host_resident
         penalty = 0.0
         for inp in task.inputs:
-            key = inp.tile + (inp.payload_precision,)
-            if state.resident(rank, key):
+            key = inp.key
+            if resident(rank, key):
                 continue
-            nbytes = inp.elements * bytes_per_element(inp.payload_precision)
-            if state.host_resident(node, key):
+            nbytes = inp.elements * _BYTES_PER_ELEMENT[inp.payload_precision]
+            if host_resident(node, key):
                 penalty += nbytes
             else:
                 penalty += self.MISS_WEIGHT * nbytes
         return (penalty, ready_t + 1e-9 * task.priority)
 
+
+#: format -> bytes per element, for the per-input residency charges
+_BYTES_PER_ELEMENT = {p: bytes_per_element(p) for p in Precision}
 
 #: name -> policy class (instances are stateful per run)
 _POLICIES: dict[str, type[SchedulePolicy]] = {

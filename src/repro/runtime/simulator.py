@@ -12,12 +12,16 @@ tracked through the memory hierarchy:
   consumer, staged through host memory;
 * on another node → d2h, NIC message, h2d.
 
-Payloads keyed ``(tile, version, payload precision)`` live in byte-bounded
-LRUs per GPU and per node's host memory, over a per-node disk.  Each tier
-sheds its own overflow in one loop that decides a key's fate beside the
-pop that evicts it: the GPU (``_evict_gpu``) writes a dirty or host-less
-entry back through the d2h engine and drops a clean one the host or disk
-holds; the host (``_host_insert``) spills an origin's only copy through
+Payloads live in byte-bounded LRUs per GPU and per node's host memory,
+over a per-node disk, each keyed by one int: its
+:func:`~repro.runtime.task.payload_key`, minted once per ``TaskInput``
+(``inp.key``) and once per executed task for its output and STC copy.
+Every tier, ready map, link charge and residency probe reads that int; a
+key becomes ``(i, j, version, PRECISION)`` again only in an error
+message.  Each tier sheds its own overflow in one loop that decides a
+key's fate beside the pop that evicts it: the GPU (``_evict_gpu``)
+writes a dirty or host-less entry back through the d2h engine and drops
+a clean one the host or disk holds; the host (``_host_insert``) spills an origin's only copy through
 the disk engine and drops the rest.  A 0-byte tier holds only the running
 task's working set; a ``math.inf`` one never evicts.  This is what makes
 larger-than-memory matrices stream, and what amplifies the byte savings
@@ -80,14 +84,19 @@ from ..perfmodel.kernels import conversion_time, kernel_time
 from ..precision.formats import Precision, bytes_per_element
 from .platform import Platform
 from .policies import SchedState, SchedulePolicy, resolve_policy
-from .task import Task, TaskGraph, TaskInput
-from .tracing import RunStats, Trace, TraceEvent
+from .task import _PRECISION_OF_CODE, Task, TaskGraph, TaskInput, key_payload, payload_key
+from .tracing import LINKS, RunStats, Trace, TraceEvent
 from ..core.conversion import needs_conversion
 
 __all__ = ["SimReport", "simulate", "simulate_stream", "simulate_replay"]
 
-# payload keys: (i, j, version, payload_precision)
-_Key = tuple[int, int, int, Precision]
+#: a payload key: ``payload_key(tile, payload precision)``, whose
+#: precision is ``_PRECISION_OF_CODE[key & 7]``
+_Key = int
+
+#: each link's counter base: its bytes per precision are counted under
+#: ``base | key & 7`` (``LINKS[base >> 3]`` names it)
+_H2D, _D2H, _NIC, _DISK_READ, _DISK_WRITE = (i << 3 for i in range(len(LINKS)))
 
 #: tasks a bounded emission window drains before it is topped back up to
 #: its ``lookahead`` (at most an eighth of the window; under 8, per task)
@@ -145,6 +154,8 @@ class _Lru:
     deciding write-back or spill beside the ``popitem`` that evicts.
     """
 
+    __slots__ = ("capacity", "entries", "dirty", "bytes")
+
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
         self.entries: "OrderedDict[_Key, int]" = OrderedDict()
@@ -152,10 +163,16 @@ class _Lru:
         self.bytes = 0
 
 
+def _describe(key: _Key) -> str:
+    """A payload key as ``(i, j, version, PRECISION)``, for error messages."""
+    return "(%d, %d, %d, %s)" % key_payload(key)
+
+
 def _working_set(inputs: list[TaskInput], out_key: _Key) -> set[_Key]:
     """The payload keys a task reads plus the one it writes."""
-    protect = {inp.tile + (inp.payload_precision,) for inp in inputs}
-    protect.add(out_key)
+    protect = {out_key}
+    for inp in inputs:
+        protect.add(inp.key)
     return protect
 
 
@@ -167,7 +184,7 @@ def _build_engine(
 ):
     """The per-run machine model the scheduling loop (:func:`_drive`) runs on.
 
-    Returns ``(seed_host, exec_task, sched_state, energy)``:
+    Returns ``(seed_host, exec_task, sched_state, finish)``:
 
     * ``seed_host(rank, inp)`` registers one producer-less input of a
       task on ``rank`` as a version-0 tile resident in its node's host
@@ -178,14 +195,17 @@ def _build_engine(
       evictions — the exact operation sequence of the historical inline
       loop, so panel-first stays regression-pinned bit-identical;
     * ``sched_state`` exposes live GPU/host residency to policies;
-    * ``energy(makespan)`` returns the run's busy-second counters and
-      their joules as the :class:`SimReport` fields of those names.
+    * ``finish(makespan)`` folds the link counters into ``stats`` and
+      returns the run's busy-second counters and their joules as the
+      :class:`SimReport` fields of those names.
 
     ``record`` is ``None`` when nobody reads the trace: a
-    :class:`TraceEvent` is constructed only for a recording run.  Every
-    transfer is charged through ``move``, the one writer of link bytes.
+    :class:`TraceEvent` is constructed only for a recording run.  Each of
+    the six transfer sites adds its bytes to ``link_bytes``, one int-indexed
+    counter per link and precision, which ``finish`` folds into
+    ``stats.bytes_moved`` (a pair that moved no byte gets no entry).
 
-    ``exec_task`` derives each input's payload key once, serves a GPU-cache
+    ``exec_task`` reads each input's payload key, serves a GPU-cache
     hit inline, builds the protected working set only on a miss or before
     shedding, and sheds a tier only once it is over its limit.
     """
@@ -222,18 +242,20 @@ def _build_engine(
     nic_lat = platform.node.nic_latency
     disk_bw = platform.node.disk_bandwidth
     disk_lat = platform.node.disk_latency
-    node_of = [platform.node_of(rank) for rank in range(n_ranks)].__getitem__
+    node_of = [platform.node_of(rank) for rank in range(n_ranks)]
     gpus_per_node = platform.node.gpus_per_node
     bpe = {p: bytes_per_element(p) for p in Precision}.__getitem__
+    precision_of = _PRECISION_OF_CODE
     #: bytes of one full nb² tile, per precision
     tile_bytes = {p: nb * nb * bytes_per_element(p) for p in Precision}
 
-    bytes_moved = stats.bytes_moved
     flops_by_precision = stats.flops_by_precision
-    conversions_by_site = stats.conversions_by_site
-    conversion_seconds_by_site = stats.conversion_seconds_by_site
+    #: receiver-side (TTC) and sender-side (STC) passes, their seconds per
+    #: site and in all, each summed in charge order; ``finish`` writes them
+    n_ttc = n_stc = 0
+    ttc_seconds = stc_seconds = conversion_seconds = 0.0
     compute_seconds = dict.fromkeys(Precision, 0.0)
-    #: added at the three h2d / d2h sites, not in ``move``, which every link shares
+    #: added at the three h2d / d2h sites
     copy_seconds = 0.0
 
     # Exact memos of pure perfmodel lookups: gpu and nb are fixed per run,
@@ -253,13 +275,10 @@ def _build_engine(
             return ()
         return ("ttc", payload, task_prec, conversion_time(gpu, elements, payload, task_prec))
 
-    def move(link: str, rank: int, kind: str, start: float, end: float,
-             precision: Precision, nbytes: int) -> None:
-        """Charge one transfer: its bytes to ``stats``, its interval to the trace."""
-        key = (link, precision)
-        bytes_moved[key] = bytes_moved.get(key, 0) + nbytes
-        if record is not None:
-            record(TraceEvent(rank, link, kind, start, end, precision, nbytes))
+    #: bytes moved per ``link | code``: a link's counter base (``_H2D`` …
+    #: ``_DISK_WRITE``) and the payload key's precision code; each transfer
+    #: adds its bytes here, and a recording run records its interval
+    link_bytes = [0] * (len(LINKS) << 3)
 
     def _host_insert(node: int, key: _Key, nbytes: int, t: float, protect: set[_Key]) -> None:
         """Register ``key`` in ``node``'s host memory, then shed the overflow.
@@ -280,20 +299,25 @@ def _build_engine(
             return
         ready[key] = t
         entries[key] = nbytes
-        cache.bytes += nbytes
+        used = cache.bytes + nbytes
+        capacity = cache.capacity
+        if used <= capacity:
+            cache.bytes = used
+            return
         skipped = None
-        while cache.bytes > cache.capacity and entries:
+        evicted = 0
+        while used > capacity and entries:
             ev_key, ev_bytes = entries.popitem(last=False)
             if ev_key in protect:
                 if skipped is None:
                     skipped = []
                 skipped.append((ev_key, ev_bytes))
                 continue
-            cache.bytes -= ev_bytes
-            stats.n_host_evictions += 1
+            used -= ev_bytes
+            evicted += 1
             avail = ready.pop(ev_key)
             src_rank = origin_rank.get(ev_key)
-            if src_rank is None or node_of(src_rank) != node:
+            if src_rank is None or node_of[src_rank] != node:
                 continue
             disk = disk_ready[node]
             if ev_key in disk or ev_key in gpu_ready[src_rank]:
@@ -304,7 +328,13 @@ def _build_engine(
             disk_free[node] = end
             disk[ev_key] = end
             stats.n_spills += 1
-            move("disk_write", gpus_per_node * node, "SPILL", start, end, ev_key[3], ev_bytes)
+            code = ev_key & 7
+            link_bytes[_DISK_WRITE | code] += ev_bytes
+            if record is not None:
+                record(TraceEvent(gpus_per_node * node, "disk_write", "SPILL", start, end,
+                                  precision_of[code], ev_bytes))
+        cache.bytes = used
+        stats.n_host_evictions += evicted
         if skipped is not None:
             for ev_key, ev_bytes in reversed(skipped):
                 entries[ev_key] = ev_bytes
@@ -324,17 +354,19 @@ def _build_engine(
         entries = cache.entries
         dirty = cache.dirty
         ready = gpu_ready[rank]
-        node = node_of(rank)
+        node = node_of[rank]
+        used, capacity = cache.bytes, cache.capacity
         skipped = None
-        while cache.bytes > cache.capacity and entries:
+        evicted = 0
+        while used > capacity and entries:
             key, nbytes = entries.popitem(last=False)
             if key in protect:
                 if skipped is None:
                     skipped = []
                 skipped.append((key, nbytes))
                 continue
-            cache.bytes -= nbytes
-            stats.n_evictions += 1
+            used -= nbytes
+            evicted += 1
             if key in dirty:
                 dirty.remove(key)
             elif key in host_ready[node] or key in disk_ready[node]:
@@ -345,9 +377,14 @@ def _build_engine(
             end = start + link_lat + nbytes / link_bw
             d2h_free[rank] = end
             copy_seconds += end - start
-            move("d2h", rank, "EVICT", start, end, key[3], nbytes)
+            code = key & 7
+            link_bytes[_D2H | code] += nbytes
+            if record is not None:
+                record(TraceEvent(rank, "d2h", "EVICT", start, end, precision_of[code], nbytes))
             _host_insert(node, key, nbytes, end, protect)
             del ready[key]
+        cache.bytes = used
+        stats.n_evictions += evicted
         if skipped is not None:
             for key, nbytes in reversed(skipped):
                 entries[key] = nbytes
@@ -361,15 +398,17 @@ def _build_engine(
         another node.  ``key`` is protected: no host insert sheds it.
         """
         nonlocal copy_seconds
-        node = node_of(rank)
+        code = key & 7
+        node = node_of[rank]
         t_host = host_ready[node].get(key)
         if t_host is not None:
             host_caches[node].entries.move_to_end(key)
         else:
             src_rank = origin_rank.get(key)
             if src_rank is None:
-                raise KeyError(f"payload {key} has no origin (missing producer or host seed)")
-            src_node = node_of(src_rank)
+                raise KeyError(f"payload {_describe(key)} has no origin "
+                               "(missing producer or host seed)")
+            src_node = node_of[src_rank]
             src_host = host_ready[src_node]
             if key not in src_host:
                 data_t = gpu_ready[src_rank].get(key)
@@ -379,15 +418,18 @@ def _build_engine(
                     end = start + link_lat + nbytes / link_bw
                     d2h_free[src_rank] = end
                     copy_seconds += end - start
-                    move("d2h", src_rank, "STAGE", start, end, key[3], nbytes)
+                    link_bytes[_D2H | code] += nbytes
+                    if record is not None:
+                        record(TraceEvent(src_rank, "d2h", "STAGE", start, end,
+                                          precision_of[code], nbytes))
                 else:
                     disk_t = disk_ready[src_node].get(key)
                     if disk_t is None:
                         # an earlier GPU eviction found every older host entry
                         # protected and the host shed the payload written back
-                        working_set = sum(nb * nb * bpe(k[3]) for k in protect)
+                        working_set = sum(nb * nb * bpe(precision_of[k & 7]) for k in protect)
                         raise ValueError(
-                            f"payload {key} is in no tier of its origin node {src_node}: the "
+                            f"payload {_describe(key)} is in no tier of its origin node {src_node}: the "
                             f"node's host memory ({host_caches[src_node].capacity:.0f} bytes) "
                             f"cannot hold a task's working set (here {len(protect)} payloads, "
                             f"{working_set} bytes) beside a payload its GPU writes back"
@@ -396,7 +438,10 @@ def _build_engine(
                     start = free if free >= disk_t else disk_t
                     end = start + disk_lat + nbytes / disk_bw
                     disk_free[src_node] = end
-                    move("disk_read", gpus_per_node * src_node, "FETCH", start, end, key[3], nbytes)
+                    link_bytes[_DISK_READ | code] += nbytes
+                    if record is not None:
+                        record(TraceEvent(gpus_per_node * src_node, "disk_read", "FETCH", start,
+                                          end, precision_of[code], nbytes))
                 _host_insert(src_node, key, nbytes, end, protect)
             t_host = src_host[key]
             if src_node != node:
@@ -405,7 +450,10 @@ def _build_engine(
                 start = free if free >= t_host else t_host
                 t_host = start + nic_lat + nbytes / nic_bw
                 nic_free[src_node] = t_host
-                move("nic", gpus_per_node * src_node, "SEND", start, t_host, key[3], nbytes)
+                link_bytes[_NIC | code] += nbytes
+                if record is not None:
+                    record(TraceEvent(gpus_per_node * src_node, "nic", "SEND", start, t_host,
+                                      precision_of[code], nbytes))
                 _host_insert(node, key, nbytes, t_host, protect)
         free = h2d_free[rank]
         start = free if free >= t_host else t_host
@@ -418,7 +466,9 @@ def _build_engine(
         cache.bytes += nbytes
         if cache.bytes > cache.capacity:
             _evict_gpu(rank, protect)
-        move("h2d", rank, "LOAD", start, end, key[3], nbytes)
+        link_bytes[_H2D | code] += nbytes
+        if record is not None:
+            record(TraceEvent(rank, "h2d", "LOAD", start, end, precision_of[code], nbytes))
         return end
 
     _no_protect: set[_Key] = set()
@@ -432,20 +482,22 @@ def _build_engine(
         immediately — for free, since the disk already has those tiles —
         and first touch pays the disk read instead.
         """
-        key: _Key = inp.tile + (inp.payload_precision,)
-        node = node_of(rank)
+        key = inp.key
+        node = node_of[rank]
         if key not in host_ready[node]:
             disk_ready[node].setdefault(key, 0.0)
-            _host_insert(node, key, inp.elements * bpe(key[3]), 0.0, _no_protect)
+            _host_insert(node, key, inp.elements * bpe(inp.payload_precision), 0.0, _no_protect)
         origin_rank.setdefault(key, rank)
 
     def exec_task(task: Task, ready_t: float) -> tuple[float, float]:
         """Run one ready task; returns its (start, end) compute interval."""
+        nonlocal n_ttc, n_stc, ttc_seconds, stc_seconds, conversion_seconds
         rank = task.rank
         inputs = task.inputs
         task_prec = task.precision
         out = task.output
-        out_key: _Key = out + (task.output_precision,)
+        out_prec = task.output_precision
+        out_key = payload_key(out, out_prec)
         #: the task's working set, which no eviction may shed: built on
         #: the first miss (or before shedding), so an all-hit task never does
         protect = None
@@ -458,9 +510,8 @@ def _build_engine(
         conversions: list[tuple[str, Precision, Precision, float]] = []
         conv_seconds = 0.0
         for inp in inputs:
-            # (i, j, version, payload precision): a TileRef is a tuple
             payload = inp.payload_precision
-            key: _Key = inp.tile + (payload,)
+            key = inp.key
             t = ready.get(key)  # the GPU LRU's key set
             if t is not None:
                 entries.move_to_end(key)
@@ -476,14 +527,22 @@ def _build_engine(
                 ttc = ttc_pass[memo] = _ttc(*memo)
             if ttc:
                 conversions.append(ttc)
-                conv_seconds += ttc[3]
+                seconds = ttc[3]
+                conv_seconds += seconds
+                n_ttc += 1
+                ttc_seconds += seconds
+                conversion_seconds += seconds
         sender = task.sender_conversion
         if sender is not None:
             stc = stc_pass.get(sender)
             if stc is None:
                 stc = stc_pass[sender] = ("stc", *sender, conversion_time(gpu, nb * nb, *sender))
             conversions.append(stc)
-            conv_seconds += stc[3]
+            seconds = stc[3]
+            conv_seconds += seconds
+            n_stc += 1
+            stc_seconds += seconds
+            conversion_seconds += seconds
 
         free = compute_free[rank]
         start = free if free >= arrival else arrival
@@ -494,28 +553,14 @@ def _build_engine(
         compute_free[rank] = end
         compute_seconds[task_prec] += end - start
 
-        conv_t = start
-        for site, src, dst, seconds in conversions:
-            if record is not None:
-                record(
-                    TraceEvent(
-                        rank,
-                        "compute",
-                        "CONVERT",
-                        conv_t,
-                        conv_t + seconds,
-                        task_prec,
-                        site=site,
-                        src_precision=src,
-                        dst_precision=dst,
-                    )
-                )
-            conv_t += seconds
-            stats.n_conversions += 1
-            stats.conversion_seconds += seconds
-            conversions_by_site[site] = conversions_by_site.get(site, 0) + 1
-            conversion_seconds_by_site[site] = conversion_seconds_by_site.get(site, 0.0) + seconds
+        if conversions:
+            stats.n_conversions += len(conversions)
         if record is not None:
+            conv_t = start
+            for site, src, dst, seconds in conversions:
+                record(TraceEvent(rank, "compute", "CONVERT", conv_t, conv_t + seconds, task_prec,
+                                  site=site, src_precision=src, dst_precision=dst))
+                conv_t += seconds
             record(
                 TraceEvent(
                     rank, "compute", task.kind, start + conv_seconds, end, task_prec, 0, task.flops
@@ -529,7 +574,7 @@ def _build_engine(
         # output materialises on this GPU (a key written again moves to
         # the MRU end)
         ready[out_key] = end
-        nbytes = tile_bytes[task.output_precision]
+        nbytes = tile_bytes[out_prec]
         cache.bytes += nbytes - entries.pop(out_key, 0)
         entries[out_key] = nbytes
         cache.dirty.add(out_key)
@@ -537,7 +582,7 @@ def _build_engine(
         # STC payload copy (converted once here, broadcast in low precision);
         # a clean write leaves a dirty key dirty
         if sender is not None:
-            pay_key: _Key = out + (sender[1],)
+            pay_key = payload_key(out, sender[1])
             ready[pay_key] = end
             nbytes = tile_bytes[sender[1]]
             cache.bytes += nbytes - entries.pop(pay_key, 0)
@@ -552,12 +597,20 @@ def _build_engine(
         host_resident=lambda node, key: key in host_ready[node],
     )
 
-    def energy(makespan: float) -> dict:
+    def finish(makespan: float) -> dict:
+        stats.conversion_seconds = conversion_seconds
+        for site, count, seconds in (("stc", n_stc, stc_seconds), ("ttc", n_ttc, ttc_seconds)):
+            if count:
+                stats.conversions_by_site[site] = count
+                stats.conversion_seconds_by_site[site] = seconds
+        for counter, nbytes in enumerate(link_bytes):
+            if nbytes:
+                stats.bytes_moved[LINKS[counter >> 3], precision_of[counter & 7]] = nbytes
         busy = {p: t for p, t in compute_seconds.items() if t}
         return dict(compute_seconds=busy, copy_seconds=copy_seconds,
                     joules=joules(gpu, makespan, busy, copy_seconds, n_gpus=n_ranks))
 
-    return seed_host, exec_task, sched_state, energy
+    return seed_host, exec_task, sched_state, finish
 
 
 #: the ``RunStats.to_dict()`` counters a ``sim.complete`` event carries
@@ -568,7 +621,7 @@ _COMPLETE_KEYS = (
 
 
 def _finish(
-    energy: Callable[[float], dict],
+    finish: Callable[[float], dict],
     policy_name: str,
     trace: Trace,
     task_end: list[float],
@@ -580,6 +633,7 @@ def _finish(
     stats = trace.stats
     makespan = max(task_end, default=0.0)
     stats.makespan = makespan
+    ends = finish(makespan)
     doc = stats.to_dict()
     emit_event(
         "sim.complete",
@@ -594,7 +648,7 @@ def _finish(
         policy=policy_name,
         peak_live_tasks=peak_live,
         commit_order=commit_order,
-        **energy(makespan),
+        **ends,
     )
 
 
@@ -629,7 +683,7 @@ def _drive(
     registry = get_registry()
     trace = Trace()
     stats = trace.stats
-    seed_host, exec_task, sched_state, energy = _build_engine(
+    seed_host, exec_task, sched_state, finish = _build_engine(
         platform, nb, trace.record if record_events else None, stats
     )
     evictions_metric = registry.counter("sim.evictions", "LRU evictions (all causes)")
@@ -776,7 +830,7 @@ def _drive(
             "(emission order is not topological?)"
         )
     publish_counts()
-    return _finish(energy, policy_name, trace, task_end, task_start, peak_live, commit_order)
+    return _finish(finish, policy_name, trace, task_end, task_start, peak_live, commit_order)
 
 
 @traced("sim.run")

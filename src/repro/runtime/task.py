@@ -12,6 +12,13 @@ precision in which the payload travels — the quantity Algorithm 2
 decides.  ``TaskInput`` is an immutable named tuple, shared by every
 consumer of a payload; a ``TileRef`` is a plain ``(i, j, version)`` int
 tuple, which the cyclic GC stops tracking (a named tuple it never does).
+
+Every payload is also one int, its *payload key*: :func:`payload_key` of
+``(tile, payload precision)``, minted once when its ``TaskInput`` is built
+(``inp.key``).  The simulator's tiers, links and residency probes and the
+distributed ranks' message keys read that int, so no hot path rebuilds or
+hashes an ``(i, j, version, precision)`` tuple.  :func:`key_payload` is the
+inverse, for messages and tests.
 """
 
 from __future__ import annotations
@@ -21,13 +28,61 @@ from typing import Iterator, NamedTuple
 
 from ..precision.formats import Precision
 
-__all__ = ["TileRef", "TaskInput", "Task", "TaskGraph"]
+__all__ = ["TileRef", "TaskInput", "Task", "TaskGraph", "KEY_FIELD_BITS", "payload_key",
+           "key_payload"]
 
 #: a specific version of one tile, ``(i, j, version)``: the unit of dataflow
 TileRef = tuple[int, int, int]
 
+#: a payload key holds each of ``i``, ``j`` and ``version`` in
+#: ``[0, 2**KEY_FIELD_BITS)``; :func:`payload_key` raises outside it
+KEY_FIELD_BITS = 19
+#: code -> format: a payload key's precision is ``_PRECISION_OF_CODE[key & 7]``
+_PRECISION_OF_CODE: tuple[Precision, ...] = tuple(sorted(Precision))
+_N_CODES = len(_PRECISION_OF_CODE)
 
-class TaskInput(NamedTuple):
+
+def payload_key(tile: TileRef, precision: Precision) -> int:
+    """The one int naming the payload ``(i, j, version, precision)``.
+
+    Injective on its bounds (``ValueError`` outside them, so two payloads
+    never share a key) and a pure function of its arguments: a graph that
+    writes one tile version twice, or a streamed or unpickled one, keys
+    each payload alike.  The low 21 bits hold the precision code and the
+    low six bits of ``i``, ``j`` and ``version``, the 39 above their high
+    bits, so a dict's first probe spreads the keys of a few dozen tiles;
+    the key stays below 2**61 − 1, its own hash.
+    """
+    i, j, v = tile
+    if (i | j | v) >> KEY_FIELD_BITS or not 0 <= precision < _N_CODES:
+        raise ValueError(
+            f"payload {tile + (precision,)} is outside the key's bounds: i, j and version "
+            f"in [0, {1 << KEY_FIELD_BITS}), a Precision"
+        )
+    return ((v >> 6 << 26 | j >> 6 << 13 | i >> 6) << 21
+            | ((v & 63) << 12 | (j & 63) << 6 | i & 63) << 3 | precision)
+
+
+def key_payload(key: int) -> tuple[int, int, int, Precision]:
+    """``(i, j, version, precision)`` of a :func:`payload_key`."""
+    high = key >> 21
+    return ((high & 0x1FFF) << 6 | key >> 3 & 63,
+            (high >> 13 & 0x1FFF) << 6 | key >> 9 & 63,
+            high >> 26 << 6 | key >> 15 & 63,
+            _PRECISION_OF_CODE[key & 7])
+
+
+class _TaskInputFields(NamedTuple):
+    producer: int | None
+    tile: TileRef
+    payload_precision: Precision
+    storage_precision: Precision
+    elements: int
+    role: str
+    key: int
+
+
+class TaskInput(_TaskInputFields):
     """One payload consumed by a task.
 
     ``producer`` is the task id that wrote this tile version, or ``None``
@@ -36,16 +91,27 @@ class TaskInput(NamedTuple):
     precision under TTC; Algorithm 2's communication precision under
     STC/AUTO).  ``storage_precision`` is the precision the data rests in
     at its source — the pair determines whether a sender-side conversion
-    happened upstream.
+    happened upstream.  ``role`` is ``"in"`` for a read-only operand,
+    ``"inout"`` for the accumulator.  ``key`` is not an argument: it is
+    :func:`payload_key` of ``(tile, payload_precision)``, minted here.
     """
 
-    producer: int | None
-    tile: TileRef
-    payload_precision: Precision
-    storage_precision: Precision
-    elements: int
-    #: "in" for read-only operands, "inout" for the accumulator operand
-    role: str = "in"
+    __slots__ = ()
+
+    def __new__(cls, producer: int | None, tile: TileRef, payload_precision: Precision,
+                storage_precision: Precision, elements: int, role: str = "in") -> "TaskInput":
+        return tuple.__new__(cls, (producer, tile, payload_precision, storage_precision,
+                                   elements, role, payload_key(tile, payload_precision)))
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments: pickling (spawn, forkserver) mints the key again."""
+        return self[:6]
+
+    def _replace(self, **fields) -> "TaskInput":
+        if "key" in fields:
+            raise ValueError("a TaskInput's key is derived, not set")
+        args = [fields.pop(name, value) for name, value in zip(self._fields, self[:6])]
+        return TaskInput(*args, **fields)
 
 
 @dataclass(slots=True)

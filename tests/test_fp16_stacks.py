@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import cholesky
 from repro.core.cholesky import kernel_counts, mp_cholesky
 from repro.core.config import MPConfig
 from repro.core.conversion import build_comm_precision_map
@@ -126,6 +127,30 @@ def test_mle_adaptive_matrix_three_ways():
     mat = build_tiled_covariance(ds.locations, ds.model, ds.theta_true, 64, nugget=ds.nugget)
     kmap = build_precision_map(tile_norms(mat), 1e-4, MPConfig().formats)
     assert _three_ways(mat, kmap).kernel_counts["GEMM", Precision.FP16] == 307
+
+
+def test_no_tile_holds_a_stack(monkeypatch):
+    """``mp_cholesky``'s stacked FP16 updates leave each tile its own
+    ``OnFp16Grid`` array, not a view of the (depth, nb, nb) stack, which
+    would keep the whole block alive until its last tile is replaced; no
+    factor tile is a view of a stack either, and the bits are the per-tile
+    oracle's."""
+    ds = SyntheticField.sqexp_2d(1024, 1.0, 0.03, seed=0, nugget=0.01).sample()
+    mat = build_tiled_covariance(ds.locations, ds.model, ds.theta_true, 64, nugget=ds.nugget)
+    kmap = build_precision_map(tile_norms(mat), 1e-4, MPConfig().formats)
+    cmap = build_comm_precision_map(kmap)
+    updated, real = [], cholesky._fp16_update
+
+    def update(tiles, payloads, stack):
+        real(tiles, payloads, stack)
+        updated.extend(tiles[t] for t in stack)
+
+    monkeypatch.setattr(cholesky, "_fp16_update", update)
+    factor = mp_cholesky(mat, kmap, comm_map=cmap).factor
+    assert len(updated) == 307
+    assert all(isinstance(tile, OnFp16Grid) and tile.base is None for tile in updated)
+    assert all(np.ndim(tile.base) < 3 for tile in factor.tiles.values())
+    assert _raw(factor) == _raw(mp_cholesky_oracle(mat, kmap, comm_map=cmap).factor)
 
 
 @pytest.mark.parametrize("nb", [32, 24])

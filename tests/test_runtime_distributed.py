@@ -17,6 +17,7 @@ from repro.obs import event_log, get_registry, read_events
 from repro.precision import Precision
 from repro.runtime import DistributedReport, execute_numeric
 from repro.runtime.distributed import execute_numeric_distributed
+from repro.runtime.task import key_payload
 from repro.tiles import ProcessGrid
 from repro.tiles.norms import tile_norms
 from repro.tiles.tilematrix import TiledSymmetricMatrix
@@ -120,7 +121,8 @@ class TestWirePayloads:
 
         class Inbox(queue.Queue):
             def put(self, item, *args, **kwargs):
-                precision, payload = Precision(item[3]), item[4]
+                key, payload = item
+                precision = key_payload(key)[3]
                 pickled[precision] += len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
                 words[precision] += payload.nbytes
                 messages[precision] += 1

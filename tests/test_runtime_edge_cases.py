@@ -68,6 +68,24 @@ class TestSimulatorRobustness:
         with pytest.raises(KeyError, match="no origin"):
             simulate(g, plat, 2)
 
+    def test_a_version_nobody_wrote_names_its_payload(self):
+        """Task 1 reads version 2 of tile (0, 0), which task 0 never wrote
+        (it wrote version 1): the engine's ``KeyError`` names the payload
+        as ``(i, j, version, PRECISION)``, decoded from its int key."""
+        fp64 = Precision.FP64
+        g = TaskGraph()
+        g.new_task(kind="POTRF", params=(0,), rank=0, precision=fp64, flops=1.0,
+                   output=(0, 0, 1), output_precision=fp64,
+                   inputs=[TaskInput(None, (0, 0, 0), fp64, fp64, 4, "inout")])
+        g.new_task(kind="TRSM", params=(1, 0), rank=0, precision=fp64, flops=1.0,
+                   output=(1, 0, 1), output_precision=fp64,
+                   inputs=[TaskInput(0, (0, 0, 2), fp64, fp64, 4),
+                           TaskInput(None, (1, 0, 0), fp64, fp64, 4, "inout")])
+        g.finalize()
+        with pytest.raises(KeyError, match=r"payload \(0, 0, 2, FP64\) has no origin "
+                                           r"\(missing producer or host seed\)"):
+            simulate(g, Platform.single_gpu(V100), 2)
+
     def test_priority_affects_order_not_results(self):
         """Scrambling priorities changes scheduling, never correctness."""
         nt, nb = 8, 512

@@ -34,7 +34,7 @@ from repro.precision import Precision
 from repro.runtime import Platform, TaskGraph, TaskInput, simulate
 from repro.runtime.policies import SchedulePolicy
 from repro.runtime.simulator import simulate_stream
-from repro.runtime.task import Task
+from repro.runtime.task import Task, payload_key
 
 NB = 1  # a task's output is nb² = one FP64 word: 8 bytes
 FP64 = Precision.FP64
@@ -254,15 +254,15 @@ def test_lru_invariants(spec, tiles):
     task's working set, whose every payload it still holds; the byte
     ledger reconciles; each entry created is resident or was evicted."""
     capacity = room(tiles) if tiles else 0
-    size = {TILE_OF[n] + (FP64,): 8 * ELEMENTS[n] for n in NAMES[:8]}
-    acc = ACC + (FP64,)
-    probe = _Residency({*size, acc} | {(200 + t, 0, 1, FP64) for t in range(len(spec))})
+    size = {payload_key(TILE_OF[n], FP64): 8 * ELEMENTS[n] for n in NAMES[:8]}
+    acc = payload_key(ACC, FP64)
+    probe = _Residency({*size, acc} | {payload_key((200 + t, 0, 1), FP64) for t in range(len(spec))})
     # one task in flight: each task is keyed right after its predecessor
     # ran, and a last empty task is keyed after the final one
     tasks = spec_tasks([*spec, ((), False)])
     simulate_stream(iter(tasks), platform(capacity), NB, lookahead=1, policy=probe)
     for done, resident in zip(tasks, probe.snapshots[1:]):
-        working = {inp.tile + (FP64,) for inp in done.inputs} | {done.output + (FP64,)}
+        working = {inp.key for inp in done.inputs} | {payload_key(done.output, FP64)}
         assert working <= resident
         assert sum(size.get(k, 8) for k in resident) <= capacity or resident <= working
     rep = spec_run(spec, capacity)  # the same schedule, without the last task

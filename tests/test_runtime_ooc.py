@@ -114,6 +114,19 @@ class TestDiskTier:
         rep = simulate_cholesky(8 * nb, nb, kmap, tiny(4))
         assert rep.makespan == 0.34248074908278964  # the parent commit's, to the bit
 
+    def test_a_payload_in_no_tier_is_named(self):
+        """The same three-tile host: the payload its GPU wrote back and the
+        host shed is named as ``(i, j, version, PRECISION)``, with its
+        origin node."""
+        from repro.core.precision_map import uniform_map
+
+        nb, tile = 512, 512 * 512 * 8
+        gpu = dataclasses.replace(V100, memory_bytes=4 * tile)
+        tiny = Platform(NodeSpec("tiny", gpu, 1, 3 * tile, 25e9, 1.5e-6), n_nodes=1)
+        with pytest.raises(ValueError, match=r"^payload \(3, 1, 1, FP64\) is in no tier of its "
+                                             r"origin node 0: "):
+            simulate_cholesky(8 * nb, nb, uniform_map(8, Precision.FP64), tiny)
+
     def test_negative_gpu_memory_is_rejected(self):
         """A 0-byte tier holds only a working set (tests/test_runtime_lru.py,
         the CLI tests); a negative one is a ValueError naming it."""

@@ -142,8 +142,7 @@ class TestDistributedRankStore:
         mine = [t for t in graph if t.rank == rank]
         store = _seed_version0(graph, mat, rank)
         stash = {
-            inp.tile + (int(inp.payload_precision),):
-                quantize(everything[inp.tile], inp.payload_precision)
+            inp.key: quantize(everything[inp.tile], inp.payload_precision)
             for t in mine for inp in t.inputs
             if inp.producer is not None and graph.tasks[inp.producer].rank != rank
         }
@@ -154,7 +153,7 @@ class TestDistributedRankStore:
                     continue
                 forms = store.panels.setdefault(inp.tile, {})
                 if inp.payload_precision not in forms:
-                    payload = stash.pop(inp.tile + (inp.payload_precision,))
+                    payload = stash.pop(inp.key)
                     forms[inp.payload_precision] = Operand(as_input(payload, inp.payload_precision))
             key, result = _execute_task(task, store)
             assert np.array_equal(result, everything[key])
